@@ -24,9 +24,9 @@
 //! every cell, so no driver pays trace synthesis more than once. The
 //! accuracy figures go one step further with [`replay_for`]: the
 //! per-event `(set, tag)` split is precomputed once per (workload,
-//! geometry) — set-partitioned at decomposition time on geometries
-//! past the kernel's sort threshold — and streamed into the cache
-//! kernel's batched entry points. Under `repro --stream`
+//! geometry) and fed, in trace order, to the cache kernel's batched
+//! entry points in blocks of [`DEFAULT_REPLAY_BLOCK`] events. Under
+//! `repro --stream`
 //! ([`set_stream_mode`]) drivers bypass the arenas entirely and pipe
 //! generators through a chunked O([`STREAM_CHUNK`])-memory pipeline
 //! with byte-identical output.
@@ -72,38 +72,23 @@ pub mod tracing;
 
 pub use table::Table;
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use cache_model::CacheGeometry;
 use trace_gen::arena::{ArenaKey, TraceArena};
-use trace_gen::decomposed::{DecomposedArena, DecomposedTrace, PartitionedTrace};
+use trace_gen::decomposed::{DecomposedArena, DecomposedTrace};
 use trace_gen::TraceEvent;
 
 /// Default events per workload for full experiment runs.
 pub const DEFAULT_EVENTS: usize = 300_000;
 
-/// Default event-block size for decomposed replay, picked by the
-/// `substrate/cache_kernel` block-size sweep (EXPERIMENTS.md, "Cache
-/// kernel round two"): large enough to amortize bucketing, small
-/// enough that a block's `(set, tag)` pairs and the bucketing scratch
+/// Event-block size of decomposed replay, picked by the
+/// `substrate/cache_kernel` block size sweep (EXPERIMENTS.md, "Cache
+/// kernel round two"): large enough to amortize the per-block probe
+/// and policy dispatch, small enough that a block's `(set, tag)` pairs
 /// stay L1/L2-resident alongside the kernel arrays.
 pub const DEFAULT_REPLAY_BLOCK: usize = 1024;
-
-/// The process-wide replay block size (`repro --block-size`).
-static REPLAY_BLOCK: AtomicUsize = AtomicUsize::new(DEFAULT_REPLAY_BLOCK);
-
-/// Sets the event-block size used by [`replay_accuracy`]. A size of 1
-/// selects the legacy per-event path; zero is clamped to 1.
-pub fn set_replay_block_size(block: usize) {
-    REPLAY_BLOCK.store(block.max(1), Ordering::Relaxed);
-}
-
-/// The event-block size [`replay_accuracy`] currently uses.
-#[must_use]
-pub fn replay_block_size() -> usize {
-    REPLAY_BLOCK.load(Ordering::Relaxed)
-}
 
 /// Whether drivers stream workload generators chunk-by-chunk instead
 /// of materializing whole traces in the arenas (`repro --stream`).
@@ -127,28 +112,18 @@ pub fn stream_mode() -> bool {
 
 /// Events per chunk of the streaming pipeline: the generator fills
 /// one `(set, tag)` chunk, the kernel replays it in
-/// [`replay_block_size`] blocks, and the buffers are reused — peak
-/// memory is O(chunk) per cell regardless of trace length. Chunk
-/// boundaries cannot change results (block replay is
-/// boundary-insensitive by the differential equivalence the block
-/// kernel is tested for).
+/// [`DEFAULT_REPLAY_BLOCK`] blocks, and the buffers are reused — peak
+/// memory is O(chunk) per cell regardless of trace length. A multiple
+/// of the block size, so streamed blocks line up with arena blocks.
 pub const STREAM_CHUNK: usize = 64 * 1024;
 
-/// One accuracy driver's replay input: either arena-resident forms
-/// (trace order, plus the set-partitioned form when the geometry
-/// clears the sort threshold) or a streamed generator.
+/// One replay driver's input: an arena-resident decomposed trace or a
+/// streamed generator.
 #[derive(Debug, Clone)]
 pub enum ReplayTrace {
-    /// Arena-memoized forms, shared across cells.
-    Arena {
-        /// Trace-order `(set, tag)` arrays.
-        trace: Arc<DecomposedTrace>,
-        /// The decompose-time set-partitioned form, present only when
-        /// the geometry is past
-        /// [`cache_model::SORT_SLOT_THRESHOLD`] (cache-resident
-        /// geometries replay faster in trace order).
-        partitioned: Option<Arc<PartitionedTrace>>,
-    },
+    /// The arena-memoized trace-order `(set, tag)` arrays, shared
+    /// across cells.
+    Arena(Arc<DecomposedTrace>),
     /// Chunked generator replay (`repro --stream`): nothing resident
     /// beyond one chunk.
     Stream {
@@ -166,7 +141,7 @@ impl ReplayTrace {
     #[must_use]
     pub fn len(&self) -> usize {
         match self {
-            ReplayTrace::Arena { trace, .. } => trace.len(),
+            ReplayTrace::Arena(trace) => trace.len(),
             ReplayTrace::Stream { events, .. } => *events,
         }
     }
@@ -176,14 +151,61 @@ impl ReplayTrace {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Feeds every `(set, tag)` pair to `f` in trace order, in blocks
+    /// of [`DEFAULT_REPLAY_BLOCK`] pairs (the final block may be
+    /// shorter). Arena inputs slice the memoized arrays; stream inputs
+    /// generate and decompose one [`STREAM_CHUNK`] at a time into
+    /// pooled buffers, so memory stays O(chunk). Both arms yield the
+    /// same blocks.
+    pub fn for_each_block(&self, mut f: impl FnMut(&[u32], &[u64])) {
+        match self {
+            ReplayTrace::Arena(trace) => trace.for_each_block(DEFAULT_REPLAY_BLOCK, f),
+            ReplayTrace::Stream {
+                workload,
+                geom,
+                events,
+            } => {
+                let mut left = *events;
+                if left == 0 {
+                    return;
+                }
+                let mut source = workload.source(SEED);
+                let line_size = geom.line_size();
+                let set_bits = geom.set_bits();
+                let mask = (1u64 << set_bits) - 1;
+                // Chunk buffers come from (and return to) the kernel's
+                // buffer pool, so streaming traffic shows up in the same
+                // `trace-repro/1` pool counters as the kernel arrays.
+                let chunk = STREAM_CHUNK.min(left);
+                let mut sets = cache_model::pool::take_u32_zeroed(chunk);
+                let mut tags = cache_model::pool::take_u64(chunk);
+                while left > 0 {
+                    let n = chunk.min(left);
+                    for i in 0..n {
+                        let line = source.next_event().access.addr.line(line_size).raw();
+                        sets[i] = (line & mask) as u32;
+                        tags[i] = line >> set_bits;
+                    }
+                    for (s, t) in sets[..n]
+                        .chunks(DEFAULT_REPLAY_BLOCK)
+                        .zip(tags[..n].chunks(DEFAULT_REPLAY_BLOCK))
+                    {
+                        f(s, t);
+                    }
+                    left -= n;
+                }
+                cache_model::pool::recycle_u32(sets);
+                cache_model::pool::recycle_u64(tags);
+            }
+        }
+    }
 }
 
 /// The replay input for `(workload, SEED, events)` against `geom`:
-/// the arena-memoized decomposed trace — plus the set-partitioned
-/// form when `geom` is past [`cache_model::SORT_SLOT_THRESHOLD`] and
-/// block replay is enabled — or a streamed generator under
-/// [`stream_mode`]. This is what fig1, fig2 and the shadow-depth
-/// ablation feed [`replay_accuracy`].
+/// the arena-memoized decomposed trace, or a streamed generator under
+/// [`stream_mode`]. This is what fig1, fig2, the shadow-depth ablation
+/// and the MRC family replay.
 #[must_use]
 pub fn replay_for(
     workload: &workloads::Workload,
@@ -191,115 +213,32 @@ pub fn replay_for(
     events: usize,
 ) -> ReplayTrace {
     if stream_mode() {
-        return ReplayTrace::Stream {
+        ReplayTrace::Stream {
             workload: *workload,
             geom: *geom,
             events,
-        };
+        }
+    } else {
+        ReplayTrace::Arena(decomposed_for(workload, geom, events))
     }
-    let trace = decomposed_for(workload, geom, events);
-    let partitioned = (replay_block_size() > 1
-        && geom.num_lines() > cache_model::SORT_SLOT_THRESHOLD)
-        .then(|| {
-            DecomposedArena::global().get_or_partition(
-                ArenaKey::new(workload.name(), SEED, events),
-                geom.line_size(),
-                geom.set_bits(),
-                || trace_for(workload, events),
-            )
-        });
-    ReplayTrace::Arena { trace, partitioned }
 }
 
 /// The shared replay loop of the accuracy drivers (fig1, fig2, the
-/// shadow-depth ablation): streams the replay input through an
-/// [`mct::accuracy::AccuracyEvaluator`].
-///
-/// Arena inputs replay in event blocks of [`replay_block_size`]
-/// pairs (per-event loop at block size 1); past-threshold geometries
-/// carry the decompose-time set-partitioned form and replay whole
-/// per-set runs with no per-block sorting. Stream inputs run the
-/// chunked generator pipeline. Results are identical on every path
-/// (each is differential-tested against per-event replay); the
-/// variants exist purely for throughput and memory. When a probe
-/// sink is armed, every path falls back to per-event trace order so
-/// the emitted event stream is byte-identical to unbatched replay.
+/// shadow-depth ablation, the MRC cross-check): feeds the replay input
+/// block by block through an [`mct::accuracy::AccuracyEvaluator`].
+/// Results equal per-event replay (differential-tested); when a probe
+/// sink is armed, each block falls back to per-event order so the
+/// emitted event stream is byte-identical to unbatched replay.
 pub fn replay_accuracy<T: mct::EvictionClassifier>(
     trace: &ReplayTrace,
     eval: &mut mct::accuracy::AccuracyEvaluator<T>,
 ) {
-    let block = replay_block_size();
-    match trace {
-        ReplayTrace::Arena { trace, partitioned } => {
-            if let Some(part) = partitioned {
-                if !sim_core::probe::active() {
-                    let _span = sim_core::span::enter("replay_partitioned");
-                    sim_core::span::add_events(trace.len() as u64);
-                    let runs = cache_model::SetRuns::new(
-                        part.dir_sets(),
-                        part.dir_starts(),
-                        part.indices(),
-                        part.tags(),
-                    );
-                    eval.observe_partitioned(trace.sets(), trace.tags(), runs);
-                    return;
-                }
-                // Armed probes need per-event trace order; fall
-                // through to the trace-order paths below.
-            }
-            if block <= 1 {
-                let _span = sim_core::span::enter("replay_events");
-                sim_core::span::add_events(trace.len() as u64);
-                trace.for_each(|set, tag| eval.observe_parts(set, tag));
-            } else {
-                let _span = sim_core::span::enter("replay_block");
-                sim_core::span::add_events(trace.len() as u64);
-                trace.for_each_block(block, |sets, tags| eval.observe_block(sets, tags));
-            }
-        }
-        ReplayTrace::Stream {
-            workload,
-            geom,
-            events,
-        } => {
-            let _span = sim_core::span::enter("replay_stream");
-            sim_core::span::add_events(*events as u64);
-            let mut source = workload.source(SEED);
-            let line_size = geom.line_size();
-            let set_bits = geom.set_bits();
-            let mask = (1u64 << set_bits) - 1;
-            let mut left = *events;
-            if left == 0 {
-                return;
-            }
-            // Chunk buffers come from (and return to) the kernel's
-            // buffer pool, so streaming traffic shows up in the same
-            // `trace-repro/1` pool counters as the kernel arrays.
-            let chunk = STREAM_CHUNK.min(left);
-            let mut sets = cache_model::pool::take_u32_zeroed(chunk);
-            let mut tags = cache_model::pool::take_u64(chunk);
-            while left > 0 {
-                let n = chunk.min(left);
-                for i in 0..n {
-                    let line = source.next_event().access.addr.line(line_size).raw();
-                    sets[i] = (line & mask) as u32;
-                    tags[i] = line >> set_bits;
-                }
-                if block <= 1 {
-                    for (&set, &tag) in sets[..n].iter().zip(&tags[..n]) {
-                        eval.observe_parts(set as usize, tag);
-                    }
-                } else {
-                    for (s, t) in sets[..n].chunks(block).zip(tags[..n].chunks(block)) {
-                        eval.observe_block(s, t);
-                    }
-                }
-                left -= n;
-            }
-            cache_model::pool::recycle_u32(sets);
-            cache_model::pool::recycle_u64(tags);
-        }
-    }
+    let _span = match trace {
+        ReplayTrace::Arena(_) => sim_core::span::enter("replay_block"),
+        ReplayTrace::Stream { .. } => sim_core::span::enter("replay_stream"),
+    };
+    sim_core::span::add_events(trace.len() as u64);
+    trace.for_each_block(|sets, tags| eval.observe_block(sets, tags));
 }
 
 /// The seed all experiments use (workload identity is mixed in by the

@@ -33,7 +33,7 @@ use mrc::{CurvePoint, ShardsEngine, StackDistanceEngine};
 use workloads::Workload;
 
 use crate::telemetry::{json_f64, json_string};
-use crate::{ReplayTrace, Table};
+use crate::Table;
 
 /// The capacity ladder (in lines) every curve is evaluated at. It
 /// includes both paper geometry capacities — 256 lines (16 KB, 64 B
@@ -178,51 +178,6 @@ pub fn simulated_events(events: usize) -> u64 {
     ((crate::fig1::configurations().len() + 1) * suite * events) as u64
 }
 
-/// Replays a [`ReplayTrace`] through the engine. Arena inputs replay
-/// in event blocks; stream inputs run the chunked generator pipeline
-/// with pooled buffers, so memory stays O(chunk + engine index).
-fn replay_mrc(trace: &ReplayTrace, set_bits: u32, engine: &mut Engine) {
-    let _span = sim_core::span::enter("replay_mrc");
-    sim_core::span::add_events(trace.len() as u64);
-    match trace {
-        ReplayTrace::Arena { trace, .. } => {
-            let block = crate::replay_block_size().max(1);
-            trace.for_each_block(block, |sets, tags| {
-                engine.record_parts_block(sets, tags, set_bits);
-            });
-        }
-        ReplayTrace::Stream {
-            workload,
-            geom,
-            events,
-        } => {
-            let mut source = workload.source(crate::SEED);
-            let line_size = geom.line_size();
-            let set_bits = geom.set_bits();
-            let mask = (1u64 << set_bits) - 1;
-            let mut left = *events;
-            if left == 0 {
-                return;
-            }
-            let chunk = crate::STREAM_CHUNK.min(left);
-            let mut sets = cache_model::pool::take_u32_zeroed(chunk);
-            let mut tags = cache_model::pool::take_u64(chunk);
-            while left > 0 {
-                let n = chunk.min(left);
-                for i in 0..n {
-                    let line = source.next_event().access.addr.line(line_size).raw();
-                    sets[i] = (line & mask) as u32;
-                    tags[i] = line >> set_bits;
-                }
-                engine.record_parts_block(&sets[..n], &tags[..n], set_bits);
-                left -= n;
-            }
-            cache_model::pool::recycle_u32(sets);
-            cache_model::pool::recycle_u64(tags);
-        }
-    }
-}
-
 fn curve_for(
     workload: &Workload,
     geom: CacheGeometry,
@@ -232,7 +187,12 @@ fn curve_for(
     let mut engine = Engine::new(sample);
     let trace = crate::replay_for(workload, &geom, events);
     crate::telemetry::record_events(events as u64);
-    replay_mrc(&trace, geom.set_bits(), &mut engine);
+    {
+        let _span = sim_core::span::enter("replay_mrc");
+        sim_core::span::add_events(trace.len() as u64);
+        let set_bits = geom.set_bits();
+        trace.for_each_block(|sets, tags| engine.record_parts_block(sets, tags, set_bits));
+    }
     WorkloadCurve {
         workload: workload.name().to_owned(),
         events: events as u64,

@@ -1,13 +1,12 @@
-//! The PR's two replay-mode guarantees, end to end:
+//! The replay-mode guarantees, end to end:
 //!
 //! * **stream vs arena** — `repro --stream` pipes each workload
 //!   generator through the chunked constant-memory pipeline and must
 //!   render figure reports byte-identical to arena replay, at any
 //!   worker-thread count;
-//! * **partitioned vs trace order** — above
-//!   [`cache_model::SORT_SLOT_THRESHOLD`] the drivers replay the
-//!   memoized set-partitioned form, which must produce the exact
-//!   accuracy report of per-event trace-order replay.
+//! * **block vs per event** — arena block replay must produce the
+//!   exact accuracy report of per-event `observe_parts` replay, at the
+//!   paper's geometries and at a 65536-slot one far past them.
 //!
 //! Everything lives in ONE `#[test]` because stream mode
 //! ([`experiments::set_stream_mode`]) and the worker-thread cap
@@ -20,7 +19,7 @@ use mct::accuracy::AccuracyEvaluator;
 use mct::TagBits;
 
 #[test]
-fn stream_and_partitioned_replay_match_arena_trace_order() {
+fn stream_and_block_replay_match_per_event_replay() {
     const EVENTS: usize = 3_000;
 
     // Arena-mode reference reports, serial.
@@ -71,29 +70,26 @@ fn stream_and_partitioned_replay_match_arena_trace_order() {
         "chunked streaming must match arena replay across chunk seams"
     );
 
-    // Above the sort threshold `replay_for` hands back the memoized
-    // partitioned form; its report must equal per-event trace-order
-    // replay of the same decomposed trace.
-    let mrc_geom = CacheGeometry::new(4 * 1024 * 1024, 2, 64).unwrap();
-    assert!(mrc_geom.num_lines() > cache_model::SORT_SLOT_THRESHOLD);
-    let replay = experiments::replay_for(&w, &mrc_geom, EVENTS);
-    match &replay {
-        experiments::ReplayTrace::Arena { partitioned, .. } => {
-            assert!(
-                partitioned.is_some(),
-                "above-threshold geometry must carry the partitioned form"
-            );
-        }
-        experiments::ReplayTrace::Stream { .. } => panic!("arena mode expected"),
+    // Arena block replay equals per-event replay of the same
+    // decomposed trace, at a paper geometry (64 KB 2-way, 1024 slots)
+    // and at 4 MB 2-way (65536 slots).
+    for size in [64 * 1024, 4 * 1024 * 1024] {
+        let geom = CacheGeometry::new(size, 2, 64).unwrap();
+        let replay = experiments::replay_for(&w, &geom, EVENTS);
+        assert!(
+            matches!(replay, experiments::ReplayTrace::Arena(_)),
+            "arena mode expected"
+        );
+        let mut via_blocks = AccuracyEvaluator::new(geom, TagBits::Low(8));
+        experiments::replay_accuracy(&replay, &mut via_blocks);
+        let decomposed = experiments::decomposed_for(&w, &geom, EVENTS);
+        let mut via_events = AccuracyEvaluator::new(geom, TagBits::Low(8));
+        decomposed.for_each(|set, tag| via_events.observe_parts(set, tag));
+        assert_eq!(
+            via_blocks.report(),
+            via_events.report(),
+            "block replay must match per-event replay at {} slots",
+            geom.num_lines()
+        );
     }
-    let mut via_partitioned = AccuracyEvaluator::new(mrc_geom, TagBits::Low(8));
-    experiments::replay_accuracy(&replay, &mut via_partitioned);
-    let decomposed = experiments::decomposed_for(&w, &mrc_geom, EVENTS);
-    let mut via_events = AccuracyEvaluator::new(mrc_geom, TagBits::Low(8));
-    decomposed.for_each(|set, tag| via_events.observe_parts(set, tag));
-    assert_eq!(
-        via_partitioned.report(),
-        via_events.report(),
-        "partitioned replay must match per-event trace-order replay"
-    );
 }

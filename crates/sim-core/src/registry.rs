@@ -106,22 +106,18 @@ pub fn bench_group_registered(name: &str) -> bool {
 /// a multi-hour sweep, so simlint's graph rules (`transitive-panic`,
 /// `hot-path-alloc`) walk the workspace call graph starting here.
 ///
-/// Registration is by function name, not path: the kernel's batched,
-/// partitioned, and per-event forms all funnel through these, and a
+/// Registration is by function name, not path: the kernel's batched
+/// and per-event forms all funnel through these, and a
 /// new crate that defines a function with one of these names opts
 /// straight into the hot-path contract.
-pub const HOT_ENTRY_POINTS: [&str; 14] = [
+pub const HOT_ENTRY_POINTS: [&str; 10] = [
     "access_block",
     "access_block_with",
-    "access_partitioned",
-    "access_partitioned_with",
     "access_parts",
     "access_parts_block",
-    "access_parts_partitioned",
     "fill_at",
     "fill_parts",
     "observe_block",
-    "observe_partitioned",
     "observe_parts",
     "peek_at",
     "probe_at",
@@ -167,7 +163,7 @@ mod tests {
 
     #[test]
     fn prefix_predicates() {
-        assert!(span_name_registered("replay_partitioned"));
+        assert!(span_name_registered("replay_stream"));
         assert!(!span_name_registered("mystery_phase"));
         assert!(bench_group_registered("substrate/cache_kernel"));
         assert!(bench_group_registered("figure_drivers"));
@@ -176,7 +172,7 @@ mod tests {
 
     #[test]
     fn entry_points_cover_the_kernel_and_mct_forms() {
-        for name in ["access_block", "observe_partitioned", "fill_at"] {
+        for name in ["access_block", "observe_block", "fill_at"] {
             assert!(hot_entry_point(name));
         }
         assert!(!hot_entry_point("render_table"));

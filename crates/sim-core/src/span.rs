@@ -484,7 +484,7 @@ mod tests {
         // Spans outside any scope are dropped, not misfiled.
         arm(fake_clock);
         {
-            let _g = enter("replay_events");
+            let _g = enter("replay_stream");
             add_events(1);
         }
         assert!(disarm().is_empty());
@@ -514,15 +514,15 @@ mod tests {
         assert_eq!(worker(), 3);
         set_worker(0);
 
-        // Name registry. The partitioned-replay pipeline's span names
-        // are pinned here so a prefix change cannot silently
-        // unregister them: `arena_partition` (decompose-time counting
-        // sort), `replay_partitioned` (per-set-run replay), and
-        // `replay_stream` (chunked generator replay).
+        // Name registry. The replay pipeline's span names are pinned
+        // here so a prefix change cannot silently unregister them:
+        // `arena_decompose` (the `(set, tag)` split), `replay_block`
+        // (arena block replay), `replay_stream` (chunked generator
+        // replay) and `replay_mrc` (the stack-distance pass).
+        assert!(name_registered("arena_decompose"));
         assert!(name_registered("replay_block"));
-        assert!(name_registered("arena_partition"));
-        assert!(name_registered("replay_partitioned"));
         assert!(name_registered("replay_stream"));
+        assert!(name_registered("replay_mrc"));
         assert!(!name_registered("my_phase"));
     }
 
