@@ -39,11 +39,31 @@ impl OracleClass {
     }
 }
 
-/// A fully-associative LRU cache over line addresses, implemented with
-/// lazy deletion: accesses push (line, stamp) onto a queue, and stale
-/// queue entries are skipped during eviction.
+/// The three-C oracle's shadow: a fully-associative LRU cache over
+/// line addresses, implemented with lazy deletion (accesses push
+/// (line, stamp) onto a queue, and stale queue entries are skipped
+/// during eviction).
+///
+/// On its own it answers the only question accuracy scoring asks —
+/// would a miss here be a conflict miss? — through
+/// [`Self::observe_conflict`]. A shadow hit implies the line was
+/// referenced before, so it needs no compulsory set; that is what
+/// [`ThreeCClassifier`] adds for callers that want the three-way
+/// split.
+///
+/// # Examples
+///
+/// ```
+/// use cache_model::oracle::FullyAssocLru;
+/// use sim_core::LineAddr;
+///
+/// let mut shadow = FullyAssocLru::new(2);
+/// assert!(!shadow.observe_conflict(LineAddr::new(1)));
+/// assert!(!shadow.observe_conflict(LineAddr::new(2)));
+/// assert!(shadow.observe_conflict(LineAddr::new(1)));
+/// ```
 #[derive(Debug, Clone)]
-struct FullyAssocLru {
+pub struct FullyAssocLru {
     capacity_lines: usize,
     /// line -> latest stamp for that line.
     stamps: FxHashMap<LineAddr, u64>,
@@ -53,7 +73,14 @@ struct FullyAssocLru {
 }
 
 impl FullyAssocLru {
-    fn new(capacity_lines: usize) -> Self {
+    /// Creates an empty shadow holding `capacity_lines` lines (the
+    /// real cache's total line count).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity_lines` is zero.
+    #[must_use]
+    pub fn new(capacity_lines: usize) -> Self {
         assert!(capacity_lines > 0, "oracle cache needs capacity");
         FullyAssocLru {
             capacity_lines,
@@ -63,8 +90,13 @@ impl FullyAssocLru {
         }
     }
 
-    /// References a line; returns `true` on hit.
-    fn access(&mut self, line: LineAddr) -> bool {
+    /// References `line` and returns whether a real-cache miss on it
+    /// here would be a conflict miss: `true` exactly when the shadow
+    /// hits, i.e. when [`ThreeCClassifier::observe`] would return
+    /// [`OracleClass::Conflict`].
+    ///
+    /// Call this for every reference, hits in the real cache included.
+    pub fn observe_conflict(&mut self, line: LineAddr) -> bool {
         self.clock += 1;
         let clock = self.clock;
         let hit = match self.stamps.entry(line) {
@@ -92,10 +124,11 @@ impl FullyAssocLru {
 
     fn evict_to_capacity(&mut self) {
         while self.stamps.len() > self.capacity_lines {
-            let (line, stamp) = self
-                .order
-                .pop_front()
-                .expect("stamps nonempty implies order nonempty");
+            // Every resident line has a live queue entry, so the queue
+            // cannot run dry while lines are over capacity.
+            let Some((line, stamp)) = self.order.pop_front() else {
+                break;
+            };
             match self.stamps.get(&line) {
                 Some(&latest) if latest == stamp => {
                     self.stamps.remove(&line);
@@ -168,11 +201,10 @@ impl ThreeCClassifier {
     /// references that hit in the real cache.
     pub fn observe(&mut self, line: LineAddr) -> OracleClass {
         let first_touch = self.seen.insert(line);
-        let shadow_hit = self.shadow.access(line);
-        if first_touch {
-            OracleClass::Compulsory
-        } else if shadow_hit {
+        if self.shadow.observe_conflict(line) {
             OracleClass::Conflict
+        } else if first_touch {
+            OracleClass::Compulsory
         } else {
             OracleClass::Capacity
         }

@@ -12,6 +12,11 @@
 //! * **capacity accuracy** — fraction of oracle-non-conflict misses
 //!   the MCT labels capacity.
 //!
+//! Scoring has one path, [`AccuracyScorer`], which takes the oracle's
+//! verdicts as an argument. Cells that share a capacity can therefore
+//! share one oracle (group replay). [`AccuracyEvaluator`] is the
+//! standalone form: one scorer with its own oracle.
+//!
 //! # Examples
 //!
 //! ```
@@ -32,15 +37,13 @@
 //! # Ok::<(), cache_model::ConfigError>(())
 //! ```
 
-use cache_model::oracle::ThreeCClassifier;
+use cache_model::oracle::FullyAssocLru;
 use cache_model::CacheGeometry;
 use sim_core::probe;
 use sim_core::stats::Ratio;
 use sim_core::LineAddr;
 
-use crate::{
-    BlockClass, ClassifyingCache, EvictionClassifier, MissClass, MissClassificationTable, TagBits,
-};
+use crate::{BlockClass, ClassifyingCache, EvictionClassifier, MissClassificationTable, TagBits};
 
 /// Accuracy of the MCT over one reference stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -78,21 +81,135 @@ impl AccuracyReport {
         self.accesses += other.accesses;
         self.misses += other.misses;
     }
+
+    /// Tallies one real-cache miss; returns whether the MCT's label
+    /// agreed with the oracle's verdict.
+    fn record_miss(&mut self, oracle_conflict: bool, mct_conflict: bool) -> bool {
+        self.misses += 1;
+        // The MCT labels every miss conflict or capacity, so it agrees
+        // exactly when both sides call the miss a conflict or neither
+        // does.
+        let agree = oracle_conflict == mct_conflict;
+        if oracle_conflict {
+            self.conflict.record(agree);
+        } else {
+            self.capacity.record(agree);
+        }
+        agree
+    }
 }
 
-/// Runs a [`ClassifyingCache`] and a [`ThreeCClassifier`] side by side
-/// over one reference stream.
+/// Scores a [`ClassifyingCache`] against oracle verdicts that the
+/// caller supplies. It holds no oracle of its own.
+///
+/// A verdict is `true` when a fully-associative LRU cache of the real
+/// cache's capacity would have hit, as
+/// [`FullyAssocLru::observe_conflict`] reports it. Group replay
+/// computes one verdict array per capacity and scores every cell of
+/// that capacity against it.
 #[derive(Debug, Clone)]
-pub struct AccuracyEvaluator<T = MissClassificationTable> {
+pub struct AccuracyScorer<T = MissClassificationTable> {
     cache: ClassifyingCache<T>,
-    oracle: ThreeCClassifier,
     report: AccuracyReport,
-    /// Scratch for [`Self::observe_block`]: per-event oracle conflict
-    /// flags, reused across blocks.
-    oracle_conflict: Vec<bool>,
-    /// Scratch for [`Self::observe_block`]: per-event MCT
+    /// Scratch for [`Self::score_block`]: per-event MCT
     /// classifications, reused across blocks.
     classes: Vec<BlockClass>,
+}
+
+impl<T: EvictionClassifier> AccuracyScorer<T> {
+    /// Creates a scorer around any eviction classifier (the
+    /// shadow-directory depth ablation uses this).
+    #[must_use]
+    pub fn with_classifier(geom: CacheGeometry, table: T) -> Self {
+        AccuracyScorer {
+            cache: ClassifyingCache::with_classifier(geom, table),
+            report: AccuracyReport::default(),
+            classes: Vec::new(),
+        }
+    }
+
+    /// Scores one decomposed reference, given the oracle's verdict for
+    /// it. Hits count as accesses only.
+    pub fn score_parts(&mut self, set: usize, tag: u64, oracle_conflict: bool) {
+        self.report.accesses += 1;
+        let outcome = self.cache.access_parts(set, tag);
+        let Some(miss) = outcome.miss() else { return };
+        let agree = self
+            .report
+            .record_miss(oracle_conflict, miss.class.is_conflict());
+        probe::emit(probe::ProbeEvent::Oracle {
+            oracle_conflict,
+            agree,
+        });
+    }
+
+    /// Scores a block of decomposed references against their oracle
+    /// verdicts: [`Self::score_parts`] in bulk, the block replay path.
+    /// The three slices are parallel arrays in trace order.
+    ///
+    /// The MCT cache replays the block through
+    /// [`ClassifyingCache::access_parts_block`], and its outcome array
+    /// is merged with the verdicts index by index. This reproduces the
+    /// per-event report exactly.
+    ///
+    /// With a probe sink armed the whole block falls back to per-event
+    /// [`Self::score_parts`], so the emitted event stream (`Access`,
+    /// `Classify`, `ConflictBit`, `Oracle` interleaved per event) is
+    /// byte-identical to unbatched replay.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sets` and `tags` differ in length or a set index is
+    /// out of range for the geometry.
+    pub fn score_block(&mut self, sets: &[u32], tags: &[u64], oracle_conflict: &[bool]) {
+        if probe::active() {
+            for ((&set, &tag), &verdict) in sets.iter().zip(tags).zip(oracle_conflict) {
+                self.score_parts(set as usize, tag, verdict);
+            }
+            return;
+        }
+        self.report.accesses += sets.len() as u64;
+        self.classes.clear();
+        self.classes.resize(sets.len(), BlockClass::Hit);
+        self.cache.access_parts_block(sets, tags, &mut self.classes);
+        for (&verdict, &class) in oracle_conflict.iter().zip(&self.classes) {
+            // No Oracle probe events here: this path runs only with
+            // probes disarmed, where emit would be a no-op anyway.
+            if class != BlockClass::Hit {
+                self.report
+                    .record_miss(verdict, class == BlockClass::Conflict);
+            }
+        }
+    }
+
+    /// Returns the accumulated report.
+    #[must_use]
+    pub fn finish(self) -> AccuracyReport {
+        self.report
+    }
+
+    /// The report so far, without consuming the scorer.
+    #[must_use]
+    pub fn report(&self) -> &AccuracyReport {
+        &self.report
+    }
+
+    /// The underlying classifying cache (for hit-rate inspection).
+    #[must_use]
+    pub fn cache(&self) -> &ClassifyingCache<T> {
+        &self.cache
+    }
+}
+
+/// An [`AccuracyScorer`] with its own oracle: a [`FullyAssocLru`]
+/// shadow of the cache's line capacity, fed the same reference stream.
+#[derive(Debug, Clone)]
+pub struct AccuracyEvaluator<T = MissClassificationTable> {
+    scorer: AccuracyScorer<T>,
+    shadow: FullyAssocLru,
+    /// Scratch for [`Self::observe_block`]: per-event oracle verdicts,
+    /// reused across blocks.
+    verdicts: Vec<bool>,
 }
 
 impl AccuracyEvaluator {
@@ -112,19 +229,16 @@ impl<T: EvictionClassifier> AccuracyEvaluator<T> {
     /// shadow-directory depth ablation uses this).
     #[must_use]
     pub fn with_classifier(geom: CacheGeometry, table: T) -> Self {
-        let oracle = ThreeCClassifier::new(geom.num_lines());
         AccuracyEvaluator {
-            cache: ClassifyingCache::with_classifier(geom, table),
-            oracle,
-            report: AccuracyReport::default(),
-            oracle_conflict: Vec::new(),
-            classes: Vec::new(),
+            scorer: AccuracyScorer::with_classifier(geom, table),
+            shadow: FullyAssocLru::new(geom.num_lines()),
+            verdicts: Vec::new(),
         }
     }
 
     /// Observes one reference (the oracle must see hits too).
     pub fn observe(&mut self, line: LineAddr) {
-        let geom = *self.cache.geometry();
+        let geom = *self.scorer.cache.geometry();
         self.observe_parts(geom.set_index(line), geom.tag(line));
     }
 
@@ -133,97 +247,34 @@ impl<T: EvictionClassifier> AccuracyEvaluator<T> {
     /// line, reconstructed with `line_from_parts` — identical to the
     /// address the parts came from.
     pub fn observe_parts(&mut self, set: usize, tag: u64) {
-        self.report.accesses += 1;
-        let line = self.cache.geometry().line_from_parts(tag, set);
-        let oracle_class = self.oracle.observe(line);
-        let outcome = self.cache.access_parts(set, tag);
-        let Some(miss) = outcome.miss() else { return };
-        self.report.misses += 1;
-        let agree = if oracle_class.is_conflict() {
-            miss.class == MissClass::Conflict
-        } else {
-            miss.class == MissClass::Capacity
-        };
-        probe::emit(probe::ProbeEvent::Oracle {
-            oracle_conflict: oracle_class.is_conflict(),
-            agree,
-        });
-        if oracle_class.is_conflict() {
-            self.report.conflict.record(agree);
-        } else {
-            self.report.capacity.record(agree);
-        }
+        let line = self.scorer.cache.geometry().line_from_parts(tag, set);
+        let verdict = self.shadow.observe_conflict(line);
+        self.scorer.score_parts(set, tag, verdict);
     }
 
     /// Observes a block of decomposed references
     /// ([`Self::observe_parts`] in bulk — the block replay path).
     ///
-    /// The three-C oracle is *globally* order-sensitive (its shadow
-    /// fully-associative cache sees every reference), so it runs
-    /// first, sequentially in trace order, into a scratch flag array.
-    /// The MCT cache then replays the same block
-    /// ([`ClassifyingCache::access_parts_block`]) — its state is
-    /// disjoint from the oracle's — and the two outcome arrays are
-    /// merged index by index, which reproduces the per-event report
-    /// exactly.
-    ///
-    /// With a probe sink armed the whole block falls back to
-    /// per-event [`Self::observe_parts`], so the emitted event stream
-    /// (`Access`, `Classify`, `ConflictBit`, `Oracle` interleaved per
-    /// event) is byte-identical to unbatched replay.
+    /// The oracle is *globally* order-sensitive (its shadow
+    /// fully-associative cache sees every reference), so it runs first,
+    /// sequentially in trace order, into a scratch verdict array; the
+    /// scorer then replays the block against it
+    /// ([`AccuracyScorer::score_block`]).
     ///
     /// # Panics
     ///
     /// Panics if the slices differ in length or a set index is out of
     /// range for the geometry.
     pub fn observe_block(&mut self, sets: &[u32], tags: &[u64]) {
-        if probe::active() {
-            for (&set, &tag) in sets.iter().zip(tags) {
-                self.observe_parts(set as usize, tag);
-            }
-            return;
-        }
-        let geom = *self.cache.geometry();
-        self.report.accesses += sets.len() as u64;
-        self.oracle_conflict.clear();
-        for (&set, &tag) in sets.iter().zip(tags) {
-            let line = geom.line_from_parts(tag, set as usize);
-            self.oracle_conflict
-                .push(self.oracle.observe(line).is_conflict());
-        }
-        self.classes.clear();
-        self.classes.resize(sets.len(), BlockClass::Hit);
-        // The scratch vectors are disjoint fields, but the borrow
-        // checker cannot split them through `self`; move `classes`
-        // out for the duration of the cache pass.
-        let mut classes = std::mem::take(&mut self.classes);
-        self.cache.access_parts_block(sets, tags, &mut classes);
-        self.classes = classes;
-        self.merge_oracle_and_classes();
-    }
-
-    /// Merges the scratch oracle flags and MCT classifications —
-    /// parallel arrays in trace order — into the report.
-    fn merge_oracle_and_classes(&mut self) {
-        for (&oracle_conflict, &class) in self.oracle_conflict.iter().zip(&self.classes) {
-            if class == BlockClass::Hit {
-                continue;
-            }
-            self.report.misses += 1;
-            let agree = if oracle_conflict {
-                class == BlockClass::Conflict
-            } else {
-                class == BlockClass::Capacity
-            };
-            // No Oracle probe events here: this path runs only with
-            // probes disarmed (armed replay took the per-event branch
-            // above), where emit would be a no-op anyway.
-            if oracle_conflict {
-                self.report.conflict.record(agree);
-            } else {
-                self.report.capacity.record(agree);
-            }
-        }
+        let geom = *self.scorer.cache.geometry();
+        let shadow = &mut self.shadow;
+        self.verdicts.clear();
+        self.verdicts.extend(
+            sets.iter().zip(tags).map(|(&set, &tag)| {
+                shadow.observe_conflict(geom.line_from_parts(tag, set as usize))
+            }),
+        );
+        self.scorer.score_block(sets, tags, &self.verdicts);
     }
 
     /// Observes a whole stream.
@@ -239,19 +290,19 @@ impl<T: EvictionClassifier> AccuracyEvaluator<T> {
     /// Returns the accumulated report.
     #[must_use]
     pub fn finish(self) -> AccuracyReport {
-        self.report
+        self.scorer.finish()
     }
 
     /// The report so far, without consuming the evaluator.
     #[must_use]
     pub fn report(&self) -> &AccuracyReport {
-        &self.report
+        self.scorer.report()
     }
 
     /// The underlying classifying cache (for hit-rate inspection).
     #[must_use]
     pub fn cache(&self) -> &ClassifyingCache<T> {
-        &self.cache
+        self.scorer.cache()
     }
 }
 
@@ -319,6 +370,33 @@ mod tests {
         assert_eq!(r.accesses, 100);
         assert_eq!(r.misses, 1);
         assert_eq!(r.conflict.denominator() + r.capacity.denominator(), 1);
+    }
+
+    #[test]
+    fn scorers_sharing_one_shadow_match_standalone_evaluators() {
+        // Two tag widths on one geometry score against one shadow's
+        // verdicts, block by block; each must equal its own evaluator.
+        let geom = dm(16);
+        let mut rng = sim_core::rng::SplitMix64::new(3);
+        let lines: Vec<LineAddr> = (0..5_000).map(|_| line(rng.next_below(48))).collect();
+        let sets: Vec<u32> = lines.iter().map(|&l| geom.set_index(l) as u32).collect();
+        let tags: Vec<u64> = lines.iter().map(|&l| geom.tag(l)).collect();
+        let mut shadow = FullyAssocLru::new(geom.num_lines());
+        let verdicts: Vec<bool> = lines.iter().map(|&l| shadow.observe_conflict(l)).collect();
+        for bits in [TagBits::Low(1), TagBits::Full] {
+            let table = MissClassificationTable::new(geom.num_sets(), bits);
+            let mut scorer = AccuracyScorer::with_classifier(geom, table);
+            for ((s, t), v) in sets
+                .chunks(700)
+                .zip(tags.chunks(700))
+                .zip(verdicts.chunks(700))
+            {
+                scorer.score_block(s, t, v);
+            }
+            let mut eval = AccuracyEvaluator::new(geom, bits);
+            eval.observe_all(lines.iter().copied());
+            assert_eq!(scorer.finish(), eval.finish(), "{bits}");
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use amb::{AmbConfig, AmbPolicy, AmbSystem};
 use cpu_model::{BaselineSystem, CpuConfig, OooModel};
-use mct::accuracy::{AccuracyEvaluator, AccuracyReport};
+use mct::accuracy::AccuracyReport;
 use mct::{ShadowDirectory, TagBits};
 use sim_core::stats::GeoMean;
 use workloads::{full_suite, suite};
@@ -71,6 +71,8 @@ pub const WINDOWS: [u64; 5] = [8, 16, 32, 64, 128];
 /// The swept buffer sizes.
 pub const BUFFERS: [usize; 5] = [2, 4, 8, 16, 32];
 
+/// The depth sweep: one group replay per workload scores every
+/// (configuration, depth) cell.
 fn depth_sweep(events: usize) -> Vec<DepthPoint> {
     let mut cells = Vec::new();
     for (name, geom) in fig1::configurations() {
@@ -78,29 +80,36 @@ fn depth_sweep(events: usize) -> Vec<DepthPoint> {
             cells.push((name.clone(), geom, depth));
         }
     }
-    crate::par_map(cells, |(config, geom, depth)| {
-        let mut total = AccuracyReport::default();
-        for w in full_suite() {
-            let report = crate::probe::cell(
-                "ablation",
-                || format!("depth/{config}-d{depth}/{}", w.name()),
-                || {
-                    let dir = ShadowDirectory::new(geom.num_sets(), TagBits::Full, depth);
-                    let mut eval = AccuracyEvaluator::with_classifier(geom, dir);
-                    let trace = crate::replay_for(&w, &geom, events);
-                    crate::telemetry::record_events(events as u64);
-                    crate::replay_accuracy(&trace, &mut eval);
-                    eval.finish()
-                },
-            );
-            total.merge(&report);
-        }
-        DepthPoint {
-            config,
-            depth,
-            report: total,
-        }
-    })
+    let per_workload: Vec<Vec<AccuracyReport>> = crate::par_map(full_suite(), |w| {
+        let members = cells
+            .iter()
+            .map(|&(_, geom, depth)| {
+                (
+                    geom,
+                    ShadowDirectory::new(geom.num_sets(), TagBits::Full, depth),
+                )
+            })
+            .collect();
+        crate::replay_group("ablation", &w, events, members, |i| {
+            let (config, _, depth) = &cells[i];
+            format!("depth/{config}-d{depth}/{}", w.name())
+        })
+    });
+    cells
+        .into_iter()
+        .enumerate()
+        .map(|(i, (config, _, depth))| {
+            let mut report = AccuracyReport::default();
+            for reports in &per_workload {
+                report.merge(&reports[i]);
+            }
+            DepthPoint {
+                config,
+                depth,
+                report,
+            }
+        })
+        .collect()
 }
 
 fn window_sweep(events: usize) -> Vec<WindowPoint> {

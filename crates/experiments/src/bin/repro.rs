@@ -52,8 +52,9 @@ fn usage() -> ExitCode {
          --events N       trace events per workload (default {})\n\
          --threads N      worker-thread cap (1 = fully serial; default: all cores)\n\
          --bench-json P   write machine-readable throughput telemetry to P\n\
-         --stream         chunked generator replay, O(chunk) memory per cell\n\
-         \u{20}                (bypasses the trace arenas; output is byte-identical)\n\
+         --stream         chunked generator replay: one chunk of line addresses\n\
+         \u{20}                per running group replay (bypasses the trace arena;\n\
+         \u{20}                output is byte-identical)\n\
          --probe MODE     collect per-cell probe data: epoch:N (fold into\n\
          \u{20}                epochs of N accesses) or raw (every event; small runs)\n\
          --probe-out P    probe JSONL path (default OBS_repro.jsonl); inspect\n\

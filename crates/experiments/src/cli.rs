@@ -204,8 +204,9 @@ pub struct Options {
     /// `--trace-logical-clock`: record spans with a constant-zero
     /// clock so the trace is byte-identical at any thread count.
     pub trace_logical_clock: bool,
-    /// `--stream`: chunked generator replay with O(chunk) memory
-    /// instead of arena-resident traces; output is byte-identical.
+    /// `--stream`: chunked generator replay, holding one chunk per
+    /// running replay instead of arena-resident traces; output is
+    /// byte-identical.
     pub stream: bool,
     /// `--mrc`: run the miss-ratio-curve family after the targets.
     pub mrc: bool,

@@ -6,9 +6,9 @@
 //! cache.
 
 use cache_model::CacheGeometry;
-use mct::accuracy::{AccuracyEvaluator, AccuracyReport};
-use mct::TagBits;
-use workloads::{full_suite, Workload};
+use mct::accuracy::AccuracyReport;
+use mct::{MissClassificationTable, TagBits};
+use workloads::full_suite;
 
 use crate::table::pct_ratio;
 use crate::Table;
@@ -55,14 +55,6 @@ pub fn configurations() -> Vec<(String, CacheGeometry)> {
         .collect()
 }
 
-fn evaluate(workload: &Workload, geom: CacheGeometry, events: usize) -> AccuracyReport {
-    let mut eval = AccuracyEvaluator::new(geom, TagBits::Full);
-    let trace = crate::replay_for(workload, &geom, events);
-    crate::telemetry::record_events(events as u64);
-    crate::replay_accuracy(&trace, &mut eval);
-    eval.finish()
-}
-
 /// Trace events this figure simulates: one pass per (configuration,
 /// workload) cell.
 #[must_use]
@@ -70,21 +62,43 @@ pub fn simulated_events(events: usize) -> u64 {
     (configurations().len() * full_suite().len() * events) as u64
 }
 
+/// The full-tag MCT cell of every configuration, as
+/// [`crate::replay_group`] members.
+pub(crate) fn members(
+    configs: &[(String, CacheGeometry)],
+) -> Vec<(CacheGeometry, MissClassificationTable)> {
+    configs
+        .iter()
+        .map(|&(_, geom)| {
+            (
+                geom,
+                MissClassificationTable::new(geom.num_sets(), TagBits::Full),
+            )
+        })
+        .collect()
+}
+
 /// Runs the Figure 1 experiment with `events` references per
-/// workload.
+/// workload: one group replay per workload scores all four
+/// configurations.
 #[must_use]
 pub fn run(events: usize) -> Fig1 {
-    let configs = configurations()
+    let configs = configurations();
+    let suite = full_suite();
+    let per_workload: Vec<Vec<AccuracyReport>> = crate::par_map(suite.clone(), |w| {
+        crate::replay_group("fig1", &w, events, members(&configs), |i| {
+            format!("{}/{}", configs[i].0, w.name())
+        })
+    });
+    let configs = configs
         .into_iter()
-        .map(|(name, geom)| {
-            let benchmarks: Vec<(String, AccuracyReport)> = crate::par_map(full_suite(), |w| {
-                let report = crate::probe::cell(
-                    "fig1",
-                    || format!("{name}/{}", w.name()),
-                    || evaluate(&w, geom, events),
-                );
-                (w.name().to_owned(), report)
-            });
+        .enumerate()
+        .map(|(i, (name, _))| {
+            let benchmarks: Vec<(String, AccuracyReport)> = suite
+                .iter()
+                .zip(&per_workload)
+                .map(|(w, reports)| (w.name().to_owned(), reports[i]))
+                .collect();
             let mut average = AccuracyReport::default();
             for (_, report) in &benchmarks {
                 average.merge(report);

@@ -7,8 +7,8 @@
 //! capacity misses).
 
 use cache_model::CacheGeometry;
-use mct::accuracy::{AccuracyEvaluator, AccuracyReport};
-use mct::TagBits;
+use mct::accuracy::AccuracyReport;
+use mct::{MissClassificationTable, TagBits};
 use workloads::full_suite;
 
 use crate::table::{pct, pct_ratio};
@@ -43,32 +43,40 @@ pub fn widths() -> Vec<TagBits> {
     v
 }
 
+/// The one cache every tag width is evaluated on: 16 KB
+/// direct-mapped, 64 B lines.
+#[must_use]
+pub fn geometry() -> CacheGeometry {
+    CacheGeometry::new(16 * 1024, 1, 64).expect("paper geometry is valid")
+}
+
 /// Runs the Figure 2 experiment with `events` references per
-/// workload.
+/// workload: one group replay per workload scores every tag width
+/// against one shared oracle.
 #[must_use]
 pub fn run(events: usize) -> Fig2 {
-    let geom = CacheGeometry::new(16 * 1024, 1, 64).expect("paper geometry is valid");
-    let points = crate::par_map(widths(), |bits| {
-        let mut total = AccuracyReport::default();
-        for w in full_suite() {
-            let report = crate::probe::cell(
-                "fig2",
-                || format!("{bits}/{}", w.name()),
-                || {
-                    let mut eval = AccuracyEvaluator::new(geom, bits);
-                    let trace = crate::replay_for(&w, &geom, events);
-                    crate::telemetry::record_events(events as u64);
-                    crate::replay_accuracy(&trace, &mut eval);
-                    eval.finish()
-                },
-            );
-            total.merge(&report);
-        }
-        SweepPoint {
-            bits,
-            report: total,
-        }
+    let geom = geometry();
+    let widths = widths();
+    let per_workload: Vec<Vec<AccuracyReport>> = crate::par_map(full_suite(), |w| {
+        let members = widths
+            .iter()
+            .map(|&bits| (geom, MissClassificationTable::new(geom.num_sets(), bits)))
+            .collect();
+        crate::replay_group("fig2", &w, events, members, |i| {
+            format!("{}/{}", widths[i], w.name())
+        })
     });
+    let points = widths
+        .iter()
+        .enumerate()
+        .map(|(i, &bits)| {
+            let mut report = AccuracyReport::default();
+            for reports in &per_workload {
+                report.merge(&reports[i]);
+            }
+            SweepPoint { bits, report }
+        })
+        .collect();
     Fig2 { points, events }
 }
 

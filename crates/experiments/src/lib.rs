@@ -22,14 +22,13 @@
 //! traces are materialized once per `(workload, seed, events)` in the
 //! shared [`trace_gen::arena`] — see [`trace_for`] — and replayed by
 //! every cell, so no driver pays trace synthesis more than once. The
-//! accuracy figures go one step further with [`replay_for`]: the
-//! per-event `(set, tag)` split is precomputed once per (workload,
-//! geometry) and fed, in trace order, to the cache kernel's batched
-//! entry points in blocks of [`DEFAULT_REPLAY_BLOCK`] events. Under
-//! `repro --stream`
-//! ([`set_stream_mode`]) drivers bypass the arenas entirely and pipe
-//! generators through a chunked O([`STREAM_CHUNK`])-memory pipeline
-//! with byte-identical output.
+//! accuracy figures go one step further with [`replay_group`]: one
+//! pass over a workload's trace, in blocks of [`DEFAULT_REPLAY_BLOCK`]
+//! line addresses, scores every cell of the figure that replays that
+//! workload against one shared three-C oracle per capacity. Under
+//! `repro --stream` ([`set_stream_mode`]) drivers bypass the arena and
+//! pipe generators through a chunked O([`STREAM_CHUNK`])-memory
+//! pipeline with byte-identical output.
 //!
 //! Every driver takes the number of trace events per workload, so the
 //! same code serves quick smoke tests, Criterion benches, and the full
@@ -58,6 +57,7 @@ pub mod fig3;
 pub mod fig4;
 pub mod fig5;
 pub mod fig6;
+mod group;
 pub mod ioutil;
 pub mod jsonl;
 pub mod mrc;
@@ -76,14 +76,18 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use cache_model::CacheGeometry;
+use mct::accuracy::AccuracyReport;
+use mct::EvictionClassifier;
 use trace_gen::arena::{ArenaKey, TraceArena};
-use trace_gen::decomposed::{DecomposedArena, DecomposedTrace};
 use trace_gen::TraceEvent;
+
+use crate::group::AccuracyGroup;
+use crate::probe::GroupProbe;
 
 /// Default events per workload for full experiment runs.
 pub const DEFAULT_EVENTS: usize = 300_000;
 
-/// Event-block size of decomposed replay, picked by the
+/// Event-block size of block replay, picked by the
 /// `substrate/cache_kernel` block size sweep (EXPERIMENTS.md, "Cache
 /// kernel round two"): large enough to amortize the per-block probe
 /// and policy dispatch, small enough that a block's `(set, tag)` pairs
@@ -91,15 +95,15 @@ pub const DEFAULT_EVENTS: usize = 300_000;
 pub const DEFAULT_REPLAY_BLOCK: usize = 1024;
 
 /// Whether drivers stream workload generators chunk-by-chunk instead
-/// of materializing whole traces in the arenas (`repro --stream`).
+/// of materializing whole traces in the arena (`repro --stream`).
 static STREAM: AtomicBool = AtomicBool::new(false);
 
 /// Selects streaming replay (`repro --stream`): drivers pipe each
-/// workload generator through a chunked generate → decompose → kernel
-/// pipeline with O([`STREAM_CHUNK`]) memory, bypassing the trace and
-/// decomposition arenas entirely. Output is byte-identical to arena
-/// replay at any thread count — both replay the same generator stream
-/// through the same kernels — only residency changes.
+/// workload generator through a chunked generate → kernel pipeline
+/// with O([`STREAM_CHUNK`]) memory, bypassing the trace arena
+/// entirely. Output is byte-identical to arena replay at any thread
+/// count — both replay the same generator stream through the same
+/// kernels — only residency changes.
 pub fn set_stream_mode(stream: bool) {
     STREAM.store(stream, Ordering::Relaxed);
 }
@@ -111,26 +115,24 @@ pub fn stream_mode() -> bool {
 }
 
 /// Events per chunk of the streaming pipeline: the generator fills
-/// one `(set, tag)` chunk, the kernel replays it in
-/// [`DEFAULT_REPLAY_BLOCK`] blocks, and the buffers are reused — peak
-/// memory is O(chunk) per cell regardless of trace length. A multiple
-/// of the block size, so streamed blocks line up with arena blocks.
+/// one chunk of line addresses, the consumer replays it in
+/// [`DEFAULT_REPLAY_BLOCK`] blocks, and the buffer is reused — peak
+/// memory is one chunk (8 bytes per event) per running replay,
+/// regardless of trace length. A multiple of the block size, so
+/// streamed blocks line up with arena blocks.
 pub const STREAM_CHUNK: usize = 64 * 1024;
 
-/// One replay driver's input: an arena-resident decomposed trace or a
-/// streamed generator.
+/// One replay's input: an arena-resident trace or a streamed
+/// generator.
 #[derive(Debug, Clone)]
 pub enum ReplayTrace {
-    /// The arena-memoized trace-order `(set, tag)` arrays, shared
-    /// across cells.
-    Arena(Arc<DecomposedTrace>),
+    /// The arena-memoized event trace, shared across replays.
+    Arena(Arc<[TraceEvent]>),
     /// Chunked generator replay (`repro --stream`): nothing resident
     /// beyond one chunk.
     Stream {
         /// The workload whose generator is streamed.
         workload: workloads::Workload,
-        /// Geometry the chunks are decomposed against.
-        geom: CacheGeometry,
         /// Total events to stream.
         events: usize,
     },
@@ -152,93 +154,131 @@ impl ReplayTrace {
         self.len() == 0
     }
 
-    /// Feeds every `(set, tag)` pair to `f` in trace order, in blocks
-    /// of [`DEFAULT_REPLAY_BLOCK`] pairs (the final block may be
-    /// shorter). Arena inputs slice the memoized arrays; stream inputs
-    /// generate and decompose one [`STREAM_CHUNK`] at a time into
-    /// pooled buffers, so memory stays O(chunk). Both arms yield the
+    /// Feeds every event's line address (for `line_size`-byte lines)
+    /// to `f` in trace order, in blocks of [`DEFAULT_REPLAY_BLOCK`]
+    /// addresses (the final block may be shorter). Arena inputs
+    /// convert one block of resident events at a time; stream inputs
+    /// generate one [`STREAM_CHUNK`] of addresses at a time into a
+    /// pooled buffer, so memory stays O(chunk). Both arms yield the
     /// same blocks.
-    pub fn for_each_block(&self, mut f: impl FnMut(&[u32], &[u64])) {
+    pub fn for_each_block(&self, line_size: u64, mut f: impl FnMut(&[u64])) {
+        let line_of = |event: &TraceEvent| event.access.addr.line(line_size).raw();
         match self {
-            ReplayTrace::Arena(trace) => trace.for_each_block(DEFAULT_REPLAY_BLOCK, f),
-            ReplayTrace::Stream {
-                workload,
-                geom,
-                events,
-            } => {
+            ReplayTrace::Arena(trace) => {
+                let mut lines = [0u64; DEFAULT_REPLAY_BLOCK];
+                for block in trace.chunks(DEFAULT_REPLAY_BLOCK) {
+                    for (slot, event) in lines.iter_mut().zip(block) {
+                        *slot = line_of(event);
+                    }
+                    f(&lines[..block.len()]);
+                }
+            }
+            ReplayTrace::Stream { workload, events } => {
                 let mut left = *events;
                 if left == 0 {
                     return;
                 }
                 let mut source = workload.source(SEED);
-                let line_size = geom.line_size();
-                let set_bits = geom.set_bits();
-                let mask = (1u64 << set_bits) - 1;
-                // Chunk buffers come from (and return to) the kernel's
-                // buffer pool, so streaming traffic shows up in the same
-                // `trace-repro/1` pool counters as the kernel arrays.
+                // The chunk buffer comes from (and returns to) the
+                // kernel's buffer pool, so streaming traffic shows up in
+                // the same `trace-repro/1` pool counters as the kernel
+                // arrays.
                 let chunk = STREAM_CHUNK.min(left);
-                let mut sets = cache_model::pool::take_u32_zeroed(chunk);
-                let mut tags = cache_model::pool::take_u64(chunk);
+                let mut lines = cache_model::pool::take_u64(chunk);
                 while left > 0 {
                     let n = chunk.min(left);
-                    for i in 0..n {
-                        let line = source.next_event().access.addr.line(line_size).raw();
-                        sets[i] = (line & mask) as u32;
-                        tags[i] = line >> set_bits;
+                    for slot in &mut lines[..n] {
+                        *slot = line_of(&source.next_event());
                     }
-                    for (s, t) in sets[..n]
-                        .chunks(DEFAULT_REPLAY_BLOCK)
-                        .zip(tags[..n].chunks(DEFAULT_REPLAY_BLOCK))
-                    {
-                        f(s, t);
+                    for block in lines[..n].chunks(DEFAULT_REPLAY_BLOCK) {
+                        f(block);
                     }
                     left -= n;
                 }
-                cache_model::pool::recycle_u32(sets);
-                cache_model::pool::recycle_u64(tags);
+                cache_model::pool::recycle_u64(lines);
             }
         }
     }
 }
 
-/// The replay input for `(workload, SEED, events)` against `geom`:
-/// the arena-memoized decomposed trace, or a streamed generator under
-/// [`stream_mode`]. This is what fig1, fig2, the shadow-depth ablation
-/// and the MRC family replay.
+/// The replay input for `(workload, SEED, events)`: the arena-memoized
+/// trace, or a streamed generator under [`stream_mode`]. This is what
+/// fig1, fig2, the shadow-depth ablation and the MRC family replay.
 #[must_use]
-pub fn replay_for(
-    workload: &workloads::Workload,
-    geom: &CacheGeometry,
-    events: usize,
-) -> ReplayTrace {
+pub fn replay_for(workload: &workloads::Workload, events: usize) -> ReplayTrace {
     if stream_mode() {
         ReplayTrace::Stream {
             workload: *workload,
-            geom: *geom,
             events,
         }
     } else {
-        ReplayTrace::Arena(decomposed_for(workload, geom, events))
+        ReplayTrace::Arena(trace_for(workload, events))
     }
 }
 
-/// The shared replay loop of the accuracy drivers (fig1, fig2, the
-/// shadow-depth ablation, the MRC cross-check): feeds the replay input
-/// block by block through an [`mct::accuracy::AccuracyEvaluator`].
-/// Results equal per-event replay (differential-tested); when a probe
-/// sink is armed, each block falls back to per-event order so the
-/// emitted event stream is byte-identical to unbatched replay.
-pub fn replay_accuracy<T: mct::EvictionClassifier>(
+/// Replays `trace` once through an [`AccuracyGroup`] of `members`,
+/// returning each member's report in member order. `probes` installs
+/// each member's probe sink (if any) around that member's scoring.
+fn replay_members<T: EvictionClassifier>(
     trace: &ReplayTrace,
-    eval: &mut mct::accuracy::AccuracyEvaluator<T>,
-) {
+    members: Vec<(CacheGeometry, T)>,
+    probes: &GroupProbe,
+) -> Vec<AccuracyReport> {
+    let cells = members.len();
+    let mut group = AccuracyGroup::new(members);
     let _span = match trace {
         ReplayTrace::Arena(_) => sim_core::span::enter("replay_block"),
         ReplayTrace::Stream { .. } => sim_core::span::enter("replay_stream"),
     };
-    sim_core::span::add_events(trace.len() as u64);
-    trace.for_each_block(|sets, tags| eval.observe_block(sets, tags));
+    sim_core::span::add_events((trace.len() * cells) as u64);
+    trace.for_each_block(group.line_size(), |lines| {
+        group.observe_block(lines, probes);
+    });
+    group.finish()
+}
+
+/// The accuracy drivers' one replay loop (fig1, fig2, the
+/// shadow-depth ablation, the MRC cross-check): replays `workload`
+/// once and scores every `(geometry, classifier)` member against one
+/// shared three-C oracle per capacity.
+///
+/// The group runs as one [`probe::group`] cell of `target`, labelled
+/// with the workload name; member `i` keeps its own probe record,
+/// labelled `label(i)`. Probed and plain runs execute this same pass.
+/// Returns the members' reports in member order; each equals a
+/// standalone [`mct::accuracy::AccuracyEvaluator`] replay of the
+/// member (differential-tested).
+pub fn replay_group<T: EvictionClassifier>(
+    target: &'static str,
+    workload: &workloads::Workload,
+    events: usize,
+    members: Vec<(CacheGeometry, T)>,
+    label: impl Fn(usize) -> String,
+) -> Vec<AccuracyReport> {
+    let cells = members.len();
+    probe::group(
+        target,
+        || workload.name().to_owned(),
+        cells,
+        label,
+        |probes| {
+            telemetry::record_events((events * cells) as u64);
+            replay_members(&replay_for(workload, events), members, probes)
+        },
+    )
+}
+
+/// [`replay_group`]'s one-member case, outside any probe cell: the
+/// report of one MCT configuration replayed over `trace`.
+#[must_use]
+pub fn replay_accuracy<T: EvictionClassifier>(
+    trace: &ReplayTrace,
+    geom: CacheGeometry,
+    table: T,
+) -> AccuracyReport {
+    replay_members(trace, vec![(geom, table)], &GroupProbe::default())
+        .pop()
+        .unwrap_or_default()
 }
 
 /// The seed all experiments use (workload identity is mixed in by the
@@ -331,27 +371,6 @@ pub(crate) fn events_for(workload: &workloads::Workload, seed: u64, events: usiz
     } else {
         EventStream::Arena(trace_for_seed(workload, seed, events), 0)
     }
-}
-
-/// The shared trace for `(workload, SEED, events)` split into per-event
-/// `(set, tag)` pairs for `geom`'s indexing scheme, decomposed once in
-/// the global [`DecomposedArena`] and replayed by every cell that
-/// evaluates a cache with that geometry. The accuracy figures (fig1,
-/// fig2, the shadow-depth ablation) run many models per (workload,
-/// geometry) pair, so address decomposition happens once instead of
-/// once per cell per event.
-#[must_use]
-pub fn decomposed_for(
-    workload: &workloads::Workload,
-    geom: &CacheGeometry,
-    events: usize,
-) -> Arc<DecomposedTrace> {
-    DecomposedArena::global().get_or_decompose(
-        ArenaKey::new(workload.name(), SEED, events),
-        geom.line_size(),
-        geom.set_bits(),
-        || trace_for(workload, events),
-    )
 }
 
 /// Runs a workload trace through a memory system under the paper's

@@ -26,9 +26,7 @@
 //! under `--stream` the whole pass holds one chunk plus the sampled
 //! index, regardless of trace length.
 
-use cache_model::CacheGeometry;
-use mct::accuracy::{AccuracyEvaluator, AccuracyReport};
-use mct::TagBits;
+use mct::accuracy::AccuracyReport;
 use mrc::{CurvePoint, ShardsEngine, StackDistanceEngine};
 use workloads::Workload;
 
@@ -67,10 +65,10 @@ impl Engine {
         }
     }
 
-    fn record_parts_block(&mut self, sets: &[u32], tags: &[u64], set_bits: u32) {
+    fn record_lines(&mut self, lines: &[u64]) {
         match self {
-            Engine::Exact(e) => e.record_parts_block(sets, tags, set_bits),
-            Engine::Sampled(e) => e.record_parts_block(sets, tags, set_bits),
+            Engine::Exact(e) => lines.iter().for_each(|&line| e.record_line(line)),
+            Engine::Sampled(e) => lines.iter().for_each(|&line| e.record_line(line)),
         }
     }
 
@@ -180,18 +178,17 @@ pub fn simulated_events(events: usize) -> u64 {
 
 fn curve_for(
     workload: &Workload,
-    geom: CacheGeometry,
+    line_size: u64,
     events: usize,
     sample: Option<f64>,
 ) -> WorkloadCurve {
     let mut engine = Engine::new(sample);
-    let trace = crate::replay_for(workload, &geom, events);
+    let trace = crate::replay_for(workload, events);
     crate::telemetry::record_events(events as u64);
     {
         let _span = sim_core::span::enter("replay_mrc");
         sim_core::span::add_events(trace.len() as u64);
-        let set_bits = geom.set_bits();
-        trace.for_each_block(|sets, tags| engine.record_parts_block(sets, tags, set_bits));
+        trace.for_each_block(line_size, |lines| engine.record_lines(lines));
     }
     WorkloadCurve {
         workload: workload.name().to_owned(),
@@ -208,44 +205,37 @@ fn curve_for(
     }
 }
 
-fn mct_report(workload: &Workload, geom: CacheGeometry, events: usize) -> AccuracyReport {
-    let mut eval = AccuracyEvaluator::new(geom, TagBits::Full);
-    let trace = crate::replay_for(workload, &geom, events);
-    crate::telemetry::record_events(events as u64);
-    crate::replay_accuracy(&trace, &mut eval);
-    eval.finish()
-}
-
 /// Runs the MRC family: curves for every workload, then the MCT
 /// cross-check over the fig1 geometry sweep.
+///
+/// The curve pass finishes (and drops every engine) before the
+/// cross-check groups start, so a stack-distance index is never
+/// resident next to group state.
 #[must_use]
 pub fn run(events: usize, sample: Option<f64>) -> MrcRun {
     let suite = workload_suite();
-    // All fig1 geometries share 64 B lines, so one decomposition (the
-    // 16 KB DM shape, shared with the fig1 arena entries) serves every
-    // curve; stack distances depend only on the line address.
-    let base = crate::fig1::configurations()[0].1;
+    let configs = crate::fig1::configurations();
+    // All fig1 geometries share 64 B lines, and stack distances depend
+    // only on the line address.
+    let line_size = configs[0].1.line_size();
     let curves: Vec<WorkloadCurve> = crate::par_map(suite.clone(), |w| {
         crate::probe::cell(
             "mrc",
             || format!("curve/{}", w.name()),
-            || curve_for(&w, base, events, sample),
+            || curve_for(&w, line_size, events, sample),
         )
     });
 
+    let per_workload: Vec<Vec<AccuracyReport>> = crate::par_map(suite, |w| {
+        crate::replay_group("mrc", &w, events, crate::fig1::members(&configs), |i| {
+            format!("{}/{}", configs[i].0, w.name())
+        })
+    });
     let mut cells = Vec::new();
-    for (name, geom) in crate::fig1::configurations() {
-        let reports: Vec<(String, AccuracyReport)> = crate::par_map(suite.clone(), |w| {
-            let report = crate::probe::cell(
-                "mrc",
-                || format!("{name}/{}", w.name()),
-                || mct_report(&w, geom, events),
-            );
-            (w.name().to_owned(), report)
-        });
+    for (i, (name, geom)) in configs.iter().enumerate() {
         let capacity = geom.num_lines() as u64;
-        for (curve, (workload, r)) in curves.iter().zip(reports) {
-            debug_assert_eq!(curve.workload, workload);
+        for (curve, reports) in curves.iter().zip(&per_workload) {
+            let r = reports[i];
             let accesses = r.accesses.max(1) as f64;
             // The MCT labels every miss Conflict or Capacity, so its
             // capacity-labelled count is the oracle-non-conflict
@@ -254,7 +244,7 @@ pub fn run(events: usize, sample: Option<f64>) -> MrcRun {
                 r.capacity.numerator() + (r.conflict.denominator() - r.conflict.numerator());
             cells.push(CapacityCell {
                 config: name.clone(),
-                workload,
+                workload: curve.workload.clone(),
                 capacity_lines: capacity,
                 mrc_miss_ratio: curve.at(capacity).unwrap_or_else(|| {
                     unreachable!("geometry capacity missing from CAPACITY_LADDER")

@@ -4,7 +4,8 @@
 //! [`sim_core::probe`] provides the event stream and the sinks; this
 //! module decides *when* to install them. The `repro` harness calls
 //! [`configure`] once from its CLI flags, every figure driver wraps
-//! each experiment cell in [`cell`], and after the run the harness
+//! each experiment cell in [`cell`] (or, when one replay advances
+//! several cells, in [`group`]), and after the run the harness
 //! [`drain`]s the folded records and writes them with
 //! [`render_jsonl`].
 //!
@@ -81,87 +82,145 @@ pub fn enabled() -> bool {
 }
 
 /// Runs one experiment cell under the configured probe (if any) and
-/// inside a `cell_run` span scope (if tracing is armed).
+/// inside a `cell_run` span scope (if tracing is armed): the
+/// one-member case of [`group`].
 ///
 /// `label` is only invoked when probing or tracing is armed, so
 /// drivers pay no string formatting on plain runs. The cell body `f`
 /// runs with a thread-local sink installed; its folded record is
 /// appended to the global collection for [`drain`].
 pub fn cell<R>(target: &'static str, label: impl Fn() -> String, f: impl FnOnce() -> R) -> R {
+    group(target, &label, 1, |_| label(), |probes| probes.member(0, f))
+}
+
+/// Runs a group cell: one body that advances `members` experiment
+/// cells together (group replay), inside one `cell_run` span scope
+/// labelled `label`.
+///
+/// Each member keeps its own probe record, labelled
+/// `member_label(i)`: the body installs member `i`'s sink around the
+/// work that belongs to that member with [`GroupProbe::member`]. A
+/// member's sink therefore sees exactly the events a standalone
+/// [`cell`] running that member alone would see, in the same order,
+/// and every record keeps its label and bytes. Labels are only
+/// invoked when probing or tracing is armed.
+pub fn group<R>(
+    target: &'static str,
+    label: impl Fn() -> String,
+    members: usize,
+    member_label: impl Fn(usize) -> String,
+    f: impl FnOnce(&GroupProbe) -> R,
+) -> R {
     sim_core::span::scope(
         sim_core::span::ScopeKind::Cell,
         "cell_run",
         target,
         &label,
-        || cell_probed(target, &label, f),
+        || {
+            let probes = GroupProbe::armed(members);
+            let out = f(&probes);
+            probes.flush(target, &member_label);
+            out
+        },
     )
 }
 
-fn cell_probed<R>(target: &'static str, label: &dyn Fn() -> String, f: impl FnOnce() -> R) -> R {
-    if !enabled() {
-        return f();
-    }
-    let mode = match *CONFIG.lock().expect("probe config poisoned") {
-        Some(m) => m,
-        // configure(None) raced us; run unprobed.
-        None => return f(),
-    };
-    let (record, out) = match mode {
-        ProbeMode::Epoch(len) => {
-            let sink = Rc::new(RefCell::new(EpochSink::new(len)));
-            let out = sim_core::probe::with_sink(sink.clone(), f);
-            let CellProbe {
-                epochs,
-                totals,
-                hot_sets,
-            } = Rc::try_unwrap(sink)
-                .expect("cell sink still installed")
-                .into_inner()
-                .finish();
-            (
-                CellRecord {
-                    target,
-                    cell: label(),
-                    epochs,
-                    totals,
-                    hot_sets,
-                    raw: None,
-                },
-                out,
-            )
+/// One member's probe sink inside a [`group`].
+#[derive(Debug)]
+enum MemberSink {
+    Epoch(Rc<RefCell<EpochSink>>),
+    Raw(Rc<RefCell<JsonlSink<Vec<u8>>>>),
+}
+
+/// The per-member probe sinks of one [`group`] cell; empty when no
+/// probe mode is configured.
+#[derive(Debug, Default)]
+pub struct GroupProbe {
+    sinks: Vec<MemberSink>,
+}
+
+impl GroupProbe {
+    /// One fresh sink per member under the configured probe mode, or
+    /// none when probing is off.
+    fn armed(members: usize) -> Self {
+        if !enabled() {
+            return GroupProbe::default();
         }
-        ProbeMode::Raw => {
-            let sink = Rc::new(RefCell::new(JsonlSink::new(Vec::<u8>::new())));
-            let out = sim_core::probe::with_sink(sink.clone(), f);
-            let (buf, _written) = Rc::try_unwrap(sink)
-                .expect("cell sink still installed")
-                .into_inner()
-                .finish()
-                .expect("Vec<u8> writes cannot fail");
-            (
-                CellRecord {
-                    target,
-                    cell: label(),
-                    epochs: Vec::new(),
-                    totals: Registry::new(),
-                    hot_sets: Vec::new(),
-                    raw: Some(String::from_utf8(buf).expect("probe JSONL is ASCII")),
-                },
-                out,
-            )
-        }
-    };
-    // Injection site: flushing the folded record is where a real sink
-    // would hit I/O. Transient faults retry inside the gate before the
-    // record is pushed (so a recovered flush stores it exactly once);
-    // a persistent fault unwinds and the scheduler's cell retry takes
-    // over.
-    let _flush = sim_core::span::enter("probe_flush");
-    if let Err(fault) = sim_core::fault::gate(sim_core::fault::FaultSite::ProbeFlush) {
-        std::panic::panic_any(fault);
+        let sinks = match *CONFIG.lock().expect("probe config poisoned") {
+            Some(ProbeMode::Epoch(len)) => (0..members)
+                .map(|_| MemberSink::Epoch(Rc::new(RefCell::new(EpochSink::new(len)))))
+                .collect(),
+            Some(ProbeMode::Raw) => (0..members)
+                .map(|_| MemberSink::Raw(Rc::new(RefCell::new(JsonlSink::new(Vec::new())))))
+                .collect(),
+            // configure(None) raced us; run unprobed.
+            None => Vec::new(),
+        };
+        GroupProbe { sinks }
     }
-    RECORDS.lock().expect("probe records poisoned").push(record);
-    out
+
+    /// Runs `f` with member `i`'s sink installed on this thread, or
+    /// plainly when probing is off.
+    pub fn member<R>(&self, i: usize, f: impl FnOnce() -> R) -> R {
+        match self.sinks.get(i) {
+            Some(MemberSink::Epoch(sink)) => sim_core::probe::with_sink(sink.clone(), f),
+            Some(MemberSink::Raw(sink)) => sim_core::probe::with_sink(sink.clone(), f),
+            None => f(),
+        }
+    }
+
+    /// Folds every member's sink into its record and appends the
+    /// records to the global collection for [`drain`].
+    fn flush(self, target: &'static str, member_label: &dyn Fn(usize) -> String) {
+        let mut records = Vec::with_capacity(self.sinks.len());
+        for (i, sink) in self.sinks.into_iter().enumerate() {
+            let mut record = CellRecord {
+                target,
+                cell: member_label(i),
+                epochs: Vec::new(),
+                totals: Registry::new(),
+                hot_sets: Vec::new(),
+                raw: None,
+            };
+            match sink {
+                MemberSink::Epoch(sink) => {
+                    let CellProbe {
+                        epochs,
+                        totals,
+                        hot_sets,
+                    } = Rc::try_unwrap(sink)
+                        .expect("member sink still installed")
+                        .into_inner()
+                        .finish();
+                    record.epochs = epochs;
+                    record.totals = totals;
+                    record.hot_sets = hot_sets;
+                }
+                MemberSink::Raw(sink) => {
+                    let (buf, _written) = Rc::try_unwrap(sink)
+                        .expect("member sink still installed")
+                        .into_inner()
+                        .finish()
+                        .expect("Vec<u8> writes cannot fail");
+                    record.raw = Some(String::from_utf8(buf).expect("probe JSONL is ASCII"));
+                }
+            }
+            // Injection site: flushing a folded record is where a real
+            // sink would hit I/O. Transient faults retry inside the gate;
+            // a persistent fault unwinds before any of the group's
+            // records is stored, so the scheduler's retry of the whole
+            // group stores each record exactly once.
+            let _flush = sim_core::span::enter("probe_flush");
+            if let Err(fault) = sim_core::fault::gate(sim_core::fault::FaultSite::ProbeFlush) {
+                std::panic::panic_any(fault);
+            }
+            records.push(record);
+        }
+        RECORDS
+            .lock()
+            .expect("probe records poisoned")
+            .extend(records);
+    }
 }
 
 /// Takes all collected records, sorted by `(target, cell)` — the

@@ -20,7 +20,7 @@
 //! * one `{"type":"span",…}` line per recorded span, grouped by scope
 //!   in the drain order (scope kind, target, label);
 //! * an optional `{"type":"metrics",…}` record (real-clock runs only):
-//!   arena and decomposed-arena hit/miss counts, pool
+//!   trace-arena hit/miss counts, pool
 //!   alloc/reuse/recycle counts, per-worker scheduler tallies, fault
 //!   injection/exhaustion and degraded-cell counts;
 //! * a `{"type":"totals",…}` footer.
@@ -31,7 +31,6 @@ use std::fmt::Write as _;
 use sim_core::parallel::WorkerTally;
 use sim_core::span::{ScopeRecord, SpanRecord};
 use trace_gen::arena::{ArenaStats, TraceArena};
-use trace_gen::decomposed::DecomposedArena;
 
 use crate::telemetry::{json_string, trace_clock_ns};
 
@@ -106,10 +105,6 @@ pub fn drain() -> Vec<ScopeRecord> {
 pub struct MetricsSnapshot {
     /// Trace-arena counters.
     pub arena: ArenaStats,
-    /// Decomposed-arena replay hits.
-    pub decomposed_hits: u64,
-    /// Decomposed-arena decompositions.
-    pub decomposed_misses: u64,
     /// Kernel array-pool traffic.
     pub pool: cache_model::pool::PoolStats,
     /// Per-worker scheduler tallies, sorted by worker id.
@@ -128,12 +123,9 @@ impl MetricsSnapshot {
     /// which exhaustions the scheduler absorbed).
     #[must_use]
     pub fn capture(degraded: u64) -> Self {
-        let (decomposed_hits, decomposed_misses) = DecomposedArena::global().stats();
         let fault = sim_core::fault::stats();
         MetricsSnapshot {
             arena: TraceArena::global().stats(),
-            decomposed_hits,
-            decomposed_misses,
             pool: cache_model::pool::stats(),
             workers: sim_core::parallel::worker_tallies(),
             fault_injected: fault.injected,
@@ -175,11 +167,6 @@ fn metrics_line(m: &MetricsSnapshot) -> String {
         line,
         "{{\"type\":\"metrics\",\"arena\":{{\"hits\":{},\"misses\":{},\"traces\":{},\"resident_events\":{}}},",
         m.arena.hits, m.arena.misses, m.arena.traces, m.arena.resident_events,
-    );
-    let _ = write!(
-        line,
-        "\"decomposed\":{{\"hits\":{},\"misses\":{}}},",
-        m.decomposed_hits, m.decomposed_misses,
     );
     let _ = write!(
         line,

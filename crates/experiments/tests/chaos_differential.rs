@@ -13,14 +13,13 @@
 //!
 //! Everything lives in ONE proptest (the only test in this binary)
 //! because the fault plan, the probe sink, the worker-thread cap, and
-//! the trace arenas are process-global state.
+//! the trace arena is process-global state.
 
 use experiments::cli::Target;
 use experiments::probe::{render_jsonl, ProbeMode, RunHeader};
 use proptest::prelude::*;
 use sim_core::fault::{self, FaultPlan, FaultSite, RetryPolicy};
 use trace_gen::arena::TraceArena;
-use trace_gen::decomposed::DecomposedArena;
 
 const EVENTS: usize = 800;
 const EPOCH: u64 = 400;
@@ -28,12 +27,11 @@ const TARGETS: [Target; 2] = [Target::Fig1, Target::Fig3];
 
 /// Runs the figure suite the way `repro` does — probe configured,
 /// targets through the recovering scheduler — and returns
-/// `(rendered tables, obs JSONL)`. The arenas are cleared first so
+/// `(rendered tables, obs JSONL)`. The trace arena is cleared first so
 /// every run re-materializes and the `ArenaMaterialize` site actually
 /// fires instead of hitting the memoized entries of the previous run.
 fn run_suite(threads: usize) -> (String, String) {
     TraceArena::global().clear();
-    DecomposedArena::global().clear();
     sim_core::parallel::set_max_threads(threads);
     experiments::probe::configure(Some(ProbeMode::Epoch(EPOCH)));
 

@@ -226,8 +226,6 @@ fn trace_repro_1_jsonl_is_stable() {
             traces: 3,
             resident_events: 9_000,
         },
-        decomposed_hits: 5,
-        decomposed_misses: 2,
         pool: cache_model::pool::PoolStats {
             allocs: 4,
             reuses: 12,
@@ -260,7 +258,7 @@ fn trace_repro_1_jsonl_is_stable() {
         "{\"type\":\"span\",\"scope\":\"cell\",\"target\":\"fig1\",\"label\":\"16KB \\\"DM\\\"/swim\",\"worker\":2,\"name\":\"cell_run\",\"id\":1,\"parent\":0,\"depth\":0,\"start_ns\":1000,\"dur_ns\":9500,\"events\":0}\n",
         "{\"type\":\"span\",\"scope\":\"cell\",\"target\":\"fig1\",\"label\":\"16KB \\\"DM\\\"/swim\",\"worker\":2,\"name\":\"replay_block\",\"id\":2,\"parent\":1,\"depth\":1,\"start_ns\":2000,\"dur_ns\":7000,\"events\":2000}\n",
         "{\"type\":\"span\",\"scope\":\"subsystem\",\"target\":\"arena\",\"label\":\"swim/1/2000\",\"worker\":1,\"name\":\"arena_materialize\",\"id\":1,\"parent\":0,\"depth\":0,\"start_ns\":500,\"dur_ns\":400,\"events\":2000}\n",
-        "{\"type\":\"metrics\",\"arena\":{\"hits\":7,\"misses\":3,\"traces\":3,\"resident_events\":9000},\"decomposed\":{\"hits\":5,\"misses\":2},\"pool\":{\"allocs\":4,\"reuses\":12,\"recycles\":16},\"workers\":[{\"worker\":1,\"cells\":3,\"chunks\":2,\"busy_ns\":10000},{\"worker\":2,\"cells\":1,\"chunks\":1,\"busy_ns\":9500}],\"fault\":{\"injected\":1,\"exhausted\":0,\"degraded\":0}}\n",
+        "{\"type\":\"metrics\",\"arena\":{\"hits\":7,\"misses\":3,\"traces\":3,\"resident_events\":9000},\"pool\":{\"allocs\":4,\"reuses\":12,\"recycles\":16},\"workers\":[{\"worker\":1,\"cells\":3,\"chunks\":2,\"busy_ns\":10000},{\"worker\":2,\"cells\":1,\"chunks\":1,\"busy_ns\":9500}],\"fault\":{\"injected\":1,\"exhausted\":0,\"degraded\":0}}\n",
         "{\"type\":\"totals\",\"scopes\":2,\"spans\":3,\"events\":4000}\n",
     );
     let rendered = tracing::render_jsonl(&records, &header, Some(&metrics));

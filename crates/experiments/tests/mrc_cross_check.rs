@@ -68,7 +68,7 @@ fn mrc_capacity_estimate_matches_three_c_oracle_exactly() {
 #[test]
 fn mrc_driver_cells_carry_the_oracle_ratio() {
     // The driver's cross-check cells compute `mrc_miss_ratio` through
-    // the decomposed block-replay path; recomputing the oracle ratio
+    // the line-address block-replay path; recomputing the oracle ratio
     // from a raw stream must give the identical f64 (same integer
     // counts, same division).
     let run = experiments::mrc::run(EVENTS, None);

@@ -7,14 +7,23 @@
 //!   the worker thread that runs them, and records are sorted);
 //! * the stdout figure tables are unchanged by an armed probe, and a
 //!   disabled probe collects nothing;
-//! * raw mode streams parseable per-event records.
+//! * raw mode streams parseable per-event records;
+//! * group replay leaves every record unchanged: a grouped fig1+fig2
+//!   run renders the same bytes, in epoch and raw mode, as the same
+//!   cells run one at a time under `probe::cell`, each with its own
+//!   evaluator and oracle.
 //!
 //! One `#[test]` because both the probe configuration
 //! ([`experiments::probe::configure`]) and the worker-thread cap
 //! ([`sim_core::parallel::set_max_threads`]) are process-global.
 
+use cache_model::CacheGeometry;
 use experiments::cli::Target;
 use experiments::probe::{self, ProbeMode, RunHeader};
+use experiments::{fig1, fig2};
+use mct::accuracy::{AccuracyEvaluator, AccuracyReport};
+use mct::TagBits;
+use trace_gen::decomposed::DecomposedTrace;
 
 fn run_all(events: usize) -> (Vec<String>, String) {
     probe::configure(Some(ProbeMode::Epoch(500)));
@@ -26,6 +35,62 @@ fn run_all(events: usize) -> (Vec<String>, String) {
         targets: Target::ALL.iter().map(|t| t.name()).collect(),
     };
     (reports, probe::render_jsonl(&records, &header))
+}
+
+/// One accuracy cell replayed on its own, the way the drivers ran
+/// before group replay: its own evaluator (and so its own oracle) fed
+/// the arena trace decomposed for its geometry, block by block.
+fn per_cell(
+    workload: &workloads::Workload,
+    geom: CacheGeometry,
+    bits: TagBits,
+    events: usize,
+) -> AccuracyReport {
+    let mut eval = AccuracyEvaluator::new(geom, bits);
+    let trace = DecomposedTrace::decompose(
+        &experiments::trace_for(workload, events),
+        geom.line_size(),
+        geom.set_bits(),
+    );
+    trace.for_each_block(experiments::DEFAULT_REPLAY_BLOCK, |sets, tags| {
+        eval.observe_block(sets, tags);
+    });
+    eval.finish()
+}
+
+/// Renders the probe records of fig1 + fig2 under `mode`, run either
+/// as the drivers' group passes or one cell at a time.
+fn fig1_fig2_records(mode: ProbeMode, events: usize, grouped: bool) -> String {
+    probe::configure(Some(mode));
+    if grouped {
+        let _ = Target::Fig1.run(events);
+        let _ = Target::Fig2.run(events);
+    } else {
+        for (name, geom) in fig1::configurations() {
+            for w in workloads::full_suite() {
+                probe::cell(
+                    "fig1",
+                    || format!("{name}/{}", w.name()),
+                    || per_cell(&w, geom, TagBits::Full, events),
+                );
+            }
+        }
+        for bits in fig2::widths() {
+            for w in workloads::full_suite() {
+                probe::cell(
+                    "fig2",
+                    || format!("{bits}/{}", w.name()),
+                    || per_cell(&w, fig2::geometry(), bits, events),
+                );
+            }
+        }
+    }
+    let header = RunHeader {
+        mode,
+        events_per_workload: events,
+        targets: vec![Target::Fig1.name(), Target::Fig2.name()],
+    };
+    probe::render_jsonl(&probe::drain(), &header)
 }
 
 #[test]
@@ -93,6 +158,19 @@ fn probe_output_is_deterministic_and_tables_unchanged() {
     assert!(values
         .iter()
         .any(|v| v.str_field("type") == Some("event") && v.str_field("kind").is_some()));
+
+    // Group replay changes no record: grouped runs render the same
+    // bytes as the same cells run one at a time, in both modes.
+    sim_core::parallel::set_max_threads(1);
+    for (mode, events) in [(ProbeMode::Epoch(500), EVENTS), (ProbeMode::Raw, 200)] {
+        let grouped = fig1_fig2_records(mode, events, true);
+        let per_cell = fig1_fig2_records(mode, events, false);
+        assert!(grouped.lines().count() > 2, "{mode:?}: no records");
+        assert!(
+            grouped == per_cell,
+            "{mode:?}: grouped probe records must equal per-cell records byte for byte"
+        );
+    }
 
     // Leave the process clean for any test that runs after us.
     probe::configure(None);

@@ -1,21 +1,20 @@
 //! Smoke tests threading the kernel-taxonomy workloads (`uniform`,
 //! `working_set_{128,512}`) through the figure-driver machinery: the
-//! same `replay_for` → `replay_accuracy` pipeline fig1 runs for the
+//! same `replay_for` → `replay_accuracy` replay fig1 runs for the
 //! SPEC95 analogs, swept over the paper's four cache configurations
 //! at 1 and 4 worker threads. The reports must be sane (full
 //! coverage, non-degenerate miss behavior) and bit-identical across
 //! thread counts.
 
-use mct::accuracy::{AccuracyEvaluator, AccuracyReport};
-use mct::TagBits;
+use mct::accuracy::AccuracyReport;
+use mct::{MissClassificationTable, TagBits};
 
 const EVENTS: usize = 5_000;
 
 fn evaluate(workload: &workloads::Workload, geom: cache_model::CacheGeometry) -> AccuracyReport {
-    let mut eval = AccuracyEvaluator::new(geom, TagBits::Full);
-    let trace = experiments::replay_for(workload, &geom, EVENTS);
-    experiments::replay_accuracy(&trace, &mut eval);
-    eval.finish()
+    let trace = experiments::replay_for(workload, EVENTS);
+    let table = MissClassificationTable::new(geom.num_sets(), TagBits::Full);
+    experiments::replay_accuracy(&trace, geom, table)
 }
 
 #[test]

@@ -14,8 +14,8 @@
 //!
 //! | site | where it fires | recovery |
 //! |------|----------------|----------|
-//! | [`FaultSite::ArenaMaterialize`] | trace/decomposed arena fill | [`gate`] retry inside `get_or_*` |
-//! | [`FaultSite::ProbeFlush`]       | per-cell probe record flush | [`gate`] retry in `experiments::probe::cell` |
+//! | [`FaultSite::ArenaMaterialize`] | trace arena fill | [`gate`] retry inside `get_or_*` |
+//! | [`FaultSite::ProbeFlush`]       | per-cell probe record flush | [`gate`] retry in `experiments::probe::group` |
 //! | [`FaultSite::JsonlWrite`]       | bench/probe/checkpoint file writes | [`gate`] + I/O retry in `experiments::ioutil` |
 //! | [`FaultSite::WorkerBody`]       | scheduler worker, before each cell | panic-isolation + re-run in [`crate::parallel`] |
 //!
@@ -58,7 +58,7 @@ use crate::rng::SplitMix64;
 /// fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSite {
-    /// Trace (or decomposed-trace) arena materialization.
+    /// Trace arena materialization.
     ArenaMaterialize,
     /// Flushing one experiment cell's folded probe record.
     ProbeFlush,

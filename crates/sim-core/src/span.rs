@@ -516,10 +516,10 @@ mod tests {
 
         // Name registry. The replay pipeline's span names are pinned
         // here so a prefix change cannot silently unregister them:
-        // `arena_decompose` (the `(set, tag)` split), `replay_block`
-        // (arena block replay), `replay_stream` (chunked generator
-        // replay) and `replay_mrc` (the stack-distance pass).
-        assert!(name_registered("arena_decompose"));
+        // `arena_materialize` (trace synthesis), `replay_block` (arena
+        // block replay), `replay_stream` (chunked generator replay)
+        // and `replay_mrc` (the stack-distance pass).
+        assert!(name_registered("arena_materialize"));
         assert!(name_registered("replay_block"));
         assert!(name_registered("replay_stream"));
         assert!(name_registered("replay_mrc"));

@@ -1,17 +1,11 @@
 //! Geometry-decomposed traces: each event's `(set, tag)` pair
-//! precomputed once per `(trace, geometry)` key.
+//! precomputed for one indexing scheme.
 //!
-//! The accuracy experiments replay one workload trace through many
-//! cache models that share an indexing scheme (Figure 2 sweeps eleven
-//! tag widths over the *same* 16 KB direct-mapped cache; the
-//! shadow-depth ablation sweeps four depths per configuration). Every
-//! replay historically re-derived each event's line address, set index
-//! and tag from the raw byte address — three shifts and a mask per
-//! access per cell. A [`DecomposedTrace`] hoists that work out of the
-//! cell loop: the split into parallel `sets` / `tags` arrays happens
-//! once per `(trace, line size, set bits)` key in the
-//! [`DecomposedArena`], and cells stream the precomputed pairs
-//! straight into the kernel's `probe_at` / `fill_at` entry points.
+//! A [`DecomposedTrace`] splits a whole trace into parallel `sets` /
+//! `tags` arrays once, so a consumer that replays it can stream the
+//! pairs straight into the kernel's `probe_at` / `fill_at` and block
+//! entry points. The per-layer benchmark times the cache kernel this
+//! way; the `repro` drivers decompose one block at a time instead.
 //!
 //! Decomposition is lossless for everything the consumers need: the
 //! line address is recoverable as `(tag << set_bits) | set` (the cache
@@ -21,30 +15,23 @@
 //! # Examples
 //!
 //! ```
-//! use trace_gen::arena::{ArenaKey, TraceArena};
-//! use trace_gen::decomposed::DecomposedArena;
+//! use trace_gen::decomposed::DecomposedTrace;
 //! use trace_gen::pattern::SequentialSweep;
+//! use trace_gen::TraceSource;
 //! use sim_core::Addr;
 //!
-//! let traces = TraceArena::new();
-//! let arena = DecomposedArena::new();
-//! let key = ArenaKey::new("sweep", 1, 64);
-//! let trace = traces.get_or_materialize(key.clone(), || {
-//!     SequentialSweep::new(Addr::new(0), 4096, 8)
-//! });
-//! // 64-byte lines, 16 sets.
-//! let d = arena.get_or_decompose(key.clone(), 64, 4, || trace.clone());
+//! let events: Vec<_> = SequentialSweep::new(Addr::new(0), 4096, 8)
+//!     .take_events(64)
+//!     .collect();
+//! // 64-byte lines, 16 sets: eight 8-byte accesses per line.
+//! let d = DecomposedTrace::decompose(&events, 64, 4);
 //! assert_eq!(d.len(), 64);
-//! let again = arena.get_or_decompose(key, 64, 4, || unreachable!());
-//! assert!(std::sync::Arc::ptr_eq(&d, &again)); // one decomposition
+//! assert_eq!(d.line(8).raw(), 1);
+//! let mut sets = Vec::new();
+//! d.for_each(|set, _tag| sets.push(set));
+//! assert_eq!(sets[63], 7);
 //! ```
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-
-use sim_core::hash::FxHashMap;
-
-use crate::arena::ArenaKey;
 use crate::TraceEvent;
 
 /// How many `(set, tag)` pairs a chunked replay loop pulls per
@@ -104,18 +91,6 @@ impl DecomposedTrace {
         self.set_bits
     }
 
-    /// The per-event set indices.
-    #[must_use]
-    pub fn sets(&self) -> &[u32] {
-        &self.sets
-    }
-
-    /// The per-event tags.
-    #[must_use]
-    pub fn tags(&self) -> &[u64] {
-        &self.tags
-    }
-
     /// The line address of event `i` (the inverse of decomposition).
     #[must_use]
     pub fn line(&self, i: usize) -> sim_core::LineAddr {
@@ -124,8 +99,7 @@ impl DecomposedTrace {
 
     /// Streams every `(set, tag)` pair through `f` in trace order,
     /// walking both arrays in cache-friendly chunks of
-    /// [`REPLAY_CHUNK`] pairs. This is the kernel replay loop the
-    /// figure drivers use.
+    /// [`REPLAY_CHUNK`] pairs: the per-event replay loop.
     pub fn for_each(&self, mut f: impl FnMut(usize, u64)) {
         for (sets, tags) in self
             .sets
@@ -152,141 +126,6 @@ impl DecomposedTrace {
             f(sets, tags);
         }
     }
-
-    /// Iterates `(set, tag)` pairs in trace order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
-        self.sets.iter().copied().zip(self.tags.iter().copied())
-    }
-}
-
-/// Identity of one decomposition: which trace, against which indexing
-/// scheme.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct DecomposedKey {
-    /// The underlying trace's arena identity.
-    pub trace: ArenaKey,
-    /// Line size in bytes.
-    pub line_size: u64,
-    /// Number of set-index bits.
-    pub set_bits: u32,
-}
-
-/// One map slot: cloned out under the map lock, initialized outside it
-/// so distinct keys can decompose concurrently.
-type DecomposedCell = Arc<OnceLock<Arc<DecomposedTrace>>>;
-
-/// A memoizing store of decomposed traces, mirroring
-/// [`crate::arena::TraceArena`]: the map mutex is held only to look up
-/// or insert a per-key [`OnceLock`], never while decomposing, so
-/// distinct keys split concurrently while racing requests for the same
-/// key serialize and share one allocation.
-#[derive(Debug, Default)]
-pub struct DecomposedArena {
-    map: Mutex<FxHashMap<DecomposedKey, DecomposedCell>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl DecomposedArena {
-    /// Creates an empty arena.
-    #[must_use]
-    pub fn new() -> Self {
-        DecomposedArena::default()
-    }
-
-    /// The process-wide arena shared by all experiment drivers.
-    #[must_use]
-    pub fn global() -> &'static DecomposedArena {
-        static GLOBAL: OnceLock<DecomposedArena> = OnceLock::new();
-        GLOBAL.get_or_init(DecomposedArena::new)
-    }
-
-    /// Returns the decomposition of the trace identified by `key` for
-    /// a cache with `line_size`-byte lines and `set_bits` index bits,
-    /// computing it on first request from the events `trace` yields
-    /// (typically a [`crate::arena::TraceArena`] lookup). Subsequent
-    /// requests for an equal key return the same allocation.
-    pub fn get_or_decompose(
-        &self,
-        key: ArenaKey,
-        line_size: u64,
-        set_bits: u32,
-        trace: impl FnOnce() -> Arc<[TraceEvent]>,
-    ) -> Arc<DecomposedTrace> {
-        // Span label, computed only when tracing is armed (the scope
-        // belongs to the arena subsystem, so the recorded scope set is
-        // identical at any thread count).
-        let span_label = sim_core::span::active().then(|| {
-            format!(
-                "{}/{}/{}/ls{line_size}/sb{set_bits}",
-                key.workload, key.seed, key.events
-            )
-        });
-        let cell = {
-            let key = DecomposedKey {
-                trace: key,
-                line_size,
-                set_bits,
-            };
-            // Poison recovery: entries are inserted whole, so another
-            // thread's panic cannot leave a half-written slot —
-            // continuing with the inner map is sound (and keeps this
-            // replay path free of panicking calls).
-            let mut map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
-            Arc::clone(map.entry(key).or_default())
-        };
-        let mut decomposed = false;
-        let result = cell.get_or_init(|| {
-            sim_core::span::scope(
-                sim_core::span::ScopeKind::Subsystem,
-                "arena_decompose",
-                "arena",
-                || span_label.clone().unwrap_or_default(),
-                || {
-                    // Injection site: transient faults retry inside the gate;
-                    // a persistent one unwinds via panic_any (no panicking
-                    // macro on this replay path), leaving the `OnceLock`
-                    // uninitialized so a retried cell re-attempts the split.
-                    if let Err(fault) =
-                        sim_core::fault::gate(sim_core::fault::FaultSite::ArenaMaterialize)
-                    {
-                        std::panic::panic_any(fault);
-                    }
-                    decomposed = true;
-                    let d = DecomposedTrace::decompose(&trace(), line_size, set_bits);
-                    sim_core::span::add_events(d.len() as u64);
-                    Arc::new(d)
-                },
-            )
-        });
-        if decomposed {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        Arc::clone(result)
-    }
-
-    /// `(hits, misses)` counters: requests served by replay vs
-    /// requests that decomposed.
-    #[must_use]
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Drops every resident decomposition (outstanding `Arc`s stay
-    /// valid) and resets the counters.
-    pub fn clear(&self) {
-        self.map
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -296,9 +135,9 @@ mod tests {
     use crate::TraceSource;
     use sim_core::Addr;
 
-    fn sweep_events(n: usize) -> Arc<[TraceEvent]> {
+    fn sweep_events(n: usize) -> Vec<TraceEvent> {
         let src = SequentialSweep::new(Addr::new(0x4000), 64 * 1024, 8);
-        Arc::from(src.take_events(n).collect::<Vec<_>>())
+        src.take_events(n).collect()
     }
 
     #[test]
@@ -312,26 +151,19 @@ mod tests {
     }
 
     #[test]
-    fn parts_match_direct_extraction() {
-        let events = sweep_events(300);
-        let set_bits = 7;
-        let d = DecomposedTrace::decompose(&events, 64, set_bits);
-        for (i, (set, tag)) in d.iter().enumerate() {
-            let line = events[i].access.addr.line(64).raw();
-            assert_eq!(u64::from(set), line & ((1 << set_bits) - 1));
-            assert_eq!(tag, line >> set_bits);
-        }
-    }
-
-    #[test]
     fn for_each_visits_every_pair_in_order() {
         // More events than one replay chunk, to cross a boundary.
         let events = sweep_events(REPLAY_CHUNK + 37);
-        let d = DecomposedTrace::decompose(&events, 64, 4);
+        let set_bits = 7;
+        let d = DecomposedTrace::decompose(&events, 64, set_bits);
         let mut seen = Vec::new();
-        d.for_each(|set, tag| seen.push((set as u32, tag)));
-        assert_eq!(seen.len(), d.len());
-        assert_eq!(seen, d.iter().collect::<Vec<_>>());
+        d.for_each(|set, tag| seen.push((set as u64, tag)));
+        assert_eq!(seen.len(), events.len());
+        for (event, &(set, tag)) in events.iter().zip(&seen) {
+            let line = event.access.addr.line(64).raw();
+            assert_eq!(set, line & ((1 << set_bits) - 1));
+            assert_eq!(tag, line >> set_bits);
+        }
     }
 
     #[test]
@@ -349,45 +181,5 @@ mod tests {
             });
             assert_eq!(seen, whole, "block size {block}");
         }
-    }
-
-    #[test]
-    fn arena_memoizes_per_geometry() {
-        let arena = DecomposedArena::new();
-        let events = sweep_events(100);
-        let key = ArenaKey::new("s", 1, 100);
-        let a = arena.get_or_decompose(key.clone(), 64, 4, || events.clone());
-        let b = arena.get_or_decompose(key.clone(), 64, 4, || unreachable!("memoized"));
-        assert!(Arc::ptr_eq(&a, &b));
-        // A different indexing scheme is a different decomposition.
-        let c = arena.get_or_decompose(key, 64, 5, || events.clone());
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(arena.stats(), (1, 2));
-    }
-
-    #[test]
-    fn concurrent_same_key_decomposes_once() {
-        let arena = DecomposedArena::new();
-        let events = sweep_events(200);
-        let results: Vec<Arc<DecomposedTrace>> =
-            sim_core::parallel::par_map_threads(8, (0..16).collect::<Vec<u32>>(), |_| {
-                arena.get_or_decompose(ArenaKey::new("shared", 3, 200), 64, 6, || events.clone())
-            });
-        for r in &results[1..] {
-            assert!(Arc::ptr_eq(&results[0], r));
-        }
-        assert_eq!(arena.stats().1, 1);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let arena = DecomposedArena::new();
-        let events = sweep_events(50);
-        let kept = arena.get_or_decompose(ArenaKey::new("s", 1, 50), 64, 4, || events.clone());
-        arena.clear();
-        assert_eq!(arena.stats(), (0, 0));
-        assert_eq!(kept.len(), 50); // outstanding Arc survives clear
-        let again = arena.get_or_decompose(ArenaKey::new("s", 1, 50), 64, 4, || events);
-        assert!(!Arc::ptr_eq(&kept, &again));
     }
 }

@@ -10,9 +10,8 @@
 //! Streams that are replayed many times (every experiment driver
 //! evaluates many policies over the same workload trace) should go
 //! through the memoizing [`arena`] instead of re-running a generator
-//! per consumer. Consumers that replay one trace through many cache
-//! models sharing an indexing scheme can go further and stream
-//! precomputed `(set, tag)` pairs from [`decomposed`].
+//! per consumer. [`decomposed`] splits a materialized trace into the
+//! `(set, tag)` pairs of one indexing scheme.
 //!
 //! # Examples
 //!
