@@ -53,7 +53,6 @@ use trace_gen::MemoryAccess;
 
 /// The Figure 6 policy combinations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AmbPolicy {
     /// Victim caching only (best single-policy variant: no swap on
     /// conflict hits, fill on conflict evictions only).
@@ -126,7 +125,6 @@ impl std::fmt::Display for AmbPolicy {
 
 /// How a line entered the buffer (the "extra bits" of §5.5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Role {
     /// Displaced from the cache by a conflict miss.
     Victim,
@@ -172,7 +170,6 @@ impl AmbConfig {
 
 /// The Figure 7 hit-rate components.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AmbStats {
     /// Total accesses.
     pub accesses: u64,

@@ -4,7 +4,6 @@ use sim_core::LineAddr;
 
 /// Probe/fill statistics for an assist buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BufferStats {
     /// Probes that found the line.
     pub hits: u64,

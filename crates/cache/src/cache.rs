@@ -11,7 +11,6 @@ use crate::{CacheGeometry, CacheStats};
 /// substrate completeness (victim choice is itself a variable some of
 /// the cited work explores).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Replacement {
     /// Evict the least recently used line (default).
     #[default]

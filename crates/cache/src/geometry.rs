@@ -62,7 +62,6 @@ impl std::error::Error for ConfigError {}
 /// # Ok::<(), cache_model::ConfigError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheGeometry {
     size_bytes: u64,
     associativity: u32,

@@ -14,7 +14,6 @@ use crate::{BankedPorts, CacheGeometry, CacheStats, ConfigError, SetAssocCache};
 
 /// Configuration for [`L2Memory`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct L2MemoryConfig {
     /// Geometry of the unified L2 cache.
     pub l2_geometry: CacheGeometry,

@@ -20,7 +20,6 @@ use sim_core::LineAddr;
 
 /// The classic classification of one cache miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum OracleClass {
     /// First-ever reference to the line.
     Compulsory,

@@ -16,7 +16,6 @@ use core::fmt;
 /// assert!((s.hit_rate() - 0.5).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheStats {
     hits: u64,
     misses: u64,

@@ -47,7 +47,6 @@ use crate::{BlockClass, ClassifyingCache, EvictionClassifier, MissClassification
 
 /// Accuracy of the MCT over one reference stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AccuracyReport {
     /// Oracle-conflict misses the MCT labelled conflict.
     pub conflict: Ratio,

@@ -7,7 +7,6 @@ use core::fmt;
 /// The paper groups compulsory misses with capacity misses, so every
 /// miss is exactly one of these.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MissClass {
     /// The missing line's tag matched the most recently evicted tag of
     /// its set: a slightly more associative cache would have hit.
@@ -67,7 +66,6 @@ impl fmt::Display for MissClass {
 /// assert!(ConflictFilter::OrConflict.fires(incoming_conflict, evicted_bit));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ConflictFilter {
     /// The evicted line originally came in as a conflict miss.
     InConflict,

@@ -21,7 +21,6 @@ use crate::MissClass;
 /// assert_eq!(TagBits::Low(8).mask(), 0xff);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TagBits {
     /// Store the complete tag (exact matching).
     Full,

@@ -9,7 +9,6 @@ use crate::{MemResponse, MemorySystem};
 
 /// Processor core parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CpuConfig {
     /// Instructions fetched/dispatched per cycle (paper: 8).
     pub fetch_width: u32,
@@ -48,7 +47,6 @@ impl Default for CpuConfig {
 
 /// The result of running a trace through the model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CpuReport {
     /// Total simulated cycles.
     pub cycles: u64,

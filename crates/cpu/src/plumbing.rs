@@ -12,7 +12,6 @@ use sim_core::{Cycle, LineAddr};
 
 /// Timing parameters of the L1 and its miss path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemTimings {
     /// L1 hit latency in cycles (paper: pipelined, 1).
     pub l1_latency: u64,

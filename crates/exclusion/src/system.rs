@@ -13,7 +13,6 @@ use crate::MemoryAccessTable;
 
 /// The Figure 5 exclusion policies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ExclusionPolicy {
     /// Johnson & Hwu's memory access table (the baseline the paper
     /// beats).
@@ -80,7 +79,6 @@ impl ExclusionConfig {
 
 /// Event counts for the exclusion study.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ExclusionStats {
     /// Total accesses.
     pub accesses: u64,

@@ -18,7 +18,7 @@ use sim_core::stats::GeoMean;
 use workloads::{full_suite, suite};
 
 use crate::table::{pct, speedup};
-use crate::{fig1, Table};
+use crate::{fig1, Replay, Table};
 
 /// Accuracy per (configuration, depth).
 #[derive(Debug, Clone)]
@@ -112,7 +112,7 @@ fn depth_sweep(events: usize) -> Vec<DepthPoint> {
         .collect()
 }
 
-fn window_sweep(events: usize) -> Vec<WindowPoint> {
+fn window_sweep(events: usize, replay: Replay) -> Vec<WindowPoint> {
     let benchmarks = suite();
     crate::par_map(WINDOWS.to_vec(), |window| {
         let cpu = OooModel::new(CpuConfig {
@@ -124,7 +124,10 @@ fn window_sweep(events: usize) -> Vec<WindowPoint> {
         for w in &benchmarks {
             let run = |sys: &mut dyn cpu_model::MemorySystem| {
                 crate::telemetry::record_events(events as u64);
-                cpu.run(&mut &mut *sys, crate::events_for(w, crate::SEED, events))
+                cpu.run(
+                    &mut &mut *sys,
+                    crate::events_for(w, crate::SEED, events, replay),
+                )
             };
             let mut base = BaselineSystem::paper_default().expect("paper config");
             let base_report = crate::probe::cell(
@@ -150,9 +153,8 @@ fn window_sweep(events: usize) -> Vec<WindowPoint> {
     })
 }
 
-fn buffer_sweep(events: usize) -> Vec<BufferPoint> {
+fn buffer_sweep(events: usize, replay: Replay) -> Vec<BufferPoint> {
     let benchmarks = suite();
-    let cpu = OooModel::new(CpuConfig::paper_default());
     let baselines: Vec<_> = benchmarks
         .iter()
         .map(|w| {
@@ -161,7 +163,7 @@ fn buffer_sweep(events: usize) -> Vec<BufferPoint> {
                 || format!("buffer/base/{}", w.name()),
                 || {
                     let mut base = BaselineSystem::paper_default().expect("paper config");
-                    crate::drive(&mut base, w, events)
+                    crate::drive(&mut base, w, events, replay)
                 },
             )
         })
@@ -178,8 +180,7 @@ fn buffer_sweep(events: usize) -> Vec<BufferPoint> {
                         ..AmbConfig::new(AmbPolicy::VicPreExc)
                     };
                     let mut sys = AmbSystem::paper_default(cfg).expect("paper config");
-                    crate::telemetry::record_events(events as u64);
-                    cpu.run(&mut sys, crate::events_for(w, crate::SEED, events))
+                    crate::drive(&mut sys, w, events, replay)
                 },
             );
             mean.push(report.speedup_over(base));
@@ -203,13 +204,14 @@ pub fn simulated_events(events: usize) -> u64 {
     ((depth + window + buffer) * events) as u64
 }
 
-/// Runs all three ablations.
+/// Runs all three ablations. The window and buffer sweeps read traces
+/// in `replay` mode; the depth sweep always streams.
 #[must_use]
-pub fn run(events: usize) -> Ablation {
+pub fn run(events: usize, replay: Replay) -> Ablation {
     Ablation {
         depths: depth_sweep(events),
-        windows: window_sweep(events),
-        buffers: buffer_sweep(events),
+        windows: window_sweep(events, replay),
+        buffers: buffer_sweep(events, replay),
         events,
     }
 }
@@ -293,7 +295,7 @@ mod tests {
 
     #[test]
     fn smaller_windows_hide_less_latency() {
-        let points = window_sweep(5_000);
+        let points = window_sweep(5_000, Replay::Arena);
         let first = points.first().unwrap();
         let last = points.last().unwrap();
         assert!(
@@ -304,7 +306,7 @@ mod tests {
 
     #[test]
     fn display_renders() {
-        let a = run(2_000);
+        let a = run(2_000, Replay::Arena);
         let s = a.to_string();
         assert!(s.contains("Ablation A"));
         assert!(s.contains("Ablation C"));

@@ -52,9 +52,10 @@ fn usage() -> ExitCode {
          --events N       trace events per workload (default {})\n\
          --threads N      worker-thread cap (1 = fully serial; default: all cores)\n\
          --bench-json P   write machine-readable throughput telemetry to P\n\
-         --stream         chunked generator replay: one chunk of line addresses\n\
-         \u{20}                per running group replay (bypasses the trace arena;\n\
-         \u{20}                output is byte-identical)\n\
+         --stream         CPU-model drivers (fig3-fig6, sec54, sec56, the window\n\
+         \u{20}                and buffer ablations) run from live generators instead\n\
+         \u{20}                of the trace arena (output is byte-identical); the\n\
+         \u{20}                accuracy and MRC drivers always stream\n\
          --probe MODE     collect per-cell probe data: epoch:N (fold into\n\
          \u{20}                epochs of N accesses) or raw (every event; small runs)\n\
          --probe-out P    probe JSONL path (default OBS_repro.jsonl); inspect\n\
@@ -109,7 +110,6 @@ fn main() -> ExitCode {
         sim_core::parallel::set_max_threads(threads);
     }
     experiments::probe::configure(opts.probe);
-    experiments::set_stream_mode(opts.stream);
     if opts.trace_out.is_some() {
         tracing::arm(opts.trace_logical_clock);
     }
@@ -188,7 +188,7 @@ fn main() -> ExitCode {
         || {
             sim_core::parallel::try_par_map(pending.clone(), |target: Target| {
                 let start = Stopwatch::start();
-                let rendered = target.run(events);
+                let rendered = target.run(events, opts.replay);
                 let bench = FigureBench::ok(
                     target.name(),
                     start.elapsed_seconds(),
@@ -271,9 +271,9 @@ fn main() -> ExitCode {
         }
     }
 
-    // The MRC family rides along after the targets: it reuses the
-    // same arenas (or streams) but is not a checkpointable Target, so
-    // it runs once the sweep proper has settled.
+    // The MRC family rides along after the targets: it streams its
+    // traces like the accuracy figures but is not a checkpointable
+    // Target, so it runs once the sweep proper has settled.
     let mut mrc_run = None;
     if opts.mrc {
         let start = Stopwatch::start();
@@ -311,13 +311,10 @@ fn main() -> ExitCode {
     for figure in &report.figures {
         eprintln!("{}", figure.summary_line());
     }
-    // The replay mode rides along on stderr: the bench-repro/2 schema
-    // is pinned by goldens, so the mode is recorded here rather than
-    // in the JSON.
-    eprintln!(
-        "[bench] replay {}",
-        if opts.stream { "stream" } else { "arena" }
-    );
+    // The CPU-model drivers' replay mode rides along on stderr: the
+    // bench-repro/2 schema is pinned by goldens, so the mode is
+    // recorded here rather than in the JSON.
+    eprintln!("[bench] cpu-model replay {}", opts.replay.name());
     eprintln!(
         "[bench] total    {:>8.2}s  {:.1}M events/s  ({} events, {} worker threads)",
         report.total_wall_seconds,

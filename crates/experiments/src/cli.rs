@@ -9,6 +9,7 @@ use std::path::PathBuf;
 
 use crate::probe::ProbeMode;
 use crate::tracing::TraceFormat;
+use crate::Replay;
 
 /// One runnable repro target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,11 +83,13 @@ impl Target {
     }
 
     /// Runs the driver and renders its report exactly as `repro`
-    /// prints it (one trailing newline added by the caller). Each arm
-    /// opens a figure-level trace scope so span traces group a
-    /// driver's cells under one `fig_*` root.
+    /// prints it (one trailing newline added by the caller). `replay`
+    /// reaches only the CPU-model drivers and sweeps; fig1, fig2 and
+    /// the depth ablation always stream. Each arm opens a figure-level
+    /// trace scope so span traces group a driver's cells under one
+    /// `fig_*` root.
     #[must_use]
-    pub fn run(self, events: usize) -> String {
+    pub fn run(self, events: usize, replay: Replay) -> String {
         use sim_core::span::{self, ScopeKind};
         match self {
             Target::Fig1 => span::scope(ScopeKind::Figure, "fig_fig1", "fig1", String::new, || {
@@ -96,33 +99,33 @@ impl Target {
                 crate::fig2::run(events).to_string()
             }),
             Target::Fig3 => span::scope(ScopeKind::Figure, "fig_fig3", "fig3", String::new, || {
-                crate::fig3::run(events).to_string()
+                crate::fig3::run(events, replay).to_string()
             }),
             Target::Fig4 => span::scope(ScopeKind::Figure, "fig_fig4", "fig4", String::new, || {
-                crate::fig4::run(events).to_string()
+                crate::fig4::run(events, replay).to_string()
             }),
             Target::Fig5 => span::scope(ScopeKind::Figure, "fig_fig5", "fig5", String::new, || {
-                crate::fig5::run(events).to_string()
+                crate::fig5::run(events, replay).to_string()
             }),
             Target::Sec54 => {
                 span::scope(ScopeKind::Figure, "fig_sec54", "sec54", String::new, || {
-                    crate::sec54::run(events).to_string()
+                    crate::sec54::run(events, replay).to_string()
                 })
             }
             Target::Sec56 => {
                 span::scope(ScopeKind::Figure, "fig_sec56", "sec56", String::new, || {
-                    crate::sec56::run(events).to_string()
+                    crate::sec56::run(events, replay).to_string()
                 })
             }
             Target::Fig6 => span::scope(ScopeKind::Figure, "fig_fig6", "fig6", String::new, || {
-                crate::fig6::run(events).to_string()
+                crate::fig6::run(events, replay).to_string()
             }),
             Target::Ablation => span::scope(
                 ScopeKind::Figure,
                 "fig_ablation",
                 "ablation",
                 String::new,
-                || crate::ablation::run(events).to_string(),
+                || crate::ablation::run(events, replay).to_string(),
             ),
         }
     }
@@ -204,10 +207,11 @@ pub struct Options {
     /// `--trace-logical-clock`: record spans with a constant-zero
     /// clock so the trace is byte-identical at any thread count.
     pub trace_logical_clock: bool,
-    /// `--stream`: chunked generator replay, holding one chunk per
-    /// running replay instead of arena-resident traces; output is
-    /// byte-identical.
-    pub stream: bool,
+    /// `--stream` selects [`Replay::Stream`]: the CPU-model drivers
+    /// run from live generators instead of arena-resident traces;
+    /// output is byte-identical. The accuracy and MRC drivers always
+    /// stream.
+    pub replay: Replay,
     /// `--mrc`: run the miss-ratio-curve family after the targets.
     pub mrc: bool,
     /// `--mrc-sample R`: SHARDS sampling rate in `(0, 1]` (`None` =
@@ -242,7 +246,7 @@ where
     let mut trace_out: Option<PathBuf> = None;
     let mut trace_format: Option<TraceFormat> = None;
     let mut trace_logical_clock = false;
-    let mut stream = false;
+    let mut replay = Replay::Arena;
     let mut mrc = false;
     let mut mrc_sample: Option<f64> = None;
     let mut mrc_out: Option<PathBuf> = None;
@@ -319,7 +323,7 @@ where
                 trace_format = Some(TraceFormat::parse(&value)?);
             }
             "--trace-logical-clock" => trace_logical_clock = true,
-            "--stream" => stream = true,
+            "--stream" => replay = Replay::Stream,
             "--mrc" => mrc = true,
             "--mrc-sample" => {
                 let value = args.next().ok_or("--mrc-sample needs a rate in (0, 1]")?;
@@ -403,7 +407,7 @@ where
         trace_out,
         trace_format: trace_format.unwrap_or(TraceFormat::Jsonl),
         trace_logical_clock,
-        stream,
+        replay,
         mrc,
         mrc_sample,
         mrc_out,
@@ -475,9 +479,9 @@ mod tests {
 
     #[test]
     fn parses_stream_flag() {
-        assert!(!parse(&[]).unwrap().stream);
+        assert_eq!(parse(&[]).unwrap().replay, Replay::Arena);
         let opts = parse(&["--stream", "fig1"]).unwrap();
-        assert!(opts.stream);
+        assert_eq!(opts.replay, Replay::Stream);
         assert_eq!(opts.targets, vec![Target::Fig1]);
     }
 

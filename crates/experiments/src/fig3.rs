@@ -12,7 +12,7 @@ use victim_cache::{VictimConfig, VictimPolicy, VictimStats, VictimSystem};
 use workloads::{suite, Workload};
 
 use crate::table::{pct, speedup};
-use crate::{drive, Table};
+use crate::{drive, Replay, Table};
 
 /// Results for one victim policy.
 #[derive(Debug, Clone)]
@@ -45,21 +45,22 @@ pub fn simulated_events(events: usize) -> u64 {
     ((1 + VictimPolicy::ALL.len()) * suite().len() * events) as u64
 }
 
-fn run_baseline(w: &Workload, events: usize) -> (CpuReport, f64) {
+fn run_baseline(w: &Workload, events: usize, replay: Replay) -> (CpuReport, f64) {
     let mut sys = BaselineSystem::paper_default().expect("paper config");
-    let report = drive(&mut sys, w, events);
+    let report = drive(&mut sys, w, events, replay);
     (report, sys.l1_stats().hit_rate())
 }
 
-/// Runs the Figure 3 / Table 1 experiment.
+/// Runs the Figure 3 / Table 1 experiment, reading traces in `replay`
+/// mode.
 #[must_use]
-pub fn run(events: usize) -> Fig3 {
+pub fn run(events: usize, replay: Replay) -> Fig3 {
     let benchmarks = suite();
     let baselines: Vec<(CpuReport, f64)> = crate::par_map(benchmarks.clone(), |w| {
         crate::probe::cell(
             "fig3",
             || format!("baseline/{}", w.name()),
-            || run_baseline(&w, events),
+            || run_baseline(&w, events, replay),
         )
     });
     let mut base_hits = 0.0;
@@ -79,7 +80,7 @@ pub fn run(events: usize) -> Fig3 {
                 || {
                     let mut sys = VictimSystem::paper_default(VictimConfig::new(policy))
                         .expect("paper config");
-                    let report = drive(&mut sys, w, events);
+                    let report = drive(&mut sys, w, events, replay);
                     (report, *sys.stats())
                 },
             );
@@ -185,7 +186,7 @@ mod tests {
 
     #[test]
     fn shape_on_small_run() {
-        let fig = run(4_000);
+        let fig = run(4_000, Replay::Arena);
         assert_eq!(fig.policies.len(), 4);
         let trad = &fig.policies[0];
         let both = &fig.policies[3];

@@ -7,14 +7,14 @@
 //! advantage is not significant").
 
 use cache_model::{CacheGeometry, L2MemoryConfig};
-use cpu_model::{CpuConfig, CpuReport, OooModel, Plumbing};
+use cpu_model::{CpuReport, Plumbing};
 use mct::ConflictFilter;
 use prefetcher::{NextLineSystem, PrefetchConfig, PrefetchStats};
 use sim_core::stats::GeoMean;
 use workloads::{suite, Workload};
 
 use crate::table::{pct, speedup};
-use crate::Table;
+use crate::{drive, Replay, Table};
 
 /// Results for one prefetch strategy.
 #[derive(Debug, Clone)]
@@ -48,16 +48,6 @@ pub fn strategies() -> Vec<Option<ConflictFilter>> {
     ]
 }
 
-fn drive_slow_bus<M: cpu_model::MemorySystem>(
-    system: &mut M,
-    workload: &Workload,
-    events: usize,
-) -> CpuReport {
-    let cpu = OooModel::new(CpuConfig::paper_default());
-    crate::telemetry::record_events(events as u64);
-    cpu.run(system, crate::events_for(workload, crate::SEED, events))
-}
-
 /// Trace events this figure simulates: the no-prefetch baseline plus
 /// one run per strategy, per workload.
 #[must_use]
@@ -66,7 +56,7 @@ pub fn simulated_events(events: usize) -> u64 {
 }
 
 /// A no-prefetch baseline on the slow-bus system.
-fn slow_baseline(workload: &Workload, events: usize) -> CpuReport {
+fn slow_baseline(workload: &Workload, events: usize, replay: Replay) -> CpuReport {
     let plumbing = Plumbing::new(
         cpu_model::MemTimings::paper_default(),
         L2MemoryConfig::paper_slow_bus().expect("paper config"),
@@ -75,18 +65,18 @@ fn slow_baseline(workload: &Workload, events: usize) -> CpuReport {
         CacheGeometry::new(16 * 1024, 1, 64).expect("paper geometry"),
         plumbing,
     );
-    drive_slow_bus(&mut sys, workload, events)
+    drive(&mut sys, workload, events, replay)
 }
 
-/// Runs the Figure 4 experiment.
+/// Runs the Figure 4 experiment, reading traces in `replay` mode.
 #[must_use]
-pub fn run(events: usize) -> Fig4 {
+pub fn run(events: usize, replay: Replay) -> Fig4 {
     let benchmarks = suite();
     let baselines: Vec<CpuReport> = crate::par_map(benchmarks.clone(), |w| {
         crate::probe::cell(
             "fig4",
             || format!("baseline/{}", w.name()),
-            || slow_baseline(&w, events),
+            || slow_baseline(&w, events, replay),
         )
     });
 
@@ -107,7 +97,7 @@ pub fn run(events: usize) -> Fig4 {
                 || format!("{strategy_name}/{}", w.name()),
                 || {
                     let mut sys = NextLineSystem::paper_slow_bus(cfg).expect("paper config");
-                    let report = drive_slow_bus(&mut sys, w, events);
+                    let report = drive(&mut sys, w, events, replay);
                     (report, *sys.stats())
                 },
             );
@@ -175,7 +165,7 @@ mod tests {
 
     #[test]
     fn filters_reduce_issue_traffic() {
-        let fig = run(4_000);
+        let fig = run(4_000, Replay::Arena);
         assert_eq!(fig.strategies.len(), 5);
         let unfiltered = &fig.strategies[0];
         let or_filter = &fig.strategies[4];

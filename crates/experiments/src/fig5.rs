@@ -11,7 +11,7 @@ use sim_core::stats::GeoMean;
 use workloads::suite;
 
 use crate::table::{pct, speedup};
-use crate::{drive, Table};
+use crate::{drive, Replay, Table};
 
 /// Results for one exclusion policy.
 #[derive(Debug, Clone)]
@@ -42,9 +42,9 @@ pub fn simulated_events(events: usize) -> u64 {
     ((1 + ExclusionPolicy::ALL.len()) * suite().len() * events) as u64
 }
 
-/// Runs the Figure 5 experiment.
+/// Runs the Figure 5 experiment, reading traces in `replay` mode.
 #[must_use]
-pub fn run(events: usize) -> Fig5 {
+pub fn run(events: usize, replay: Replay) -> Fig5 {
     let benchmarks = suite();
     let baseline_cells: Vec<(CpuReport, f64)> = crate::par_map(benchmarks.clone(), |w| {
         crate::probe::cell(
@@ -52,7 +52,7 @@ pub fn run(events: usize) -> Fig5 {
             || format!("baseline/{}", w.name()),
             || {
                 let mut sys = BaselineSystem::paper_default().expect("paper config");
-                let report = drive(&mut sys, &w, events);
+                let report = drive(&mut sys, &w, events, replay);
                 (report, sys.l1_stats().hit_rate())
             },
         )
@@ -75,7 +75,7 @@ pub fn run(events: usize) -> Fig5 {
                 || {
                     let mut sys = ExclusionSystem::paper_default(ExclusionConfig::new(policy))
                         .expect("paper config");
-                    let report = drive(&mut sys, w, events);
+                    let report = drive(&mut sys, w, events, replay);
                     (report, *sys.stats())
                 },
             );
@@ -148,7 +148,7 @@ mod tests {
 
     #[test]
     fn capacity_is_competitive_on_small_run() {
-        let fig = run(4_000);
+        let fig = run(4_000, Replay::Arena);
         assert_eq!(fig.policies.len(), 5);
         let capacity = fig
             .policies

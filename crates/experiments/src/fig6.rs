@@ -13,7 +13,7 @@ use sim_core::stats::GeoMean;
 use workloads::suite;
 
 use crate::table::{pct, speedup};
-use crate::{drive, Table};
+use crate::{drive, Replay, Table};
 
 /// Results for one AMB policy at one buffer size.
 #[derive(Debug, Clone)]
@@ -47,9 +47,10 @@ pub fn simulated_events(events: usize) -> u64 {
     ((1 + 2 * AmbPolicy::ALL.len()) * suite().len() * events) as u64
 }
 
-/// Runs the Figures 6 + 7 experiment.
+/// Runs the Figures 6 + 7 experiment, reading traces in `replay`
+/// mode.
 #[must_use]
-pub fn run(events: usize) -> Fig6 {
+pub fn run(events: usize, replay: Replay) -> Fig6 {
     let benchmarks = suite();
     let baseline_cells: Vec<(CpuReport, f64)> = crate::par_map(benchmarks.clone(), |w| {
         crate::probe::cell(
@@ -57,7 +58,7 @@ pub fn run(events: usize) -> Fig6 {
             || format!("baseline/{}", w.name()),
             || {
                 let mut sys = BaselineSystem::paper_default().expect("paper config");
-                let report = drive(&mut sys, &w, events);
+                let report = drive(&mut sys, &w, events, replay);
                 (report, sys.l1_stats().hit_rate())
             },
         )
@@ -90,7 +91,7 @@ pub fn run(events: usize) -> Fig6 {
                 || format!("{policy}-{entries}/{}", w.name()),
                 || {
                     let mut sys = AmbSystem::paper_default(cfg).expect("paper config");
-                    let report = drive(&mut sys, w, events);
+                    let report = drive(&mut sys, w, events, replay);
                     (report, *sys.stats())
                 },
             );
@@ -192,7 +193,7 @@ mod tests {
 
     #[test]
     fn combination_beats_singles_on_small_run() {
-        let fig = run(6_000);
+        let fig = run(6_000, Replay::Arena);
         let victpref = fig.result(AmbPolicy::VictPref, 8).unwrap().mean_speedup;
         let vict = fig.result(AmbPolicy::Vict, 8).unwrap().mean_speedup;
         let pref = fig.result(AmbPolicy::Pref, 8).unwrap().mean_speedup;

@@ -18,17 +18,19 @@
 //! Two infrastructure modules serve the `repro` harness: [`cli`]
 //! (argument parsing and the figure-target registry) and [`telemetry`]
 //! (per-figure wall time, events/sec, and the machine-readable
-//! `BENCH_repro.json` the perf trajectory is tracked with). Workload
-//! traces are materialized once per `(workload, seed, events)` in the
-//! shared [`trace_gen::arena`] — see [`trace_for`] — and replayed by
-//! every cell, so no driver pays trace synthesis more than once. The
-//! accuracy figures go one step further with [`replay_group`]: one
-//! pass over a workload's trace, in blocks of [`DEFAULT_REPLAY_BLOCK`]
-//! line addresses, scores every cell of the figure that replays that
-//! workload against one shared three-C oracle per capacity. Under
-//! `repro --stream` ([`set_stream_mode`]) drivers bypass the arena and
-//! pipe generators through a chunked O([`STREAM_CHUNK`])-memory
-//! pipeline with byte-identical output.
+//! `BENCH_repro.json` the perf trajectory is tracked with).
+//!
+//! Each driver reads its traces in one fixed way. The accuracy and MRC
+//! drivers (fig1, fig2, the shadow-depth ablation, the MRC family)
+//! read each workload's trace once, so they always stream it through
+//! [`stream_blocks`] at O([`STREAM_CHUNK`]) memory; [`replay_group`]
+//! scores every cell of the figure that replays that workload in that
+//! one pass, against one shared three-C oracle per capacity. The
+//! CPU-model drivers reuse each trace across many cells and take a
+//! [`Replay`] value (`repro --stream`): traces materialized once per
+//! `(workload, seed, events)` in the shared [`trace_gen::arena`] (see
+//! [`trace_for`]), or live generators. Output is byte-identical
+//! either way.
 //!
 //! Every driver takes the number of trace events per workload, so the
 //! same code serves quick smoke tests, Criterion benches, and the full
@@ -72,7 +74,6 @@ pub mod tracing;
 
 pub use table::Table;
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use cache_model::CacheGeometry;
@@ -94,151 +95,98 @@ pub const DEFAULT_EVENTS: usize = 300_000;
 /// stay L1/L2-resident alongside the kernel arrays.
 pub const DEFAULT_REPLAY_BLOCK: usize = 1024;
 
-/// Whether drivers stream workload generators chunk-by-chunk instead
-/// of materializing whole traces in the arena (`repro --stream`).
-static STREAM: AtomicBool = AtomicBool::new(false);
-
-/// Selects streaming replay (`repro --stream`): drivers pipe each
-/// workload generator through a chunked generate → kernel pipeline
-/// with O([`STREAM_CHUNK`]) memory, bypassing the trace arena
-/// entirely. Output is byte-identical to arena replay at any thread
-/// count — both replay the same generator stream through the same
-/// kernels — only residency changes.
-pub fn set_stream_mode(stream: bool) {
-    STREAM.store(stream, Ordering::Relaxed);
+/// How the CPU-model drivers (fig3–fig6, §5.4, §5.6 and the window
+/// and buffer sweeps of [`ablation`]) read their traces, chosen by
+/// `repro --stream`. Both modes replay the same generator stream, so
+/// output is byte-identical; only residency and speed differ. The
+/// accuracy and MRC drivers take no mode: they read each trace once
+/// and always stream it ([`stream_blocks`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Replay {
+    /// Materialize each trace once in the shared [`TraceArena`] and
+    /// replay it by reference in every cell that needs it (`repro`'s
+    /// default).
+    Arena,
+    /// Run every cell from a live generator: nothing stays resident.
+    Stream,
 }
 
-/// Whether streaming replay is selected.
-#[must_use]
-pub fn stream_mode() -> bool {
-    STREAM.load(Ordering::Relaxed)
+impl Replay {
+    /// The mode's name, as `repro` reports it on stderr.
+    #[must_use]
+    pub const fn name(self) -> &'static str {
+        match self {
+            Replay::Arena => "arena",
+            Replay::Stream => "stream",
+        }
+    }
 }
 
 /// Events per chunk of the streaming pipeline: the generator fills
 /// one chunk of line addresses, the consumer replays it in
 /// [`DEFAULT_REPLAY_BLOCK`] blocks, and the buffer is reused — peak
 /// memory is one chunk (8 bytes per event) per running replay,
-/// regardless of trace length. A multiple of the block size, so
-/// streamed blocks line up with arena blocks.
+/// regardless of trace length. A multiple of the block size, so only
+/// a trace's final block can be short.
 pub const STREAM_CHUNK: usize = 64 * 1024;
 
-/// One replay's input: an arena-resident trace or a streamed
-/// generator.
-#[derive(Debug, Clone)]
-pub enum ReplayTrace {
-    /// The arena-memoized event trace, shared across replays.
-    Arena(Arc<[TraceEvent]>),
-    /// Chunked generator replay (`repro --stream`): nothing resident
-    /// beyond one chunk.
-    Stream {
-        /// The workload whose generator is streamed.
-        workload: workloads::Workload,
-        /// Total events to stream.
-        events: usize,
-    },
+/// Feeds the line addresses (for `line_size`-byte lines) of the first
+/// `events` events of `workload`'s generator to `f` in trace order,
+/// in blocks of [`DEFAULT_REPLAY_BLOCK`] addresses (the final block
+/// may be shorter). The generator fills one [`STREAM_CHUNK`] of
+/// addresses at a time into a pooled buffer, so memory stays O(chunk).
+/// This is the only replay of fig1, fig2, the shadow-depth ablation
+/// and the MRC family.
+pub fn stream_blocks(
+    workload: &workloads::Workload,
+    events: usize,
+    line_size: u64,
+    mut f: impl FnMut(&[u64]),
+) {
+    if events == 0 {
+        return;
+    }
+    let mut source = workload.source(SEED);
+    // The chunk buffer comes from (and returns to) the kernel's buffer
+    // pool, so streaming traffic shows up in the same `trace-repro/1`
+    // pool counters as the kernel arrays.
+    let chunk = STREAM_CHUNK.min(events);
+    let mut lines = cache_model::pool::take_u64(chunk);
+    let mut left = events;
+    while left > 0 {
+        let n = chunk.min(left);
+        for slot in &mut lines[..n] {
+            *slot = source.next_event().access.addr.line(line_size).raw();
+        }
+        for block in lines[..n].chunks(DEFAULT_REPLAY_BLOCK) {
+            f(block);
+        }
+        left -= n;
+    }
+    cache_model::pool::recycle_u64(lines);
 }
 
-impl ReplayTrace {
-    /// Total events this input replays.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match self {
-            ReplayTrace::Arena(trace) => trace.len(),
-            ReplayTrace::Stream { events, .. } => *events,
-        }
-    }
-
-    /// `true` if there are no events.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Feeds every event's line address (for `line_size`-byte lines)
-    /// to `f` in trace order, in blocks of [`DEFAULT_REPLAY_BLOCK`]
-    /// addresses (the final block may be shorter). Arena inputs
-    /// convert one block of resident events at a time; stream inputs
-    /// generate one [`STREAM_CHUNK`] of addresses at a time into a
-    /// pooled buffer, so memory stays O(chunk). Both arms yield the
-    /// same blocks.
-    pub fn for_each_block(&self, line_size: u64, mut f: impl FnMut(&[u64])) {
-        let line_of = |event: &TraceEvent| event.access.addr.line(line_size).raw();
-        match self {
-            ReplayTrace::Arena(trace) => {
-                let mut lines = [0u64; DEFAULT_REPLAY_BLOCK];
-                for block in trace.chunks(DEFAULT_REPLAY_BLOCK) {
-                    for (slot, event) in lines.iter_mut().zip(block) {
-                        *slot = line_of(event);
-                    }
-                    f(&lines[..block.len()]);
-                }
-            }
-            ReplayTrace::Stream { workload, events } => {
-                let mut left = *events;
-                if left == 0 {
-                    return;
-                }
-                let mut source = workload.source(SEED);
-                // The chunk buffer comes from (and returns to) the
-                // kernel's buffer pool, so streaming traffic shows up in
-                // the same `trace-repro/1` pool counters as the kernel
-                // arrays.
-                let chunk = STREAM_CHUNK.min(left);
-                let mut lines = cache_model::pool::take_u64(chunk);
-                while left > 0 {
-                    let n = chunk.min(left);
-                    for slot in &mut lines[..n] {
-                        *slot = line_of(&source.next_event());
-                    }
-                    for block in lines[..n].chunks(DEFAULT_REPLAY_BLOCK) {
-                        f(block);
-                    }
-                    left -= n;
-                }
-                cache_model::pool::recycle_u64(lines);
-            }
-        }
-    }
-}
-
-/// The replay input for `(workload, SEED, events)`: the arena-memoized
-/// trace, or a streamed generator under [`stream_mode`]. This is what
-/// fig1, fig2, the shadow-depth ablation and the MRC family replay.
-#[must_use]
-pub fn replay_for(workload: &workloads::Workload, events: usize) -> ReplayTrace {
-    if stream_mode() {
-        ReplayTrace::Stream {
-            workload: *workload,
-            events,
-        }
-    } else {
-        ReplayTrace::Arena(trace_for(workload, events))
-    }
-}
-
-/// Replays `trace` once through an [`AccuracyGroup`] of `members`,
+/// Streams `workload` once through an [`AccuracyGroup`] of `members`,
 /// returning each member's report in member order. `probes` installs
 /// each member's probe sink (if any) around that member's scoring.
 fn replay_members<T: EvictionClassifier>(
-    trace: &ReplayTrace,
+    workload: &workloads::Workload,
+    events: usize,
     members: Vec<(CacheGeometry, T)>,
     probes: &GroupProbe,
 ) -> Vec<AccuracyReport> {
     let cells = members.len();
     let mut group = AccuracyGroup::new(members);
-    let _span = match trace {
-        ReplayTrace::Arena(_) => sim_core::span::enter("replay_block"),
-        ReplayTrace::Stream { .. } => sim_core::span::enter("replay_stream"),
-    };
-    sim_core::span::add_events((trace.len() * cells) as u64);
-    trace.for_each_block(group.line_size(), |lines| {
+    let _span = sim_core::span::enter("replay_stream");
+    sim_core::span::add_events((events * cells) as u64);
+    stream_blocks(workload, events, group.line_size(), |lines| {
         group.observe_block(lines, probes);
     });
     group.finish()
 }
 
 /// The accuracy drivers' one replay loop (fig1, fig2, the
-/// shadow-depth ablation, the MRC cross-check): replays `workload`
+/// shadow-depth ablation, the MRC cross-check): streams `workload`
 /// once and scores every `(geometry, classifier)` member against one
 /// shared three-C oracle per capacity.
 ///
@@ -263,22 +211,28 @@ pub fn replay_group<T: EvictionClassifier>(
         label,
         |probes| {
             telemetry::record_events((events * cells) as u64);
-            replay_members(&replay_for(workload, events), members, probes)
+            replay_members(workload, events, members, probes)
         },
     )
 }
 
 /// [`replay_group`]'s one-member case, outside any probe cell: the
-/// report of one MCT configuration replayed over `trace`.
+/// report of one MCT configuration over `events` events of `workload`.
 #[must_use]
 pub fn replay_accuracy<T: EvictionClassifier>(
-    trace: &ReplayTrace,
+    workload: &workloads::Workload,
+    events: usize,
     geom: CacheGeometry,
     table: T,
 ) -> AccuracyReport {
-    replay_members(trace, vec![(geom, table)], &GroupProbe::default())
-        .pop()
-        .unwrap_or_default()
+    replay_members(
+        workload,
+        events,
+        vec![(geom, table)],
+        &GroupProbe::default(),
+    )
+    .pop()
+    .unwrap_or_default()
 }
 
 /// The seed all experiments use (workload identity is mixed in by the
@@ -315,15 +269,6 @@ pub fn trace_for_seed(
     seed: u64,
     events: usize,
 ) -> Arc<[TraceEvent]> {
-    if stream_mode() {
-        // Streaming runs keep nothing resident past the caller: the
-        // trace is materialized transiently and dropped with the last
-        // `Arc` instead of living in the process-wide arena. (Used by
-        // the few drivers whose models need random access — §5.6's
-        // SMT pairings replay each trace several times.)
-        let mut source = workload.source(seed);
-        return (0..events).map(|_| source.next_event()).collect();
-    }
     TraceArena::global().get_or_materialize(ArenaKey::new(workload.name(), seed, events), || {
         workload.source(seed)
     })
@@ -362,28 +307,32 @@ impl Iterator for EventStream {
     }
 }
 
-/// The event stream for `(workload, seed, events)`: arena-backed
-/// normally, a live generator under [`stream_mode`] (O(1) memory —
-/// nothing is materialized at all for single-pass consumers).
-pub(crate) fn events_for(workload: &workloads::Workload, seed: u64, events: usize) -> EventStream {
-    if stream_mode() {
-        EventStream::Gen(workload.source(seed), events)
-    } else {
-        EventStream::Arena(trace_for_seed(workload, seed, events), 0)
+/// The event stream for `(workload, seed, events)` in `replay` mode:
+/// arena-backed, or a live generator (O(1) memory — nothing is
+/// materialized at all).
+pub(crate) fn events_for(
+    workload: &workloads::Workload,
+    seed: u64,
+    events: usize,
+    replay: Replay,
+) -> EventStream {
+    match replay {
+        Replay::Arena => EventStream::Arena(trace_for_seed(workload, seed, events), 0),
+        Replay::Stream => EventStream::Gen(workload.source(seed), events),
     }
 }
 
 /// Runs a workload trace through a memory system under the paper's
-/// CPU model, returning the timing report. The trace is replayed from
-/// the shared arena, not regenerated.
+/// CPU model, returning the timing report.
 pub(crate) fn drive<M: cpu_model::MemorySystem>(
     system: &mut M,
     workload: &workloads::Workload,
     events: usize,
+    replay: Replay,
 ) -> cpu_model::CpuReport {
     let cpu = cpu_model::OooModel::new(cpu_model::CpuConfig::paper_default());
     telemetry::record_events(events as u64);
-    cpu.run(system, events_for(workload, SEED, events))
+    cpu.run(system, events_for(workload, SEED, events, replay))
 }
 
 #[cfg(test)]
@@ -392,7 +341,7 @@ mod tests {
     fn drive_runs_a_workload() {
         let w = workloads::by_name("swim").unwrap();
         let mut sys = cpu_model::BaselineSystem::paper_default().unwrap();
-        let report = super::drive(&mut sys, &w, 1_000);
+        let report = super::drive(&mut sys, &w, 1_000, super::Replay::Arena);
         assert!(report.instructions > 1_000);
         assert!(report.cycles > 0);
     }

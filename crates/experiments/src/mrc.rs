@@ -23,7 +23,7 @@
 //!
 //! With `--mrc-sample R` the exact engine is replaced by the SHARDS
 //! fixed-rate spatial sampler, which keeps O(sampled lines) state —
-//! under `--stream` the whole pass holds one chunk plus the sampled
+//! the pass streams its trace, so it holds one chunk plus the sampled
 //! index, regardless of trace length.
 
 use mct::accuracy::AccuracyReport;
@@ -183,12 +183,13 @@ fn curve_for(
     sample: Option<f64>,
 ) -> WorkloadCurve {
     let mut engine = Engine::new(sample);
-    let trace = crate::replay_for(workload, events);
     crate::telemetry::record_events(events as u64);
     {
         let _span = sim_core::span::enter("replay_mrc");
-        sim_core::span::add_events(trace.len() as u64);
-        trace.for_each_block(line_size, |lines| engine.record_lines(lines));
+        sim_core::span::add_events(events as u64);
+        crate::stream_blocks(workload, events, line_size, |lines| {
+            engine.record_lines(lines);
+        });
     }
     WorkloadCurve {
         workload: workload.name().to_owned(),

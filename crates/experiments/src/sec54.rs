@@ -11,7 +11,7 @@ use sim_core::stats::GeoMean;
 use workloads::suite;
 
 use crate::table::{pct, speedup};
-use crate::{drive, Table};
+use crate::{drive, Replay, Table};
 
 /// Per-benchmark numbers for the §5.4 comparison.
 #[derive(Debug, Clone)]
@@ -52,9 +52,9 @@ pub fn simulated_events(events: usize) -> u64 {
     (4 * suite().len() * events) as u64
 }
 
-/// Runs the §5.4 experiment.
+/// Runs the §5.4 experiment, reading traces in `replay` mode.
 #[must_use]
-pub fn run(events: usize) -> Sec54 {
+pub fn run(events: usize, replay: Replay) -> Sec54 {
     let benchmarks = suite();
     let mut base_sum = 0.0;
     let mut mod_sum = 0.0;
@@ -68,7 +68,7 @@ pub fn run(events: usize) -> Sec54 {
         let _dm_report: CpuReport = crate::probe::cell(
             "sec54",
             || format!("dm/{}", w.name()),
-            || drive(&mut dm, w, events),
+            || drive(&mut dm, w, events, replay),
         );
 
         let mut base = PseudoAssocSystem::paper_default(PseudoConfig::new(PseudoPolicy::Lru))
@@ -76,7 +76,7 @@ pub fn run(events: usize) -> Sec54 {
         let base_report = crate::probe::cell(
             "sec54",
             || format!("pseudo-lru/{}", w.name()),
-            || drive(&mut base, w, events),
+            || drive(&mut base, w, events, replay),
         );
 
         let mut modified =
@@ -85,14 +85,14 @@ pub fn run(events: usize) -> Sec54 {
         let mod_report = crate::probe::cell(
             "sec54",
             || format!("pseudo-cbit/{}", w.name()),
-            || drive(&mut modified, w, events),
+            || drive(&mut modified, w, events, replay),
         );
 
         let mut two_way = BaselineSystem::paper_two_way().expect("paper config");
         let two_report = crate::probe::cell(
             "sec54",
             || format!("two-way/{}", w.name()),
-            || drive(&mut two_way, w, events),
+            || drive(&mut two_way, w, events, replay),
         );
 
         BenchRow {
@@ -172,7 +172,7 @@ mod tests {
 
     #[test]
     fn modified_not_worse_than_base_on_average() {
-        let r = run(4_000);
+        let r = run(4_000, Replay::Arena);
         let (base, modified, _two) = r.avg_miss;
         assert!(
             modified <= base + 0.002,

@@ -21,7 +21,7 @@ use trace_gen::TraceEvent;
 use workloads::{by_name, Workload};
 
 use crate::table::pct;
-use crate::{Table, SEED};
+use crate::{Replay, Table, SEED};
 
 /// One co-scheduled pairing's measurements.
 #[derive(Debug, Clone)]
@@ -68,11 +68,18 @@ pub fn jobs() -> Vec<Workload> {
         .collect()
 }
 
-fn thread_trace(w: &Workload, seed: u64, events: usize, offset: u64) -> Vec<TraceEvent> {
-    let base = crate::trace_for_seed(w, seed, events);
-    base.iter()
-        .map(|e| {
-            let mut e = *e;
+/// One thread's trace, relocated by `offset`. The SMT pairings replay
+/// it several times, so it is collected either way; under
+/// [`Replay::Stream`] only this transient copy exists.
+fn thread_trace(
+    w: &Workload,
+    seed: u64,
+    events: usize,
+    offset: u64,
+    replay: Replay,
+) -> Vec<TraceEvent> {
+    crate::events_for(w, seed, events, replay)
+        .map(|mut e| {
             // Distinct processes live in distinct address spaces.
             e.access.addr = Addr::new(e.access.addr.raw() ^ offset);
             e
@@ -99,17 +106,18 @@ pub fn simulated_events(events: usize) -> u64 {
     ((2 * n + 4 * pairs) * events) as u64
 }
 
-/// Runs the co-scheduling study with `events` references per thread.
+/// Runs the co-scheduling study with `events` references per thread,
+/// reading traces in `replay` mode.
 #[must_use]
-pub fn run(events: usize) -> Sec56 {
+pub fn run(events: usize, replay: Replay) -> Sec56 {
     let jobs = jobs();
     let traces: Vec<Vec<TraceEvent>> = jobs
         .iter()
-        .map(|w| thread_trace(w, SEED, events, 0))
+        .map(|w| thread_trace(w, SEED, events, 0, replay))
         .collect();
     let partner_traces: Vec<Vec<TraceEvent>> = jobs
         .iter()
-        .map(|w| thread_trace(w, SEED + 1, events, 1 << 43))
+        .map(|w| thread_trace(w, SEED + 1, events, 1 << 43, replay))
         .collect();
     let solo: Vec<(f64, f64)> = jobs
         .iter()
@@ -237,7 +245,7 @@ mod tests {
 
     #[test]
     fn sharing_never_reduces_misses_and_rankings_correlate() {
-        let r = run(8_000);
+        let r = run(8_000, Replay::Arena);
         assert!(!r.pairings.is_empty());
         for p in &r.pairings {
             assert!(

@@ -17,6 +17,7 @@
 
 use experiments::cli::Target;
 use experiments::probe::{render_jsonl, ProbeMode, RunHeader};
+use experiments::Replay;
 use proptest::prelude::*;
 use sim_core::fault::{self, FaultPlan, FaultSite, RetryPolicy};
 use trace_gen::arena::TraceArena;
@@ -35,7 +36,8 @@ fn run_suite(threads: usize) -> (String, String) {
     sim_core::parallel::set_max_threads(threads);
     experiments::probe::configure(Some(ProbeMode::Epoch(EPOCH)));
 
-    let outcomes = experiments::try_par_map(TARGETS.to_vec(), |target| target.run(EVENTS));
+    let outcomes =
+        experiments::try_par_map(TARGETS.to_vec(), |target| target.run(EVENTS, Replay::Arena));
     let rendered: Vec<String> = outcomes
         .into_iter()
         .map(|cell| cell.expect("a recoverable plan must never degrade a cell"))

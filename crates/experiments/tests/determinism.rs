@@ -18,6 +18,7 @@
 use std::sync::Arc;
 
 use experiments::cli::Target;
+use experiments::Replay;
 use trace_gen::{TraceEvent, TraceSource};
 
 #[test]
@@ -55,7 +56,7 @@ fn repro_is_deterministic_across_schedules_and_replay() {
     // against the live counter while nothing else is running.
     sim_core::parallel::set_max_threads(1);
     let before = experiments::telemetry::events_simulated();
-    let fig1_serial = Target::Fig1.run(EVENTS);
+    let fig1_serial = Target::Fig1.run(EVENTS, Replay::Arena);
     let fig1_counted = experiments::telemetry::events_simulated() - before;
     assert_eq!(
         fig1_counted,
@@ -63,7 +64,7 @@ fn repro_is_deterministic_across_schedules_and_replay() {
         "fig1 event formula must match the live counter"
     );
     let before = experiments::telemetry::events_simulated();
-    let fig3_serial = Target::Fig3.run(EVENTS);
+    let fig3_serial = Target::Fig3.run(EVENTS, Replay::Arena);
     let fig3_counted = experiments::telemetry::events_simulated() - before;
     assert_eq!(
         fig3_counted,
@@ -73,8 +74,8 @@ fn repro_is_deterministic_across_schedules_and_replay() {
 
     // Parallel runs render byte-identical reports.
     sim_core::parallel::set_max_threads(4);
-    let fig1_parallel = Target::Fig1.run(EVENTS);
-    let fig3_parallel = Target::Fig3.run(EVENTS);
+    let fig1_parallel = Target::Fig1.run(EVENTS, Replay::Arena);
+    let fig3_parallel = Target::Fig3.run(EVENTS, Replay::Arena);
     sim_core::parallel::set_max_threads(0);
     assert_eq!(
         fig1_serial, fig1_parallel,

@@ -20,14 +20,17 @@
 use cache_model::CacheGeometry;
 use experiments::cli::Target;
 use experiments::probe::{self, ProbeMode, RunHeader};
-use experiments::{fig1, fig2};
+use experiments::{fig1, fig2, Replay};
 use mct::accuracy::{AccuracyEvaluator, AccuracyReport};
 use mct::TagBits;
 use trace_gen::decomposed::DecomposedTrace;
 
 fn run_all(events: usize) -> (Vec<String>, String) {
     probe::configure(Some(ProbeMode::Epoch(500)));
-    let reports: Vec<String> = Target::ALL.iter().map(|t| t.run(events)).collect();
+    let reports: Vec<String> = Target::ALL
+        .iter()
+        .map(|t| t.run(events, Replay::Arena))
+        .collect();
     let records = probe::drain();
     let header = RunHeader {
         mode: ProbeMode::Epoch(500),
@@ -63,8 +66,8 @@ fn per_cell(
 fn fig1_fig2_records(mode: ProbeMode, events: usize, grouped: bool) -> String {
     probe::configure(Some(mode));
     if grouped {
-        let _ = Target::Fig1.run(events);
-        let _ = Target::Fig2.run(events);
+        let _ = Target::Fig1.run(events, Replay::Arena);
+        let _ = Target::Fig2.run(events, Replay::Arena);
     } else {
         for (name, geom) in fig1::configurations() {
             for w in workloads::full_suite() {
@@ -100,7 +103,10 @@ fn probe_output_is_deterministic_and_tables_unchanged() {
     // Reference: probes disabled, serial.
     sim_core::parallel::set_max_threads(1);
     probe::configure(None);
-    let plain: Vec<String> = Target::ALL.iter().map(|t| t.run(EVENTS)).collect();
+    let plain: Vec<String> = Target::ALL
+        .iter()
+        .map(|t| t.run(EVENTS, Replay::Arena))
+        .collect();
     assert!(
         probe::drain().is_empty(),
         "disabled probe must collect nothing"
@@ -145,7 +151,7 @@ fn probe_output_is_deterministic_and_tables_unchanged() {
 
     // Raw mode: per-event records parse and carry cell context.
     probe::configure(Some(ProbeMode::Raw));
-    let _ = Target::Fig1.run(200);
+    let _ = Target::Fig1.run(200, Replay::Arena);
     let records = probe::drain();
     assert!(!records.is_empty());
     let header = RunHeader {

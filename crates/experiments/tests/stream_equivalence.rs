@@ -1,26 +1,29 @@
-//! The replay guarantees, end to end: **grouped ≡ per cell**.
+//! The replay guarantees, end to end.
 //!
-//! Every accuracy driver (fig1, fig2, the shadow-depth ablation, the
-//! MRC cross-check) replays each workload once through a group of
-//! cells that share oracle verdicts and block decomposition. Every
-//! cell of every group must report exactly what a standalone
-//! [`AccuracyEvaluator`] with its own oracle reports when fed the same
-//! stream per event through `observe_parts`. This holds
+//! **Grouped ≡ per cell.** Every accuracy driver (fig1, fig2, the
+//! shadow-depth ablation, the MRC cross-check) streams each workload
+//! once through a group of cells that share oracle verdicts and block
+//! decomposition. Every cell of every group must report exactly what
+//! a standalone [`AccuracyEvaluator`] with its own oracle reports when
+//! fed the same stream per event through `observe_parts`. This holds
 //!
-//! * in arena replay and in `repro --stream` chunked replay;
 //! * at 1 and 4 worker threads (checked through the drivers' rendered
 //!   and aggregated reports);
 //! * across a stream-chunk seam: a `STREAM_CHUNK + 1537`-event trace
 //!   ends in a torn block, at two line sizes and at a 65536-set
 //!   geometry far past the paper's.
 //!
-//! Everything lives in ONE `#[test]` because stream mode
-//! ([`experiments::set_stream_mode`]) and the worker-thread cap
-//! ([`sim_core::parallel::set_max_threads`]) are process-global:
-//! separate tests would race on them.
+//! That check lives in ONE `#[test]` because the worker-thread cap
+//! ([`sim_core::parallel::set_max_threads`]) is process-global:
+//! separate tests would race on it.
+//!
+//! **Arena ≡ stream.** Every CPU-model driver renders the same table
+//! whether it reads its traces from the arena or from live
+//! generators. The mode is a plain argument, so this is its own test.
 
 use cache_model::CacheGeometry;
-use experiments::{ablation, fig1, fig2, mrc};
+use experiments::cli::Target;
+use experiments::{ablation, fig1, fig2, mrc, Replay};
 use mct::accuracy::{AccuracyEvaluator, AccuracyReport};
 use mct::{EvictionClassifier, MissClassificationTable, ShadowDirectory, TagBits};
 use workloads::Workload;
@@ -151,37 +154,31 @@ impl References {
         }
     }
 
-    /// Every cell of every group pass, in the current replay mode.
-    fn check_groups(&self, mode: &str) {
+    /// Every cell of every group pass.
+    fn check_groups(&self) {
         for (w, expected) in workloads::full_suite().iter().zip(&self.fig1) {
-            check_group(&format!("fig1/{mode}"), w, EVENTS, fig1_members(), expected);
+            check_group("fig1", w, EVENTS, fig1_members(), expected);
         }
         for (w, expected) in workloads::full_suite().iter().zip(&self.fig2) {
-            check_group(&format!("fig2/{mode}"), w, EVENTS, fig2_members(), expected);
+            check_group("fig2", w, EVENTS, fig2_members(), expected);
         }
         for (w, expected) in workloads::full_suite().iter().zip(&self.depth) {
-            check_group(
-                &format!("depth/{mode}"),
-                w,
-                EVENTS,
-                depth_members(),
-                expected,
-            );
+            check_group("depth", w, EVENTS, depth_members(), expected);
         }
         for (w, expected) in mrc::workload_suite().iter().zip(&self.mrc) {
-            check_group(&format!("mrc/{mode}"), w, EVENTS, fig1_members(), expected);
+            check_group("mrc", w, EVENTS, fig1_members(), expected);
         }
     }
 
     /// The drivers' own reports (which run the group passes on the
     /// scheduler) carry the reference cells.
-    fn check_drivers(&self, mode: &str) -> Vec<String> {
+    fn check_drivers(&self, label: &str) -> Vec<String> {
         let fig1 = fig1::run(EVENTS);
         for (i, config) in fig1.configs.iter().enumerate() {
             for (j, (name, report)) in config.benchmarks.iter().enumerate() {
                 assert_eq!(
                     report, &self.fig1[j][i],
-                    "fig1 {mode}: {}/{name} must equal per-event replay",
+                    "fig1 {label}: {}/{name} must equal per-event replay",
                     config.name
                 );
             }
@@ -189,14 +186,14 @@ impl References {
         let fig2 = fig2::run(EVENTS);
         for (i, point) in fig2.points.iter().enumerate() {
             let expected = sum(self.fig2.iter().map(|cells| cells[i]));
-            assert_eq!(point.report, expected, "fig2 {mode}: width {}", point.bits);
+            assert_eq!(point.report, expected, "fig2 {label}: width {}", point.bits);
         }
-        let ablation = ablation::run(EVENTS);
+        let ablation = ablation::run(EVENTS, Replay::Stream);
         for (i, point) in ablation.depths.iter().enumerate() {
             let expected = sum(self.depth.iter().map(|cells| cells[i]));
             assert_eq!(
                 point.report, expected,
-                "ablation {mode}: {}-d{}",
+                "ablation {label}: {}-d{}",
                 point.config, point.depth
             );
         }
@@ -210,7 +207,7 @@ impl References {
             assert_eq!(
                 (cell.real_miss_ratio, cell.mct_capacity_ratio),
                 (r.misses as f64 / accesses, mct_capacity as f64 / accesses),
-                "mrc {mode}: {}/{}",
+                "mrc {label}: {}/{}",
                 cell.config,
                 cell.workload
             );
@@ -226,27 +223,16 @@ impl References {
 
 #[test]
 fn grouped_replay_matches_per_cell_per_event_replay() {
-    assert!(!experiments::stream_mode(), "stream mode must default off");
     let refs = References::compute();
 
-    // Arena replay, serial: every group cell, then the drivers.
+    // Serial: every group cell, then the drivers.
     sim_core::parallel::set_max_threads(1);
-    refs.check_groups("arena");
-    let arena = refs.check_drivers("arena/1 thread");
+    refs.check_groups();
+    let serial = refs.check_drivers("1 thread");
 
-    // Arena replay on worker threads.
+    // On worker threads: byte-identical reports.
     sim_core::parallel::set_max_threads(4);
-    assert_eq!(arena, refs.check_drivers("arena/4 threads"));
-
-    // Streaming replay, serial and on worker threads: byte-identical
-    // reports.
-    experiments::set_stream_mode(true);
-    sim_core::parallel::set_max_threads(1);
-    refs.check_groups("stream");
-    assert_eq!(arena, refs.check_drivers("stream/1 thread"));
-    sim_core::parallel::set_max_threads(4);
-    assert_eq!(arena, refs.check_drivers("stream/4 threads"));
-    experiments::set_stream_mode(false);
+    assert_eq!(serial, refs.check_drivers("4 threads"));
     sim_core::parallel::set_max_threads(0);
 
     // A trace longer than one stream chunk, ending in a torn block:
@@ -266,26 +252,47 @@ fn grouped_replay_matches_per_cell_per_event_replay() {
             })
             .collect()
     };
-    let expected_fig1 = references(&w, big, fig1_members());
-    let expected_wide = references(&w, big, wide());
-    for stream in [false, true] {
-        experiments::set_stream_mode(stream);
-        check_group(
-            "fig1 across chunks",
-            &w,
-            big,
-            fig1_members(),
-            &expected_fig1,
-        );
-        check_group("32 B lines across chunks", &w, big, wide(), &expected_wide);
-    }
-    experiments::set_stream_mode(false);
+    check_group(
+        "fig1 across chunks",
+        &w,
+        big,
+        fig1_members(),
+        &references(&w, big, fig1_members()),
+    );
+    check_group(
+        "32 B lines across chunks",
+        &w,
+        big,
+        wide(),
+        &references(&w, big, wide()),
+    );
 
     // The one-member case agrees too.
     let geom = fig2::geometry();
     let table = MissClassificationTable::new(geom.num_sets(), TagBits::Low(4));
     assert_eq!(
-        experiments::replay_accuracy(&experiments::replay_for(&w, EVENTS), geom, table.clone()),
+        experiments::replay_accuracy(&w, EVENTS, geom, table.clone()),
         reference(&w, EVENTS, geom, table),
     );
+}
+
+#[test]
+fn cpu_model_drivers_render_the_same_tables_in_both_replay_modes() {
+    const EVENTS: usize = 2_000;
+    for target in [
+        Target::Fig3,
+        Target::Fig4,
+        Target::Fig5,
+        Target::Sec54,
+        Target::Sec56,
+        Target::Fig6,
+        Target::Ablation,
+    ] {
+        assert_eq!(
+            target.run(EVENTS, Replay::Arena),
+            target.run(EVENTS, Replay::Stream),
+            "{}: arena and stream replay must render identical tables",
+            target.name()
+        );
+    }
 }

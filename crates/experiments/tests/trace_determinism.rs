@@ -15,10 +15,14 @@
 
 use experiments::cli::Target;
 use experiments::tracing::{self, TraceHeader};
+use experiments::Replay;
 
 fn run_all(events: usize) -> (Vec<String>, String) {
     tracing::arm(true);
-    let reports: Vec<String> = Target::ALL.iter().map(|t| t.run(events)).collect();
+    let reports: Vec<String> = Target::ALL
+        .iter()
+        .map(|t| t.run(events, Replay::Arena))
+        .collect();
     let records = tracing::drain();
     let header = TraceHeader {
         logical: true,
@@ -37,7 +41,10 @@ fn trace_output_is_deterministic_and_tables_unchanged() {
     // scope structure must not depend on which run happened to
     // materialize a shared trace.
     sim_core::parallel::set_max_threads(1);
-    let plain: Vec<String> = Target::ALL.iter().map(|t| t.run(EVENTS)).collect();
+    let plain: Vec<String> = Target::ALL
+        .iter()
+        .map(|t| t.run(EVENTS, Replay::Arena))
+        .collect();
     assert!(
         tracing::drain().is_empty(),
         "disarmed span layer must collect nothing"

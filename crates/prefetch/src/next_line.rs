@@ -45,7 +45,6 @@ impl PrefetchConfig {
 
 /// Prefetch effectiveness counters (Figure 4's metrics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PrefetchStats {
     /// Total accesses.
     pub accesses: u64,

@@ -48,7 +48,6 @@ use trace_gen::MemoryAccess;
 
 /// Replacement policy for the pseudo-associative cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PseudoPolicy {
     /// The base column-associative cache: LRU between the two
     /// candidate locations.
@@ -93,7 +92,6 @@ impl PseudoConfig {
 
 /// Hit/miss breakdown for the pseudo-associative cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PseudoStats {
     /// Total accesses.
     pub accesses: u64,

@@ -49,7 +49,6 @@ use sim_core::Addr;
 
 /// Which misses the lookaside buffer counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CountPolicy {
     /// Count every miss (the original cache miss lookaside buffer).
     AllMisses,
@@ -212,7 +211,6 @@ impl RemapConfig {
 
 /// Counters for the remapping loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RemapStats {
     /// Total accesses.
     pub accesses: u64,

@@ -19,8 +19,6 @@ use core::ops::{Add, Sub};
 /// assert_eq!((a + 8).offset(64), 8);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[cfg_attr(feature = "serde", serde(transparent))]
 pub struct Addr(u64);
 
 impl Addr {
@@ -120,8 +118,6 @@ impl fmt::UpperHex for Addr {
 /// assert_eq!(line.next(), LineAddr::new(0x80));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[cfg_attr(feature = "serde", serde(transparent))]
 pub struct LineAddr(u64);
 
 impl LineAddr {

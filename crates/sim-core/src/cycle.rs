@@ -20,8 +20,6 @@ use core::ops::{Add, AddAssign, Sub};
 /// assert!(done > start);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[cfg_attr(feature = "serde", serde(transparent))]
 pub struct Cycle(u64);
 
 impl Cycle {

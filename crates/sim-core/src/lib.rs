@@ -1,9 +1,8 @@
 //! Foundational types shared by every crate in the conflict-miss
 //! reproduction workspace.
 //!
-//! This crate deliberately has no dependencies (other than optional
-//! [`serde`] derives) so that the simulation substrate is fully
-//! deterministic and self-contained:
+//! This crate deliberately has no dependencies, so that the simulation
+//! substrate is fully deterministic and self-contained:
 //!
 //! * [`Addr`] / [`LineAddr`] — byte and cache-line addresses;
 //! * [`Cycle`] — simulated time;

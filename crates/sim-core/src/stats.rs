@@ -23,7 +23,6 @@ use core::fmt;
 /// assert!((hr.value() - 0.9).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Ratio {
     numerator: u64,
     denominator: u64,
@@ -117,7 +116,6 @@ impl fmt::Display for Ratio {
 /// assert_eq!(m.count(), 2);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunningMean {
     count: u64,
     sum: f64,
@@ -161,7 +159,6 @@ impl RunningMean {
 /// assert!((g.mean() - 4.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GeoMean {
     count: u64,
     log_sum: f64,
@@ -219,9 +216,7 @@ impl GeoMean {
 /// assert!(h.percentile(0.5) >= 16.0); // median in the 20s bucket
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Histogram {
-    // A Vec rather than [u64; 64] so the serde derive applies.
     buckets: Vec<u64>,
     count: u64,
     sum: u64,

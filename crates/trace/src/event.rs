@@ -6,7 +6,6 @@ use sim_core::Addr;
 
 /// Whether a memory access reads or writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AccessKind {
     /// A load (the processor waits for the data).
     Load,
@@ -25,7 +24,6 @@ impl fmt::Display for AccessKind {
 
 /// One memory reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemoryAccess {
     /// The byte address referenced.
     pub addr: Addr,
@@ -66,7 +64,6 @@ impl MemoryAccess {
 /// traffic — a pointer-chasing workload with `work = 2` is far more
 /// latency-bound than a dense numeric loop with `work = 6`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TraceEvent {
     /// The memory access.
     pub access: MemoryAccess,

@@ -48,7 +48,6 @@ use trace_gen::MemoryAccess;
 
 /// Which of the paper's Figure 3 bars to model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum VictimPolicy {
     /// A traditional victim cache: always fill, always swap.
     Traditional,
@@ -118,7 +117,6 @@ impl VictimConfig {
 
 /// Event counts behind Table 1, all reported against total accesses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VictimStats {
     /// Total accesses.
     pub accesses: u64,

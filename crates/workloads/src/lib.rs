@@ -36,7 +36,6 @@ use trace_gen::TraceSource;
 
 /// Whether the analog models a floating-point or integer benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Category {
     /// SPEC95fp analog (regular, numeric, memory-intensive).
     Fp,

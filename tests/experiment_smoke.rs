@@ -1,6 +1,8 @@
 //! End-to-end smoke tests: every experiment driver runs at a reduced
 //! scale and must show the paper's qualitative orderings.
 
+use experiments::Replay;
+
 const EVENTS: usize = 25_000;
 
 #[test]
@@ -47,7 +49,7 @@ fn fig2_capacity_accuracy_is_monotone_in_tag_bits() {
 
 #[test]
 fn fig3_filters_cut_traffic_and_win_on_average() {
-    let fig = experiments::fig3::run(EVENTS);
+    let fig = experiments::fig3::run(EVENTS, Replay::Arena);
     let trad = &fig.policies[0];
     let both = &fig.policies[3];
     assert!(both.stats.swap_rate() < trad.stats.swap_rate() * 0.3);
@@ -62,7 +64,7 @@ fn fig3_filters_cut_traffic_and_win_on_average() {
 
 #[test]
 fn fig4_or_filter_has_best_accuracy() {
-    let fig = experiments::fig4::run(EVENTS);
+    let fig = experiments::fig4::run(EVENTS, Replay::Arena);
     let unfiltered = fig.strategies[0].stats.accuracy();
     let or_acc = fig.strategies[4].stats.accuracy();
     assert!(
@@ -75,7 +77,7 @@ fn fig4_or_filter_has_best_accuracy() {
 
 #[test]
 fn fig5_capacity_filter_leads() {
-    let fig = experiments::fig5::run(EVENTS);
+    let fig = experiments::fig5::run(EVENTS, Replay::Arena);
     let get = |p| {
         fig.policies
             .iter()
@@ -102,7 +104,7 @@ fn fig5_capacity_filter_leads() {
 
 #[test]
 fn sec54_pseudo_tracks_two_way() {
-    let r = experiments::sec54::run(EVENTS);
+    let r = experiments::sec54::run(EVENTS, Replay::Arena);
     let (base, modified, two_way) = r.avg_miss;
     // Pseudo-associativity removes most DM conflicts: both variants
     // sit close to the true 2-way miss rate (paper: within ~1%).
@@ -120,7 +122,7 @@ fn sec54_pseudo_tracks_two_way() {
 
 #[test]
 fn fig6_combined_policies_beat_singles() {
-    let fig = experiments::fig6::run(EVENTS);
+    let fig = experiments::fig6::run(EVENTS, Replay::Arena);
     let spd = |p, e| fig.result(p, e).unwrap().mean_speedup;
     use amb::AmbPolicy::*;
     let best_single = spd(Vict, 8).max(spd(Pref, 8)).max(spd(Excl, 8));
@@ -143,9 +145,9 @@ fn displays_render_without_panicking() {
     // Rendering exercises all the formatting paths (the CLI's output).
     let _ = experiments::fig1::run(2_000).to_string();
     let _ = experiments::fig2::run(2_000).to_string();
-    let _ = experiments::fig3::run(2_000).to_string();
-    let _ = experiments::fig4::run(2_000).to_string();
-    let _ = experiments::fig5::run(2_000).to_string();
-    let _ = experiments::sec54::run(2_000).to_string();
-    let _ = experiments::fig6::run(2_000).to_string();
+    let _ = experiments::fig3::run(2_000, Replay::Arena).to_string();
+    let _ = experiments::fig4::run(2_000, Replay::Arena).to_string();
+    let _ = experiments::fig5::run(2_000, Replay::Arena).to_string();
+    let _ = experiments::sec54::run(2_000, Replay::Arena).to_string();
+    let _ = experiments::fig6::run(2_000, Replay::Arena).to_string();
 }
