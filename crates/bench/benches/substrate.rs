@@ -67,17 +67,33 @@ fn bench_classifying_cache(c: &mut Criterion) {
 /// should match `mct_classifying_cache` within noise; the gap between
 /// `disarmed` and `null_sink` is the price of *armed* dispatch, paid
 /// only when `--probe` is requested.
+///
+/// `probe_block_disarmed` / `probe_block_null` run the same loop
+/// through `access_parts_block` in 1024-pair blocks: the block kernel
+/// observed and unobserved runs both take, with its emit sites behind
+/// one per-block armed check.
 fn bench_probe_null(c: &mut Criterion) {
+    use mct::BlockClass;
     use sim_core::probe::NullSink;
     use std::cell::RefCell;
     use std::rc::Rc;
 
+    let geom = CacheGeometry::new(16 * 1024, 1, 64).unwrap();
     let refs = lines(N);
     let run = |refs: &[sim_core::LineAddr]| {
-        let geom = CacheGeometry::new(16 * 1024, 1, 64).unwrap();
         let mut cache = ClassifyingCache::new(geom, TagBits::Full);
         for &line in refs {
             black_box(cache.access(line));
+        }
+        black_box(cache.class_counts())
+    };
+    let sets: Vec<u32> = refs.iter().map(|&l| geom.set_index(l) as u32).collect();
+    let tags: Vec<u64> = refs.iter().map(|&l| geom.tag(l)).collect();
+    let run_block = |sets: &[u32], tags: &[u64]| {
+        let mut cache = ClassifyingCache::new(geom, TagBits::Full);
+        let mut out = vec![BlockClass::Hit; 1024];
+        for (s, t) in sets.chunks(1024).zip(tags.chunks(1024)) {
+            cache.access_parts_block(s, t, &mut out[..s.len()]);
         }
         black_box(cache.class_counts())
     };
@@ -88,6 +104,15 @@ fn bench_probe_null(c: &mut Criterion) {
         b.iter(|| {
             let sink = Rc::new(RefCell::new(NullSink));
             sim_core::probe::with_sink(sink, || run(&refs))
+        })
+    });
+    g.bench_function("probe_block_disarmed", |b| {
+        b.iter(|| run_block(&sets, &tags))
+    });
+    g.bench_function("probe_block_null", |b| {
+        b.iter(|| {
+            let sink = Rc::new(RefCell::new(NullSink));
+            sim_core::probe::with_sink(sink, || run_block(&sets, &tags))
         })
     });
     g.finish();

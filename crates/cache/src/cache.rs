@@ -395,6 +395,8 @@ pub enum BlockOutcome {
 ///
 /// `index` is the event's position in the caller's block. Events are
 /// visited in block order, so a sink may append or index, as suits it.
+/// A miss is always `miss` then `filled`, with the kernel's own
+/// `SetFill` / `SetEvict` probe events between the two.
 pub trait BlockSink<M> {
     /// Called on a hit with the resident line's metadata.
     fn hit(&mut self, index: usize, meta: &mut M);
@@ -402,9 +404,9 @@ pub trait BlockSink<M> {
     /// classifies against pre-fill state); returns the metadata the
     /// filled line carries.
     fn miss(&mut self, index: usize, set: usize, tag: u64) -> M;
-    /// Called when the fill of event `index` displaced a resident
-    /// line.
-    fn evicted(&mut self, index: usize, set: usize, evicted_tag: u64, evicted_meta: M);
+    /// Called after the fill of event `index`, with the tag and
+    /// metadata of the line it displaced, if any.
+    fn filled(&mut self, index: usize, set: usize, evicted: Option<(u64, M)>);
 }
 
 /// Replacement policy, monomorphized for the block engine: the
@@ -478,13 +480,15 @@ impl<M: Default> BlockSink<M> for OutcomeSink<'_> {
         self.out[index] = BlockOutcome::Hit;
     }
     #[inline]
-    fn miss(&mut self, index: usize, _set: usize, _tag: u64) -> M {
-        self.out[index] = BlockOutcome::FilledEmpty;
+    fn miss(&mut self, _index: usize, _set: usize, _tag: u64) -> M {
         M::default()
     }
     #[inline]
-    fn evicted(&mut self, index: usize, _set: usize, _evicted_tag: u64, _evicted_meta: M) {
-        self.out[index] = BlockOutcome::FilledEvicting;
+    fn filled(&mut self, index: usize, _set: usize, evicted: Option<(u64, M)>) {
+        self.out[index] = match evicted {
+            Some(_) => BlockOutcome::FilledEvicting,
+            None => BlockOutcome::FilledEmpty,
+        };
     }
 }
 
@@ -499,9 +503,8 @@ impl<M> SetAssocCache<M> {
     ///         Some(meta) => sink.hit(i, meta),
     ///         None => {
     ///             let meta = sink.miss(i, sets[i] as usize, tags[i]);
-    ///             if let Some(ev) = cache.fill_at(sets[i] as usize, tags[i], meta) {
-    ///                 sink.evicted(i, ..);
-    ///             }
+    ///             let ev = cache.fill_at(sets[i] as usize, tags[i], meta);
+    ///             sink.filled(i, sets[i] as usize, ev.map(..));
     ///         }
     ///     }
     /// }
@@ -514,9 +517,12 @@ impl<M> SetAssocCache<M> {
     /// misses, evictions, statistics and final contents all match
     /// per-event replay exactly.
     ///
-    /// When this cache reports set probes and a probe sink is armed,
-    /// the block falls back to exact per-event order so the emitted
-    /// event stream is byte-identical to unbatched replay.
+    /// Armed or not, every block takes this kernel. When this cache
+    /// reports set probes and a probe sink is armed, each fill emits
+    /// `SetFill` (and `SetEvict` when it displaces a line) between the
+    /// sink's `miss` and `filled` calls, the order `fill_at` emits
+    /// them in, so the event stream is byte-identical to unbatched
+    /// replay.
     ///
     /// # Panics
     ///
@@ -524,10 +530,6 @@ impl<M> SetAssocCache<M> {
     /// range for the geometry.
     pub fn access_block_with<S: BlockSink<M>>(&mut self, sets: &[u32], tags: &[u64], sink: &mut S) {
         assert_eq!(sets.len(), tags.len(), "sets/tags length mismatch");
-        if self.probed && probe::active() {
-            self.block_fallback(sets, tags, sink);
-            return;
-        }
         match self.replacement {
             Replacement::Lru => self.process_block::<LruPolicy, S>(sets, tags, sink),
             Replacement::Fifo => self.process_block::<FifoPolicy, S>(sets, tags, sink),
@@ -553,33 +555,17 @@ impl<M> SetAssocCache<M> {
         self.access_block_with(sets, tags, &mut sink);
     }
 
-    /// Probe-armed fallback: per-event order, via the exact entry
-    /// points unbatched replay uses, so probe event streams are
-    /// unchanged by batching.
-    fn block_fallback<S: BlockSink<M>>(&mut self, sets: &[u32], tags: &[u64], sink: &mut S) {
-        for (i, (&set, &tag)) in sets.iter().zip(tags).enumerate() {
-            let set = set as usize;
-            if let Some(meta) = self.probe_at(set, tag) {
-                sink.hit(i, meta);
-                continue;
-            }
-            let meta = sink.miss(i, set, tag);
-            if let Some(ev) = self.fill_at(set, tag, meta) {
-                let evicted_tag = self.geom.tag(ev.line);
-                sink.evicted(i, set, evicted_tag, ev.meta);
-            }
-        }
-    }
-
     /// The block engine, monomorphized per replacement policy: trace
     /// order, with runs of adjacent same-set events (spatial locality)
-    /// folded into single row visits.
+    /// folded into single row visits. The set-probe check runs here,
+    /// once per block.
     fn process_block<P: BlockPolicy, S: BlockSink<M>>(
         &mut self,
         sets: &[u32],
         tags: &[u64],
         sink: &mut S,
     ) {
+        let probed = self.probed && probe::active();
         let mut start = 0;
         while start < sets.len() {
             let set = sets[start];
@@ -588,9 +574,9 @@ impl<M> SetAssocCache<M> {
                 end += 1;
             }
             if end == start + 1 {
-                self.block_single::<P, S>(start, set as usize, tags[start], sink);
+                self.block_single::<P, S>(start, set as usize, tags[start], probed, sink);
             } else {
-                self.block_run::<P, S>(start, set as usize, &tags[start..end], sink);
+                self.block_run::<P, S>(start, set as usize, &tags[start..end], probed, sink);
             }
             start = end;
         }
@@ -603,12 +589,15 @@ impl<M> SetAssocCache<M> {
     /// `probe_at`/`fill_at` pair, which matters on patterns with no
     /// adjacent same-set events (a strided set walk degenerates every
     /// run to length one). The policy is still monomorphized and the
-    /// probe-armed check already ran once for the whole block.
+    /// probe-armed check already ran once for the whole block: with
+    /// `probed` up, the fill emits its set events exactly where
+    /// `fill_at` would.
     fn block_single<P: BlockPolicy, S: BlockSink<M>>(
         &mut self,
         index: usize,
         set: usize,
         tag: u64,
+        probed: bool,
         sink: &mut S,
     ) {
         let base = set * self.assoc;
@@ -628,24 +617,29 @@ impl<M> SetAssocCache<M> {
         self.stats.record_miss();
         let meta = sink.miss(index, set, tag);
         self.clock += 1;
+        if probed {
+            probe::emit(probe::ProbeEvent::SetFill { set: set as u32 });
+        }
         if occ < self.assoc {
             self.tags[base + occ] = tag;
             self.stamps[base + occ] = self.clock;
             self.meta[base + occ] = Some(meta);
             self.occ[set] = (occ + 1) as u32;
             self.resident += 1;
+            sink.filled(index, set, None);
             return;
         }
         let way = P::victim(&self.stamps[base..base + occ], self.set_evictions[set], set);
         self.set_evictions[set] += 1;
         self.evictions += 1;
+        if probed {
+            probe::emit(probe::ProbeEvent::SetEvict { set: set as u32 });
+        }
         let evicted_tag = self.tags[base + way];
         let evicted_meta = self.meta[base + way].replace(meta);
         self.tags[base + way] = tag;
         self.stamps[base + way] = self.clock;
-        if let Some(evicted_meta) = evicted_meta {
-            sink.evicted(index, set, evicted_tag, evicted_meta);
-        }
+        sink.filled(index, set, evicted_meta.map(|meta| (evicted_tag, meta)));
     }
 
     /// Replays one run of adjacent same-set events, the first at
@@ -655,12 +649,14 @@ impl<M> SetAssocCache<M> {
     /// borrowed once, and the clock, occupancy, and hit/eviction
     /// counters live in locals until a single write-back — per event
     /// the loop touches only the row, the run's tag, and the sink,
-    /// instead of re-loading kernel fields through `&mut self`.
+    /// instead of re-loading kernel fields through `&mut self`. Set
+    /// probe events follow [`Self::block_single`].
     fn block_run<P: BlockPolicy, S: BlockSink<M>>(
         &mut self,
         start: usize,
         set: usize,
         run_tags: &[u64],
+        probed: bool,
         sink: &mut S,
     ) {
         let base = set * self.assoc;
@@ -688,23 +684,28 @@ impl<M> SetAssocCache<M> {
             }
             let meta = sink.miss(index, set, tag);
             clock += 1;
+            if probed {
+                probe::emit(probe::ProbeEvent::SetFill { set: set as u32 });
+            }
             if occ < row_tags.len() {
                 row_tags[occ] = tag;
                 row_stamps[occ] = clock;
                 row_meta[occ] = Some(meta);
                 occ += 1;
+                sink.filled(index, set, None);
                 continue;
             }
             let way = P::victim(&row_stamps[..occ], set_evictions, set);
             set_evictions += 1;
             evictions += 1;
+            if probed {
+                probe::emit(probe::ProbeEvent::SetEvict { set: set as u32 });
+            }
             let evicted_tag = row_tags[way];
             let evicted_meta = row_meta[way].replace(meta);
             row_tags[way] = tag;
             row_stamps[way] = clock;
-            if let Some(evicted_meta) = evicted_meta {
-                sink.evicted(index, set, evicted_tag, evicted_meta);
-            }
+            sink.filled(index, set, evicted_meta.map(|meta| (evicted_tag, meta)));
         }
         self.clock = clock;
         self.occ[set] = occ as u32;

@@ -4,10 +4,19 @@
 //! statistics, same final contents, same future victim choice — for
 //! arbitrary geometries, all three replacement policies, and
 //! arbitrary block sizes (including torn final blocks and the
-//! degenerate block size 1).
+//! degenerate block size 1). Both caches report set probes, and
+//! every case runs twice: disarmed, through the kernel unobserved
+//! runs take, then under an armed probe sink, where the block path
+//! must also emit the per-event `SetFill` / `SetEvict` stream byte
+//! for byte.
+
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use cache_model::{BlockOutcome, CacheGeometry, Replacement, SetAssocCache};
 use proptest::prelude::*;
+use sim_core::probe::{self, JsonlSink};
 use sim_core::LineAddr;
 
 /// A small universe of line addresses guarantees set conflicts and
@@ -22,6 +31,40 @@ fn geometry_from(sets_log: u32, assoc_log: u32) -> CacheGeometry {
     let assoc = 1u32 << assoc_log;
     let sets = 1u64 << sets_log;
     CacheGeometry::new(sets * u64::from(assoc) * 64, assoc, 64).expect("power-of-two geometry")
+}
+
+/// An empty cache that reports per-set probe events.
+fn probed_cache(geom: CacheGeometry, policy: Replacement) -> SetAssocCache<u32> {
+    let mut cache = SetAssocCache::with_replacement(geom, policy);
+    cache.enable_set_probes();
+    cache
+}
+
+/// Serializes this file's tests. The armed-sink count behind
+/// `probe::active()` is process-wide, so a sink armed by one test
+/// would send another test's disarmed replay down the probed kernel.
+static PROBE_LOCK: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    PROBE_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Runs `f` disarmed, or with `armed` under a raw-JSONL probe sink,
+/// returning its result and every event it emitted, one JSON object
+/// per line (none when disarmed).
+fn observed<R>(armed: bool, f: impl FnOnce() -> R) -> (R, String) {
+    if !armed {
+        assert!(!probe::active(), "a probe sink is armed elsewhere");
+        return (f(), String::new());
+    }
+    let sink = Rc::new(RefCell::new(JsonlSink::new(Vec::new())));
+    let result = probe::with_sink(sink.clone(), f);
+    let (bytes, _) = Rc::try_unwrap(sink)
+        .expect("sink uninstalled after scope")
+        .into_inner()
+        .finish()
+        .expect("in-memory writes cannot fail");
+    (result, String::from_utf8(bytes).expect("JSONL is UTF-8"))
 }
 
 /// Splits raw line addresses into the parallel `(set, tag)` arrays
@@ -110,14 +153,20 @@ proptest! {
         let policy = policy_from(policy_index);
         let (sets, tags) = decompose(&geom, &raws);
 
-        let mut legacy: SetAssocCache<u32> = SetAssocCache::with_replacement(geom, policy);
-        let expected = replay_per_event(&mut legacy, &sets, &tags);
+        let _serial = serial();
+        for armed in [false, true] {
+            let mut legacy = probed_cache(geom, policy);
+            let (expected, expected_events) =
+                observed(armed, || replay_per_event(&mut legacy, &sets, &tags));
 
-        let mut batched: SetAssocCache<u32> = SetAssocCache::with_replacement(geom, policy);
-        let outcomes = replay_blocked(&mut batched, &sets, &tags, block);
+            let mut batched = probed_cache(geom, policy);
+            let (outcomes, events) =
+                observed(armed, || replay_blocked(&mut batched, &sets, &tags, block));
 
-        prop_assert_eq!(outcomes, expected);
-        assert_equivalent(&batched, &legacy);
+            prop_assert_eq!(outcomes, expected);
+            prop_assert_eq!(events, expected_events);
+            assert_equivalent(&batched, &legacy);
+        }
     }
 
     /// Block size 1 degenerates to the legacy path exactly: one event
@@ -133,14 +182,20 @@ proptest! {
         let policy = policy_from(policy_index);
         let (sets, tags) = decompose(&geom, &raws);
 
-        let mut legacy: SetAssocCache<u32> = SetAssocCache::with_replacement(geom, policy);
-        let expected = replay_per_event(&mut legacy, &sets, &tags);
+        let _serial = serial();
+        for armed in [false, true] {
+            let mut legacy = probed_cache(geom, policy);
+            let (expected, expected_events) =
+                observed(armed, || replay_per_event(&mut legacy, &sets, &tags));
 
-        let mut batched: SetAssocCache<u32> = SetAssocCache::with_replacement(geom, policy);
-        let outcomes = replay_blocked(&mut batched, &sets, &tags, 1);
+            let mut batched = probed_cache(geom, policy);
+            let (outcomes, events) =
+                observed(armed, || replay_blocked(&mut batched, &sets, &tags, 1));
 
-        prop_assert_eq!(outcomes, expected);
-        assert_equivalent(&batched, &legacy);
+            prop_assert_eq!(outcomes, expected);
+            prop_assert_eq!(events, expected_events);
+            assert_equivalent(&batched, &legacy);
+        }
     }
 
     /// Large geometries (32 K sets, far past the paper's 1024-slot
@@ -166,27 +221,33 @@ proptest! {
             .collect();
         let (sets, tags) = decompose(&geom, &folded);
 
-        let mut legacy: SetAssocCache<u32> = SetAssocCache::with_replacement(geom, policy);
-        let expected = replay_per_event(&mut legacy, &sets, &tags);
+        let _serial = serial();
+        for armed in [false, true] {
+            let mut legacy = probed_cache(geom, policy);
+            let (expected, expected_events) =
+                observed(armed, || replay_per_event(&mut legacy, &sets, &tags));
 
-        let mut batched: SetAssocCache<u32> = SetAssocCache::with_replacement(geom, policy);
-        let outcomes = replay_blocked(&mut batched, &sets, &tags, block);
+            let mut batched = probed_cache(geom, policy);
+            let (outcomes, events) =
+                observed(armed, || replay_blocked(&mut batched, &sets, &tags, block));
 
-        prop_assert_eq!(outcomes, expected);
-        assert_eq!(*batched.stats(), *legacy.stats());
-        assert_eq!(batched.len(), legacy.len());
-        let contents_batched: Vec<(LineAddr, u32)> =
-            batched.iter().map(|(l, m)| (l, *m)).collect();
-        let contents_legacy: Vec<(LineAddr, u32)> =
-            legacy.iter().map(|(l, m)| (l, *m)).collect();
-        assert_eq!(contents_batched, contents_legacy);
-        for &raw in &folded {
-            let line = LineAddr::new(raw);
-            assert_eq!(
-                batched.eviction_candidate(line),
-                legacy.eviction_candidate(line),
-                "post-replay victim prediction for {line} disagrees"
-            );
+            prop_assert_eq!(outcomes, expected);
+            prop_assert_eq!(events, expected_events);
+            assert_eq!(*batched.stats(), *legacy.stats());
+            assert_eq!(batched.len(), legacy.len());
+            let contents_batched: Vec<(LineAddr, u32)> =
+                batched.iter().map(|(l, m)| (l, *m)).collect();
+            let contents_legacy: Vec<(LineAddr, u32)> =
+                legacy.iter().map(|(l, m)| (l, *m)).collect();
+            assert_eq!(contents_batched, contents_legacy);
+            for &raw in &folded {
+                let line = LineAddr::new(raw);
+                assert_eq!(
+                    batched.eviction_candidate(line),
+                    legacy.eviction_candidate(line),
+                    "post-replay victim prediction for {line} disagrees"
+                );
+            }
         }
     }
 
@@ -203,13 +264,20 @@ proptest! {
         let policy = policy_from(policy_index);
         let (sets, tags) = decompose(&geom, &raws);
 
-        let mut legacy: SetAssocCache<u32> = SetAssocCache::with_replacement(geom, policy);
-        let expected = replay_per_event(&mut legacy, &sets, &tags);
+        let _serial = serial();
+        for armed in [false, true] {
+            let mut legacy = probed_cache(geom, policy);
+            let (expected, expected_events) =
+                observed(armed, || replay_per_event(&mut legacy, &sets, &tags));
 
-        let mut batched: SetAssocCache<u32> = SetAssocCache::with_replacement(geom, policy);
-        let outcomes = replay_blocked(&mut batched, &sets, &tags, raws.len() + 7);
+            let mut batched = probed_cache(geom, policy);
+            let (outcomes, events) = observed(armed, || {
+                replay_blocked(&mut batched, &sets, &tags, raws.len() + 7)
+            });
 
-        prop_assert_eq!(outcomes, expected);
-        assert_equivalent(&batched, &legacy);
+            prop_assert_eq!(outcomes, expected);
+            prop_assert_eq!(events, expected_events);
+            assert_equivalent(&batched, &legacy);
+        }
     }
 }

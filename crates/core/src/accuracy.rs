@@ -81,9 +81,8 @@ impl AccuracyReport {
         self.misses += other.misses;
     }
 
-    /// Tallies one real-cache miss; returns whether the MCT's label
-    /// agreed with the oracle's verdict.
-    fn record_miss(&mut self, oracle_conflict: bool, mct_conflict: bool) -> bool {
+    /// Tallies one real-cache miss and emits its `Oracle` probe event.
+    fn score_miss(&mut self, oracle_conflict: bool, mct_conflict: bool) {
         self.misses += 1;
         // The MCT labels every miss conflict or capacity, so it agrees
         // exactly when both sides call the miss a conflict or neither
@@ -94,7 +93,10 @@ impl AccuracyReport {
         } else {
             self.capacity.record(agree);
         }
-        agree
+        probe::emit(probe::ProbeEvent::Oracle {
+            oracle_conflict,
+            agree,
+        });
     }
 }
 
@@ -110,9 +112,6 @@ impl AccuracyReport {
 pub struct AccuracyScorer<T = MissClassificationTable> {
     cache: ClassifyingCache<T>,
     report: AccuracyReport,
-    /// Scratch for [`Self::score_block`]: per-event MCT
-    /// classifications, reused across blocks.
-    classes: Vec<BlockClass>,
 }
 
 impl<T: EvictionClassifier> AccuracyScorer<T> {
@@ -123,7 +122,6 @@ impl<T: EvictionClassifier> AccuracyScorer<T> {
         AccuracyScorer {
             cache: ClassifyingCache::with_classifier(geom, table),
             report: AccuracyReport::default(),
-            classes: Vec::new(),
         }
     }
 
@@ -133,52 +131,33 @@ impl<T: EvictionClassifier> AccuracyScorer<T> {
         self.report.accesses += 1;
         let outcome = self.cache.access_parts(set, tag);
         let Some(miss) = outcome.miss() else { return };
-        let agree = self
-            .report
-            .record_miss(oracle_conflict, miss.class.is_conflict());
-        probe::emit(probe::ProbeEvent::Oracle {
-            oracle_conflict,
-            agree,
-        });
+        self.report
+            .score_miss(oracle_conflict, miss.class.is_conflict());
     }
 
     /// Scores a block of decomposed references against their oracle
     /// verdicts: [`Self::score_parts`] in bulk, the block replay path.
     /// The three slices are parallel arrays in trace order.
     ///
-    /// The MCT cache replays the block through
-    /// [`ClassifyingCache::access_parts_block`], and its outcome array
-    /// is merged with the verdicts index by index. This reproduces the
-    /// per-event report exactly.
-    ///
-    /// With a probe sink armed the whole block falls back to per-event
-    /// [`Self::score_parts`], so the emitted event stream (`Access`,
-    /// `Classify`, `ConflictBit`, `Oracle` interleaved per event) is
-    /// byte-identical to unbatched replay.
+    /// The MCT cache replays the block through the block kernel
+    /// ([`ClassifyingCache::access_parts_block`]), which hands each
+    /// finished miss back in trace order to be scored against its
+    /// verdict. This reproduces the per-event report exactly. An armed
+    /// probe sink takes the same kernel: each miss's `Oracle` event
+    /// follows its `ConflictBit` clear, as in per-event scoring.
     ///
     /// # Panics
     ///
-    /// Panics if `sets` and `tags` differ in length or a set index is
-    /// out of range for the geometry.
+    /// Panics if `sets` and `tags` differ in length, `oracle_conflict`
+    /// is shorter, or a set index is out of range for the geometry.
     pub fn score_block(&mut self, sets: &[u32], tags: &[u64], oracle_conflict: &[bool]) {
-        if probe::active() {
-            for ((&set, &tag), &verdict) in sets.iter().zip(tags).zip(oracle_conflict) {
-                self.score_parts(set as usize, tag, verdict);
-            }
-            return;
-        }
         self.report.accesses += sets.len() as u64;
-        self.classes.clear();
-        self.classes.resize(sets.len(), BlockClass::Hit);
-        self.cache.access_parts_block(sets, tags, &mut self.classes);
-        for (&verdict, &class) in oracle_conflict.iter().zip(&self.classes) {
-            // No Oracle probe events here: this path runs only with
-            // probes disarmed, where emit would be a no-op anyway.
+        self.cache.access_parts_block_with(sets, tags, |i, class| {
             if class != BlockClass::Hit {
-                self.report
-                    .record_miss(verdict, class == BlockClass::Conflict);
+                let mct_conflict = class == BlockClass::Conflict;
+                self.report.score_miss(oracle_conflict[i], mct_conflict);
             }
-        }
+        });
     }
 
     /// Returns the accumulated report.

@@ -26,28 +26,38 @@ pub enum BlockClass {
 
 /// The block sink that runs the MCT protocol per event: classify
 /// **before** the fill, carry the conflict bit as line metadata,
-/// record the eviction.
-struct MctSink<'a, T> {
+/// record the eviction. It emits the same probe events as
+/// [`ClassifyingCache::access_parts`], in the same order, and hands
+/// each finished event's class to `done`.
+struct MctSink<'a, T, F> {
     table: &'a mut T,
     conflict_misses: &'a mut u64,
     capacity_misses: &'a mut u64,
-    out: &'a mut [BlockClass],
+    /// The class of the miss whose fill is in flight.
+    class: BlockClass,
+    done: F,
 }
 
-impl<T: EvictionClassifier> BlockSink<bool> for MctSink<'_, T> {
+impl<T: EvictionClassifier, F: FnMut(usize, BlockClass)> BlockSink<bool> for MctSink<'_, T, F> {
     #[inline]
     fn hit(&mut self, index: usize, _conflict_bit: &mut bool) {
-        self.out[index] = BlockClass::Hit;
+        probe::emit(probe::ProbeEvent::Access { hit: true });
+        (self.done)(index, BlockClass::Hit);
     }
 
     #[inline]
-    fn miss(&mut self, index: usize, set: usize, tag: u64) -> bool {
+    fn miss(&mut self, _index: usize, set: usize, tag: u64) -> bool {
+        probe::emit(probe::ProbeEvent::Access { hit: false });
         let class = self.table.classify(set, tag);
         match class {
             MissClass::Conflict => *self.conflict_misses += 1,
             MissClass::Capacity => *self.capacity_misses += 1,
         }
-        self.out[index] = if class.is_conflict() {
+        self.class = if class.is_conflict() {
+            probe::emit(probe::ProbeEvent::ConflictBit {
+                set: set as u32,
+                set_bit: true,
+            });
             BlockClass::Conflict
         } else {
             BlockClass::Capacity
@@ -56,8 +66,17 @@ impl<T: EvictionClassifier> BlockSink<bool> for MctSink<'_, T> {
     }
 
     #[inline]
-    fn evicted(&mut self, _index: usize, set: usize, evicted_tag: u64, _conflict_bit: bool) {
-        self.table.record_eviction(set, evicted_tag);
+    fn filled(&mut self, index: usize, set: usize, evicted: Option<(u64, bool)>) {
+        if let Some((evicted_tag, conflict_bit)) = evicted {
+            if conflict_bit {
+                probe::emit(probe::ProbeEvent::ConflictBit {
+                    set: set as u32,
+                    set_bit: false,
+                });
+            }
+            self.table.record_eviction(set, evicted_tag);
+        }
+        (self.done)(index, self.class);
     }
 }
 
@@ -246,32 +265,37 @@ impl<T: EvictionClassifier> ClassifyingCache<T> {
     /// unchanged: each miss is classified against pre-fill state and
     /// each eviction is recorded, in trace order.
     ///
-    /// With a probe sink armed the whole block falls back to
-    /// per-event [`Self::access_parts`], keeping the emitted event
-    /// stream byte-identical to unbatched replay.
+    /// An armed probe sink takes the same kernel: the sink and the
+    /// kernel emit each event's `Access`, `Classify`, `ConflictBit`,
+    /// `SetFill` and `SetEvict` in per-event order, so the stream is
+    /// byte-identical to unbatched replay.
     ///
     /// # Panics
     ///
     /// Panics if the slices differ in length or a set index is out of
     /// range for the geometry.
     pub fn access_parts_block(&mut self, sets: &[u32], tags: &[u64], out: &mut [BlockClass]) {
-        if probe::active() {
-            for (i, (&set, &tag)) in sets.iter().zip(tags).enumerate() {
-                out[i] = match self.access_parts(set as usize, tag) {
-                    AccessOutcome::Hit { .. } => BlockClass::Hit,
-                    AccessOutcome::Miss(detail) if detail.class.is_conflict() => {
-                        BlockClass::Conflict
-                    }
-                    AccessOutcome::Miss(_) => BlockClass::Capacity,
-                };
-            }
-            return;
-        }
+        // `move` captures the slice itself, not a reference to it,
+        // saving an indirection per event in the kernel loop.
+        self.access_parts_block_with(sets, tags, move |i, class| out[i] = class);
+    }
+
+    /// [`Self::access_parts_block`] with a callback in place of the
+    /// outcome array: `done(i, class)` runs once per event, in trace
+    /// order, after event `i` is complete (a miss's fill and eviction
+    /// recorded, its probe events emitted).
+    pub(crate) fn access_parts_block_with(
+        &mut self,
+        sets: &[u32],
+        tags: &[u64],
+        done: impl FnMut(usize, BlockClass),
+    ) {
         let mut sink = MctSink {
             table: &mut self.table,
             conflict_misses: &mut self.conflict_misses,
             capacity_misses: &mut self.capacity_misses,
-            out,
+            class: BlockClass::Hit,
+            done,
         };
         self.cache.access_block_with(sets, tags, &mut sink);
     }

@@ -3,12 +3,20 @@
 //! [`AccuracyEvaluator::observe_block`] must produce exactly the
 //! classifications, statistics, and accuracy reports of their
 //! per-event counterparts for arbitrary geometries, tag widths,
-//! shadow-directory depths, and (torn) block sizes.
+//! shadow-directory depths, and (torn) block sizes. Every case runs
+//! twice: disarmed, through the kernel unobserved runs take, then
+//! with both sides under an armed probe sink, where the block path
+//! must also emit the per-event probe stream byte for byte.
+
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use cache_model::CacheGeometry;
 use mct::accuracy::AccuracyEvaluator;
 use mct::{BlockClass, ClassifyingCache, ShadowDirectory, TagBits};
 use proptest::prelude::*;
+use sim_core::probe::{self, JsonlSink};
 use sim_core::LineAddr;
 
 /// Small enough to force set conflicts and MCT re-references at every
@@ -34,6 +42,33 @@ fn decompose(geom: &CacheGeometry, raws: &[u64]) -> (Vec<u32>, Vec<u64>) {
             (geom.set_index(line) as u32, geom.tag(line))
         })
         .unzip()
+}
+
+/// Serializes this file's tests. The armed-sink count behind
+/// `probe::active()` is process-wide, so a sink armed by one test
+/// would send another test's disarmed replay down the probed kernel.
+static PROBE_LOCK: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    PROBE_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Runs `f` disarmed, or with `armed` under a raw-JSONL probe sink,
+/// returning its result and every event it emitted, one JSON object
+/// per line (none when disarmed).
+fn observed<R>(armed: bool, f: impl FnOnce() -> R) -> (R, String) {
+    if !armed {
+        assert!(!probe::active(), "a probe sink is armed elsewhere");
+        return (f(), String::new());
+    }
+    let sink = Rc::new(RefCell::new(JsonlSink::new(Vec::new())));
+    let result = probe::with_sink(sink.clone(), f);
+    let (bytes, _) = Rc::try_unwrap(sink)
+        .expect("sink uninstalled after scope")
+        .into_inner()
+        .finish()
+        .expect("in-memory writes cannot fail");
+    (result, String::from_utf8(bytes).expect("JSONL is UTF-8"))
 }
 
 fn class_of(outcome: mct::AccessOutcome) -> BlockClass {
@@ -66,8 +101,9 @@ fn classify_blocked(
 
 proptest! {
     /// `access_parts_block` classifies every event exactly as the
-    /// per-event `access_parts` loop would, and leaves identical
-    /// hit/miss statistics and class counters behind.
+    /// per-event `access_parts` loop would, emits the same probe
+    /// events, and leaves identical hit/miss statistics and class
+    /// counters behind.
     #[test]
     fn classifying_block_matches_access_parts(
         sets_log in 0u32..5,
@@ -80,24 +116,30 @@ proptest! {
         let tag_bits = tag_bits_from(tag_index);
         let (sets, tags) = decompose(&geom, &raws);
 
-        let mut legacy = ClassifyingCache::new(geom, tag_bits);
-        let expected: Vec<BlockClass> = sets
-            .iter()
-            .zip(&tags)
-            .map(|(&set, &tag)| class_of(legacy.access_parts(set as usize, tag)))
-            .collect();
+        let _serial = serial();
+        for armed in [false, true] {
+            let mut legacy = ClassifyingCache::new(geom, tag_bits);
+            let (expected, expected_events) = observed(armed, || {
+                sets.iter()
+                    .zip(&tags)
+                    .map(|(&set, &tag)| class_of(legacy.access_parts(set as usize, tag)))
+                    .collect::<Vec<_>>()
+            });
 
-        let mut batched = ClassifyingCache::new(geom, tag_bits);
-        let classes = classify_blocked(&mut batched, &sets, &tags, block);
+            let mut batched = ClassifyingCache::new(geom, tag_bits);
+            let (classes, events) =
+                observed(armed, || classify_blocked(&mut batched, &sets, &tags, block));
 
-        prop_assert_eq!(classes, expected);
-        prop_assert_eq!(*batched.stats(), *legacy.stats());
-        prop_assert_eq!(batched.class_counts(), legacy.class_counts());
+            prop_assert_eq!(classes, expected);
+            prop_assert_eq!(events, expected_events);
+            prop_assert_eq!(*batched.stats(), *legacy.stats());
+            prop_assert_eq!(batched.class_counts(), legacy.class_counts());
+        }
     }
 
-    /// `observe_block` produces the identical accuracy report to the
-    /// per-event `observe_parts` loop — oracle agreement included —
-    /// for every tag width and block size.
+    /// `observe_block` produces the identical accuracy report and
+    /// probe stream to the per-event `observe_parts` loop — oracle
+    /// agreement included — for every tag width and block size.
     #[test]
     fn evaluator_block_matches_observe_parts(
         sets_log in 0u32..5,
@@ -110,22 +152,31 @@ proptest! {
         let tag_bits = tag_bits_from(tag_index);
         let (sets, tags) = decompose(&geom, &raws);
 
-        let mut legacy = AccuracyEvaluator::new(geom, tag_bits);
-        for (&set, &tag) in sets.iter().zip(&tags) {
-            legacy.observe_parts(set as usize, tag);
-        }
+        let _serial = serial();
+        for armed in [false, true] {
+            let mut legacy = AccuracyEvaluator::new(geom, tag_bits);
+            let ((), expected_events) = observed(armed, || {
+                for (&set, &tag) in sets.iter().zip(&tags) {
+                    legacy.observe_parts(set as usize, tag);
+                }
+            });
 
-        let mut batched = AccuracyEvaluator::new(geom, tag_bits);
-        for (s, t) in sets.chunks(block).zip(tags.chunks(block)) {
-            batched.observe_block(s, t);
-        }
+            let mut batched = AccuracyEvaluator::new(geom, tag_bits);
+            let ((), events) = observed(armed, || {
+                for (s, t) in sets.chunks(block).zip(tags.chunks(block)) {
+                    batched.observe_block(s, t);
+                }
+            });
 
-        prop_assert_eq!(batched.report(), legacy.report());
+            prop_assert_eq!(batched.report(), legacy.report());
+            prop_assert_eq!(events, expected_events);
+        }
     }
 
     /// The block path composes with any [`mct::EvictionClassifier`]:
-    /// a shadow directory deeper than one entry classifies each block
-    /// event exactly as it classifies the per-event stream.
+    /// a shadow directory deeper than one entry classifies (and
+    /// probes) each block event exactly as it does the per-event
+    /// stream.
     #[test]
     fn shadow_directory_block_matches_observe_parts(
         sets_log in 0u32..4,
@@ -141,16 +192,24 @@ proptest! {
             ShadowDirectory::new(geom.num_sets(), TagBits::Full, depth)
         };
 
-        let mut legacy = AccuracyEvaluator::with_classifier(geom, shadow(&geom));
-        for (&set, &tag) in sets.iter().zip(&tags) {
-            legacy.observe_parts(set as usize, tag);
-        }
+        let _serial = serial();
+        for armed in [false, true] {
+            let mut legacy = AccuracyEvaluator::with_classifier(geom, shadow(&geom));
+            let ((), expected_events) = observed(armed, || {
+                for (&set, &tag) in sets.iter().zip(&tags) {
+                    legacy.observe_parts(set as usize, tag);
+                }
+            });
 
-        let mut batched = AccuracyEvaluator::with_classifier(geom, shadow(&geom));
-        for (s, t) in sets.chunks(block).zip(tags.chunks(block)) {
-            batched.observe_block(s, t);
-        }
+            let mut batched = AccuracyEvaluator::with_classifier(geom, shadow(&geom));
+            let ((), events) = observed(armed, || {
+                for (s, t) in sets.chunks(block).zip(tags.chunks(block)) {
+                    batched.observe_block(s, t);
+                }
+            });
 
-        prop_assert_eq!(batched.report(), legacy.report());
+            prop_assert_eq!(batched.report(), legacy.report());
+            prop_assert_eq!(events, expected_events);
+        }
     }
 }

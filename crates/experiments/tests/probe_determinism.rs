@@ -8,9 +8,10 @@
 //! * the stdout figure tables are unchanged by an armed probe, and a
 //!   disabled probe collects nothing;
 //! * raw mode streams parseable per-event records;
-//! * group replay leaves every record unchanged: a grouped fig1+fig2
-//!   run renders the same bytes, in epoch and raw mode, as the same
-//!   cells run one at a time under `probe::cell`, each with its own
+//! * batched replay leaves every record unchanged: a grouped
+//!   fig1+fig2 run, scored through the block kernels, renders the
+//!   same bytes, in epoch and raw mode, as the same cells replayed
+//!   one event at a time under `probe::cell`, each with its own
 //!   evaluator and oracle.
 //!
 //! One `#[test]` because both the probe configuration
@@ -40,9 +41,10 @@ fn run_all(events: usize) -> (Vec<String>, String) {
     (reports, probe::render_jsonl(&records, &header))
 }
 
-/// One accuracy cell replayed on its own, the way the drivers ran
-/// before group replay: its own evaluator (and so its own oracle) fed
-/// the arena trace decomposed for its geometry, block by block.
+/// One accuracy cell replayed on its own through the per-event
+/// reference path: its own evaluator (and so its own oracle) fed the
+/// arena trace decomposed for its geometry, one `observe_parts` call
+/// per event.
 fn per_cell(
     workload: &workloads::Workload,
     geom: CacheGeometry,
@@ -55,14 +57,13 @@ fn per_cell(
         geom.line_size(),
         geom.set_bits(),
     );
-    trace.for_each_block(experiments::DEFAULT_REPLAY_BLOCK, |sets, tags| {
-        eval.observe_block(sets, tags);
-    });
+    trace.for_each(|set, tag| eval.observe_parts(set, tag));
     eval.finish()
 }
 
 /// Renders the probe records of fig1 + fig2 under `mode`, run either
-/// as the drivers' group passes or one cell at a time.
+/// as the drivers' batched group passes or one cell at a time, per
+/// event.
 fn fig1_fig2_records(mode: ProbeMode, events: usize, grouped: bool) -> String {
     probe::configure(Some(mode));
     if grouped {
@@ -165,8 +166,8 @@ fn probe_output_is_deterministic_and_tables_unchanged() {
         .iter()
         .any(|v| v.str_field("type") == Some("event") && v.str_field("kind").is_some()));
 
-    // Group replay changes no record: grouped runs render the same
-    // bytes as the same cells run one at a time, in both modes.
+    // Batching changes no record: grouped block replay renders the
+    // same bytes as per-event replay of each cell, in both modes.
     sim_core::parallel::set_max_threads(1);
     for (mode, events) in [(ProbeMode::Epoch(500), EVENTS), (ProbeMode::Raw, 200)] {
         let grouped = fig1_fig2_records(mode, events, true);
@@ -174,7 +175,7 @@ fn probe_output_is_deterministic_and_tables_unchanged() {
         assert!(grouped.lines().count() > 2, "{mode:?}: no records");
         assert!(
             grouped == per_cell,
-            "{mode:?}: grouped probe records must equal per-cell records byte for byte"
+            "{mode:?}: grouped block-replay records must equal per-event records byte for byte"
         );
     }
 
