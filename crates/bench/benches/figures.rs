@@ -10,12 +10,7 @@
 
 use bench_suite::BENCH_EVENTS;
 use criterion::{criterion_group, criterion_main, Criterion};
-use experiments::Replay;
 use std::hint::black_box;
-
-/// The CPU-model drivers replay from the trace arena, `repro`'s
-/// default.
-const ARENA: Replay = Replay::Arena;
 
 fn bench_figures(c: &mut Criterion) {
     let mut g = c.benchmark_group("figure_drivers");
@@ -26,27 +21,22 @@ fn bench_figures(c: &mut Criterion) {
         b.iter(|| black_box(experiments::fig2::run(black_box(BENCH_EVENTS))))
     });
     g.bench_function("fig3_tab1_victim_policies", |b| {
-        b.iter(|| black_box(experiments::fig3::run(black_box(BENCH_EVENTS), ARENA)))
+        b.iter(|| black_box(experiments::fig3::run(black_box(BENCH_EVENTS))))
     });
     g.bench_function("fig4_prefetch_filters", |b| {
-        b.iter(|| black_box(experiments::fig4::run(black_box(BENCH_EVENTS), ARENA)))
+        b.iter(|| black_box(experiments::fig4::run(black_box(BENCH_EVENTS))))
     });
     g.bench_function("fig5_exclusion_policies", |b| {
-        b.iter(|| black_box(experiments::fig5::run(black_box(BENCH_EVENTS), ARENA)))
+        b.iter(|| black_box(experiments::fig5::run(black_box(BENCH_EVENTS))))
     });
     g.bench_function("sec54_pseudo_associative", |b| {
-        b.iter(|| black_box(experiments::sec54::run(black_box(BENCH_EVENTS), ARENA)))
+        b.iter(|| black_box(experiments::sec54::run(black_box(BENCH_EVENTS))))
     });
     g.bench_function("fig6_fig7_adaptive_miss_buffer", |b| {
-        b.iter(|| black_box(experiments::fig6::run(black_box(BENCH_EVENTS), ARENA)))
+        b.iter(|| black_box(experiments::fig6::run(black_box(BENCH_EVENTS))))
     });
     g.bench_function("ablation_depth_window_buffer", |b| {
-        b.iter(|| {
-            black_box(experiments::ablation::run(
-                black_box(BENCH_EVENTS / 2),
-                ARENA,
-            ))
-        })
+        b.iter(|| black_box(experiments::ablation::run(black_box(BENCH_EVENTS / 2))))
     });
     g.finish();
 }

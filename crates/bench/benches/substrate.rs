@@ -10,7 +10,6 @@ use cpu_model::{BaselineSystem, CpuConfig, OooModel};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mct::{ClassifyingCache, TagBits};
 use std::hint::black_box;
-use trace_gen::arena::{ArenaKey, TraceArena};
 use trace_gen::TraceSource;
 
 const N: usize = 100_000;
@@ -179,11 +178,8 @@ fn bench_oracle(c: &mut Criterion) {
     g.finish();
 }
 
-/// The tentpole comparison: synthesizing a workload's event stream on
-/// the fly versus replaying the trace arena's memoized slice. The
-/// replay side uses a standalone [`TraceArena`] (not the process
-/// global) so the first call materializes and every timed iteration
-/// is a pure cache hit — exactly what the experiment drivers see.
+/// Synthesizing a workload's event stream on the fly: the supply side
+/// of every replay, paid once per group pass.
 fn bench_trace_supply(c: &mut Criterion) {
     let w = workloads::by_name("gcc").expect("gcc analog exists");
     let mut g = c.benchmark_group("substrate/pipeline");
@@ -194,17 +190,6 @@ fn bench_trace_supply(c: &mut Criterion) {
             let mut acc = 0u64;
             for _ in 0..N {
                 acc ^= src.next_event().access.addr.raw();
-            }
-            black_box(acc)
-        })
-    });
-    let arena = TraceArena::new();
-    g.bench_function("arena_replay", |b| {
-        b.iter(|| {
-            let trace = arena.get_or_materialize(ArenaKey::new("gcc", 7, N), || w.source(7));
-            let mut acc = 0u64;
-            for e in trace.iter() {
-                acc ^= e.access.addr.raw();
             }
             black_box(acc)
         })

@@ -15,7 +15,8 @@
 //! * [`MemorySystem`] — the interface every cache-assist architecture
 //!   implements (victim cache, prefetcher, exclusion, AMB, …);
 //! * [`OooModel`] — the processor: runs a trace against any
-//!   `MemorySystem` and reports cycles/IPC;
+//!   `MemorySystem` and reports cycles/IPC, in one call or as a
+//!   [`CpuRun`] fed chunk by chunk;
 //! * [`Plumbing`] / [`BaselineSystem`] — the shared L1 miss path
 //!   (banked ports, MSHR file, L2 + memory) and the no-assist
 //!   baseline built from it.
@@ -46,7 +47,7 @@ mod smt;
 mod system;
 
 pub use baseline::BaselineSystem;
-pub use model::{CpuConfig, CpuReport, OooModel};
+pub use model::{CpuConfig, CpuReport, CpuRun, OooModel};
 pub use plumbing::{MemTimings, Plumbing};
 pub use smt::{SmtModel, SmtReport};
 pub use system::{MemResponse, MemorySystem};

@@ -131,41 +131,90 @@ impl OooModel {
         &self.cfg
     }
 
+    /// Opens a resumable run on this core: feed it the trace in any
+    /// chunk split with [`CpuRun::feed`], then [`CpuRun::finish`] it.
+    #[must_use]
+    pub fn start(&self) -> CpuRun {
+        CpuRun {
+            cfg: self.cfg,
+            now: self.cfg.pipeline_depth,
+            slots: 0,
+            instructions: 0,
+            inflight: VecDeque::new(),
+            lsu: cache_model::BankedPorts::new(self.cfg.lsu_count),
+            last_completion: 0,
+        }
+    }
+
     /// Runs a trace to completion against `mem` and reports cycles and
-    /// instructions.
+    /// instructions: [`OooModel::start`], one [`CpuRun::feed`], then
+    /// [`CpuRun::finish`].
     pub fn run<M, I>(&self, mem: &mut M, trace: I) -> CpuReport
     where
         M: MemorySystem,
         I: IntoIterator<Item = TraceEvent>,
     {
-        let width = u64::from(self.cfg.fetch_width.max(1));
-        let mut now = self.cfg.pipeline_depth;
-        // Sub-cycle dispatch slots consumed in the current cycle.
-        let mut slots: u64 = 0;
-        let mut instructions: u64 = 0;
-        // Loads in flight: (instruction index at dispatch, completion
-        // cycle). Completion times are monotone (in-order retirement
-        // approximation) because `enforce` below maxes them.
-        let mut inflight: VecDeque<(u64, u64)> = VecDeque::new();
-        let mut lsu = cache_model::BankedPorts::new(self.cfg.lsu_count);
-        let mut last_completion = 0u64;
+        let mut run = self.start();
+        run.feed(mem, trace);
+        run.finish()
+    }
+}
 
-        for event in trace {
+/// One [`OooModel`] run in progress, opened by [`OooModel::start`].
+///
+/// It holds the core's whole loop state, so a trace can arrive in
+/// chunks: feeding the chunks in trace order reports exactly what one
+/// [`OooModel::run`] over the whole trace reports, at any split
+/// (differential-tested in `experiments/tests/stream_equivalence.rs`).
+/// That is what lets one generated trace drive many cells in turn,
+/// chunk by chunk.
+#[derive(Debug, Clone)]
+pub struct CpuRun {
+    cfg: CpuConfig,
+    /// The dispatch clock.
+    now: u64,
+    /// Sub-cycle dispatch slots consumed in the current cycle.
+    slots: u64,
+    instructions: u64,
+    /// Loads in flight: (instruction index at dispatch, completion
+    /// cycle). Completion times are monotone (in-order retirement
+    /// approximation) because `feed` maxes them.
+    inflight: VecDeque<(u64, u64)>,
+    lsu: cache_model::BankedPorts,
+    last_completion: u64,
+}
+
+impl CpuRun {
+    /// Advances the run by `events`, the next events of the trace,
+    /// against `mem`.
+    pub fn feed<M, I>(&mut self, mem: &mut M, events: I)
+    where
+        M: MemorySystem,
+        I: IntoIterator<Item = TraceEvent>,
+    {
+        let width = u64::from(self.cfg.fetch_width.max(1));
+        let window = self.cfg.window;
+        let mut now = self.now;
+        let mut slots = self.slots;
+        let mut instructions = self.instructions;
+        let mut last_completion = self.last_completion;
+
+        for event in events {
             let cost = u64::from(event.work) + 1;
             instructions += cost;
 
             // Window limit: dispatch of the current instruction cannot
             // proceed while a load more than `window` instructions
             // older is still incomplete.
-            while let Some(&(idx, ready)) = inflight.front() {
-                if instructions.saturating_sub(idx) < self.cfg.window {
+            while let Some(&(idx, ready)) = self.inflight.front() {
+                if instructions.saturating_sub(idx) < window {
                     break;
                 }
                 if ready > now {
                     now = ready;
                     slots = 0;
                 }
-                inflight.pop_front();
+                self.inflight.pop_front();
             }
 
             // Dispatch the work and the access itself.
@@ -174,21 +223,32 @@ impl OooModel {
             slots %= width;
 
             // The access needs a load/store unit.
-            let grant = lsu.acquire_any(Cycle::new(now), 1);
+            let grant = self.lsu.acquire_any(Cycle::new(now), 1);
             let MemResponse { ready } = mem.access(event.access, grant);
             debug_assert!(ready >= grant, "memory answered in the past");
             if event.access.kind == AccessKind::Load {
                 let completion = ready.raw().max(last_completion);
                 last_completion = completion;
-                inflight.push_back((instructions, completion));
+                self.inflight.push_back((instructions, completion));
             }
         }
 
-        // Drain: the program ends when the last load completes.
-        let end = inflight.back().map_or(now, |&(_, ready)| ready.max(now));
+        self.now = now;
+        self.slots = slots;
+        self.instructions = instructions;
+        self.last_completion = last_completion;
+    }
+
+    /// Ends the run: the program ends when the last load completes.
+    #[must_use]
+    pub fn finish(self) -> CpuReport {
+        let end = self
+            .inflight
+            .back()
+            .map_or(self.now, |&(_, ready)| ready.max(self.now));
         CpuReport {
             cycles: end,
-            instructions,
+            instructions: self.instructions,
         }
     }
 }

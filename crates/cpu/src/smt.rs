@@ -42,8 +42,8 @@ impl SmtReport {
     }
 }
 
-struct Thread {
-    events: std::vec::IntoIter<TraceEvent>,
+struct Thread<T> {
+    events: T,
     /// (instruction index, completion cycle) of in-flight loads.
     inflight: VecDeque<(u64, u64)>,
     instructions: u64,
@@ -88,15 +88,20 @@ impl SmtModel {
     }
 
     /// Runs the threads to completion against one shared memory
-    /// system.
+    /// system. Each thread's trace is any event stream, so callers can
+    /// lend slices (`trace.iter().copied()`) instead of handing over
+    /// owned copies.
     ///
     /// # Panics
     ///
     /// Panics if `traces` is empty.
-    pub fn run<M: MemorySystem>(&self, mem: &mut M, traces: Vec<Vec<TraceEvent>>) -> SmtReport {
-        assert!(!traces.is_empty(), "need at least one thread");
+    pub fn run<M, T>(&self, mem: &mut M, traces: impl IntoIterator<Item = T>) -> SmtReport
+    where
+        M: MemorySystem,
+        T: IntoIterator<Item = TraceEvent>,
+    {
         let width = u64::from(self.cfg.fetch_width.max(1));
-        let mut threads: Vec<Thread> = traces
+        let mut threads: Vec<Thread<T::IntoIter>> = traces
             .into_iter()
             .map(|t| Thread {
                 events: t.into_iter(),
@@ -108,6 +113,7 @@ impl SmtModel {
                 done: false,
             })
             .collect();
+        assert!(!threads.is_empty(), "need at least one thread");
         let mut lsu = cache_model::BankedPorts::new(self.cfg.lsu_count);
         // Shared front end: dispatch slot k becomes available at
         // pipeline_depth + k/width, regardless of which thread uses
@@ -207,9 +213,9 @@ mod tests {
         let trace = memory_bound(5_000, 0);
         let cfg = CpuConfig::paper_default();
         let mut mem1 = BaselineSystem::paper_default().unwrap();
-        let solo = OooModel::new(cfg).run(&mut mem1, trace.clone());
+        let solo = OooModel::new(cfg).run(&mut mem1, trace.iter().copied());
         let mut mem2 = BaselineSystem::paper_default().unwrap();
-        let smt = SmtModel::new(cfg).run(&mut mem2, vec![trace]);
+        let smt = SmtModel::new(cfg).run(&mut mem2, [trace.iter().copied()]);
         let ratio = smt.cycles as f64 / solo.cycles as f64;
         assert!(
             (0.9..1.1).contains(&ratio),
@@ -248,11 +254,13 @@ mod tests {
         let mem_trace = memory_bound(4_000, 0);
         let cpu_trace = compute_bound(24_000, (1 << 30) | 0x2000);
 
-        let solo = |trace: Vec<TraceEvent>| {
+        let solo = |trace: &[TraceEvent]| {
             let mut mem = BaselineSystem::paper_default().unwrap();
-            OooModel::new(cfg).run(&mut mem, trace).cycles
+            OooModel::new(cfg)
+                .run(&mut mem, trace.iter().copied())
+                .cycles
         };
-        let serial = solo(mem_trace.clone()) + solo(cpu_trace.clone());
+        let serial = solo(&mem_trace) + solo(&cpu_trace);
 
         let mut mem = BaselineSystem::paper_default().unwrap();
         let smt = SmtModel::new(cfg).run(&mut mem, vec![mem_trace, cpu_trace]);
@@ -279,13 +287,13 @@ mod tests {
             .collect();
         // (5 << 30) is a multiple of 16 KB, so the two threads' hot
         // sets collide.
-        let solo_miss = |trace: Vec<TraceEvent>| {
+        let solo_miss = |trace: &[TraceEvent]| {
             let mut mem = BaselineSystem::paper_default().unwrap();
-            OooModel::new(cfg).run(&mut mem, trace);
+            OooModel::new(cfg).run(&mut mem, trace.iter().copied());
             mem.l1_stats().miss_rate()
         };
-        let miss_a = solo_miss(a.clone());
-        let miss_b = solo_miss(b.clone());
+        let miss_a = solo_miss(&a);
+        let miss_b = solo_miss(&b);
 
         let mut shared = BaselineSystem::paper_default().unwrap();
         SmtModel::new(cfg).run(&mut shared, vec![a, b]);
@@ -300,6 +308,7 @@ mod tests {
     #[should_panic(expected = "at least one thread")]
     fn empty_thread_list_rejected() {
         let mut mem = BaselineSystem::paper_default().unwrap();
-        let _ = SmtModel::new(CpuConfig::paper_default()).run(&mut mem, vec![]);
+        let _ =
+            SmtModel::new(CpuConfig::paper_default()).run(&mut mem, Vec::<Vec<TraceEvent>>::new());
     }
 }

@@ -11,14 +11,14 @@
 //!   points.
 
 use amb::{AmbConfig, AmbPolicy, AmbSystem};
-use cpu_model::{BaselineSystem, CpuConfig, OooModel};
+use cpu_model::{BaselineSystem, CpuConfig, CpuReport};
 use mct::accuracy::AccuracyReport;
 use mct::{ShadowDirectory, TagBits};
 use sim_core::stats::GeoMean;
 use workloads::{full_suite, suite};
 
 use crate::table::{pct, speedup};
-use crate::{fig1, Replay, Table};
+use crate::{fig1, CpuCell, Table};
 
 /// Accuracy per (configuration, depth).
 #[derive(Debug, Clone)]
@@ -112,84 +112,103 @@ fn depth_sweep(events: usize) -> Vec<DepthPoint> {
         .collect()
 }
 
-fn window_sweep(events: usize, replay: Replay) -> Vec<WindowPoint> {
-    let benchmarks = suite();
-    crate::par_map(WINDOWS.to_vec(), |window| {
-        let cpu = OooModel::new(CpuConfig {
-            window,
-            ..CpuConfig::paper_default()
-        });
-        let mut ipc_sum = 0.0;
-        let mut mean = GeoMean::default();
-        for w in &benchmarks {
-            let run = |sys: &mut dyn cpu_model::MemorySystem| {
-                crate::telemetry::record_events(events as u64);
-                cpu.run(
-                    &mut &mut *sys,
-                    crate::events_for(w, crate::SEED, events, replay),
+/// The window sweep: one pass per workload feeds a baseline and a
+/// VictPref cell at every window.
+fn window_sweep(events: usize) -> Vec<WindowPoint> {
+    let runs: Vec<Vec<CpuReport>> = crate::par_map(suite(), |w| {
+        let mut systems: Vec<(u64, BaselineSystem, AmbSystem)> = WINDOWS
+            .iter()
+            .map(|&window| {
+                (
+                    window,
+                    BaselineSystem::paper_default().expect("paper config"),
+                    AmbSystem::paper_default(AmbConfig::new(AmbPolicy::VictPref))
+                        .expect("paper config"),
                 )
+            })
+            .collect();
+        let mut cells = Vec::new();
+        for (window, base, amb) in &mut systems {
+            let cpu = CpuConfig {
+                window: *window,
+                ..CpuConfig::paper_default()
             };
-            let mut base = BaselineSystem::paper_default().expect("paper config");
-            let base_report = crate::probe::cell(
-                "ablation",
-                || format!("window/w{window}-base/{}", w.name()),
-                || run(&mut base),
-            );
-            ipc_sum += base_report.ipc();
-            let mut amb = AmbSystem::paper_default(AmbConfig::new(AmbPolicy::VictPref))
-                .expect("paper config");
-            let amb_report = crate::probe::cell(
-                "ablation",
-                || format!("window/w{window}-victpref/{}", w.name()),
-                || run(&mut amb),
-            );
-            mean.push(amb_report.speedup_over(&base_report));
+            cells.push(CpuCell::new(cpu, base));
+            cells.push(CpuCell::new(cpu, amb));
         }
-        WindowPoint {
-            window,
-            baseline_ipc: ipc_sum / benchmarks.len() as f64,
-            victpref_speedup: mean.mean(),
-        }
-    })
+        crate::replay_cpu(
+            "ablation",
+            || format!("window/{}", w.name()),
+            crate::trace(&w, events),
+            cells,
+            |i| {
+                let cell = if i % 2 == 0 { "base" } else { "victpref" };
+                format!("window/w{}-{cell}/{}", WINDOWS[i / 2], w.name())
+            },
+        )
+    });
+    WINDOWS
+        .iter()
+        .enumerate()
+        .map(|(k, &window)| {
+            let mut ipc_sum = 0.0;
+            let mut mean = GeoMean::default();
+            for reports in &runs {
+                let (base, victpref) = (reports[2 * k], reports[2 * k + 1]);
+                ipc_sum += base.ipc();
+                mean.push(victpref.speedup_over(&base));
+            }
+            WindowPoint {
+                window,
+                baseline_ipc: ipc_sum / runs.len() as f64,
+                victpref_speedup: mean.mean(),
+            }
+        })
+        .collect()
 }
 
-fn buffer_sweep(events: usize, replay: Replay) -> Vec<BufferPoint> {
-    let benchmarks = suite();
-    let baselines: Vec<_> = benchmarks
+/// The buffer sweep: one pass per workload feeds the no-buffer
+/// baseline and a VicPreExc cell at every buffer size.
+fn buffer_sweep(events: usize) -> Vec<BufferPoint> {
+    let runs: Vec<Vec<CpuReport>> = crate::par_map(suite(), |w| {
+        let mut base = BaselineSystem::paper_default().expect("paper config");
+        let mut systems: Vec<AmbSystem> = BUFFERS
+            .iter()
+            .map(|&entries| {
+                let cfg = AmbConfig {
+                    entries,
+                    ..AmbConfig::new(AmbPolicy::VicPreExc)
+                };
+                AmbSystem::paper_default(cfg).expect("paper config")
+            })
+            .collect();
+        let mut cells = vec![CpuCell::paper(&mut base)];
+        cells.extend(systems.iter_mut().map(CpuCell::paper));
+        crate::replay_cpu(
+            "ablation",
+            || format!("buffer/{}", w.name()),
+            crate::trace(&w, events),
+            cells,
+            |i| match i {
+                0 => format!("buffer/base/{}", w.name()),
+                i => format!("buffer/e{}/{}", BUFFERS[i - 1], w.name()),
+            },
+        )
+    });
+    BUFFERS
         .iter()
-        .map(|w| {
-            crate::probe::cell(
-                "ablation",
-                || format!("buffer/base/{}", w.name()),
-                || {
-                    let mut base = BaselineSystem::paper_default().expect("paper config");
-                    crate::drive(&mut base, w, events, replay)
-                },
-            )
+        .enumerate()
+        .map(|(k, &entries)| {
+            let mut mean = GeoMean::default();
+            for reports in &runs {
+                mean.push(reports[k + 1].speedup_over(&reports[0]));
+            }
+            BufferPoint {
+                entries,
+                speedup: mean.mean(),
+            }
         })
-        .collect();
-    crate::par_map(BUFFERS.to_vec(), |entries| {
-        let mut mean = GeoMean::default();
-        for (w, base) in benchmarks.iter().zip(&baselines) {
-            let report = crate::probe::cell(
-                "ablation",
-                || format!("buffer/e{entries}/{}", w.name()),
-                || {
-                    let cfg = AmbConfig {
-                        entries,
-                        ..AmbConfig::new(AmbPolicy::VicPreExc)
-                    };
-                    let mut sys = AmbSystem::paper_default(cfg).expect("paper config");
-                    crate::drive(&mut sys, w, events, replay)
-                },
-            );
-            mean.push(report.speedup_over(base));
-        }
-        BufferPoint {
-            entries,
-            speedup: mean.mean(),
-        }
-    })
+        .collect()
 }
 
 /// Trace events the three ablations simulate: the depth sweep (one
@@ -204,14 +223,13 @@ pub fn simulated_events(events: usize) -> u64 {
     ((depth + window + buffer) * events) as u64
 }
 
-/// Runs all three ablations. The window and buffer sweeps read traces
-/// in `replay` mode; the depth sweep always streams.
+/// Runs all three ablations.
 #[must_use]
-pub fn run(events: usize, replay: Replay) -> Ablation {
+pub fn run(events: usize) -> Ablation {
     Ablation {
         depths: depth_sweep(events),
-        windows: window_sweep(events, replay),
-        buffers: buffer_sweep(events, replay),
+        windows: window_sweep(events),
+        buffers: buffer_sweep(events),
         events,
     }
 }
@@ -295,7 +313,7 @@ mod tests {
 
     #[test]
     fn smaller_windows_hide_less_latency() {
-        let points = window_sweep(5_000, Replay::Arena);
+        let points = window_sweep(5_000);
         let first = points.first().unwrap();
         let last = points.last().unwrap();
         assert!(
@@ -306,7 +324,7 @@ mod tests {
 
     #[test]
     fn display_renders() {
-        let a = run(2_000, Replay::Arena);
+        let a = run(2_000);
         let s = a.to_string();
         assert!(s.contains("Ablation A"));
         assert!(s.contains("Ablation C"));

@@ -52,10 +52,7 @@ fn usage() -> ExitCode {
          --events N       trace events per workload (default {})\n\
          --threads N      worker-thread cap (1 = fully serial; default: all cores)\n\
          --bench-json P   write machine-readable throughput telemetry to P\n\
-         --stream         CPU-model drivers (fig3-fig6, sec54, sec56, the window\n\
-         \u{20}                and buffer ablations) run from live generators instead\n\
-         \u{20}                of the trace arena (output is byte-identical); the\n\
-         \u{20}                accuracy and MRC drivers always stream\n\
+         --stream         accepted and ignored: every driver streams its traces\n\
          --probe MODE     collect per-cell probe data: epoch:N (fold into\n\
          \u{20}                epochs of N accesses) or raw (every event; small runs)\n\
          --probe-out P    probe JSONL path (default OBS_repro.jsonl); inspect\n\
@@ -188,7 +185,7 @@ fn main() -> ExitCode {
         || {
             sim_core::parallel::try_par_map(pending.clone(), |target: Target| {
                 let start = Stopwatch::start();
-                let rendered = target.run(events, opts.replay);
+                let rendered = target.run(events);
                 let bench = FigureBench::ok(
                     target.name(),
                     start.elapsed_seconds(),
@@ -311,10 +308,6 @@ fn main() -> ExitCode {
     for figure in &report.figures {
         eprintln!("{}", figure.summary_line());
     }
-    // The CPU-model drivers' replay mode rides along on stderr: the
-    // bench-repro/2 schema is pinned by goldens, so the mode is
-    // recorded here rather than in the JSON.
-    eprintln!("[bench] cpu-model replay {}", opts.replay.name());
     eprintln!(
         "[bench] total    {:>8.2}s  {:.1}M events/s  ({} events, {} worker threads)",
         report.total_wall_seconds,

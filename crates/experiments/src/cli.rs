@@ -9,7 +9,6 @@ use std::path::PathBuf;
 
 use crate::probe::ProbeMode;
 use crate::tracing::TraceFormat;
-use crate::Replay;
 
 /// One runnable repro target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,13 +82,11 @@ impl Target {
     }
 
     /// Runs the driver and renders its report exactly as `repro`
-    /// prints it (one trailing newline added by the caller). `replay`
-    /// reaches only the CPU-model drivers and sweeps; fig1, fig2 and
-    /// the depth ablation always stream. Each arm opens a figure-level
-    /// trace scope so span traces group a driver's cells under one
-    /// `fig_*` root.
+    /// prints it (one trailing newline added by the caller). Each arm
+    /// opens a figure-level trace scope so span traces group a
+    /// driver's cells under one `fig_*` root.
     #[must_use]
-    pub fn run(self, events: usize, replay: Replay) -> String {
+    pub fn run(self, events: usize) -> String {
         use sim_core::span::{self, ScopeKind};
         match self {
             Target::Fig1 => span::scope(ScopeKind::Figure, "fig_fig1", "fig1", String::new, || {
@@ -99,33 +96,33 @@ impl Target {
                 crate::fig2::run(events).to_string()
             }),
             Target::Fig3 => span::scope(ScopeKind::Figure, "fig_fig3", "fig3", String::new, || {
-                crate::fig3::run(events, replay).to_string()
+                crate::fig3::run(events).to_string()
             }),
             Target::Fig4 => span::scope(ScopeKind::Figure, "fig_fig4", "fig4", String::new, || {
-                crate::fig4::run(events, replay).to_string()
+                crate::fig4::run(events).to_string()
             }),
             Target::Fig5 => span::scope(ScopeKind::Figure, "fig_fig5", "fig5", String::new, || {
-                crate::fig5::run(events, replay).to_string()
+                crate::fig5::run(events).to_string()
             }),
             Target::Sec54 => {
                 span::scope(ScopeKind::Figure, "fig_sec54", "sec54", String::new, || {
-                    crate::sec54::run(events, replay).to_string()
+                    crate::sec54::run(events).to_string()
                 })
             }
             Target::Sec56 => {
                 span::scope(ScopeKind::Figure, "fig_sec56", "sec56", String::new, || {
-                    crate::sec56::run(events, replay).to_string()
+                    crate::sec56::run(events).to_string()
                 })
             }
             Target::Fig6 => span::scope(ScopeKind::Figure, "fig_fig6", "fig6", String::new, || {
-                crate::fig6::run(events, replay).to_string()
+                crate::fig6::run(events).to_string()
             }),
             Target::Ablation => span::scope(
                 ScopeKind::Figure,
                 "fig_ablation",
                 "ablation",
                 String::new,
-                || crate::ablation::run(events, replay).to_string(),
+                || crate::ablation::run(events).to_string(),
             ),
         }
     }
@@ -207,11 +204,6 @@ pub struct Options {
     /// `--trace-logical-clock`: record spans with a constant-zero
     /// clock so the trace is byte-identical at any thread count.
     pub trace_logical_clock: bool,
-    /// `--stream` selects [`Replay::Stream`]: the CPU-model drivers
-    /// run from live generators instead of arena-resident traces;
-    /// output is byte-identical. The accuracy and MRC drivers always
-    /// stream.
-    pub replay: Replay,
     /// `--mrc`: run the miss-ratio-curve family after the targets.
     pub mrc: bool,
     /// `--mrc-sample R`: SHARDS sampling rate in `(0, 1]` (`None` =
@@ -229,6 +221,9 @@ pub struct Options {
 /// Rejects non-positive or malformed `--events` explicitly — `--events
 /// 0` used to slip through and silently run every experiment over
 /// empty traces.
+///
+/// `--stream` is accepted and has no effect: every driver streams its
+/// traces. Benchmark invocations still pass it.
 pub fn parse_args<I>(args: I) -> Result<Options, String>
 where
     I: IntoIterator<Item = String>,
@@ -246,7 +241,6 @@ where
     let mut trace_out: Option<PathBuf> = None;
     let mut trace_format: Option<TraceFormat> = None;
     let mut trace_logical_clock = false;
-    let mut replay = Replay::Arena;
     let mut mrc = false;
     let mut mrc_sample: Option<f64> = None;
     let mut mrc_out: Option<PathBuf> = None;
@@ -323,7 +317,9 @@ where
                 trace_format = Some(TraceFormat::parse(&value)?);
             }
             "--trace-logical-clock" => trace_logical_clock = true,
-            "--stream" => replay = Replay::Stream,
+            // Accepted for compatibility and ignored: every driver
+            // streams its traces.
+            "--stream" => {}
             "--mrc" => mrc = true,
             "--mrc-sample" => {
                 let value = args.next().ok_or("--mrc-sample needs a rate in (0, 1]")?;
@@ -407,7 +403,6 @@ where
         trace_out,
         trace_format: trace_format.unwrap_or(TraceFormat::Jsonl),
         trace_logical_clock,
-        replay,
         mrc,
         mrc_sample,
         mrc_out,
@@ -478,11 +473,11 @@ mod tests {
     }
 
     #[test]
-    fn parses_stream_flag() {
-        assert_eq!(parse(&[]).unwrap().replay, Replay::Arena);
-        let opts = parse(&["--stream", "fig1"]).unwrap();
-        assert_eq!(opts.replay, Replay::Stream);
-        assert_eq!(opts.targets, vec![Target::Fig1]);
+    fn accepts_stream_flag_as_a_no_op() {
+        assert_eq!(
+            parse(&["--stream", "fig1"]).unwrap(),
+            parse(&["fig1"]).unwrap()
+        );
     }
 
     #[test]

@@ -6,13 +6,13 @@
 //! 2.6% of accesses; filtering swaps cuts swaps from 1.7% to 0.1%
 //! while shifting hits from the cache to the buffer.
 
-use cpu_model::{BaselineSystem, CpuReport};
+use cpu_model::BaselineSystem;
 use sim_core::stats::GeoMean;
 use victim_cache::{VictimConfig, VictimPolicy, VictimStats, VictimSystem};
-use workloads::{suite, Workload};
+use workloads::suite;
 
 use crate::table::{pct, speedup};
-use crate::{drive, Replay, Table};
+use crate::Table;
 
 /// Results for one victim policy.
 #[derive(Debug, Clone)]
@@ -45,65 +45,55 @@ pub fn simulated_events(events: usize) -> u64 {
     ((1 + VictimPolicy::ALL.len()) * suite().len() * events) as u64
 }
 
-fn run_baseline(w: &Workload, events: usize, replay: Replay) -> (CpuReport, f64) {
-    let mut sys = BaselineSystem::paper_default().expect("paper config");
-    let report = drive(&mut sys, w, events, replay);
-    (report, sys.l1_stats().hit_rate())
-}
-
-/// Runs the Figure 3 / Table 1 experiment, reading traces in `replay`
-/// mode.
+/// Runs the Figure 3 / Table 1 experiment: one pass per workload
+/// feeds the no-victim baseline and every victim policy.
 #[must_use]
-pub fn run(events: usize, replay: Replay) -> Fig3 {
-    let benchmarks = suite();
-    let baselines: Vec<(CpuReport, f64)> = crate::par_map(benchmarks.clone(), |w| {
-        crate::probe::cell(
-            "fig3",
-            || format!("baseline/{}", w.name()),
-            || run_baseline(&w, events, replay),
-        )
-    });
-    let mut base_hits = 0.0;
-    for (_, hr) in &baselines {
-        base_hits += hr;
-    }
-    let baseline_hit_rate = base_hits / baselines.len() as f64;
-
-    let policies = crate::par_map(VictimPolicy::ALL.to_vec(), |policy| {
-        let mut speedups = Vec::new();
-        let mut mean = GeoMean::default();
-        let mut agg = VictimStats::default();
-        for (w, (base_report, _)) in benchmarks.iter().zip(&baselines) {
-            let (report, st) = crate::probe::cell(
-                "fig3",
-                || format!("{policy}/{}", w.name()),
-                || {
-                    let mut sys = VictimSystem::paper_default(VictimConfig::new(policy))
+pub fn run(events: usize) -> Fig3 {
+    let passes = crate::policy_passes(
+        "fig3",
+        events,
+        || BaselineSystem::paper_default().expect("paper config"),
+        || {
+            VictimPolicy::ALL
+                .iter()
+                .map(|&policy| {
+                    let sys = VictimSystem::paper_default(VictimConfig::new(policy))
                         .expect("paper config");
-                    let report = drive(&mut sys, w, events, replay);
-                    (report, *sys.stats())
-                },
-            );
-            let s = report.speedup_over(base_report);
-            mean.push(s);
-            speedups.push((w.name().to_owned(), s));
-            let st = &st;
-            agg.accesses += st.accesses;
-            agg.d_hits += st.d_hits;
-            agg.v_hits += st.v_hits;
-            agg.swaps += st.swaps;
-            agg.fills += st.fills;
-        }
-        PolicyResult {
-            policy,
-            speedups,
-            mean_speedup: mean.mean(),
-            stats: agg,
-        }
-    });
+                    (policy.to_string(), sys)
+                })
+                .collect()
+        },
+        |sys| *sys.stats(),
+    );
+    let policies = VictimPolicy::ALL
+        .iter()
+        .enumerate()
+        .map(|(k, &policy)| {
+            let mut speedups = Vec::new();
+            let mut mean = GeoMean::default();
+            let mut agg = VictimStats::default();
+            for (w, pass) in suite().iter().zip(&passes) {
+                let (report, st) = &pass.policies[k];
+                let s = report.speedup_over(&pass.base);
+                mean.push(s);
+                speedups.push((w.name().to_owned(), s));
+                agg.accesses += st.accesses;
+                agg.d_hits += st.d_hits;
+                agg.v_hits += st.v_hits;
+                agg.swaps += st.swaps;
+                agg.fills += st.fills;
+            }
+            PolicyResult {
+                policy,
+                speedups,
+                mean_speedup: mean.mean(),
+                stats: agg,
+            }
+        })
+        .collect();
 
     Fig3 {
-        baseline_hit_rate,
+        baseline_hit_rate: crate::mean_base_hit_rate(&passes),
         policies,
         events,
     }
@@ -186,7 +176,7 @@ mod tests {
 
     #[test]
     fn shape_on_small_run() {
-        let fig = run(4_000, Replay::Arena);
+        let fig = run(4_000);
         assert_eq!(fig.policies.len(), 4);
         let trad = &fig.policies[0];
         let both = &fig.policies[3];

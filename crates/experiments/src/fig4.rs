@@ -7,14 +7,14 @@
 //! advantage is not significant").
 
 use cache_model::{CacheGeometry, L2MemoryConfig};
-use cpu_model::{CpuReport, Plumbing};
+use cpu_model::Plumbing;
 use mct::ConflictFilter;
 use prefetcher::{NextLineSystem, PrefetchConfig, PrefetchStats};
 use sim_core::stats::GeoMean;
-use workloads::{suite, Workload};
+use workloads::suite;
 
 use crate::table::{pct, speedup};
-use crate::{drive, Replay, Table};
+use crate::Table;
 
 /// Results for one prefetch strategy.
 #[derive(Debug, Clone)]
@@ -55,69 +55,63 @@ pub fn simulated_events(events: usize) -> u64 {
     ((1 + strategies().len()) * suite().len() * events) as u64
 }
 
-/// A no-prefetch baseline on the slow-bus system.
-fn slow_baseline(workload: &Workload, events: usize, replay: Replay) -> CpuReport {
-    let plumbing = Plumbing::new(
-        cpu_model::MemTimings::paper_default(),
-        L2MemoryConfig::paper_slow_bus().expect("paper config"),
-    );
-    let mut sys = cpu_model::BaselineSystem::new(
-        CacheGeometry::new(16 * 1024, 1, 64).expect("paper geometry"),
-        plumbing,
-    );
-    drive(&mut sys, workload, events, replay)
-}
-
-/// Runs the Figure 4 experiment, reading traces in `replay` mode.
+/// Runs the Figure 4 experiment: one pass per workload feeds the
+/// slow-bus no-prefetch baseline and every strategy.
 #[must_use]
-pub fn run(events: usize, replay: Replay) -> Fig4 {
-    let benchmarks = suite();
-    let baselines: Vec<CpuReport> = crate::par_map(benchmarks.clone(), |w| {
-        crate::probe::cell(
-            "fig4",
-            || format!("baseline/{}", w.name()),
-            || slow_baseline(&w, events, replay),
-        )
-    });
-
-    let strategies = crate::par_map(strategies(), |filter| {
-        let cfg = match filter {
-            None => PrefetchConfig::unfiltered(),
-            Some(f) => PrefetchConfig::filtered(f),
-        };
-        let mut agg = PrefetchStats::default();
-        let mut mean = GeoMean::default();
-        let strategy_name = match filter {
-            None => "next-line".to_owned(),
-            Some(f) => format!("ignore {f}"),
-        };
-        for (w, base) in benchmarks.iter().zip(&baselines) {
-            let (report, s) = crate::probe::cell(
-                "fig4",
-                || format!("{strategy_name}/{}", w.name()),
-                || {
-                    let mut sys = NextLineSystem::paper_slow_bus(cfg).expect("paper config");
-                    let report = drive(&mut sys, w, events, replay);
-                    (report, *sys.stats())
-                },
+pub fn run(events: usize) -> Fig4 {
+    let passes = crate::policy_passes(
+        "fig4",
+        events,
+        || {
+            let plumbing = Plumbing::new(
+                cpu_model::MemTimings::paper_default(),
+                L2MemoryConfig::paper_slow_bus().expect("paper config"),
             );
-            mean.push(report.speedup_over(base));
-            let s = &s;
-            agg.accesses += s.accesses;
-            agg.d_hits += s.d_hits;
-            agg.buffer_hits += s.buffer_hits;
-            agg.demand_misses += s.demand_misses;
-            agg.issued += s.issued;
-            agg.wasted += s.wasted;
-            agg.discarded += s.discarded;
-            agg.filtered += s.filtered;
-        }
-        StrategyResult {
-            filter,
-            stats: agg,
-            mean_speedup: mean.mean(),
-        }
-    });
+            cpu_model::BaselineSystem::new(
+                CacheGeometry::new(16 * 1024, 1, 64).expect("paper geometry"),
+                plumbing,
+            )
+        },
+        || {
+            strategies()
+                .into_iter()
+                .map(|filter| {
+                    let (name, cfg) = match filter {
+                        None => ("next-line".to_owned(), PrefetchConfig::unfiltered()),
+                        Some(f) => (format!("ignore {f}"), PrefetchConfig::filtered(f)),
+                    };
+                    let sys = NextLineSystem::paper_slow_bus(cfg).expect("paper config");
+                    (name, sys)
+                })
+                .collect()
+        },
+        |sys| *sys.stats(),
+    );
+    let strategies = strategies()
+        .into_iter()
+        .enumerate()
+        .map(|(k, filter)| {
+            let mut agg = PrefetchStats::default();
+            let mut mean = GeoMean::default();
+            for pass in &passes {
+                let (report, s) = &pass.policies[k];
+                mean.push(report.speedup_over(&pass.base));
+                agg.accesses += s.accesses;
+                agg.d_hits += s.d_hits;
+                agg.buffer_hits += s.buffer_hits;
+                agg.demand_misses += s.demand_misses;
+                agg.issued += s.issued;
+                agg.wasted += s.wasted;
+                agg.discarded += s.discarded;
+                agg.filtered += s.filtered;
+            }
+            StrategyResult {
+                filter,
+                stats: agg,
+                mean_speedup: mean.mean(),
+            }
+        })
+        .collect();
 
     Fig4 { strategies, events }
 }
@@ -165,7 +159,7 @@ mod tests {
 
     #[test]
     fn filters_reduce_issue_traffic() {
-        let fig = run(4_000, Replay::Arena);
+        let fig = run(4_000);
         assert_eq!(fig.strategies.len(), 5);
         let unfiltered = &fig.strategies[0];
         let or_filter = &fig.strategies[4];

@@ -5,13 +5,13 @@
 //! the best performance, beating both the MAT and the more complex
 //! MCT variants, with a higher overall hit rate.
 
-use cpu_model::{BaselineSystem, CpuReport};
+use cpu_model::BaselineSystem;
 use exclusion::{ExclusionConfig, ExclusionPolicy, ExclusionStats, ExclusionSystem};
 use sim_core::stats::GeoMean;
 use workloads::suite;
 
 use crate::table::{pct, speedup};
-use crate::{drive, Replay, Table};
+use crate::Table;
 
 /// Results for one exclusion policy.
 #[derive(Debug, Clone)]
@@ -42,60 +42,51 @@ pub fn simulated_events(events: usize) -> u64 {
     ((1 + ExclusionPolicy::ALL.len()) * suite().len() * events) as u64
 }
 
-/// Runs the Figure 5 experiment, reading traces in `replay` mode.
+/// Runs the Figure 5 experiment: one pass per workload feeds the
+/// no-buffer baseline and every exclusion policy.
 #[must_use]
-pub fn run(events: usize, replay: Replay) -> Fig5 {
-    let benchmarks = suite();
-    let baseline_cells: Vec<(CpuReport, f64)> = crate::par_map(benchmarks.clone(), |w| {
-        crate::probe::cell(
-            "fig5",
-            || format!("baseline/{}", w.name()),
-            || {
-                let mut sys = BaselineSystem::paper_default().expect("paper config");
-                let report = drive(&mut sys, &w, events, replay);
-                (report, sys.l1_stats().hit_rate())
-            },
-        )
-    });
-    let mut baselines: Vec<CpuReport> = Vec::new();
-    let mut base_hr = 0.0;
-    for (report, hr) in baseline_cells {
-        baselines.push(report);
-        base_hr += hr;
-    }
-    let baseline_hit_rate = base_hr / benchmarks.len() as f64;
-
-    let policies = crate::par_map(ExclusionPolicy::ALL.to_vec(), |policy| {
-        let mut agg = ExclusionStats::default();
-        let mut mean = GeoMean::default();
-        for (w, base) in benchmarks.iter().zip(&baselines) {
-            let (report, s) = crate::probe::cell(
-                "fig5",
-                || format!("{policy}/{}", w.name()),
-                || {
-                    let mut sys = ExclusionSystem::paper_default(ExclusionConfig::new(policy))
+pub fn run(events: usize) -> Fig5 {
+    let passes = crate::policy_passes(
+        "fig5",
+        events,
+        || BaselineSystem::paper_default().expect("paper config"),
+        || {
+            ExclusionPolicy::ALL
+                .iter()
+                .map(|&policy| {
+                    let sys = ExclusionSystem::paper_default(ExclusionConfig::new(policy))
                         .expect("paper config");
-                    let report = drive(&mut sys, w, events, replay);
-                    (report, *sys.stats())
-                },
-            );
-            mean.push(report.speedup_over(base));
-            let s = &s;
-            agg.accesses += s.accesses;
-            agg.d_hits += s.d_hits;
-            agg.buffer_hits += s.buffer_hits;
-            agg.demand_misses += s.demand_misses;
-            agg.excluded += s.excluded;
-        }
-        PolicyResult {
-            policy,
-            stats: agg,
-            mean_speedup: mean.mean(),
-        }
-    });
+                    (policy.to_string(), sys)
+                })
+                .collect()
+        },
+        |sys| *sys.stats(),
+    );
+    let policies = ExclusionPolicy::ALL
+        .iter()
+        .enumerate()
+        .map(|(k, &policy)| {
+            let mut agg = ExclusionStats::default();
+            let mut mean = GeoMean::default();
+            for pass in &passes {
+                let (report, s) = &pass.policies[k];
+                mean.push(report.speedup_over(&pass.base));
+                agg.accesses += s.accesses;
+                agg.d_hits += s.d_hits;
+                agg.buffer_hits += s.buffer_hits;
+                agg.demand_misses += s.demand_misses;
+                agg.excluded += s.excluded;
+            }
+            PolicyResult {
+                policy,
+                stats: agg,
+                mean_speedup: mean.mean(),
+            }
+        })
+        .collect();
 
     Fig5 {
-        baseline_hit_rate,
+        baseline_hit_rate: crate::mean_base_hit_rate(&passes),
         policies,
         events,
     }
@@ -148,7 +139,7 @@ mod tests {
 
     #[test]
     fn capacity_is_competitive_on_small_run() {
-        let fig = run(4_000, Replay::Arena);
+        let fig = run(4_000);
         assert_eq!(fig.policies.len(), 5);
         let capacity = fig
             .policies

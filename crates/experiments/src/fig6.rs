@@ -8,12 +8,12 @@
 //! best single policy.
 
 use amb::{AmbConfig, AmbPolicy, AmbStats, AmbSystem};
-use cpu_model::{BaselineSystem, CpuReport};
+use cpu_model::BaselineSystem;
 use sim_core::stats::GeoMean;
 use workloads::suite;
 
 use crate::table::{pct, speedup};
-use crate::{drive, Replay, Table};
+use crate::Table;
 
 /// Results for one AMB policy at one buffer size.
 #[derive(Debug, Clone)]
@@ -47,76 +47,64 @@ pub fn simulated_events(events: usize) -> u64 {
     ((1 + 2 * AmbPolicy::ALL.len()) * suite().len() * events) as u64
 }
 
-/// Runs the Figures 6 + 7 experiment, reading traces in `replay`
-/// mode.
+/// Runs the Figures 6 + 7 experiment: one pass per workload feeds the
+/// no-buffer baseline and every policy at 8 entries, then at 16.
 #[must_use]
-pub fn run(events: usize, replay: Replay) -> Fig6 {
-    let benchmarks = suite();
-    let baseline_cells: Vec<(CpuReport, f64)> = crate::par_map(benchmarks.clone(), |w| {
-        crate::probe::cell(
-            "fig6",
-            || format!("baseline/{}", w.name()),
-            || {
-                let mut sys = BaselineSystem::paper_default().expect("paper config");
-                let report = drive(&mut sys, &w, events, replay);
-                (report, sys.l1_stats().hit_rate())
-            },
-        )
-    });
-    let mut baselines: Vec<CpuReport> = Vec::new();
-    let mut base_hr = 0.0;
-    for (report, hr) in baseline_cells {
-        baselines.push(report);
-        base_hr += hr;
-    }
-    let baseline_hit_rate = base_hr / benchmarks.len() as f64;
-
-    let mut cells = Vec::new();
-    for entries in [8usize, 16] {
-        for policy in AmbPolicy::ALL {
-            cells.push((entries, policy));
-        }
-    }
-    let results = crate::par_map(cells, |(entries, policy)| {
-        let cfg = if entries == 8 {
-            AmbConfig::new(policy)
-        } else {
-            AmbConfig::large(policy)
-        };
-        let mut mean = GeoMean::default();
-        let mut agg = AmbStats::default();
-        for (w, base) in benchmarks.iter().zip(&baselines) {
-            let (report, s) = crate::probe::cell(
-                "fig6",
-                || format!("{policy}-{entries}/{}", w.name()),
-                || {
-                    let mut sys = AmbSystem::paper_default(cfg).expect("paper config");
-                    let report = drive(&mut sys, w, events, replay);
-                    (report, *sys.stats())
-                },
-            );
-            mean.push(report.speedup_over(base));
-            let s = &s;
-            agg.accesses += s.accesses;
-            agg.d_hits += s.d_hits;
-            agg.victim_hits += s.victim_hits;
-            agg.prefetch_hits += s.prefetch_hits;
-            agg.exclusion_hits += s.exclusion_hits;
-            agg.demand_misses += s.demand_misses;
-            agg.prefetches_issued += s.prefetches_issued;
-            agg.prefetches_discarded += s.prefetches_discarded;
-        }
-        PolicyResult {
-            policy,
-            entries,
-            mean_speedup: mean.mean(),
-            stats: agg,
-        }
-    });
+pub fn run(events: usize) -> Fig6 {
+    let cells: Vec<(usize, AmbPolicy)> = [8usize, 16]
+        .into_iter()
+        .flat_map(|entries| AmbPolicy::ALL.map(|policy| (entries, policy)))
+        .collect();
+    let passes = crate::policy_passes(
+        "fig6",
+        events,
+        || BaselineSystem::paper_default().expect("paper config"),
+        || {
+            cells
+                .iter()
+                .map(|&(entries, policy)| {
+                    let cfg = if entries == 8 {
+                        AmbConfig::new(policy)
+                    } else {
+                        AmbConfig::large(policy)
+                    };
+                    let sys = AmbSystem::paper_default(cfg).expect("paper config");
+                    (format!("{policy}-{entries}"), sys)
+                })
+                .collect()
+        },
+        |sys| *sys.stats(),
+    );
+    let results = cells
+        .iter()
+        .enumerate()
+        .map(|(k, &(entries, policy))| {
+            let mut mean = GeoMean::default();
+            let mut agg = AmbStats::default();
+            for pass in &passes {
+                let (report, s) = &pass.policies[k];
+                mean.push(report.speedup_over(&pass.base));
+                agg.accesses += s.accesses;
+                agg.d_hits += s.d_hits;
+                agg.victim_hits += s.victim_hits;
+                agg.prefetch_hits += s.prefetch_hits;
+                agg.exclusion_hits += s.exclusion_hits;
+                agg.demand_misses += s.demand_misses;
+                agg.prefetches_issued += s.prefetches_issued;
+                agg.prefetches_discarded += s.prefetches_discarded;
+            }
+            PolicyResult {
+                policy,
+                entries,
+                mean_speedup: mean.mean(),
+                stats: agg,
+            }
+        })
+        .collect();
 
     Fig6 {
         results,
-        baseline_hit_rate,
+        baseline_hit_rate: crate::mean_base_hit_rate(&passes),
         events,
     }
 }
@@ -193,7 +181,7 @@ mod tests {
 
     #[test]
     fn combination_beats_singles_on_small_run() {
-        let fig = run(6_000, Replay::Arena);
+        let fig = run(6_000);
         let victpref = fig.result(AmbPolicy::VictPref, 8).unwrap().mean_speedup;
         let vict = fig.result(AmbPolicy::Vict, 8).unwrap().mean_speedup;
         let pref = fig.result(AmbPolicy::Pref, 8).unwrap().mean_speedup;

@@ -20,17 +20,16 @@
 //! (per-figure wall time, events/sec, and the machine-readable
 //! `BENCH_repro.json` the perf trajectory is tracked with).
 //!
-//! Each driver reads its traces in one fixed way. The accuracy and MRC
-//! drivers (fig1, fig2, the shadow-depth ablation, the MRC family)
-//! read each workload's trace once, so they always stream it through
-//! [`stream_blocks`] at O([`STREAM_CHUNK`]) memory; [`replay_group`]
-//! scores every cell of the figure that replays that workload in that
-//! one pass, against one shared three-C oracle per capacity. The
-//! CPU-model drivers reuse each trace across many cells and take a
-//! [`Replay`] value (`repro --stream`): traces materialized once per
-//! `(workload, seed, events)` in the shared [`trace_gen::arena`] (see
-//! [`trace_for`]), or live generators. Output is byte-identical
-//! either way.
+//! Every driver streams each workload's trace once per figure, at
+//! O([`STREAM_CHUNK`]) memory, and advances every cell that replays
+//! that workload in the same pass; no trace is materialized for
+//! reuse. The accuracy and MRC drivers (fig1, fig2, the shadow-depth
+//! ablation, the MRC family) stream line addresses through
+//! [`stream_blocks`], and [`replay_group`] scores their cells against
+//! one shared three-C oracle per capacity. The CPU-model drivers
+//! (fig3–fig6, §5.4, §5.6 and the window and buffer sweeps) stream
+//! whole events through [`replay_cpu`], which feeds each chunk to
+//! every policy cell's resumable [`cpu_model::CpuRun`] in turn.
 //!
 //! Every driver takes the number of trace events per workload, so the
 //! same code serves quick smoke tests, Criterion benches, and the full
@@ -74,13 +73,11 @@ pub mod tracing;
 
 pub use table::Table;
 
-use std::sync::Arc;
-
 use cache_model::CacheGeometry;
+use cpu_model::{CpuConfig, CpuReport, CpuRun, MemorySystem, OooModel};
 use mct::accuracy::AccuracyReport;
 use mct::EvictionClassifier;
-use trace_gen::arena::{ArenaKey, TraceArena};
-use trace_gen::TraceEvent;
+use trace_gen::{TraceEvent, TraceSource};
 
 use crate::group::AccuracyGroup;
 use crate::probe::GroupProbe;
@@ -95,39 +92,15 @@ pub const DEFAULT_EVENTS: usize = 300_000;
 /// stay L1/L2-resident alongside the kernel arrays.
 pub const DEFAULT_REPLAY_BLOCK: usize = 1024;
 
-/// How the CPU-model drivers (fig3–fig6, §5.4, §5.6 and the window
-/// and buffer sweeps of [`ablation`]) read their traces, chosen by
-/// `repro --stream`. Both modes replay the same generator stream, so
-/// output is byte-identical; only residency and speed differ. The
-/// accuracy and MRC drivers take no mode: they read each trace once
-/// and always stream it ([`stream_blocks`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Replay {
-    /// Materialize each trace once in the shared [`TraceArena`] and
-    /// replay it by reference in every cell that needs it (`repro`'s
-    /// default).
-    Arena,
-    /// Run every cell from a live generator: nothing stays resident.
-    Stream,
-}
-
-impl Replay {
-    /// The mode's name, as `repro` reports it on stderr.
-    #[must_use]
-    pub const fn name(self) -> &'static str {
-        match self {
-            Replay::Arena => "arena",
-            Replay::Stream => "stream",
-        }
-    }
-}
-
 /// Events per chunk of the streaming pipeline: the generator fills
-/// one chunk of line addresses, the consumer replays it in
-/// [`DEFAULT_REPLAY_BLOCK`] blocks, and the buffer is reused — peak
-/// memory is one chunk (8 bytes per event) per running replay,
-/// regardless of trace length. A multiple of the block size, so only
-/// a trace's final block can be short.
+/// one chunk, the consumer replays it, and the buffer is reused — peak
+/// memory is one chunk per running replay (8 bytes per event of line
+/// addresses, 32 per whole event), regardless of trace length. A
+/// multiple of [`DEFAULT_REPLAY_BLOCK`], so only a trace's final block
+/// can be short. [`replay_cpu`] feeds each chunk to every cell in
+/// turn, so each cell re-warms the host caches once per chunk: fig6's
+/// 15-cell groups ran slowest at 4 K-event chunks and no faster at
+/// 256 K than here (EXPERIMENTS.md, "CPU group replay").
 pub const STREAM_CHUNK: usize = 64 * 1024;
 
 /// Feeds the line addresses (for `line_size`-byte lines) of the first
@@ -253,96 +226,169 @@ pub use sim_core::parallel::par_map;
 /// how `repro` records degraded cells without aborting a sweep.
 pub use sim_core::parallel::try_par_map;
 
-/// The shared trace for `(workload, SEED, events)`, materialized once
-/// in the global [`TraceArena`] and replayed by every cell that needs
-/// it. Replay is bit-identical to streaming the workload's generator.
-#[must_use]
-pub fn trace_for(workload: &workloads::Workload, events: usize) -> Arc<[TraceEvent]> {
-    trace_for_seed(workload, SEED, events)
+/// One cell of a CPU-model group pass ([`replay_cpu`]): the core it
+/// runs on and the memory system it drives. The cell borrows the
+/// memory system, so the driver reads its counters once the pass
+/// returns.
+pub struct CpuCell<'a> {
+    cpu: CpuConfig,
+    mem: &'a mut dyn FeedChunk,
 }
 
-/// [`trace_for`] with an explicit seed (§5.6 uses `SEED + 1` for the
-/// co-scheduled partner thread).
-#[must_use]
-pub fn trace_for_seed(
-    workload: &workloads::Workload,
-    seed: u64,
-    events: usize,
-) -> Arc<[TraceEvent]> {
-    TraceArena::global().get_or_materialize(ArenaKey::new(workload.name(), seed, events), || {
-        workload.source(seed)
+impl<'a> CpuCell<'a> {
+    /// A cell driving `mem` from a core with parameters `cpu`.
+    pub fn new<M: MemorySystem>(cpu: CpuConfig, mem: &'a mut M) -> Self {
+        CpuCell { cpu, mem }
+    }
+
+    /// A cell driving `mem` from the paper's core.
+    pub fn paper<M: MemorySystem>(mem: &'a mut M) -> Self {
+        CpuCell::new(CpuConfig::paper_default(), mem)
+    }
+}
+
+impl std::fmt::Debug for CpuCell<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CpuCell")
+            .field("cpu", &self.cpu)
+            .finish_non_exhaustive()
+    }
+}
+
+/// A [`CpuCell`]'s memory system, fed a chunk at a time. The blanket
+/// impl monomorphizes the core loop per memory system, so a group pass
+/// makes one dynamic call per cell per chunk, not per event.
+trait FeedChunk {
+    fn feed_chunk(&mut self, run: &mut CpuRun, events: &[TraceEvent]);
+}
+
+impl<M: MemorySystem> FeedChunk for M {
+    fn feed_chunk(&mut self, run: &mut CpuRun, events: &[TraceEvent]) {
+        run.feed(self, events.iter().copied());
+    }
+}
+
+/// The CPU-model drivers' one replay loop (fig3–fig6, §5.4, §5.6 and
+/// the window and buffer sweeps): streams `trace` once, through one
+/// reused [`STREAM_CHUNK`]-event buffer, and feeds each chunk to every
+/// cell in turn. Returns the cells' reports in cell order; each equals
+/// a standalone [`OooModel::run`] of that cell over the whole trace
+/// (differential-tested).
+///
+/// The pass runs as one [`probe::group`] cell of `target`, labelled
+/// `label`; cell `i` keeps its own probe record, labelled
+/// `cell_label(i)`, with its sink installed around its own feeds, so
+/// probed and plain runs execute this same pass.
+pub fn replay_cpu(
+    target: &'static str,
+    label: impl Fn() -> String,
+    trace: impl IntoIterator<Item = TraceEvent>,
+    cells: Vec<CpuCell<'_>>,
+    cell_label: impl Fn(usize) -> String,
+) -> Vec<CpuReport> {
+    let count = cells.len();
+    probe::group(target, label, count, cell_label, |probes| {
+        // Injection site: a transient fault retries inside the gate; a
+        // persistent one unwinds before any cell has run, so the
+        // scheduler's retry of the figure replays the pass from the
+        // start.
+        if let Err(fault) = sim_core::fault::gate(sim_core::fault::FaultSite::CpuGroup) {
+            std::panic::panic_any(fault);
+        }
+        let _span = sim_core::span::enter("replay_cpu");
+        let mut runs: Vec<(CpuRun, &mut dyn FeedChunk)> = cells
+            .into_iter()
+            .map(|cell| (OooModel::new(cell.cpu).start(), cell.mem))
+            .collect();
+        let mut trace = trace.into_iter();
+        let mut chunk: Vec<TraceEvent> = Vec::with_capacity(STREAM_CHUNK.min(trace.size_hint().0));
+        loop {
+            chunk.clear();
+            chunk.extend(trace.by_ref().take(STREAM_CHUNK));
+            if chunk.is_empty() {
+                break;
+            }
+            let fed = (chunk.len() * count) as u64;
+            telemetry::record_events(fed);
+            sim_core::span::add_events(fed);
+            for (i, (run, mem)) in runs.iter_mut().enumerate() {
+                probes.member(i, || mem.feed_chunk(run, &chunk));
+            }
+        }
+        runs.into_iter().map(|(run, _)| run.finish()).collect()
     })
 }
 
-/// A single-pass event source for the CPU-model drivers: either a
-/// window into an arena-resident trace or a live generator capped at
-/// `events`. Both yield the identical event sequence (arena replay is
-/// bit-identical to the generator by construction), so sweep output
-/// does not depend on which variant ran.
-pub(crate) enum EventStream {
-    /// Arena-resident trace, replayed by reference.
-    Arena(Arc<[TraceEvent]>, usize),
-    /// Live generator, `events` remaining.
-    Gen(Box<dyn trace_gen::TraceSource>, usize),
+/// One workload's pass through a policy figure ([`policy_passes`]).
+pub(crate) struct PolicyPass<T> {
+    /// The baseline cell's report.
+    pub(crate) base: CpuReport,
+    /// The baseline's L1 hit rate.
+    pub(crate) base_hit_rate: f64,
+    /// Each policy cell's report and counters, in policy order.
+    pub(crate) policies: Vec<(CpuReport, T)>,
 }
 
-impl Iterator for EventStream {
-    type Item = TraceEvent;
-
-    fn next(&mut self) -> Option<TraceEvent> {
-        match self {
-            EventStream::Arena(trace, pos) => {
-                let event = trace.get(*pos).copied();
-                *pos += 1;
-                event
-            }
-            EventStream::Gen(source, left) => {
-                if *left == 0 {
-                    return None;
-                }
-                *left -= 1;
-                Some(source.next_event())
-            }
+/// The policy figures' driver loop (fig3–fig6): one [`replay_cpu`]
+/// pass per §5 workload, in parallel over workloads, feeds a
+/// `baseline` system and every `(label, system)` of `policies`, cells
+/// labelled `baseline/<workload>` and `<label>/<workload>`. `stats`
+/// reads a policy system's counters when its pass ends. Passes come
+/// back in [`workloads::suite`] order.
+pub(crate) fn policy_passes<S, T>(
+    target: &'static str,
+    events: usize,
+    baseline: impl Fn() -> cpu_model::BaselineSystem + Sync,
+    policies: impl Fn() -> Vec<(String, S)> + Sync,
+    stats: impl Fn(&S) -> T + Sync,
+) -> Vec<PolicyPass<T>>
+where
+    S: MemorySystem,
+    T: Send,
+{
+    par_map(workloads::suite(), |w| {
+        let mut base = baseline();
+        let (names, mut systems): (Vec<String>, Vec<S>) = policies().into_iter().unzip();
+        let mut cells = vec![CpuCell::paper(&mut base)];
+        cells.extend(systems.iter_mut().map(CpuCell::paper));
+        let mut reports = replay_cpu(
+            target,
+            || w.name().to_owned(),
+            trace(&w, events),
+            cells,
+            |i| {
+                let name = if i == 0 { "baseline" } else { &names[i - 1] };
+                format!("{name}/{}", w.name())
+            },
+        );
+        let policies = reports
+            .split_off(1)
+            .into_iter()
+            .zip(&systems)
+            .map(|(report, system)| (report, stats(system)))
+            .collect();
+        PolicyPass {
+            base: reports[0],
+            base_hit_rate: base.l1_stats().hit_rate(),
+            policies,
         }
-    }
+    })
 }
 
-/// The event stream for `(workload, seed, events)` in `replay` mode:
-/// arena-backed, or a live generator (O(1) memory — nothing is
-/// materialized at all).
-pub(crate) fn events_for(
-    workload: &workloads::Workload,
-    seed: u64,
-    events: usize,
-    replay: Replay,
-) -> EventStream {
-    match replay {
-        Replay::Arena => EventStream::Arena(trace_for_seed(workload, seed, events), 0),
-        Replay::Stream => EventStream::Gen(workload.source(seed), events),
+/// The suite-average baseline hit rate of `passes`.
+pub(crate) fn mean_base_hit_rate<T>(passes: &[PolicyPass<T>]) -> f64 {
+    let mut sum = 0.0;
+    for pass in passes {
+        sum += pass.base_hit_rate;
     }
+    sum / passes.len() as f64
 }
 
-/// Runs a workload trace through a memory system under the paper's
-/// CPU model, returning the timing report.
-pub(crate) fn drive<M: cpu_model::MemorySystem>(
-    system: &mut M,
+/// The first `events` events of `workload`'s trace at [`SEED`]: what
+/// every CPU-model cell of that workload replays.
+pub(crate) fn trace(
     workload: &workloads::Workload,
     events: usize,
-    replay: Replay,
-) -> cpu_model::CpuReport {
-    let cpu = cpu_model::OooModel::new(cpu_model::CpuConfig::paper_default());
-    telemetry::record_events(events as u64);
-    cpu.run(system, events_for(workload, SEED, events, replay))
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn drive_runs_a_workload() {
-        let w = workloads::by_name("swim").unwrap();
-        let mut sys = cpu_model::BaselineSystem::paper_default().unwrap();
-        let report = super::drive(&mut sys, &w, 1_000, super::Replay::Arena);
-        assert!(report.instructions > 1_000);
-        assert!(report.cycles > 0);
-    }
+) -> impl Iterator<Item = TraceEvent> {
+    workload.source(SEED).take_events(events)
 }

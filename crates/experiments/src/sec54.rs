@@ -5,13 +5,13 @@
 //! running only 0.9% slower than a true 2-way cache (with tomcatv,
 //! turb3d and wave5 beating the 2-way cache).
 
-use cpu_model::{BaselineSystem, CpuReport};
+use cpu_model::BaselineSystem;
 use pseudo_assoc::{PseudoAssocSystem, PseudoConfig, PseudoPolicy};
 use sim_core::stats::GeoMean;
 use workloads::suite;
 
 use crate::table::{pct, speedup};
-use crate::{drive, Replay, Table};
+use crate::{CpuCell, Table};
 
 /// Per-benchmark numbers for the §5.4 comparison.
 #[derive(Debug, Clone)]
@@ -52,9 +52,14 @@ pub fn simulated_events(events: usize) -> u64 {
     (4 * suite().len() * events) as u64
 }
 
-/// Runs the §5.4 experiment, reading traces in `replay` mode.
+/// The probe label of each cell of a workload's pass, in cell order.
+const CELLS: [&str; 4] = ["dm", "pseudo-lru", "pseudo-cbit", "two-way"];
+
+/// Runs the §5.4 experiment: one pass per workload feeds the
+/// direct-mapped baseline, both pseudo-associative policies and the
+/// true 2-way cache.
 #[must_use]
-pub fn run(events: usize, replay: Replay) -> Sec54 {
+pub fn run(events: usize) -> Sec54 {
     let benchmarks = suite();
     let mut base_sum = 0.0;
     let mut mod_sum = 0.0;
@@ -63,37 +68,27 @@ pub fn run(events: usize, replay: Replay) -> Sec54 {
     let mut mean_two = GeoMean::default();
 
     let rows: Vec<BenchRow> = crate::par_map(benchmarks, |w| {
-        let w = &w;
         let mut dm = BaselineSystem::paper_default().expect("paper config");
-        let _dm_report: CpuReport = crate::probe::cell(
-            "sec54",
-            || format!("dm/{}", w.name()),
-            || drive(&mut dm, w, events, replay),
-        );
-
         let mut base = PseudoAssocSystem::paper_default(PseudoConfig::new(PseudoPolicy::Lru))
             .expect("paper config");
-        let base_report = crate::probe::cell(
-            "sec54",
-            || format!("pseudo-lru/{}", w.name()),
-            || drive(&mut base, w, events, replay),
-        );
-
         let mut modified =
             PseudoAssocSystem::paper_default(PseudoConfig::new(PseudoPolicy::ConflictBit))
                 .expect("paper config");
-        let mod_report = crate::probe::cell(
-            "sec54",
-            || format!("pseudo-cbit/{}", w.name()),
-            || drive(&mut modified, w, events, replay),
-        );
-
         let mut two_way = BaselineSystem::paper_two_way().expect("paper config");
-        let two_report = crate::probe::cell(
+        let cells = vec![
+            CpuCell::paper(&mut dm),
+            CpuCell::paper(&mut base),
+            CpuCell::paper(&mut modified),
+            CpuCell::paper(&mut two_way),
+        ];
+        let reports = crate::replay_cpu(
             "sec54",
-            || format!("two-way/{}", w.name()),
-            || drive(&mut two_way, w, events, replay),
+            || w.name().to_owned(),
+            crate::trace(&w, events),
+            cells,
+            |i| format!("{}/{}", CELLS[i], w.name()),
         );
+        let (base_report, mod_report, two_report) = (reports[1], reports[2], reports[3]);
 
         BenchRow {
             name: w.name().to_owned(),
@@ -172,7 +167,7 @@ mod tests {
 
     #[test]
     fn modified_not_worse_than_base_on_average() {
-        let r = run(4_000, Replay::Arena);
+        let r = run(4_000);
         let (base, modified, _two) = r.avg_miss;
         assert!(
             modified <= base + 0.002,

@@ -14,14 +14,14 @@
 //! and the combined throughput — then checks that the MCT's
 //! conflict-rate ranking agrees with the throughput ranking.
 
-use cpu_model::{BaselineSystem, CpuConfig, OooModel, SmtModel};
+use cpu_model::{BaselineSystem, CpuConfig, SmtModel};
 use mct::{ClassifyingCache, TagBits};
 use sim_core::Addr;
-use trace_gen::TraceEvent;
+use trace_gen::{TraceEvent, TraceSource};
 use workloads::{by_name, Workload};
 
 use crate::table::pct;
-use crate::{Replay, Table, SEED};
+use crate::{CpuCell, Table, SEED};
 
 /// One co-scheduled pairing's measurements.
 #[derive(Debug, Clone)]
@@ -68,32 +68,124 @@ pub fn jobs() -> Vec<Workload> {
         .collect()
 }
 
-/// One thread's trace, relocated by `offset`. The SMT pairings replay
-/// it several times, so it is collected either way; under
-/// [`Replay::Stream`] only this transient copy exists.
-fn thread_trace(
-    w: &Workload,
-    seed: u64,
-    events: usize,
-    offset: u64,
-    replay: Replay,
-) -> Vec<TraceEvent> {
-    crate::events_for(w, seed, events, replay)
+/// The two threads of a pairing: the job's own trace at [`SEED`] in
+/// the low address space, and the partner's at `SEED + 1` relocated
+/// above it, since distinct processes live in distinct address
+/// spaces.
+const THREADS: [(u64, u64); 2] = [(SEED, 0), (SEED + 1, 1 << 43)];
+
+/// One thread's trace: `w`'s first `events` events at `seed`,
+/// relocated by `offset`. The SMT interleaver and the MCT pass replay
+/// a pairing's two traces by position, so each is collected.
+fn thread_trace(w: &Workload, (seed, offset): (u64, u64), events: usize) -> Vec<TraceEvent> {
+    w.source(seed)
+        .take_events(events)
         .map(|mut e| {
-            // Distinct processes live in distinct address spaces.
             e.access.addr = Addr::new(e.access.addr.raw() ^ offset);
             e
         })
         .collect()
 }
 
-/// Solo run: (miss rate, IPC).
-fn solo_run(trace: &[TraceEvent]) -> (f64, f64) {
+/// Solo run of `w` as thread `thread` of [`THREADS`] on the baseline
+/// system, over its already-built `trace`: (miss rate, IPC).
+fn solo_run(w: &Workload, thread: usize, trace: &[TraceEvent]) -> (f64, f64) {
     let mut sys = BaselineSystem::paper_default().expect("paper config");
-    let cpu = OooModel::new(CpuConfig::paper_default());
-    crate::telemetry::record_events(trace.len() as u64);
-    let report = cpu.run(&mut sys, trace.iter().copied());
-    (sys.l1_stats().miss_rate(), report.ipc())
+    let label = || {
+        let role = if thread == 0 { "solo" } else { "solo-partner" };
+        format!("{role}/{}", w.name())
+    };
+    let report = crate::replay_cpu(
+        "sec56",
+        label,
+        trace.iter().copied(),
+        vec![CpuCell::paper(&mut sys)],
+        |_| label(),
+    );
+    (sys.l1_stats().miss_rate(), report[0].ipc())
+}
+
+/// One pairing's shared-cache measurements, before the solo runs they
+/// are weighed against are all known.
+struct PairRun {
+    jobs: (usize, usize),
+    conflict_rate: f64,
+    shared_miss_rate: f64,
+    throughput_ipc: f64,
+    /// Each thread's IPC against its own finish time.
+    shared_ipc: [f64; 2],
+}
+
+/// The timed SMT run of `own` and `partner` on a shared baseline L1,
+/// plus the MCT accounting pass over the same interleaving: four
+/// trace replays.
+fn pair_run(
+    jobs: &[Workload],
+    (i, j): (usize, usize),
+    own: &[TraceEvent],
+    partner: &[TraceEvent],
+) -> PairRun {
+    crate::probe::cell(
+        "sec56",
+        || format!("pair/{}+{}", jobs[i].name(), jobs[j].name()),
+        || {
+            // The SMT run and the MCT pass each replay both traces.
+            crate::telemetry::record_events(2 * (own.len() + partner.len()) as u64);
+            let mut shared = BaselineSystem::paper_default().expect("paper config");
+            let smt = SmtModel::new(CpuConfig::paper_default());
+            let report = smt.run(&mut shared, [own.iter().copied(), partner.iter().copied()]);
+
+            // Conflict accounting through a classifying cache (the MCT
+            // the scheduler would read).
+            let mut mct_cache = ClassifyingCache::new(
+                cache_model::CacheGeometry::new(16 * 1024, 1, 64).expect("paper geometry"),
+                TagBits::Full,
+            );
+            for k in 0..own.len().max(partner.len()) {
+                for trace in [own, partner] {
+                    if let Some(e) = trace.get(k) {
+                        mct_cache.access(e.access.addr.line(64));
+                    }
+                }
+            }
+            let (conflict, _) = mct_cache.class_counts();
+            let accesses = mct_cache.stats().accesses() as f64;
+            let shared_ipc = |k: usize| {
+                let r = &report.per_thread[k];
+                if r.cycles == 0 {
+                    0.0
+                } else {
+                    r.instructions as f64 / r.cycles as f64
+                }
+            };
+            PairRun {
+                jobs: (i, j),
+                conflict_rate: conflict as f64 / accesses,
+                shared_miss_rate: shared.l1_stats().miss_rate(),
+                throughput_ipc: report.throughput_ipc(),
+                shared_ipc: [shared_ipc(0), shared_ipc(1)],
+            }
+        },
+    )
+}
+
+/// Job `i`'s pass: its own trace is built once, run solo, and paired
+/// with the partner trace of every job from `i` on; the partner trace
+/// of job `i` itself is also run solo. At most two traces are live.
+/// Returns (solo, solo-partner, pairings).
+fn job_pass(jobs: &[Workload], i: usize, events: usize) -> ((f64, f64), (f64, f64), Vec<PairRun>) {
+    let own = thread_trace(&jobs[i], THREADS[0], events);
+    let solo = solo_run(&jobs[i], 0, &own);
+    let mut solo_partner = (0.0, 0.0);
+    let mut pairs = Vec::with_capacity(jobs.len() - i);
+    for j in i..jobs.len() {
+        let partner = thread_trace(&jobs[j], THREADS[1], events);
+        if j == i {
+            solo_partner = solo_run(&jobs[j], 1, &partner);
+        }
+        pairs.push(pair_run(jobs, (i, j), &own, &partner));
+    }
+    (solo, solo_partner, pairs)
 }
 
 /// Trace events this section simulates: one solo run per thread trace
@@ -106,100 +198,32 @@ pub fn simulated_events(events: usize) -> u64 {
     ((2 * n + 4 * pairs) * events) as u64
 }
 
-/// Runs the co-scheduling study with `events` references per thread,
-/// reading traces in `replay` mode.
+/// Runs the co-scheduling study with `events` references per thread.
 #[must_use]
-pub fn run(events: usize, replay: Replay) -> Sec56 {
+pub fn run(events: usize) -> Sec56 {
     let jobs = jobs();
-    let traces: Vec<Vec<TraceEvent>> = jobs
-        .iter()
-        .map(|w| thread_trace(w, SEED, events, 0, replay))
-        .collect();
-    let partner_traces: Vec<Vec<TraceEvent>> = jobs
-        .iter()
-        .map(|w| thread_trace(w, SEED + 1, events, 1 << 43, replay))
-        .collect();
-    let solo: Vec<(f64, f64)> = jobs
-        .iter()
-        .zip(&traces)
-        .map(|(w, t)| crate::probe::cell("sec56", || format!("solo/{}", w.name()), || solo_run(t)))
-        .collect();
-    let solo_partner: Vec<(f64, f64)> = jobs
-        .iter()
-        .zip(&partner_traces)
-        .map(|(w, t)| {
-            crate::probe::cell(
-                "sec56",
-                || format!("solo-partner/{}", w.name()),
-                || solo_run(t),
-            )
+    let passes = crate::par_map((0..jobs.len()).collect(), |i| job_pass(&jobs, i, events));
+    let solo: Vec<(f64, f64)> = passes.iter().map(|(solo, _, _)| *solo).collect();
+    let solo_partner: Vec<(f64, f64)> = passes.iter().map(|(_, partner, _)| *partner).collect();
+    let mut pairings: Vec<Pairing> = passes
+        .into_iter()
+        .flat_map(|(_, _, pairs)| pairs)
+        .map(|p| {
+            let (i, j) = p.jobs;
+            Pairing {
+                names: (jobs[i].name().to_owned(), jobs[j].name().to_owned()),
+                conflict_rate: p.conflict_rate,
+                shared_miss_rate: p.shared_miss_rate,
+                solo_miss_rate: (solo[i].0 + solo_partner[j].0) / 2.0,
+                throughput_ipc: p.throughput_ipc,
+                // Weighted speedup: each thread's shared-run IPC
+                // relative to its solo IPC.
+                weighted_speedup: (p.shared_ipc[0] / solo[i].1
+                    + p.shared_ipc[1] / solo_partner[j].1)
+                    / 2.0,
+            }
         })
         .collect();
-
-    let mut cells = Vec::new();
-    for i in 0..jobs.len() {
-        for j in i..jobs.len() {
-            cells.push((i, j));
-        }
-    }
-    let mut pairings = crate::par_map(cells, |(i, j)| {
-        crate::probe::cell(
-            "sec56",
-            || format!("pair/{}+{}", jobs[i].name(), jobs[j].name()),
-            || {
-                // Timed SMT run on a shared baseline L1, plus the MCT
-                // accounting pass: four trace replays per pairing.
-                crate::telemetry::record_events(4 * events as u64);
-                let mut shared = BaselineSystem::paper_default().expect("paper config");
-                let smt = SmtModel::new(CpuConfig::paper_default());
-                let report = smt.run(
-                    &mut shared,
-                    vec![traces[i].clone(), partner_traces[j].clone()],
-                );
-
-                // Conflict accounting on the same interleaving, through a
-                // classifying cache (the MCT the scheduler would read).
-                let mut mct_cache = ClassifyingCache::new(
-                    cache_model::CacheGeometry::new(16 * 1024, 1, 64).expect("paper geometry"),
-                    TagBits::Full,
-                );
-                let mut k = 0usize;
-                while k < traces[i].len() || k < partner_traces[j].len() {
-                    if let Some(e) = traces[i].get(k) {
-                        mct_cache.access(e.access.addr.line(64));
-                    }
-                    if let Some(e) = partner_traces[j].get(k) {
-                        mct_cache.access(e.access.addr.line(64));
-                    }
-                    k += 1;
-                }
-                let (conflict, _) = mct_cache.class_counts();
-                let accesses = mct_cache.stats().accesses() as f64;
-
-                // Weighted speedup: each thread's shared-run IPC (against
-                // its own finish time) relative to its solo IPC.
-                let shared_ipc = |k: usize| {
-                    let r = &report.per_thread[k];
-                    if r.cycles == 0 {
-                        0.0
-                    } else {
-                        r.instructions as f64 / r.cycles as f64
-                    }
-                };
-                let weighted_speedup =
-                    (shared_ipc(0) / solo[i].1 + shared_ipc(1) / solo_partner[j].1) / 2.0;
-
-                Pairing {
-                    names: (jobs[i].name().to_owned(), jobs[j].name().to_owned()),
-                    conflict_rate: conflict as f64 / accesses,
-                    shared_miss_rate: shared.l1_stats().miss_rate(),
-                    solo_miss_rate: (solo[i].0 + solo_partner[j].0) / 2.0,
-                    throughput_ipc: report.throughput_ipc(),
-                    weighted_speedup,
-                }
-            },
-        )
-    });
     pairings.sort_by(|a, b| a.conflict_rate.total_cmp(&b.conflict_rate));
     Sec56 { pairings, events }
 }
@@ -245,7 +269,7 @@ mod tests {
 
     #[test]
     fn sharing_never_reduces_misses_and_rankings_correlate() {
-        let r = run(8_000, Replay::Arena);
+        let r = run(8_000);
         assert!(!r.pairings.is_empty());
         for p in &r.pairings {
             assert!(

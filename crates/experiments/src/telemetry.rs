@@ -15,7 +15,7 @@
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use trace_gen::arena::{ArenaStats, TraceArena};
+use trace_gen::arena::ArenaStats;
 
 /// Trace events fed into any simulator or classifier since process
 /// start, across all threads.
@@ -153,10 +153,9 @@ pub struct BenchReport {
     pub events_per_workload: usize,
     /// Per-figure measurements, in run order.
     pub figures: Vec<FigureBench>,
-    /// Wall time of the whole harness run, seconds (includes arena
-    /// materialization and overlap between figures, so it can be less
-    /// than the sum of the per-figure times when figures run
-    /// concurrently).
+    /// Wall time of the whole harness run, seconds (includes overlap
+    /// between figures, so it can be less than the sum of the
+    /// per-figure times when figures run concurrently).
     pub total_wall_seconds: f64,
 }
 
@@ -181,15 +180,15 @@ impl BenchReport {
     ///
     /// Schema (`bench-repro/2`): see EXPERIMENTS.md §"Runtime &
     /// throughput" for field semantics. Version 2 added the per-figure
-    /// `degraded` / `resumed` robustness fields.
+    /// `degraded` / `resumed` robustness fields. Nothing is
+    /// materialized, so the `arena` object reads zero.
     #[must_use]
     pub fn to_json(&self) -> String {
-        self.to_json_with_arena(&TraceArena::global().stats())
+        self.to_json_with_arena(&ArenaStats::default())
     }
 
-    /// [`Self::to_json`] against explicit arena statistics — the
-    /// variant golden tests use, since the global arena's contents
-    /// depend on what else the process has run.
+    /// [`Self::to_json`] with explicit `arena` counters, which the
+    /// benchmark harness's parser tests feed.
     #[must_use]
     pub fn to_json_with_arena(&self, arena: &ArenaStats) -> String {
         let mut out = String::new();

@@ -13,7 +13,7 @@ use crate::jsonl::{self, Value};
 /// One `{"type":"span"}` line of a `trace-repro/1` document.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRow {
-    /// Scope kind wire name (`sweep`/`figure`/`cell`/`subsystem`).
+    /// Scope kind wire name (`sweep`/`figure`/`cell`).
     pub scope: String,
     /// Owning target.
     pub target: String,
@@ -46,7 +46,7 @@ pub struct TraceDoc {
     pub spans: Vec<SpanRow>,
 }
 
-const SCOPE_KINDS: [&str; 4] = ["sweep", "figure", "cell", "subsystem"];
+const SCOPE_KINDS: [&str; 3] = ["sweep", "figure", "cell"];
 
 fn u32_field(v: &Value, key: &str) -> Result<u32, String> {
     v.u64_field(key)

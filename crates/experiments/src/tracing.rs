@@ -20,7 +20,7 @@
 //! * one `{"type":"span",…}` line per recorded span, grouped by scope
 //!   in the drain order (scope kind, target, label);
 //! * an optional `{"type":"metrics",…}` record (real-clock runs only):
-//!   trace-arena hit/miss counts, pool
+//!   the `arena` counters (always zero: nothing is materialized), pool
 //!   alloc/reuse/recycle counts, per-worker scheduler tallies, fault
 //!   injection/exhaustion and degraded-cell counts;
 //! * a `{"type":"totals",…}` footer.
@@ -30,7 +30,6 @@ use std::fmt::Write as _;
 
 use sim_core::parallel::WorkerTally;
 use sim_core::span::{ScopeRecord, SpanRecord};
-use trace_gen::arena::{ArenaStats, TraceArena};
 
 use crate::telemetry::{json_string, trace_clock_ns};
 
@@ -103,8 +102,6 @@ pub fn drain() -> Vec<ScopeRecord> {
 /// traced run.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
-    /// Trace-arena counters.
-    pub arena: ArenaStats,
     /// Kernel array-pool traffic.
     pub pool: cache_model::pool::PoolStats,
     /// Per-worker scheduler tallies, sorted by worker id.
@@ -125,7 +122,6 @@ impl MetricsSnapshot {
     pub fn capture(degraded: u64) -> Self {
         let fault = sim_core::fault::stats();
         MetricsSnapshot {
-            arena: TraceArena::global().stats(),
             pool: cache_model::pool::stats(),
             workers: sim_core::parallel::worker_tallies(),
             fault_injected: fault.injected,
@@ -163,10 +159,8 @@ fn span_line(scope: &ScopeRecord, span: &SpanRecord, logical: bool) -> String {
 
 fn metrics_line(m: &MetricsSnapshot) -> String {
     let mut line = String::with_capacity(256);
-    let _ = write!(
-        line,
-        "{{\"type\":\"metrics\",\"arena\":{{\"hits\":{},\"misses\":{},\"traces\":{},\"resident_events\":{}}},",
-        m.arena.hits, m.arena.misses, m.arena.traces, m.arena.resident_events,
+    line.push_str(
+        "{\"type\":\"metrics\",\"arena\":{\"hits\":0,\"misses\":0,\"traces\":0,\"resident_events\":0},",
     );
     let _ = write!(
         line,
@@ -329,12 +323,12 @@ mod tests {
                 ],
             },
             ScopeRecord {
-                kind: ScopeKind::Subsystem,
-                target: "arena".to_owned(),
-                label: "gcc/1/2000".to_owned(),
+                kind: ScopeKind::Cell,
+                target: "fig3".to_owned(),
+                label: "gcc".to_owned(),
                 worker: 1,
                 spans: vec![SpanRecord {
-                    name: "arena_materialize",
+                    name: "replay_cpu",
                     id: 1,
                     parent: 0,
                     depth: 0,

@@ -12,15 +12,13 @@
 //! once.
 //!
 //! Everything lives in ONE proptest (the only test in this binary)
-//! because the fault plan, the probe sink, the worker-thread cap, and
-//! the trace arena is process-global state.
+//! because the fault plan, the probe sink and the worker-thread cap
+//! are process-global state.
 
 use experiments::cli::Target;
 use experiments::probe::{render_jsonl, ProbeMode, RunHeader};
-use experiments::Replay;
 use proptest::prelude::*;
 use sim_core::fault::{self, FaultPlan, FaultSite, RetryPolicy};
-use trace_gen::arena::TraceArena;
 
 const EVENTS: usize = 800;
 const EPOCH: u64 = 400;
@@ -28,16 +26,13 @@ const TARGETS: [Target; 2] = [Target::Fig1, Target::Fig3];
 
 /// Runs the figure suite the way `repro` does — probe configured,
 /// targets through the recovering scheduler — and returns
-/// `(rendered tables, obs JSONL)`. The trace arena is cleared first so
-/// every run re-materializes and the `ArenaMaterialize` site actually
-/// fires instead of hitting the memoized entries of the previous run.
+/// `(rendered tables, obs JSONL)`. Every fig3 group pass arrives at
+/// the `CpuGroup` site.
 fn run_suite(threads: usize) -> (String, String) {
-    TraceArena::global().clear();
     sim_core::parallel::set_max_threads(threads);
     experiments::probe::configure(Some(ProbeMode::Epoch(EPOCH)));
 
-    let outcomes =
-        experiments::try_par_map(TARGETS.to_vec(), |target| target.run(EVENTS, Replay::Arena));
+    let outcomes = experiments::try_par_map(TARGETS.to_vec(), |target| target.run(EVENTS));
     let rendered: Vec<String> = outcomes
         .into_iter()
         .map(|cell| cell.expect("a recoverable plan must never degrade a cell"))

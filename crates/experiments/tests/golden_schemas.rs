@@ -56,6 +56,10 @@ fn bench_repro_2_json_is_stable() {
         "}\n",
     );
     assert_eq!(report.to_json_with_arena(&arena), expected);
+    // Nothing is materialized: a live report's arena object is zero.
+    assert!(report.to_json().contains(
+        "  \"arena\": {\"traces\": 0, \"resident_events\": 0, \"replay_hits\": 0, \"materializations\": 0}\n"
+    ));
 }
 
 #[test]
@@ -199,12 +203,12 @@ fn trace_repro_1_jsonl_is_stable() {
             ],
         },
         ScopeRecord {
-            kind: ScopeKind::Subsystem,
-            target: "arena".to_owned(),
-            label: "swim/1/2000".to_owned(),
+            kind: ScopeKind::Cell,
+            target: "fig3".to_owned(),
+            label: "swim".to_owned(),
             worker: 1,
             spans: vec![SpanRecord {
-                name: "arena_materialize",
+                name: "replay_cpu",
                 id: 1,
                 parent: 0,
                 depth: 0,
@@ -220,12 +224,6 @@ fn trace_repro_1_jsonl_is_stable() {
         targets: vec!["fig1"],
     };
     let metrics = MetricsSnapshot {
-        arena: ArenaStats {
-            hits: 7,
-            misses: 3,
-            traces: 3,
-            resident_events: 9_000,
-        },
         pool: cache_model::pool::PoolStats {
             allocs: 4,
             reuses: 12,
@@ -257,8 +255,8 @@ fn trace_repro_1_jsonl_is_stable() {
         "{\"schema\":\"trace-repro/1\",\"logical\":false,\"events_per_workload\":2000,\"targets\":[\"fig1\"]}\n",
         "{\"type\":\"span\",\"scope\":\"cell\",\"target\":\"fig1\",\"label\":\"16KB \\\"DM\\\"/swim\",\"worker\":2,\"name\":\"cell_run\",\"id\":1,\"parent\":0,\"depth\":0,\"start_ns\":1000,\"dur_ns\":9500,\"events\":0}\n",
         "{\"type\":\"span\",\"scope\":\"cell\",\"target\":\"fig1\",\"label\":\"16KB \\\"DM\\\"/swim\",\"worker\":2,\"name\":\"replay_block\",\"id\":2,\"parent\":1,\"depth\":1,\"start_ns\":2000,\"dur_ns\":7000,\"events\":2000}\n",
-        "{\"type\":\"span\",\"scope\":\"subsystem\",\"target\":\"arena\",\"label\":\"swim/1/2000\",\"worker\":1,\"name\":\"arena_materialize\",\"id\":1,\"parent\":0,\"depth\":0,\"start_ns\":500,\"dur_ns\":400,\"events\":2000}\n",
-        "{\"type\":\"metrics\",\"arena\":{\"hits\":7,\"misses\":3,\"traces\":3,\"resident_events\":9000},\"pool\":{\"allocs\":4,\"reuses\":12,\"recycles\":16},\"workers\":[{\"worker\":1,\"cells\":3,\"chunks\":2,\"busy_ns\":10000},{\"worker\":2,\"cells\":1,\"chunks\":1,\"busy_ns\":9500}],\"fault\":{\"injected\":1,\"exhausted\":0,\"degraded\":0}}\n",
+        "{\"type\":\"span\",\"scope\":\"cell\",\"target\":\"fig3\",\"label\":\"swim\",\"worker\":1,\"name\":\"replay_cpu\",\"id\":1,\"parent\":0,\"depth\":0,\"start_ns\":500,\"dur_ns\":400,\"events\":2000}\n",
+        "{\"type\":\"metrics\",\"arena\":{\"hits\":0,\"misses\":0,\"traces\":0,\"resident_events\":0},\"pool\":{\"allocs\":4,\"reuses\":12,\"recycles\":16},\"workers\":[{\"worker\":1,\"cells\":3,\"chunks\":2,\"busy_ns\":10000},{\"worker\":2,\"cells\":1,\"chunks\":1,\"busy_ns\":9500}],\"fault\":{\"injected\":1,\"exhausted\":0,\"degraded\":0}}\n",
         "{\"type\":\"totals\",\"scopes\":2,\"spans\":3,\"events\":4000}\n",
     );
     let rendered = tracing::render_jsonl(&records, &header, Some(&metrics));

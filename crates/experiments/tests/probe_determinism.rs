@@ -21,17 +21,15 @@
 use cache_model::CacheGeometry;
 use experiments::cli::Target;
 use experiments::probe::{self, ProbeMode, RunHeader};
-use experiments::{fig1, fig2, Replay};
+use experiments::{fig1, fig2};
 use mct::accuracy::{AccuracyEvaluator, AccuracyReport};
 use mct::TagBits;
 use trace_gen::decomposed::DecomposedTrace;
+use trace_gen::{TraceEvent, TraceSource};
 
 fn run_all(events: usize) -> (Vec<String>, String) {
     probe::configure(Some(ProbeMode::Epoch(500)));
-    let reports: Vec<String> = Target::ALL
-        .iter()
-        .map(|t| t.run(events, Replay::Arena))
-        .collect();
+    let reports: Vec<String> = Target::ALL.iter().map(|t| t.run(events)).collect();
     let records = probe::drain();
     let header = RunHeader {
         mode: ProbeMode::Epoch(500),
@@ -43,8 +41,8 @@ fn run_all(events: usize) -> (Vec<String>, String) {
 
 /// One accuracy cell replayed on its own through the per-event
 /// reference path: its own evaluator (and so its own oracle) fed the
-/// arena trace decomposed for its geometry, one `observe_parts` call
-/// per event.
+/// workload's trace decomposed for its geometry, one `observe_parts`
+/// call per event.
 fn per_cell(
     workload: &workloads::Workload,
     geom: CacheGeometry,
@@ -52,11 +50,11 @@ fn per_cell(
     events: usize,
 ) -> AccuracyReport {
     let mut eval = AccuracyEvaluator::new(geom, bits);
-    let trace = DecomposedTrace::decompose(
-        &experiments::trace_for(workload, events),
-        geom.line_size(),
-        geom.set_bits(),
-    );
+    let events: Vec<TraceEvent> = workload
+        .source(experiments::SEED)
+        .take_events(events)
+        .collect();
+    let trace = DecomposedTrace::decompose(&events, geom.line_size(), geom.set_bits());
     trace.for_each(|set, tag| eval.observe_parts(set, tag));
     eval.finish()
 }
@@ -67,8 +65,8 @@ fn per_cell(
 fn fig1_fig2_records(mode: ProbeMode, events: usize, grouped: bool) -> String {
     probe::configure(Some(mode));
     if grouped {
-        let _ = Target::Fig1.run(events, Replay::Arena);
-        let _ = Target::Fig2.run(events, Replay::Arena);
+        let _ = Target::Fig1.run(events);
+        let _ = Target::Fig2.run(events);
     } else {
         for (name, geom) in fig1::configurations() {
             for w in workloads::full_suite() {
@@ -104,10 +102,7 @@ fn probe_output_is_deterministic_and_tables_unchanged() {
     // Reference: probes disabled, serial.
     sim_core::parallel::set_max_threads(1);
     probe::configure(None);
-    let plain: Vec<String> = Target::ALL
-        .iter()
-        .map(|t| t.run(EVENTS, Replay::Arena))
-        .collect();
+    let plain: Vec<String> = Target::ALL.iter().map(|t| t.run(EVENTS)).collect();
     assert!(
         probe::drain().is_empty(),
         "disabled probe must collect nothing"
@@ -152,7 +147,7 @@ fn probe_output_is_deterministic_and_tables_unchanged() {
 
     // Raw mode: per-event records parse and carry cell context.
     probe::configure(Some(ProbeMode::Raw));
-    let _ = Target::Fig1.run(200, Replay::Arena);
+    let _ = Target::Fig1.run(200);
     let records = probe::drain();
     assert!(!records.is_empty());
     let header = RunHeader {

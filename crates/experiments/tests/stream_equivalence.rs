@@ -17,15 +17,30 @@
 //! ([`sim_core::parallel::set_max_threads`]) is process-global:
 //! separate tests would race on it.
 //!
-//! **Arena ≡ stream.** Every CPU-model driver renders the same table
-//! whether it reads its traces from the arena or from live
-//! generators. The mode is a plain argument, so this is its own test.
+//! **Chunked ≡ whole.** The CPU-model drivers feed each workload's
+//! trace to every policy cell one chunk at a time. A [`CpuRun`] fed
+//! any chunk split — empty chunks, 1-event chunks, a seam at
+//! [`experiments::STREAM_CHUNK`] — must report exactly what one
+//! [`OooModel::run`] over the whole trace reports, and leave its
+//! memory system's counters identical, for every memory system the
+//! figures drive. The grouped pass ([`experiments::replay_cpu`]) must
+//! equal a standalone run of each of its cells.
 
+use amb::{AmbConfig, AmbPolicy, AmbSystem};
 use cache_model::CacheGeometry;
-use experiments::cli::Target;
-use experiments::{ablation, fig1, fig2, mrc, Replay};
+use cpu_model::{
+    BaselineSystem, CpuConfig, CpuReport, CpuRun, MemResponse, MemorySystem, OooModel,
+};
+use exclusion::{ExclusionConfig, ExclusionPolicy, ExclusionSystem};
+use experiments::{ablation, fig1, fig2, mrc, CpuCell};
 use mct::accuracy::{AccuracyEvaluator, AccuracyReport};
-use mct::{EvictionClassifier, MissClassificationTable, ShadowDirectory, TagBits};
+use mct::{ConflictFilter, EvictionClassifier, MissClassificationTable, ShadowDirectory, TagBits};
+use prefetcher::{NextLineSystem, PrefetchConfig};
+use proptest::prelude::*;
+use pseudo_assoc::{PseudoAssocSystem, PseudoConfig, PseudoPolicy};
+use sim_core::Cycle;
+use trace_gen::{MemoryAccess, TraceEvent, TraceSource};
+use victim_cache::{VictimConfig, VictimPolicy, VictimSystem};
 use workloads::Workload;
 
 const EVENTS: usize = 3_000;
@@ -188,7 +203,7 @@ impl References {
             let expected = sum(self.fig2.iter().map(|cells| cells[i]));
             assert_eq!(point.report, expected, "fig2 {label}: width {}", point.bits);
         }
-        let ablation = ablation::run(EVENTS, Replay::Stream);
+        let ablation = ablation::run(EVENTS);
         for (i, point) in ablation.depths.iter().enumerate() {
             let expected = sum(self.depth.iter().map(|cells| cells[i]));
             assert_eq!(
@@ -276,23 +291,157 @@ fn grouped_replay_matches_per_cell_per_event_replay() {
     );
 }
 
+/// One of the memory systems the CPU-model figures drive.
+enum System {
+    Baseline(BaselineSystem),
+    Victim(VictimSystem),
+    NextLine(NextLineSystem),
+    Exclusion(ExclusionSystem),
+    Pseudo(PseudoAssocSystem),
+    Amb(AmbSystem),
+}
+
+impl System {
+    /// A fresh instance of each kind, in a fixed order.
+    fn all() -> Vec<System> {
+        vec![
+            System::Baseline(BaselineSystem::paper_default().unwrap()),
+            System::Victim(
+                VictimSystem::paper_default(VictimConfig::new(VictimPolicy::FilterBoth)).unwrap(),
+            ),
+            System::NextLine(
+                NextLineSystem::paper_slow_bus(PrefetchConfig::filtered(
+                    ConflictFilter::OrConflict,
+                ))
+                .unwrap(),
+            ),
+            System::Exclusion(
+                ExclusionSystem::paper_default(ExclusionConfig::new(ExclusionPolicy::Capacity))
+                    .unwrap(),
+            ),
+            System::Pseudo(
+                PseudoAssocSystem::paper_default(PseudoConfig::new(PseudoPolicy::ConflictBit))
+                    .unwrap(),
+            ),
+            System::Amb(AmbSystem::paper_default(AmbConfig::new(AmbPolicy::VicPreExc)).unwrap()),
+        ]
+    }
+
+    /// The system's counters, rendered for comparison.
+    fn stats(&self) -> String {
+        match self {
+            System::Baseline(s) => format!("{:?}", s.l1_stats()),
+            System::Victim(s) => format!("{:?}", s.stats()),
+            System::NextLine(s) => format!("{:?}", s.stats()),
+            System::Exclusion(s) => format!("{:?}", s.stats()),
+            System::Pseudo(s) => format!("{:?}", s.stats()),
+            System::Amb(s) => format!("{:?}", s.stats()),
+        }
+    }
+}
+
+impl MemorySystem for System {
+    fn access(&mut self, access: MemoryAccess, now: Cycle) -> MemResponse {
+        match self {
+            System::Baseline(s) => s.access(access, now),
+            System::Victim(s) => s.access(access, now),
+            System::NextLine(s) => s.access(access, now),
+            System::Exclusion(s) => s.access(access, now),
+            System::Pseudo(s) => s.access(access, now),
+            System::Amb(s) => s.access(access, now),
+        }
+    }
+}
+
+fn events_of(workload: &Workload, events: usize) -> Vec<TraceEvent> {
+    workload
+        .source(experiments::SEED)
+        .take_events(events)
+        .collect()
+}
+
+/// Every system's `(report, counters)` after one whole-trace run.
+fn whole_runs(trace: &[TraceEvent]) -> Vec<(CpuReport, String)> {
+    let cpu = OooModel::new(CpuConfig::paper_default());
+    System::all()
+        .into_iter()
+        .map(|mut sys| {
+            let report = cpu.run(&mut sys, trace.iter().copied());
+            (report, sys.stats())
+        })
+        .collect()
+}
+
+/// A drawn chunk length: a quarter of the draws are empty chunks, a
+/// quarter single events, the rest up to ~1000 events.
+fn chunk_len(draw: usize) -> usize {
+    match draw {
+        0..=15 => 0,
+        16..=31 => 1,
+        d => (d - 31) * 33,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+    #[test]
+    fn chunked_cpu_runs_match_one_whole_run(
+        workload in 0usize..12,
+        len in 0usize..2_500,
+        draws in proptest::collection::vec(0usize..64, 1..12),
+    ) {
+        let suite = workloads::suite();
+        let w = suite[workload % suite.len()];
+        let trace = events_of(&w, len);
+        let cpu = OooModel::new(CpuConfig::paper_default());
+        for (mut sys, whole) in System::all().into_iter().zip(whole_runs(&trace)) {
+            let mut run: CpuRun = cpu.start();
+            // One chunk per draw, then whatever is left.
+            let mut rest = &trace[..];
+            for &draw in &draws {
+                let (chunk, tail) = rest.split_at(chunk_len(draw).min(rest.len()));
+                run.feed(&mut sys, chunk.iter().copied());
+                rest = tail;
+            }
+            run.feed(&mut sys, rest.iter().copied());
+            prop_assert_eq!((run.finish(), sys.stats()), whole);
+        }
+    }
+}
+
 #[test]
-fn cpu_model_drivers_render_the_same_tables_in_both_replay_modes() {
-    const EVENTS: usize = 2_000;
-    for target in [
-        Target::Fig3,
-        Target::Fig4,
-        Target::Fig5,
-        Target::Sec54,
-        Target::Sec56,
-        Target::Fig6,
-        Target::Ablation,
-    ] {
-        assert_eq!(
-            target.run(EVENTS, Replay::Arena),
-            target.run(EVENTS, Replay::Stream),
-            "{}: arena and stream replay must render identical tables",
-            target.name()
-        );
+fn grouped_cpu_pass_matches_standalone_runs_across_a_chunk_seam() {
+    // A trace longer than one stream chunk, ending in a torn chunk.
+    let w = workloads::by_name("gcc").expect("gcc analog exists");
+    let trace = events_of(&w, experiments::STREAM_CHUNK + 1_537);
+    let expected = whole_runs(&trace);
+
+    let mut systems = System::all();
+    let cells = systems.iter_mut().map(CpuCell::paper).collect();
+    let reports = experiments::replay_cpu(
+        "test",
+        || "gcc".to_owned(),
+        trace.iter().copied(),
+        cells,
+        |i| i.to_string(),
+    );
+    let got: Vec<(CpuReport, String)> = reports
+        .into_iter()
+        .zip(&systems)
+        .map(|(report, sys)| (report, sys.stats()))
+        .collect();
+    assert_eq!(got, expected, "grouped pass must equal standalone runs");
+
+    // The same seam fed by hand, one event at a time across it.
+    let cpu = OooModel::new(CpuConfig::paper_default());
+    let seam = experiments::STREAM_CHUNK;
+    for (mut sys, whole) in System::all().into_iter().zip(expected) {
+        let mut run = cpu.start();
+        run.feed(&mut sys, trace[..seam - 1].iter().copied());
+        for event in &trace[seam - 1..seam + 1] {
+            run.feed(&mut sys, [*event]);
+        }
+        run.feed(&mut sys, trace[seam + 1..].iter().copied());
+        assert_eq!((run.finish(), sys.stats()), whole);
     }
 }

@@ -15,14 +15,10 @@
 
 use experiments::cli::Target;
 use experiments::tracing::{self, TraceHeader};
-use experiments::Replay;
 
 fn run_all(events: usize) -> (Vec<String>, String) {
     tracing::arm(true);
-    let reports: Vec<String> = Target::ALL
-        .iter()
-        .map(|t| t.run(events, Replay::Arena))
-        .collect();
+    let reports: Vec<String> = Target::ALL.iter().map(|t| t.run(events)).collect();
     let records = tracing::drain();
     let header = TraceHeader {
         logical: true,
@@ -36,15 +32,9 @@ fn run_all(events: usize) -> (Vec<String>, String) {
 fn trace_output_is_deterministic_and_tables_unchanged() {
     const EVENTS: usize = 1_000;
 
-    // Reference: tracing off, serial. This pass also warms the global
-    // trace arenas, so both traced runs below replay from cache —
-    // scope structure must not depend on which run happened to
-    // materialize a shared trace.
+    // Reference: tracing off, serial.
     sim_core::parallel::set_max_threads(1);
-    let plain: Vec<String> = Target::ALL
-        .iter()
-        .map(|t| t.run(EVENTS, Replay::Arena))
-        .collect();
+    let plain: Vec<String> = Target::ALL.iter().map(|t| t.run(EVENTS)).collect();
     assert!(
         tracing::drain().is_empty(),
         "disarmed span layer must collect nothing"

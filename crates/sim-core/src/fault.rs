@@ -14,7 +14,7 @@
 //!
 //! | site | where it fires | recovery |
 //! |------|----------------|----------|
-//! | [`FaultSite::ArenaMaterialize`] | trace arena fill | [`gate`] retry inside `get_or_*` |
+//! | [`FaultSite::CpuGroup`]         | start of each CPU-model group pass | [`gate`] retry in `experiments::replay_cpu` |
 //! | [`FaultSite::ProbeFlush`]       | per-cell probe record flush | [`gate`] retry in `experiments::probe::group` |
 //! | [`FaultSite::JsonlWrite`]       | bench/probe/checkpoint file writes | [`gate`] + I/O retry in `experiments::ioutil` |
 //! | [`FaultSite::WorkerBody`]       | scheduler worker, before each cell | panic-isolation + re-run in [`crate::parallel`] |
@@ -58,8 +58,8 @@ use crate::rng::SplitMix64;
 /// fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSite {
-    /// Trace arena materialization.
-    ArenaMaterialize,
+    /// The start of a CPU-model group pass, before any cell runs.
+    CpuGroup,
     /// Flushing one experiment cell's folded probe record.
     ProbeFlush,
     /// Writing a JSONL/JSON artifact (bench report, probe output,
@@ -73,7 +73,7 @@ pub enum FaultSite {
 impl FaultSite {
     /// Every site, in stable order.
     pub const ALL: [FaultSite; 4] = [
-        FaultSite::ArenaMaterialize,
+        FaultSite::CpuGroup,
         FaultSite::ProbeFlush,
         FaultSite::JsonlWrite,
         FaultSite::WorkerBody,
@@ -83,7 +83,7 @@ impl FaultSite {
     #[must_use]
     pub const fn name(self) -> &'static str {
         match self {
-            FaultSite::ArenaMaterialize => "arena",
+            FaultSite::CpuGroup => "cpu-group",
             FaultSite::ProbeFlush => "probe-flush",
             FaultSite::JsonlWrite => "jsonl-write",
             FaultSite::WorkerBody => "worker",
@@ -98,7 +98,7 @@ impl FaultSite {
 
     const fn index(self) -> usize {
         match self {
-            FaultSite::ArenaMaterialize => 0,
+            FaultSite::CpuGroup => 0,
             FaultSite::ProbeFlush => 1,
             FaultSite::JsonlWrite => 2,
             FaultSite::WorkerBody => 3,
@@ -555,7 +555,7 @@ mod tests {
         let _guard = PLAN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         clear();
         assert!(!active());
-        assert_eq!(gate(FaultSite::ArenaMaterialize), Ok(0));
+        assert_eq!(gate(FaultSite::CpuGroup), Ok(0));
         assert_eq!(stats(), FaultStats::default());
         assert_eq!(retry_attempts(), 1);
     }

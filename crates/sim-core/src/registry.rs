@@ -68,8 +68,8 @@ pub fn canonical_schema(family: &str) -> Option<&'static str> {
 /// [`crate::span::scope`] must start with one of these; the simlint
 /// `span-name` rule enforces it at call sites and
 /// `obs verify-trace` re-checks emitted streams.
-pub const SPAN_NAME_PREFIXES: [&str; 8] = [
-    "arena_", "cell_", "fault_", "fig_", "probe_", "replay_", "sched_", "sweep_",
+pub const SPAN_NAME_PREFIXES: [&str; 7] = [
+    "cell_", "fault_", "fig_", "probe_", "replay_", "sched_", "sweep_",
 ];
 
 /// Whether `name` carries a registered span-name prefix (see

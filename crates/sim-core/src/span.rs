@@ -3,7 +3,7 @@
 //! The probe layer answers *what happened* (counters, histograms, hot
 //! sets); this layer answers *where the time went*. Instrumented code
 //! opens a [`SpanGuard`] with [`enter`] around a named phase
-//! (`arena_materialize`, `replay_block`, `probe_flush`, …) and the
+//! (`replay_cpu`, `replay_block`, `probe_flush`, …) and the
 //! guard records start/duration when it drops. Spans nest: each span
 //! carries the id of the enclosing open span, so a scope's buffer
 //! reconstructs the phase tree exactly.
@@ -21,7 +21,7 @@
 //!   single sanctioned wallclock site), or a constant-zero logical
 //!   clock for determinism tests.
 //! * **Structure and ordering are thread-count invariant.** Spans are
-//!   buffered per *logical scope* (sweep / figure / cell / subsystem),
+//!   buffered per *logical scope* (sweep / figure / cell),
 //!   not per OS thread: [`scope`] installs a fresh thread-local
 //!   buffer, saving and restoring the enclosing one, and flushes a
 //!   [`ScopeRecord`] to a global store when the scope closes cleanly.
@@ -71,19 +71,17 @@ thread_local! {
 }
 
 /// Which level of the sweep hierarchy a scope belongs to. The
-/// ordering is the drain ordering: sweep first, then figures, cells,
-/// and finally shared-subsystem scopes (arena materializations).
+/// ordering is the drain ordering: sweep first, then figures, then
+/// cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ScopeKind {
     /// The whole `repro` invocation.
     Sweep,
     /// One figure/table driver.
     Figure,
-    /// One (configuration × workload) cell.
+    /// One (configuration × workload) cell, or one group pass that
+    /// advances several.
     Cell,
-    /// A shared subsystem doing work on behalf of whichever cell got
-    /// there first (e.g. a trace-arena materialization).
-    Subsystem,
 }
 
 impl ScopeKind {
@@ -94,7 +92,6 @@ impl ScopeKind {
             ScopeKind::Sweep => "sweep",
             ScopeKind::Figure => "figure",
             ScopeKind::Cell => "cell",
-            ScopeKind::Subsystem => "subsystem",
         }
     }
 }
@@ -126,9 +123,9 @@ pub struct SpanRecord {
 pub struct ScopeRecord {
     /// Hierarchy level.
     pub kind: ScopeKind,
-    /// The owning target (figure name, or a subsystem tag).
+    /// The owning target (figure name).
     pub target: String,
-    /// Scope label (cell label, arena key, …); empty when the kind
+    /// Scope label (cell label, workload name, …); empty when the kind
     /// needs none.
     pub label: String,
     /// Scheduler worker id that closed the scope (0 = the calling
@@ -446,10 +443,10 @@ mod tests {
                 }
                 // A nested scope must not inherit or pollute ours.
                 scope(
-                    ScopeKind::Subsystem,
-                    "arena_materialize",
-                    "arena",
-                    || "demo/1/100".to_owned(),
+                    ScopeKind::Cell,
+                    "cell_run",
+                    "fig2",
+                    || "inner".to_owned(),
                     || {
                         let _g = enter("fault_backoff");
                     },
@@ -460,7 +457,7 @@ mod tests {
         assert_eq!(out, 42);
         let records = disarm();
         assert_eq!(records.len(), 2);
-        // Drain order: Cell before Subsystem.
+        // Drain order: by target within a kind.
         assert_eq!(records[0].kind, ScopeKind::Cell);
         assert_eq!(records[0].target, "fig1");
         assert_eq!(records[0].label, "16KB/demo");
@@ -475,10 +472,10 @@ mod tests {
         assert_eq!(spans[2].depth, 2);
         assert_eq!(spans[1].events, 100);
         assert!(spans.iter().all(|s| s.dur_ns > 0));
-        assert_eq!(records[1].kind, ScopeKind::Subsystem);
+        assert_eq!(records[1].target, "fig2");
         assert_eq!(
             records[1].spans.iter().map(|s| s.name).collect::<Vec<_>>(),
-            ["arena_materialize", "fault_backoff"]
+            ["cell_run", "fault_backoff"]
         );
 
         // Spans outside any scope are dropped, not misfiled.
@@ -516,11 +513,11 @@ mod tests {
 
         // Name registry. The replay pipeline's span names are pinned
         // here so a prefix change cannot silently unregister them:
-        // `arena_materialize` (trace synthesis), `replay_block` (arena
-        // block replay), `replay_stream` (chunked generator replay)
-        // and `replay_mrc` (the stack-distance pass).
-        assert!(name_registered("arena_materialize"));
+        // `replay_block` (block replay), `replay_stream` (an accuracy
+        // group pass), `replay_cpu` (a CPU-model group pass) and
+        // `replay_mrc` (the stack-distance pass).
         assert!(name_registered("replay_block"));
+        assert!(name_registered("replay_cpu"));
         assert!(name_registered("replay_stream"));
         assert!(name_registered("replay_mrc"));
         assert!(!name_registered("my_phase"));

@@ -525,11 +525,11 @@ fn span_name(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
         let message = match name {
             Some(n) => format!(
                 "span name \"{n}\" lacks a registered component prefix \
-                 (arena_/cell_/fault_/fig_/probe_/replay_/sched_/sweep_)"
+                 (cell_/fault_/fig_/probe_/replay_/sched_/sweep_)"
             ),
             None => "span name is not a string literal at the call site; name spans \
                      with a static literal carrying a registered component prefix \
-                     (arena_/cell_/fault_/fig_/probe_/replay_/sched_/sweep_)"
+                     (cell_/fault_/fig_/probe_/replay_/sched_/sweep_)"
                 .to_owned(),
         };
         findings.push(Finding::new("span-name", ctx.path, i + 1, message));

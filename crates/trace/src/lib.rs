@@ -7,11 +7,12 @@
 //! instructions the processor executes before it (so the timing model
 //! can charge pipeline work between accesses).
 //!
-//! Streams that are replayed many times (every experiment driver
-//! evaluates many policies over the same workload trace) should go
-//! through the memoizing [`arena`] instead of re-running a generator
-//! per consumer. [`decomposed`] splits a materialized trace into the
-//! `(set, tag)` pairs of one indexing scheme.
+//! Consumers stream events straight from a generator; a consumer that
+//! evaluates many policies over one trace feeds them all from the same
+//! pass rather than keeping the trace resident. [`decomposed`] splits
+//! a materialized trace into the `(set, tag)` pairs of one indexing
+//! scheme, and [`arena`] keeps the (always zero) materialization
+//! counters the report schemas still carry.
 //!
 //! # Examples
 //!
