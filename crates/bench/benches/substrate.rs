@@ -4,7 +4,7 @@
 //! the MCT is cheap (touched only on misses) while the oracle and the
 //! MAT-style every-access structures dominate simulation cost.
 
-use cache_model::oracle::ThreeCClassifier;
+use cache_model::oracle::{FullyAssocLru, ThreeCClassifier};
 use cache_model::{BlockOutcome, CacheGeometry, SetAssocCache};
 use cpu_model::{BaselineSystem, CpuConfig, OooModel};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -175,25 +175,44 @@ fn bench_oracle(c: &mut Criterion) {
             }
         })
     });
+    // The conflict-only shadow alone, as group replay runs it once per
+    // distinct capacity (Fig 1's 16 KB and 64 KB lines).
+    for capacity in [256, 1024] {
+        g.bench_function(&format!("oracle_conflict/{capacity}"), |b| {
+            b.iter(|| {
+                let mut shadow = FullyAssocLru::new(capacity);
+                for &line in &refs {
+                    black_box(shadow.observe_conflict(line));
+                }
+            })
+        });
+    }
     g.finish();
 }
 
 /// Synthesizing a workload's event stream on the fly: the supply side
-/// of every replay, paid once per group pass.
+/// of every replay, paid once per group pass. `gcc` mixes several
+/// small patterns; `uniform` is one 4096-line Zipf draw per event, the
+/// sampler's largest table.
 fn bench_trace_supply(c: &mut Criterion) {
-    let w = workloads::by_name("gcc").expect("gcc analog exists");
     let mut g = c.benchmark_group("substrate/pipeline");
     g.throughput(Throughput::Elements(N as u64));
-    g.bench_function("stream_generate", |b| {
-        b.iter(|| {
-            let mut src = w.source(7);
-            let mut acc = 0u64;
-            for _ in 0..N {
-                acc ^= src.next_event().access.addr.raw();
-            }
-            black_box(acc)
-        })
-    });
+    for (id, name) in [
+        ("stream_generate", "gcc"),
+        ("stream_generate_uniform", "uniform"),
+    ] {
+        let w = workloads::by_name(name).expect("workload exists");
+        g.bench_function(id, |b| {
+            b.iter(|| {
+                let mut src = w.source(7);
+                let mut acc = 0u64;
+                for _ in 0..N {
+                    acc ^= src.next_event().access.addr.raw();
+                }
+                black_box(acc)
+            })
+        });
+    }
     g.finish();
 }
 

@@ -12,9 +12,6 @@
 //! The paper groups compulsory with capacity ("non-conflict") when
 //! scoring the MCT; [`OracleClass::is_conflict`] captures that split.
 
-use std::collections::hash_map::Entry;
-use std::collections::VecDeque;
-
 use sim_core::hash::{FxHashMap, FxHashSet};
 use sim_core::LineAddr;
 
@@ -39,9 +36,14 @@ impl OracleClass {
 }
 
 /// The three-C oracle's shadow: a fully-associative LRU cache over
-/// line addresses, implemented with lazy deletion (accesses push
-/// (line, stamp) onto a queue, and stale queue entries are skipped
-/// during eviction).
+/// line addresses, kept as an exact recency list.
+///
+/// Lines live in `capacity_lines` slots threaded into a doubly linked
+/// list, most recent at the head; a map sends each resident line to
+/// its slot. A hit is one map probe and an O(1) move to the front (a
+/// repeat of the head line needs no probe at all). A miss is one map
+/// insert, plus, once every slot is taken, one map remove: the tail
+/// slot (the LRU line) is reused for the new line.
 ///
 /// On its own it answers the only question accuracy scoring asks —
 /// would a miss here be a conflict miss? — through
@@ -64,12 +66,22 @@ impl OracleClass {
 #[derive(Debug, Clone)]
 pub struct FullyAssocLru {
     capacity_lines: usize,
-    /// line -> latest stamp for that line.
-    stamps: FxHashMap<LineAddr, u64>,
-    /// access order, possibly containing stale entries.
-    order: VecDeque<(LineAddr, u64)>,
-    clock: u64,
+    /// resident line -> its slot.
+    slots: FxHashMap<LineAddr, u32>,
+    /// slot -> the line it holds.
+    lines: Vec<LineAddr>,
+    /// slot -> the next more recent slot, or [`NIL`].
+    prev: Vec<u32>,
+    /// slot -> the next less recent slot, or [`NIL`].
+    next: Vec<u32>,
+    /// Most recently used slot, or [`NIL`] while empty.
+    head: u32,
+    /// Least recently used slot, or [`NIL`] while empty.
+    tail: u32,
 }
+
+/// The end-of-list index in [`FullyAssocLru`]'s links.
+const NIL: u32 = u32::MAX;
 
 impl FullyAssocLru {
     /// Creates an empty shadow holding `capacity_lines` lines (the
@@ -77,15 +89,23 @@ impl FullyAssocLru {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity_lines` is zero.
+    /// Panics if `capacity_lines` is zero or does not fit a `u32`
+    /// slot index.
     #[must_use]
     pub fn new(capacity_lines: usize) -> Self {
         assert!(capacity_lines > 0, "oracle cache needs capacity");
+        assert!(
+            capacity_lines < NIL as usize,
+            "oracle capacity must fit a u32 slot index"
+        );
         FullyAssocLru {
             capacity_lines,
-            stamps: FxHashMap::with_capacity_and_hasher(capacity_lines * 2, Default::default()),
-            order: VecDeque::with_capacity(capacity_lines * 2),
-            clock: 0,
+            slots: FxHashMap::with_capacity_and_hasher(capacity_lines, Default::default()),
+            lines: Vec::with_capacity(capacity_lines),
+            prev: Vec::with_capacity(capacity_lines),
+            next: Vec::with_capacity(capacity_lines),
+            head: NIL,
+            tail: NIL,
         }
     }
 
@@ -96,67 +116,77 @@ impl FullyAssocLru {
     ///
     /// Call this for every reference, hits in the real cache included.
     pub fn observe_conflict(&mut self, line: LineAddr) -> bool {
-        self.clock += 1;
-        let clock = self.clock;
-        let hit = match self.stamps.entry(line) {
-            Entry::Occupied(mut e) => {
-                *e.get_mut() = clock;
-                true
-            }
-            Entry::Vacant(e) => {
-                e.insert(clock);
-                false
-            }
+        // A repeat of the previous reference's line (common under
+        // spatial locality) is the head: a hit with no hash probe.
+        if self.lines.get(self.head as usize) == Some(&line) {
+            return true;
+        }
+        if let Some(&slot) = self.slots.get(&line) {
+            self.unlink(slot);
+            self.push_front(slot);
+            return true;
+        }
+        let slot = if self.lines.len() < self.capacity_lines {
+            // `new` bounds the capacity below `NIL`, so this fits.
+            let slot = self.lines.len() as u32;
+            self.lines.push(line);
+            self.prev.push(NIL);
+            self.next.push(NIL);
+            slot
+        } else {
+            let slot = self.tail;
+            self.slots.remove(&self.lines[slot as usize]);
+            self.unlink(slot);
+            self.lines[slot as usize] = line;
+            slot
         };
-        self.order.push_back((line, clock));
-        if !hit {
-            self.evict_to_capacity();
-        }
-        // Amortized compaction: drop stale entries once they dominate
-        // the queue, so hit-heavy streams stay O(live lines).
-        if self.order.len() > 2 * self.stamps.len().max(self.capacity_lines) {
-            let stamps = &self.stamps;
-            self.order.retain(|&(l, s)| stamps.get(&l) == Some(&s));
-        }
-        hit
+        self.slots.insert(line, slot);
+        self.push_front(slot);
+        false
     }
 
-    fn evict_to_capacity(&mut self) {
-        while self.stamps.len() > self.capacity_lines {
-            // Every resident line has a live queue entry, so the queue
-            // cannot run dry while lines are over capacity.
-            let Some((line, stamp)) = self.order.pop_front() else {
-                break;
-            };
-            match self.stamps.get(&line) {
-                Some(&latest) if latest == stamp => {
-                    self.stamps.remove(&line);
-                }
-                // Stale entry: the line was re-referenced later.
-                _ => {}
-            }
+    /// Detaches `slot` from the recency list.
+    fn unlink(&mut self, slot: u32) {
+        let (prev, next) = (self.prev[slot as usize], self.next[slot as usize]);
+        if prev == NIL {
+            self.head = next;
+        } else {
+            self.next[prev as usize] = next;
         }
-        // Opportunistically trim stale prefix entries so the queue
-        // stays O(capacity) on hit-heavy streams.
-        while let Some(&(line, stamp)) = self.order.front() {
-            if self.stamps.get(&line) == Some(&stamp) {
-                break;
-            }
-            self.order.pop_front();
+        if next == NIL {
+            self.tail = prev;
+        } else {
+            self.prev[next as usize] = prev;
         }
+    }
+
+    /// Makes the detached `slot` the most recently used.
+    fn push_front(&mut self, slot: u32) {
+        self.prev[slot as usize] = NIL;
+        self.next[slot as usize] = self.head;
+        if self.head == NIL {
+            self.tail = slot;
+        } else {
+            self.prev[self.head as usize] = slot;
+        }
+        self.head = slot;
     }
 
     fn len(&self) -> usize {
-        self.stamps.len()
+        self.slots.len()
     }
 }
 
 /// Ground-truth miss classifier: runs a fully-associative LRU shadow
-/// cache and a compulsory-set next to the real cache.
+/// cache ([`FullyAssocLru`]) and a compulsory set next to the real
+/// cache.
 ///
 /// Feed it **every** reference the real cache sees, in order, and ask
 /// it to classify the ones that missed. (It must also observe the
-/// hits — the shadow LRU state depends on them.)
+/// hits — the shadow LRU state depends on them.) Each reference costs
+/// one insert into the compulsory set on top of the shadow's O(1)
+/// update; the set grows with the distinct lines ever referenced, so
+/// callers that only need the conflict verdict use the shadow alone.
 ///
 /// # Examples
 ///
@@ -273,20 +303,37 @@ mod tests {
     }
 
     #[test]
-    fn hit_heavy_stream_does_not_grow_queue_unboundedly() {
+    fn shadow_state_stays_within_capacity() {
         let mut o = ThreeCClassifier::new(2);
-        o.observe(line(0));
-        o.observe(line(1));
-        for _ in 0..100_000 {
-            o.observe(line(0));
-            o.observe(line(1));
+        let mut rng = sim_core::rng::SplitMix64::new(2);
+        // Hit-heavy, then miss-heavy: neither may grow the slots or
+        // the map past the capacity.
+        for i in 0..100_000u64 {
+            let n = if i < 50_000 {
+                i % 2
+            } else {
+                rng.next_below(64)
+            };
+            o.observe(line(n));
+            let shadow = &o.shadow;
+            assert!(shadow.slots.len() <= 2 && shadow.lines.len() <= 2);
+            assert_eq!(shadow.prev.len(), shadow.lines.len());
+            assert_eq!(shadow.next.len(), shadow.lines.len());
         }
-        // Amortized compaction must keep the order queue bounded.
-        assert!(
-            o.shadow.order.len() <= 8,
-            "order queue grew to {}",
-            o.shadow.order.len()
-        );
+        // The recency list threads every slot once, head to tail,
+        // with the map and the slots agreeing.
+        let shadow = &o.shadow;
+        let mut walked = Vec::new();
+        let mut slot = shadow.head;
+        while slot != NIL {
+            walked.push(slot);
+            slot = shadow.next[slot as usize];
+        }
+        assert_eq!(walked.len(), shadow.lines.len());
+        assert_eq!(walked.last().copied(), Some(shadow.tail));
+        for &s in &walked {
+            assert_eq!(shadow.slots[&shadow.lines[s as usize]], s);
+        }
     }
 
     #[test]

@@ -16,11 +16,17 @@
 //!    ([`AccuracyScorer::score_block`]).
 //!
 //! Members hold no oracle, so a group of eleven costs one oracle pass,
-//! not eleven. This is the single-pass idea behind miss-ratio-curve
-//! construction: one reference stream answers many cache questions.
-//! Each member's report equals a standalone
-//! [`mct::accuracy::AccuracyEvaluator`] fed the same stream
-//! (differential-tested in `tests/stream_equivalence.rs`).
+//! not eleven. Each distinct capacity costs one shadow update per
+//! reference: one hash probe on a shadow hit, an insert and (once the
+//! shadow is full) a remove on a miss, plus O(1) list relinking. That
+//! is 7–9 ns/event at 1024 and 256 lines on a 2-core x86-64 host
+//! (`substrate/pipeline/oracle_conflict`), so Fig 1 pays it twice per
+//! reference and Fig 2's eleven tag widths once. This is the
+//! single-pass idea behind miss-ratio-curve construction: one
+//! reference stream answers many cache questions. Each member's
+//! report equals a standalone [`mct::accuracy::AccuracyEvaluator`] fed
+//! the same stream (differential-tested in
+//! `tests/stream_equivalence.rs`).
 
 use cache_model::oracle::FullyAssocLru;
 use cache_model::CacheGeometry;

@@ -2,7 +2,7 @@
 //! oracle implement the *same* mathematical object — a
 //! fully-associative LRU cache of the geometry's line capacity — via
 //! unrelated code (an order-statistic tree over stack distances vs. a
-//! lazy-deletion LRU queue). On the Figure 1 smoke sweep their
+//! linked recency list). On the Figure 1 smoke sweep their
 //! capacity-miss counts must therefore agree **exactly**: an access
 //! misses the oracle's shadow cache (Compulsory or Capacity class)
 //! iff its LRU stack distance is at least the capacity (or the line

@@ -306,11 +306,22 @@ impl TraceSource for PointerChase {
 /// Models hash tables and interpreter data structures (`gcc`, `perl`
 /// analogs). Hot lines mostly hit; tail accesses produce irregular
 /// misses.
+///
+/// A draw maps a uniform `u` to the first rank whose CDF reaches `u`.
+/// A guide table makes that a short scan instead of a binary search
+/// over the whole CDF: with `K` buckets (a power of two), `guide[b]`
+/// is the first rank whose CDF reaches `b / K`, so the rank for `u`
+/// lies between `guide[⌊u·K⌋]` and `guide[⌊u·K⌋ + 1]`. Both `u·K` and
+/// `b / K` are exact in binary floating point, so the guided draw
+/// returns exactly the binary search's rank.
 #[derive(Debug, Clone)]
 pub struct ZipfAccess {
     base: Addr,
     line_size: u64,
     cdf: Vec<f64>,
+    /// `K + 1` bucket starts, each clamped to the last rank (`u16`
+    /// keeps the table small; `new` bounds `lines` to fit).
+    guide: Vec<u16>,
     rank_to_line: Vec<u32>,
     rng: SplitMix64,
     shape: Shape,
@@ -323,10 +334,12 @@ impl ZipfAccess {
     ///
     /// # Panics
     ///
-    /// Panics if `lines` is zero or `theta` is negative.
+    /// Panics if `lines` is zero or above 65 536 (the guide table
+    /// stores ranks as `u16`), or `theta` is negative.
     #[must_use]
     pub fn new(base: Addr, lines: u32, line_size: u64, theta: f64, seed: u64) -> Self {
         assert!(lines > 0, "need at least one line");
+        assert!(lines <= 1 << 16, "at most 65536 lines");
         assert!(theta >= 0.0, "theta must be non-negative");
         let mut rng = SplitMix64::new(seed);
         let mut cdf = Vec::with_capacity(lines as usize);
@@ -338,16 +351,40 @@ impl ZipfAccess {
         for p in &mut cdf {
             *p /= total;
         }
+        let buckets = (4 * lines.next_power_of_two()).min(4096);
+        let last = lines as usize - 1;
+        let guide = (0..=buckets)
+            .map(|b| {
+                let edge = f64::from(b) / f64::from(buckets);
+                // `last` fits: `lines` is at most 2^16.
+                cdf.partition_point(|&p| p < edge).min(last) as u16
+            })
+            .collect();
         let mut rank_to_line: Vec<u32> = (0..lines).collect();
         rng.shuffle(&mut rank_to_line);
         ZipfAccess {
             base,
             line_size,
             cdf,
+            guide,
             rank_to_line,
             rng,
             shape: Shape::new(),
         }
+    }
+
+    /// The first rank whose CDF reaches `u` (clamped to the last rank),
+    /// for `u` in `[0, 1)`: `cdf.partition_point(|&p| p < u)`, found by
+    /// a scan inside `u`'s guide bucket.
+    fn rank(&self, u: f64) -> usize {
+        let buckets = self.guide.len() - 1;
+        // Exact: `buckets` is a power of two and `u < 1`.
+        let b = (u * buckets as f64) as usize;
+        let (mut rank, end) = (usize::from(self.guide[b]), usize::from(self.guide[b + 1]));
+        while rank < end && self.cdf[rank] < u {
+            rank += 1;
+        }
+        rank
     }
 }
 
@@ -356,8 +393,7 @@ shape_builders!(ZipfAccess);
 impl TraceSource for ZipfAccess {
     fn next_event(&mut self) -> TraceEvent {
         let u = self.rng.next_f64();
-        let rank = self.cdf.partition_point(|&p| p < u);
-        let line = self.rank_to_line[rank.min(self.rank_to_line.len() - 1)];
+        let line = self.rank_to_line[self.rank(u)];
         let addr = self.base + u64::from(line) * self.line_size;
         self.shape.event(addr)
     }
@@ -630,6 +666,38 @@ mod tests {
         }
         for c in counts {
             assert!((700..1300).contains(&c), "count {c} too far from uniform");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn zipf_guided_rank_equals_binary_search(
+            exp in 0u32..17,
+            raw_lines in 0u32..u32::MAX,
+            theta_milli in 0u32..3000,
+            raws in proptest::collection::vec(0u64..u64::MAX, 0..64),
+        ) {
+            let lines = 1 + raw_lines % (1 << exp);
+            let theta = f64::from(theta_milli) / 1000.0;
+            let s = ZipfAccess::new(Addr::new(0), lines, 64, theta, 1);
+            let buckets = s.guide.len() - 1;
+            // Adversarial draws: both ends of [0, 1), every bucket
+            // edge, every CDF value and the float just below it, plus
+            // random draws made the way `next_f64` makes them.
+            let mut us = vec![0.0, 1.0 - f64::EPSILON / 2.0];
+            us.extend((0..buckets).map(|b| b as f64 / buckets as f64));
+            for &p in &s.cdf {
+                us.push(p);
+                us.push(f64::from_bits(p.to_bits() - 1));
+            }
+            us.extend(raws.iter().map(|r| (r >> 11) as f64 / (1u64 << 53) as f64));
+            for u in us.into_iter().filter(|u| (0.0..1.0).contains(u)) {
+                let want = s.cdf.partition_point(|&p| p < u).min(lines as usize - 1);
+                proptest::prop_assert_eq!(
+                    s.rank(u), want,
+                    "u {} lines {} theta {}", u, lines, theta
+                );
+            }
         }
     }
 
