@@ -60,7 +60,7 @@ fn bench_classifying_cache(c: &mut Criterion) {
 
 /// The zero-overhead claim behind `sim_core::probe`: the same
 /// MCT-classification loop as `mct_classifying_cache`, once with the
-/// probe layer disarmed (the shipping default — one relaxed atomic
+/// probe layer disarmed (the shipping default — one thread-local
 /// load per emit site) and once with a [`NullSink`] installed (every
 /// event constructed and dispatched, then discarded). `disarmed`
 /// should match `mct_classifying_cache` within noise; the gap between
@@ -120,17 +120,18 @@ fn bench_probe_null(c: &mut Criterion) {
 /// The zero-overhead claim behind `sim_core::span`, mirroring
 /// `bench_probe_null`: the same MCT-classification loop instrumented
 /// the way the experiment drivers are — a cell scope around the run
-/// and a `replay_block` span per 1024-element chunk — once with the
-/// span layer disarmed (the shipping default: one relaxed atomic load
-/// per site) and once armed in discard mode under a zero clock (every
-/// scope installed, every span opened/closed and dropped at flush).
+/// and a `replay_block` span per 1024-element chunk — once untraced
+/// (the shipping default: one thread-local load per site) and once
+/// into a throwaway trace under a zero clock (every scope installed,
+/// every span opened/closed, the record dropped with its trace).
 /// `span_disarmed` should match `mct_classifying_cache` within noise;
 /// the `span_null` gap is the price of *armed* tracing, paid only when
 /// `--trace-out` is requested.
 fn bench_span_null(c: &mut Criterion) {
     let refs = lines(N);
-    let run = |refs: &[sim_core::LineAddr]| {
+    let run = |refs: &[sim_core::LineAddr], trace: Option<&sim_core::span::Trace>| {
         sim_core::span::scope(
+            trace,
             sim_core::span::ScopeKind::Cell,
             "cell_run",
             "bench",
@@ -151,14 +152,14 @@ fn bench_span_null(c: &mut Criterion) {
     };
     let mut g = c.benchmark_group("substrate/pipeline");
     g.throughput(Throughput::Elements(N as u64));
-    g.bench_function("span_disarmed", |b| b.iter(|| run(&refs)));
+    g.bench_function("span_disarmed", |b| b.iter(|| run(&refs, None)));
     g.bench_function("span_null", |b| {
         fn zero_clock() -> u64 {
             0
         }
-        sim_core::span::arm_discard(zero_clock);
-        b.iter(|| run(&refs));
-        let _ = sim_core::span::disarm();
+        // A fresh trace per iteration: every scope is recorded, then
+        // dropped with its trace.
+        b.iter(|| run(&refs, Some(&sim_core::span::Trace::new(zero_clock))));
     });
     g.finish();
 }

@@ -12,7 +12,6 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use cache_model::{BlockOutcome, CacheGeometry, Replacement, SetAssocCache};
 use proptest::prelude::*;
@@ -40,21 +39,12 @@ fn probed_cache(geom: CacheGeometry, policy: Replacement) -> SetAssocCache<u32> 
     cache
 }
 
-/// Serializes this file's tests. The armed-sink count behind
-/// `probe::active()` is process-wide, so a sink armed by one test
-/// would send another test's disarmed replay down the probed kernel.
-static PROBE_LOCK: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    PROBE_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Runs `f` disarmed, or with `armed` under a raw-JSONL probe sink,
 /// returning its result and every event it emitted, one JSON object
 /// per line (none when disarmed).
 fn observed<R>(armed: bool, f: impl FnOnce() -> R) -> (R, String) {
     if !armed {
-        assert!(!probe::active(), "a probe sink is armed elsewhere");
+        assert!(!probe::active(), "a probe sink is armed on this thread");
         return (f(), String::new());
     }
     let sink = Rc::new(RefCell::new(JsonlSink::new(Vec::new())));
@@ -152,8 +142,6 @@ proptest! {
         let geom = geometry_from(sets_log, assoc_log);
         let policy = policy_from(policy_index);
         let (sets, tags) = decompose(&geom, &raws);
-
-        let _serial = serial();
         for armed in [false, true] {
             let mut legacy = probed_cache(geom, policy);
             let (expected, expected_events) =
@@ -181,8 +169,6 @@ proptest! {
         let geom = geometry_from(sets_log, assoc_log);
         let policy = policy_from(policy_index);
         let (sets, tags) = decompose(&geom, &raws);
-
-        let _serial = serial();
         for armed in [false, true] {
             let mut legacy = probed_cache(geom, policy);
             let (expected, expected_events) =
@@ -220,8 +206,6 @@ proptest! {
             .map(|&raw| (raw % 8) + num_sets * (raw / 8))
             .collect();
         let (sets, tags) = decompose(&geom, &folded);
-
-        let _serial = serial();
         for armed in [false, true] {
             let mut legacy = probed_cache(geom, policy);
             let (expected, expected_events) =
@@ -263,8 +247,6 @@ proptest! {
         let geom = geometry_from(sets_log, assoc_log);
         let policy = policy_from(policy_index);
         let (sets, tags) = decompose(&geom, &raws);
-
-        let _serial = serial();
         for armed in [false, true] {
             let mut legacy = probed_cache(geom, policy);
             let (expected, expected_events) =

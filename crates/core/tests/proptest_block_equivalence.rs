@@ -10,7 +10,6 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use cache_model::CacheGeometry;
 use mct::accuracy::AccuracyEvaluator;
@@ -44,21 +43,12 @@ fn decompose(geom: &CacheGeometry, raws: &[u64]) -> (Vec<u32>, Vec<u64>) {
         .unzip()
 }
 
-/// Serializes this file's tests. The armed-sink count behind
-/// `probe::active()` is process-wide, so a sink armed by one test
-/// would send another test's disarmed replay down the probed kernel.
-static PROBE_LOCK: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    PROBE_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Runs `f` disarmed, or with `armed` under a raw-JSONL probe sink,
 /// returning its result and every event it emitted, one JSON object
 /// per line (none when disarmed).
 fn observed<R>(armed: bool, f: impl FnOnce() -> R) -> (R, String) {
     if !armed {
-        assert!(!probe::active(), "a probe sink is armed elsewhere");
+        assert!(!probe::active(), "a probe sink is armed on this thread");
         return (f(), String::new());
     }
     let sink = Rc::new(RefCell::new(JsonlSink::new(Vec::new())));
@@ -115,8 +105,6 @@ proptest! {
         let geom = geometry_from(sets_log, assoc_log);
         let tag_bits = tag_bits_from(tag_index);
         let (sets, tags) = decompose(&geom, &raws);
-
-        let _serial = serial();
         for armed in [false, true] {
             let mut legacy = ClassifyingCache::new(geom, tag_bits);
             let (expected, expected_events) = observed(armed, || {
@@ -151,8 +139,6 @@ proptest! {
         let geom = geometry_from(sets_log, assoc_log);
         let tag_bits = tag_bits_from(tag_index);
         let (sets, tags) = decompose(&geom, &raws);
-
-        let _serial = serial();
         for armed in [false, true] {
             let mut legacy = AccuracyEvaluator::new(geom, tag_bits);
             let ((), expected_events) = observed(armed, || {
@@ -191,8 +177,6 @@ proptest! {
         let shadow = |geom: &CacheGeometry| {
             ShadowDirectory::new(geom.num_sets(), TagBits::Full, depth)
         };
-
-        let _serial = serial();
         for armed in [false, true] {
             let mut legacy = AccuracyEvaluator::with_classifier(geom, shadow(&geom));
             let ((), expected_events) = observed(armed, || {

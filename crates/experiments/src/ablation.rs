@@ -18,7 +18,7 @@ use sim_core::stats::GeoMean;
 use workloads::{full_suite, suite};
 
 use crate::table::{pct, speedup};
-use crate::{fig1, CpuCell, Table};
+use crate::{fig1, CpuCell, RunConfig, Table};
 
 /// Accuracy per (configuration, depth).
 #[derive(Debug, Clone)]
@@ -73,14 +73,14 @@ pub const BUFFERS: [usize; 5] = [2, 4, 8, 16, 32];
 
 /// The depth sweep: one group replay per workload scores every
 /// (configuration, depth) cell.
-fn depth_sweep(events: usize) -> Vec<DepthPoint> {
+fn depth_sweep(cfg: &RunConfig, events: usize) -> Vec<DepthPoint> {
     let mut cells = Vec::new();
     for (name, geom) in fig1::configurations() {
         for depth in DEPTHS {
             cells.push((name.clone(), geom, depth));
         }
     }
-    let per_workload: Vec<Vec<AccuracyReport>> = crate::par_map(full_suite(), |w| {
+    let per_workload: Vec<Vec<AccuracyReport>> = cfg.par_map(full_suite(), |cfg, w| {
         let members = cells
             .iter()
             .map(|&(_, geom, depth)| {
@@ -90,7 +90,7 @@ fn depth_sweep(events: usize) -> Vec<DepthPoint> {
                 )
             })
             .collect();
-        crate::replay_group("ablation", &w, events, members, |i| {
+        crate::replay_group(cfg, "ablation", &w, events, members, |i| {
             let (config, _, depth) = &cells[i];
             format!("depth/{config}-d{depth}/{}", w.name())
         })
@@ -114,8 +114,8 @@ fn depth_sweep(events: usize) -> Vec<DepthPoint> {
 
 /// The window sweep: one pass per workload feeds a baseline and a
 /// VictPref cell at every window.
-fn window_sweep(events: usize) -> Vec<WindowPoint> {
-    let runs: Vec<Vec<CpuReport>> = crate::par_map(suite(), |w| {
+fn window_sweep(cfg: &RunConfig, events: usize) -> Vec<WindowPoint> {
+    let runs: Vec<Vec<CpuReport>> = cfg.par_map(suite(), |cfg, w| {
         let mut systems: Vec<(u64, BaselineSystem, AmbSystem)> = WINDOWS
             .iter()
             .map(|&window| {
@@ -137,6 +137,7 @@ fn window_sweep(events: usize) -> Vec<WindowPoint> {
             cells.push(CpuCell::new(cpu, amb));
         }
         crate::replay_cpu(
+            cfg,
             "ablation",
             || format!("window/{}", w.name()),
             crate::trace(&w, events),
@@ -169,22 +170,23 @@ fn window_sweep(events: usize) -> Vec<WindowPoint> {
 
 /// The buffer sweep: one pass per workload feeds the no-buffer
 /// baseline and a VicPreExc cell at every buffer size.
-fn buffer_sweep(events: usize) -> Vec<BufferPoint> {
-    let runs: Vec<Vec<CpuReport>> = crate::par_map(suite(), |w| {
+fn buffer_sweep(cfg: &RunConfig, events: usize) -> Vec<BufferPoint> {
+    let runs: Vec<Vec<CpuReport>> = cfg.par_map(suite(), |cfg, w| {
         let mut base = BaselineSystem::paper_default().expect("paper config");
         let mut systems: Vec<AmbSystem> = BUFFERS
             .iter()
             .map(|&entries| {
-                let cfg = AmbConfig {
+                let amb = AmbConfig {
                     entries,
                     ..AmbConfig::new(AmbPolicy::VicPreExc)
                 };
-                AmbSystem::paper_default(cfg).expect("paper config")
+                AmbSystem::paper_default(amb).expect("paper config")
             })
             .collect();
         let mut cells = vec![CpuCell::paper(&mut base)];
         cells.extend(systems.iter_mut().map(CpuCell::paper));
         crate::replay_cpu(
+            cfg,
             "ablation",
             || format!("buffer/{}", w.name()),
             crate::trace(&w, events),
@@ -225,11 +227,11 @@ pub fn simulated_events(events: usize) -> u64 {
 
 /// Runs all three ablations.
 #[must_use]
-pub fn run(events: usize) -> Ablation {
+pub fn run(cfg: &RunConfig, events: usize) -> Ablation {
     Ablation {
-        depths: depth_sweep(events),
-        windows: window_sweep(events),
-        buffers: buffer_sweep(events),
+        depths: depth_sweep(cfg, events),
+        windows: window_sweep(cfg, events),
+        buffers: buffer_sweep(cfg, events),
         events,
     }
 }
@@ -290,7 +292,7 @@ mod tests {
 
     #[test]
     fn deeper_directories_only_help_conflict_accuracy() {
-        let points = depth_sweep(4_000);
+        let points = depth_sweep(&RunConfig::default(), 4_000);
         // Within each configuration, conflict accuracy is
         // non-decreasing in depth (a superset of tags can only match
         // more).
@@ -313,7 +315,7 @@ mod tests {
 
     #[test]
     fn smaller_windows_hide_less_latency() {
-        let points = window_sweep(5_000);
+        let points = window_sweep(&RunConfig::default(), 5_000);
         let first = points.first().unwrap();
         let last = points.last().unwrap();
         assert!(
@@ -324,7 +326,7 @@ mod tests {
 
     #[test]
     fn display_renders() {
-        let a = run(2_000);
+        let a = run(&RunConfig::default(), 2_000);
         let s = a.to_string();
         assert!(s.contains("Ablation A"));
         assert!(s.contains("Ablation C"));

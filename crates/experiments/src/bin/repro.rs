@@ -103,21 +103,18 @@ fn main() -> ExitCode {
             return usage();
         }
     };
-    if let Some(threads) = opts.threads {
-        sim_core::parallel::set_max_threads(threads);
+    let cfg = opts.run_config();
+    if cfg.trace().is_some() {
+        // The trace's lanes start at worker 1.
+        sim_core::parallel::reset_worker_tallies();
     }
-    experiments::probe::configure(opts.probe);
-    if opts.trace_out.is_some() {
-        tracing::arm(opts.trace_logical_clock);
-    }
-    if let Some(spec) = opts.fault {
-        sim_core::fault::install(spec.plan());
+    if let Some(plan) = cfg.fault().plan() {
         sim_core::fault::silence_injected_panics();
         eprintln!(
             "[fault] plan installed: seed {}, rate {}{}",
-            spec.seed,
-            spec.rate,
-            if spec.persistent { ", persistent" } else { "" },
+            plan.seed,
+            plan.rate,
+            if plan.persist { ", persistent" } else { "" },
         );
     }
 
@@ -174,43 +171,41 @@ fn main() -> ExitCode {
     // byte-identical to a serial run. try_par_map isolates cell
     // panics: a target that exhausts its retry budget comes back as a
     // failure and degrades instead of aborting the others.
-    let writer_ref = writer.as_ref();
-    let crash_after = opts.crash_after;
+    //
+    // The checkpoint is best-effort: losing a line costs a re-run on
+    // resume, never the current sweep.
+    let record = |entry: CellEntry| -> Option<u64> {
+        let recorded = writer.as_ref()?.record(cfg.fault(), &entry);
+        recorded
+            .map_err(|err| eprintln!("[ckpt] cannot record {}: {err}", entry.target))
+            .ok()
+    };
     let total_start = Stopwatch::start();
     let outcomes = sim_core::span::scope(
+        cfg.trace(),
         sim_core::span::ScopeKind::Sweep,
         "sweep_repro",
         "repro",
         String::new,
         || {
-            sim_core::parallel::try_par_map(pending.clone(), |target: Target| {
+            cfg.try_par_map(pending.clone(), |run, target: Target| {
                 let start = Stopwatch::start();
-                let rendered = target.run(events);
+                let rendered = target.run(run, events);
                 let bench = FigureBench::ok(
                     target.name(),
                     start.elapsed_seconds(),
                     target.simulated_events(events),
                 );
-                if let Some(w) = writer_ref {
-                    let entry = CellEntry {
-                        target: target.name().to_owned(),
-                        status: CellStatus::Ok,
-                        events: bench.events,
-                        rendered: rendered.clone(),
-                        message: None,
-                    };
-                    match w.record(&entry) {
-                        Ok(count) => {
-                            if crash_after.is_some_and(|n| count >= n) {
-                                eprintln!("[ckpt] --crash-after {}: simulating a kill", count);
-                                std::process::exit(CRASH_EXIT);
-                            }
-                        }
-                        // The checkpoint is best-effort: losing a line
-                        // costs a re-run on resume, never the current
-                        // sweep.
-                        Err(err) => eprintln!("[ckpt] cannot record {}: {err}", target.name()),
-                    }
+                let count = record(CellEntry {
+                    target: target.name().to_owned(),
+                    status: CellStatus::Ok,
+                    events: bench.events,
+                    rendered: rendered.clone(),
+                    message: None,
+                });
+                if let Some(count) = count.filter(|&c| opts.crash_after.is_some_and(|n| c >= n)) {
+                    eprintln!("[ckpt] --crash-after {count}: simulating a kill");
+                    std::process::exit(CRASH_EXIT);
                 }
                 (rendered, bench)
             })
@@ -223,7 +218,6 @@ fn main() -> ExitCode {
     let mut figures: Vec<FigureBench> = Vec::with_capacity(opts.targets.len());
     let mut rendered_all: Vec<String> = Vec::with_capacity(opts.targets.len());
     let mut failures: Vec<String> = Vec::new();
-    let mut degraded_targets: Vec<&'static str> = Vec::new();
     for target in &opts.targets {
         if let Some(cell) = resumed.iter().find(|c| c.target == target.name()) {
             rendered_all.push(cell.rendered.clone());
@@ -240,24 +234,18 @@ fn main() -> ExitCode {
             }
             Err(failure) => {
                 let placeholder = format!("{}: degraded ({})", target.name(), failure.message);
-                if let Some(w) = writer_ref {
-                    let entry = CellEntry {
-                        target: target.name().to_owned(),
-                        status: CellStatus::Degraded,
-                        events: 0,
-                        rendered: placeholder.clone(),
-                        message: Some(failure.message.clone()),
-                    };
-                    if let Err(err) = w.record(&entry) {
-                        eprintln!("[ckpt] cannot record {}: {err}", target.name());
-                    }
-                }
+                record(CellEntry {
+                    target: target.name().to_owned(),
+                    status: CellStatus::Degraded,
+                    events: 0,
+                    rendered: placeholder.clone(),
+                    message: Some(failure.message.clone()),
+                });
                 rendered_all.push(placeholder);
                 figures.push(FigureBench {
                     degraded: true,
                     ..FigureBench::ok(target.name(), 0.0, 0)
                 });
-                degraded_targets.push(target.name());
                 failures.push(format!(
                     "{} degraded after {} attempt(s): {}",
                     target.name(),
@@ -275,11 +263,12 @@ fn main() -> ExitCode {
     if opts.mrc {
         let start = Stopwatch::start();
         let run = sim_core::span::scope(
+            cfg.trace(),
             sim_core::span::ScopeKind::Figure,
             "fig_mrc",
             "mrc",
             String::new,
-            || experiments::mrc::run(events, opts.mrc_sample),
+            || experiments::mrc::run(&cfg, events, opts.mrc_sample),
         );
         rendered_all.push(run.to_string());
         figures.push(FigureBench::ok(
@@ -297,10 +286,10 @@ fn main() -> ExitCode {
     }
 
     // Record the worker count the run actually used: with no --threads
-    // flag the scheduler resolves to the machine's core count, and the
-    // bench JSON must say so rather than a placeholder 0.
+    // flag the run resolves to the machine's core count, and the bench
+    // JSON must say so rather than a placeholder 0.
     let report = BenchReport {
-        threads: sim_core::parallel::effective_threads(usize::MAX),
+        threads: cfg.threads(),
         events_per_workload: events,
         figures,
         total_wall_seconds,
@@ -313,11 +302,11 @@ fn main() -> ExitCode {
         report.total_wall_seconds,
         report.total_events_per_sec() / 1e6,
         report.total_events(),
-        sim_core::parallel::effective_threads(usize::MAX),
+        cfg.threads(),
     );
 
     if let Some(path) = &opts.bench_json {
-        if let Err(err) = ioutil::write_with_retry(path, &report.to_json()) {
+        if let Err(err) = ioutil::write_with_retry(cfg.fault(), path, &report.to_json()) {
             eprintln!("repro: cannot write {}: {err}", path.display());
             return ExitCode::FAILURE;
         }
@@ -325,7 +314,7 @@ fn main() -> ExitCode {
     }
 
     if let (Some(run), Some(path)) = (&mrc_run, &opts.mrc_out) {
-        if let Err(err) = ioutil::write_with_retry(path, &run.to_jsonl()) {
+        if let Err(err) = ioutil::write_with_retry(cfg.fault(), path, &run.to_jsonl()) {
             eprintln!("repro: cannot write {}: {err}", path.display());
             return ExitCode::FAILURE;
         }
@@ -339,27 +328,18 @@ fn main() -> ExitCode {
     }
 
     if let (Some(mode), Some(path)) = (opts.probe, &opts.probe_out) {
-        let mut records = experiments::probe::drain();
-        // An aborted attempt of a retried figure may have flushed
-        // partial records before its panic; keep only the final
-        // attempt's record per cell (labels are unique per target) and
-        // none at all for degraded figures.
-        records.retain(|r| !degraded_targets.contains(&r.target));
-        let mut seen = sim_core::hash::FxHashSet::default();
-        for i in (0..records.len()).rev() {
-            if !seen.insert((records[i].target, records[i].cell.clone())) {
-                records.remove(i);
-            }
-        }
+        // Only committed attempts reach the collector: a retried
+        // figure or cell contributes its final attempt's records, a
+        // degraded one none.
+        let records = cfg.take_cells();
         let header = experiments::probe::RunHeader {
             mode,
             events_per_workload: events,
             targets: target_names.clone(),
         };
         let cells = records.len();
-        if let Err(err) =
-            ioutil::write_with_retry(path, &experiments::probe::render_jsonl(&records, &header))
-        {
+        let rendered = experiments::probe::render_jsonl(&records, &header);
+        if let Err(err) = ioutil::write_with_retry(cfg.fault(), path, &rendered) {
             eprintln!("repro: cannot write {}: {err}", path.display());
             return ExitCode::FAILURE;
         }
@@ -370,8 +350,8 @@ fn main() -> ExitCode {
         );
     }
 
-    if let Some(path) = &opts.trace_out {
-        let records = tracing::drain();
+    if let (Some(path), Some(trace)) = (&opts.trace_out, cfg.trace()) {
+        let records = trace.drain();
         let header = TraceHeader {
             logical: opts.trace_logical_clock,
             events_per_workload: events,
@@ -379,12 +359,12 @@ fn main() -> ExitCode {
         };
         let rendered = match opts.trace_format {
             TraceFormat::Jsonl => {
-                let metrics = MetricsSnapshot::capture(degraded_targets.len() as u64);
+                let metrics = MetricsSnapshot::capture(cfg.fault(), failures.len() as u64);
                 tracing::render_jsonl(&records, &header, Some(&metrics))
             }
             TraceFormat::Chrome => tracing::render_chrome(&records, &header),
         };
-        if let Err(err) = ioutil::write_with_retry(path, &rendered) {
+        if let Err(err) = ioutil::write_with_retry(cfg.fault(), path, &rendered) {
             eprintln!("repro: cannot write {}: {err}", path.display());
             return ExitCode::FAILURE;
         }
@@ -400,13 +380,13 @@ fn main() -> ExitCode {
         );
     }
 
-    if sim_core::fault::active() {
-        let stats = sim_core::fault::stats();
+    if cfg.fault().plan().is_some() {
+        let stats = cfg.fault().stats();
         eprintln!(
             "[fault] injected {} fault(s), {} operation(s) exhausted retries, {} cell(s) degraded",
             stats.injected,
             stats.exhausted,
-            degraded_targets.len(),
+            failures.len(),
         );
     }
     if !failures.is_empty() {

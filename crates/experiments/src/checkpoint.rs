@@ -27,10 +27,10 @@
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Mutex, PoisonError};
 
-use sim_core::fault::{self, FaultSite};
+use sim_core::fault::{FaultSite, FaultState};
 
 use crate::jsonl::{self, Value};
 use crate::telemetry::json_string;
@@ -141,7 +141,6 @@ pub struct CheckpointWriter {
 #[derive(Debug)]
 struct WriterState {
     file: File,
-    path: PathBuf,
     recorded: u64,
 }
 
@@ -178,7 +177,6 @@ impl CheckpointWriter {
         Ok(CheckpointWriter {
             state: Mutex::new(WriterState {
                 file,
-                path: path.to_owned(),
                 recorded: preserved.len() as u64,
             }),
         })
@@ -191,26 +189,18 @@ impl CheckpointWriter {
     /// # Errors
     ///
     /// The write/flush error, or the injected fault when a persistent
-    /// plan defeats every retry at the
+    /// plan in `fault` defeats every retry at the
     /// [`FaultSite::JsonlWrite`] gate.
-    pub fn record(&self, cell: &CellEntry) -> io::Result<u64> {
+    pub fn record(&self, fault: &FaultState, cell: &CellEntry) -> io::Result<u64> {
         // Injection site: same gate as every other artifact write.
-        fault::gate(FaultSite::JsonlWrite).map_err(io::Error::other)?;
+        fault
+            .gate(FaultSite::JsonlWrite)
+            .map_err(io::Error::other)?;
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         writeln!(state.file, "{}", cell.to_line())?;
         state.file.flush()?;
         state.recorded += 1;
         Ok(state.recorded)
-    }
-
-    /// The checkpoint's path (for diagnostics).
-    #[must_use]
-    pub fn path(&self) -> PathBuf {
-        self.state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .path
-            .clone()
     }
 }
 
@@ -302,7 +292,7 @@ pub fn load(path: &Path, expected_events: usize) -> Loaded {
 mod tests {
     use super::*;
 
-    fn temp_path(name: &str) -> PathBuf {
+    fn temp_path(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("checkpoint_unit_tests");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
@@ -323,7 +313,9 @@ mod tests {
         let path = temp_path("round_trip.jsonl");
         let writer = CheckpointWriter::create(&path, 2000, &["fig1", "fig2"]).unwrap();
         assert_eq!(
-            writer.record(&ok_cell("fig1", "line a\nline b\n")).unwrap(),
+            writer
+                .record(&FaultState::default(), &ok_cell("fig1", "line a\nline b\n"))
+                .unwrap(),
             1
         );
         let degraded = CellEntry {
@@ -333,7 +325,7 @@ mod tests {
             rendered: "fig2: degraded\n".to_owned(),
             message: Some("injected worker fault persisted".to_owned()),
         };
-        assert_eq!(writer.record(&degraded).unwrap(), 2);
+        assert_eq!(writer.record(&FaultState::default(), &degraded).unwrap(), 2);
         drop(writer);
 
         let loaded = load(&path, 2000);
@@ -349,8 +341,10 @@ mod tests {
         let writer = CheckpointWriter::create(&path, 100, &["fig1"]).unwrap();
         let mut first = ok_cell("fig1", "old");
         first.status = CellStatus::Degraded;
-        writer.record(&first).unwrap();
-        writer.record(&ok_cell("fig1", "new")).unwrap();
+        writer.record(&FaultState::default(), &first).unwrap();
+        writer
+            .record(&FaultState::default(), &ok_cell("fig1", "new"))
+            .unwrap();
         drop(writer);
         let loaded = load(&path, 100);
         assert_eq!(loaded.cells, vec![ok_cell("fig1", "new")]);
@@ -367,7 +361,12 @@ mod tests {
             std::slice::from_ref(&keep),
         )
         .unwrap();
-        assert_eq!(writer.record(&ok_cell("fig3", "fresh")).unwrap(), 2);
+        assert_eq!(
+            writer
+                .record(&FaultState::default(), &ok_cell("fig3", "fresh"))
+                .unwrap(),
+            2
+        );
         drop(writer);
         let loaded = load(&path, 100);
         assert_eq!(loaded.cells, vec![keep, ok_cell("fig3", "fresh")]);
@@ -384,7 +383,9 @@ mod tests {
     fn torn_tail_skips_only_the_bad_line() {
         let path = temp_path("torn.jsonl");
         let writer = CheckpointWriter::create(&path, 100, &["fig1"]).unwrap();
-        writer.record(&ok_cell("fig1", "good")).unwrap();
+        writer
+            .record(&FaultState::default(), &ok_cell("fig1", "good"))
+            .unwrap();
         drop(writer);
         // Simulate a kill mid-write: append half a line.
         let mut text = std::fs::read_to_string(&path).unwrap();
@@ -410,7 +411,9 @@ mod tests {
         assert_eq!(loaded.warnings.len(), 1);
 
         let writer = CheckpointWriter::create(&path, 100, &["fig1"]).unwrap();
-        writer.record(&ok_cell("fig1", "x")).unwrap();
+        writer
+            .record(&FaultState::default(), &ok_cell("fig1", "x"))
+            .unwrap();
         drop(writer);
         let loaded = load(&path, 999);
         assert!(loaded.cells.is_empty());

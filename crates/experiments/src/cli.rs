@@ -7,8 +7,11 @@
 
 use std::path::PathBuf;
 
+use sim_core::fault::FaultPlan;
+
 use crate::probe::ProbeMode;
 use crate::tracing::TraceFormat;
+use crate::RunConfig;
 
 /// One runnable repro target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,43 +89,41 @@ impl Target {
     /// opens a figure-level trace scope so span traces group a
     /// driver's cells under one `fig_*` root.
     #[must_use]
-    pub fn run(self, events: usize) -> String {
-        use sim_core::span::{self, ScopeKind};
+    pub fn run(self, cfg: &RunConfig, events: usize) -> String {
+        use sim_core::span::{self, ScopeKind::Figure};
+        let trace = cfg.trace();
         match self {
-            Target::Fig1 => span::scope(ScopeKind::Figure, "fig_fig1", "fig1", String::new, || {
-                crate::fig1::run(events).to_string()
+            Target::Fig1 => span::scope(trace, Figure, "fig_fig1", "fig1", String::new, || {
+                crate::fig1::run(cfg, events).to_string()
             }),
-            Target::Fig2 => span::scope(ScopeKind::Figure, "fig_fig2", "fig2", String::new, || {
-                crate::fig2::run(events).to_string()
+            Target::Fig2 => span::scope(trace, Figure, "fig_fig2", "fig2", String::new, || {
+                crate::fig2::run(cfg, events).to_string()
             }),
-            Target::Fig3 => span::scope(ScopeKind::Figure, "fig_fig3", "fig3", String::new, || {
-                crate::fig3::run(events).to_string()
+            Target::Fig3 => span::scope(trace, Figure, "fig_fig3", "fig3", String::new, || {
+                crate::fig3::run(cfg, events).to_string()
             }),
-            Target::Fig4 => span::scope(ScopeKind::Figure, "fig_fig4", "fig4", String::new, || {
-                crate::fig4::run(events).to_string()
+            Target::Fig4 => span::scope(trace, Figure, "fig_fig4", "fig4", String::new, || {
+                crate::fig4::run(cfg, events).to_string()
             }),
-            Target::Fig5 => span::scope(ScopeKind::Figure, "fig_fig5", "fig5", String::new, || {
-                crate::fig5::run(events).to_string()
+            Target::Fig5 => span::scope(trace, Figure, "fig_fig5", "fig5", String::new, || {
+                crate::fig5::run(cfg, events).to_string()
             }),
-            Target::Sec54 => {
-                span::scope(ScopeKind::Figure, "fig_sec54", "sec54", String::new, || {
-                    crate::sec54::run(events).to_string()
-                })
-            }
-            Target::Sec56 => {
-                span::scope(ScopeKind::Figure, "fig_sec56", "sec56", String::new, || {
-                    crate::sec56::run(events).to_string()
-                })
-            }
-            Target::Fig6 => span::scope(ScopeKind::Figure, "fig_fig6", "fig6", String::new, || {
-                crate::fig6::run(events).to_string()
+            Target::Sec54 => span::scope(trace, Figure, "fig_sec54", "sec54", String::new, || {
+                crate::sec54::run(cfg, events).to_string()
+            }),
+            Target::Sec56 => span::scope(trace, Figure, "fig_sec56", "sec56", String::new, || {
+                crate::sec56::run(cfg, events).to_string()
+            }),
+            Target::Fig6 => span::scope(trace, Figure, "fig_fig6", "fig6", String::new, || {
+                crate::fig6::run(cfg, events).to_string()
             }),
             Target::Ablation => span::scope(
-                ScopeKind::Figure,
+                trace,
+                Figure,
                 "fig_ablation",
                 "ablation",
                 String::new,
-                || crate::ablation::run(events).to_string(),
+                || crate::ablation::run(cfg, events).to_string(),
             ),
         }
     }
@@ -147,32 +148,6 @@ impl Target {
     }
 }
 
-/// Parsed `--fault SEED:RATE` chaos plan.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultSpec {
-    /// Seed of the fault-decision stream.
-    pub seed: u64,
-    /// Probability an arrival at an injection site starts a fault
-    /// burst, in `[0, 1]`.
-    pub rate: f64,
-    /// `--fault-persistent`: injected faults defeat every retry
-    /// instead of clearing within the budget.
-    pub persistent: bool,
-}
-
-impl FaultSpec {
-    /// The [`sim_core::fault::FaultPlan`] this spec describes.
-    #[must_use]
-    pub fn plan(&self) -> sim_core::fault::FaultPlan {
-        let plan = sim_core::fault::FaultPlan::new(self.seed, self.rate);
-        if self.persistent {
-            plan.persistent()
-        } else {
-            plan
-        }
-    }
-}
-
 /// Parsed `repro` invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Options {
@@ -187,8 +162,9 @@ pub struct Options {
     /// Where the probe JSONL goes (defaults to `OBS_repro.jsonl` when
     /// `--probe` is given).
     pub probe_out: Option<PathBuf>,
-    /// Fault-injection plan (`--fault SEED:RATE`), if any.
-    pub fault: Option<FaultSpec>,
+    /// Fault-injection plan (`--fault SEED:RATE`, persistent with
+    /// `--fault-persistent`), if any.
+    pub fault: Option<FaultPlan>,
     /// Where completed cells are checkpointed (`--checkpoint PATH`),
     /// if anywhere.
     pub checkpoint: Option<PathBuf>,
@@ -216,6 +192,27 @@ pub struct Options {
     pub targets: Vec<Target>,
 }
 
+impl Options {
+    /// The run value these options describe, built once per
+    /// invocation: `--threads` (or every available core), the probe
+    /// mode, a trace on the real or logical clock when `--trace-out`
+    /// is given, and the fault plan with fresh counters.
+    #[must_use]
+    pub fn run_config(&self) -> RunConfig {
+        let mut cfg = self.threads.map_or_else(RunConfig::default, RunConfig::new);
+        if let Some(mode) = self.probe {
+            cfg = cfg.with_probe(mode);
+        }
+        if self.trace_out.is_some() {
+            cfg = cfg.with_trace(crate::tracing::clock(self.trace_logical_clock));
+        }
+        if let Some(plan) = self.fault {
+            cfg = cfg.with_fault(plan);
+        }
+        cfg
+    }
+}
+
 /// Parses `repro` arguments (without the program name).
 ///
 /// Rejects non-positive or malformed `--events` explicitly — `--events
@@ -233,7 +230,7 @@ where
     let mut bench_json = None;
     let mut probe = None;
     let mut probe_out: Option<PathBuf> = None;
-    let mut fault: Option<FaultSpec> = None;
+    let mut fault: Option<FaultPlan> = None;
     let mut fault_persistent = false;
     let mut checkpoint: Option<PathBuf> = None;
     let mut resume = false;
@@ -286,7 +283,7 @@ where
             }
             "--fault" => {
                 let value = args.next().ok_or("--fault needs `SEED:RATE`")?;
-                fault = Some(parse_fault_spec(&value)?);
+                fault = Some(parse_fault_plan(&value)?);
             }
             "--fault-persistent" => fault_persistent = true,
             "--checkpoint" => {
@@ -370,11 +367,11 @@ where
         probe_out = Some(PathBuf::from("OBS_repro.jsonl"));
     }
     match fault.as_mut() {
-        Some(spec) => spec.persistent = fault_persistent,
+        Some(plan) if fault_persistent => *plan = plan.persistent(),
         None if fault_persistent => {
             return Err("--fault-persistent without --fault; add `--fault SEED:RATE`".into());
         }
-        None => {}
+        _ => {}
     }
     if resume && checkpoint.is_none() {
         return Err("--resume without --checkpoint; add `--checkpoint PATH`".into());
@@ -410,8 +407,9 @@ where
     })
 }
 
-/// Parses a `--fault` value: `SEED:RATE` with `RATE` in `[0, 1]`.
-fn parse_fault_spec(value: &str) -> Result<FaultSpec, String> {
+/// Parses a `--fault` value: `SEED:RATE` with `RATE` in `[0, 1]`, as a
+/// transient plan over every site.
+fn parse_fault_plan(value: &str) -> Result<FaultPlan, String> {
     let (seed, rate) = value
         .split_once(':')
         .ok_or_else(|| format!("--fault needs `SEED:RATE`, got `{value}`"))?;
@@ -424,11 +422,7 @@ fn parse_fault_spec(value: &str) -> Result<FaultSpec, String> {
     if !(0.0..=1.0).contains(&rate) {
         return Err(format!("--fault rate must be within [0, 1], got `{rate}`"));
     }
-    Ok(FaultSpec {
-        seed,
-        rate,
-        persistent: false,
-    })
+    Ok(FaultPlan::new(seed, rate))
 }
 
 /// Parses a `--probe` value: `epoch:N` (N accesses per epoch) or
@@ -564,15 +558,8 @@ mod tests {
             "fig1",
         ])
         .unwrap();
-        assert_eq!(
-            opts.fault,
-            Some(FaultSpec {
-                seed: 42,
-                rate: 0.25,
-                persistent: true,
-            })
-        );
-        assert!(opts.fault.unwrap().plan().persist);
+        assert_eq!(opts.fault, Some(FaultPlan::new(42, 0.25).persistent()));
+        assert!(opts.fault.unwrap().persist);
         assert_eq!(
             opts.checkpoint.as_deref(),
             Some(std::path::Path::new("ckpt.jsonl"))

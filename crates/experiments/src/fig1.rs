@@ -11,7 +11,7 @@ use mct::{MissClassificationTable, TagBits};
 use workloads::full_suite;
 
 use crate::table::pct_ratio;
-use crate::Table;
+use crate::{RunConfig, Table};
 
 /// One cache configuration's results.
 #[derive(Debug, Clone)]
@@ -82,11 +82,11 @@ pub(crate) fn members(
 /// workload: one group replay per workload scores all four
 /// configurations.
 #[must_use]
-pub fn run(events: usize) -> Fig1 {
+pub fn run(cfg: &RunConfig, events: usize) -> Fig1 {
     let configs = configurations();
     let suite = full_suite();
-    let per_workload: Vec<Vec<AccuracyReport>> = crate::par_map(suite.clone(), |w| {
-        crate::replay_group("fig1", &w, events, members(&configs), |i| {
+    let per_workload: Vec<Vec<AccuracyReport>> = cfg.par_map(suite.clone(), |cfg, w| {
+        crate::replay_group(cfg, "fig1", &w, events, members(&configs), |i| {
             format!("{}/{}", configs[i].0, w.name())
         })
     });
@@ -165,7 +165,7 @@ mod tests {
 
     #[test]
     fn small_run_has_sane_shape() {
-        let fig = run(3_000);
+        let fig = run(&RunConfig::default(), 3_000);
         assert_eq!(fig.configs.len(), 4);
         for c in &fig.configs {
             assert_eq!(c.benchmarks.len(), workloads::full_suite().len());

@@ -12,7 +12,7 @@ use mct::{MissClassificationTable, TagBits};
 use workloads::full_suite;
 
 use crate::table::{pct, pct_ratio};
-use crate::Table;
+use crate::{RunConfig, Table};
 
 /// One point of the tag-bit sweep.
 #[derive(Debug, Clone)]
@@ -54,15 +54,15 @@ pub fn geometry() -> CacheGeometry {
 /// workload: one group replay per workload scores every tag width
 /// against one shared oracle.
 #[must_use]
-pub fn run(events: usize) -> Fig2 {
+pub fn run(cfg: &RunConfig, events: usize) -> Fig2 {
     let geom = geometry();
     let widths = widths();
-    let per_workload: Vec<Vec<AccuracyReport>> = crate::par_map(full_suite(), |w| {
+    let per_workload: Vec<Vec<AccuracyReport>> = cfg.par_map(full_suite(), |cfg, w| {
         let members = widths
             .iter()
             .map(|&bits| (geom, MissClassificationTable::new(geom.num_sets(), bits)))
             .collect();
-        crate::replay_group("fig2", &w, events, members, |i| {
+        crate::replay_group(cfg, "fig2", &w, events, members, |i| {
             format!("{}/{}", widths[i], w.name())
         })
     });
@@ -129,7 +129,7 @@ mod tests {
 
     #[test]
     fn monotone_shape_on_small_run() {
-        let fig = run(3_000);
+        let fig = run(&RunConfig::default(), 3_000);
         let first = &fig.points.first().unwrap().report;
         let last = &fig.points.last().unwrap().report;
         // 1 bit: conflict accuracy at least as high as full tags,

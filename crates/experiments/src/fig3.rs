@@ -12,7 +12,7 @@ use victim_cache::{VictimConfig, VictimPolicy, VictimStats, VictimSystem};
 use workloads::suite;
 
 use crate::table::{pct, speedup};
-use crate::Table;
+use crate::{RunConfig, Table};
 
 /// Results for one victim policy.
 #[derive(Debug, Clone)]
@@ -48,8 +48,9 @@ pub fn simulated_events(events: usize) -> u64 {
 /// Runs the Figure 3 / Table 1 experiment: one pass per workload
 /// feeds the no-victim baseline and every victim policy.
 #[must_use]
-pub fn run(events: usize) -> Fig3 {
+pub fn run(cfg: &RunConfig, events: usize) -> Fig3 {
     let passes = crate::policy_passes(
+        cfg,
         "fig3",
         events,
         || BaselineSystem::paper_default().expect("paper config"),
@@ -176,7 +177,7 @@ mod tests {
 
     #[test]
     fn shape_on_small_run() {
-        let fig = run(4_000);
+        let fig = run(&RunConfig::default(), 4_000);
         assert_eq!(fig.policies.len(), 4);
         let trad = &fig.policies[0];
         let both = &fig.policies[3];

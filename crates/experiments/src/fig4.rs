@@ -14,7 +14,7 @@ use sim_core::stats::GeoMean;
 use workloads::suite;
 
 use crate::table::{pct, speedup};
-use crate::Table;
+use crate::{RunConfig, Table};
 
 /// Results for one prefetch strategy.
 #[derive(Debug, Clone)]
@@ -58,8 +58,9 @@ pub fn simulated_events(events: usize) -> u64 {
 /// Runs the Figure 4 experiment: one pass per workload feeds the
 /// slow-bus no-prefetch baseline and every strategy.
 #[must_use]
-pub fn run(events: usize) -> Fig4 {
+pub fn run(cfg: &RunConfig, events: usize) -> Fig4 {
     let passes = crate::policy_passes(
+        cfg,
         "fig4",
         events,
         || {
@@ -159,7 +160,7 @@ mod tests {
 
     #[test]
     fn filters_reduce_issue_traffic() {
-        let fig = run(4_000);
+        let fig = run(&RunConfig::default(), 4_000);
         assert_eq!(fig.strategies.len(), 5);
         let unfiltered = &fig.strategies[0];
         let or_filter = &fig.strategies[4];

@@ -11,7 +11,7 @@ use sim_core::stats::GeoMean;
 use workloads::suite;
 
 use crate::table::{pct, speedup};
-use crate::Table;
+use crate::{RunConfig, Table};
 
 /// Results for one exclusion policy.
 #[derive(Debug, Clone)]
@@ -45,8 +45,9 @@ pub fn simulated_events(events: usize) -> u64 {
 /// Runs the Figure 5 experiment: one pass per workload feeds the
 /// no-buffer baseline and every exclusion policy.
 #[must_use]
-pub fn run(events: usize) -> Fig5 {
+pub fn run(cfg: &RunConfig, events: usize) -> Fig5 {
     let passes = crate::policy_passes(
+        cfg,
         "fig5",
         events,
         || BaselineSystem::paper_default().expect("paper config"),
@@ -139,7 +140,7 @@ mod tests {
 
     #[test]
     fn capacity_is_competitive_on_small_run() {
-        let fig = run(4_000);
+        let fig = run(&RunConfig::default(), 4_000);
         assert_eq!(fig.policies.len(), 5);
         let capacity = fig
             .policies

@@ -13,7 +13,7 @@ use sim_core::stats::GeoMean;
 use workloads::suite;
 
 use crate::table::{pct, speedup};
-use crate::Table;
+use crate::{RunConfig, Table};
 
 /// Results for one AMB policy at one buffer size.
 #[derive(Debug, Clone)]
@@ -50,12 +50,13 @@ pub fn simulated_events(events: usize) -> u64 {
 /// Runs the Figures 6 + 7 experiment: one pass per workload feeds the
 /// no-buffer baseline and every policy at 8 entries, then at 16.
 #[must_use]
-pub fn run(events: usize) -> Fig6 {
+pub fn run(cfg: &RunConfig, events: usize) -> Fig6 {
     let cells: Vec<(usize, AmbPolicy)> = [8usize, 16]
         .into_iter()
         .flat_map(|entries| AmbPolicy::ALL.map(|policy| (entries, policy)))
         .collect();
     let passes = crate::policy_passes(
+        cfg,
         "fig6",
         events,
         || BaselineSystem::paper_default().expect("paper config"),
@@ -181,7 +182,7 @@ mod tests {
 
     #[test]
     fn combination_beats_singles_on_small_run() {
-        let fig = run(6_000);
+        let fig = run(&RunConfig::default(), 6_000);
         let victpref = fig.result(AmbPolicy::VictPref, 8).unwrap().mean_speedup;
         let vict = fig.result(AmbPolicy::Vict, 8).unwrap().mean_speedup;
         let pref = fig.result(AmbPolicy::Pref, 8).unwrap().mean_speedup;

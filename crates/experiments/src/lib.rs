@@ -31,9 +31,11 @@
 //! whole events through [`replay_cpu`], which feeds each chunk to
 //! every policy cell's resumable [`cpu_model::CpuRun`] in turn.
 //!
-//! Every driver takes the number of trace events per workload, so the
-//! same code serves quick smoke tests, Criterion benches, and the full
-//! `repro` runs. Absolute numbers differ from the paper (the substrate
+//! Every driver takes the run's [`RunConfig`] — worker threads, probe
+//! mode, trace and fault plan, plus the collector its records go to —
+//! and the number of trace events per workload, so the same code
+//! serves quick smoke tests, Criterion benches, and the full `repro`
+//! runs. Absolute numbers differ from the paper (the substrate
 //! is a synthetic-workload simulator, not SPEC95 on SMTSIM); the
 //! qualitative shape — who wins, roughly by how much, where crossovers
 //! fall — is the reproduction target (see EXPERIMENTS.md).
@@ -41,7 +43,7 @@
 //! # Examples
 //!
 //! ```
-//! let report = experiments::fig1::run(5_000);
+//! let report = experiments::fig1::run(&experiments::RunConfig::default(), 5_000);
 //! let dm16 = &report.configs[0];
 //! assert!(dm16.average.conflict.value() > 0.5);
 //! ```
@@ -64,6 +66,7 @@ pub mod jsonl;
 pub mod mrc;
 pub mod obs;
 pub mod probe;
+mod run;
 pub mod sec54;
 pub mod sec56;
 mod table;
@@ -71,6 +74,7 @@ pub mod telemetry;
 pub mod traceview;
 pub mod tracing;
 
+pub use run::RunConfig;
 pub use table::Table;
 
 use cache_model::CacheGeometry;
@@ -80,7 +84,6 @@ use mct::EvictionClassifier;
 use trace_gen::{TraceEvent, TraceSource};
 
 use crate::group::AccuracyGroup;
-use crate::probe::GroupProbe;
 
 /// Default events per workload for full experiment runs.
 pub const DEFAULT_EVENTS: usize = 300_000;
@@ -139,25 +142,6 @@ pub fn stream_blocks(
     cache_model::pool::recycle_u64(lines);
 }
 
-/// Streams `workload` once through an [`AccuracyGroup`] of `members`,
-/// returning each member's report in member order. `probes` installs
-/// each member's probe sink (if any) around that member's scoring.
-fn replay_members<T: EvictionClassifier>(
-    workload: &workloads::Workload,
-    events: usize,
-    members: Vec<(CacheGeometry, T)>,
-    probes: &GroupProbe,
-) -> Vec<AccuracyReport> {
-    let cells = members.len();
-    let mut group = AccuracyGroup::new(members);
-    let _span = sim_core::span::enter("replay_stream");
-    sim_core::span::add_events((events * cells) as u64);
-    stream_blocks(workload, events, group.line_size(), |lines| {
-        group.observe_block(lines, probes);
-    });
-    group.finish()
-}
-
 /// The accuracy drivers' one replay loop (fig1, fig2, the
 /// shadow-depth ablation, the MRC cross-check): streams `workload`
 /// once and scores every `(geometry, classifier)` member against one
@@ -170,6 +154,7 @@ fn replay_members<T: EvictionClassifier>(
 /// standalone [`mct::accuracy::AccuracyEvaluator`] replay of the
 /// member (differential-tested).
 pub fn replay_group<T: EvictionClassifier>(
+    cfg: &RunConfig,
     target: &'static str,
     workload: &workloads::Workload,
     events: usize,
@@ -177,54 +162,29 @@ pub fn replay_group<T: EvictionClassifier>(
     label: impl Fn(usize) -> String,
 ) -> Vec<AccuracyReport> {
     let cells = members.len();
+    let fed = (events * cells) as u64;
     probe::group(
+        cfg,
         target,
         || workload.name().to_owned(),
         cells,
         label,
         |probes| {
-            telemetry::record_events((events * cells) as u64);
-            replay_members(workload, events, members, probes)
+            telemetry::record_events(fed);
+            let mut group = AccuracyGroup::new(members);
+            let _span = sim_core::span::enter("replay_stream");
+            sim_core::span::add_events(fed);
+            stream_blocks(workload, events, group.line_size(), |lines| {
+                group.observe_block(lines, probes);
+            });
+            group.finish()
         },
     )
-}
-
-/// [`replay_group`]'s one-member case, outside any probe cell: the
-/// report of one MCT configuration over `events` events of `workload`.
-#[must_use]
-pub fn replay_accuracy<T: EvictionClassifier>(
-    workload: &workloads::Workload,
-    events: usize,
-    geom: CacheGeometry,
-    table: T,
-) -> AccuracyReport {
-    replay_members(
-        workload,
-        events,
-        vec![(geom, table)],
-        &GroupProbe::default(),
-    )
-    .pop()
-    .unwrap_or_default()
 }
 
 /// The seed all experiments use (workload identity is mixed in by the
 /// workloads crate).
 pub const SEED: u64 = 1;
-
-/// Maps `f` over independent experiment cells on scoped threads,
-/// preserving order — a thin re-export of [`sim_core::parallel`], the
-/// workspace's one scheduler implementation. Thread count is
-/// controlled by `repro --threads` / `SIM_THREADS` /
-/// [`sim_core::parallel::set_max_threads`]; results are identical at
-/// any thread count because every cell owns its simulator state and
-/// its (replayed) trace.
-pub use sim_core::parallel::par_map;
-
-/// The recovering variant of [`par_map`]: failed cells come back as
-/// [`sim_core::parallel::CellFailure`]s instead of panicking, which is
-/// how `repro` records degraded cells without aborting a sweep.
-pub use sim_core::parallel::try_par_map;
 
 /// One cell of a CPU-model group pass ([`replay_cpu`]): the core it
 /// runs on and the memory system it drives. The cell borrows the
@@ -280,6 +240,7 @@ impl<M: MemorySystem> FeedChunk for M {
 /// `cell_label(i)`, with its sink installed around its own feeds, so
 /// probed and plain runs execute this same pass.
 pub fn replay_cpu(
+    cfg: &RunConfig,
     target: &'static str,
     label: impl Fn() -> String,
     trace: impl IntoIterator<Item = TraceEvent>,
@@ -287,12 +248,12 @@ pub fn replay_cpu(
     cell_label: impl Fn(usize) -> String,
 ) -> Vec<CpuReport> {
     let count = cells.len();
-    probe::group(target, label, count, cell_label, |probes| {
+    probe::group(cfg, target, label, count, cell_label, |probes| {
         // Injection site: a transient fault retries inside the gate; a
         // persistent one unwinds before any cell has run, so the
-        // scheduler's retry of the figure replays the pass from the
+        // scheduler's retry of the item replays the pass from the
         // start.
-        if let Err(fault) = sim_core::fault::gate(sim_core::fault::FaultSite::CpuGroup) {
+        if let Err(fault) = cfg.fault().gate(sim_core::fault::FaultSite::CpuGroup) {
             std::panic::panic_any(fault);
         }
         let _span = sim_core::span::enter("replay_cpu");
@@ -336,6 +297,7 @@ pub(crate) struct PolicyPass<T> {
 /// reads a policy system's counters when its pass ends. Passes come
 /// back in [`workloads::suite`] order.
 pub(crate) fn policy_passes<S, T>(
+    cfg: &RunConfig,
     target: &'static str,
     events: usize,
     baseline: impl Fn() -> cpu_model::BaselineSystem + Sync,
@@ -346,12 +308,13 @@ where
     S: MemorySystem,
     T: Send,
 {
-    par_map(workloads::suite(), |w| {
+    cfg.par_map(workloads::suite(), |cfg, w| {
         let mut base = baseline();
         let (names, mut systems): (Vec<String>, Vec<S>) = policies().into_iter().unzip();
         let mut cells = vec![CpuCell::paper(&mut base)];
         cells.extend(systems.iter_mut().map(CpuCell::paper));
         let mut reports = replay_cpu(
+            cfg,
             target,
             || w.name().to_owned(),
             trace(&w, events),

@@ -31,7 +31,7 @@ use mrc::{CurvePoint, ShardsEngine, StackDistanceEngine};
 use workloads::Workload;
 
 use crate::telemetry::{json_f64, json_string};
-use crate::Table;
+use crate::{RunConfig, Table};
 
 /// The capacity ladder (in lines) every curve is evaluated at. It
 /// includes both paper geometry capacities — 256 lines (16 KB, 64 B
@@ -213,22 +213,24 @@ fn curve_for(
 /// cross-check groups start, so a stack-distance index is never
 /// resident next to group state.
 #[must_use]
-pub fn run(events: usize, sample: Option<f64>) -> MrcRun {
+pub fn run(cfg: &RunConfig, events: usize, sample: Option<f64>) -> MrcRun {
     let suite = workload_suite();
     let configs = crate::fig1::configurations();
     // All fig1 geometries share 64 B lines, and stack distances depend
     // only on the line address.
     let line_size = configs[0].1.line_size();
-    let curves: Vec<WorkloadCurve> = crate::par_map(suite.clone(), |w| {
+    let curves: Vec<WorkloadCurve> = cfg.par_map(suite.clone(), |cfg, w| {
         crate::probe::cell(
+            cfg,
             "mrc",
             || format!("curve/{}", w.name()),
             || curve_for(&w, line_size, events, sample),
         )
     });
 
-    let per_workload: Vec<Vec<AccuracyReport>> = crate::par_map(suite, |w| {
-        crate::replay_group("mrc", &w, events, crate::fig1::members(&configs), |i| {
+    let per_workload: Vec<Vec<AccuracyReport>> = cfg.par_map(suite, |cfg, w| {
+        let members = crate::fig1::members(&configs);
+        crate::replay_group(cfg, "mrc", &w, events, members, |i| {
             format!("{}/{}", configs[i].0, w.name())
         })
     });
@@ -591,7 +593,7 @@ mod tests {
 
     #[test]
     fn small_run_has_sane_shape() {
-        let run = run(2_000, None);
+        let run = run(&RunConfig::default(), 2_000, None);
         let suite = workload_suite().len();
         assert_eq!(run.curves.len(), suite);
         assert_eq!(run.cells.len(), 4 * suite);
@@ -610,8 +612,8 @@ mod tests {
 
     #[test]
     fn sampled_run_reports_reduced_state() {
-        let exact = run(2_000, None);
-        let sampled = run(2_000, Some(0.05));
+        let exact = run(&RunConfig::default(), 2_000, None);
+        let sampled = run(&RunConfig::default(), 2_000, Some(0.05));
         assert_eq!(sampled.mode(), "sampled");
         let sum = |r: &MrcRun| r.curves.iter().map(|c| c.distinct_lines).sum::<u64>();
         assert!(
@@ -624,7 +626,7 @@ mod tests {
 
     #[test]
     fn render_round_trips_a_run() {
-        let run = run(1_500, None);
+        let run = run(&RunConfig::default(), 1_500, None);
         let report = render(&run.to_jsonl()).expect("renderable");
         assert!(report.contains("mrc-repro/1  mode=exact"), "{report}");
         assert!(report.contains("tomcatv"), "{report}");
@@ -638,7 +640,7 @@ mod tests {
         let err = render("{\"schema\":\"obs-repro/1\"}\n").unwrap_err();
         assert!(err.contains("mrc-repro/1"), "{err}");
         // Torn interior line is an error; torn final line a warning.
-        let good = run(1_000, Some(0.5)).to_jsonl();
+        let good = run(&RunConfig::default(), 1_000, Some(0.5)).to_jsonl();
         let mut torn_final = good.clone();
         torn_final.push_str("{\"type\":\"cell\",\"conf");
         let report = render(&torn_final).expect("tolerated");
@@ -650,7 +652,7 @@ mod tests {
 
     #[test]
     fn render_warns_on_foreign_records() {
-        let mut text = run(1_000, None).to_jsonl();
+        let mut text = run(&RunConfig::default(), 1_000, None).to_jsonl();
         text.push_str("{\"type\":\"span\",\"scope\":\"cell\"}\n{\"type\":\"totals\"}\n");
         let report = render(&text).expect("tolerated");
         assert!(
@@ -661,7 +663,7 @@ mod tests {
 
     #[test]
     fn jsonl_header_carries_canonical_schema() {
-        let run = run(1_000, Some(0.5));
+        let run = run(&RunConfig::default(), 1_000, Some(0.5));
         let jsonl = run.to_jsonl();
         let values = crate::jsonl::parse_lines(&jsonl).expect("valid jsonl");
         assert_eq!(

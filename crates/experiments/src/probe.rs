@@ -2,12 +2,12 @@
 //! record collection, and the `obs-repro/1` JSONL serialization.
 //!
 //! [`sim_core::probe`] provides the event stream and the sinks; this
-//! module decides *when* to install them. The `repro` harness calls
-//! [`configure`] once from its CLI flags, every figure driver wraps
-//! each experiment cell in [`cell`] (or, when one replay advances
-//! several cells, in [`group`]), and after the run the harness
-//! [`drain`]s the folded records and writes them with
-//! [`render_jsonl`].
+//! module decides *when* to install them. The run's
+//! [`RunConfig::probe`] mode says what to collect, every figure driver
+//! wraps each experiment cell in [`cell`] (or, when one replay
+//! advances several cells, in [`group`]), and the folded records land
+//! in the run's collector. After the run the harness takes them with
+//! [`RunConfig::take_cells`] and writes them with [`render_jsonl`].
 //!
 //! Records are sorted by `(target, cell)` before serialization, and
 //! each cell's events are folded entirely on the worker thread that
@@ -17,12 +17,11 @@
 use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 
 use sim_core::probe::{CellProbe, EpochSink, EpochSnapshot, JsonlSink, Registry};
 
 use crate::telemetry::{json_f64, json_string};
+use crate::RunConfig;
 
 /// What the installed probe collects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,34 +62,21 @@ pub struct CellRecord {
     pub raw: Option<String>,
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static CONFIG: Mutex<Option<ProbeMode>> = Mutex::new(None);
-static RECORDS: Mutex<Vec<CellRecord>> = Mutex::new(Vec::new());
-
-/// Installs (or clears, with `None`) the process-wide probe mode and
-/// discards any records from a previous run.
-pub fn configure(mode: Option<ProbeMode>) {
-    *CONFIG.lock().expect("probe config poisoned") = mode;
-    RECORDS.lock().expect("probe records poisoned").clear();
-    ENABLED.store(mode.is_some(), Ordering::Release);
-}
-
-/// Whether [`configure`] armed a probe mode.
-#[must_use]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Acquire)
-}
-
-/// Runs one experiment cell under the configured probe (if any) and
-/// inside a `cell_run` span scope (if tracing is armed): the
-/// one-member case of [`group`].
+/// Runs one experiment cell under the run's probe (if any) and inside
+/// a `cell_run` span scope (if tracing): the one-member case of
+/// [`group`].
 ///
-/// `label` is only invoked when probing or tracing is armed, so
-/// drivers pay no string formatting on plain runs. The cell body `f`
-/// runs with a thread-local sink installed; its folded record is
-/// appended to the global collection for [`drain`].
-pub fn cell<R>(target: &'static str, label: impl Fn() -> String, f: impl FnOnce() -> R) -> R {
-    group(target, &label, 1, |_| label(), |probes| probes.member(0, f))
+/// `label` is only invoked when probing or tracing, so drivers pay no
+/// string formatting on plain runs. The cell body `f` runs with a
+/// thread-local sink installed; its folded record goes to the run's
+/// collector.
+pub fn cell<R>(
+    cfg: &RunConfig,
+    target: &'static str,
+    label: impl Fn() -> String,
+    f: impl FnOnce() -> R,
+) -> R {
+    group(cfg, target, &label, 1, |_| label(), |g| g.member(0, f))
 }
 
 /// Runs a group cell: one body that advances `members` experiment
@@ -103,8 +89,9 @@ pub fn cell<R>(target: &'static str, label: impl Fn() -> String, f: impl FnOnce(
 /// member's sink therefore sees exactly the events a standalone
 /// [`cell`] running that member alone would see, in the same order,
 /// and every record keeps its label and bytes. Labels are only
-/// invoked when probing or tracing is armed.
+/// invoked when probing or tracing.
 pub fn group<R>(
+    cfg: &RunConfig,
     target: &'static str,
     label: impl Fn() -> String,
     members: usize,
@@ -112,14 +99,15 @@ pub fn group<R>(
     f: impl FnOnce(&GroupProbe) -> R,
 ) -> R {
     sim_core::span::scope(
+        cfg.trace(),
         sim_core::span::ScopeKind::Cell,
         "cell_run",
         target,
         &label,
         || {
-            let probes = GroupProbe::armed(members);
+            let probes = GroupProbe::armed(cfg.probe(), members);
             let out = f(&probes);
-            probes.flush(target, &member_label);
+            probes.flush(cfg, target, &member_label);
             out
         },
     )
@@ -134,26 +122,22 @@ enum MemberSink {
 
 /// The per-member probe sinks of one [`group`] cell; empty when no
 /// probe mode is configured.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct GroupProbe {
     sinks: Vec<MemberSink>,
 }
 
 impl GroupProbe {
-    /// One fresh sink per member under the configured probe mode, or
-    /// none when probing is off.
-    fn armed(members: usize) -> Self {
-        if !enabled() {
-            return GroupProbe::default();
-        }
-        let sinks = match *CONFIG.lock().expect("probe config poisoned") {
+    /// One fresh sink per member under `mode`, or none when probing
+    /// is off.
+    fn armed(mode: Option<ProbeMode>, members: usize) -> Self {
+        let sinks = match mode {
             Some(ProbeMode::Epoch(len)) => (0..members)
                 .map(|_| MemberSink::Epoch(Rc::new(RefCell::new(EpochSink::new(len)))))
                 .collect(),
             Some(ProbeMode::Raw) => (0..members)
                 .map(|_| MemberSink::Raw(Rc::new(RefCell::new(JsonlSink::new(Vec::new())))))
                 .collect(),
-            // configure(None) raced us; run unprobed.
             None => Vec::new(),
         };
         GroupProbe { sinks }
@@ -170,67 +154,44 @@ impl GroupProbe {
     }
 
     /// Folds every member's sink into its record and appends the
-    /// records to the global collection for [`drain`].
-    fn flush(self, target: &'static str, member_label: &dyn Fn(usize) -> String) {
+    /// records to the run's collector.
+    fn flush(self, cfg: &RunConfig, target: &'static str, member_label: &dyn Fn(usize) -> String) {
         let mut records = Vec::with_capacity(self.sinks.len());
         for (i, sink) in self.sinks.into_iter().enumerate() {
-            let mut record = CellRecord {
+            let unwrap = "member sink still installed";
+            let (probe, raw) = match sink {
+                MemberSink::Epoch(sink) => (
+                    Rc::try_unwrap(sink).expect(unwrap).into_inner().finish(),
+                    None,
+                ),
+                MemberSink::Raw(sink) => {
+                    let sink = Rc::try_unwrap(sink).expect(unwrap).into_inner();
+                    let (buf, _written) = sink.finish().expect("Vec<u8> writes cannot fail");
+                    let raw = String::from_utf8(buf).expect("probe JSONL is ASCII");
+                    (CellProbe::default(), Some(raw))
+                }
+            };
+            let record = CellRecord {
                 target,
                 cell: member_label(i),
-                epochs: Vec::new(),
-                totals: Registry::new(),
-                hot_sets: Vec::new(),
-                raw: None,
+                epochs: probe.epochs,
+                totals: probe.totals,
+                hot_sets: probe.hot_sets,
+                raw,
             };
-            match sink {
-                MemberSink::Epoch(sink) => {
-                    let CellProbe {
-                        epochs,
-                        totals,
-                        hot_sets,
-                    } = Rc::try_unwrap(sink)
-                        .expect("member sink still installed")
-                        .into_inner()
-                        .finish();
-                    record.epochs = epochs;
-                    record.totals = totals;
-                    record.hot_sets = hot_sets;
-                }
-                MemberSink::Raw(sink) => {
-                    let (buf, _written) = Rc::try_unwrap(sink)
-                        .expect("member sink still installed")
-                        .into_inner()
-                        .finish()
-                        .expect("Vec<u8> writes cannot fail");
-                    record.raw = Some(String::from_utf8(buf).expect("probe JSONL is ASCII"));
-                }
-            }
             // Injection site: flushing a folded record is where a real
             // sink would hit I/O. Transient faults retry inside the gate;
             // a persistent fault unwinds before any of the group's
             // records is stored, so the scheduler's retry of the whole
             // group stores each record exactly once.
             let _flush = sim_core::span::enter("probe_flush");
-            if let Err(fault) = sim_core::fault::gate(sim_core::fault::FaultSite::ProbeFlush) {
+            if let Err(fault) = cfg.fault().gate(sim_core::fault::FaultSite::ProbeFlush) {
                 std::panic::panic_any(fault);
             }
             records.push(record);
         }
-        RECORDS
-            .lock()
-            .expect("probe records poisoned")
-            .extend(records);
+        cfg.lock_cells().extend(records);
     }
-}
-
-/// Takes all collected records, sorted by `(target, cell)` — the
-/// deterministic serialization order.
-#[must_use]
-pub fn drain() -> Vec<CellRecord> {
-    let mut records: Vec<CellRecord> =
-        std::mem::take(&mut *RECORDS.lock().expect("probe records poisoned"));
-    records.sort_by(|a, b| a.target.cmp(b.target).then_with(|| a.cell.cmp(&b.cell)));
-    records
 }
 
 /// The run-level fields of the `obs-repro/1` header line.
@@ -287,10 +248,10 @@ fn hot_sets_json(hot: &[(u32, u64)]) -> String {
     out
 }
 
-/// Serializes drained records as an `obs-repro/1` JSONL document.
+/// Serializes collected records as an `obs-repro/1` JSONL document.
 ///
 /// Line order: one header, then per record (already sorted by the
-/// caller via [`drain`]) its epoch lines (epoch mode) or event lines
+/// caller via [`RunConfig::take_cells`]) its epoch lines (epoch mode) or event lines
 /// (raw mode) followed by its cell summary line, then one totals
 /// footer. See EXPERIMENTS.md §"Observability" for field semantics.
 #[must_use]
@@ -377,16 +338,15 @@ pub fn render_jsonl(records: &[CellRecord], header: &RunHeader) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_core::fault::{FaultPlan, RetryPolicy};
     use sim_core::probe::{emit, ProbeEvent};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
-    // The probe configuration is process-global, so everything that
-    // configures it lives in this one test (Rust runs tests in the
-    // same process, possibly concurrently).
     #[test]
-    fn configure_cell_drain_round_trip() {
-        configure(Some(ProbeMode::Epoch(2)));
-        assert!(enabled());
+    fn cell_records_round_trip() {
+        let cfg = RunConfig::new(1).with_probe(ProbeMode::Epoch(2));
         let out = cell(
+            &cfg,
             "t1",
             || "b/cell".to_owned(),
             || {
@@ -398,13 +358,14 @@ mod tests {
         );
         assert_eq!(out, 42);
         cell(
+            &cfg,
             "t1",
             || "a/cell".to_owned(),
             || {
                 emit(ProbeEvent::Access { hit: false });
             },
         );
-        let records = drain();
+        let records = cfg.take_cells();
         assert_eq!(records.len(), 2);
         // Sorted by (target, cell), not insertion order.
         assert_eq!(records[0].cell, "a/cell");
@@ -434,17 +395,20 @@ mod tests {
         let totals = values.last().unwrap();
         assert_eq!(totals.u64_field("cells"), Some(2));
         assert_eq!(totals.get("counters").unwrap().u64_field("access"), Some(4));
+    }
 
-        // Raw mode streams prefixed events.
-        configure(Some(ProbeMode::Raw));
+    #[test]
+    fn raw_mode_streams_prefixed_events() {
+        let cfg = RunConfig::new(1).with_probe(ProbeMode::Raw);
         cell(
+            &cfg,
             "t2",
             || "only".to_owned(),
             || {
                 emit(ProbeEvent::Access { hit: true });
             },
         );
-        let records = drain();
+        let records = cfg.take_cells();
         let jsonl = render_jsonl(
             &records,
             &RunHeader {
@@ -459,12 +423,43 @@ mod tests {
         assert_eq!(ev.str_field("type"), Some("event"));
         assert_eq!(ev.str_field("kind"), Some("access"));
         assert_eq!(ev.str_field("cell"), Some("only"));
+    }
 
-        // Disabled again: cell() is a pass-through and label is lazy.
-        configure(None);
-        assert!(!enabled());
-        let out = cell("t3", || unreachable!("label must be lazy"), || 7);
+    #[test]
+    fn unprobed_cells_are_pass_throughs_with_lazy_labels() {
+        let cfg = RunConfig::new(1);
+        let out = cell(&cfg, "t3", || unreachable!("label must be lazy"), || 7);
         assert_eq!(out, 7);
-        assert!(drain().is_empty());
+        assert!(cfg.take_cells().is_empty());
+    }
+
+    #[test]
+    fn a_retried_item_keeps_only_its_returning_attempts_records() {
+        // A zero-rate plan injects nothing but grants one retry.
+        let plan = FaultPlan::new(0, 0.0).with_retry(RetryPolicy {
+            max_attempts: 2,
+            base_delay_micros: 0,
+            max_delay_micros: 0,
+        });
+        let cfg = RunConfig::new(1)
+            .with_probe(ProbeMode::Epoch(4))
+            .with_fault(plan);
+        let failed_once = AtomicBool::new(false);
+        cfg.par_map(vec![()], |attempt, ()| {
+            cell(
+                attempt,
+                "t4",
+                || "c".to_owned(),
+                || emit(ProbeEvent::Access { hit: true }),
+            );
+            // The first attempt unwinds after its cell has flushed.
+            assert!(
+                failed_once.swap(true, Ordering::Relaxed),
+                "first attempt fails"
+            );
+        });
+        let records = cfg.take_cells();
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].totals.counter("access"), 1);
     }
 }

@@ -11,7 +11,7 @@ use sim_core::stats::GeoMean;
 use workloads::suite;
 
 use crate::table::{pct, speedup};
-use crate::{CpuCell, Table};
+use crate::{CpuCell, RunConfig, Table};
 
 /// Per-benchmark numbers for the §5.4 comparison.
 #[derive(Debug, Clone)]
@@ -59,7 +59,7 @@ const CELLS: [&str; 4] = ["dm", "pseudo-lru", "pseudo-cbit", "two-way"];
 /// direct-mapped baseline, both pseudo-associative policies and the
 /// true 2-way cache.
 #[must_use]
-pub fn run(events: usize) -> Sec54 {
+pub fn run(cfg: &RunConfig, events: usize) -> Sec54 {
     let benchmarks = suite();
     let mut base_sum = 0.0;
     let mut mod_sum = 0.0;
@@ -67,7 +67,7 @@ pub fn run(events: usize) -> Sec54 {
     let mut mean_base = GeoMean::default();
     let mut mean_two = GeoMean::default();
 
-    let rows: Vec<BenchRow> = crate::par_map(benchmarks, |w| {
+    let rows: Vec<BenchRow> = cfg.par_map(benchmarks, |cfg, w| {
         let mut dm = BaselineSystem::paper_default().expect("paper config");
         let mut base = PseudoAssocSystem::paper_default(PseudoConfig::new(PseudoPolicy::Lru))
             .expect("paper config");
@@ -82,6 +82,7 @@ pub fn run(events: usize) -> Sec54 {
             CpuCell::paper(&mut two_way),
         ];
         let reports = crate::replay_cpu(
+            cfg,
             "sec54",
             || w.name().to_owned(),
             crate::trace(&w, events),
@@ -167,7 +168,7 @@ mod tests {
 
     #[test]
     fn modified_not_worse_than_base_on_average() {
-        let r = run(4_000);
+        let r = run(&RunConfig::default(), 4_000);
         let (base, modified, _two) = r.avg_miss;
         assert!(
             modified <= base + 0.002,

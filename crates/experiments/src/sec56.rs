@@ -21,7 +21,7 @@ use trace_gen::{TraceEvent, TraceSource};
 use workloads::{by_name, Workload};
 
 use crate::table::pct;
-use crate::{CpuCell, Table, SEED};
+use crate::{CpuCell, RunConfig, Table, SEED};
 
 /// One co-scheduled pairing's measurements.
 #[derive(Debug, Clone)]
@@ -89,13 +89,14 @@ fn thread_trace(w: &Workload, (seed, offset): (u64, u64), events: usize) -> Vec<
 
 /// Solo run of `w` as thread `thread` of [`THREADS`] on the baseline
 /// system, over its already-built `trace`: (miss rate, IPC).
-fn solo_run(w: &Workload, thread: usize, trace: &[TraceEvent]) -> (f64, f64) {
+fn solo_run(cfg: &RunConfig, w: &Workload, thread: usize, trace: &[TraceEvent]) -> (f64, f64) {
     let mut sys = BaselineSystem::paper_default().expect("paper config");
     let label = || {
         let role = if thread == 0 { "solo" } else { "solo-partner" };
         format!("{role}/{}", w.name())
     };
     let report = crate::replay_cpu(
+        cfg,
         "sec56",
         label,
         trace.iter().copied(),
@@ -120,12 +121,14 @@ struct PairRun {
 /// plus the MCT accounting pass over the same interleaving: four
 /// trace replays.
 fn pair_run(
+    cfg: &RunConfig,
     jobs: &[Workload],
     (i, j): (usize, usize),
     own: &[TraceEvent],
     partner: &[TraceEvent],
 ) -> PairRun {
     crate::probe::cell(
+        cfg,
         "sec56",
         || format!("pair/{}+{}", jobs[i].name(), jobs[j].name()),
         || {
@@ -169,21 +172,24 @@ fn pair_run(
     )
 }
 
+/// One job's (solo, solo-partner, pairings) measurements.
+type JobPass = ((f64, f64), (f64, f64), Vec<PairRun>);
+
 /// Job `i`'s pass: its own trace is built once, run solo, and paired
 /// with the partner trace of every job from `i` on; the partner trace
 /// of job `i` itself is also run solo. At most two traces are live.
 /// Returns (solo, solo-partner, pairings).
-fn job_pass(jobs: &[Workload], i: usize, events: usize) -> ((f64, f64), (f64, f64), Vec<PairRun>) {
+fn job_pass(cfg: &RunConfig, jobs: &[Workload], i: usize, events: usize) -> JobPass {
     let own = thread_trace(&jobs[i], THREADS[0], events);
-    let solo = solo_run(&jobs[i], 0, &own);
+    let solo = solo_run(cfg, &jobs[i], 0, &own);
     let mut solo_partner = (0.0, 0.0);
     let mut pairs = Vec::with_capacity(jobs.len() - i);
     for j in i..jobs.len() {
         let partner = thread_trace(&jobs[j], THREADS[1], events);
         if j == i {
-            solo_partner = solo_run(&jobs[j], 1, &partner);
+            solo_partner = solo_run(cfg, &jobs[j], 1, &partner);
         }
-        pairs.push(pair_run(jobs, (i, j), &own, &partner));
+        pairs.push(pair_run(cfg, jobs, (i, j), &own, &partner));
     }
     (solo, solo_partner, pairs)
 }
@@ -200,9 +206,11 @@ pub fn simulated_events(events: usize) -> u64 {
 
 /// Runs the co-scheduling study with `events` references per thread.
 #[must_use]
-pub fn run(events: usize) -> Sec56 {
+pub fn run(cfg: &RunConfig, events: usize) -> Sec56 {
     let jobs = jobs();
-    let passes = crate::par_map((0..jobs.len()).collect(), |i| job_pass(&jobs, i, events));
+    let passes = cfg.par_map((0..jobs.len()).collect(), |cfg, i| {
+        job_pass(cfg, &jobs, i, events)
+    });
     let solo: Vec<(f64, f64)> = passes.iter().map(|(solo, _, _)| *solo).collect();
     let solo_partner: Vec<(f64, f64)> = passes.iter().map(|(_, partner, _)| *partner).collect();
     let mut pairings: Vec<Pairing> = passes
@@ -269,7 +277,7 @@ mod tests {
 
     #[test]
     fn sharing_never_reduces_misses_and_rankings_correlate() {
-        let r = run(8_000);
+        let r = run(&RunConfig::default(), 8_000);
         assert!(!r.pairings.is_empty());
         for p in &r.pairings {
             assert!(

@@ -55,8 +55,8 @@ impl Stopwatch {
     }
 }
 
-/// The nanosecond clock the span layer records through
-/// (`sim_core::span::arm`): monotonic nanoseconds since the first
+/// The nanosecond clock a real-clock run's spans record through (its
+/// `sim_core::span::Trace`): monotonic nanoseconds since the first
 /// read, clamped at zero like [`Stopwatch::elapsed_seconds`]. Keeping
 /// the `Instant` reads here preserves the `wallclock` lint's
 /// invariant that this module is the workspace's only clock site.

@@ -111,7 +111,9 @@ pub fn parse(text: &str) -> Result<TraceDoc, String> {
 /// Strict validation for CI: every line must round-trip the JSONL
 /// reader, the header must carry the pinned schema, every span name
 /// must carry a registered component prefix, every scope kind must be
-/// known, and the totals footer must match the counted spans.
+/// known, no scope key `(scope, target, label, root name)` may repeat
+/// (a repeat means a retried attempt leaked its scopes), and the
+/// totals footer must match the counted spans.
 ///
 /// # Errors
 ///
@@ -119,6 +121,7 @@ pub fn parse(text: &str) -> Result<TraceDoc, String> {
 pub fn verify(text: &str) -> Result<String, String> {
     let doc = parse(text)?;
     let mut scopes = 0u64;
+    let mut keys = std::collections::BTreeSet::new();
     for row in &doc.spans {
         if !sim_core::span::name_registered(&row.name) {
             return Err(format!(
@@ -132,6 +135,12 @@ pub fn verify(text: &str) -> Result<String, String> {
         }
         if row.parent == 0 {
             scopes += 1;
+            if !keys.insert((&row.scope, &row.target, &row.label, &row.name)) {
+                return Err(format!(
+                    "scope key ({}, {}, {:?}, {}) repeats",
+                    row.scope, row.target, row.label, row.name
+                ));
+            }
         }
     }
     let values = jsonl::parse_lines(text)?;
@@ -518,6 +527,9 @@ mod tests {
         let bad_totals = sample_trace().replace("\"spans\":3", "\"spans\":7");
         assert!(verify(&bad_totals).unwrap_err().contains("totals"));
         assert!(verify("").unwrap_err().contains("empty"));
+        // A second scope with cell `a`'s key: a retried attempt leaked.
+        let repeated = sample_trace().replace("\"label\":\"b\"", "\"label\":\"a\"");
+        assert!(verify(&repeated).unwrap_err().contains("repeats"));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Harness-side glue for the span layer: arming, draining, and
+//! Harness-side glue for the span layer: picking the trace clock and
 //! rendering `sim_core::span` scopes as `trace-repro/1` JSONL or
 //! Chrome `trace_event` JSON.
 //!
@@ -28,8 +28,9 @@
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
+use sim_core::fault::FaultState;
 use sim_core::parallel::WorkerTally;
-use sim_core::span::{ScopeRecord, SpanRecord};
+use sim_core::span::{Clock, ScopeRecord, SpanRecord};
 
 use crate::telemetry::{json_string, trace_clock_ns};
 
@@ -71,30 +72,17 @@ pub struct TraceHeader {
     pub targets: Vec<&'static str>,
 }
 
-/// The constant-zero clock behind `--trace-logical-clock`: span
-/// structure and ordering survive, durations collapse to zero, and
-/// the stream becomes thread-count invariant byte for byte.
-fn logical_clock() -> u64 {
-    0
-}
-
-/// Arms the span layer for a traced run: installs the real or logical
-/// clock and restarts the scheduler's per-worker tallies so lanes
-/// start at worker 1.
-pub fn arm(logical: bool) {
-    sim_core::parallel::reset_worker_tallies();
-    if logical {
-        sim_core::span::arm(logical_clock);
-    } else {
-        sim_core::span::arm(trace_clock_ns);
-    }
-}
-
-/// Disarms the span layer and returns every flushed scope in the
-/// deterministic drain order.
+/// The clock a traced run's spans read: the real nanosecond clock, or
+/// the constant-zero logical one behind `--trace-logical-clock`, under
+/// which span structure and ordering survive, durations collapse to
+/// zero, and the stream becomes thread-count invariant byte for byte.
 #[must_use]
-pub fn drain() -> Vec<ScopeRecord> {
-    sim_core::span::disarm()
+pub fn clock(logical: bool) -> Clock {
+    if logical {
+        || 0
+    } else {
+        trace_clock_ns
+    }
 }
 
 /// A point-in-time capture of the runtime-metrics registry: every
@@ -115,12 +103,13 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Captures the live process-wide counters. `degraded` comes from
-    /// the sweep's own accounting (the fault layer does not know
-    /// which exhaustions the scheduler absorbed).
+    /// Captures the live counters: the process-wide pool and
+    /// scheduler tallies and the run's fault counters. `degraded`
+    /// comes from the sweep's own accounting (the fault layer does not
+    /// know which exhaustions the scheduler absorbed).
     #[must_use]
-    pub fn capture(degraded: u64) -> Self {
-        let fault = sim_core::fault::stats();
+    pub fn capture(faults: &FaultState, degraded: u64) -> Self {
+        let fault = faults.stats();
         MetricsSnapshot {
             pool: cache_model::pool::stats(),
             workers: sim_core::parallel::worker_tallies(),

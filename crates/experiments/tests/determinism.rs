@@ -7,12 +7,12 @@
 //! * **telemetry accounting** — every target's `simulated_events`
 //!   formula matches the live counter its driver feeds.
 //!
-//! Everything lives in ONE `#[test]` because the worker-thread cap
-//! ([`sim_core::parallel::set_max_threads`]) is process-global state:
-//! splitting these into separate tests would let the harness run them
-//! concurrently and race on it.
+//! Each schedule is its own [`RunConfig`]. The telemetry counter is
+//! process-wide, so the formula cross-check shares this one test with
+//! nothing else in the binary.
 
 use experiments::cli::Target;
+use experiments::RunConfig;
 
 #[test]
 fn repro_is_deterministic_across_schedules() {
@@ -20,11 +20,11 @@ fn repro_is_deterministic_across_schedules() {
 
     // Serial reference run, with the telemetry formulas cross-checked
     // against the live counter while nothing else is running.
-    sim_core::parallel::set_max_threads(1);
+    let serial_cfg = RunConfig::new(1);
     let mut serial = Vec::new();
     for target in Target::ALL {
         let before = experiments::telemetry::events_simulated();
-        serial.push(target.run(EVENTS));
+        serial.push(target.run(&serial_cfg, EVENTS));
         let counted = experiments::telemetry::events_simulated() - before;
         assert_eq!(
             counted,
@@ -35,9 +35,11 @@ fn repro_is_deterministic_across_schedules() {
     }
 
     // Parallel runs render byte-identical reports.
-    sim_core::parallel::set_max_threads(4);
-    let parallel: Vec<String> = Target::ALL.iter().map(|t| t.run(EVENTS)).collect();
-    sim_core::parallel::set_max_threads(0);
+    let parallel_cfg = RunConfig::new(4);
+    let parallel: Vec<String> = Target::ALL
+        .iter()
+        .map(|t| t.run(&parallel_cfg, EVENTS))
+        .collect();
     for ((target, serial), parallel) in Target::ALL.iter().zip(&serial).zip(&parallel) {
         assert_eq!(
             serial,

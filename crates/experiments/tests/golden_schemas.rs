@@ -12,6 +12,7 @@ use experiments::checkpoint::{self, CellEntry, CellStatus, CheckpointWriter};
 use experiments::probe::{render_jsonl, CellRecord, ProbeMode, RunHeader};
 use experiments::telemetry::{BenchReport, FigureBench};
 use experiments::tracing::{self, MetricsSnapshot, TraceHeader};
+use sim_core::fault::FaultState;
 use sim_core::parallel::WorkerTally;
 use sim_core::probe::{EpochSnapshot, Registry};
 use sim_core::span::{ScopeKind, ScopeRecord, SpanRecord};
@@ -69,25 +70,32 @@ fn fault_repro_1_jsonl_is_stable() {
     let path = dir.join("ckpt.jsonl");
 
     let writer = CheckpointWriter::create(&path, 2000, &["fig1", "fig2"]).unwrap();
+    let faults = FaultState::default();
     writer
-        .record(&CellEntry {
-            target: "fig1".to_owned(),
-            status: CellStatus::Ok,
-            events: 144_000,
-            // Exercise the escapes a rendered table needs: newlines
-            // and quotes.
-            rendered: "line \"one\"\nline two\n".to_owned(),
-            message: None,
-        })
+        .record(
+            &faults,
+            &CellEntry {
+                target: "fig1".to_owned(),
+                status: CellStatus::Ok,
+                events: 144_000,
+                // Exercise the escapes a rendered table needs: newlines
+                // and quotes.
+                rendered: "line \"one\"\nline two\n".to_owned(),
+                message: None,
+            },
+        )
         .unwrap();
     writer
-        .record(&CellEntry {
-            target: "fig2".to_owned(),
-            status: CellStatus::Degraded,
-            events: 0,
-            rendered: "fig2: degraded (injected worker fault (attempt 5))".to_owned(),
-            message: Some("injected worker fault (attempt 5)".to_owned()),
-        })
+        .record(
+            &faults,
+            &CellEntry {
+                target: "fig2".to_owned(),
+                status: CellStatus::Degraded,
+                events: 0,
+                rendered: "fig2: degraded (injected worker fault (attempt 5))".to_owned(),
+                message: Some("injected worker fault (attempt 5)".to_owned()),
+            },
+        )
         .unwrap();
     drop(writer);
 
@@ -372,7 +380,7 @@ fn lint_repro_2_jsonl_is_stable() {
         files_scanned: 101,
     };
     let expected = concat!(
-        "{\"schema\":\"lint-repro/2\",\"rules\":[\"bench-prefix\",\"default-hasher\",\"hot-path-alloc\",\"probe-guard\",\"registry-drift\",\"span-name\",\"transitive-panic\",\"unseeded-rng\",\"waiver\",\"wallclock\"],\"files_scanned\":101}\n",
+        "{\"schema\":\"lint-repro/2\",\"rules\":[\"bench-prefix\",\"default-hasher\",\"global-state\",\"hot-path-alloc\",\"probe-guard\",\"registry-drift\",\"span-name\",\"transitive-panic\",\"unseeded-rng\",\"waiver\",\"wallclock\"],\"files_scanned\":101}\n",
         "{\"type\":\"finding\",\"rule\":\"wallclock\",\"file\":\"crates/cpu/src/baseline.rs\",\"line\":7,\"message\":\"wall-clock access with an \\\"odd\\\\quote\\\"\",\"path\":[]}\n",
         "{\"type\":\"finding\",\"rule\":\"transitive-panic\",\"file\":\"crates/cache/src/cache.rs\",\"line\":9,\"message\":\"panicking call (expect) reachable from hot entry point `access_block`\",\"path\":[\"access_block (crates/cache/src/cache.rs:3)\",\"victim (crates/cache/src/cache.rs:8)\"]}\n",
         "{\"type\":\"summary\",\"findings\":2,\"waived\":1,\"files_scanned\":101}\n",

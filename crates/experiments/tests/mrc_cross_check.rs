@@ -71,7 +71,7 @@ fn mrc_driver_cells_carry_the_oracle_ratio() {
     // the line-address block-replay path; recomputing the oracle ratio
     // from a raw stream must give the identical f64 (same integer
     // counts, same division).
-    let run = experiments::mrc::run(EVENTS, None);
+    let run = experiments::mrc::run(&experiments::RunConfig::default(), EVENTS, None);
     let mut disagreements: Vec<String> = Vec::new();
     for cell in &run.cells {
         let workload = workloads::by_name(&cell.workload).expect("cell workload exists");

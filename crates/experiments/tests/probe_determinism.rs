@@ -14,23 +14,22 @@
 //!   one event at a time under `probe::cell`, each with its own
 //!   evaluator and oracle.
 //!
-//! One `#[test]` because both the probe configuration
-//! ([`experiments::probe::configure`]) and the worker-thread cap
-//! ([`sim_core::parallel::set_max_threads`]) are process-global.
+//! Each run builds its own [`RunConfig`], so nothing is reset between
+//! them.
 
 use cache_model::CacheGeometry;
 use experiments::cli::Target;
 use experiments::probe::{self, ProbeMode, RunHeader};
-use experiments::{fig1, fig2};
+use experiments::{fig1, fig2, RunConfig};
 use mct::accuracy::{AccuracyEvaluator, AccuracyReport};
 use mct::TagBits;
 use trace_gen::decomposed::DecomposedTrace;
 use trace_gen::{TraceEvent, TraceSource};
 
-fn run_all(events: usize) -> (Vec<String>, String) {
-    probe::configure(Some(ProbeMode::Epoch(500)));
-    let reports: Vec<String> = Target::ALL.iter().map(|t| t.run(events)).collect();
-    let records = probe::drain();
+fn run_all(threads: usize, events: usize) -> (Vec<String>, String) {
+    let cfg = RunConfig::new(threads).with_probe(ProbeMode::Epoch(500));
+    let reports: Vec<String> = Target::ALL.iter().map(|t| t.run(&cfg, events)).collect();
+    let records = cfg.take_cells();
     let header = RunHeader {
         mode: ProbeMode::Epoch(500),
         events_per_workload: events,
@@ -63,14 +62,15 @@ fn per_cell(
 /// as the drivers' batched group passes or one cell at a time, per
 /// event.
 fn fig1_fig2_records(mode: ProbeMode, events: usize, grouped: bool) -> String {
-    probe::configure(Some(mode));
+    let cfg = RunConfig::new(1).with_probe(mode);
     if grouped {
-        let _ = Target::Fig1.run(events);
-        let _ = Target::Fig2.run(events);
+        let _ = Target::Fig1.run(&cfg, events);
+        let _ = Target::Fig2.run(&cfg, events);
     } else {
         for (name, geom) in fig1::configurations() {
             for w in workloads::full_suite() {
                 probe::cell(
+                    &cfg,
                     "fig1",
                     || format!("{name}/{}", w.name()),
                     || per_cell(&w, geom, TagBits::Full, events),
@@ -80,6 +80,7 @@ fn fig1_fig2_records(mode: ProbeMode, events: usize, grouped: bool) -> String {
         for bits in fig2::widths() {
             for w in workloads::full_suite() {
                 probe::cell(
+                    &cfg,
                     "fig2",
                     || format!("{bits}/{}", w.name()),
                     || per_cell(&w, fig2::geometry(), bits, events),
@@ -92,7 +93,7 @@ fn fig1_fig2_records(mode: ProbeMode, events: usize, grouped: bool) -> String {
         events_per_workload: events,
         targets: vec![Target::Fig1.name(), Target::Fig2.name()],
     };
-    probe::render_jsonl(&probe::drain(), &header)
+    probe::render_jsonl(&cfg.take_cells(), &header)
 }
 
 #[test]
@@ -100,17 +101,19 @@ fn probe_output_is_deterministic_and_tables_unchanged() {
     const EVENTS: usize = 1_000;
 
     // Reference: probes disabled, serial.
-    sim_core::parallel::set_max_threads(1);
-    probe::configure(None);
-    let plain: Vec<String> = Target::ALL.iter().map(|t| t.run(EVENTS)).collect();
+    let unprobed = RunConfig::new(1);
+    let plain: Vec<String> = Target::ALL
+        .iter()
+        .map(|t| t.run(&unprobed, EVENTS))
+        .collect();
     assert!(
-        probe::drain().is_empty(),
+        unprobed.take_cells().is_empty(),
         "disabled probe must collect nothing"
     );
 
     // Probed serial run: same stdout tables, valid JSONL, every target
     // contributes cells.
-    let (probed_reports, jsonl_serial) = run_all(EVENTS);
+    let (probed_reports, jsonl_serial) = run_all(1, EVENTS);
     assert_eq!(
         plain, probed_reports,
         "an armed probe must not change the rendered figure tables"
@@ -138,17 +141,16 @@ fn probe_output_is_deterministic_and_tables_unchanged() {
     assert!(access > 0, "no access events reached the probe sinks");
 
     // Parallel run: byte-identical probe document.
-    sim_core::parallel::set_max_threads(4);
-    let (_, jsonl_parallel) = run_all(EVENTS);
+    let (_, jsonl_parallel) = run_all(4, EVENTS);
     assert_eq!(
         jsonl_serial, jsonl_parallel,
         "probe JSONL must be byte-identical at any thread count"
     );
 
     // Raw mode: per-event records parse and carry cell context.
-    probe::configure(Some(ProbeMode::Raw));
-    let _ = Target::Fig1.run(200);
-    let records = probe::drain();
+    let raw_cfg = RunConfig::new(4).with_probe(ProbeMode::Raw);
+    let _ = Target::Fig1.run(&raw_cfg, 200);
+    let records = raw_cfg.take_cells();
     assert!(!records.is_empty());
     let header = RunHeader {
         mode: ProbeMode::Raw,
@@ -163,7 +165,6 @@ fn probe_output_is_deterministic_and_tables_unchanged() {
 
     // Batching changes no record: grouped block replay renders the
     // same bytes as per-event replay of each cell, in both modes.
-    sim_core::parallel::set_max_threads(1);
     for (mode, events) in [(ProbeMode::Epoch(500), EVENTS), (ProbeMode::Raw, 200)] {
         let grouped = fig1_fig2_records(mode, events, true);
         let per_cell = fig1_fig2_records(mode, events, false);
@@ -173,8 +174,4 @@ fn probe_output_is_deterministic_and_tables_unchanged() {
             "{mode:?}: grouped block-replay records must equal per-event records byte for byte"
         );
     }
-
-    // Leave the process clean for any test that runs after us.
-    probe::configure(None);
-    sim_core::parallel::set_max_threads(0);
 }

@@ -13,10 +13,6 @@
 //!   ends in a torn block, at two line sizes and at a 65536-set
 //!   geometry far past the paper's.
 //!
-//! That check lives in ONE `#[test]` because the worker-thread cap
-//! ([`sim_core::parallel::set_max_threads`]) is process-global:
-//! separate tests would race on it.
-//!
 //! **Chunked ≡ whole.** The CPU-model drivers feed each workload's
 //! trace to every policy cell one chunk at a time. A [`CpuRun`] fed
 //! any chunk split — empty chunks, 1-event chunks, a seam at
@@ -32,7 +28,7 @@ use cpu_model::{
     BaselineSystem, CpuConfig, CpuReport, CpuRun, MemResponse, MemorySystem, OooModel,
 };
 use exclusion::{ExclusionConfig, ExclusionPolicy, ExclusionSystem};
-use experiments::{ablation, fig1, fig2, mrc, CpuCell};
+use experiments::{ablation, fig1, fig2, mrc, CpuCell, RunConfig};
 use mct::accuracy::{AccuracyEvaluator, AccuracyReport};
 use mct::{ConflictFilter, EvictionClassifier, MissClassificationTable, ShadowDirectory, TagBits};
 use prefetcher::{NextLineSystem, PrefetchConfig};
@@ -115,7 +111,8 @@ fn check_group<T: EvictionClassifier>(
     expected: &[AccuracyReport],
 ) {
     let geoms: Vec<CacheGeometry> = members.iter().map(|(geom, _)| *geom).collect();
-    let got = experiments::replay_group("test", workload, events, members, |i| i.to_string());
+    let cfg = RunConfig::new(1);
+    let got = experiments::replay_group(&cfg, "test", workload, events, members, |i| i.to_string());
     assert_eq!(got.len(), expected.len());
     for (i, (got, expected)) in got.iter().zip(expected).enumerate() {
         assert_eq!(
@@ -187,8 +184,10 @@ impl References {
 
     /// The drivers' own reports (which run the group passes on the
     /// scheduler) carry the reference cells.
-    fn check_drivers(&self, label: &str) -> Vec<String> {
-        let fig1 = fig1::run(EVENTS);
+    fn check_drivers(&self, threads: usize) -> Vec<String> {
+        let cfg = RunConfig::new(threads);
+        let label = format!("{threads} thread(s)");
+        let fig1 = fig1::run(&cfg, EVENTS);
         for (i, config) in fig1.configs.iter().enumerate() {
             for (j, (name, report)) in config.benchmarks.iter().enumerate() {
                 assert_eq!(
@@ -198,12 +197,12 @@ impl References {
                 );
             }
         }
-        let fig2 = fig2::run(EVENTS);
+        let fig2 = fig2::run(&cfg, EVENTS);
         for (i, point) in fig2.points.iter().enumerate() {
             let expected = sum(self.fig2.iter().map(|cells| cells[i]));
             assert_eq!(point.report, expected, "fig2 {label}: width {}", point.bits);
         }
-        let ablation = ablation::run(EVENTS);
+        let ablation = ablation::run(&cfg, EVENTS);
         for (i, point) in ablation.depths.iter().enumerate() {
             let expected = sum(self.depth.iter().map(|cells| cells[i]));
             assert_eq!(
@@ -212,7 +211,7 @@ impl References {
                 point.config, point.depth
             );
         }
-        let mrc = mrc::run(EVENTS, None);
+        let mrc = mrc::run(&cfg, EVENTS, None);
         let workloads = mrc::workload_suite().len();
         for (k, cell) in mrc.cells.iter().enumerate() {
             let r = self.mrc[k % workloads][k / workloads];
@@ -241,14 +240,11 @@ fn grouped_replay_matches_per_cell_per_event_replay() {
     let refs = References::compute();
 
     // Serial: every group cell, then the drivers.
-    sim_core::parallel::set_max_threads(1);
     refs.check_groups();
-    let serial = refs.check_drivers("1 thread");
+    let serial = refs.check_drivers(1);
 
     // On worker threads: byte-identical reports.
-    sim_core::parallel::set_max_threads(4);
-    assert_eq!(serial, refs.check_drivers("4 threads"));
-    sim_core::parallel::set_max_threads(0);
+    assert_eq!(serial, refs.check_drivers(4));
 
     // A trace longer than one stream chunk, ending in a torn block:
     // fig1's cells at 64 B lines, and a 32 B-line group that includes
@@ -285,10 +281,8 @@ fn grouped_replay_matches_per_cell_per_event_replay() {
     // The one-member case agrees too.
     let geom = fig2::geometry();
     let table = MissClassificationTable::new(geom.num_sets(), TagBits::Low(4));
-    assert_eq!(
-        experiments::replay_accuracy(&w, EVENTS, geom, table.clone()),
-        reference(&w, EVENTS, geom, table),
-    );
+    let expected = [reference(&w, EVENTS, geom, table.clone())];
+    check_group("one member", &w, EVENTS, vec![(geom, table)], &expected);
 }
 
 /// One of the memory systems the CPU-model figures drive.
@@ -419,6 +413,7 @@ fn grouped_cpu_pass_matches_standalone_runs_across_a_chunk_seam() {
     let mut systems = System::all();
     let cells = systems.iter_mut().map(CpuCell::paper).collect();
     let reports = experiments::replay_cpu(
+        &RunConfig::new(1),
         "test",
         || "gcc".to_owned(),
         trace.iter().copied(),

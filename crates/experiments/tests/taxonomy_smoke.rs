@@ -1,19 +1,30 @@
 //! Smoke tests threading the kernel-taxonomy workloads (`uniform`,
 //! `working_set_{128,512}`) through the figure-driver machinery: the
-//! same streamed `replay_accuracy` replay fig1 runs for the
+//! same streamed `replay_group` replay fig1 runs for the
 //! SPEC95 analogs, swept over the paper's four cache configurations
 //! at 1 and 4 worker threads. The reports must be sane (full
 //! coverage, non-degenerate miss behavior) and bit-identical across
 //! thread counts.
 
+use experiments::RunConfig;
 use mct::accuracy::AccuracyReport;
 use mct::{MissClassificationTable, TagBits};
+use sim_core::fault::FaultState;
 
 const EVENTS: usize = 5_000;
 
 fn evaluate(workload: &workloads::Workload, geom: cache_model::CacheGeometry) -> AccuracyReport {
     let table = MissClassificationTable::new(geom.num_sets(), TagBits::Full);
-    experiments::replay_accuracy(workload, EVENTS, geom, table)
+    let members = vec![(geom, table)];
+    experiments::replay_group(
+        &RunConfig::new(1),
+        "taxonomy",
+        workload,
+        EVENTS,
+        members,
+        |_| String::new(),
+    )
+    .remove(0)
 }
 
 #[test]
@@ -53,9 +64,12 @@ fn taxonomy_sweep_is_thread_count_invariant() {
             })
             .collect();
     let run = |threads: usize| -> Vec<AccuracyReport> {
-        sim_core::parallel::par_map_threads(threads, cells.clone(), |(w, _, geom)| {
-            evaluate(&w, geom)
-        })
+        sim_core::parallel::par_map(
+            threads,
+            &FaultState::default(),
+            cells.clone(),
+            |(w, _, geom)| evaluate(&w, geom),
+        )
     };
     let serial = run(1);
     let parallel = run(4);

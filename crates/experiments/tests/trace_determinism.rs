@@ -9,17 +9,17 @@
 //! * the stdout figure tables are unchanged by an armed span layer,
 //!   and a disarmed layer collects nothing.
 //!
-//! One `#[test]` because both the span layer (`sim_core::span`) and
-//! the worker-thread cap ([`sim_core::parallel::set_max_threads`]) are
-//! process-global.
+//! Each run builds its own [`RunConfig`], so nothing is reset between
+//! them.
 
 use experiments::cli::Target;
 use experiments::tracing::{self, TraceHeader};
+use experiments::RunConfig;
 
-fn run_all(events: usize) -> (Vec<String>, String) {
-    tracing::arm(true);
-    let reports: Vec<String> = Target::ALL.iter().map(|t| t.run(events)).collect();
-    let records = tracing::drain();
+fn run_all(threads: usize, events: usize) -> (Vec<String>, String) {
+    let cfg = RunConfig::new(threads).with_trace(tracing::clock(true));
+    let reports: Vec<String> = Target::ALL.iter().map(|t| t.run(&cfg, events)).collect();
+    let records = cfg.trace().expect("a traced run").drain();
     let header = TraceHeader {
         logical: true,
         events_per_workload: events,
@@ -33,16 +33,25 @@ fn trace_output_is_deterministic_and_tables_unchanged() {
     const EVENTS: usize = 1_000;
 
     // Reference: tracing off, serial.
-    sim_core::parallel::set_max_threads(1);
-    let plain: Vec<String> = Target::ALL.iter().map(|t| t.run(EVENTS)).collect();
+    let untraced = RunConfig::new(1);
+    let plain: Vec<String> = Target::ALL
+        .iter()
+        .map(|t| t.run(&untraced, EVENTS))
+        .collect();
     assert!(
-        tracing::drain().is_empty(),
-        "disarmed span layer must collect nothing"
+        !sim_core::span::active() && !sim_core::probe::active(),
+        "an untraced run must leave no span scope or probe sink armed"
+    );
+    // This is the binary's only test, so nothing else has run the
+    // scheduler yet.
+    assert!(
+        sim_core::parallel::worker_tallies().is_empty(),
+        "an untraced run must not time its workers"
     );
 
     // Traced serial run: same stdout tables, a verifiable trace, every
     // target contributes a figure scope with real event counts.
-    let (traced_reports, trace_serial) = run_all(EVENTS);
+    let (traced_reports, trace_serial) = run_all(1, EVENTS);
     assert_eq!(
         plain, traced_reports,
         "an armed span layer must not change the rendered figure tables"
@@ -73,13 +82,9 @@ fn trace_output_is_deterministic_and_tables_unchanged() {
     );
 
     // Parallel run: byte-identical trace document.
-    sim_core::parallel::set_max_threads(4);
-    let (_, trace_parallel) = run_all(EVENTS);
+    let (_, trace_parallel) = run_all(4, EVENTS);
     assert_eq!(
         trace_serial, trace_parallel,
         "logical-clock trace must be byte-identical at any thread count"
     );
-
-    // Leave the process clean for any test that runs after us.
-    sim_core::parallel::set_max_threads(0);
 }

@@ -7,6 +7,7 @@
 
 use mrc::{NaiveStackEngine, ShardsEngine, StackDistanceEngine};
 use proptest::prelude::*;
+use sim_core::fault::FaultState;
 
 /// A small universe of byte addresses guarantees line reuse at every
 /// generated line size.
@@ -129,8 +130,9 @@ proptest! {
         let (sets, tags) = decompose(&addrs, line_bits, set_bits);
         let chunks: Vec<usize> = vec![1, 7, 64, addrs.len() + 1];
         for threads in [1usize, 4] {
-            let engines = sim_core::parallel::par_map_threads(
+            let engines = sim_core::parallel::par_map(
                 threads,
+                &FaultState::default(),
                 chunks.clone(),
                 |chunk| tree_chunked(&sets, &tags, set_bits, chunk),
             );

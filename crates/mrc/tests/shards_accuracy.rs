@@ -14,6 +14,7 @@
 //! from every step.
 
 use mrc::{ShardsEngine, StackDistanceEngine};
+use sim_core::fault::FaultState;
 use sim_core::rng::SplitMix64;
 
 /// Events per workload: enough that at R = 0.01 a couple of thousand
@@ -139,12 +140,17 @@ fn sampled_run_is_byte_identical_across_threads_and_reruns() {
         .collect();
     let run = |threads: usize| -> Vec<Vec<u64>> {
         let all = workloads();
-        sim_core::parallel::par_map_threads(threads, cells.clone(), |(w, rate)| {
-            sampled_curve(&all[w].1, rate)
-                .into_iter()
-                .map(f64::to_bits)
-                .collect()
-        })
+        sim_core::parallel::par_map(
+            threads,
+            &FaultState::default(),
+            cells.clone(),
+            |(w, rate)| {
+                sampled_curve(&all[w].1, rate)
+                    .into_iter()
+                    .map(f64::to_bits)
+                    .collect()
+            },
+        )
     };
     let single = run(1);
     let four = run(4);

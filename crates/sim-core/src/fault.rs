@@ -14,9 +14,9 @@
 //!
 //! | site | where it fires | recovery |
 //! |------|----------------|----------|
-//! | [`FaultSite::CpuGroup`]         | start of each CPU-model group pass | [`gate`] retry in `experiments::replay_cpu` |
-//! | [`FaultSite::ProbeFlush`]       | per-cell probe record flush | [`gate`] retry in `experiments::probe::group` |
-//! | [`FaultSite::JsonlWrite`]       | bench/probe/checkpoint file writes | [`gate`] + I/O retry in `experiments::ioutil` |
+//! | [`FaultSite::CpuGroup`]         | start of each CPU-model group pass | [`FaultState::gate`] retry in `experiments::replay_cpu` |
+//! | [`FaultSite::ProbeFlush`]       | per-cell probe record flush | [`FaultState::gate`] retry in `experiments::probe::group` |
+//! | [`FaultSite::JsonlWrite`]       | bench/probe/checkpoint file writes | [`FaultState::gate`] + I/O retry in `experiments::ioutil` |
 //! | [`FaultSite::WorkerBody`]       | scheduler worker, before each cell | panic-isolation + re-run in [`crate::parallel`] |
 //!
 //! # Determinism and recoverability
@@ -35,21 +35,26 @@
 //! `base << (k - 1)` microseconds, capped (see [`backoff_delay`]).
 //! Delays affect wall time only, never output.
 //!
+//! A plan takes effect through a [`FaultState`]: the plan plus its
+//! arrival and injection counters, owned by one run and passed to
+//! every site that gates on it. There is no process-wide plan, so two
+//! runs in one process never see each other's faults.
+//!
 //! # Examples
 //!
 //! ```
-//! use sim_core::fault::{self, FaultPlan, FaultSite};
+//! use sim_core::fault::{FaultPlan, FaultSite, FaultState};
 //!
-//! fault::install(FaultPlan::new(7, 1.0)); // every arrival faults
-//! let retries = fault::gate(FaultSite::JsonlWrite).expect("transient faults recover");
+//! let faults = FaultState::new(Some(FaultPlan::new(7, 1.0))); // every arrival faults
+//! let retries = faults.gate(FaultSite::JsonlWrite).expect("transient faults recover");
 //! assert!(retries >= 1);
-//! fault::clear();
-//! assert_eq!(fault::gate(FaultSite::JsonlWrite), Ok(0)); // no plan, no faults
+//! let calm = FaultState::default(); // no plan, no faults
+//! assert_eq!(calm.gate(FaultSite::JsonlWrite), Ok(0));
 //! ```
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Once, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Once;
 use std::time::Duration;
 
 use crate::rng::SplitMix64;
@@ -79,7 +84,7 @@ impl FaultSite {
         FaultSite::WorkerBody,
     ];
 
-    /// Stable name (used in diagnostics and CLI site lists).
+    /// Stable name (used in diagnostics).
     #[must_use]
     pub const fn name(self) -> &'static str {
         match self {
@@ -88,12 +93,6 @@ impl FaultSite {
             FaultSite::JsonlWrite => "jsonl-write",
             FaultSite::WorkerBody => "worker",
         }
-    }
-
-    /// Parses a site name as printed by [`FaultSite::name`].
-    #[must_use]
-    pub fn parse(name: &str) -> Option<FaultSite> {
-        FaultSite::ALL.into_iter().find(|s| s.name() == name)
     }
 
     const fn index(self) -> usize {
@@ -149,19 +148,10 @@ pub fn backoff_delay(policy: &RetryPolicy, attempt: u32) -> Duration {
     let shift = attempt.saturating_sub(1).min(20);
     let micros = policy
         .base_delay_micros
-        .saturating_shl(shift)
+        .checked_shl(shift)
+        .unwrap_or(u64::MAX)
         .min(policy.max_delay_micros);
     Duration::from_micros(micros)
-}
-
-trait SaturatingShl {
-    fn saturating_shl(self, shift: u32) -> Self;
-}
-
-impl SaturatingShl for u64 {
-    fn saturating_shl(self, shift: u32) -> u64 {
-        self.checked_shl(shift).unwrap_or(u64::MAX)
-    }
 }
 
 /// A seeded description of which arrivals at which sites fault.
@@ -291,60 +281,7 @@ impl fmt::Display for FaultPanic {
     }
 }
 
-/// An installed plan plus its live counters.
-#[derive(Debug)]
-struct Installed {
-    plan: FaultPlan,
-    arrivals: [AtomicU64; FaultSite::ALL.len()],
-    injected: AtomicU64,
-    exhausted: AtomicU64,
-}
-
-impl Installed {
-    fn next_arrival(&self, site: FaultSite) -> u64 {
-        self.arrivals[site.index()].fetch_add(1, Ordering::Relaxed)
-    }
-}
-
-/// Fast disarmed check: zero when no plan is installed, so every gate
-/// costs one relaxed load on plain runs.
-static ARMED: AtomicBool = AtomicBool::new(false);
-static STATE: Mutex<Option<Arc<Installed>>> = Mutex::new(None);
-
-fn current() -> Option<Arc<Installed>> {
-    if !ARMED.load(Ordering::Acquire) {
-        return None;
-    }
-    STATE.lock().unwrap_or_else(PoisonError::into_inner).clone()
-}
-
-/// Installs `plan` process-wide, resetting arrival and injection
-/// counters. Intended for harness startup (`repro --fault`) and chaos
-/// tests.
-pub fn install(plan: FaultPlan) {
-    let installed = Arc::new(Installed {
-        plan,
-        arrivals: Default::default(),
-        injected: AtomicU64::new(0),
-        exhausted: AtomicU64::new(0),
-    });
-    *STATE.lock().unwrap_or_else(PoisonError::into_inner) = Some(installed);
-    ARMED.store(true, Ordering::Release);
-}
-
-/// Removes any installed plan; every site behaves normally again.
-pub fn clear() {
-    ARMED.store(false, Ordering::Release);
-    *STATE.lock().unwrap_or_else(PoisonError::into_inner) = None;
-}
-
-/// Whether a fault plan is installed.
-#[must_use]
-pub fn active() -> bool {
-    ARMED.load(Ordering::Acquire)
-}
-
-/// Counters describing what an installed plan has done so far.
+/// Counters describing what a run's plan has done so far.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultStats {
     /// Individual fault firings (each failed attempt counts).
@@ -353,110 +290,136 @@ pub struct FaultStats {
     pub exhausted: u64,
 }
 
-/// The installed plan's counters (zeroes when no plan is installed).
-#[must_use]
-pub fn stats() -> FaultStats {
-    match current() {
-        Some(st) => FaultStats {
-            injected: st.injected.load(Ordering::Relaxed),
-            exhausted: st.exhausted.load(Ordering::Relaxed),
-        },
-        None => FaultStats::default(),
-    }
+/// One run's fault plan (if any) plus its live counters. Every
+/// injection site of the run gates through the same state, so arrival
+/// indices — and with them every fault decision — are counted per run.
+/// The default state has no plan: every gate passes untouched.
+#[derive(Debug, Default)]
+pub struct FaultState {
+    plan: Option<FaultPlan>,
+    arrivals: [AtomicU64; FaultSite::ALL.len()],
+    injected: AtomicU64,
+    exhausted: AtomicU64,
 }
 
-/// The retry budget recovery loops should use: the installed plan's,
-/// or `1` (no retries) when no plan is installed — a real panic on a
-/// plain run fails fast exactly as before.
-#[must_use]
-pub fn retry_attempts() -> u32 {
-    current().map_or(1, |st| st.plan.retry.max_attempts.max(2))
-}
-
-/// The I/O retry budget: the installed plan's, or the default policy's
-/// when none is installed (real transient I/O errors deserve retries
-/// even without chaos testing).
-#[must_use]
-pub fn io_retry_attempts() -> u32 {
-    current().map_or_else(
-        || RetryPolicy::default().max_attempts,
-        |st| st.plan.retry.max_attempts.max(2),
-    )
-}
-
-/// Sleeps the deterministic backoff before retry `attempt` (1-based),
-/// under the installed plan's policy (or the default).
-pub fn backoff(attempt: u32) {
-    let policy = current().map_or_else(RetryPolicy::default, |st| st.plan.retry);
-    let delay = backoff_delay(&policy, attempt);
-    if !delay.is_zero() {
-        let _span = crate::span::enter("fault_backoff");
-        std::thread::sleep(delay);
+impl FaultState {
+    /// Fresh counters for `plan` (`None` = no faults).
+    #[must_use]
+    pub fn new(plan: Option<FaultPlan>) -> Self {
+        FaultState {
+            plan,
+            ..FaultState::default()
+        }
     }
-}
 
-/// Passes through a recoverable injection site: draws one arrival,
-/// retries (with backoff) through the fault burst the plan assigns it,
-/// and returns how many retries that took. `Ok(0)` is the common case —
-/// no plan, uncovered site, or no fault at this arrival.
-///
-/// # Errors
-///
-/// [`FaultError`] when the burst outlasts the retry budget (persistent
-/// plans only; transient bursts are capped below every legal budget).
-pub fn gate(site: FaultSite) -> Result<u32, FaultError> {
-    let Some(st) = current() else { return Ok(0) };
-    if !st.plan.covers(site) {
-        return Ok(0);
+    /// The plan this state injects, if any.
+    #[must_use]
+    pub fn plan(&self) -> Option<&FaultPlan> {
+        self.plan.as_ref()
     }
-    let arrival = st.next_arrival(site);
-    let burst = st.plan.burst(site, arrival);
-    if burst == 0 {
-        return Ok(0);
+
+    fn next_arrival(&self, site: FaultSite) -> u64 {
+        self.arrivals[site.index()].fetch_add(1, Ordering::Relaxed)
     }
-    let budget = st.plan.retry.max_attempts.max(2);
-    let mut attempt = 0u32;
-    while attempt < burst {
-        attempt += 1;
-        st.injected.fetch_add(1, Ordering::Relaxed);
-        if attempt >= budget {
-            st.exhausted.fetch_add(1, Ordering::Relaxed);
-            return Err(FaultError {
-                site,
-                attempts: attempt,
+
+    /// The plan's counters so far (zeroes without a plan).
+    #[must_use]
+    pub fn stats(&self) -> FaultStats {
+        FaultStats {
+            injected: self.injected.load(Ordering::Relaxed),
+            exhausted: self.exhausted.load(Ordering::Relaxed),
+        }
+    }
+
+    /// The retry budget recovery loops should use: the plan's, or `1`
+    /// (no retries) without a plan — a real panic on a plain run fails
+    /// fast.
+    #[must_use]
+    pub fn retry_attempts(&self) -> u32 {
+        self.plan.map_or(1, |p| p.retry.max_attempts.max(2))
+    }
+
+    /// The I/O retry budget: the plan's, or the default policy's
+    /// without one (real transient I/O errors deserve retries even
+    /// without chaos testing).
+    #[must_use]
+    pub fn io_retry_attempts(&self) -> u32 {
+        self.plan.map_or_else(
+            || RetryPolicy::default().max_attempts,
+            |p| p.retry.max_attempts.max(2),
+        )
+    }
+
+    /// Sleeps the deterministic backoff before retry `attempt`
+    /// (1-based), under the plan's policy (or the default).
+    pub fn backoff(&self, attempt: u32) {
+        let policy = self.plan.map_or_else(RetryPolicy::default, |p| p.retry);
+        let delay = backoff_delay(&policy, attempt);
+        if !delay.is_zero() {
+            let _span = crate::span::enter("fault_backoff");
+            std::thread::sleep(delay);
+        }
+    }
+
+    /// Passes through a recoverable injection site: draws one
+    /// arrival, retries (with backoff) through the fault burst the
+    /// plan assigns it, and returns how many retries that took. `Ok(0)`
+    /// is the common case — no plan, uncovered site, or no fault at
+    /// this arrival.
+    ///
+    /// # Errors
+    ///
+    /// [`FaultError`] when the burst outlasts the retry budget
+    /// (persistent plans only; transient bursts are capped below every
+    /// legal budget).
+    pub fn gate(&self, site: FaultSite) -> Result<u32, FaultError> {
+        let Some(plan) = self.plan.filter(|p| p.covers(site)) else {
+            return Ok(0);
+        };
+        let burst = plan.burst(site, self.next_arrival(site));
+        let budget = plan.retry.max_attempts.max(2);
+        let mut attempt = 0u32;
+        while attempt < burst {
+            attempt += 1;
+            self.injected.fetch_add(1, Ordering::Relaxed);
+            if attempt >= budget {
+                self.exhausted.fetch_add(1, Ordering::Relaxed);
+                return Err(FaultError {
+                    site,
+                    attempts: attempt,
+                });
+            }
+            let _span = crate::span::enter("fault_backoff");
+            std::thread::sleep(backoff_delay(&plan.retry, attempt));
+        }
+        Ok(attempt)
+    }
+
+    /// The scheduler's worker-body trip: panics with a [`FaultPanic`]
+    /// payload when the plan faults this cell's `attempt` (1-based).
+    /// `pin` holds the cell's arrival index across retries so one cell
+    /// draws one burst; pass the same `&mut None`-initialized slot on
+    /// every attempt.
+    ///
+    /// # Panics
+    ///
+    /// Panics (by design) with [`FaultPanic`] when the fault fires;
+    /// the scheduler's per-cell `catch_unwind` isolates it.
+    pub fn worker_trip(&self, pin: &mut Option<u64>, attempt: u32) {
+        let Some(plan) = self.plan.filter(|p| p.covers(FaultSite::WorkerBody)) else {
+            return;
+        };
+        let arrival = *pin.get_or_insert_with(|| self.next_arrival(FaultSite::WorkerBody));
+        if attempt <= plan.burst(FaultSite::WorkerBody, arrival) {
+            self.injected.fetch_add(1, Ordering::Relaxed);
+            if attempt >= plan.retry.max_attempts.max(2) {
+                self.exhausted.fetch_add(1, Ordering::Relaxed);
+            }
+            std::panic::panic_any(FaultPanic {
+                site: FaultSite::WorkerBody,
+                attempt,
             });
         }
-        let _span = crate::span::enter("fault_backoff");
-        std::thread::sleep(backoff_delay(&st.plan.retry, attempt));
-    }
-    Ok(attempt)
-}
-
-/// The scheduler's worker-body trip: panics with a [`FaultPanic`]
-/// payload when the plan faults this cell's `attempt` (1-based). `pin`
-/// holds the cell's arrival index across retries so one cell draws one
-/// burst; pass the same `&mut None`-initialized slot on every attempt.
-///
-/// # Panics
-///
-/// Panics (by design) with [`FaultPanic`] when the fault fires; the
-/// scheduler's per-cell `catch_unwind` isolates it.
-pub fn worker_trip(pin: &mut Option<u64>, attempt: u32) {
-    let Some(st) = current() else { return };
-    if !st.plan.covers(FaultSite::WorkerBody) {
-        return;
-    }
-    let arrival = *pin.get_or_insert_with(|| st.next_arrival(FaultSite::WorkerBody));
-    let burst = st.plan.burst(FaultSite::WorkerBody, arrival);
-    if attempt <= burst {
-        st.injected.fetch_add(1, Ordering::Relaxed);
-        if attempt >= st.plan.retry.max_attempts.max(2) {
-            st.exhausted.fetch_add(1, Ordering::Relaxed);
-        }
-        std::panic::panic_any(FaultPanic {
-            site: FaultSite::WorkerBody,
-            attempt,
-        });
     }
 }
 
@@ -482,18 +445,6 @@ pub fn silence_injected_panics() {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Global-plan tests serialize on this (the plan is process-wide
-    /// and the test harness runs tests concurrently).
-    static PLAN_LOCK: Mutex<()> = Mutex::new(());
-
-    fn with_plan<R>(plan: FaultPlan, f: impl FnOnce() -> R) -> R {
-        let _guard = PLAN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        install(plan);
-        let out = f();
-        clear();
-        out
-    }
 
     #[test]
     fn burst_is_deterministic_and_bounded() {
@@ -525,15 +476,11 @@ mod tests {
     }
 
     #[test]
-    fn site_filter_and_parse_round_trip() {
+    fn site_filter_covers_only_its_sites() {
         let plan = FaultPlan::new(9, 1.0).with_sites(&[FaultSite::WorkerBody]);
         assert!(plan.covers(FaultSite::WorkerBody));
         assert!(!plan.covers(FaultSite::JsonlWrite));
         assert_eq!(plan.burst(FaultSite::JsonlWrite, 0), 0);
-        for site in FaultSite::ALL {
-            assert_eq!(FaultSite::parse(site.name()), Some(site));
-        }
-        assert_eq!(FaultSite::parse("quantum"), None);
     }
 
     #[test]
@@ -552,12 +499,11 @@ mod tests {
 
     #[test]
     fn gate_without_plan_is_free() {
-        let _guard = PLAN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        clear();
-        assert!(!active());
-        assert_eq!(gate(FaultSite::CpuGroup), Ok(0));
-        assert_eq!(stats(), FaultStats::default());
-        assert_eq!(retry_attempts(), 1);
+        let faults = FaultState::default();
+        assert!(faults.plan().is_none());
+        assert_eq!(faults.gate(FaultSite::CpuGroup), Ok(0));
+        assert_eq!(faults.stats(), FaultStats::default());
+        assert_eq!(faults.retry_attempts(), 1);
     }
 
     #[test]
@@ -567,15 +513,16 @@ mod tests {
             base_delay_micros: 0,
             max_delay_micros: 0,
         };
-        with_plan(FaultPlan::new(11, 1.0).with_retry(fast), || {
-            for _ in 0..200 {
-                let retries = gate(FaultSite::JsonlWrite).expect("transient faults recover");
-                assert!((1..=MAX_RECOVERABLE_BURST).contains(&retries));
-            }
-            let s = stats();
-            assert!(s.injected >= 200);
-            assert_eq!(s.exhausted, 0);
-        });
+        let faults = FaultState::new(Some(FaultPlan::new(11, 1.0).with_retry(fast)));
+        for _ in 0..200 {
+            let retries = faults
+                .gate(FaultSite::JsonlWrite)
+                .expect("transient faults recover");
+            assert!((1..=MAX_RECOVERABLE_BURST).contains(&retries));
+        }
+        let s = faults.stats();
+        assert!(s.injected >= 200);
+        assert_eq!(s.exhausted, 0);
     }
 
     #[test]
@@ -585,15 +532,13 @@ mod tests {
             base_delay_micros: 0,
             max_delay_micros: 0,
         };
-        with_plan(
-            FaultPlan::new(11, 1.0).persistent().with_retry(fast),
-            || {
-                let err = gate(FaultSite::ProbeFlush).expect_err("persistent faults exhaust");
-                assert_eq!(err.site, FaultSite::ProbeFlush);
-                assert_eq!(err.attempts, 4);
-                assert_eq!(stats().exhausted, 1);
-            },
-        );
+        let faults = FaultState::new(Some(FaultPlan::new(11, 1.0).persistent().with_retry(fast)));
+        let err = faults
+            .gate(FaultSite::ProbeFlush)
+            .expect_err("persistent faults exhaust");
+        assert_eq!(err.site, FaultSite::ProbeFlush);
+        assert_eq!(err.attempts, 4);
+        assert_eq!(faults.stats().exhausted, 1);
     }
 
     #[test]
@@ -603,28 +548,27 @@ mod tests {
             base_delay_micros: 0,
             max_delay_micros: 0,
         };
-        with_plan(FaultPlan::new(2, 1.0).with_retry(fast), || {
-            let mut pin = None;
-            let mut attempt = 0;
-            loop {
-                attempt += 1;
-                let trip = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    worker_trip(&mut pin, attempt);
-                }));
-                match trip {
-                    Ok(()) => break,
-                    Err(payload) => {
-                        let fp = payload.downcast::<FaultPanic>().expect("injected payload");
-                        assert_eq!(fp.site, FaultSite::WorkerBody);
-                        assert_eq!(fp.attempt, attempt);
-                    }
+        let faults = FaultState::new(Some(FaultPlan::new(2, 1.0).with_retry(fast)));
+        let mut pin = None;
+        let mut attempt = 0;
+        loop {
+            attempt += 1;
+            let trip = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                faults.worker_trip(&mut pin, attempt);
+            }));
+            match trip {
+                Ok(()) => break,
+                Err(payload) => {
+                    let fp = payload.downcast::<FaultPanic>().expect("injected payload");
+                    assert_eq!(fp.site, FaultSite::WorkerBody);
+                    assert_eq!(fp.attempt, attempt);
                 }
-                assert!(
-                    attempt <= MAX_RECOVERABLE_BURST,
-                    "burst must clear in budget"
-                );
             }
-            assert!(attempt >= 2, "rate 1.0 must have injected at least once");
-        });
+            assert!(
+                attempt <= MAX_RECOVERABLE_BURST,
+                "burst must clear in budget"
+            );
+        }
+        assert!(attempt >= 2, "rate 1.0 must have injected at least once");
     }
 }

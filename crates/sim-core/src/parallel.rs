@@ -22,32 +22,36 @@
 //!
 //! A panicking cell no longer wedges or kills the sweep. Each item
 //! runs under [`std::panic::catch_unwind`]; a panic burns one
-//! *attempt* and — when a [`crate::fault`] plan is installed — the
+//! *attempt* and — when the run's [`FaultState`] carries a plan — the
 //! item is retried (with the plan's deterministic backoff) up to the
 //! plan's budget. Items that exhaust the budget come back as
 //! [`CellFailure`]s from [`try_par_map`], with every *other* item's
 //! result intact and computed exactly once. The infallible [`par_map`]
 //! keeps its historical contract: any failed cell panics on the
-//! caller's thread with the cell's own message. Without an installed
-//! fault plan the budget is one attempt, so a real panic on a plain
-//! run still fails fast.
+//! caller's thread with the cell's own message. Without a fault plan
+//! the budget is one attempt, so a real panic on a plain run still
+//! fails fast.
 //!
 //! Retry sits *around* the cell closure, so a retried cell re-runs
 //! from scratch — correct here because cells are pure functions of
 //! their item (the same property that makes parallelism safe), and
 //! injected worker faults fire *before* the closure so transient
-//! chaos never double-runs a cell body.
+//! chaos never double-runs a cell body. A caller whose items also
+//! record side output (probe records, span scopes) must keep each
+//! attempt's output apart and keep only a returning attempt's;
+//! `experiments::RunConfig::par_map` does this.
 //!
-//! The worker count defaults to [`std::thread::available_parallelism`]
-//! and can be pinned — globally with [`set_max_threads`] (or the
-//! `SIM_THREADS` environment variable read at first use), or per call
-//! with [`par_map_threads`]. Pinning to 1 runs inline on the caller's
-//! thread with no spawns at all.
+//! Every call names its worker count and its run's fault state; there
+//! is no process-wide setting. A count of 1 runs inline on the
+//! caller's thread with no spawns at all.
 //!
 //! # Examples
 //!
 //! ```
-//! let squares = sim_core::parallel::par_map(vec![1u64, 2, 3, 4], |x| x * x);
+//! use sim_core::fault::FaultState;
+//! use sim_core::parallel::par_map;
+//!
+//! let squares = par_map(4, &FaultState::default(), vec![1u64, 2, 3, 4], |x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
 
@@ -55,42 +59,10 @@ use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
-use crate::{fault, span};
-
-/// Global worker-count override: 0 = automatic.
-static MAX_THREADS: AtomicUsize = AtomicUsize::new(0);
-/// Set once from the `SIM_THREADS` environment variable.
-static ENV_THREADS: OnceLock<Option<usize>> = OnceLock::new();
-
-/// Pins the number of worker threads every subsequent [`par_map`]
-/// uses. `0` restores the default (all available cores). Intended for
-/// harnesses (`repro --threads N`) and determinism tests; per-call
-/// control is [`par_map_threads`].
-pub fn set_max_threads(threads: usize) {
-    MAX_THREADS.store(threads, Ordering::Relaxed);
-}
-
-/// The worker count [`par_map`] will use for `n` items: the explicit
-/// override ([`set_max_threads`] or `SIM_THREADS`), else available
-/// parallelism, capped at `n`.
-#[must_use]
-pub fn effective_threads(n: usize) -> usize {
-    let pinned = match MAX_THREADS.load(Ordering::Relaxed) {
-        0 => *ENV_THREADS.get_or_init(|| {
-            std::env::var("SIM_THREADS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&t| t > 0)
-        }),
-        t => Some(t),
-    };
-    let threads = pinned.unwrap_or_else(|| {
-        std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
-    });
-    threads.clamp(1, n.max(1))
-}
+use crate::fault::{self, FaultState};
+use crate::span;
 
 /// One cell that kept failing until its retry budget ran out.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,7 +92,7 @@ impl fmt::Display for CellFailure {
 impl std::error::Error for CellFailure {}
 
 /// Per-worker scheduler tallies, accumulated across [`par_map`] calls
-/// while the span layer is armed (untraced runs pay nothing). Worker
+/// made inside a traced scope (untraced runs pay nothing). Worker
 /// 0 is the calling thread (the serial/inline path); spawned workers
 /// are numbered from 1 in spawn order.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -130,7 +102,7 @@ pub struct WorkerTally {
     /// Chunks claimed from the shared counter — each claim after a
     /// worker's first is work stolen from the static split.
     pub chunks: u64,
-    /// Nanoseconds spent inside cell bodies, on the armed span clock.
+    /// Nanoseconds spent inside cell bodies, on the trace clock.
     pub busy_ns: u64,
 }
 
@@ -141,7 +113,7 @@ static NEXT_WORKER: AtomicU32 = AtomicU32::new(0);
 static TALLIES: Mutex<BTreeMap<u32, WorkerTally>> = Mutex::new(BTreeMap::new());
 
 /// Clears the per-worker tallies and restarts worker numbering. The
-/// harness calls this right after arming the span layer so a trace's
+/// harness calls this at the start of a traced run so its trace's
 /// lanes start at worker 1.
 pub fn reset_worker_tallies() {
     NEXT_WORKER.store(0, Ordering::Relaxed);
@@ -183,22 +155,22 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 }
 
 /// Runs one cell through the retry loop: catch a panic, back off,
-/// re-run, and give up with a [`CellFailure`] once the installed fault
-/// plan's budget (or the single fail-fast attempt, when no plan is
-/// installed) is spent. Injected worker faults trip *before* `f`.
-fn run_item<T, R, F>(index: usize, item: &T, f: &F) -> Result<R, CellFailure>
+/// re-run, and give up with a [`CellFailure`] once the fault plan's
+/// budget (or the single fail-fast attempt, without a plan) is spent.
+/// Injected worker faults trip *before* `f`.
+fn run_item<T, R, F>(index: usize, item: &T, faults: &FaultState, f: &F) -> Result<R, CellFailure>
 where
     T: Clone,
     F: Fn(T) -> R,
 {
-    let budget = fault::retry_attempts();
+    let budget = faults.retry_attempts();
     let mut pin = None;
     let mut injected = false;
     let mut attempt = 0u32;
     loop {
         attempt += 1;
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            fault::worker_trip(&mut pin, attempt);
+            faults.worker_trip(&mut pin, attempt);
             f(item.clone())
         }));
         match outcome {
@@ -213,43 +185,28 @@ where
                         message: panic_message(payload.as_ref()),
                     });
                 }
-                fault::backoff(attempt);
+                faults.backoff(attempt);
             }
         }
     }
 }
 
-/// Maps `f` over `items` on scoped worker threads, preserving input
-/// order. Uses the global thread setting (see [`set_max_threads`]).
+/// Maps `f` over `items` on up to `threads` scoped worker threads,
+/// preserving input order; `threads <= 1` runs serially on the calling
+/// thread (no spawns), which is the reference order every parallel run
+/// must reproduce bit-for-bit. Cells retry under `faults`' plan.
 ///
 /// # Panics
 ///
 /// Panics if any cell fails past its retry budget (see
 /// [`try_par_map`] for the recovering variant).
-pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
+pub fn par_map<T, R, F>(threads: usize, faults: &FaultState, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send + Clone,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let threads = effective_threads(items.len());
-    par_map_threads(threads, items, f)
-}
-
-/// [`par_map`] with an explicit worker count. `threads <= 1` runs
-/// serially on the calling thread (no spawns), which is the reference
-/// order every parallel run must reproduce bit-for-bit.
-///
-/// # Panics
-///
-/// Panics if any cell fails past its retry budget.
-pub fn par_map_threads<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send + Clone,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    try_par_map_threads(threads, items, f)
+    try_par_map(threads, faults, items, f)
         .into_iter()
         .map(|cell| match cell {
             Ok(r) => r,
@@ -258,25 +215,15 @@ where
         .collect()
 }
 
-/// [`try_par_map_threads`] with the global thread setting.
-pub fn try_par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<Result<R, CellFailure>>
-where
-    T: Send + Clone,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let threads = effective_threads(items.len());
-    try_par_map_threads(threads, items, f)
-}
-
-/// The recovering scheduler: maps `f` over `items` in input order,
-/// isolating panics per cell and retrying under the installed
-/// [`crate::fault`] plan's budget. Every element of the returned `Vec`
-/// is either the cell's result or the [`CellFailure`] describing why
-/// it was given up — a poisoned cell never wedges the run, and the
+/// The recovering scheduler: maps `f` over `items` in input order on
+/// up to `threads` workers, isolating panics per cell and retrying
+/// under `faults`' plan budget. Every element of the returned `Vec` is
+/// either the cell's result or the [`CellFailure`] describing why it
+/// was given up — a poisoned cell never wedges the run, and the
 /// surviving cells each execute (successfully) exactly once.
-pub fn try_par_map_threads<T, R, F>(
+pub fn try_par_map<T, R, F>(
     threads: usize,
+    faults: &FaultState,
     items: Vec<T>,
     f: F,
 ) -> Vec<Result<R, CellFailure>>
@@ -285,16 +232,20 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
+    // Worker busy time is taken on the caller's trace clock, so only
+    // calls made inside a traced scope read a clock.
+    let clock = span::clock();
+    let now = move || clock.map(|c| c());
     let n = items.len();
     if n <= 1 || threads <= 1 {
-        let start = span::clock_now();
+        let start = now();
         let out: Vec<Result<R, CellFailure>> = items
             .iter()
             .enumerate()
-            .map(|(idx, item)| run_item(idx, item, &f))
+            .map(|(idx, item)| run_item(idx, item, faults, &f))
             .collect();
         if let Some(start) = start {
-            let busy = span::clock_now().unwrap_or(start).saturating_sub(start);
+            let busy = now().unwrap_or(start).saturating_sub(start);
             record_tally(span::worker(), n as u64, 1, busy);
         }
         return out;
@@ -333,16 +284,15 @@ where
                         // is claimed by exactly one worker.
                         let work = std::mem::take(&mut *chunk.lock().expect("chunk lock"));
                         for (idx, item) in work {
-                            let start = span::clock_now();
-                            out.push((idx, run_item(idx, &item, f)));
+                            let start = now();
+                            out.push((idx, run_item(idx, &item, faults, f)));
                             tally.cells += 1;
                             if let Some(start) = start {
-                                tally.busy_ns +=
-                                    span::clock_now().unwrap_or(start).saturating_sub(start);
+                                tally.busy_ns += now().unwrap_or(start).saturating_sub(start);
                             }
                         }
                     }
-                    if span::active() {
+                    if clock.is_some() {
                         record_tally(worker, tally.cells, tally.chunks, tally.busy_ns);
                     }
                     out
@@ -381,12 +331,16 @@ where
 mod tests {
     use super::*;
 
+    fn calm() -> FaultState {
+        FaultState::default()
+    }
+
     #[test]
     fn preserves_order_and_matches_serial() {
         let items: Vec<u64> = (0..1000).collect();
         let serial: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
         for threads in [1, 2, 3, 8, 64] {
-            let par = par_map_threads(threads, items.clone(), |x| x * 3 + 1);
+            let par = par_map(threads, &calm(), items.clone(), |x| x * 3 + 1);
             assert_eq!(par, serial, "threads = {threads}");
         }
     }
@@ -394,20 +348,20 @@ mod tests {
     #[test]
     fn handles_empty_and_singleton() {
         let empty: Vec<u32> = Vec::new();
-        assert!(par_map(empty, |x| x).is_empty());
-        assert_eq!(par_map(vec![7], |x| x + 1), vec![8]);
+        assert!(par_map(4, &calm(), empty, |x| x).is_empty());
+        assert_eq!(par_map(4, &calm(), vec![7], |x| x + 1), vec![8]);
     }
 
     #[test]
     fn more_threads_than_items() {
-        let out = par_map_threads(32, vec![1, 2, 3], |x| x * x);
+        let out = par_map(32, &calm(), vec![1, 2, 3], |x| x * x);
         assert_eq!(out, vec![1, 4, 9]);
     }
 
     #[test]
     fn uneven_work_still_ordered() {
         // Items with wildly different costs exercise chunk stealing.
-        let out = par_map_threads(4, (0u64..97).collect(), |x| {
+        let out = par_map(4, &calm(), (0u64..97).collect(), |x| {
             let mut acc = x;
             for _ in 0..(x % 13) * 1000 {
                 acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -420,20 +374,12 @@ mod tests {
     }
 
     #[test]
-    fn effective_threads_respects_item_count() {
-        assert_eq!(effective_threads(0), 1);
-        assert_eq!(effective_threads(1), 1);
-        assert!(effective_threads(1000) >= 1);
-    }
-
-    #[test]
     fn try_variant_isolates_a_real_panic() {
-        // No fault plan installed in unit tests → one attempt, fail
-        // fast, but the other cells must still complete and stay
-        // ordered. (Fault-plan scenarios live in tests/panic_recovery
-        // because the plan is process-global.)
+        // No fault plan → one attempt, fail fast, but the other cells
+        // must still complete and stay ordered. (Fault-plan scenarios
+        // live in tests/panic_recovery.)
         for threads in [1, 4] {
-            let out = try_par_map_threads(threads, (0u32..8).collect(), |x| {
+            let out = try_par_map(threads, &calm(), (0u32..8).collect(), |x| {
                 assert!(x != 5, "boom at five");
                 x * 10
             });
@@ -454,7 +400,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "boom at three")]
     fn infallible_variant_still_panics_on_failure() {
-        let _ = par_map_threads(2, (0u32..6).collect(), |x| {
+        let _ = par_map(2, &calm(), (0u32..6).collect(), |x| {
             assert!(x != 3, "boom at three");
             x
         });

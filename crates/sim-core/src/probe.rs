@@ -2,13 +2,18 @@
 //!
 //! Simulator hot paths (cache fills, MCT classifications, assist-buffer
 //! filter decisions) call [`emit`] with a [`ProbeEvent`]. When no sink
-//! is installed the call is a single relaxed atomic load and a branch —
-//! cheap enough to leave compiled into release binaries (the
-//! `substrate/probe_null` bench guards this). When a [`Sink`] is
-//! installed on the current thread via [`with_sink`], events flow into
-//! it synchronously.
+//! is installed on the calling thread the call is one thread-local
+//! byte load and a branch — cheap enough to leave compiled into
+//! release binaries (the `substrate/probe_null` bench guards this).
+//! When a [`Sink`] is installed on the current thread via
+//! [`with_sink`], events flow into it synchronously.
 //!
-//! Sinks are **thread-local** by design: the [`crate::parallel`]
+//! Sinks are **thread-local** by design, and so is the armed state:
+//! one per-thread bitset, shared with [`crate::span`], records whether
+//! this thread holds a sink (and whether it holds an open span scope),
+//! and only the installing thread sets its bits. [`active`] therefore
+//! means "armed on this thread"; a sink on one thread never sends
+//! another thread down a probed path. The [`crate::parallel`]
 //! scheduler runs each experiment cell entirely on one worker thread,
 //! so a per-cell sink observes exactly that cell's events regardless of
 //! how many cells run concurrently. This is what makes probe output
@@ -43,11 +48,10 @@
 //! assert_eq!(cell.totals.counter("access.hit"), 3);
 //! ```
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::hash::FxHashMap;
 use crate::stats::Histogram;
@@ -596,16 +600,31 @@ impl<W: Write> Sink for JsonlSink<W> {
     }
 }
 
-/// Count of sinks installed across all threads. Non-zero arms the
-/// thread-local check in [`emit`]; zero keeps the hot path to one
-/// relaxed load.
-static ARMED: AtomicUsize = AtomicUsize::new(0);
+/// The probe layer's bit in the armed bitset: a sink is installed.
+pub(crate) const ARMED_PROBE: u8 = 1;
+/// The span layer's bit in the armed bitset: a scope is open (see
+/// [`crate::span`]).
+pub(crate) const ARMED_SPAN: u8 = 2;
 
 thread_local! {
+    /// This thread's armed bitset. A `const` cell with no destructor,
+    /// so reading it is one thread-local load.
+    static ARMED: Cell<u8> = const { Cell::new(0) };
     static SINK: RefCell<Option<Rc<RefCell<dyn Sink>>>> = const { RefCell::new(None) };
 }
 
-/// Whether any sink is installed on any thread.
+/// Whether `bit` is set in this thread's armed bitset.
+#[inline]
+pub(crate) fn armed(bit: u8) -> bool {
+    ARMED.with(|a| a.get() & bit != 0)
+}
+
+/// Sets or clears `bit` in this thread's armed bitset.
+pub(crate) fn set_armed(bit: u8, on: bool) {
+    ARMED.with(|a| a.set(if on { a.get() | bit } else { a.get() & !bit }));
+}
+
+/// Whether a sink is installed on the calling thread.
 ///
 /// Instrumentation sites use this to skip *constructing* expensive
 /// events (e.g. a second MCT lookup for alias detail); [`emit`]
@@ -613,7 +632,7 @@ thread_local! {
 #[inline]
 #[must_use]
 pub fn active() -> bool {
-    ARMED.load(Ordering::Relaxed) != 0
+    armed(ARMED_PROBE)
 }
 
 /// Emits an event to the current thread's sink, if one is installed.
@@ -635,18 +654,18 @@ fn emit_slow(ev: &ProbeEvent) {
 
 /// Installs `sink` on the current thread for the duration of `f`,
 /// restoring any previously installed sink afterwards (also on
-/// unwind). The caller keeps its own `Rc` handle to read the sink
-/// back out.
+/// unwind). Only this thread is armed. The caller keeps its own `Rc`
+/// handle to read the sink back out.
 pub fn with_sink<R>(sink: Rc<RefCell<dyn Sink>>, f: impl FnOnce() -> R) -> R {
     struct Guard(Option<Rc<RefCell<dyn Sink>>>);
     impl Drop for Guard {
         fn drop(&mut self) {
+            set_armed(ARMED_PROBE, self.0.is_some());
             SINK.with(|s| *s.borrow_mut() = self.0.take());
-            ARMED.fetch_sub(1, Ordering::Relaxed);
         }
     }
     let prev = SINK.with(|s| s.borrow_mut().replace(sink));
-    ARMED.fetch_add(1, Ordering::Relaxed);
+    set_armed(ARMED_PROBE, true);
     let _guard = Guard(prev);
     f()
 }
@@ -724,8 +743,10 @@ mod tests {
             emit(ProbeEvent::Access { hit: true });
             std::thread::scope(|scope| {
                 scope.spawn(|| {
-                    // Armed globally, but this thread has no sink: the
+                    // The outer thread's sink arms only the outer
+                    // thread: this one takes the disarmed path, and its
                     // event must not leak into the outer sink.
+                    assert!(!active(), "a sink armed another thread");
                     emit(ProbeEvent::Access { hit: false });
                 });
             });

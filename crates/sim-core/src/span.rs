@@ -10,35 +10,42 @@
 //!
 //! Three properties shape the design:
 //!
-//! * **Disarmed cost is one relaxed atomic load.** [`enter`] and
-//!   [`add_events`] check [`active`] and return immediately when the
-//!   layer is off; the recording path is `#[cold]` and out of line.
-//!   The `substrate/span_disarmed` vs `span_null` bench pair holds
-//!   this, mirroring the probe benches.
-//! * **No wallclock reads in this crate.** The layer takes a
-//!   nanosecond clock (`fn() -> u64`) at [`arm`] time; the harness
-//!   injects one backed by `experiments::telemetry` (the workspace's
-//!   single sanctioned wallclock site), or a constant-zero logical
-//!   clock for determinism tests.
+//! * **Disarmed cost is one thread-local load.** [`enter`] and
+//!   [`add_events`] check [`active`] — whether a scope is open on this
+//!   thread, a bit in the armed bitset the probe layer shares — and
+//!   return immediately when none is; the recording path is `#[cold]`
+//!   and out of line. The `substrate/span_disarmed` vs `span_null`
+//!   bench pair holds this, mirroring the probe benches.
+//! * **No wallclock reads in this crate.** A run's [`Trace`] carries a
+//!   nanosecond clock (`fn() -> u64`); the harness injects one backed
+//!   by `experiments::telemetry` (the workspace's single sanctioned
+//!   wallclock site), or a constant-zero logical clock for
+//!   determinism tests.
 //! * **Structure and ordering are thread-count invariant.** Spans are
 //!   buffered per *logical scope* (sweep / figure / cell),
 //!   not per OS thread: [`scope`] installs a fresh thread-local
 //!   buffer, saving and restoring the enclosing one, and flushes a
-//!   [`ScopeRecord`] to a global store when the scope closes cleanly.
-//!   [`disarm`] drains the store sorted by `(kind, target, label,
-//!   root name)`, so the same work produces the same record sequence
-//!   at any `--threads`. Only start/duration (and the worker id) vary
-//!   between runs; a zero clock makes whole streams byte-identical.
+//!   [`ScopeRecord`] into the run's [`Trace`] when the scope closes
+//!   cleanly. [`Trace::drain`] sorts the records by `(kind, target,
+//!   label, root name)`, so the same work produces the same record
+//!   sequence at any `--threads`. Only start/duration (and the worker
+//!   id) vary between runs; a zero clock makes whole streams
+//!   byte-identical.
 //!
 //! A scope that unwinds (a fault-injected or real panic) discards its
-//! partial buffer: retried cells therefore contribute exactly one
-//! scope — the attempt that completed — and degraded cells none.
+//! partial buffer. A scheduler item may close several scopes before a
+//! later one unwinds it, so a harness that retries items gives each
+//! item attempt a [`Trace::child`] that it [`Trace::absorb`]s only once
+//! the attempt returns. Retried items — a figure, or a group of cells
+//! inside one — therefore contribute exactly one set of scopes (the
+//! attempt that completed) and degraded ones none.
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-/// A nanosecond clock injected at [`arm`] time. The span layer never
+use crate::probe::{armed, set_armed, ARMED_SPAN};
+
+/// A nanosecond clock carried by a [`Trace`]. The span layer never
 /// reads wallclock itself (the simlint `wallclock` rule confines
 /// `Instant` to `experiments::telemetry`).
 pub type Clock = fn() -> u64;
@@ -57,17 +64,63 @@ pub fn name_registered(name: &str) -> bool {
     crate::registry::span_name_registered(name)
 }
 
-const OFF: u8 = 0;
-const COLLECT: u8 = 1;
-const DISCARD: u8 = 2;
-
-static ARMED: AtomicU8 = AtomicU8::new(OFF);
-static CLOCK: Mutex<Option<Clock>> = Mutex::new(None);
-static STORE: Mutex<Vec<ScopeRecord>> = Mutex::new(Vec::new());
-
 thread_local! {
     static COLLECTOR: RefCell<Option<Collector>> = const { RefCell::new(None) };
     static WORKER: Cell<u32> = const { Cell::new(0) };
+}
+
+/// Where a traced run's scopes go: the clock its spans read and every
+/// scope closed so far.
+#[derive(Debug)]
+pub struct Trace {
+    clock: Clock,
+    scopes: Mutex<Vec<ScopeRecord>>,
+}
+
+impl Trace {
+    /// An empty trace whose spans read `clock`.
+    #[must_use]
+    pub fn new(clock: Clock) -> Self {
+        Trace {
+            clock,
+            scopes: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// An empty trace on the same clock, for one attempt at a unit of
+    /// work that may be retried: its scopes reach this trace only
+    /// through [`Trace::absorb`].
+    #[must_use]
+    pub fn child(&self) -> Self {
+        Trace::new(self.clock)
+    }
+
+    /// Appends every scope `child` collected.
+    pub fn absorb(&self, child: Trace) {
+        let scopes = child
+            .scopes
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        self.lock().extend(scopes);
+    }
+
+    /// Takes every collected scope, sorted by `(kind, target, label,
+    /// root span name)` so the sequence is identical at any thread
+    /// count.
+    #[must_use]
+    pub fn drain(&self) -> Vec<ScopeRecord> {
+        let mut records = std::mem::take(&mut *self.lock());
+        records.sort_by(|a, b| {
+            let ka = (a.kind, &a.target, &a.label, root_name(a));
+            let kb = (b.kind, &b.target, &b.label, root_name(b));
+            ka.cmp(&kb)
+        });
+        records
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<ScopeRecord>> {
+        self.scopes.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// Which level of the sweep hierarchy a scope belongs to. The
@@ -180,57 +233,13 @@ impl Collector {
     }
 }
 
-fn zero_clock() -> u64 {
-    0
-}
-
-fn current_clock() -> Clock {
-    CLOCK
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .unwrap_or(zero_clock)
-}
-
-/// Returns whether the span layer is armed. This is the only cost
-/// instrumented code pays when tracing is off: one relaxed atomic
-/// load.
+/// Returns whether a span scope is open on this thread. This is the
+/// only cost instrumented code pays outside a traced scope: one
+/// thread-local load.
 #[inline]
 #[must_use]
 pub fn active() -> bool {
-    ARMED.load(Ordering::Relaxed) != OFF
-}
-
-/// Arms the layer: spans record through `clock` and scopes flush to
-/// the global store until [`disarm`]. Clears any records left from a
-/// previous arming.
-pub fn arm(clock: Clock) {
-    *CLOCK.lock().unwrap_or_else(PoisonError::into_inner) = Some(clock);
-    STORE.lock().unwrap_or_else(PoisonError::into_inner).clear();
-    ARMED.store(COLLECT, Ordering::Relaxed);
-}
-
-/// Arms the layer in discard mode: the full recording path runs but
-/// closed scopes are dropped instead of stored. This is the
-/// `span_null` bench configuration — it prices dispatch + record cost
-/// without accumulating memory.
-pub fn arm_discard(clock: Clock) {
-    *CLOCK.lock().unwrap_or_else(PoisonError::into_inner) = Some(clock);
-    STORE.lock().unwrap_or_else(PoisonError::into_inner).clear();
-    ARMED.store(DISCARD, Ordering::Relaxed);
-}
-
-/// Disarms the layer and drains every flushed scope, sorted by
-/// `(kind, target, label, root span name)` so the sequence is
-/// identical at any thread count.
-pub fn disarm() -> Vec<ScopeRecord> {
-    ARMED.store(OFF, Ordering::Relaxed);
-    let mut records = std::mem::take(&mut *STORE.lock().unwrap_or_else(PoisonError::into_inner));
-    records.sort_by(|a, b| {
-        let ka = (a.kind, &a.target, &a.label, root_name(a));
-        let kb = (b.kind, &b.target, &b.label, root_name(b));
-        ka.cmp(&kb)
-    });
-    records
+    armed(ARMED_SPAN)
 }
 
 fn root_name(rec: &ScopeRecord) -> &'static str {
@@ -251,15 +260,12 @@ pub fn worker() -> u32 {
     WORKER.with(Cell::get)
 }
 
-/// Reads the armed clock, or `None` when tracing is off. The
-/// scheduler uses this for busy-time tallies so it never pays a clock
-/// read in untraced runs.
+/// The clock of the scope open on this thread, or `None` outside any
+/// traced scope. The scheduler reads it once per call and times its
+/// workers with it, so untraced runs never pay a clock read.
 #[must_use]
-pub fn clock_now() -> Option<u64> {
-    if !active() {
-        return None;
-    }
-    Some(current_clock()())
+pub fn clock() -> Option<Clock> {
+    COLLECTOR.with(|c| c.borrow().as_ref().map(|col| col.clock))
 }
 
 /// Open-span handle returned by [`enter`]; the span's duration is
@@ -283,9 +289,9 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Opens a span named `name` inside the current scope. When the layer
-/// is disarmed — or the thread has no scope installed — this is a
-/// relaxed load plus an inert guard. `name` must be a static string
+/// Opens a span named `name` inside the current scope. When the
+/// thread has no scope open this is one thread-local load plus an
+/// inert guard. `name` must be a static string
 /// literal with a registered prefix (see [`NAME_PREFIXES`]; the
 /// simlint `span-name` rule checks call sites).
 #[inline]
@@ -308,7 +314,7 @@ fn enter_slow(name: &'static str) -> SpanGuard {
 }
 
 /// Attributes `n` simulated events to the innermost open span (no-op
-/// when disarmed or outside a scope).
+/// outside a scope).
 #[inline]
 pub fn add_events(n: u64) {
     if !active() {
@@ -330,29 +336,52 @@ fn add_events_slow(n: u64) {
     });
 }
 
-/// Runs `f` inside a fresh span scope rooted at a span named `name`.
+/// Runs `f` inside a fresh span scope rooted at a span named `name`,
+/// recording into `trace`; without a trace this is just `f()`.
 ///
 /// The enclosing scope (if any) is saved and restored, so nested
 /// scopes partition spans instead of interleaving them — a cell
 /// running inline at `--threads 1` buffers exactly what it would
 /// buffer on a worker thread, which is what makes span structure
-/// thread-count invariant. `label` is only evaluated when the layer
-/// is armed. If `f` unwinds, the partial scope is discarded.
+/// thread-count invariant. `label` is only evaluated when tracing. If
+/// `f` unwinds, the partial scope is discarded.
 pub fn scope<R>(
+    trace: Option<&Trace>,
     kind: ScopeKind,
     name: &'static str,
     target: &str,
     label: impl FnOnce() -> String,
     f: impl FnOnce() -> R,
 ) -> R {
-    if !active() {
-        return f();
+    match trace {
+        None => f(),
+        Some(trace) => scope_slow(trace, kind, name, target.to_owned(), label(), f),
     }
-    scope_slow(kind, name, target.to_owned(), label(), f)
+}
+
+/// Reinstalls the enclosing scope's collector when a scope closes,
+/// also on unwind (which drops the closing scope's partial buffer).
+struct Restore(Option<Option<Collector>>);
+
+impl Restore {
+    /// Puts the enclosing collector back (once) and returns the
+    /// closing scope's own.
+    fn restore(&mut self) -> Option<Collector> {
+        let prev = self.0.take()?;
+        set_armed(ARMED_SPAN, prev.is_some());
+        COLLECTOR.with(|c| std::mem::replace(&mut *c.borrow_mut(), prev))
+    }
+}
+
+impl Drop for Restore {
+    fn drop(&mut self) {
+        self.restore();
+    }
 }
 
 #[cold]
 fn scope_slow<R>(
+    trace: &Trace,
     kind: ScopeKind,
     name: &'static str,
     target: String,
@@ -363,44 +392,26 @@ fn scope_slow<R>(
         kind,
         target,
         label,
-        clock: current_clock(),
+        clock: trace.clock,
         spans: Vec::new(),
         stack: Vec::new(),
     };
     collector.open(name);
     let prev = COLLECTOR.with(|c| c.borrow_mut().replace(collector));
-
-    struct Guard {
-        prev: Option<Collector>,
+    set_armed(ARMED_SPAN, true);
+    let mut restore = Restore(Some(prev));
+    let out = f();
+    if let Some(mut col) = restore.restore() {
+        col.close_all();
+        trace.lock().push(ScopeRecord {
+            kind: col.kind,
+            target: col.target,
+            label: col.label,
+            worker: worker(),
+            spans: col.spans,
+        });
     }
-    impl Drop for Guard {
-        fn drop(&mut self) {
-            let finished = COLLECTOR.with(|c| c.borrow_mut().take());
-            COLLECTOR.with(|c| *c.borrow_mut() = self.prev.take());
-            if std::thread::panicking() {
-                return; // discard the partial scope; a retry re-records it
-            }
-            let Some(mut col) = finished else { return };
-            col.close_all();
-            if ARMED.load(Ordering::Relaxed) != COLLECT {
-                return;
-            }
-            let record = ScopeRecord {
-                kind: col.kind,
-                target: std::mem::take(&mut col.target),
-                label: std::mem::take(&mut col.label),
-                worker: worker(),
-                spans: std::mem::take(&mut col.spans),
-            };
-            STORE
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(record);
-        }
-    }
-
-    let _guard = Guard { prev };
-    f()
+    out
 }
 
 #[cfg(test)]
@@ -410,32 +421,49 @@ mod tests {
     fn fake_clock() -> u64 {
         // Deterministic strictly-increasing fake time; good enough to
         // see nonzero durations without touching wallclock.
-        use std::sync::atomic::AtomicU64;
+        use std::sync::atomic::{AtomicU64, Ordering};
         static TICKS: AtomicU64 = AtomicU64::new(0);
         TICKS.fetch_add(10, Ordering::Relaxed)
     }
 
-    // One #[test] because the armed state, clock, and store are
-    // process-global and tests in one binary run concurrently.
+    fn zero_clock() -> u64 {
+        0
+    }
+
     #[test]
-    fn span_layer_end_to_end() {
-        // Disarmed: everything is inert.
+    fn untraced_spans_are_inert() {
         assert!(!active());
+        assert!(clock().is_none());
         {
-            let _g = hold_disarmed();
+            let _g = enter("sweep_noop");
             add_events(5);
         }
-        assert!(disarm().is_empty());
-
-        // Armed: scopes nest, spans tree up, events attach.
-        arm(fake_clock);
-        assert!(active());
         let out = scope(
+            None,
+            ScopeKind::Cell,
+            "cell_run",
+            "fig1",
+            || unreachable!(),
+            || {
+                assert!(!active(), "an untraced scope arms nothing");
+                7
+            },
+        );
+        assert_eq!(out, 7);
+    }
+
+    #[test]
+    fn scopes_nest_spans_tree_up_and_events_attach() {
+        let trace = Trace::new(fake_clock);
+        let out = scope(
+            Some(&trace),
             ScopeKind::Cell,
             "cell_run",
             "fig1",
             || "16KB/demo".to_owned(),
             || {
+                assert!(active());
+                assert!(clock().is_some());
                 {
                     let _g = enter("replay_block");
                     add_events(100);
@@ -443,6 +471,7 @@ mod tests {
                 }
                 // A nested scope must not inherit or pollute ours.
                 scope(
+                    Some(&trace),
                     ScopeKind::Cell,
                     "cell_run",
                     "fig2",
@@ -451,11 +480,16 @@ mod tests {
                         let _g = enter("fault_backoff");
                     },
                 );
+                // The scope is armed on this thread only.
+                std::thread::scope(|s| {
+                    s.spawn(|| assert!(!active(), "a scope armed another thread"));
+                });
                 42
             },
         );
         assert_eq!(out, 42);
-        let records = disarm();
+        assert!(!active(), "closing the outer scope disarms the thread");
+        let records = trace.drain();
         assert_eq!(records.len(), 2);
         // Drain order: by target within a kind.
         assert_eq!(records[0].kind, ScopeKind::Cell);
@@ -477,36 +511,60 @@ mod tests {
             records[1].spans.iter().map(|s| s.name).collect::<Vec<_>>(),
             ["cell_run", "fault_backoff"]
         );
+        assert!(trace.drain().is_empty(), "drain takes every scope");
+    }
 
-        // Spans outside any scope are dropped, not misfiled.
-        arm(fake_clock);
-        {
-            let _g = enter("replay_stream");
-            add_events(1);
-        }
-        assert!(disarm().is_empty());
-
+    #[test]
+    fn unwound_scopes_and_attempts_leave_no_records() {
+        let trace = Trace::new(zero_clock);
         // A panicking scope discards its partial buffer.
-        arm(fake_clock);
         let _ = std::panic::catch_unwind(|| {
-            scope(ScopeKind::Cell, "cell_run", "fig1", String::new, || {
-                let _g = enter("replay_block");
-                panic!("injected");
-            })
+            scope(
+                Some(&trace),
+                ScopeKind::Cell,
+                "cell_run",
+                "fig1",
+                String::new,
+                || {
+                    let _g = enter("replay_block");
+                    panic!("injected");
+                },
+            )
         });
-        scope(ScopeKind::Cell, "cell_run", "fig2", String::new, || ());
-        let records = disarm();
-        assert_eq!(records.len(), 1, "panicked scope must be discarded");
+        assert!(!active(), "an unwound scope disarms the thread");
+        // A failed attempt's completed scopes stay in its child trace;
+        // only the attempt that returns is absorbed.
+        let failed = trace.child();
+        scope(
+            Some(&failed),
+            ScopeKind::Cell,
+            "cell_run",
+            "fig2",
+            String::new,
+            || (),
+        );
+        drop(failed);
+        let attempt = trace.child();
+        scope(
+            Some(&attempt),
+            ScopeKind::Cell,
+            "cell_run",
+            "fig2",
+            String::new,
+            || (),
+        );
+        trace.absorb(attempt);
+        let records = trace.drain();
+        assert_eq!(
+            records.len(),
+            1,
+            "only the absorbed attempt's scope remains"
+        );
         assert_eq!(records[0].target, "fig2");
+    }
 
-        // Discard mode records nothing but still runs the full path.
-        arm_discard(zero_clock);
-        scope(ScopeKind::Cell, "cell_run", "fig1", String::new, || {
-            let _g = enter("replay_block");
-        });
-        assert!(disarm().is_empty());
-
-        // Worker tagging.
+    #[test]
+    fn workers_and_names() {
         set_worker(3);
         assert_eq!(worker(), 3);
         set_worker(0);
@@ -521,9 +579,5 @@ mod tests {
         assert!(name_registered("replay_stream"));
         assert!(name_registered("replay_mrc"));
         assert!(!name_registered("my_phase"));
-    }
-
-    fn hold_disarmed() -> SpanGuard {
-        enter("sweep_noop")
     }
 }

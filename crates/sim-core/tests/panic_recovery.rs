@@ -2,17 +2,13 @@
 //! never wedge the run, double-run a surviving cell, or go
 //! unreported.
 //!
-//! These scenarios install process-global fault plans, so every test
-//! takes the same mutex — the unit tests inside `sim_core::fault` live
-//! in a different test binary (process) and cannot race these.
+//! Each scenario owns its [`FaultState`], so the tests run
+//! concurrently without sharing a plan.
 
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Mutex, PoisonError};
 
-use sim_core::fault::{self, FaultPlan, FaultSite, RetryPolicy, MAX_RECOVERABLE_BURST};
-use sim_core::parallel::{par_map_threads, try_par_map_threads};
-
-static PLAN_LOCK: Mutex<()> = Mutex::new(());
+use sim_core::fault::{self, FaultPlan, FaultSite, FaultState, RetryPolicy, MAX_RECOVERABLE_BURST};
+use sim_core::parallel::{par_map, try_par_map};
 
 /// Zero-sleep retries keep the chaos scenarios fast; the backoff
 /// *schedule* itself is pinned by unit tests on `backoff_delay`.
@@ -24,16 +20,10 @@ fn fast_retry() -> RetryPolicy {
     }
 }
 
-fn with_plan<R>(plan: Option<FaultPlan>, f: impl FnOnce() -> R) -> R {
-    let _guard = PLAN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    match plan {
-        Some(p) => fault::install(p),
-        None => fault::clear(),
-    }
+/// A fresh fault state for `plan`, with injected panics silenced.
+fn faults(plan: FaultPlan) -> FaultState {
     fault::silence_injected_panics();
-    let out = f();
-    fault::clear();
-    out
+    FaultState::new(Some(plan))
 }
 
 #[test]
@@ -41,34 +31,33 @@ fn transient_worker_faults_recover_with_each_cell_run_exactly_once() {
     let plan = FaultPlan::new(41, 1.0)
         .with_sites(&[FaultSite::WorkerBody])
         .with_retry(fast_retry());
-    with_plan(Some(plan), || {
-        for threads in [1, 4] {
-            let n = 32usize;
-            let runs: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-            let runs_ref = &runs;
-            let out = try_par_map_threads(threads, (0..n).collect(), |i| {
-                runs_ref[i].fetch_add(1, Ordering::Relaxed);
-                i * 10
-            });
-            assert_eq!(out.len(), n);
-            for (i, cell) in out.iter().enumerate() {
-                assert_eq!(
-                    cell.as_ref().copied(),
-                    Ok(i * 10),
-                    "threads={threads}: every fault at rate 1.0 must still recover"
-                );
-                assert_eq!(
-                    runs_ref[i].load(Ordering::Relaxed),
-                    1,
-                    "threads={threads} cell {i}: injected trips fire before the body, \
-                     so a recovered cell's body runs exactly once"
-                );
-            }
-            let stats = fault::stats();
-            assert!(stats.injected > 0, "rate 1.0 must inject");
-            assert_eq!(stats.exhausted, 0, "transient bursts never exhaust");
+    for threads in [1, 4] {
+        let faults = faults(plan);
+        let n = 32usize;
+        let runs: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+        let runs_ref = &runs;
+        let out = try_par_map(threads, &faults, (0..n).collect(), |i| {
+            runs_ref[i].fetch_add(1, Ordering::Relaxed);
+            i * 10
+        });
+        assert_eq!(out.len(), n);
+        for (i, cell) in out.iter().enumerate() {
+            assert_eq!(
+                cell.as_ref().copied(),
+                Ok(i * 10),
+                "threads={threads}: every fault at rate 1.0 must still recover"
+            );
+            assert_eq!(
+                runs_ref[i].load(Ordering::Relaxed),
+                1,
+                "threads={threads} cell {i}: injected trips fire before the body, \
+                 so a recovered cell's body runs exactly once"
+            );
         }
-    });
+        let stats = faults.stats();
+        assert!(stats.injected > 0, "rate 1.0 must inject");
+        assert_eq!(stats.exhausted, 0, "transient bursts never exhaust");
+    }
 }
 
 #[test]
@@ -77,49 +66,48 @@ fn persistent_worker_faults_degrade_only_their_own_cells() {
         .persistent()
         .with_sites(&[FaultSite::WorkerBody])
         .with_retry(fast_retry());
-    with_plan(Some(plan), || {
-        let n = 48usize;
-        let runs: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        let runs_ref = &runs;
-        let out = try_par_map_threads(4, (0..n).collect(), |i| {
-            runs_ref[i].fetch_add(1, Ordering::Relaxed);
-            i
-        });
-        let mut failed = 0usize;
-        for (i, cell) in out.iter().enumerate() {
-            match cell {
-                Ok(v) => {
-                    assert_eq!(*v, i, "results stay in input order");
-                    assert_eq!(
-                        runs_ref[i].load(Ordering::Relaxed),
-                        1,
-                        "cell {i}: surviving cells run exactly once, no double-count"
-                    );
-                }
-                Err(failure) => {
-                    failed += 1;
-                    assert_eq!(failure.index, i);
-                    assert!(failure.injected, "only injected faults are active");
-                    assert_eq!(
-                        failure.attempts,
-                        fast_retry().max_attempts,
-                        "a persistent fault must burn the whole retry budget"
-                    );
-                    assert_eq!(
-                        runs_ref[i].load(Ordering::Relaxed),
-                        0,
-                        "cell {i}: the trip fires before the body every attempt"
-                    );
-                    assert!(failure.message.contains("injected worker fault"));
-                }
+    let faults = faults(plan);
+    let n = 48usize;
+    let runs: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+    let runs_ref = &runs;
+    let out = try_par_map(4, &faults, (0..n).collect(), |i| {
+        runs_ref[i].fetch_add(1, Ordering::Relaxed);
+        i
+    });
+    let mut failed = 0usize;
+    for (i, cell) in out.iter().enumerate() {
+        match cell {
+            Ok(v) => {
+                assert_eq!(*v, i, "results stay in input order");
+                assert_eq!(
+                    runs_ref[i].load(Ordering::Relaxed),
+                    1,
+                    "cell {i}: surviving cells run exactly once, no double-count"
+                );
+            }
+            Err(failure) => {
+                failed += 1;
+                assert_eq!(failure.index, i);
+                assert!(failure.injected, "only injected faults are active");
+                assert_eq!(
+                    failure.attempts,
+                    fast_retry().max_attempts,
+                    "a persistent fault must burn the whole retry budget"
+                );
+                assert_eq!(
+                    runs_ref[i].load(Ordering::Relaxed),
+                    0,
+                    "cell {i}: the trip fires before the body every attempt"
+                );
+                assert!(failure.message.contains("injected worker fault"));
             }
         }
-        // Rate 0.5 over 48 cells: both populations must exist, or the
-        // scenario isn't exercising anything.
-        assert!(failed > 0, "some cells must degrade at rate 0.5");
-        assert!(failed < n, "some cells must survive at rate 0.5");
-        assert_eq!(fault::stats().exhausted as usize, failed);
-    });
+    }
+    // Rate 0.5 over 48 cells: both populations must exist, or the
+    // scenario isn't exercising anything.
+    assert!(failed > 0, "some cells must degrade at rate 0.5");
+    assert!(failed < n, "some cells must survive at rate 0.5");
+    assert_eq!(faults.stats().exhausted as usize, failed);
 }
 
 #[test]
@@ -129,33 +117,32 @@ fn real_panic_mid_sweep_is_retried_reported_and_isolated() {
     // reports it as a non-injected failure, and completes every other
     // cell exactly once.
     let plan = FaultPlan::new(3, 0.0).with_retry(fast_retry());
-    with_plan(Some(plan), || {
-        let n = 16usize;
-        let poisoned = 11usize;
-        let runs: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        let runs_ref = &runs;
-        let out = try_par_map_threads(4, (0..n).collect(), |i| {
-            runs_ref[i].fetch_add(1, Ordering::Relaxed);
-            assert!(i != poisoned, "poisoned cell");
-            i
-        });
-        for (i, cell) in out.iter().enumerate() {
-            if i == poisoned {
-                let failure = cell.as_ref().expect_err("poisoned cell must fail");
-                assert!(!failure.injected);
-                assert_eq!(failure.attempts, fast_retry().max_attempts);
-                assert!(failure.message.contains("poisoned cell"));
-                assert_eq!(
-                    runs_ref[i].load(Ordering::Relaxed),
-                    fast_retry().max_attempts,
-                    "a real panic burns one body run per attempt"
-                );
-            } else {
-                assert_eq!(cell.as_ref().copied(), Ok(i));
-                assert_eq!(runs_ref[i].load(Ordering::Relaxed), 1);
-            }
-        }
+    let faults = faults(plan);
+    let n = 16usize;
+    let poisoned = 11usize;
+    let runs: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+    let runs_ref = &runs;
+    let out = try_par_map(4, &faults, (0..n).collect(), |i| {
+        runs_ref[i].fetch_add(1, Ordering::Relaxed);
+        assert!(i != poisoned, "poisoned cell");
+        i
     });
+    for (i, cell) in out.iter().enumerate() {
+        if i == poisoned {
+            let failure = cell.as_ref().expect_err("poisoned cell must fail");
+            assert!(!failure.injected);
+            assert_eq!(failure.attempts, fast_retry().max_attempts);
+            assert!(failure.message.contains("poisoned cell"));
+            assert_eq!(
+                runs_ref[i].load(Ordering::Relaxed),
+                fast_retry().max_attempts,
+                "a real panic burns one body run per attempt"
+            );
+        } else {
+            assert_eq!(cell.as_ref().copied(), Ok(i));
+            assert_eq!(runs_ref[i].load(Ordering::Relaxed), 1);
+        }
+    }
 }
 
 #[test]
@@ -164,14 +151,13 @@ fn infallible_par_map_panics_with_the_cell_message_under_a_plan() {
         .persistent()
         .with_sites(&[FaultSite::WorkerBody])
         .with_retry(fast_retry());
-    with_plan(Some(plan), || {
-        let result = std::panic::catch_unwind(|| par_map_threads(2, vec![1u32, 2, 3], |x| x));
-        let payload = result.expect_err("persistent faults must surface");
-        let message = payload
-            .downcast_ref::<String>()
-            .expect("par_map panics with a formatted message");
-        assert!(message.contains("injected worker fault"), "got: {message}");
-    });
+    let faults = faults(plan);
+    let result = std::panic::catch_unwind(|| par_map(2, &faults, vec![1u32, 2, 3], |x| x));
+    let payload = result.expect_err("persistent faults must surface");
+    let message = payload
+        .downcast_ref::<String>()
+        .expect("par_map panics with a formatted message");
+    assert!(message.contains("injected worker fault"), "got: {message}");
 }
 
 #[test]

@@ -47,9 +47,10 @@ impl FileCtx<'_> {
 }
 
 /// Every rule name, in the order diagnostics list them.
-pub const RULE_NAMES: [&str; 10] = [
+pub const RULE_NAMES: [&str; 11] = [
     "bench-prefix",
     "default-hasher",
+    "global-state",
     "hot-path-alloc",
     "probe-guard",
     "registry-drift",
@@ -79,6 +80,7 @@ pub fn check_file(ctx: &FileCtx<'_>) -> Vec<Finding> {
     bench_prefix(ctx, &mut findings);
     span_name(ctx, &mut findings);
     registry_drift(ctx, &mut findings);
+    global_state(ctx, &mut findings);
     findings.sort_by(|a, b| a.line.cmp(&b.line).then(a.rule.cmp(b.rule)));
     findings
 }
@@ -502,8 +504,9 @@ fn bench_prefix(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
 /// exact list `sim_core::span::name_registered` enforces at runtime —
 /// because dynamic names would defeat the `obs phases` aggregation
 /// and the trace-verification CI step. The name is the first string
-/// literal on the call line or within the next two lines (rustfmt
-/// wraps the argument list of long `scope` calls).
+/// literal on the call line or within the next three lines (rustfmt
+/// wraps the argument list of long `scope` calls, whose name is the
+/// third argument, after the trace and the scope kind).
 fn span_name(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
     // The span module itself defines `enter` and `scope`.
     if ctx.path == "crates/sim-core/src/span.rs" {
@@ -516,7 +519,7 @@ fn span_name(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
         let name = ctx
             .strings
             .iter()
-            .find(|(l, _)| (i + 1..=i + 3).contains(l))
+            .find(|(l, _)| (i + 1..=i + 4).contains(l))
             .map(|(_, s)| s.as_str());
         let registered = name.is_some_and(sim_core::registry::span_name_registered);
         if registered {
@@ -533,6 +536,51 @@ fn span_name(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
                 .to_owned(),
         };
         findings.push(Finding::new("span-name", ctx.path, i + 1, message));
+    }
+}
+
+/// The process-wide statics `global-state` allows: pure counters and
+/// caches that no run reads as configuration, keyed by file and name.
+const GLOBAL_STATE_ALLOWED: [(&str, &str); 5] = [
+    ("crates/experiments/src/telemetry.rs", "EVENTS_SIMULATED"),
+    ("crates/experiments/src/telemetry.rs", "EPOCH"),
+    ("crates/sim-core/src/parallel.rs", "NEXT_WORKER"),
+    ("crates/sim-core/src/parallel.rs", "TALLIES"),
+    ("crates/sim-core/src/fault.rs", "HOOK"),
+];
+
+/// `global-state`: no `static` of an `Atomic*`, `Mutex`, `RwLock` or
+/// `OnceLock` type in non-test `sim-core` or `experiments` source,
+/// outside [`GLOBAL_STATE_ALLOWED`]. Run settings (threads, probe,
+/// trace, fault plan) and the records a run collects travel in the run
+/// value; a process-wide static would let one run (or test) steer
+/// another's.
+fn global_state(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
+    let scoped = ["crates/sim-core/src/", "crates/experiments/src/"];
+    if !scoped.iter().any(|dir| ctx.path.starts_with(dir)) {
+        return;
+    }
+    for (i, line) in ctx.lines.iter().enumerate() {
+        // `static NAME: Type …`, not a `'static` lifetime.
+        let decl = find_ident(line, "static")
+            .filter(|&pos| pos == 0 || line.as_bytes()[pos - 1] != b'\'')
+            .and_then(|pos| line[pos + "static".len()..].split_once(':'));
+        let Some((name, ty)) = decl.filter(|_| !ctx.is_test_line(i)) else {
+            continue;
+        };
+        let name = name.trim().trim_start_matches("mut ");
+        // The type's own name, past any `std::sync::` path.
+        let ty = ty.split(['<', '=', ';']).next().unwrap_or("").trim();
+        let head = ty.rsplit("::").next().unwrap_or(ty);
+        let global = head.starts_with("Atomic") || ["Mutex", "RwLock", "OnceLock"].contains(&head);
+        if global && !GLOBAL_STATE_ALLOWED.contains(&(ctx.path, name)) {
+            let message = format!(
+                "process-wide `static {name}: {head}`; run settings and records \
+                 travel in the run value (experiments::RunConfig), and only \
+                 allowlisted counters and caches may be global"
+            );
+            findings.push(Finding::new("global-state", ctx.path, i + 1, message));
+        }
     }
 }
 
@@ -672,11 +720,12 @@ mod tests {
     fn span_name_requires_registered_literal() {
         let ok = "let _s = sim_core::span::enter(\"replay_block\");";
         assert!(ctx_findings("crates/x/src/lib.rs", ok).is_empty());
-        let scope_ok = "span::scope(ScopeKind::Figure, \"fig_fig1\", \"fig1\", String::new, f);";
+        let scope_ok =
+            "span::scope(trace, ScopeKind::Figure, \"fig_fig1\", \"fig1\", String::new, f);";
         assert!(ctx_findings("crates/x/src/lib.rs", scope_ok).is_empty());
-        // rustfmt-wrapped scope call: the name literal lands two lines
-        // down.
-        let wrapped = "sim_core::span::scope(\n    ScopeKind::Sweep,\n    \"sweep_repro\",\n    \"repro\",\n);";
+        // rustfmt-wrapped scope call: the name literal lands three
+        // lines down.
+        let wrapped = "sim_core::span::scope(\n    cfg.trace.as_ref(),\n    ScopeKind::Sweep,\n    \"sweep_repro\",\n    \"repro\",\n);";
         assert!(ctx_findings("crates/x/src/lib.rs", wrapped).is_empty());
         let bad = "let _s = crate::span::enter(\"mystery_phase\");";
         let findings = ctx_findings("crates/x/src/lib.rs", bad);
@@ -687,6 +736,29 @@ mod tests {
         assert_eq!(ctx_findings("crates/x/src/lib.rs", dynamic).len(), 1);
         // The span module itself is the definition site.
         assert!(ctx_findings("crates/sim-core/src/span.rs", bad).is_empty());
+    }
+
+    #[test]
+    fn global_state_flags_sync_statics_outside_the_allowlist() {
+        let src = "static ARMED: AtomicBool = AtomicBool::new(false);\n\
+                   static STORE: std::sync::Mutex<Vec<u8>> = Mutex::new(Vec::new());\n\
+                   pub static CACHE: OnceLock<u64> = OnceLock::new();\n\
+                   static NAME: &'static str = \"x\";\n\
+                   fn f(s: &'static str) {}";
+        let findings = ctx_findings("crates/sim-core/src/lib.rs", src);
+        assert_eq!(
+            findings.iter().map(|f| f.line).collect::<Vec<_>>(),
+            [1, 2, 3]
+        );
+        assert!(findings[1].message.contains("static STORE: Mutex"));
+        // Other crates are out of scope; allowlisted counters pass.
+        assert!(ctx_findings("crates/cache/src/pool.rs", src).is_empty());
+        let tallies = "static TALLIES: Mutex<BTreeMap<u32, u64>> = Mutex::new(BTreeMap::new());";
+        assert!(ctx_findings("crates/sim-core/src/parallel.rs", tallies).is_empty());
+        assert_eq!(
+            ctx_findings("crates/sim-core/src/fault.rs", tallies).len(),
+            1
+        );
     }
 
     #[test]

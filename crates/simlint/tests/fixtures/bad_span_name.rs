@@ -6,6 +6,7 @@ fn replay(names: &[&'static str]) {
     let _bad = sim_core::span::enter("mystery_phase");
     let _dynamic = sim_core::span::enter(names[0]);
     sim_core::span::scope(
+        None,
         sim_core::span::ScopeKind::Cell,
         "warmup",
         "fig1",

@@ -15,7 +15,7 @@ use std::path::Path;
 
 /// Every known-bad fixture with the synthetic path it is linted under.
 /// Order here is the order of blocks in the golden file.
-const BAD_FIXTURES: [(&str, &str); 10] = [
+const BAD_FIXTURES: [(&str, &str); 11] = [
     ("bad_default_hasher.rs", "crates/x/src/lib.rs"),
     ("bad_wallclock.rs", "crates/cpu/src/baseline.rs"),
     ("bad_transitive_panic.rs", "crates/x/src/kernel.rs"),
@@ -26,6 +26,7 @@ const BAD_FIXTURES: [(&str, &str); 10] = [
     ("bad_waiver.rs", "crates/x/src/lib.rs"),
     ("bad_bench_prefix.rs", "crates/bench/benches/micro.rs"),
     ("bad_span_name.rs", "crates/x/src/lib.rs"),
+    ("bad_global_state.rs", "crates/sim-core/src/run.rs"),
 ];
 
 fn fixture(name: &str) -> String {
