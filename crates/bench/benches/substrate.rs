@@ -70,10 +70,12 @@ fn bench_classifying_cache(c: &mut Criterion) {
 /// `probe_block_disarmed` / `probe_block_null` run the same loop
 /// through `access_parts_block` in 1024-pair blocks: the block kernel
 /// observed and unobserved runs both take, with its emit sites behind
-/// one per-block armed check.
+/// one per-block armed check. `probe_block_epoch` arms the same kernel
+/// with the `--probe epoch:500` sink, so its gap over
+/// `probe_block_null` is the cost of the fold itself.
 fn bench_probe_null(c: &mut Criterion) {
     use mct::BlockClass;
-    use sim_core::probe::NullSink;
+    use sim_core::probe::{EpochSink, NullSink};
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -112,6 +114,13 @@ fn bench_probe_null(c: &mut Criterion) {
         b.iter(|| {
             let sink = Rc::new(RefCell::new(NullSink));
             sim_core::probe::with_sink(sink, || run_block(&sets, &tags))
+        })
+    });
+    g.bench_function("probe_block_epoch", |b| {
+        b.iter(|| {
+            let sink = Rc::new(RefCell::new(EpochSink::new(500)));
+            sim_core::probe::with_sink(sink.clone(), || run_block(&sets, &tags));
+            black_box(Rc::try_unwrap(sink).map(|s| s.into_inner().finish()))
         })
     });
     g.finish();

@@ -306,7 +306,9 @@ fn main() -> ExitCode {
     );
 
     if let Some(path) = &opts.bench_json {
-        if let Err(err) = ioutil::write_with_retry(cfg.fault(), path, &report.to_json()) {
+        if let Err(err) = ioutil::write_with_retry(cfg.fault(), path, |out| {
+            out.write_all(report.to_json().as_bytes())
+        }) {
             eprintln!("repro: cannot write {}: {err}", path.display());
             return ExitCode::FAILURE;
         }
@@ -314,7 +316,9 @@ fn main() -> ExitCode {
     }
 
     if let (Some(run), Some(path)) = (&mrc_run, &opts.mrc_out) {
-        if let Err(err) = ioutil::write_with_retry(cfg.fault(), path, &run.to_jsonl()) {
+        if let Err(err) = ioutil::write_with_retry(cfg.fault(), path, |out| {
+            out.write_all(run.to_jsonl().as_bytes())
+        }) {
             eprintln!("repro: cannot write {}: {err}", path.display());
             return ExitCode::FAILURE;
         }
@@ -338,8 +342,9 @@ fn main() -> ExitCode {
             targets: target_names.clone(),
         };
         let cells = records.len();
-        let rendered = experiments::probe::render_jsonl(&records, &header);
-        if let Err(err) = ioutil::write_with_retry(cfg.fault(), path, &rendered) {
+        if let Err(err) = ioutil::write_with_retry(cfg.fault(), path, |out| {
+            experiments::probe::write_jsonl(&records, &header, out)
+        }) {
             eprintln!("repro: cannot write {}: {err}", path.display());
             return ExitCode::FAILURE;
         }
@@ -364,7 +369,9 @@ fn main() -> ExitCode {
             }
             TraceFormat::Chrome => tracing::render_chrome(&records, &header),
         };
-        if let Err(err) = ioutil::write_with_retry(cfg.fault(), path, &rendered) {
+        if let Err(err) =
+            ioutil::write_with_retry(cfg.fault(), path, |out| out.write_all(rendered.as_bytes()))
+        {
             eprintln!("repro: cannot write {}: {err}", path.display());
             return ExitCode::FAILURE;
         }

@@ -304,7 +304,7 @@ pub fn summarize(text: &str, opts: &SummarizeOptions) -> Result<String, String> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::{render_jsonl, CellRecord, ProbeMode, RunHeader};
+    use crate::probe::{write_jsonl, CellRecord, ProbeMode, RunHeader};
     use sim_core::probe::{EpochSnapshot, Registry};
 
     fn sample_jsonl() -> String {
@@ -348,14 +348,18 @@ mod tests {
             hot_sets: vec![(7, 3), (2, 1)],
             raw: None,
         };
-        render_jsonl(
+        let mut buf = Vec::new();
+        write_jsonl(
             &[rec],
             &RunHeader {
                 mode: ProbeMode::Epoch(10),
                 events_per_workload: 20,
                 targets: vec!["fig1"],
             },
+            &mut buf,
         )
+        .unwrap();
+        String::from_utf8(buf).unwrap()
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! wraps each experiment cell in [`cell`] (or, when one replay
 //! advances several cells, in [`group`]), and the folded records land
 //! in the run's collector. After the run the harness takes them with
-//! [`RunConfig::take_cells`] and writes them with [`render_jsonl`].
+//! [`RunConfig::take_cells`] and streams them to disk with
+//! [`write_jsonl`].
 //!
 //! Records are sorted by `(target, cell)` before serialization, and
 //! each cell's events are folded entirely on the worker thread that
@@ -15,7 +16,7 @@
 //! byte-identical at any `--threads` setting.
 
 use std::cell::RefCell;
-use std::fmt::Write as _;
+use std::io::{self, Write};
 use std::rc::Rc;
 
 use sim_core::probe::{CellProbe, EpochSink, EpochSnapshot, JsonlSink, Registry};
@@ -205,80 +206,84 @@ pub struct RunHeader {
     pub targets: Vec<&'static str>,
 }
 
-fn counters_json(reg: &Registry) -> String {
-    let mut out = String::from("{");
+fn write_counters(out: &mut dyn Write, reg: &Registry) -> io::Result<()> {
+    out.write_all(b"{")?;
     for (i, (name, v)) in reg.counters().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.write_all(b",")?;
         }
-        let _ = write!(out, "{}:{v}", json_string(name));
+        write!(out, "{}:{v}", json_string(name))?;
     }
-    out.push('}');
-    out
+    out.write_all(b"}")
 }
 
-fn hist_json(reg: &Registry) -> String {
-    let mut out = String::from("{");
+fn write_hist(out: &mut dyn Write, reg: &Registry) -> io::Result<()> {
+    out.write_all(b"{")?;
     for (i, (name, h)) in reg.histograms().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.write_all(b",")?;
         }
-        let _ = write!(
+        write!(
             out,
             "{}:{{\"count\":{},\"mean\":{},\"max\":{}}}",
             json_string(name),
             h.count(),
             json_f64(h.mean()),
             h.max(),
-        );
+        )?;
     }
-    out.push('}');
-    out
+    out.write_all(b"}")
 }
 
-fn hot_sets_json(hot: &[(u32, u64)]) -> String {
-    let mut out = String::from("[");
+fn write_hot_sets(out: &mut dyn Write, hot: &[(u32, u64)]) -> io::Result<()> {
+    out.write_all(b"[")?;
     for (i, (set, count)) in hot.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.write_all(b",")?;
         }
-        let _ = write!(out, "[{set},{count}]");
+        write!(out, "[{set},{count}]")?;
     }
-    out.push(']');
-    out
+    out.write_all(b"]")
 }
 
-/// Serializes collected records as an `obs-repro/1` JSONL document.
+/// Streams collected records to `out` as an `obs-repro/1` JSONL
+/// document.
 ///
 /// Line order: one header, then per record (already sorted by the
-/// caller via [`RunConfig::take_cells`]) its epoch lines (epoch mode) or event lines
-/// (raw mode) followed by its cell summary line, then one totals
-/// footer. See EXPERIMENTS.md §"Observability" for field semantics.
-#[must_use]
-pub fn render_jsonl(records: &[CellRecord], header: &RunHeader) -> String {
-    let mut out = String::new();
-    let _ = write!(
+/// caller via [`RunConfig::take_cells`]) its epoch lines (epoch mode)
+/// or event lines (raw mode) followed by its cell summary line, then
+/// one totals footer. See EXPERIMENTS.md §"Observability" for field
+/// semantics.
+///
+/// # Errors
+///
+/// Returns the first error `out` reports.
+pub fn write_jsonl(
+    records: &[CellRecord],
+    header: &RunHeader,
+    out: &mut dyn Write,
+) -> io::Result<()> {
+    write!(
         out,
-        "{{\"schema\":\"{}\",\"mode\":\"",
-        sim_core::registry::SCHEMA_OBS
-    );
-    out.push_str(header.mode.name());
-    out.push('"');
+        "{{\"schema\":\"{}\",\"mode\":\"{}\"",
+        sim_core::registry::SCHEMA_OBS,
+        header.mode.name()
+    )?;
     if let ProbeMode::Epoch(len) = header.mode {
-        let _ = write!(out, ",\"epoch_len\":{len}");
+        write!(out, ",\"epoch_len\":{len}")?;
     }
-    let _ = write!(
+    write!(
         out,
         ",\"events_per_workload\":{},\"targets\":[",
         header.events_per_workload
-    );
+    )?;
     for (i, t) in header.targets.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.write_all(b",")?;
         }
-        out.push_str(&json_string(t));
+        out.write_all(json_string(t).as_bytes())?;
     }
-    out.push_str("]}\n");
+    out.write_all(b"]}\n")?;
 
     let mut grand = Registry::new();
     for rec in records {
@@ -290,19 +295,19 @@ pub fn render_jsonl(records: &[CellRecord], header: &RunHeader) -> String {
                     .strip_prefix('{')
                     .and_then(|l| l.strip_suffix('}'))
                     .unwrap_or(line);
-                let _ = writeln!(
+                writeln!(
                     out,
                     "{{\"type\":\"event\",\"target\":{target},\"cell\":{cell},{fields}}}"
-                );
+                )?;
             }
         }
         for e in &rec.epochs {
-            let _ = writeln!(
+            write!(
                 out,
                 "{{\"type\":\"epoch\",\"target\":{target},\"cell\":{cell},\
                  \"epoch\":{},\"accesses\":{},\"hits\":{},\"misses\":{},\
                  \"conflict\":{},\"capacity\":{},\"alias\":{},\
-                 \"oracle_agree\":{},\"oracle_total\":{},\"hot_sets\":{}}}",
+                 \"oracle_agree\":{},\"oracle_total\":{},\"hot_sets\":",
                 e.epoch,
                 e.accesses,
                 e.hits,
@@ -312,27 +317,31 @@ pub fn render_jsonl(records: &[CellRecord], header: &RunHeader) -> String {
                 e.alias,
                 e.oracle_agree,
                 e.oracle_total,
-                hot_sets_json(&e.hot_sets),
-            );
+            )?;
+            write_hot_sets(out, &e.hot_sets)?;
+            out.write_all(b"}\n")?;
         }
         grand.merge(&rec.totals);
-        let _ = writeln!(
+        write!(
             out,
             "{{\"type\":\"cell\",\"target\":{target},\"cell\":{cell},\
-             \"epochs\":{},\"counters\":{},\"hist\":{},\"hot_sets\":{}}}",
+             \"epochs\":{},\"counters\":",
             rec.epochs.len(),
-            counters_json(&rec.totals),
-            hist_json(&rec.totals),
-            hot_sets_json(&rec.hot_sets),
-        );
+        )?;
+        write_counters(out, &rec.totals)?;
+        out.write_all(b",\"hist\":")?;
+        write_hist(out, &rec.totals)?;
+        out.write_all(b",\"hot_sets\":")?;
+        write_hot_sets(out, &rec.hot_sets)?;
+        out.write_all(b"}\n")?;
     }
-    let _ = writeln!(
+    write!(
         out,
-        "{{\"type\":\"totals\",\"cells\":{},\"counters\":{}}}",
-        records.len(),
-        counters_json(&grand),
-    );
-    out
+        "{{\"type\":\"totals\",\"cells\":{},\"counters\":",
+        records.len()
+    )?;
+    write_counters(out, &grand)?;
+    out.write_all(b"}\n")
 }
 
 #[cfg(test)]
@@ -341,6 +350,12 @@ mod tests {
     use sim_core::fault::{FaultPlan, RetryPolicy};
     use sim_core::probe::{emit, ProbeEvent};
     use std::sync::atomic::{AtomicBool, Ordering};
+
+    fn render(records: &[CellRecord], header: &RunHeader) -> String {
+        let mut buf = Vec::new();
+        write_jsonl(records, header, &mut buf).expect("Vec<u8> writes cannot fail");
+        String::from_utf8(buf).expect("probe JSONL is UTF-8")
+    }
 
     #[test]
     fn cell_records_round_trip() {
@@ -373,7 +388,7 @@ mod tests {
         assert_eq!(records[1].epochs.len(), 2);
         assert_eq!(records[1].totals.counter("access.hit"), 2);
 
-        let jsonl = render_jsonl(
+        let jsonl = render(
             &records,
             &RunHeader {
                 mode: ProbeMode::Epoch(2),
@@ -409,7 +424,7 @@ mod tests {
             },
         );
         let records = cfg.take_cells();
-        let jsonl = render_jsonl(
+        let jsonl = render(
             &records,
             &RunHeader {
                 mode: ProbeMode::Raw,

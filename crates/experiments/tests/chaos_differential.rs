@@ -24,7 +24,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use experiments::cli::Target;
-use experiments::probe::{render_jsonl, ProbeMode, RunHeader};
+use experiments::probe::{write_jsonl, ProbeMode, RunHeader};
 use experiments::tracing::{self, TraceHeader};
 use experiments::RunConfig;
 use proptest::prelude::*;
@@ -82,14 +82,18 @@ fn run_targets(targets: &[Target], threads: usize, plan: Option<FaultPlan>) -> S
         .map(Result::ok)
         .collect();
     let targets: Vec<&'static str> = targets.iter().map(|t| t.name()).collect();
-    let obs = render_jsonl(
+    let mut obs = Vec::new();
+    write_jsonl(
         &cfg.take_cells(),
         &RunHeader {
             mode: ProbeMode::Epoch(EPOCH),
             events_per_workload: EVENTS,
             targets: targets.clone(),
         },
-    );
+        &mut obs,
+    )
+    .expect("Vec<u8> writes cannot fail");
+    let obs = String::from_utf8(obs).expect("probe JSONL is UTF-8");
     let trace = tracing::render_jsonl(
         &cfg.trace().expect("a traced run").drain(),
         &TraceHeader {

@@ -9,7 +9,7 @@
 //! diff here (and a schema version bump).
 
 use experiments::checkpoint::{self, CellEntry, CellStatus, CheckpointWriter};
-use experiments::probe::{render_jsonl, CellRecord, ProbeMode, RunHeader};
+use experiments::probe::{write_jsonl, CellRecord, ProbeMode, RunHeader};
 use experiments::telemetry::{BenchReport, FigureBench};
 use experiments::tracing::{self, MetricsSnapshot, TraceHeader};
 use sim_core::fault::FaultState;
@@ -170,7 +170,9 @@ fn obs_repro_1_jsonl_is_stable() {
         "{\"type\":\"cell\",\"target\":\"fig2\",\"cell\":\"1 bit/swim\",\"epochs\":0,\"counters\":{},\"hist\":{},\"hot_sets\":[]}\n",
         "{\"type\":\"totals\",\"cells\":2,\"counters\":{\"access\":4,\"access.hit\":3,\"classify.conflict\":2}}\n",
     );
-    let rendered = render_jsonl(&[epoch_cell, raw_cell], &header);
+    let mut buf = Vec::new();
+    write_jsonl(&[epoch_cell, raw_cell], &header, &mut buf).unwrap();
+    let rendered = String::from_utf8(buf).unwrap();
     assert_eq!(rendered, expected);
 
     // The golden text must also round-trip through the workspace's own

@@ -26,6 +26,13 @@ use mct::TagBits;
 use trace_gen::decomposed::DecomposedTrace;
 use trace_gen::{TraceEvent, TraceSource};
 
+/// The `obs-repro/1` document for `records`, rendered into memory.
+fn render(records: &[probe::CellRecord], header: &RunHeader) -> String {
+    let mut buf = Vec::new();
+    probe::write_jsonl(records, header, &mut buf).expect("Vec<u8> writes cannot fail");
+    String::from_utf8(buf).expect("probe JSONL is UTF-8")
+}
+
 fn run_all(threads: usize, events: usize) -> (Vec<String>, String) {
     let cfg = RunConfig::new(threads).with_probe(ProbeMode::Epoch(500));
     let reports: Vec<String> = Target::ALL.iter().map(|t| t.run(&cfg, events)).collect();
@@ -35,7 +42,7 @@ fn run_all(threads: usize, events: usize) -> (Vec<String>, String) {
         events_per_workload: events,
         targets: Target::ALL.iter().map(|t| t.name()).collect(),
     };
-    (reports, probe::render_jsonl(&records, &header))
+    (reports, render(&records, &header))
 }
 
 /// One accuracy cell replayed on its own through the per-event
@@ -93,7 +100,7 @@ fn fig1_fig2_records(mode: ProbeMode, events: usize, grouped: bool) -> String {
         events_per_workload: events,
         targets: vec![Target::Fig1.name(), Target::Fig2.name()],
     };
-    probe::render_jsonl(&cfg.take_cells(), &header)
+    render(&cfg.take_cells(), &header)
 }
 
 #[test]
@@ -157,7 +164,7 @@ fn probe_output_is_deterministic_and_tables_unchanged() {
         events_per_workload: 200,
         targets: vec![Target::Fig1.name()],
     };
-    let raw = probe::render_jsonl(&records, &header);
+    let raw = render(&records, &header);
     let values = experiments::jsonl::parse_lines(&raw).expect("valid raw JSONL");
     assert!(values
         .iter()

@@ -54,6 +54,7 @@ use std::io::Write;
 use std::rc::Rc;
 
 use crate::hash::FxHashMap;
+use crate::registry;
 use crate::stats::Histogram;
 
 /// How an MCT lookup resolved, at full detail.
@@ -231,7 +232,10 @@ impl Sink for NullSink {
 }
 
 /// Named monotonic counters plus log₂ histograms, keyed by static
-/// strings so hot-path updates never allocate.
+/// strings and iterated in name order: the whole-run totals of a cell
+/// and the merge target for a run's grand totals. Hot-path folds do
+/// not go through it; an [`EpochSink`] counts into a fixed table and
+/// builds its registry once, in [`EpochSink::finish`].
 #[derive(Debug, Default, Clone)]
 pub struct Registry {
     counters: BTreeMap<&'static str, u64>,
@@ -338,6 +342,10 @@ pub const HOT_SETS_TOP_K: usize = 4;
 
 /// Folds the event stream into [`EpochSnapshot`]s plus a whole-run
 /// [`Registry`] — the `--probe epoch:N` sink.
+///
+/// Counters are bumped in a fixed table indexed by
+/// [`registry::PROBE_COUNTERS`] id; the [`Registry`] is built once, in
+/// [`EpochSink::finish`].
 #[derive(Debug)]
 pub struct EpochSink {
     epoch_len: u64,
@@ -345,8 +353,71 @@ pub struct EpochSink {
     cur_sets: FxHashMap<u32, u64>,
     epochs: Vec<EpochSnapshot>,
     all_sets: FxHashMap<u32, u64>,
-    totals: Registry,
+    counts: [u64; registry::PROBE_COUNTERS.len()],
+    epoch_misses: Histogram,
 }
+
+// Counter ids, resolved against the registry's name table at compile
+// time: a misspelt name fails the build.
+const ACCESS: usize = registry::probe_counter("access");
+const ACCESS_HIT: usize = registry::probe_counter("access.hit");
+const CLASSIFY_CONFLICT: usize = registry::probe_counter("classify.conflict");
+const CLASSIFY_CAPACITY: usize = registry::probe_counter("classify.capacity");
+const SET_FILL: usize = registry::probe_counter("set.fill");
+const SET_EVICT: usize = registry::probe_counter("set.evict");
+const CBIT_SET: usize = registry::probe_counter("cbit.set");
+const CBIT_CLEAR: usize = registry::probe_counter("cbit.clear");
+const ORACLE_TOTAL: usize = registry::probe_counter("oracle.total");
+const ORACLE_CONFLICT: usize = registry::probe_counter("oracle.conflict");
+const ORACLE_AGREE: usize = registry::probe_counter("oracle.agree");
+/// By [`MctLookup`] discriminant.
+const MCT: [usize; 4] = [
+    registry::probe_counter("mct.empty"),
+    registry::probe_counter("mct.match"),
+    registry::probe_counter("mct.alias"),
+    registry::probe_counter("mct.stale"),
+];
+/// By [`AmbRole`] discriminant.
+const AMB: [usize; 3] = [
+    registry::probe_counter("amb.victim"),
+    registry::probe_counter("amb.prefetch"),
+    registry::probe_counter("amb.exclusion"),
+];
+/// By [`FilterUnit`] discriminant, then `[pass, fired]`.
+const FILTER: [[usize; 2]; 8] = [
+    [
+        registry::probe_counter("filter.victim_swap.pass"),
+        registry::probe_counter("filter.victim_swap.fired"),
+    ],
+    [
+        registry::probe_counter("filter.victim_fill.pass"),
+        registry::probe_counter("filter.victim_fill.fired"),
+    ],
+    [
+        registry::probe_counter("filter.prefetch.pass"),
+        registry::probe_counter("filter.prefetch.fired"),
+    ],
+    [
+        registry::probe_counter("filter.exclude.pass"),
+        registry::probe_counter("filter.exclude.fired"),
+    ],
+    [
+        registry::probe_counter("filter.pseudo_protect.pass"),
+        registry::probe_counter("filter.pseudo_protect.fired"),
+    ],
+    [
+        registry::probe_counter("filter.amb_victim.pass"),
+        registry::probe_counter("filter.amb_victim.fired"),
+    ],
+    [
+        registry::probe_counter("filter.amb_prefetch.pass"),
+        registry::probe_counter("filter.amb_prefetch.fired"),
+    ],
+    [
+        registry::probe_counter("filter.amb_exclude.pass"),
+        registry::probe_counter("filter.amb_exclude.fired"),
+    ],
+];
 
 impl EpochSink {
     /// Creates a sink that closes an epoch every `epoch_len` accesses.
@@ -363,7 +434,8 @@ impl EpochSink {
             cur_sets: FxHashMap::default(),
             epochs: Vec::new(),
             all_sets: FxHashMap::default(),
-            totals: Registry::new(),
+            counts: [0; registry::PROBE_COUNTERS.len()],
+            epoch_misses: Histogram::new(),
         }
     }
 
@@ -372,7 +444,7 @@ impl EpochSink {
         snap.hot_sets = top_k(&self.cur_sets, HOT_SETS_TOP_K);
         self.cur_sets.clear();
         self.cur.epoch = snap.epoch + 1;
-        self.totals.record("epoch.misses", snap.misses());
+        self.epoch_misses.record(snap.misses());
         self.epochs.push(snap);
     }
 
@@ -384,12 +456,24 @@ impl EpochSink {
             self.close_epoch();
         }
         let hot_sets = top_k(&self.all_sets, HOT_SETS_TOP_K);
+        // Only bumped counters and recorded histograms get a key, so
+        // the registry serializes exactly as a per-event fold into it
+        // would.
+        let mut totals = Registry::new();
+        for (&name, &n) in registry::PROBE_COUNTERS.iter().zip(&self.counts) {
+            if n > 0 {
+                totals.counters.insert(name, n);
+            }
+        }
+        if self.epoch_misses.count() > 0 {
+            totals.histograms.insert("epoch.misses", self.epoch_misses);
+        }
         for count in self.all_sets.values() {
-            self.totals.record("set.conflicts", *count);
+            totals.record("set.conflicts", *count);
         }
         CellProbe {
             epochs: self.epochs,
-            totals: self.totals,
+            totals,
             hot_sets,
         }
     }
@@ -397,12 +481,25 @@ impl EpochSink {
 
 /// The top `k` `(set, count)` pairs by descending count, ties broken
 /// by ascending set — a deterministic order regardless of map
-/// iteration.
+/// iteration. The result never holds more than `k` slots, so stored
+/// epochs do not keep their whole set list.
 fn top_k(sets: &FxHashMap<u32, u64>, k: usize) -> Vec<(u32, u64)> {
-    let mut v: Vec<(u32, u64)> = sets.iter().map(|(&s, &c)| (s, c)).collect();
-    v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    v.truncate(k);
-    v
+    let mut top: Vec<(u32, u64)> = Vec::with_capacity(k.min(sets.len()));
+    let before = |a: &(u32, u64), b: &(u32, u64)| b.1.cmp(&a.1).then(a.0.cmp(&b.0)).is_lt();
+    for (&set, &count) in sets {
+        let pair = (set, count);
+        if top.len() == k {
+            match top.last() {
+                Some(last) if before(&pair, last) => {
+                    top.pop();
+                }
+                _ => continue,
+            }
+        }
+        let at = top.partition_point(|p| before(p, &pair));
+        top.insert(at, pair);
+    }
+    top
 }
 
 impl Sink for EpochSink {
@@ -410,10 +507,10 @@ impl Sink for EpochSink {
         match *ev {
             ProbeEvent::Access { hit } => {
                 self.cur.accesses += 1;
-                self.totals.bump("access", 1);
+                self.counts[ACCESS] += 1;
                 if hit {
                     self.cur.hits += 1;
-                    self.totals.bump("access.hit", 1);
+                    self.counts[ACCESS_HIT] += 1;
                 }
                 if self.cur.accesses == self.epoch_len {
                     self.close_epoch();
@@ -426,73 +523,39 @@ impl Sink for EpochSink {
             } => {
                 if conflict {
                     self.cur.conflict += 1;
-                    self.totals.bump("classify.conflict", 1);
+                    self.counts[CLASSIFY_CONFLICT] += 1;
                     *self.cur_sets.entry(set).or_insert(0) += 1;
                     *self.all_sets.entry(set).or_insert(0) += 1;
                 } else {
                     self.cur.capacity += 1;
-                    self.totals.bump("classify.capacity", 1);
+                    self.counts[CLASSIFY_CAPACITY] += 1;
                 }
-                match lookup {
-                    MctLookup::Empty => self.totals.bump("mct.empty", 1),
-                    MctLookup::Match => self.totals.bump("mct.match", 1),
-                    MctLookup::Alias => {
-                        self.cur.alias += 1;
-                        self.totals.bump("mct.alias", 1);
-                    }
-                    MctLookup::Stale => self.totals.bump("mct.stale", 1),
+                if lookup == MctLookup::Alias {
+                    self.cur.alias += 1;
                 }
+                self.counts[MCT[lookup as usize]] += 1;
             }
-            ProbeEvent::SetFill { .. } => self.totals.bump("set.fill", 1),
-            ProbeEvent::SetEvict { .. } => self.totals.bump("set.evict", 1),
+            ProbeEvent::SetFill { .. } => self.counts[SET_FILL] += 1,
+            ProbeEvent::SetEvict { .. } => self.counts[SET_EVICT] += 1,
             ProbeEvent::ConflictBit { set_bit, .. } => {
-                if set_bit {
-                    self.totals.bump("cbit.set", 1);
-                } else {
-                    self.totals.bump("cbit.clear", 1);
-                }
+                self.counts[if set_bit { CBIT_SET } else { CBIT_CLEAR }] += 1;
             }
             ProbeEvent::Filter { unit, fired } => {
-                let name = match (unit, fired) {
-                    (FilterUnit::VictimSwap, true) => "filter.victim_swap.fired",
-                    (FilterUnit::VictimSwap, false) => "filter.victim_swap.pass",
-                    (FilterUnit::VictimFill, true) => "filter.victim_fill.fired",
-                    (FilterUnit::VictimFill, false) => "filter.victim_fill.pass",
-                    (FilterUnit::Prefetch, true) => "filter.prefetch.fired",
-                    (FilterUnit::Prefetch, false) => "filter.prefetch.pass",
-                    (FilterUnit::Exclude, true) => "filter.exclude.fired",
-                    (FilterUnit::Exclude, false) => "filter.exclude.pass",
-                    (FilterUnit::PseudoProtect, true) => "filter.pseudo_protect.fired",
-                    (FilterUnit::PseudoProtect, false) => "filter.pseudo_protect.pass",
-                    (FilterUnit::AmbVictim, true) => "filter.amb_victim.fired",
-                    (FilterUnit::AmbVictim, false) => "filter.amb_victim.pass",
-                    (FilterUnit::AmbPrefetch, true) => "filter.amb_prefetch.fired",
-                    (FilterUnit::AmbPrefetch, false) => "filter.amb_prefetch.pass",
-                    (FilterUnit::AmbExclude, true) => "filter.amb_exclude.fired",
-                    (FilterUnit::AmbExclude, false) => "filter.amb_exclude.pass",
-                };
-                self.totals.bump(name, 1);
+                self.counts[FILTER[unit as usize][usize::from(fired)]] += 1;
             }
-            ProbeEvent::AmbPartition { role } => {
-                let name = match role {
-                    AmbRole::Victim => "amb.victim",
-                    AmbRole::Prefetch => "amb.prefetch",
-                    AmbRole::Exclusion => "amb.exclusion",
-                };
-                self.totals.bump(name, 1);
-            }
+            ProbeEvent::AmbPartition { role } => self.counts[AMB[role as usize]] += 1,
             ProbeEvent::Oracle {
                 oracle_conflict,
                 agree,
             } => {
                 self.cur.oracle_total += 1;
-                self.totals.bump("oracle.total", 1);
+                self.counts[ORACLE_TOTAL] += 1;
                 if oracle_conflict {
-                    self.totals.bump("oracle.conflict", 1);
+                    self.counts[ORACLE_CONFLICT] += 1;
                 }
                 if agree {
                     self.cur.oracle_agree += 1;
-                    self.totals.bump("oracle.agree", 1);
+                    self.counts[ORACLE_AGREE] += 1;
                 }
             }
         }

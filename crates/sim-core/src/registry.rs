@@ -10,7 +10,9 @@
 //! fact. This module is the single definition; everything else —
 //! `span.rs`'s runtime check, the `experiments` writers and readers,
 //! and all of `simlint`'s registry-aware rules (`span-name`,
-//! `bench-prefix`, `registry-drift`) — consumes it.
+//! `bench-prefix`, `registry-drift`) — consumes it. The probe counter
+//! names of `obs-repro/1` ([`PROBE_COUNTERS`]) live here for the same
+//! reason.
 //!
 //! The module is data plus tiny total predicates: no I/O, no
 //! allocation, no dependencies, so `simlint` can link it while staying
@@ -130,6 +132,80 @@ pub fn hot_entry_point(name: &str) -> bool {
     HOT_ENTRY_POINTS.contains(&name)
 }
 
+/// The counter names an [`crate::probe::EpochSink`] folds into a
+/// cell's `counters` object (`obs-repro/1`), sorted byte-wise. A
+/// counter's id is its index here: the sink bumps a fixed table by id,
+/// and the serialized keys keep this order.
+pub const PROBE_COUNTERS: [&str; 34] = [
+    "access",
+    "access.hit",
+    "amb.exclusion",
+    "amb.prefetch",
+    "amb.victim",
+    "cbit.clear",
+    "cbit.set",
+    "classify.capacity",
+    "classify.conflict",
+    "filter.amb_exclude.fired",
+    "filter.amb_exclude.pass",
+    "filter.amb_prefetch.fired",
+    "filter.amb_prefetch.pass",
+    "filter.amb_victim.fired",
+    "filter.amb_victim.pass",
+    "filter.exclude.fired",
+    "filter.exclude.pass",
+    "filter.prefetch.fired",
+    "filter.prefetch.pass",
+    "filter.pseudo_protect.fired",
+    "filter.pseudo_protect.pass",
+    "filter.victim_fill.fired",
+    "filter.victim_fill.pass",
+    "filter.victim_swap.fired",
+    "filter.victim_swap.pass",
+    "mct.alias",
+    "mct.empty",
+    "mct.match",
+    "mct.stale",
+    "oracle.agree",
+    "oracle.conflict",
+    "oracle.total",
+    "set.evict",
+    "set.fill",
+];
+
+/// The id (index in [`PROBE_COUNTERS`]) of the counter `name`.
+///
+/// # Panics
+///
+/// Panics if `name` is not registered; in a `const` item that is a
+/// compile error, which is how the probe sink spells its ids.
+#[must_use]
+pub const fn probe_counter(name: &str) -> usize {
+    let mut i = 0;
+    while i < PROBE_COUNTERS.len() {
+        if const_str_eq(PROBE_COUNTERS[i], name) {
+            return i;
+        }
+        i += 1;
+    }
+    panic!("unregistered probe counter");
+}
+
+const fn const_str_eq(a: &str, b: &str) -> bool {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    if a.len() != b.len() {
+        return false;
+    }
+    let mut i = 0;
+    while i < a.len() {
+        if a[i] != b[i] {
+            return false;
+        }
+        i += 1;
+    }
+    true
+}
+
 /// Name suffixes marking a *cold escape*: a function spelled
 /// `..._slow` or `..._cold` is the guarded slow path of a
 /// zero-overhead-when-disabled facility (`probe::emit` →
@@ -183,5 +259,15 @@ mod tests {
         let mut sorted = HOT_ENTRY_POINTS;
         sorted.sort_unstable();
         assert_eq!(sorted, HOT_ENTRY_POINTS);
+    }
+
+    #[test]
+    fn probe_counters_are_sorted_and_unique_with_ids_as_indices() {
+        // Strictly sorted: the serialized `counters` object keeps this
+        // order, which is the order a name-keyed map iterates.
+        assert!(PROBE_COUNTERS.windows(2).all(|w| w[0] < w[1]));
+        for (i, name) in PROBE_COUNTERS.iter().enumerate() {
+            assert_eq!(probe_counter(name), i);
+        }
     }
 }
