@@ -27,13 +27,16 @@
 //! `--crash-after N` simulates the kill.
 
 use std::env;
+use std::io::{self, Write};
+use std::path::Path;
 use std::process::ExitCode;
 
 use experiments::checkpoint::{self, CellEntry, CellStatus, CheckpointWriter};
 use experiments::cli::{self, Target};
 use experiments::ioutil;
 use experiments::telemetry::{BenchReport, FigureBench, Stopwatch};
-use experiments::tracing::{self, MetricsSnapshot, TraceFormat, TraceHeader};
+use experiments::tracing::{self, MetricsSnapshot, TraceFormat};
+use experiments::{RunConfig, RunHeader};
 
 /// Exit code of a `--crash-after` simulated kill (distinct from the
 /// degraded-run failure exit).
@@ -93,6 +96,20 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
+/// Writes `path` with `render` under the run's I/O retry budget (see
+/// `ioutil::write_with_retry`); a failure is reported on stderr.
+fn write_file(
+    cfg: &RunConfig,
+    path: &Path,
+    render: impl FnMut(&mut dyn Write) -> io::Result<()>,
+) -> bool {
+    let written = ioutil::write_with_retry(cfg.fault(), path, render);
+    if let Err(err) = &written {
+        eprintln!("repro: cannot write {}: {err}", path.display());
+    }
+    written.is_ok()
+}
+
 fn main() -> ExitCode {
     let opts = match cli::parse_args(env::args().skip(1)) {
         Ok(opts) => opts,
@@ -104,7 +121,7 @@ fn main() -> ExitCode {
         }
     };
     let cfg = opts.run_config();
-    if cfg.trace().is_some() {
+    if opts.trace_out.is_some() {
         // The trace's lanes start at worker 1.
         sim_core::parallel::reset_worker_tallies();
     }
@@ -306,20 +323,14 @@ fn main() -> ExitCode {
     );
 
     if let Some(path) = &opts.bench_json {
-        if let Err(err) = ioutil::write_with_retry(cfg.fault(), path, |out| {
-            out.write_all(report.to_json().as_bytes())
-        }) {
-            eprintln!("repro: cannot write {}: {err}", path.display());
+        if !write_file(&cfg, path, |out| out.write_all(report.to_json().as_bytes())) {
             return ExitCode::FAILURE;
         }
         eprintln!("[bench] wrote {}", path.display());
     }
 
     if let (Some(run), Some(path)) = (&mrc_run, &opts.mrc_out) {
-        if let Err(err) = ioutil::write_with_retry(cfg.fault(), path, |out| {
-            out.write_all(run.to_jsonl().as_bytes())
-        }) {
-            eprintln!("repro: cannot write {}: {err}", path.display());
+        if !write_file(&cfg, path, |out| out.write_all(run.to_jsonl().as_bytes())) {
             return ExitCode::FAILURE;
         }
         eprintln!(
@@ -331,55 +342,44 @@ fn main() -> ExitCode {
         );
     }
 
+    // Only committed attempts reach the collector: a retried figure or
+    // cell contributes its final attempt's scopes and probe records, a
+    // degraded one none.
+    let records = cfg.drain();
+    let header = RunHeader {
+        events_per_workload: events,
+        targets: target_names,
+    };
     if let (Some(mode), Some(path)) = (opts.probe, &opts.probe_out) {
-        // Only committed attempts reach the collector: a retried
-        // figure or cell contributes its final attempt's records, a
-        // degraded one none.
-        let records = cfg.take_cells();
-        let header = experiments::probe::RunHeader {
-            mode,
-            events_per_workload: events,
-            targets: target_names.clone(),
-        };
-        let cells = records.len();
-        if let Err(err) = ioutil::write_with_retry(cfg.fault(), path, |out| {
-            experiments::probe::write_jsonl(&records, &header, out)
+        if !write_file(&cfg, path, |out| {
+            experiments::probe::write_jsonl(&records.cells, mode, &header, out)
         }) {
-            eprintln!("repro: cannot write {}: {err}", path.display());
             return ExitCode::FAILURE;
         }
         eprintln!(
-            "[probe] wrote {} ({cells} cells, mode {})",
+            "[probe] wrote {} ({} cells, mode {})",
             path.display(),
+            records.cells.len(),
             mode.name()
         );
     }
 
-    if let (Some(path), Some(trace)) = (&opts.trace_out, cfg.trace()) {
-        let records = trace.drain();
-        let header = TraceHeader {
-            logical: opts.trace_logical_clock,
-            events_per_workload: events,
-            targets: target_names.clone(),
-        };
-        let rendered = match opts.trace_format {
+    if let Some(path) = &opts.trace_out {
+        let (scopes, logical) = (&records.scopes, opts.trace_logical_clock);
+        let metrics = MetricsSnapshot::capture(cfg.fault(), failures.len() as u64);
+        if !write_file(&cfg, path, |out| match opts.trace_format {
             TraceFormat::Jsonl => {
-                let metrics = MetricsSnapshot::capture(cfg.fault(), failures.len() as u64);
-                tracing::render_jsonl(&records, &header, Some(&metrics))
+                tracing::write_jsonl(scopes, logical, &header, Some(&metrics), out)
             }
-            TraceFormat::Chrome => tracing::render_chrome(&records, &header),
-        };
-        if let Err(err) =
-            ioutil::write_with_retry(cfg.fault(), path, |out| out.write_all(rendered.as_bytes()))
-        {
-            eprintln!("repro: cannot write {}: {err}", path.display());
+            TraceFormat::Chrome => tracing::write_chrome(scopes, logical, out),
+        }) {
             return ExitCode::FAILURE;
         }
-        let spans: usize = records.iter().map(|r| r.spans.len()).sum();
+        let spans: usize = scopes.iter().map(|r| r.spans.len()).sum();
         eprintln!(
             "[trace] wrote {} ({} scopes, {spans} spans, format {})",
             path.display(),
-            records.len(),
+            scopes.len(),
             match opts.trace_format {
                 TraceFormat::Jsonl => "jsonl",
                 TraceFormat::Chrome => "chrome",

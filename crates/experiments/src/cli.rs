@@ -130,8 +130,8 @@ impl Target {
 
     /// Trace events the driver feeds its simulators for a given
     /// `--events` setting (cells × events). The formulas live next to
-    /// each driver and are cross-checked against the live
-    /// [`crate::telemetry`] counter by `tests/determinism.rs`.
+    /// each driver and are cross-checked against the events the
+    /// driver's spans attribute by `tests/trace_determinism.rs`.
     #[must_use]
     pub fn simulated_events(self, events: usize) -> u64 {
         match self {

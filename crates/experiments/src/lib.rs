@@ -74,7 +74,7 @@ pub mod telemetry;
 pub mod traceview;
 pub mod tracing;
 
-pub use run::RunConfig;
+pub use run::{RunConfig, RunHeader};
 pub use table::Table;
 
 use cache_model::CacheGeometry;
@@ -170,7 +170,6 @@ pub fn replay_group<T: EvictionClassifier>(
         cells,
         label,
         |probes| {
-            telemetry::record_events(fed);
             let mut group = AccuracyGroup::new(members);
             let _span = sim_core::span::enter("replay_stream");
             sim_core::span::add_events(fed);
@@ -269,9 +268,7 @@ pub fn replay_cpu(
             if chunk.is_empty() {
                 break;
             }
-            let fed = (chunk.len() * count) as u64;
-            telemetry::record_events(fed);
-            sim_core::span::add_events(fed);
+            sim_core::span::add_events((chunk.len() * count) as u64);
             for (i, (run, mem)) in runs.iter_mut().enumerate() {
                 probes.member(i, || mem.feed_chunk(run, &chunk));
             }

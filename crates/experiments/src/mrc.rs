@@ -183,7 +183,6 @@ fn curve_for(
     sample: Option<f64>,
 ) -> WorkloadCurve {
     let mut engine = Engine::new(sample);
-    crate::telemetry::record_events(events as u64);
     {
         let _span = sim_core::span::enter("replay_mrc");
         sim_core::span::add_events(events as u64);

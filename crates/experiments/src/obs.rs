@@ -304,8 +304,9 @@ pub fn summarize(text: &str, opts: &SummarizeOptions) -> Result<String, String> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::{write_jsonl, CellRecord, ProbeMode, RunHeader};
-    use sim_core::probe::{EpochSnapshot, Registry};
+    use crate::probe::{write_jsonl, ProbeMode};
+    use crate::RunHeader;
+    use sim_core::probe::{CellRecord, EpochSnapshot, Registry};
 
     fn sample_jsonl() -> String {
         let mut totals = Registry::new();
@@ -351,8 +352,8 @@ mod tests {
         let mut buf = Vec::new();
         write_jsonl(
             &[rec],
+            ProbeMode::Epoch(10),
             &RunHeader {
-                mode: ProbeMode::Epoch(10),
                 events_per_workload: 20,
                 targets: vec!["fig1"],
             },

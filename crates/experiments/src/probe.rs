@@ -5,10 +5,11 @@
 //! module decides *when* to install them. The run's
 //! [`RunConfig::probe`] mode says what to collect, every figure driver
 //! wraps each experiment cell in [`cell`] (or, when one replay
-//! advances several cells, in [`group`]), and the folded records land
-//! in the run's collector. After the run the harness takes them with
-//! [`RunConfig::take_cells`] and streams them to disk with
-//! [`write_jsonl`].
+//! advances several cells, in [`group`]), and each folded record is
+//! attached to the group's `cell_run` span scope, so it commits to the
+//! run's trace when that scope closes cleanly. After the run the
+//! harness takes the records with [`RunConfig::drain`] and streams
+//! them to disk with [`write_jsonl`].
 //!
 //! Records are sorted by `(target, cell)` before serialization, and
 //! each cell's events are folded entirely on the worker thread that
@@ -19,10 +20,10 @@ use std::cell::RefCell;
 use std::io::{self, Write};
 use std::rc::Rc;
 
-use sim_core::probe::{CellProbe, EpochSink, EpochSnapshot, JsonlSink, Registry};
+use sim_core::probe::{CellProbe, CellRecord, EpochSink, JsonlSink, Registry};
 
 use crate::telemetry::{json_f64, json_string};
-use crate::RunConfig;
+use crate::{RunConfig, RunHeader};
 
 /// What the installed probe collects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,32 +46,14 @@ impl ProbeMode {
     }
 }
 
-/// One experiment cell's folded probe output.
-#[derive(Debug, Clone)]
-pub struct CellRecord {
-    /// The figure target the cell belongs to (`fig1`, …).
-    pub target: &'static str,
-    /// Unique cell label within the target (e.g. `dm16/swim`).
-    pub cell: String,
-    /// Epoch-folded data (empty in raw mode).
-    pub epochs: Vec<EpochSnapshot>,
-    /// Whole-cell counters and histograms (empty in raw mode).
-    pub totals: Registry,
-    /// Whole-cell hottest sets by conflict count.
-    pub hot_sets: Vec<(u32, u64)>,
-    /// Raw event JSONL (one `{"kind":…}` object per line; `None` in
-    /// epoch mode).
-    pub raw: Option<String>,
-}
-
 /// Runs one experiment cell under the run's probe (if any) and inside
-/// a `cell_run` span scope (if tracing): the one-member case of
-/// [`group`].
+/// a `cell_run` span scope (if tracing or probing): the one-member
+/// case of [`group`].
 ///
 /// `label` is only invoked when probing or tracing, so drivers pay no
 /// string formatting on plain runs. The cell body `f` runs with a
-/// thread-local sink installed; its folded record goes to the run's
-/// collector.
+/// thread-local sink installed; its folded record commits with the
+/// cell's span scope.
 pub fn cell<R>(
     cfg: &RunConfig,
     target: &'static str,
@@ -154,10 +137,9 @@ impl GroupProbe {
         }
     }
 
-    /// Folds every member's sink into its record and appends the
-    /// records to the run's collector.
+    /// Folds every member's sink into its record and attaches the
+    /// records to the group's span scope.
     fn flush(self, cfg: &RunConfig, target: &'static str, member_label: &dyn Fn(usize) -> String) {
-        let mut records = Vec::with_capacity(self.sinks.len());
         for (i, sink) in self.sinks.into_iter().enumerate() {
             let unwrap = "member sink still installed";
             let (probe, raw) = match sink {
@@ -172,38 +154,25 @@ impl GroupProbe {
                     (CellProbe::default(), Some(raw))
                 }
             };
-            let record = CellRecord {
+            // Injection site: flushing a folded record is where a real
+            // sink would hit I/O. Transient faults retry inside the gate;
+            // a persistent fault unwinds the group's scope, which
+            // discards every record attached to it, so the scheduler's
+            // retry of the whole group commits each record exactly once.
+            let _flush = sim_core::span::enter("probe_flush");
+            if let Err(fault) = cfg.fault().gate(sim_core::fault::FaultSite::ProbeFlush) {
+                std::panic::panic_any(fault);
+            }
+            sim_core::span::attach(CellRecord {
                 target,
                 cell: member_label(i),
                 epochs: probe.epochs,
                 totals: probe.totals,
                 hot_sets: probe.hot_sets,
                 raw,
-            };
-            // Injection site: flushing a folded record is where a real
-            // sink would hit I/O. Transient faults retry inside the gate;
-            // a persistent fault unwinds before any of the group's
-            // records is stored, so the scheduler's retry of the whole
-            // group stores each record exactly once.
-            let _flush = sim_core::span::enter("probe_flush");
-            if let Err(fault) = cfg.fault().gate(sim_core::fault::FaultSite::ProbeFlush) {
-                std::panic::panic_any(fault);
-            }
-            records.push(record);
+            });
         }
-        cfg.lock_cells().extend(records);
     }
-}
-
-/// The run-level fields of the `obs-repro/1` header line.
-#[derive(Debug, Clone)]
-pub struct RunHeader {
-    /// The probe mode the run used.
-    pub mode: ProbeMode,
-    /// `--events` per workload.
-    pub events_per_workload: usize,
-    /// Figure targets that ran, in run order.
-    pub targets: Vec<&'static str>,
 }
 
 fn write_counters(out: &mut dyn Write, reg: &Registry) -> io::Result<()> {
@@ -246,44 +215,28 @@ fn write_hot_sets(out: &mut dyn Write, hot: &[(u32, u64)]) -> io::Result<()> {
     out.write_all(b"]")
 }
 
-/// Streams collected records to `out` as an `obs-repro/1` JSONL
-/// document.
+/// Streams collected records, probed under `mode`, to `out` as an
+/// `obs-repro/1` JSONL document.
 ///
-/// Line order: one header, then per record (already sorted by the
-/// caller via [`RunConfig::take_cells`]) its epoch lines (epoch mode)
-/// or event lines (raw mode) followed by its cell summary line, then
-/// one totals footer. See EXPERIMENTS.md §"Observability" for field
-/// semantics.
+/// Line order: one header, then per record (already sorted by
+/// [`RunConfig::drain`]) its epoch lines (epoch mode) or event lines
+/// (raw mode) followed by its cell summary line, then one totals
+/// footer. See EXPERIMENTS.md §"Observability" for field semantics.
 ///
 /// # Errors
 ///
 /// Returns the first error `out` reports.
 pub fn write_jsonl(
     records: &[CellRecord],
+    mode: ProbeMode,
     header: &RunHeader,
     out: &mut dyn Write,
 ) -> io::Result<()> {
-    write!(
-        out,
-        "{{\"schema\":\"{}\",\"mode\":\"{}\"",
-        sim_core::registry::SCHEMA_OBS,
-        header.mode.name()
-    )?;
-    if let ProbeMode::Epoch(len) = header.mode {
-        write!(out, ",\"epoch_len\":{len}")?;
-    }
-    write!(
-        out,
-        ",\"events_per_workload\":{},\"targets\":[",
-        header.events_per_workload
-    )?;
-    for (i, t) in header.targets.iter().enumerate() {
-        if i > 0 {
-            out.write_all(b",")?;
-        }
-        out.write_all(json_string(t).as_bytes())?;
-    }
-    out.write_all(b"]}\n")?;
+    let fields = match mode {
+        ProbeMode::Epoch(len) => format!("\"mode\":\"{}\",\"epoch_len\":{len}", mode.name()),
+        ProbeMode::Raw => format!("\"mode\":\"{}\"", mode.name()),
+    };
+    header.write_line(out, sim_core::registry::SCHEMA_OBS, &fields)?;
 
     let mut grand = Registry::new();
     for rec in records {
@@ -351,9 +304,9 @@ mod tests {
     use sim_core::probe::{emit, ProbeEvent};
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    fn render(records: &[CellRecord], header: &RunHeader) -> String {
+    fn render(records: &[CellRecord], mode: ProbeMode, header: &RunHeader) -> String {
         let mut buf = Vec::new();
-        write_jsonl(records, header, &mut buf).expect("Vec<u8> writes cannot fail");
+        write_jsonl(records, mode, header, &mut buf).expect("Vec<u8> writes cannot fail");
         String::from_utf8(buf).expect("probe JSONL is UTF-8")
     }
 
@@ -380,7 +333,7 @@ mod tests {
                 emit(ProbeEvent::Access { hit: false });
             },
         );
-        let records = cfg.take_cells();
+        let records = cfg.drain().cells;
         assert_eq!(records.len(), 2);
         // Sorted by (target, cell), not insertion order.
         assert_eq!(records[0].cell, "a/cell");
@@ -390,8 +343,8 @@ mod tests {
 
         let jsonl = render(
             &records,
+            ProbeMode::Epoch(2),
             &RunHeader {
-                mode: ProbeMode::Epoch(2),
                 events_per_workload: 3,
                 targets: vec!["t1"],
             },
@@ -423,11 +376,11 @@ mod tests {
                 emit(ProbeEvent::Access { hit: true });
             },
         );
-        let records = cfg.take_cells();
+        let records = cfg.drain().cells;
         let jsonl = render(
             &records,
+            ProbeMode::Raw,
             &RunHeader {
-                mode: ProbeMode::Raw,
                 events_per_workload: 1,
                 targets: vec!["t2"],
             },
@@ -445,7 +398,7 @@ mod tests {
         let cfg = RunConfig::new(1);
         let out = cell(&cfg, "t3", || unreachable!("label must be lazy"), || 7);
         assert_eq!(out, 7);
-        assert!(cfg.take_cells().is_empty());
+        assert!(cfg.drain().cells.is_empty());
     }
 
     #[test]
@@ -473,7 +426,7 @@ mod tests {
                 "first attempt fails"
             );
         });
-        let records = cfg.take_cells();
+        let records = cfg.drain().cells;
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].totals.counter("access"), 1);
     }

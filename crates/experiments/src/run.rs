@@ -1,6 +1,7 @@
 //! The run value: every setting one reproduction run threads through
-//! its drivers, plus the collector its probe records and span scopes
-//! go to.
+//! its drivers, plus the one collector its span scopes and probe
+//! records go to, and the header both of its JSONL documents open
+//! with.
 //!
 //! [`crate::cli::Options::run_config`] builds one [`RunConfig`] per
 //! `repro` invocation, and every driver, group pass and scheduler call
@@ -9,25 +10,32 @@
 //! probe mode, trace and fault plan, and collect only their own
 //! records.
 //!
+//! The collector is a [`sim_core::span::Trace`]: a probe record is
+//! attached to the `cell_run` scope that produced it and commits when
+//! that scope closes, as the scope's spans do. A probed run that is
+//! not traced collects on the zero clock and discards its spans.
+//!
 //! The scheduler retries whole items — a figure in the sweep, a cell
 //! or a group of cells inside a figure — so [`RunConfig::par_map`]
 //! and [`RunConfig::try_par_map`] run each item attempt on its own
-//! `RunConfig`: the same settings and fault counters, but a fresh
-//! collector that is merged into the caller's only when the attempt
+//! `RunConfig`: the same settings and fault counters, but a child
+//! trace that is absorbed into the caller's only when the attempt
 //! returns. An attempt that unwinds drops its records with it, so a
 //! retried item contributes exactly its successful attempt's records
 //! and a degraded one none.
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::io::{self, Write};
+use std::sync::Arc;
 
 use sim_core::fault::{FaultPlan, FaultState};
 use sim_core::parallel::CellFailure;
-use sim_core::span::{Clock, Trace};
+use sim_core::span::{Clock, Records, Trace};
 
-use crate::probe::{CellRecord, ProbeMode};
+use crate::probe::ProbeMode;
+use crate::telemetry::json_string;
 
-/// One run's settings and record collector, built with
-/// [`RunConfig::new`] and the `with_*` builders.
+/// One run's settings and collector, built with [`RunConfig::new`]
+/// and the `with_*` builders.
 #[derive(Debug)]
 pub struct RunConfig {
     threads: usize,
@@ -35,8 +43,6 @@ pub struct RunConfig {
     trace: Option<Trace>,
     /// Shared by every attempt of the run.
     fault: Arc<FaultState>,
-    /// Probe records of finished cells.
-    cells: Mutex<Vec<CellRecord>>,
 }
 
 impl Default for RunConfig {
@@ -55,14 +61,16 @@ impl RunConfig {
             probe: None,
             trace: None,
             fault: Arc::default(),
-            cells: Mutex::default(),
         }
     }
 
-    /// Probes every cell under `mode`.
+    /// Probes every cell under `mode`. An untraced run gets a trace on
+    /// the zero clock to collect the records in.
     #[must_use]
     pub fn with_probe(mut self, mode: ProbeMode) -> Self {
         self.probe = Some(mode);
+        self.trace
+            .get_or_insert_with(|| Trace::new(crate::tracing::clock(true)));
         self
     }
 
@@ -93,7 +101,8 @@ impl RunConfig {
         self.probe
     }
 
-    /// Where span scopes go, when tracing.
+    /// Where span scopes and probe records go, when tracing or
+    /// probing.
     #[must_use]
     pub fn trace(&self) -> Option<&Trace> {
         self.trace.as_ref()
@@ -107,7 +116,7 @@ impl RunConfig {
 
     /// Maps `f` over `items` on this run's threads and fault plan (see
     /// [`sim_core::parallel::par_map`]), each item attempt on its own
-    /// collector.
+    /// child trace.
     ///
     /// # Panics
     ///
@@ -139,35 +148,62 @@ impl RunConfig {
     }
 
     /// Runs one attempt at `item` on the same settings and fault
-    /// counters but an empty collector, and merges that collector
-    /// into this run's only when `f` returns. An attempt that unwinds
-    /// drops its records with it.
+    /// counters but a child trace, and absorbs that trace into this
+    /// run's only when `f` returns. An attempt that unwinds drops its
+    /// records with it.
     fn attempt<T, R>(&self, f: &impl Fn(&RunConfig, T) -> R, item: T) -> R {
         let attempt = RunConfig {
             threads: self.threads,
             probe: self.probe,
             trace: self.trace.as_ref().map(Trace::child),
             fault: Arc::clone(&self.fault),
-            cells: Mutex::default(),
         };
         let out = f(&attempt, item);
-        self.lock_cells().append(&mut attempt.lock_cells());
         if let (Some(trace), Some(child)) = (&self.trace, attempt.trace) {
             trace.absorb(child);
         }
         out
     }
 
-    /// Takes every committed probe record, sorted by `(target, cell)`
-    /// — the deterministic serialization order.
+    /// Takes every committed scope and probe record, in their
+    /// deterministic order (see [`Trace::drain`]); empty when the run
+    /// neither traces nor probes.
     #[must_use]
-    pub fn take_cells(&self) -> Vec<CellRecord> {
-        let mut records = std::mem::take(&mut *self.lock_cells());
-        records.sort_by(|a, b| a.target.cmp(b.target).then_with(|| a.cell.cmp(&b.cell)));
-        records
+    pub fn drain(&self) -> Records {
+        self.trace.as_ref().map(Trace::drain).unwrap_or_default()
     }
+}
 
-    pub(crate) fn lock_cells(&self) -> std::sync::MutexGuard<'_, Vec<CellRecord>> {
-        self.cells.lock().unwrap_or_else(PoisonError::into_inner)
+/// The run-level fields both of a run's JSONL documents
+/// (`obs-repro/1` and `trace-repro/1`) carry on their first line.
+#[derive(Debug, Clone)]
+pub struct RunHeader {
+    /// `--events` per workload.
+    pub events_per_workload: usize,
+    /// The requested targets, in request order.
+    pub targets: Vec<&'static str>,
+}
+
+impl RunHeader {
+    /// Writes a document's first line: its `schema`, the document's
+    /// own `fields` (comma-separated `"key":value` pairs), then the
+    /// run fields.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error `out` reports.
+    pub fn write_line(&self, out: &mut dyn Write, schema: &str, fields: &str) -> io::Result<()> {
+        write!(
+            out,
+            "{{\"schema\":\"{schema}\",{fields},\"events_per_workload\":{},\"targets\":[",
+            self.events_per_workload
+        )?;
+        for (i, t) in self.targets.iter().enumerate() {
+            if i > 0 {
+                out.write_all(b",")?;
+            }
+            out.write_all(json_string(t).as_bytes())?;
+        }
+        out.write_all(b"]}\n")
     }
 }

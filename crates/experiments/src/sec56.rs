@@ -133,7 +133,7 @@ fn pair_run(
         || format!("pair/{}+{}", jobs[i].name(), jobs[j].name()),
         || {
             // The SMT run and the MCT pass each replay both traces.
-            crate::telemetry::record_events(2 * (own.len() + partner.len()) as u64);
+            sim_core::span::add_events(2 * (own.len() + partner.len()) as u64);
             let mut shared = BaselineSystem::paper_default().expect("paper config");
             let smt = SmtModel::new(CpuConfig::paper_default());
             let report = smt.run(&mut shared, [own.iter().copied(), partner.iter().copied()]);

@@ -1,10 +1,14 @@
 //! Throughput telemetry for the repro pipeline.
 //!
 //! Every figure driver is timed by the `repro` harness; this module
-//! holds the shared event counter the drivers feed, the per-figure
-//! [`FigureBench`] records, and the [`BenchReport`] written as
-//! `BENCH_repro.json` by `repro --bench-json` so successive PRs can
-//! track the pipeline's events/sec trajectory.
+//! holds the workspace's one wall clock ([`Stopwatch`] and the span
+//! clock [`trace_clock_ns`]), the per-figure [`FigureBench`] records,
+//! and the [`BenchReport`] written as `BENCH_repro.json` by `repro
+//! --bench-json` so successive PRs can track the pipeline's
+//! events/sec trajectory. A figure's event count is its
+//! [`crate::cli::Target::simulated_events`] formula; the drivers
+//! attribute the same events to their spans
+//! (`sim_core::span::add_events`).
 //!
 //! Timing never touches experiment *output*: tables go to stdout and
 //! stay byte-identical run to run; telemetry goes to stderr and the
@@ -13,13 +17,8 @@
 //! EXPERIMENTS.md §"Runtime & throughput".
 
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use trace_gen::arena::ArenaStats;
-
-/// Trace events fed into any simulator or classifier since process
-/// start, across all threads.
-static EVENTS_SIMULATED: AtomicU64 = AtomicU64::new(0);
 
 /// A monotonic wall-clock stopwatch for harness timing.
 ///
@@ -72,20 +71,6 @@ pub fn trace_clock_ns() -> u64 {
             .as_nanos(),
     )
     .unwrap_or(u64::MAX)
-}
-
-/// Records `n` simulated events. Called by every driver's inner loop
-/// (via `drive` or directly); the per-figure formulas in
-/// [`crate::cli::Target::simulated_events`] are cross-checked against
-/// this counter in tests.
-pub fn record_events(n: u64) {
-    EVENTS_SIMULATED.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Total events recorded so far.
-#[must_use]
-pub fn events_simulated() -> u64 {
-    EVENTS_SIMULATED.load(Ordering::Relaxed)
 }
 
 /// One figure driver's measured run.
@@ -279,14 +264,6 @@ pub(crate) fn json_string(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let before = events_simulated();
-        record_events(123);
-        record_events(877);
-        assert_eq!(events_simulated() - before, 1_000);
-    }
 
     #[test]
     fn rates_and_lines_render() {

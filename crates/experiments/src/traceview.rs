@@ -113,7 +113,8 @@ pub fn parse(text: &str) -> Result<TraceDoc, String> {
 /// must carry a registered component prefix, every scope kind must be
 /// known, no scope key `(scope, target, label, root name)` may repeat
 /// (a repeat means a retried attempt leaked its scopes), and the
-/// totals footer must match the counted spans.
+/// totals footer must match the counted spans and the sum of their
+/// events.
 ///
 /// # Errors
 ///
@@ -123,11 +124,11 @@ pub fn verify(text: &str) -> Result<String, String> {
     let mut scopes = 0u64;
     let mut keys = std::collections::BTreeSet::new();
     for row in &doc.spans {
-        if !sim_core::span::name_registered(&row.name) {
+        if !sim_core::registry::span_name_registered(&row.name) {
             return Err(format!(
                 "span name {:?} lacks a registered prefix (expected one of {:?})",
                 row.name,
-                sim_core::span::NAME_PREFIXES
+                sim_core::registry::SPAN_NAME_PREFIXES
             ));
         }
         if !SCOPE_KINDS.contains(&row.scope.as_str()) {
@@ -153,6 +154,13 @@ pub fn verify(text: &str) -> Result<String, String> {
             return Err(format!(
                 "totals footer claims {:?} spans but the document carries {counted}",
                 totals.u64_field("spans")
+            ));
+        }
+        let events: u64 = doc.spans.iter().map(|row| row.events).sum();
+        if totals.u64_field("events") != Some(events) {
+            return Err(format!(
+                "totals footer claims {:?} events but the spans attribute {events}",
+                totals.u64_field("events")
             ));
         }
     } else {
@@ -526,6 +534,9 @@ mod tests {
         assert!(verify(&bad_name).unwrap_err().contains("mystery_phase"));
         let bad_totals = sample_trace().replace("\"spans\":3", "\"spans\":7");
         assert!(verify(&bad_totals).unwrap_err().contains("totals"));
+        let bad_events =
+            sample_trace().replace("\"spans\":3,\"events\":2000", "\"spans\":3,\"events\":2500");
+        assert!(verify(&bad_events).unwrap_err().contains("attribute 2000"));
         assert!(verify("").unwrap_err().contains("empty"));
         // A second scope with cell `a`'s key: a retried attempt leaked.
         let repeated = sample_trace().replace("\"label\":\"b\"", "\"label\":\"a\"");

@@ -1,5 +1,5 @@
 //! Harness-side glue for the span layer: picking the trace clock and
-//! rendering `sim_core::span` scopes as `trace-repro/1` JSONL or
+//! streaming `sim_core::span` scopes as `trace-repro/1` JSONL or
 //! Chrome `trace_event` JSON.
 //!
 //! The span layer itself is clock-agnostic (the simlint `wallclock`
@@ -16,7 +16,8 @@
 //! One JSON object per line (golden-pinned in `tests/golden_schemas.rs`):
 //!
 //! * a header: `{"schema":"trace-repro/1","logical":…,
-//!   "events_per_workload":…,"targets":[…]}`;
+//!   "events_per_workload":…,"targets":[…]}`, the run fields written
+//!   by the same [`RunHeader`] as the `obs-repro/1` header;
 //! * one `{"type":"span",…}` line per recorded span, grouped by scope
 //!   in the drain order (scope kind, target, label);
 //! * an optional `{"type":"metrics",…}` record (real-clock runs only):
@@ -26,13 +27,14 @@
 //! * a `{"type":"totals",…}` footer.
 
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
+use std::io::{self, Write};
 
 use sim_core::fault::FaultState;
 use sim_core::parallel::WorkerTally;
 use sim_core::span::{Clock, ScopeRecord, SpanRecord};
 
 use crate::telemetry::{json_string, trace_clock_ns};
+use crate::RunHeader;
 
 /// Output format for `repro --trace-out`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,17 +61,6 @@ impl TraceFormat {
             )),
         }
     }
-}
-
-/// Run-level fields of the `trace-repro/1` header line.
-#[derive(Debug, Clone)]
-pub struct TraceHeader {
-    /// Whether the run used the logical (constant-zero) clock.
-    pub logical: bool,
-    /// `--events` per workload.
-    pub events_per_workload: usize,
-    /// The requested targets, in request order.
-    pub targets: Vec<&'static str>,
 }
 
 /// The clock a traced run's spans read: the real nanosecond clock, or
@@ -120,162 +111,139 @@ impl MetricsSnapshot {
     }
 }
 
-fn span_line(scope: &ScopeRecord, span: &SpanRecord, logical: bool) -> String {
+fn write_span(
+    out: &mut dyn Write,
+    scope: &ScopeRecord,
+    span: &SpanRecord,
+    logical: bool,
+) -> io::Result<()> {
     let (worker, start_ns, dur_ns) = if logical {
         (0, 0, 0)
     } else {
         (scope.worker, span.start_ns, span.dur_ns)
     };
-    let mut line = String::with_capacity(160);
-    let _ = write!(
-        line,
-        "{{\"type\":\"span\",\"scope\":{scope_kind},\"target\":{target},\"label\":{label},",
+    writeln!(
+        out,
+        "{{\"type\":\"span\",\"scope\":{scope_kind},\"target\":{target},\"label\":{label},\
+         \"worker\":{worker},\"name\":{name},\"id\":{id},\"parent\":{parent},\"depth\":{depth},\
+         \"start_ns\":{start_ns},\"dur_ns\":{dur_ns},\"events\":{events}}}",
         scope_kind = json_string(scope.kind.wire_name()),
         target = json_string(&scope.target),
         label = json_string(&scope.label),
-    );
-    let _ = write!(
-        line,
-        "\"worker\":{worker},\"name\":{name},\"id\":{id},\"parent\":{parent},\"depth\":{depth},\"start_ns\":{start_ns},\"dur_ns\":{dur_ns},\"events\":{events}}}",
         name = json_string(span.name),
         id = span.id,
         parent = span.parent,
         depth = span.depth,
         events = span.events,
-    );
-    line
+    )
 }
 
-fn metrics_line(m: &MetricsSnapshot) -> String {
-    let mut line = String::with_capacity(256);
-    line.push_str(
-        "{\"type\":\"metrics\",\"arena\":{\"hits\":0,\"misses\":0,\"traces\":0,\"resident_events\":0},",
-    );
-    let _ = write!(
-        line,
-        "\"pool\":{{\"allocs\":{},\"reuses\":{},\"recycles\":{}}},",
+fn write_metrics(out: &mut dyn Write, m: &MetricsSnapshot) -> io::Result<()> {
+    write!(
+        out,
+        "{{\"type\":\"metrics\",\"arena\":{{\"hits\":0,\"misses\":0,\"traces\":0,\"resident_events\":0}},\
+         \"pool\":{{\"allocs\":{},\"reuses\":{},\"recycles\":{}}},\"workers\":[",
         m.pool.allocs, m.pool.reuses, m.pool.recycles,
-    );
-    line.push_str("\"workers\":[");
+    )?;
     for (i, (worker, t)) in m.workers.iter().enumerate() {
         let comma = if i + 1 < m.workers.len() { "," } else { "" };
-        let _ = write!(
-            line,
+        write!(
+            out,
             "{{\"worker\":{worker},\"cells\":{},\"chunks\":{},\"busy_ns\":{}}}{comma}",
             t.cells, t.chunks, t.busy_ns,
-        );
+        )?;
     }
-    let _ = write!(
-        line,
+    writeln!(
+        out,
         "],\"fault\":{{\"injected\":{},\"exhausted\":{},\"degraded\":{}}}}}",
         m.fault_injected, m.fault_exhausted, m.degraded,
-    );
-    line
+    )
 }
 
-/// Renders drained scopes as the `trace-repro/1` JSONL document.
-/// Under a logical header the nondeterministic fields (worker,
-/// `start_ns`, `dur_ns`) are zeroed and `metrics` is withheld, so the
-/// whole document is byte-identical at any thread count.
-#[must_use]
-pub fn render_jsonl(
+/// Streams drained scopes to `out` as the `trace-repro/1` JSONL
+/// document. Under the `logical` clock the nondeterministic fields
+/// (worker, `start_ns`, `dur_ns`) are zeroed and `metrics` is
+/// withheld, so the whole document is byte-identical at any thread
+/// count.
+///
+/// # Errors
+///
+/// Returns the first error `out` reports.
+pub fn write_jsonl(
     records: &[ScopeRecord],
-    header: &TraceHeader,
+    logical: bool,
+    header: &RunHeader,
     metrics: Option<&MetricsSnapshot>,
-) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"schema\":\"{}\",\"logical\":{},\"events_per_workload\":{},\"targets\":[",
-        sim_core::registry::SCHEMA_TRACE,
-        header.logical,
-        header.events_per_workload,
-    );
-    for (i, t) in header.targets.iter().enumerate() {
-        let comma = if i + 1 < header.targets.len() {
-            ","
-        } else {
-            ""
-        };
-        let _ = write!(out, "{}{comma}", json_string(t));
-    }
-    out.push_str("]}\n");
+    out: &mut dyn Write,
+) -> io::Result<()> {
+    let fields = format!("\"logical\":{logical}");
+    header.write_line(out, sim_core::registry::SCHEMA_TRACE, &fields)?;
     let mut spans = 0u64;
     let mut events = 0u64;
     for scope in records {
         for span in &scope.spans {
-            out.push_str(&span_line(scope, span, header.logical));
-            out.push('\n');
+            write_span(out, scope, span, logical)?;
             spans += 1;
             events += span.events;
         }
     }
-    if !header.logical {
-        if let Some(m) = metrics {
-            out.push_str(&metrics_line(m));
-            out.push('\n');
-        }
+    if let Some(m) = metrics.filter(|_| !logical) {
+        write_metrics(out, m)?;
     }
-    let _ = writeln!(
+    writeln!(
         out,
         "{{\"type\":\"totals\",\"scopes\":{},\"spans\":{spans},\"events\":{events}}}",
         records.len(),
-    );
-    out
+    )
 }
 
-/// Renders drained scopes as Chrome `trace_event` JSON: one complete
-/// (`"ph":"X"`) event per span on the owning worker's lane, with
-/// thread-name metadata so `chrome://tracing`/Perfetto label the
+/// Streams drained scopes to `out` as Chrome `trace_event` JSON: one
+/// complete (`"ph":"X"`) event per span on the owning worker's lane,
+/// with thread-name metadata so `chrome://tracing`/Perfetto label the
 /// lanes. Timestamps are microseconds (the span clock's nanoseconds
-/// ÷ 1000).
-#[must_use]
-pub fn render_chrome(records: &[ScopeRecord], header: &TraceHeader) -> String {
-    let logical = header.logical;
-    let mut out = String::from("[\n");
-    let workers: BTreeSet<u32> = records
-        .iter()
-        .map(|r| if logical { 0 } else { r.worker })
-        .collect();
-    let mut first = true;
+/// ÷ 1000); the `logical` clock zeroes them and the lanes.
+///
+/// # Errors
+///
+/// Returns the first error `out` reports.
+pub fn write_chrome(records: &[ScopeRecord], logical: bool, out: &mut dyn Write) -> io::Result<()> {
+    let lane = |r: &ScopeRecord| if logical { 0 } else { r.worker };
+    let workers: BTreeSet<u32> = records.iter().map(lane).collect();
+    out.write_all(b"[\n")?;
+    let mut sep = "";
     for w in workers {
-        push_event(&mut out, &mut first, &format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{w},\"args\":{{\"name\":{}}}}}",
+        write!(
+            out,
+            "{sep}{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{w},\"args\":{{\"name\":{}}}}}",
             json_string(&format!("worker {w}")),
-        ));
+        )?;
+        sep = ",\n";
     }
     for scope in records {
-        let tid = if logical { 0 } else { scope.worker };
         for span in &scope.spans {
             let (ts, dur) = if logical {
                 (0, 0)
             } else {
                 (span.start_ns, span.dur_ns)
             };
-            push_event(&mut out, &mut first, &format!(
-                "{{\"name\":{name},\"cat\":{cat},\"ph\":\"X\",\"ts\":{ts_us}.{ts_frac:03},\"dur\":{dur_us}.{dur_frac:03},\"pid\":1,\"tid\":{tid},\"args\":{{\"target\":{target},\"label\":{label},\"events\":{events}}}}}",
+            write!(
+                out,
+                "{sep}{{\"name\":{name},\"cat\":{cat},\"ph\":\"X\",\"ts\":{ts_us}.{ts_frac:03},\"dur\":{dur_us}.{dur_frac:03},\"pid\":1,\"tid\":{tid},\"args\":{{\"target\":{target},\"label\":{label},\"events\":{events}}}}}",
                 name = json_string(span.name),
                 cat = json_string(scope.kind.wire_name()),
                 ts_us = ts / 1000,
                 ts_frac = ts % 1000,
                 dur_us = dur / 1000,
                 dur_frac = dur % 1000,
+                tid = lane(scope),
                 target = json_string(&scope.target),
                 label = json_string(&scope.label),
                 events = span.events,
-            ));
+            )?;
+            sep = ",\n";
         }
     }
-    out.push_str("\n]\n");
-    out
-}
-
-fn push_event(out: &mut String, first: &mut bool, event: &str) {
-    if !*first {
-        out.push_str(",\n");
-    }
-    *first = false;
-    out.push_str(event);
+    out.write_all(b"\n]\n")
 }
 
 #[cfg(test)]
@@ -329,12 +297,15 @@ mod tests {
         ]
     }
 
-    fn header(logical: bool) -> TraceHeader {
-        TraceHeader {
-            logical,
+    fn render(logical: bool, metrics: Option<&MetricsSnapshot>) -> String {
+        let header = RunHeader {
             events_per_workload: 2_000,
             targets: vec!["fig1"],
-        }
+        };
+        let mut buf = Vec::new();
+        write_jsonl(&sample_records(), logical, &header, metrics, &mut buf)
+            .expect("Vec<u8> writes cannot fail");
+        String::from_utf8(buf).expect("trace JSONL is UTF-8")
     }
 
     #[test]
@@ -350,7 +321,7 @@ mod tests {
             )],
             ..MetricsSnapshot::default()
         };
-        let doc = render_jsonl(&sample_records(), &header(false), Some(&metrics));
+        let doc = render(false, Some(&metrics));
         let values = crate::jsonl::parse_lines(&doc).expect("valid JSONL");
         assert_eq!(values[0].str_field("schema"), Some("trace-repro/1"));
         let spans: Vec<_> = values
@@ -372,7 +343,7 @@ mod tests {
     #[test]
     fn logical_mode_zeroes_time_and_withholds_metrics() {
         let metrics = MetricsSnapshot::default();
-        let doc = render_jsonl(&sample_records(), &header(true), Some(&metrics));
+        let doc = render(true, Some(&metrics));
         let values = crate::jsonl::parse_lines(&doc).expect("valid JSONL");
         assert!(!values
             .iter()
@@ -389,7 +360,9 @@ mod tests {
 
     #[test]
     fn chrome_document_is_balanced_and_typed() {
-        let doc = render_chrome(&sample_records(), &header(false));
+        let mut buf = Vec::new();
+        write_chrome(&sample_records(), false, &mut buf).expect("Vec<u8> writes cannot fail");
+        let doc = String::from_utf8(buf).expect("Chrome JSON is UTF-8");
         assert!(doc.starts_with("[\n"));
         assert!(doc.ends_with("\n]\n"));
         assert_eq!(doc.matches('{').count(), doc.matches('}').count());

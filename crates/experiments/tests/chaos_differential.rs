@@ -24,9 +24,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use experiments::cli::Target;
-use experiments::probe::{write_jsonl, ProbeMode, RunHeader};
-use experiments::tracing::{self, TraceHeader};
-use experiments::RunConfig;
+use experiments::probe::{write_jsonl, ProbeMode};
+use experiments::{tracing, RunConfig, RunHeader};
 use proptest::prelude::*;
 use sim_core::fault::{self, FaultPlan, FaultSite, FaultStats, RetryPolicy};
 
@@ -81,28 +80,18 @@ fn run_targets(targets: &[Target], threads: usize, plan: Option<FaultPlan>) -> S
         .into_iter()
         .map(Result::ok)
         .collect();
-    let targets: Vec<&'static str> = targets.iter().map(|t| t.name()).collect();
-    let mut obs = Vec::new();
-    write_jsonl(
-        &cfg.take_cells(),
-        &RunHeader {
-            mode: ProbeMode::Epoch(EPOCH),
-            events_per_workload: EVENTS,
-            targets: targets.clone(),
-        },
-        &mut obs,
-    )
-    .expect("Vec<u8> writes cannot fail");
+    let header = RunHeader {
+        events_per_workload: EVENTS,
+        targets: targets.iter().map(|t| t.name()).collect(),
+    };
+    let records = cfg.drain();
+    let (mut obs, mut trace) = (Vec::new(), Vec::new());
+    write_jsonl(&records.cells, ProbeMode::Epoch(EPOCH), &header, &mut obs)
+        .expect("Vec<u8> writes cannot fail");
+    tracing::write_jsonl(&records.scopes, true, &header, None, &mut trace)
+        .expect("Vec<u8> writes cannot fail");
     let obs = String::from_utf8(obs).expect("probe JSONL is UTF-8");
-    let trace = tracing::render_jsonl(
-        &cfg.trace().expect("a traced run").drain(),
-        &TraceHeader {
-            logical: true,
-            events_per_workload: EVENTS,
-            targets,
-        },
-        None,
-    );
+    let trace = String::from_utf8(trace).expect("trace JSONL is UTF-8");
     Suite {
         rendered,
         obs,

@@ -9,12 +9,13 @@
 //! diff here (and a schema version bump).
 
 use experiments::checkpoint::{self, CellEntry, CellStatus, CheckpointWriter};
-use experiments::probe::{write_jsonl, CellRecord, ProbeMode, RunHeader};
+use experiments::probe::{write_jsonl, ProbeMode};
 use experiments::telemetry::{BenchReport, FigureBench};
-use experiments::tracing::{self, MetricsSnapshot, TraceHeader};
+use experiments::tracing::{self, MetricsSnapshot};
+use experiments::RunHeader;
 use sim_core::fault::FaultState;
 use sim_core::parallel::WorkerTally;
-use sim_core::probe::{EpochSnapshot, Registry};
+use sim_core::probe::{CellRecord, EpochSnapshot, Registry};
 use sim_core::span::{ScopeKind, ScopeRecord, SpanRecord};
 use trace_gen::arena::ArenaStats;
 
@@ -158,7 +159,6 @@ fn obs_repro_1_jsonl_is_stable() {
         raw: Some("{\"kind\":\"access\",\"hit\":true}\n".to_owned()),
     };
     let header = RunHeader {
-        mode: ProbeMode::Epoch(4),
         events_per_workload: 4,
         targets: vec!["fig1", "fig2"],
     };
@@ -171,7 +171,13 @@ fn obs_repro_1_jsonl_is_stable() {
         "{\"type\":\"totals\",\"cells\":2,\"counters\":{\"access\":4,\"access.hit\":3,\"classify.conflict\":2}}\n",
     );
     let mut buf = Vec::new();
-    write_jsonl(&[epoch_cell, raw_cell], &header, &mut buf).unwrap();
+    write_jsonl(
+        &[epoch_cell, raw_cell],
+        ProbeMode::Epoch(4),
+        &header,
+        &mut buf,
+    )
+    .unwrap();
     let rendered = String::from_utf8(buf).unwrap();
     assert_eq!(rendered, expected);
 
@@ -228,8 +234,7 @@ fn trace_repro_1_jsonl_is_stable() {
             }],
         },
     ];
-    let header = TraceHeader {
-        logical: false,
+    let header = RunHeader {
         events_per_workload: 2_000,
         targets: vec!["fig1"],
     };
@@ -269,7 +274,12 @@ fn trace_repro_1_jsonl_is_stable() {
         "{\"type\":\"metrics\",\"arena\":{\"hits\":0,\"misses\":0,\"traces\":0,\"resident_events\":0},\"pool\":{\"allocs\":4,\"reuses\":12,\"recycles\":16},\"workers\":[{\"worker\":1,\"cells\":3,\"chunks\":2,\"busy_ns\":10000},{\"worker\":2,\"cells\":1,\"chunks\":1,\"busy_ns\":9500}],\"fault\":{\"injected\":1,\"exhausted\":0,\"degraded\":0}}\n",
         "{\"type\":\"totals\",\"scopes\":2,\"spans\":3,\"events\":4000}\n",
     );
-    let rendered = tracing::render_jsonl(&records, &header, Some(&metrics));
+    let render = |logical: bool| {
+        let mut buf = Vec::new();
+        tracing::write_jsonl(&records, logical, &header, Some(&metrics), &mut buf).unwrap();
+        String::from_utf8(buf).unwrap()
+    };
+    let rendered = render(false);
     assert_eq!(rendered, expected);
 
     // The golden text must round-trip through the workspace's own JSON
@@ -282,7 +292,7 @@ fn trace_repro_1_jsonl_is_stable() {
     for v in &values {
         if v.str_field("type") == Some("span") {
             let name = v.str_field("name").unwrap();
-            assert!(sim_core::span::name_registered(name), "{name}");
+            assert!(sim_core::registry::span_name_registered(name), "{name}");
         }
     }
     let verdict = experiments::traceview::verify(&rendered).expect("golden trace verifies");
@@ -290,11 +300,7 @@ fn trace_repro_1_jsonl_is_stable() {
 
     // The logical rendering of the same records zeroes every
     // machine-dependent field and withholds the metrics record.
-    let logical_header = TraceHeader {
-        logical: true,
-        ..header
-    };
-    let logical = tracing::render_jsonl(&records, &logical_header, Some(&metrics));
+    let logical = render(true);
     assert!(!logical.contains("\"type\":\"metrics\""));
     assert!(logical.contains("\"worker\":0,\"name\":\"cell_run\",\"id\":1,\"parent\":0,\"depth\":0,\"start_ns\":0,\"dur_ns\":0"));
 }

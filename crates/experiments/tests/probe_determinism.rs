@@ -4,7 +4,9 @@
 //!   under `--probe epoch:N`;
 //! * the rendered probe document is **byte-identical** across
 //!   `--threads 1` and `--threads 4` (cells fold their own events on
-//!   the worker thread that runs them, and records are sorted);
+//!   the worker thread that runs them, and records are sorted), and
+//!   with or without a real-clock span trace (probe records and spans
+//!   share one collector, so tracing must not move a byte);
 //! * the stdout figure tables are unchanged by an armed probe, and a
 //!   disabled probe collects nothing;
 //! * raw mode streams parseable per-event records;
@@ -19,30 +21,36 @@
 
 use cache_model::CacheGeometry;
 use experiments::cli::Target;
-use experiments::probe::{self, ProbeMode, RunHeader};
-use experiments::{fig1, fig2, RunConfig};
+use experiments::probe::{self, ProbeMode};
+use experiments::{fig1, fig2, tracing, RunConfig, RunHeader};
 use mct::accuracy::{AccuracyEvaluator, AccuracyReport};
 use mct::TagBits;
 use trace_gen::decomposed::DecomposedTrace;
 use trace_gen::{TraceEvent, TraceSource};
 
 /// The `obs-repro/1` document for `records`, rendered into memory.
-fn render(records: &[probe::CellRecord], header: &RunHeader) -> String {
+fn render(records: &[sim_core::probe::CellRecord], mode: ProbeMode, header: &RunHeader) -> String {
     let mut buf = Vec::new();
-    probe::write_jsonl(records, header, &mut buf).expect("Vec<u8> writes cannot fail");
+    probe::write_jsonl(records, mode, header, &mut buf).expect("Vec<u8> writes cannot fail");
     String::from_utf8(buf).expect("probe JSONL is UTF-8")
 }
 
-fn run_all(threads: usize, events: usize) -> (Vec<String>, String) {
-    let cfg = RunConfig::new(threads).with_probe(ProbeMode::Epoch(500));
+/// Every target's table and the probe document, probed under
+/// `epoch:500` and, when `traced`, also traced on the real clock.
+fn run_all(threads: usize, events: usize, traced: bool) -> (Vec<String>, String) {
+    let mut cfg = RunConfig::new(threads).with_probe(ProbeMode::Epoch(500));
+    if traced {
+        cfg = cfg.with_trace(tracing::clock(false));
+    }
     let reports: Vec<String> = Target::ALL.iter().map(|t| t.run(&cfg, events)).collect();
-    let records = cfg.take_cells();
     let header = RunHeader {
-        mode: ProbeMode::Epoch(500),
         events_per_workload: events,
         targets: Target::ALL.iter().map(|t| t.name()).collect(),
     };
-    (reports, render(&records, &header))
+    (
+        reports,
+        render(&cfg.drain().cells, ProbeMode::Epoch(500), &header),
+    )
 }
 
 /// One accuracy cell replayed on its own through the per-event
@@ -96,11 +104,10 @@ fn fig1_fig2_records(mode: ProbeMode, events: usize, grouped: bool) -> String {
         }
     }
     let header = RunHeader {
-        mode,
         events_per_workload: events,
         targets: vec![Target::Fig1.name(), Target::Fig2.name()],
     };
-    render(&cfg.take_cells(), &header)
+    render(&cfg.drain().cells, mode, &header)
 }
 
 #[test]
@@ -114,13 +121,13 @@ fn probe_output_is_deterministic_and_tables_unchanged() {
         .map(|t| t.run(&unprobed, EVENTS))
         .collect();
     assert!(
-        unprobed.take_cells().is_empty(),
+        unprobed.drain().cells.is_empty(),
         "disabled probe must collect nothing"
     );
 
     // Probed serial run: same stdout tables, valid JSONL, every target
     // contributes cells.
-    let (probed_reports, jsonl_serial) = run_all(1, EVENTS);
+    let (probed_reports, jsonl_serial) = run_all(1, EVENTS, false);
     assert_eq!(
         plain, probed_reports,
         "an armed probe must not change the rendered figure tables"
@@ -148,23 +155,29 @@ fn probe_output_is_deterministic_and_tables_unchanged() {
     assert!(access > 0, "no access events reached the probe sinks");
 
     // Parallel run: byte-identical probe document.
-    let (_, jsonl_parallel) = run_all(4, EVENTS);
+    let (_, jsonl_parallel) = run_all(4, EVENTS, false);
     assert_eq!(
         jsonl_serial, jsonl_parallel,
         "probe JSONL must be byte-identical at any thread count"
     );
 
+    // Traced run: the same probe bytes.
+    let (_, jsonl_traced) = run_all(4, EVENTS, true);
+    assert_eq!(
+        jsonl_serial, jsonl_traced,
+        "probe JSONL must be byte-identical with and without a span trace"
+    );
+
     // Raw mode: per-event records parse and carry cell context.
     let raw_cfg = RunConfig::new(4).with_probe(ProbeMode::Raw);
     let _ = Target::Fig1.run(&raw_cfg, 200);
-    let records = raw_cfg.take_cells();
+    let records = raw_cfg.drain().cells;
     assert!(!records.is_empty());
     let header = RunHeader {
-        mode: ProbeMode::Raw,
         events_per_workload: 200,
         targets: vec![Target::Fig1.name()],
     };
-    let raw = render(&records, &header);
+    let raw = render(&records, ProbeMode::Raw, &header);
     let values = experiments::jsonl::parse_lines(&raw).expect("valid raw JSONL");
     assert!(values
         .iter()

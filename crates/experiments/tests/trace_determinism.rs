@@ -2,6 +2,9 @@
 //!
 //! * every figure target produces valid, verifiable `trace-repro/1`
 //!   JSONL under an armed span layer;
+//! * event accounting — per target, the events its spans attribute
+//!   add up to its `simulated_events` formula (the figure's
+//!   `bench-repro/2` count);
 //! * under the logical clock the rendered trace is **byte-identical**
 //!   across `--threads 1` and `--threads 4` (scopes are collected per
 //!   logical cell and drained in a sorted order, and the logical
@@ -13,19 +16,22 @@
 //! them.
 
 use experiments::cli::Target;
-use experiments::tracing::{self, TraceHeader};
-use experiments::RunConfig;
+use experiments::{tracing, RunConfig, RunHeader};
 
 fn run_all(threads: usize, events: usize) -> (Vec<String>, String) {
     let cfg = RunConfig::new(threads).with_trace(tracing::clock(true));
     let reports: Vec<String> = Target::ALL.iter().map(|t| t.run(&cfg, events)).collect();
-    let records = cfg.trace().expect("a traced run").drain();
-    let header = TraceHeader {
-        logical: true,
+    let header = RunHeader {
         events_per_workload: events,
         targets: Target::ALL.iter().map(|t| t.name()).collect(),
     };
-    (reports, tracing::render_jsonl(&records, &header, None))
+    let mut buf = Vec::new();
+    tracing::write_jsonl(&cfg.drain().scopes, true, &header, None, &mut buf)
+        .expect("Vec<u8> writes cannot fail");
+    (
+        reports,
+        String::from_utf8(buf).expect("trace JSONL is UTF-8"),
+    )
 }
 
 #[test]
@@ -65,6 +71,19 @@ fn trace_output_is_deterministic_and_tables_unchanged() {
             values.iter().any(|v| v.str_field("scope") == Some("figure")
                 && v.str_field("target") == Some(t.name())),
             "{} must contribute a figure scope",
+            t.name()
+        );
+        let attributed: u64 = values
+            .iter()
+            .filter(|v| {
+                v.str_field("type") == Some("span") && v.str_field("target") == Some(t.name())
+            })
+            .filter_map(|v| v.u64_field("events"))
+            .sum();
+        assert_eq!(
+            attributed,
+            t.simulated_events(EVENTS),
+            "{} event formula must match the events its spans attribute",
             t.name()
         );
     }

@@ -19,7 +19,10 @@
 //! how many cells run concurrently. This is what makes probe output
 //! byte-identical across `--threads 1` and `--threads N` — each cell
 //! folds its own events, and the harness sorts the folded records
-//! before serializing.
+//! before serializing. The harness labels each cell's output as a
+//! [`CellRecord`] and attaches it to the cell's span scope
+//! ([`crate::span::attach`]): probe records and spans share one
+//! collector, [`crate::span::Trace`].
 //!
 //! Three sinks are provided:
 //!
@@ -52,6 +55,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::rc::Rc;
+use std::thread::LocalKey;
 
 use crate::hash::FxHashMap;
 use crate::registry;
@@ -335,6 +339,26 @@ pub struct CellProbe {
     /// Top sets by whole-run conflict classifications, sorted by
     /// descending count then ascending set.
     pub hot_sets: Vec<(u32, u64)>,
+}
+
+/// One experiment cell's probe output, labelled. A cell attaches it to
+/// the span scope that ran it ([`crate::span::attach`]), so it commits
+/// with that scope.
+#[derive(Debug, Clone)]
+pub struct CellRecord {
+    /// The figure target the cell belongs to (`fig1`, …).
+    pub target: &'static str,
+    /// Unique cell label within the target (e.g. `dm16/swim`).
+    pub cell: String,
+    /// Epoch-folded data (empty in raw mode).
+    pub epochs: Vec<EpochSnapshot>,
+    /// Whole-cell counters and histograms (empty in raw mode).
+    pub totals: Registry,
+    /// Whole-cell hottest sets by conflict count.
+    pub hot_sets: Vec<(u32, u64)>,
+    /// Raw event JSONL (one `{"kind":…}` object per line; `None` in
+    /// epoch mode).
+    pub raw: Option<String>,
 }
 
 /// How many hot sets an [`EpochSink`] keeps per epoch and per cell.
@@ -720,17 +744,46 @@ fn emit_slow(ev: &ProbeEvent) {
 /// unwind). Only this thread is armed. The caller keeps its own `Rc`
 /// handle to read the sink back out.
 pub fn with_sink<R>(sink: Rc<RefCell<dyn Sink>>, f: impl FnOnce() -> R) -> R {
-    struct Guard(Option<Rc<RefCell<dyn Sink>>>);
-    impl Drop for Guard {
-        fn drop(&mut self) {
-            set_armed(ARMED_PROBE, self.0.is_some());
-            SINK.with(|s| *s.borrow_mut() = self.0.take());
+    let _installed = Installed::new(&SINK, ARMED_PROBE, sink);
+    f()
+}
+
+/// A value installed in a thread-local slot with its armed bit set.
+/// Dropping it, also on unwind, puts the slot's previous value back
+/// and re-arms the bit by whether that value exists. [`with_sink`] and
+/// [`crate::span::scope`] share it.
+pub(crate) struct Installed<T: 'static> {
+    slot: &'static LocalKey<RefCell<Option<T>>>,
+    bit: u8,
+    prev: Option<Option<T>>,
+}
+
+impl<T: 'static> Installed<T> {
+    /// Installs `value` in `slot` and sets `bit`.
+    pub(crate) fn new(slot: &'static LocalKey<RefCell<Option<T>>>, bit: u8, value: T) -> Self {
+        let prev = slot.with(|s| s.borrow_mut().replace(value));
+        set_armed(bit, true);
+        Installed {
+            slot,
+            bit,
+            prev: Some(prev),
         }
     }
-    let prev = SINK.with(|s| s.borrow_mut().replace(sink));
-    set_armed(ARMED_PROBE, true);
-    let _guard = Guard(prev);
-    f()
+
+    /// Puts the previous value back (once) and returns the installed
+    /// one.
+    pub(crate) fn restore(&mut self) -> Option<T> {
+        let prev = self.prev.take()?;
+        set_armed(self.bit, prev.is_some());
+        self.slot
+            .with(|s| std::mem::replace(&mut *s.borrow_mut(), prev))
+    }
+}
+
+impl<T: 'static> Drop for Installed<T> {
+    fn drop(&mut self) {
+        self.restore();
+    }
 }
 
 #[cfg(test)]

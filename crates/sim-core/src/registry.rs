@@ -239,7 +239,14 @@ mod tests {
 
     #[test]
     fn prefix_predicates() {
-        assert!(span_name_registered("replay_stream"));
+        // The replay pipeline's span names are pinned here so a prefix
+        // change cannot silently unregister them: `replay_block` (block
+        // replay), `replay_stream` (an accuracy group pass),
+        // `replay_cpu` (a CPU-model group pass) and `replay_mrc` (the
+        // stack-distance pass).
+        for name in ["replay_block", "replay_cpu", "replay_stream", "replay_mrc"] {
+            assert!(span_name_registered(name), "{name}");
+        }
         assert!(!span_name_registered("mystery_phase"));
         assert!(bench_group_registered("substrate/cache_kernel"));
         assert!(bench_group_registered("figure_drivers"));

@@ -1,10 +1,13 @@
-//! Hierarchical self-profiling spans, sibling to [`crate::probe`].
+//! Hierarchical self-profiling spans, and the run's one observation
+//! collector.
 //!
-//! The probe layer answers *what happened* (counters, histograms, hot
-//! sets); this layer answers *where the time went*. Instrumented code
-//! opens a [`SpanGuard`] with [`enter`] around a named phase
-//! (`replay_cpu`, `replay_block`, `probe_flush`, …) and the
-//! guard records start/duration when it drops. Spans nest: each span
+//! The probe layer ([`crate::probe`]) answers *what happened*
+//! (counters, histograms, hot sets); spans answer *where the time
+//! went*. Both land in one [`Trace`]. Instrumented code opens a
+//! [`SpanGuard`] with [`enter`] around a named phase (`replay_cpu`,
+//! `replay_block`, `probe_flush`, …) and the guard records
+//! start/duration when it drops; a probed cell [`attach`]es its folded
+//! [`CellRecord`] to the scope that ran it. Spans nest: each span
 //! carries the id of the enclosing open span, so a scope's buffer
 //! reconstructs the phase tree exactly.
 //!
@@ -20,61 +23,58 @@
 //!   nanosecond clock (`fn() -> u64`); the harness injects one backed
 //!   by `experiments::telemetry` (the workspace's single sanctioned
 //!   wallclock site), or a constant-zero logical clock for
-//!   determinism tests.
-//! * **Structure and ordering are thread-count invariant.** Spans are
-//!   buffered per *logical scope* (sweep / figure / cell),
-//!   not per OS thread: [`scope`] installs a fresh thread-local
+//!   determinism tests and for runs that only probe.
+//! * **Structure and ordering are thread-count invariant.** Spans and
+//!   probe records are buffered per *logical scope* (sweep / figure /
+//!   cell), not per OS thread: [`scope`] installs a fresh thread-local
 //!   buffer, saving and restoring the enclosing one, and flushes a
-//!   [`ScopeRecord`] into the run's [`Trace`] when the scope closes
-//!   cleanly. [`Trace::drain`] sorts the records by `(kind, target,
-//!   label, root name)`, so the same work produces the same record
-//!   sequence at any `--threads`. Only start/duration (and the worker
+//!   [`ScopeRecord`] and the scope's attached cell records into the
+//!   run's [`Trace`] when the scope closes cleanly. [`Trace::drain`]
+//!   sorts scopes by `(kind, target, label, root name)` and cell
+//!   records by `(target, cell)`, so the same work produces the same
+//!   sequences at any `--threads`. Only start/duration (and the worker
 //!   id) vary between runs; a zero clock makes whole streams
 //!   byte-identical.
 //!
 //! A scope that unwinds (a fault-injected or real panic) discards its
-//! partial buffer. A scheduler item may close several scopes before a
-//! later one unwinds it, so a harness that retries items gives each
-//! item attempt a [`Trace::child`] that it [`Trace::absorb`]s only once
-//! the attempt returns. Retried items — a figure, or a group of cells
-//! inside one — therefore contribute exactly one set of scopes (the
-//! attempt that completed) and degraded ones none.
+//! partial buffer, attached records included. A scheduler item may
+//! close several scopes before a later one unwinds it, so a harness
+//! that retries items gives each item attempt a [`Trace::child`] that
+//! it [`Trace::absorb`]s only once the attempt returns. Retried items
+//! — a figure, or a group of cells inside one — therefore contribute
+//! exactly one set of scopes and records (the attempt that completed)
+//! and degraded ones none.
 
 use std::cell::{Cell, RefCell};
 use std::sync::{Mutex, PoisonError};
 
-use crate::probe::{armed, set_armed, ARMED_SPAN};
+use crate::probe::{armed, CellRecord, Installed, ARMED_SPAN};
 
 /// A nanosecond clock carried by a [`Trace`]. The span layer never
 /// reads wallclock itself (the simlint `wallclock` rule confines
 /// `Instant` to `experiments::telemetry`).
 pub type Clock = fn() -> u64;
 
-/// Registered span-name prefixes, one per instrumented component.
-/// Every name passed to [`enter`] or [`scope`] must start with one of
-/// these (the simlint `span-name` rule enforces it at call sites).
-/// The definition lives in the canonical contract registry
-/// ([`crate::registry::SPAN_NAME_PREFIXES`]); this is the same list.
-pub use crate::registry::SPAN_NAME_PREFIXES as NAME_PREFIXES;
-
-/// Returns whether `name` starts with a registered component prefix
-/// (see [`NAME_PREFIXES`]).
-#[must_use]
-pub fn name_registered(name: &str) -> bool {
-    crate::registry::span_name_registered(name)
-}
-
 thread_local! {
     static COLLECTOR: RefCell<Option<Collector>> = const { RefCell::new(None) };
     static WORKER: Cell<u32> = const { Cell::new(0) };
 }
 
-/// Where a traced run's scopes go: the clock its spans read and every
-/// scope closed so far.
+/// Where a run's observations go: the clock its spans read, and every
+/// scope and probe record committed so far.
 #[derive(Debug)]
 pub struct Trace {
     clock: Clock,
-    scopes: Mutex<Vec<ScopeRecord>>,
+    records: Mutex<Records>,
+}
+
+/// Everything a [`Trace`] collected.
+#[derive(Debug, Default)]
+pub struct Records {
+    /// Closed span scopes.
+    pub scopes: Vec<ScopeRecord>,
+    /// Probe records, each committed with the scope it was attached to.
+    pub cells: Vec<CellRecord>,
 }
 
 impl Trace {
@@ -83,43 +83,48 @@ impl Trace {
     pub fn new(clock: Clock) -> Self {
         Trace {
             clock,
-            scopes: Mutex::new(Vec::new()),
+            records: Mutex::default(),
         }
     }
 
     /// An empty trace on the same clock, for one attempt at a unit of
-    /// work that may be retried: its scopes reach this trace only
+    /// work that may be retried: its records reach this trace only
     /// through [`Trace::absorb`].
     #[must_use]
     pub fn child(&self) -> Self {
         Trace::new(self.clock)
     }
 
-    /// Appends every scope `child` collected.
+    /// Appends every scope and record `child` collected.
     pub fn absorb(&self, child: Trace) {
-        let scopes = child
-            .scopes
+        let mut child = child
+            .records
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner);
-        self.lock().extend(scopes);
+        let mut records = self.lock();
+        records.scopes.append(&mut child.scopes);
+        records.cells.append(&mut child.cells);
     }
 
-    /// Takes every collected scope, sorted by `(kind, target, label,
-    /// root span name)` so the sequence is identical at any thread
-    /// count.
+    /// Takes everything collected: scopes sorted by `(kind, target,
+    /// label, root span name)` and cell records by `(target, cell)`,
+    /// so both sequences are identical at any thread count.
     #[must_use]
-    pub fn drain(&self) -> Vec<ScopeRecord> {
+    pub fn drain(&self) -> Records {
         let mut records = std::mem::take(&mut *self.lock());
-        records.sort_by(|a, b| {
+        records.scopes.sort_by(|a, b| {
             let ka = (a.kind, &a.target, &a.label, root_name(a));
             let kb = (b.kind, &b.target, &b.label, root_name(b));
             ka.cmp(&kb)
         });
         records
+            .cells
+            .sort_by(|a, b| (a.target, &a.cell).cmp(&(b.target, &b.cell)));
+        records
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<ScopeRecord>> {
-        self.scopes.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> std::sync::MutexGuard<'_, Records> {
+        self.records.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -196,6 +201,7 @@ struct Collector {
     clock: Clock,
     spans: Vec<SpanRecord>,
     stack: Vec<u32>,
+    cells: Vec<CellRecord>,
 }
 
 impl Collector {
@@ -292,8 +298,9 @@ impl Drop for SpanGuard {
 /// Opens a span named `name` inside the current scope. When the
 /// thread has no scope open this is one thread-local load plus an
 /// inert guard. `name` must be a static string
-/// literal with a registered prefix (see [`NAME_PREFIXES`]; the
-/// simlint `span-name` rule checks call sites).
+/// literal with a registered prefix (see
+/// [`crate::registry::SPAN_NAME_PREFIXES`]; the simlint `span-name`
+/// rule checks call sites).
 #[inline]
 pub fn enter(name: &'static str) -> SpanGuard {
     if !active() {
@@ -336,6 +343,24 @@ fn add_events_slow(n: u64) {
     });
 }
 
+/// Attaches `record` to the scope open on this thread: it reaches the
+/// run's [`Trace`] when that scope closes cleanly, and is discarded
+/// with the scope if it unwinds.
+///
+/// # Panics
+///
+/// Panics when no scope is open: a probed run always opens its cell
+/// scopes (on the zero clock when it is not traced).
+pub fn attach(record: CellRecord) {
+    COLLECTOR.with(|c| {
+        c.borrow_mut()
+            .as_mut()
+            .expect("a probe record is attached inside a span scope")
+            .cells
+            .push(record);
+    });
+}
+
 /// Runs `f` inside a fresh span scope rooted at a span named `name`,
 /// recording into `trace`; without a trace this is just `f()`.
 ///
@@ -359,26 +384,6 @@ pub fn scope<R>(
     }
 }
 
-/// Reinstalls the enclosing scope's collector when a scope closes,
-/// also on unwind (which drops the closing scope's partial buffer).
-struct Restore(Option<Option<Collector>>);
-
-impl Restore {
-    /// Puts the enclosing collector back (once) and returns the
-    /// closing scope's own.
-    fn restore(&mut self) -> Option<Collector> {
-        let prev = self.0.take()?;
-        set_armed(ARMED_SPAN, prev.is_some());
-        COLLECTOR.with(|c| std::mem::replace(&mut *c.borrow_mut(), prev))
-    }
-}
-
-impl Drop for Restore {
-    fn drop(&mut self) {
-        self.restore();
-    }
-}
-
 #[cold]
 fn scope_slow<R>(
     trace: &Trace,
@@ -395,21 +400,22 @@ fn scope_slow<R>(
         clock: trace.clock,
         spans: Vec::new(),
         stack: Vec::new(),
+        cells: Vec::new(),
     };
     collector.open(name);
-    let prev = COLLECTOR.with(|c| c.borrow_mut().replace(collector));
-    set_armed(ARMED_SPAN, true);
-    let mut restore = Restore(Some(prev));
+    let mut installed = Installed::new(&COLLECTOR, ARMED_SPAN, collector);
     let out = f();
-    if let Some(mut col) = restore.restore() {
+    if let Some(mut col) = installed.restore() {
         col.close_all();
-        trace.lock().push(ScopeRecord {
+        let mut records = trace.lock();
+        records.scopes.push(ScopeRecord {
             kind: col.kind,
             target: col.target,
             label: col.label,
             worker: worker(),
             spans: col.spans,
         });
+        records.cells.append(&mut col.cells);
     }
     out
 }
@@ -428,6 +434,17 @@ mod tests {
 
     fn zero_clock() -> u64 {
         0
+    }
+
+    fn record(target: &'static str, cell: &str) -> CellRecord {
+        CellRecord {
+            target,
+            cell: cell.to_owned(),
+            epochs: Vec::new(),
+            totals: crate::probe::Registry::new(),
+            hot_sets: Vec::new(),
+            raw: None,
+        }
     }
 
     #[test]
@@ -468,6 +485,7 @@ mod tests {
                     let _g = enter("replay_block");
                     add_events(100);
                     let _inner = enter("probe_flush");
+                    attach(record("fig1", "b"));
                 }
                 // A nested scope must not inherit or pollute ours.
                 scope(
@@ -478,6 +496,7 @@ mod tests {
                     || "inner".to_owned(),
                     || {
                         let _g = enter("fault_backoff");
+                        attach(record("fig1", "a"));
                     },
                 );
                 // The scope is armed on this thread only.
@@ -489,8 +508,17 @@ mod tests {
         );
         assert_eq!(out, 42);
         assert!(!active(), "closing the outer scope disarms the thread");
-        let records = trace.drain();
+        let Records {
+            scopes: records,
+            cells,
+        } = trace.drain();
         assert_eq!(records.len(), 2);
+        // Cell records commit with their scopes, sorted by (target,
+        // cell).
+        assert_eq!(
+            cells.iter().map(|c| c.cell.as_str()).collect::<Vec<_>>(),
+            ["a", "b"]
+        );
         // Drain order: by target within a kind.
         assert_eq!(records[0].kind, ScopeKind::Cell);
         assert_eq!(records[0].target, "fig1");
@@ -511,7 +539,11 @@ mod tests {
             records[1].spans.iter().map(|s| s.name).collect::<Vec<_>>(),
             ["cell_run", "fault_backoff"]
         );
-        assert!(trace.drain().is_empty(), "drain takes every scope");
+        let again = trace.drain();
+        assert!(
+            again.scopes.is_empty() && again.cells.is_empty(),
+            "drain takes everything"
+        );
     }
 
     #[test]
@@ -527,6 +559,7 @@ mod tests {
                 String::new,
                 || {
                     let _g = enter("replay_block");
+                    attach(record("fig1", "lost"));
                     panic!("injected");
                 },
             )
@@ -541,7 +574,7 @@ mod tests {
             "cell_run",
             "fig2",
             String::new,
-            || (),
+            || attach(record("fig2", "failed")),
         );
         drop(failed);
         let attempt = trace.child();
@@ -551,33 +584,30 @@ mod tests {
             "cell_run",
             "fig2",
             String::new,
-            || (),
+            || attach(record("fig2", "kept")),
         );
         trace.absorb(attempt);
-        let records = trace.drain();
+        let Records {
+            scopes: records,
+            cells,
+        } = trace.drain();
         assert_eq!(
             records.len(),
             1,
             "only the absorbed attempt's scope remains"
         );
         assert_eq!(records[0].target, "fig2");
+        assert_eq!(
+            cells.iter().map(|c| c.cell.as_str()).collect::<Vec<_>>(),
+            ["kept"],
+            "only the absorbed attempt's record remains"
+        );
     }
 
     #[test]
-    fn workers_and_names() {
+    fn workers() {
         set_worker(3);
         assert_eq!(worker(), 3);
         set_worker(0);
-
-        // Name registry. The replay pipeline's span names are pinned
-        // here so a prefix change cannot silently unregister them:
-        // `replay_block` (block replay), `replay_stream` (an accuracy
-        // group pass), `replay_cpu` (a CPU-model group pass) and
-        // `replay_mrc` (the stack-distance pass).
-        assert!(name_registered("replay_block"));
-        assert!(name_registered("replay_cpu"));
-        assert!(name_registered("replay_stream"));
-        assert!(name_registered("replay_mrc"));
-        assert!(!name_registered("my_phase"));
     }
 }
