@@ -80,7 +80,7 @@ fn depth_sweep(cfg: &RunConfig, events: usize) -> Vec<DepthPoint> {
             cells.push((name.clone(), geom, depth));
         }
     }
-    let per_workload: Vec<Vec<AccuracyReport>> = cfg.par_map(full_suite(), |cfg, w| {
+    let per_workload: Vec<Vec<AccuracyReport>> = cfg.par_map(full_suite(), |w| {
         let members = cells
             .iter()
             .map(|&(_, geom, depth)| {
@@ -115,7 +115,7 @@ fn depth_sweep(cfg: &RunConfig, events: usize) -> Vec<DepthPoint> {
 /// The window sweep: one pass per workload feeds a baseline and a
 /// VictPref cell at every window.
 fn window_sweep(cfg: &RunConfig, events: usize) -> Vec<WindowPoint> {
-    let runs: Vec<Vec<CpuReport>> = cfg.par_map(suite(), |cfg, w| {
+    let runs: Vec<Vec<CpuReport>> = cfg.par_map(suite(), |w| {
         let mut systems: Vec<(u64, BaselineSystem, AmbSystem)> = WINDOWS
             .iter()
             .map(|&window| {
@@ -171,7 +171,7 @@ fn window_sweep(cfg: &RunConfig, events: usize) -> Vec<WindowPoint> {
 /// The buffer sweep: one pass per workload feeds the no-buffer
 /// baseline and a VicPreExc cell at every buffer size.
 fn buffer_sweep(cfg: &RunConfig, events: usize) -> Vec<BufferPoint> {
-    let runs: Vec<Vec<CpuReport>> = cfg.par_map(suite(), |cfg, w| {
+    let runs: Vec<Vec<CpuReport>> = cfg.par_map(suite(), |w| {
         let mut base = BaselineSystem::paper_default().expect("paper config");
         let mut systems: Vec<AmbSystem> = BUFFERS
             .iter()

@@ -7,8 +7,6 @@
 
 use std::path::PathBuf;
 
-use sim_core::fault::FaultPlan;
-
 use crate::probe::ProbeMode;
 use crate::tracing::TraceFormat;
 use crate::RunConfig;
@@ -162,17 +160,6 @@ pub struct Options {
     /// Where the probe JSONL goes (defaults to `OBS_repro.jsonl` when
     /// `--probe` is given).
     pub probe_out: Option<PathBuf>,
-    /// Fault-injection plan (`--fault SEED:RATE`, persistent with
-    /// `--fault-persistent`), if any.
-    pub fault: Option<FaultPlan>,
-    /// Where completed cells are checkpointed (`--checkpoint PATH`),
-    /// if anywhere.
-    pub checkpoint: Option<PathBuf>,
-    /// `--resume`: skip cells already recorded in the checkpoint.
-    pub resume: bool,
-    /// `--crash-after N`: simulate a kill by exiting the process after
-    /// N cells have been checkpointed (test/chaos harness only).
-    pub crash_after: Option<u64>,
     /// Where the span trace goes (`--trace-out PATH`), if anywhere.
     pub trace_out: Option<PathBuf>,
     /// Trace output format (`--trace-format jsonl|chrome`).
@@ -188,15 +175,15 @@ pub struct Options {
     /// Where the `mrc-repro/1` JSONL goes (defaults to
     /// `MRC_repro.jsonl` when `--mrc` is given).
     pub mrc_out: Option<PathBuf>,
-    /// Targets to run, in order.
+    /// Targets to run, in request order, each once.
     pub targets: Vec<Target>,
 }
 
 impl Options {
     /// The run value these options describe, built once per
     /// invocation: `--threads` (or every available core), the probe
-    /// mode, a trace on the real or logical clock when `--trace-out`
-    /// is given, and the fault plan with fresh counters.
+    /// mode, and a trace on the real or logical clock when
+    /// `--trace-out` is given.
     #[must_use]
     pub fn run_config(&self) -> RunConfig {
         let mut cfg = self.threads.map_or_else(RunConfig::default, RunConfig::new);
@@ -205,9 +192,6 @@ impl Options {
         }
         if self.trace_out.is_some() {
             cfg = cfg.with_trace(crate::tracing::clock(self.trace_logical_clock));
-        }
-        if let Some(plan) = self.fault {
-            cfg = cfg.with_fault(plan);
         }
         cfg
     }
@@ -221,6 +205,9 @@ impl Options {
 ///
 /// `--stream` is accepted and has no effect: every driver streams its
 /// traces. Benchmark invocations still pass it.
+///
+/// A target named twice (`fig1 fig1`, `all fig1`, or an alias such as
+/// `fig3 tab1`) runs once, at its first position.
 pub fn parse_args<I>(args: I) -> Result<Options, String>
 where
     I: IntoIterator<Item = String>,
@@ -230,11 +217,6 @@ where
     let mut bench_json = None;
     let mut probe = None;
     let mut probe_out: Option<PathBuf> = None;
-    let mut fault: Option<FaultPlan> = None;
-    let mut fault_persistent = false;
-    let mut checkpoint: Option<PathBuf> = None;
-    let mut resume = false;
-    let mut crash_after: Option<u64> = None;
     let mut trace_out: Option<PathBuf> = None;
     let mut trace_format: Option<TraceFormat> = None;
     let mut trace_logical_clock = false;
@@ -280,28 +262,6 @@ where
             "--probe-out" => {
                 let value = args.next().ok_or("--probe-out needs a path")?;
                 probe_out = Some(PathBuf::from(value));
-            }
-            "--fault" => {
-                let value = args.next().ok_or("--fault needs `SEED:RATE`")?;
-                fault = Some(parse_fault_plan(&value)?);
-            }
-            "--fault-persistent" => fault_persistent = true,
-            "--checkpoint" => {
-                let value = args.next().ok_or("--checkpoint needs a path")?;
-                checkpoint = Some(PathBuf::from(value));
-            }
-            "--resume" => resume = true,
-            "--crash-after" => {
-                let value = args.next().ok_or("--crash-after needs a cell count")?;
-                let n: u64 = value.parse().map_err(|_| {
-                    format!("--crash-after needs a positive integer, got `{value}`")
-                })?;
-                if n == 0 {
-                    return Err("--crash-after 0 would exit before any work; \
-                         pass a positive cell count"
-                        .to_owned());
-                }
-                crash_after = Some(n);
             }
             "--trace-out" => {
                 let value = args.next().ok_or("--trace-out needs a path")?;
@@ -349,6 +309,12 @@ where
     if targets.is_empty() && !mrc {
         targets.extend(Target::ALL);
     }
+    let mut unique = Vec::with_capacity(targets.len());
+    for target in targets {
+        if !unique.contains(&target) {
+            unique.push(target);
+        }
+    }
     if !mrc {
         if mrc_sample.is_some() {
             return Err("--mrc-sample without --mrc; add `--mrc`".into());
@@ -366,19 +332,6 @@ where
     if probe.is_some() && probe_out.is_none() {
         probe_out = Some(PathBuf::from("OBS_repro.jsonl"));
     }
-    match fault.as_mut() {
-        Some(plan) if fault_persistent => *plan = plan.persistent(),
-        None if fault_persistent => {
-            return Err("--fault-persistent without --fault; add `--fault SEED:RATE`".into());
-        }
-        _ => {}
-    }
-    if resume && checkpoint.is_none() {
-        return Err("--resume without --checkpoint; add `--checkpoint PATH`".into());
-    }
-    if crash_after.is_some() && checkpoint.is_none() {
-        return Err("--crash-after without --checkpoint; add `--checkpoint PATH`".into());
-    }
     if trace_out.is_none() {
         if trace_format.is_some() {
             return Err("--trace-format without --trace-out; add `--trace-out PATH`".into());
@@ -393,36 +346,14 @@ where
         bench_json,
         probe,
         probe_out,
-        fault,
-        checkpoint,
-        resume,
-        crash_after,
         trace_out,
         trace_format: trace_format.unwrap_or(TraceFormat::Jsonl),
         trace_logical_clock,
         mrc,
         mrc_sample,
         mrc_out,
-        targets,
+        targets: unique,
     })
-}
-
-/// Parses a `--fault` value: `SEED:RATE` with `RATE` in `[0, 1]`, as a
-/// transient plan over every site.
-fn parse_fault_plan(value: &str) -> Result<FaultPlan, String> {
-    let (seed, rate) = value
-        .split_once(':')
-        .ok_or_else(|| format!("--fault needs `SEED:RATE`, got `{value}`"))?;
-    let seed: u64 = seed
-        .parse()
-        .map_err(|_| format!("--fault seed must be an unsigned integer, got `{seed}`"))?;
-    let rate: f64 = rate
-        .parse()
-        .map_err(|_| format!("--fault rate must be a number in [0, 1], got `{rate}`"))?;
-    if !(0.0..=1.0).contains(&rate) {
-        return Err(format!("--fault rate must be within [0, 1], got `{rate}`"));
-    }
-    Ok(FaultPlan::new(seed, rate))
 }
 
 /// Parses a `--probe` value: `epoch:N` (N accesses per epoch) or
@@ -464,6 +395,11 @@ mod tests {
         assert_eq!(opts.bench_json, None);
         assert_eq!(opts.probe, None);
         assert_eq!(opts.probe_out, None);
+        // `all` plus a target it already holds runs each target once.
+        assert_eq!(
+            parse(&["all", "fig1"]).unwrap().targets,
+            Target::ALL.to_vec()
+        );
     }
 
     #[test]
@@ -492,6 +428,16 @@ mod tests {
         assert!(parse(&["--threads", "0"]).is_err());
         assert!(parse(&["--frobnicate"]).is_err());
         assert!(parse(&["fig9"]).is_err());
+        for flag in [
+            "--fault",
+            "--fault-persistent",
+            "--checkpoint",
+            "--resume",
+            "--crash-after",
+        ] {
+            let err = parse(&[flag, "1"]).unwrap_err();
+            assert!(err.contains("unknown flag"), "{flag}: {err}");
+        }
     }
 
     #[test]
@@ -542,53 +488,6 @@ mod tests {
         assert!(parse(&["--probe"]).is_err());
         let err = parse(&["--probe-out", "x.jsonl"]).unwrap_err();
         assert!(err.contains("--probe-out without --probe"), "{err}");
-    }
-
-    #[test]
-    fn parses_fault_and_checkpoint_flags() {
-        let opts = parse(&[
-            "--fault",
-            "42:0.25",
-            "--fault-persistent",
-            "--checkpoint",
-            "ckpt.jsonl",
-            "--resume",
-            "--crash-after",
-            "3",
-            "fig1",
-        ])
-        .unwrap();
-        assert_eq!(opts.fault, Some(FaultPlan::new(42, 0.25).persistent()));
-        assert!(opts.fault.unwrap().persist);
-        assert_eq!(
-            opts.checkpoint.as_deref(),
-            Some(std::path::Path::new("ckpt.jsonl"))
-        );
-        assert!(opts.resume);
-        assert_eq!(opts.crash_after, Some(3));
-
-        // Defaults stay off.
-        let opts = parse(&["fig1"]).unwrap();
-        assert_eq!(opts.fault, None);
-        assert_eq!(opts.checkpoint, None);
-        assert!(!opts.resume);
-        assert_eq!(opts.crash_after, None);
-    }
-
-    #[test]
-    fn rejects_bad_fault_and_checkpoint_flags() {
-        assert!(parse(&["--fault", "42"]).is_err());
-        assert!(parse(&["--fault", "x:0.5"]).is_err());
-        assert!(parse(&["--fault", "42:high"]).is_err());
-        assert!(parse(&["--fault", "42:1.5"]).is_err());
-        assert!(parse(&["--fault", "42:-0.1"]).is_err());
-        let err = parse(&["--fault-persistent"]).unwrap_err();
-        assert!(err.contains("without --fault"), "{err}");
-        let err = parse(&["--resume"]).unwrap_err();
-        assert!(err.contains("without --checkpoint"), "{err}");
-        let err = parse(&["--crash-after", "2"]).unwrap_err();
-        assert!(err.contains("without --checkpoint"), "{err}");
-        assert!(parse(&["--checkpoint", "c.jsonl", "--crash-after", "0"]).is_err());
     }
 
     #[test]
@@ -684,6 +583,8 @@ mod tests {
     fn aliases_resolve() {
         assert_eq!(Target::parse("tab1"), Some(Target::Fig3));
         assert_eq!(Target::parse("fig7"), Some(Target::Fig6));
+        // A target and its alias name one target, which runs once.
+        assert_eq!(parse(&["fig3", "tab1"]).unwrap().targets, [Target::Fig3]);
         for t in Target::ALL {
             assert_eq!(
                 Target::parse(t.name()),

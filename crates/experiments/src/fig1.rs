@@ -85,7 +85,7 @@ pub(crate) fn members(
 pub fn run(cfg: &RunConfig, events: usize) -> Fig1 {
     let configs = configurations();
     let suite = full_suite();
-    let per_workload: Vec<Vec<AccuracyReport>> = cfg.par_map(suite.clone(), |cfg, w| {
+    let per_workload: Vec<Vec<AccuracyReport>> = cfg.par_map(suite.clone(), |w| {
         crate::replay_group(cfg, "fig1", &w, events, members(&configs), |i| {
             format!("{}/{}", configs[i].0, w.name())
         })

@@ -57,7 +57,7 @@ pub fn geometry() -> CacheGeometry {
 pub fn run(cfg: &RunConfig, events: usize) -> Fig2 {
     let geom = geometry();
     let widths = widths();
-    let per_workload: Vec<Vec<AccuracyReport>> = cfg.par_map(full_suite(), |cfg, w| {
+    let per_workload: Vec<Vec<AccuracyReport>> = cfg.par_map(full_suite(), |w| {
         let members = widths
             .iter()
             .map(|&bits| (geom, MissClassificationTable::new(geom.num_sets(), bits)))

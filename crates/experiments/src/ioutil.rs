@@ -1,21 +1,33 @@
-//! Fault-aware file I/O for the harness's JSON/JSONL artifacts.
+//! Retrying file I/O for the harness's JSON/JSONL artifacts.
 //!
 //! Every artifact the `repro` harness persists (bench report, probe
-//! JSONL, checkpoint lines) goes through this module so that (a) the
-//! [`sim_core::fault::FaultSite::JsonlWrite`] injection site covers
-//! all of them uniformly, and (b) *real* transient I/O errors get the
-//! same bounded-retry treatment injected ones do, instead of failing
-//! the whole sweep on the first hiccup.
+//! JSONL, span trace, MRC curves) goes through [`write_with_retry`],
+//! so a transient I/O error gets a few bounded retries instead of
+//! failing the whole sweep on the first hiccup.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
+use std::time::Duration;
 
-use sim_core::fault::{FaultSite, FaultState};
+/// Attempts [`write_with_retry`] makes before it gives up.
+const ATTEMPTS: u32 = 5;
 
-/// Writes the bytes `render` produces to `path`, retrying transient
-/// failures with the run's fault plan's deterministic backoff (or the
-/// default policy's, without a plan).
+/// Backoff before the first retry, microseconds; it doubles per retry.
+const BASE_DELAY_MICROS: u64 = 50;
+
+/// Backoff ceiling, microseconds.
+const MAX_DELAY_MICROS: u64 = 2_000;
+
+/// The backoff before retry `attempt` (1-based): the base delay
+/// doubled `attempt - 1` times, capped at the ceiling.
+fn backoff(attempt: u32) -> Duration {
+    let shift = attempt.saturating_sub(1).min(20);
+    Duration::from_micros((BASE_DELAY_MICROS << shift).min(MAX_DELAY_MICROS))
+}
+
+/// Writes the bytes `render` produces to `path`, retrying a failed
+/// attempt with a doubling backoff, up to five attempts in all.
 ///
 /// Each attempt truncates the file and runs `render` into a buffered
 /// writer on it, so a document is streamed to disk rather than built
@@ -26,28 +38,18 @@ use sim_core::fault::{FaultSite, FaultState};
 /// # Errors
 ///
 /// Returns the last I/O error (from opening, rendering or flushing)
-/// once the retry budget is exhausted, or the injected fault's error
-/// when a persistent fault plan defeats every retry at the
-/// [`FaultSite::JsonlWrite`] gate.
+/// once every attempt has failed.
 pub fn write_with_retry(
-    fault: &FaultState,
     path: &Path,
     mut render: impl FnMut(&mut dyn Write) -> io::Result<()>,
 ) -> io::Result<()> {
-    // Injection site: a transient fault retries inside the gate and
-    // falls through to the real write; a persistent one surfaces here
-    // as the error a dying disk would produce.
-    fault
-        .gate(FaultSite::JsonlWrite)
-        .map_err(io::Error::other)?;
-    let budget = fault.io_retry_attempts();
     let mut attempt = 0u32;
     loop {
         attempt += 1;
         match write_once(path, &mut render) {
             Ok(()) => return Ok(()),
-            Err(err) if attempt >= budget => return Err(err),
-            Err(_) => fault.backoff(attempt),
+            Err(err) if attempt >= ATTEMPTS => return Err(err),
+            Err(_) => std::thread::sleep(backoff(attempt)),
         }
     }
 }
@@ -66,7 +68,6 @@ fn write_once(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_core::fault::{FaultPlan, RetryPolicy};
 
     fn scratch(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("ioutil_{name}_{}", std::process::id()));
@@ -82,22 +83,16 @@ mod tests {
     fn writes_and_overwrites() {
         let dir = scratch("overwrite");
         let path = dir.join("artifact.json");
-        let faults = FaultState::default();
-        write_with_retry(&faults, &path, text("one")).unwrap();
-        write_with_retry(&faults, &path, text("two")).unwrap();
+        write_with_retry(&path, text("one")).unwrap();
+        write_with_retry(&path, text("two")).unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "two");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn unwritable_path_errors_after_retries() {
-        let faults = FaultState::default();
-        let err = write_with_retry(
-            &faults,
-            Path::new("/nonexistent-root-dir/x/y.json"),
-            text("data"),
-        )
-        .expect_err("path cannot exist");
+        let err = write_with_retry(Path::new("/nonexistent-root-dir/x/y.json"), text("data"))
+            .expect_err("path cannot exist");
         assert_eq!(err.kind(), io::ErrorKind::NotFound);
     }
 
@@ -107,7 +102,7 @@ mod tests {
         let path = dir.join("stream.jsonl");
         let full: String = (0..10_000).map(|i| format!("{{\"line\":{i}}}\n")).collect();
         let mut attempts = 0;
-        write_with_retry(&FaultState::default(), &path, |out| {
+        write_with_retry(&path, |out| {
             attempts += 1;
             if attempts == 1 {
                 // More than the buffer holds, so part of it reaches
@@ -124,26 +119,13 @@ mod tests {
     }
 
     #[test]
-    fn a_persistent_jsonl_write_plan_surfaces_as_an_error() {
-        let dir = scratch("persistent");
-        let path = dir.join("never.jsonl");
-        let plan = FaultPlan::new(7, 1.0)
-            .with_sites(&[FaultSite::JsonlWrite])
-            .persistent()
-            .with_retry(RetryPolicy {
-                max_attempts: 3,
-                base_delay_micros: 0,
-                max_delay_micros: 0,
-            });
-        let mut rendered = false;
-        let err = write_with_retry(&FaultState::new(Some(plan)), &path, |out| {
-            rendered = true;
-            out.write_all(b"x")
-        })
-        .expect_err("a persistent plan defeats every retry");
-        assert!(err.to_string().contains("jsonl-write"), "got: {err}");
-        assert!(!rendered, "the gate fails before any attempt");
-        assert!(!path.exists());
-        std::fs::remove_dir_all(&dir).unwrap();
+    fn backoff_schedule_doubles_and_caps() {
+        assert_eq!(backoff(1), Duration::from_micros(50));
+        assert_eq!(backoff(2), Duration::from_micros(100));
+        assert_eq!(backoff(3), Duration::from_micros(200));
+        assert_eq!(backoff(4), Duration::from_micros(400));
+        assert_eq!(backoff(6), Duration::from_micros(1_600));
+        assert_eq!(backoff(7), Duration::from_micros(2_000));
+        assert_eq!(backoff(40), Duration::from_micros(2_000));
     }
 }

@@ -1,5 +1,6 @@
 //! A minimal JSON reader for the workspace's own line-oriented
-//! schemas (`bench-repro/2`, `obs-repro/1`, `fault-repro/1`).
+//! schemas (`bench-repro/2`, `obs-repro/1`, `trace-repro/1`,
+//! `mrc-repro/1`, `lint-repro/2`).
 //!
 //! The workspace builds offline with no `serde_json`, so the `obs`
 //! inspection tool and the golden-schema tests parse with this small

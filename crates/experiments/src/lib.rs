@@ -32,7 +32,7 @@
 //! every policy cell's resumable [`cpu_model::CpuRun`] in turn.
 //!
 //! Every driver takes the run's [`RunConfig`] — worker threads, probe
-//! mode, trace and fault plan, plus the collector its records go to —
+//! mode and trace, plus the collector its records go to —
 //! and the number of trace events per workload, so the same code
 //! serves quick smoke tests, Criterion benches, and the full `repro`
 //! runs. Absolute numbers differ from the paper (the substrate
@@ -52,7 +52,6 @@
 #![warn(missing_docs)]
 
 pub mod ablation;
-pub mod checkpoint;
 pub mod cli;
 pub mod fig1;
 pub mod fig2;
@@ -248,13 +247,6 @@ pub fn replay_cpu(
 ) -> Vec<CpuReport> {
     let count = cells.len();
     probe::group(cfg, target, label, count, cell_label, |probes| {
-        // Injection site: a transient fault retries inside the gate; a
-        // persistent one unwinds before any cell has run, so the
-        // scheduler's retry of the item replays the pass from the
-        // start.
-        if let Err(fault) = cfg.fault().gate(sim_core::fault::FaultSite::CpuGroup) {
-            std::panic::panic_any(fault);
-        }
         let _span = sim_core::span::enter("replay_cpu");
         let mut runs: Vec<(CpuRun, &mut dyn FeedChunk)> = cells
             .into_iter()
@@ -305,7 +297,7 @@ where
     S: MemorySystem,
     T: Send,
 {
-    cfg.par_map(workloads::suite(), |cfg, w| {
+    cfg.par_map(workloads::suite(), |w| {
         let mut base = baseline();
         let (names, mut systems): (Vec<String>, Vec<S>) = policies().into_iter().unzip();
         let mut cells = vec![CpuCell::paper(&mut base)];

@@ -218,7 +218,7 @@ pub fn run(cfg: &RunConfig, events: usize, sample: Option<f64>) -> MrcRun {
     // All fig1 geometries share 64 B lines, and stack distances depend
     // only on the line address.
     let line_size = configs[0].1.line_size();
-    let curves: Vec<WorkloadCurve> = cfg.par_map(suite.clone(), |cfg, w| {
+    let curves: Vec<WorkloadCurve> = cfg.par_map(suite.clone(), |w| {
         crate::probe::cell(
             cfg,
             "mrc",
@@ -227,7 +227,7 @@ pub fn run(cfg: &RunConfig, events: usize, sample: Option<f64>) -> MrcRun {
         )
     });
 
-    let per_workload: Vec<Vec<AccuracyReport>> = cfg.par_map(suite, |cfg, w| {
+    let per_workload: Vec<Vec<AccuracyReport>> = cfg.par_map(suite, |w| {
         let members = crate::fig1::members(&configs);
         crate::replay_group(cfg, "mrc", &w, events, members, |i| {
             format!("{}/{}", configs[i].0, w.name())

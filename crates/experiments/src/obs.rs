@@ -84,11 +84,11 @@ fn hot_sets_of(v: &Value) -> Vec<(u64, u64)> {
 /// Renders a human-readable summary of an `obs-repro/1` JSONL
 /// document.
 ///
-/// Tolerance matches the fault-repro checkpoint loader: a torn final
-/// line (a crash mid-write) and record lines from a foreign schema
-/// are skipped with a warning in the report rather than failing the
-/// whole summary. Damage anywhere *else* — an unparseable interior
-/// line, a wrong or missing header — is still an error.
+/// Tolerance: a torn final line (a crash mid-write) and record lines
+/// from a foreign schema are skipped with a warning in the report
+/// rather than failing the whole summary. Damage anywhere *else* — an
+/// unparseable interior line, a wrong or missing header — is still an
+/// error.
 ///
 /// # Errors
 ///
@@ -155,7 +155,7 @@ pub fn summarize(text: &str, opts: &SummarizeOptions) -> Result<String, String> 
             Some("event") => cells.entry(key()).or_default().raw_events += 1,
             Some("totals") => total_cells = v.u64_field("cells").unwrap_or(0),
             // A record from another schema (or an unknown type): skip
-            // it, like the checkpoint loader discards foreign lines.
+            // it and count it in a warning.
             _ => foreign += 1,
         }
     }

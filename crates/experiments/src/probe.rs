@@ -91,7 +91,7 @@ pub fn group<R>(
         || {
             let probes = GroupProbe::armed(cfg.probe(), members);
             let out = f(&probes);
-            probes.flush(cfg, target, &member_label);
+            probes.flush(target, &member_label);
             out
         },
     )
@@ -139,7 +139,7 @@ impl GroupProbe {
 
     /// Folds every member's sink into its record and attaches the
     /// records to the group's span scope.
-    fn flush(self, cfg: &RunConfig, target: &'static str, member_label: &dyn Fn(usize) -> String) {
+    fn flush(self, target: &'static str, member_label: &dyn Fn(usize) -> String) {
         for (i, sink) in self.sinks.into_iter().enumerate() {
             let unwrap = "member sink still installed";
             let (probe, raw) = match sink {
@@ -154,15 +154,7 @@ impl GroupProbe {
                     (CellProbe::default(), Some(raw))
                 }
             };
-            // Injection site: flushing a folded record is where a real
-            // sink would hit I/O. Transient faults retry inside the gate;
-            // a persistent fault unwinds the group's scope, which
-            // discards every record attached to it, so the scheduler's
-            // retry of the whole group commits each record exactly once.
             let _flush = sim_core::span::enter("probe_flush");
-            if let Err(fault) = cfg.fault().gate(sim_core::fault::FaultSite::ProbeFlush) {
-                std::panic::panic_any(fault);
-            }
             sim_core::span::attach(CellRecord {
                 target,
                 cell: member_label(i),
@@ -300,9 +292,7 @@ pub fn write_jsonl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_core::fault::{FaultPlan, RetryPolicy};
     use sim_core::probe::{emit, ProbeEvent};
-    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn render(records: &[CellRecord], mode: ProbeMode, header: &RunHeader) -> String {
         let mut buf = Vec::new();
@@ -399,35 +389,5 @@ mod tests {
         let out = cell(&cfg, "t3", || unreachable!("label must be lazy"), || 7);
         assert_eq!(out, 7);
         assert!(cfg.drain().cells.is_empty());
-    }
-
-    #[test]
-    fn a_retried_item_keeps_only_its_returning_attempts_records() {
-        // A zero-rate plan injects nothing but grants one retry.
-        let plan = FaultPlan::new(0, 0.0).with_retry(RetryPolicy {
-            max_attempts: 2,
-            base_delay_micros: 0,
-            max_delay_micros: 0,
-        });
-        let cfg = RunConfig::new(1)
-            .with_probe(ProbeMode::Epoch(4))
-            .with_fault(plan);
-        let failed_once = AtomicBool::new(false);
-        cfg.par_map(vec![()], |attempt, ()| {
-            cell(
-                attempt,
-                "t4",
-                || "c".to_owned(),
-                || emit(ProbeEvent::Access { hit: true }),
-            );
-            // The first attempt unwinds after its cell has flushed.
-            assert!(
-                failed_once.swap(true, Ordering::Relaxed),
-                "first attempt fails"
-            );
-        });
-        let records = cfg.drain().cells;
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].totals.counter("access"), 1);
     }
 }

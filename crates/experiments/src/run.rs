@@ -7,28 +7,17 @@
 //! `repro` invocation, and every driver, group pass and scheduler call
 //! takes it by reference. Nothing here is process-wide: two runs in
 //! one process (two tests, say) each see only their own threads,
-//! probe mode, trace and fault plan, and collect only their own
-//! records.
+//! probe mode and trace, and collect only their own records.
 //!
 //! The collector is a [`sim_core::span::Trace`]: a probe record is
 //! attached to the `cell_run` scope that produced it and commits when
 //! that scope closes, as the scope's spans do. A probed run that is
 //! not traced collects on the zero clock and discards its spans.
-//!
-//! The scheduler retries whole items — a figure in the sweep, a cell
-//! or a group of cells inside a figure — so [`RunConfig::par_map`]
-//! and [`RunConfig::try_par_map`] run each item attempt on its own
-//! `RunConfig`: the same settings and fault counters, but a child
-//! trace that is absorbed into the caller's only when the attempt
-//! returns. An attempt that unwinds drops its records with it, so a
-//! retried item contributes exactly its successful attempt's records
-//! and a degraded one none.
+//! [`RunConfig::par_map`] runs each item once, straight into this
+//! collector; a panicking item fails the run.
 
 use std::io::{self, Write};
-use std::sync::Arc;
 
-use sim_core::fault::{FaultPlan, FaultState};
-use sim_core::parallel::CellFailure;
 use sim_core::span::{Clock, Records, Trace};
 
 use crate::probe::ProbeMode;
@@ -41,12 +30,10 @@ pub struct RunConfig {
     threads: usize,
     probe: Option<ProbeMode>,
     trace: Option<Trace>,
-    /// Shared by every attempt of the run.
-    fault: Arc<FaultState>,
 }
 
 impl Default for RunConfig {
-    /// All available cores, nothing probed, traced or faulted.
+    /// All available cores, nothing probed or traced.
     fn default() -> Self {
         RunConfig::new(std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get))
     }
@@ -60,7 +47,6 @@ impl RunConfig {
             threads: threads.max(1),
             probe: None,
             trace: None,
-            fault: Arc::default(),
         }
     }
 
@@ -78,13 +64,6 @@ impl RunConfig {
     #[must_use]
     pub fn with_trace(mut self, clock: Clock) -> Self {
         self.trace = Some(Trace::new(clock));
-        self
-    }
-
-    /// Injects faults under `plan`, with fresh counters.
-    #[must_use]
-    pub fn with_fault(mut self, plan: FaultPlan) -> Self {
-        self.fault = Arc::new(FaultState::new(Some(plan)));
         self
     }
 
@@ -108,61 +87,19 @@ impl RunConfig {
         self.trace.as_ref()
     }
 
-    /// The fault plan and its arrival counters.
-    #[must_use]
-    pub fn fault(&self) -> &FaultState {
-        &self.fault
-    }
-
-    /// Maps `f` over `items` on this run's threads and fault plan (see
-    /// [`sim_core::parallel::par_map`]), each item attempt on its own
-    /// child trace.
+    /// Maps `f` over `items` on this run's threads (see
+    /// [`sim_core::parallel::par_map`]). `f` uses the run it captures.
     ///
     /// # Panics
     ///
-    /// Panics if any item fails past its retry budget.
+    /// Resumes the first panic an item raised.
     pub fn par_map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
-        T: Send + Clone,
+        T: Send,
         R: Send,
-        F: Fn(&RunConfig, T) -> R + Sync,
+        F: Fn(T) -> R + Sync,
     {
-        sim_core::parallel::par_map(self.threads, &self.fault, items, |item| {
-            self.attempt(&f, item)
-        })
-    }
-
-    /// The recovering form of [`RunConfig::par_map`] (see
-    /// [`sim_core::parallel::try_par_map`]): an item that fails past
-    /// its retry budget comes back as its [`CellFailure`] and
-    /// contributes no records.
-    pub fn try_par_map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<Result<R, CellFailure>>
-    where
-        T: Send + Clone,
-        R: Send,
-        F: Fn(&RunConfig, T) -> R + Sync,
-    {
-        sim_core::parallel::try_par_map(self.threads, &self.fault, items, |item| {
-            self.attempt(&f, item)
-        })
-    }
-
-    /// Runs one attempt at `item` on the same settings and fault
-    /// counters but a child trace, and absorbs that trace into this
-    /// run's only when `f` returns. An attempt that unwinds drops its
-    /// records with it.
-    fn attempt<T, R>(&self, f: &impl Fn(&RunConfig, T) -> R, item: T) -> R {
-        let attempt = RunConfig {
-            threads: self.threads,
-            probe: self.probe,
-            trace: self.trace.as_ref().map(Trace::child),
-            fault: Arc::clone(&self.fault),
-        };
-        let out = f(&attempt, item);
-        if let (Some(trace), Some(child)) = (&self.trace, attempt.trace) {
-            trace.absorb(child);
-        }
-        out
+        sim_core::parallel::par_map(self.threads, items, f)
     }
 
     /// Takes every committed scope and probe record, in their

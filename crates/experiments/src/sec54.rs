@@ -67,7 +67,7 @@ pub fn run(cfg: &RunConfig, events: usize) -> Sec54 {
     let mut mean_base = GeoMean::default();
     let mut mean_two = GeoMean::default();
 
-    let rows: Vec<BenchRow> = cfg.par_map(benchmarks, |cfg, w| {
+    let rows: Vec<BenchRow> = cfg.par_map(benchmarks, |w| {
         let mut dm = BaselineSystem::paper_default().expect("paper config");
         let mut base = PseudoAssocSystem::paper_default(PseudoConfig::new(PseudoPolicy::Lru))
             .expect("paper config");

@@ -208,7 +208,7 @@ pub fn simulated_events(events: usize) -> u64 {
 #[must_use]
 pub fn run(cfg: &RunConfig, events: usize) -> Sec56 {
     let jobs = jobs();
-    let passes = cfg.par_map((0..jobs.len()).collect(), |cfg, i| {
+    let passes = cfg.par_map((0..jobs.len()).collect(), |i| {
         job_pass(cfg, &jobs, i, events)
     });
     let solo: Vec<(f64, f64)> = passes.iter().map(|(solo, _, _)| *solo).collect();

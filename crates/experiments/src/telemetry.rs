@@ -82,25 +82,16 @@ pub struct FigureBench {
     pub wall_seconds: f64,
     /// Trace events the driver simulated (cells × events/workload).
     pub events: u64,
-    /// `true` when the cell exhausted its retry budget and the sweep
-    /// recorded a placeholder instead of results (schema
-    /// `bench-repro/2`).
-    pub degraded: bool,
-    /// `true` when the cell was restored from a `--resume` checkpoint
-    /// instead of being re-run (its `wall_seconds` is 0).
-    pub resumed: bool,
 }
 
 impl FigureBench {
-    /// A healthy, freshly computed measurement (the common case).
+    /// One driver's measurement.
     #[must_use]
     pub fn ok(name: &'static str, wall_seconds: f64, events: u64) -> Self {
         FigureBench {
             name,
             wall_seconds,
             events,
-            degraded: false,
-            resumed: false,
         }
     }
 
@@ -165,8 +156,9 @@ impl BenchReport {
     ///
     /// Schema (`bench-repro/2`): see EXPERIMENTS.md §"Runtime &
     /// throughput" for field semantics. Version 2 added the per-figure
-    /// `degraded` / `resumed` robustness fields. Nothing is
-    /// materialized, so the `arena` object reads zero.
+    /// `degraded` / `resumed` fields; they always read `false`, and the
+    /// next schema version drops them. Nothing is materialized, so the
+    /// `arena` object reads zero.
     #[must_use]
     pub fn to_json(&self) -> String {
         self.to_json_with_arena(&ArenaStats::default())
@@ -194,13 +186,11 @@ impl BenchReport {
             let comma = if i + 1 < self.figures.len() { "," } else { "" };
             let _ = writeln!(
                 out,
-                "    {{\"name\": {}, \"wall_seconds\": {}, \"events\": {}, \"events_per_sec\": {}, \"degraded\": {}, \"resumed\": {}}}{comma}",
+                "    {{\"name\": {}, \"wall_seconds\": {}, \"events\": {}, \"events_per_sec\": {}, \"degraded\": false, \"resumed\": false}}{comma}",
                 json_string(f.name),
                 json_f64(f.wall_seconds),
                 f.events,
                 json_f64(f.events_per_sec()),
-                f.degraded,
-                f.resumed,
             );
         }
         out.push_str("  ],\n");
@@ -282,10 +272,7 @@ mod tests {
             events_per_workload: 1000,
             figures: vec![
                 FigureBench::ok("fig1", 1.5, 72_000),
-                FigureBench {
-                    degraded: true,
-                    ..FigureBench::ok("fig3", 0.5, 60_000)
-                },
+                FigureBench::ok("fig3", 0.5, 60_000),
             ],
             total_wall_seconds: 2.0,
         };
@@ -297,7 +284,7 @@ mod tests {
         );
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert!(json.contains("\"schema\": \"bench-repro/2\""));
-        assert!(json.contains("\"degraded\": true"));
+        assert!(json.contains("\"degraded\": false"));
         assert!(json.contains("\"resumed\": false"));
         assert!(json.contains("\"events\": 132000"));
         assert!(json.contains("\"threads\": 4"));

@@ -112,7 +112,7 @@ pub fn parse(text: &str) -> Result<TraceDoc, String> {
 /// reader, the header must carry the pinned schema, every span name
 /// must carry a registered component prefix, every scope kind must be
 /// known, no scope key `(scope, target, label, root name)` may repeat
-/// (a repeat means a retried attempt leaked its scopes), and the
+/// (a repeat means one unit of work committed twice), and the
 /// totals footer must match the counted spans and the sum of their
 /// events.
 ///
@@ -538,7 +538,7 @@ mod tests {
             sample_trace().replace("\"spans\":3,\"events\":2000", "\"spans\":3,\"events\":2500");
         assert!(verify(&bad_events).unwrap_err().contains("attribute 2000"));
         assert!(verify("").unwrap_err().contains("empty"));
-        // A second scope with cell `a`'s key: a retried attempt leaked.
+        // A second scope with cell `a`'s key: one cell committed twice.
         let repeated = sample_trace().replace("\"label\":\"b\"", "\"label\":\"a\"");
         assert!(verify(&repeated).unwrap_err().contains("repeats"));
     }

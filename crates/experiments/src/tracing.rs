@@ -22,14 +22,13 @@
 //!   in the drain order (scope kind, target, label);
 //! * an optional `{"type":"metrics",…}` record (real-clock runs only):
 //!   the `arena` counters (always zero: nothing is materialized), pool
-//!   alloc/reuse/recycle counts, per-worker scheduler tallies, fault
-//!   injection/exhaustion and degraded-cell counts;
+//!   alloc/reuse/recycle counts, per-worker scheduler tallies, and a
+//!   `fault` object that always reads zero (nothing injects faults);
 //! * a `{"type":"totals",…}` footer.
 
 use std::collections::BTreeSet;
 use std::io::{self, Write};
 
-use sim_core::fault::FaultState;
 use sim_core::parallel::WorkerTally;
 use sim_core::span::{Clock, ScopeRecord, SpanRecord};
 
@@ -85,28 +84,16 @@ pub struct MetricsSnapshot {
     pub pool: cache_model::pool::PoolStats,
     /// Per-worker scheduler tallies, sorted by worker id.
     pub workers: Vec<(u32, WorkerTally)>,
-    /// Faults injected (each one burned a retry).
-    pub fault_injected: u64,
-    /// Faults that exhausted a retry budget.
-    pub fault_exhausted: u64,
-    /// Cells the sweep gave up on.
-    pub degraded: u64,
 }
 
 impl MetricsSnapshot {
     /// Captures the live counters: the process-wide pool and
-    /// scheduler tallies and the run's fault counters. `degraded`
-    /// comes from the sweep's own accounting (the fault layer does not
-    /// know which exhaustions the scheduler absorbed).
+    /// scheduler tallies.
     #[must_use]
-    pub fn capture(faults: &FaultState, degraded: u64) -> Self {
-        let fault = faults.stats();
+    pub fn capture() -> Self {
         MetricsSnapshot {
             pool: cache_model::pool::stats(),
             workers: sim_core::parallel::worker_tallies(),
-            fault_injected: fault.injected,
-            fault_exhausted: fault.exhausted,
-            degraded,
         }
     }
 }
@@ -153,10 +140,11 @@ fn write_metrics(out: &mut dyn Write, m: &MetricsSnapshot) -> io::Result<()> {
             t.cells, t.chunks, t.busy_ns,
         )?;
     }
+    // The `fault` object is fixed text until the next schema version
+    // drops it.
     writeln!(
         out,
-        "],\"fault\":{{\"injected\":{},\"exhausted\":{},\"degraded\":{}}}}}",
-        m.fault_injected, m.fault_exhausted, m.degraded,
+        "],\"fault\":{{\"injected\":0,\"exhausted\":0,\"degraded\":0}}}}"
     )
 }
 

@@ -1,19 +1,16 @@
 //! Golden tests pinning the machine-readable schemas the workspace
 //! emits: `bench-repro/2` (from `repro --bench-json`), `obs-repro/1`
-//! (from `repro --probe`), `fault-repro/1` (from
-//! `repro --checkpoint`), `trace-repro/1` (from `repro --trace-out`),
+//! (from `repro --probe`), `trace-repro/1` (from `repro --trace-out`),
 //! `mrc-repro/1` (from `repro --mrc`), and `lint-repro/2` (from
 //! `cargo run -p simlint -- --json`).
 //! Downstream tooling parses these files across PRs, so any field
 //! rename, reordering, or escaping change must show up as a deliberate
 //! diff here (and a schema version bump).
 
-use experiments::checkpoint::{self, CellEntry, CellStatus, CheckpointWriter};
 use experiments::probe::{write_jsonl, ProbeMode};
 use experiments::telemetry::{BenchReport, FigureBench};
 use experiments::tracing::{self, MetricsSnapshot};
 use experiments::RunHeader;
-use sim_core::fault::FaultState;
 use sim_core::parallel::WorkerTally;
 use sim_core::probe::{CellRecord, EpochSnapshot, Registry};
 use sim_core::span::{ScopeKind, ScopeRecord, SpanRecord};
@@ -26,14 +23,8 @@ fn bench_repro_2_json_is_stable() {
         events_per_workload: 1000,
         figures: vec![
             FigureBench::ok("fig1", 1.5, 72_000),
-            FigureBench {
-                degraded: true,
-                ..FigureBench::ok("fig\"odd\\name", 0.0, 10)
-            },
-            FigureBench {
-                resumed: true,
-                ..FigureBench::ok("fig3", 0.0, 60_000)
-            },
+            FigureBench::ok("fig\"odd\\name", 0.0, 10),
+            FigureBench::ok("fig3", 0.0, 60_000),
         ],
         total_wall_seconds: 2.0,
     };
@@ -50,8 +41,8 @@ fn bench_repro_2_json_is_stable() {
         "  \"events_per_workload\": 1000,\n",
         "  \"figures\": [\n",
         "    {\"name\": \"fig1\", \"wall_seconds\": 1.500000, \"events\": 72000, \"events_per_sec\": 48000.000000, \"degraded\": false, \"resumed\": false},\n",
-        "    {\"name\": \"fig\\\"odd\\\\name\", \"wall_seconds\": 0.000000, \"events\": 10, \"events_per_sec\": 0.000000, \"degraded\": true, \"resumed\": false},\n",
-        "    {\"name\": \"fig3\", \"wall_seconds\": 0.000000, \"events\": 60000, \"events_per_sec\": 0.000000, \"degraded\": false, \"resumed\": true}\n",
+        "    {\"name\": \"fig\\\"odd\\\\name\", \"wall_seconds\": 0.000000, \"events\": 10, \"events_per_sec\": 0.000000, \"degraded\": false, \"resumed\": false},\n",
+        "    {\"name\": \"fig3\", \"wall_seconds\": 0.000000, \"events\": 60000, \"events_per_sec\": 0.000000, \"degraded\": false, \"resumed\": false}\n",
         "  ],\n",
         "  \"total\": {\"wall_seconds\": 2.000000, \"events\": 132010, \"events_per_sec\": 66005.000000},\n",
         "  \"arena\": {\"traces\": 3, \"resident_events\": 9000, \"replay_hits\": 7, \"materializations\": 3}\n",
@@ -62,66 +53,6 @@ fn bench_repro_2_json_is_stable() {
     assert!(report.to_json().contains(
         "  \"arena\": {\"traces\": 0, \"resident_events\": 0, \"replay_hits\": 0, \"materializations\": 0}\n"
     ));
-}
-
-#[test]
-fn fault_repro_1_jsonl_is_stable() {
-    let dir = std::env::temp_dir().join("golden_fault_repro");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("ckpt.jsonl");
-
-    let writer = CheckpointWriter::create(&path, 2000, &["fig1", "fig2"]).unwrap();
-    let faults = FaultState::default();
-    writer
-        .record(
-            &faults,
-            &CellEntry {
-                target: "fig1".to_owned(),
-                status: CellStatus::Ok,
-                events: 144_000,
-                // Exercise the escapes a rendered table needs: newlines
-                // and quotes.
-                rendered: "line \"one\"\nline two\n".to_owned(),
-                message: None,
-            },
-        )
-        .unwrap();
-    writer
-        .record(
-            &faults,
-            &CellEntry {
-                target: "fig2".to_owned(),
-                status: CellStatus::Degraded,
-                events: 0,
-                rendered: "fig2: degraded (injected worker fault (attempt 5))".to_owned(),
-                message: Some("injected worker fault (attempt 5)".to_owned()),
-            },
-        )
-        .unwrap();
-    drop(writer);
-
-    let expected = concat!(
-        "{\"schema\":\"fault-repro/1\",\"events_per_workload\":2000,\"targets\":[\"fig1\",\"fig2\"]}\n",
-        "{\"type\":\"cell\",\"target\":\"fig1\",\"status\":\"ok\",\"events\":144000,\"rendered\":\"line \\\"one\\\"\\u000aline two\\u000a\"}\n",
-        "{\"type\":\"cell\",\"target\":\"fig2\",\"status\":\"degraded\",\"events\":0,\"rendered\":\"fig2: degraded (injected worker fault (attempt 5))\",\"message\":\"injected worker fault (attempt 5)\"}\n",
-    );
-    let written = std::fs::read_to_string(&path).unwrap();
-    assert_eq!(written, expected);
-
-    // The checkpoint must round-trip through the workspace's own JSON
-    // reader and its own loader.
-    let values = experiments::jsonl::parse_lines(&written).expect("golden checkpoint parses");
-    assert_eq!(values[0].str_field("schema"), Some(checkpoint::SCHEMA));
-    assert_eq!(
-        values[1].str_field("rendered"),
-        Some("line \"one\"\nline two\n")
-    );
-    let loaded = checkpoint::load(&path, 2000);
-    assert!(loaded.warnings.is_empty(), "{:?}", loaded.warnings);
-    assert_eq!(loaded.cells.len(), 2);
-    assert_eq!(loaded.cells[0].rendered, "line \"one\"\nline two\n");
-    assert_eq!(loaded.cells[1].status, CellStatus::Degraded);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -262,16 +193,13 @@ fn trace_repro_1_jsonl_is_stable() {
                 },
             ),
         ],
-        fault_injected: 1,
-        fault_exhausted: 0,
-        degraded: 0,
     };
     let expected = concat!(
         "{\"schema\":\"trace-repro/1\",\"logical\":false,\"events_per_workload\":2000,\"targets\":[\"fig1\"]}\n",
         "{\"type\":\"span\",\"scope\":\"cell\",\"target\":\"fig1\",\"label\":\"16KB \\\"DM\\\"/swim\",\"worker\":2,\"name\":\"cell_run\",\"id\":1,\"parent\":0,\"depth\":0,\"start_ns\":1000,\"dur_ns\":9500,\"events\":0}\n",
         "{\"type\":\"span\",\"scope\":\"cell\",\"target\":\"fig1\",\"label\":\"16KB \\\"DM\\\"/swim\",\"worker\":2,\"name\":\"replay_block\",\"id\":2,\"parent\":1,\"depth\":1,\"start_ns\":2000,\"dur_ns\":7000,\"events\":2000}\n",
         "{\"type\":\"span\",\"scope\":\"cell\",\"target\":\"fig3\",\"label\":\"swim\",\"worker\":1,\"name\":\"replay_cpu\",\"id\":1,\"parent\":0,\"depth\":0,\"start_ns\":500,\"dur_ns\":400,\"events\":2000}\n",
-        "{\"type\":\"metrics\",\"arena\":{\"hits\":0,\"misses\":0,\"traces\":0,\"resident_events\":0},\"pool\":{\"allocs\":4,\"reuses\":12,\"recycles\":16},\"workers\":[{\"worker\":1,\"cells\":3,\"chunks\":2,\"busy_ns\":10000},{\"worker\":2,\"cells\":1,\"chunks\":1,\"busy_ns\":9500}],\"fault\":{\"injected\":1,\"exhausted\":0,\"degraded\":0}}\n",
+        "{\"type\":\"metrics\",\"arena\":{\"hits\":0,\"misses\":0,\"traces\":0,\"resident_events\":0},\"pool\":{\"allocs\":4,\"reuses\":12,\"recycles\":16},\"workers\":[{\"worker\":1,\"cells\":3,\"chunks\":2,\"busy_ns\":10000},{\"worker\":2,\"cells\":1,\"chunks\":1,\"busy_ns\":9500}],\"fault\":{\"injected\":0,\"exhausted\":0,\"degraded\":0}}\n",
         "{\"type\":\"totals\",\"scopes\":2,\"spans\":3,\"events\":4000}\n",
     );
     let render = |logical: bool| {

@@ -9,7 +9,6 @@
 use experiments::RunConfig;
 use mct::accuracy::AccuracyReport;
 use mct::{MissClassificationTable, TagBits};
-use sim_core::fault::FaultState;
 
 const EVENTS: usize = 5_000;
 
@@ -64,12 +63,7 @@ fn taxonomy_sweep_is_thread_count_invariant() {
             })
             .collect();
     let run = |threads: usize| -> Vec<AccuracyReport> {
-        sim_core::parallel::par_map(
-            threads,
-            &FaultState::default(),
-            cells.clone(),
-            |(w, _, geom)| evaluate(&w, geom),
-        )
+        sim_core::parallel::par_map(threads, cells.clone(), |(w, _, geom)| evaluate(&w, geom))
     };
     let serial = run(1);
     let parallel = run(4);

@@ -7,7 +7,6 @@
 
 use mrc::{NaiveStackEngine, ShardsEngine, StackDistanceEngine};
 use proptest::prelude::*;
-use sim_core::fault::FaultState;
 
 /// A small universe of byte addresses guarantees line reuse at every
 /// generated line size.
@@ -132,7 +131,6 @@ proptest! {
         for threads in [1usize, 4] {
             let engines = sim_core::parallel::par_map(
                 threads,
-                &FaultState::default(),
                 chunks.clone(),
                 |chunk| tree_chunked(&sets, &tags, set_bits, chunk),
             );

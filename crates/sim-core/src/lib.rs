@@ -11,10 +11,9 @@
 //! * [`hash`] — the fast unkeyed [`hash::FxHasher`] for
 //!   simulator-internal maps ([`hash::FxHashMap`],
 //!   [`hash::FxHashSet`]);
-//! * [`fault`] — seeded, deterministic fault injection plus the
-//!   retry/backoff policy recovery sites share;
 //! * [`parallel`] — the order-preserving fork/join scheduler every
-//!   experiment fans independent cells out with;
+//!   experiment fans independent cells out with (a panicking cell
+//!   fails the call with its own message);
 //! * [`probe`] — zero-overhead-when-disabled observability probes
 //!   (event sinks, per-epoch folds, named counter registry);
 //! * [`registry`] — the canonical contract registry (schema
@@ -41,7 +40,6 @@
 
 mod addr;
 mod cycle;
-pub mod fault;
 pub mod hash;
 pub mod parallel;
 pub mod probe;

@@ -27,9 +27,6 @@ pub const SCHEMA_OBS: &str = "obs-repro/1";
 /// Schema identifier of the span trace JSONL (`repro --trace-out`).
 pub const SCHEMA_TRACE: &str = "trace-repro/1";
 
-/// Schema identifier of the checkpoint JSONL (`repro --checkpoint`).
-pub const SCHEMA_FAULT: &str = "fault-repro/1";
-
 /// Schema identifier of the lint JSONL (`simlint --json`).
 pub const SCHEMA_LINT: &str = "lint-repro/2";
 
@@ -37,9 +34,8 @@ pub const SCHEMA_LINT: &str = "lint-repro/2";
 pub const SCHEMA_MRC: &str = "mrc-repro/1";
 
 /// Every current schema identifier, sorted by family name.
-pub const SCHEMAS: [&str; 6] = [
+pub const SCHEMAS: [&str; 5] = [
     SCHEMA_BENCH,
-    SCHEMA_FAULT,
     SCHEMA_LINT,
     SCHEMA_MRC,
     SCHEMA_OBS,
@@ -47,7 +43,7 @@ pub const SCHEMAS: [&str; 6] = [
 ];
 
 /// The canonical identifier for a schema family (`"bench"`, `"obs"`,
-/// `"trace"`, `"fault"`, `"lint"`, `"mrc"`), or `None` for an unknown
+/// `"trace"`, `"lint"`, `"mrc"`), or `None` for an unknown
 /// family.
 ///
 /// A schema string is spelled `<family>-repro/<version>`; the family
@@ -58,7 +54,6 @@ pub fn canonical_schema(family: &str) -> Option<&'static str> {
         "bench" => Some(SCHEMA_BENCH),
         "obs" => Some(SCHEMA_OBS),
         "trace" => Some(SCHEMA_TRACE),
-        "fault" => Some(SCHEMA_FAULT),
         "lint" => Some(SCHEMA_LINT),
         "mrc" => Some(SCHEMA_MRC),
         _ => None,
@@ -70,9 +65,8 @@ pub fn canonical_schema(family: &str) -> Option<&'static str> {
 /// [`crate::span::scope`] must start with one of these; the simlint
 /// `span-name` rule enforces it at call sites and
 /// `obs verify-trace` re-checks emitted streams.
-pub const SPAN_NAME_PREFIXES: [&str; 7] = [
-    "cell_", "fault_", "fig_", "probe_", "replay_", "sched_", "sweep_",
-];
+pub const SPAN_NAME_PREFIXES: [&str; 6] =
+    ["cell_", "fig_", "probe_", "replay_", "sched_", "sweep_"];
 
 /// Whether `name` carries a registered span-name prefix (see
 /// [`SPAN_NAME_PREFIXES`]).

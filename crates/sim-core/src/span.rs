@@ -36,14 +36,9 @@
 //!   id) vary between runs; a zero clock makes whole streams
 //!   byte-identical.
 //!
-//! A scope that unwinds (a fault-injected or real panic) discards its
-//! partial buffer, attached records included. A scheduler item may
-//! close several scopes before a later one unwinds it, so a harness
-//! that retries items gives each item attempt a [`Trace::child`] that
-//! it [`Trace::absorb`]s only once the attempt returns. Retried items
-//! — a figure, or a group of cells inside one — therefore contribute
-//! exactly one set of scopes and records (the attempt that completed)
-//! and degraded ones none.
+//! A scope that unwinds (a panicking cell) discards its partial
+//! buffer, attached records included. Nothing retries a panicked
+//! cell: the panic fails the run.
 
 use std::cell::{Cell, RefCell};
 use std::sync::{Mutex, PoisonError};
@@ -85,25 +80,6 @@ impl Trace {
             clock,
             records: Mutex::default(),
         }
-    }
-
-    /// An empty trace on the same clock, for one attempt at a unit of
-    /// work that may be retried: its records reach this trace only
-    /// through [`Trace::absorb`].
-    #[must_use]
-    pub fn child(&self) -> Self {
-        Trace::new(self.clock)
-    }
-
-    /// Appends every scope and record `child` collected.
-    pub fn absorb(&self, child: Trace) {
-        let mut child = child
-            .records
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
-        let mut records = self.lock();
-        records.scopes.append(&mut child.scopes);
-        records.cells.append(&mut child.cells);
     }
 
     /// Takes everything collected: scopes sorted by `(kind, target,
@@ -495,7 +471,7 @@ mod tests {
                     "fig2",
                     || "inner".to_owned(),
                     || {
-                        let _g = enter("fault_backoff");
+                        let _g = enter("replay_cpu");
                         attach(record("fig1", "a"));
                     },
                 );
@@ -537,7 +513,7 @@ mod tests {
         assert_eq!(records[1].target, "fig2");
         assert_eq!(
             records[1].spans.iter().map(|s| s.name).collect::<Vec<_>>(),
-            ["cell_run", "fault_backoff"]
+            ["cell_run", "replay_cpu"]
         );
         let again = trace.drain();
         assert!(
@@ -547,7 +523,7 @@ mod tests {
     }
 
     #[test]
-    fn unwound_scopes_and_attempts_leave_no_records() {
+    fn unwound_scopes_leave_no_records() {
         let trace = Trace::new(zero_clock);
         // A panicking scope discards its partial buffer.
         let _ = std::panic::catch_unwind(|| {
@@ -565,43 +541,9 @@ mod tests {
             )
         });
         assert!(!active(), "an unwound scope disarms the thread");
-        // A failed attempt's completed scopes stay in its child trace;
-        // only the attempt that returns is absorbed.
-        let failed = trace.child();
-        scope(
-            Some(&failed),
-            ScopeKind::Cell,
-            "cell_run",
-            "fig2",
-            String::new,
-            || attach(record("fig2", "failed")),
-        );
-        drop(failed);
-        let attempt = trace.child();
-        scope(
-            Some(&attempt),
-            ScopeKind::Cell,
-            "cell_run",
-            "fig2",
-            String::new,
-            || attach(record("fig2", "kept")),
-        );
-        trace.absorb(attempt);
-        let Records {
-            scopes: records,
-            cells,
-        } = trace.drain();
-        assert_eq!(
-            records.len(),
-            1,
-            "only the absorbed attempt's scope remains"
-        );
-        assert_eq!(records[0].target, "fig2");
-        assert_eq!(
-            cells.iter().map(|c| c.cell.as_str()).collect::<Vec<_>>(),
-            ["kept"],
-            "only the absorbed attempt's record remains"
-        );
+        let Records { scopes, cells } = trace.drain();
+        assert!(scopes.is_empty(), "the unwound scope left no scope");
+        assert!(cells.is_empty(), "the unwound scope left no record");
     }
 
     #[test]

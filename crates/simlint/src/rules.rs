@@ -529,11 +529,11 @@ fn span_name(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
         let message = match name {
             Some(n) => format!(
                 "span name \"{n}\" lacks a registered component prefix \
-                 (cell_/fault_/fig_/probe_/replay_/sched_/sweep_)"
+                 (cell_/fig_/probe_/replay_/sched_/sweep_)"
             ),
             None => "span name is not a string literal at the call site; name spans \
                      with a static literal carrying a registered component prefix \
-                     (cell_/fault_/fig_/probe_/replay_/sched_/sweep_)"
+                     (cell_/fig_/probe_/replay_/sched_/sweep_)"
                 .to_owned(),
         };
         findings.push(Finding::new("span-name", ctx.path, i + 1, message));
@@ -542,17 +542,16 @@ fn span_name(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
 
 /// The process-wide statics `global-state` allows: pure counters and
 /// caches that no run reads as configuration, keyed by file and name.
-const GLOBAL_STATE_ALLOWED: [(&str, &str); 4] = [
+const GLOBAL_STATE_ALLOWED: [(&str, &str); 3] = [
     ("crates/experiments/src/telemetry.rs", "EPOCH"),
     ("crates/sim-core/src/parallel.rs", "NEXT_WORKER"),
     ("crates/sim-core/src/parallel.rs", "TALLIES"),
-    ("crates/sim-core/src/fault.rs", "HOOK"),
 ];
 
 /// `global-state`: no `static` of an `Atomic*`, `Mutex`, `RwLock` or
 /// `OnceLock` type in non-test `sim-core` or `experiments` source,
 /// outside [`GLOBAL_STATE_ALLOWED`]. Run settings (threads, probe,
-/// trace, fault plan) and the records a run collects travel in the run
+/// trace) and the records a run collects travel in the run
 /// value; a process-wide static would let one run (or test) steer
 /// another's.
 fn global_state(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
@@ -756,7 +755,7 @@ mod tests {
         let tallies = "static TALLIES: Mutex<BTreeMap<u32, u64>> = Mutex::new(BTreeMap::new());";
         assert!(ctx_findings("crates/sim-core/src/parallel.rs", tallies).is_empty());
         assert_eq!(
-            ctx_findings("crates/sim-core/src/fault.rs", tallies).len(),
+            ctx_findings("crates/sim-core/src/span.rs", tallies).len(),
             1
         );
     }
