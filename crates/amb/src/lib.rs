@@ -404,6 +404,7 @@ impl AmbSystem {
 }
 
 impl MemorySystem for AmbSystem {
+    #[inline]
     fn access(&mut self, access: MemoryAccess, now: Cycle) -> MemResponse {
         let line_size = self.l1.geometry().line_size();
         let line = access.addr.line(line_size);

@@ -1,16 +1,19 @@
 //! Bank and port contention.
 //!
-//! The paper's L1 data cache is multi-ported via 8-way banking; the
-//! cache-assist buffers have two read and two write ports where a full
-//! line operation occupies a port for two cycles and a swap occupies
-//! two ports for two cycles. [`BankedPorts`] models both cases as a
-//! set of resources that each become free at some cycle.
+//! The paper's L1 data cache is multi-ported via 8-way banking, and
+//! the core has four load/store units. [`BankedPorts`] models such a
+//! pool as a set of resources that each become free at some cycle: a
+//! request either targets the bank its line maps to or takes whichever
+//! resource frees first. The cache-assist buffers' read/write ports,
+//! whose line swaps hold two ports at once, are modeled separately by
+//! `assist_buffer::BufferPorts`.
 
 use sim_core::{Cycle, LineAddr};
 
-/// A set of independently scheduled resources (cache banks or buffer
-/// ports): each request reserves one resource for a span of cycles and
-/// is granted at the earliest time the target resource is free.
+/// A set of independently scheduled resources (cache banks, load/store
+/// units, a bus): each request reserves one resource for a span of
+/// cycles and is granted at the earliest time the target resource is
+/// free.
 ///
 /// # Examples
 ///
@@ -18,7 +21,7 @@ use sim_core::{Cycle, LineAddr};
 /// use cache_model::BankedPorts;
 /// use sim_core::{Cycle, LineAddr};
 ///
-/// // 2 buffer ports, requests addressed by line hash.
+/// // A pool of 2 ports, each request taking whichever frees first.
 /// let mut ports = BankedPorts::new(2);
 /// let now = Cycle::ZERO;
 /// assert_eq!(ports.acquire_any(now, 2), now);       // port 0 busy till 2
@@ -53,65 +56,39 @@ impl BankedPorts {
     /// Reserves the bank a line maps to (line-addressed banking) for
     /// `busy` cycles starting no earlier than `now`; returns the grant
     /// time.
+    ///
+    /// The bank is the line's low bits, selected with a mask, so the
+    /// resource count must be a power of two (checked in debug builds;
+    /// `cpu_model::Plumbing::new` rejects other L1 bank counts).
+    #[inline]
     pub fn acquire_for_line(&mut self, line: LineAddr, now: Cycle, busy: u64) -> Cycle {
-        let bank = (line.raw() % self.free_at.len() as u64) as usize;
+        debug_assert!(
+            self.free_at.len().is_power_of_two(),
+            "line-addressed banking needs a power-of-two bank count"
+        );
+        let bank = (line.raw() & (self.free_at.len() as u64 - 1)) as usize;
         self.acquire_index(bank, now, busy)
     }
 
     /// Reserves whichever resource frees first (port pools) for `busy`
     /// cycles starting no earlier than `now`; returns the grant time.
+    /// Ties go to the lowest index.
+    #[inline]
     pub fn acquire_any(&mut self, now: Cycle, busy: u64) -> Cycle {
-        let idx = self
-            .free_at
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &c)| c)
-            .map(|(i, _)| i)
-            .expect("at least one resource");
+        let mut idx = 0;
+        for i in 1..self.free_at.len() {
+            if self.free_at[i] < self.free_at[idx] {
+                idx = i;
+            }
+        }
         self.acquire_index(idx, now, busy)
     }
 
-    /// Reserves `n` resources simultaneously (a line swap needs two
-    /// ports); returns the common grant time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` exceeds the resource count.
-    pub fn acquire_many(&mut self, n: usize, now: Cycle, busy: u64) -> Cycle {
-        assert!(
-            n <= self.free_at.len(),
-            "requested {n} of {} resources",
-            self.free_at.len()
-        );
-        // Pick the n earliest-free resources; the grant time is when
-        // the last of them frees.
-        let mut order: Vec<usize> = (0..self.free_at.len()).collect();
-        order.sort_by_key(|&i| self.free_at[i]);
-        let chosen = &order[..n];
-        let grant = chosen
-            .iter()
-            .map(|&i| self.free_at[i])
-            .fold(now, Cycle::max);
-        for &i in chosen {
-            self.free_at[i] = grant + busy;
-        }
-        grant
-    }
-
+    #[inline]
     fn acquire_index(&mut self, idx: usize, now: Cycle, busy: u64) -> Cycle {
         let grant = self.free_at[idx].max(now);
         self.free_at[idx] = grant + busy;
         grant
-    }
-
-    /// The earliest time any resource is free (no reservation made).
-    #[must_use]
-    pub fn earliest_free(&self) -> Cycle {
-        self.free_at
-            .iter()
-            .copied()
-            .min()
-            .expect("at least one resource")
     }
 }
 
@@ -141,36 +118,8 @@ mod tests {
     }
 
     #[test]
-    fn swap_takes_two_ports_for_two_cycles() {
-        let mut p = BankedPorts::new(2);
-        let now = Cycle::ZERO;
-        assert_eq!(p.acquire_many(2, now, 2), now);
-        // Both ports busy until cycle 2.
-        assert_eq!(p.acquire_any(now, 1), Cycle::new(2));
-    }
-
-    #[test]
-    fn acquire_many_waits_for_slowest_needed_port() {
-        let mut p = BankedPorts::new(3);
-        p.acquire_index(0, Cycle::ZERO, 10);
-        p.acquire_index(1, Cycle::ZERO, 4);
-        // Two free-est ports are 2 (free at 0) and 1 (free at 4).
-        assert_eq!(p.acquire_many(2, Cycle::ZERO, 1), Cycle::new(4));
-    }
-
-    #[test]
     fn grant_never_before_now() {
         let mut p = BankedPorts::new(1);
         assert_eq!(p.acquire_any(Cycle::new(100), 1), Cycle::new(100));
-    }
-
-    #[test]
-    fn earliest_free_tracks_reservations() {
-        let mut p = BankedPorts::new(2);
-        assert_eq!(p.earliest_free(), Cycle::ZERO);
-        p.acquire_any(Cycle::ZERO, 5);
-        assert_eq!(p.earliest_free(), Cycle::ZERO); // second port untouched
-        p.acquire_any(Cycle::ZERO, 3);
-        assert_eq!(p.earliest_free(), Cycle::new(3));
     }
 }

@@ -115,6 +115,7 @@ impl L2Memory {
 
     /// Fetches a line for L1 (demand miss or prefetch), returning when
     /// it arrives. Allocates the line into L2 on an L2 miss.
+    #[inline]
     pub fn fetch(&mut self, line: LineAddr, now: Cycle) -> FetchResult {
         let grant = self.bus.acquire_any(now, self.cfg.bus_cycles_per_line);
         let l2_hit = self.l2.probe(line).is_some();

@@ -34,7 +34,8 @@ struct MshrEntry {
 /// A file of Miss Status Holding Registers.
 ///
 /// Entries are retired lazily: every call first releases entries whose
-/// fill has completed by `now`.
+/// fill has completed by `now`. The file tracks its earliest fill time,
+/// so that release returns at once while nothing has completed.
 ///
 /// # Examples
 ///
@@ -61,7 +62,12 @@ struct MshrEntry {
 pub struct MshrFile {
     capacity: usize,
     entries: Vec<MshrEntry>,
+    /// The earliest `ready` among `entries`, or [`NEVER`] when empty.
+    min_ready: Cycle,
 }
+
+/// `min_ready` of an empty file: no `now` retires anything.
+const NEVER: Cycle = Cycle::new(u64::MAX);
 
 impl MshrFile {
     /// Creates a file with room for `capacity` outstanding misses.
@@ -75,18 +81,20 @@ impl MshrFile {
         MshrFile {
             capacity,
             entries: Vec::with_capacity(capacity),
+            min_ready: NEVER,
         }
     }
 
     /// Requests an MSHR for a miss on `line` at time `now` whose fill
     /// would complete at `ready`.
+    #[inline]
     pub fn request(&mut self, line: LineAddr, now: Cycle, ready: Cycle) -> MshrOutcome {
         self.retire(now);
         if let Some(e) = self.entries.iter().find(|e| e.line == line) {
             return MshrOutcome::Coalesced(e.ready);
         }
         if self.entries.len() < self.capacity {
-            self.entries.push(MshrEntry { line, ready });
+            self.push(line, ready);
             return MshrOutcome::Allocated(ready);
         }
         MshrOutcome::Full {
@@ -98,6 +106,7 @@ impl MshrFile {
     /// (coalescing), returning its completion time if so.
     ///
     /// Unlike [`Self::request`], this never allocates.
+    #[inline]
     pub fn lookup(&mut self, line: LineAddr, now: Cycle) -> Option<Cycle> {
         self.retire(now);
         self.entries
@@ -107,6 +116,7 @@ impl MshrFile {
     }
 
     /// `true` if a new entry could be allocated at `now`.
+    #[inline]
     pub fn has_free(&mut self, now: Cycle) -> bool {
         self.retire(now);
         self.entries.len() < self.capacity
@@ -121,21 +131,37 @@ impl MshrFile {
     /// # Panics
     ///
     /// Panics if the file is full.
+    #[inline]
     pub fn insert(&mut self, line: LineAddr, ready: Cycle) {
         assert!(
             self.entries.len() < self.capacity,
             "MSHR insert into full file"
         );
+        self.push(line, ready);
+    }
+
+    #[inline]
+    fn push(&mut self, line: LineAddr, ready: Cycle) {
         self.entries.push(MshrEntry { line, ready });
+        self.min_ready = self.min_ready.min(ready);
     }
 
     /// Releases every entry whose fill has completed by `now`.
+    #[inline]
     pub fn retire(&mut self, now: Cycle) {
+        if now >= self.min_ready {
+            self.release_completed(now);
+        }
+    }
+
+    fn release_completed(&mut self, now: Cycle) {
         self.entries.retain(|e| e.ready > now);
+        self.min_ready = self.entries.iter().map(|e| e.ready).min().unwrap_or(NEVER);
     }
 
     /// Number of outstanding misses (after retiring completed ones).
     #[must_use]
+    #[inline]
     pub fn outstanding(&mut self, now: Cycle) -> usize {
         self.retire(now);
         self.entries.len()
@@ -144,8 +170,9 @@ impl MshrFile {
     /// The earliest completion time among outstanding misses, or
     /// `None` when the file is empty.
     #[must_use]
+    #[inline]
     pub fn earliest_ready(&self) -> Option<Cycle> {
-        self.entries.iter().map(|e| e.ready).min()
+        (!self.entries.is_empty()).then_some(self.min_ready)
     }
 
     fn earliest_ready_inner(&self) -> Cycle {

@@ -4,6 +4,43 @@ use cache_model::{BankedPorts, MshrFile, MshrOutcome};
 use proptest::prelude::*;
 use sim_core::{Cycle, LineAddr};
 
+/// The MSHR file in its plainest form: every call first scans the
+/// entries and releases the completed ones.
+struct RefMshrs {
+    capacity: usize,
+    entries: Vec<(LineAddr, Cycle)>,
+}
+
+impl RefMshrs {
+    fn retire(&mut self, now: Cycle) {
+        self.entries.retain(|&(_, ready)| ready > now);
+    }
+
+    fn lookup(&mut self, line: LineAddr, now: Cycle) -> Option<Cycle> {
+        self.retire(now);
+        self.entries.iter().find(|e| e.0 == line).map(|e| e.1)
+    }
+
+    fn has_free(&mut self, now: Cycle) -> bool {
+        self.retire(now);
+        self.entries.len() < self.capacity
+    }
+
+    fn insert(&mut self, line: LineAddr, ready: Cycle) {
+        assert!(self.entries.len() < self.capacity);
+        self.entries.push((line, ready));
+    }
+
+    fn earliest_ready(&self) -> Option<Cycle> {
+        self.entries.iter().map(|e| e.1).min()
+    }
+
+    fn outstanding(&mut self, now: Cycle) -> usize {
+        self.retire(now);
+        self.entries.len()
+    }
+}
+
 proptest! {
     /// The MSHR file never tracks more entries than its capacity, and
     /// coalesced requests always return the original completion time.
@@ -58,6 +95,41 @@ proptest! {
                 w[3] >= w[0] + 2,
                 "4 grants within one 2-cycle occupancy: {w:?}"
             );
+        }
+    }
+
+    /// The file's early-out release (it scans only once its earliest
+    /// fill has completed) answers exactly as a file that scans on
+    /// every call, over any interleaving of lookups, allocation
+    /// checks, inserts and observations, with time moving either way
+    /// (a stalled demand miss probes ahead of the next access's time).
+    #[test]
+    fn mshr_early_out_matches_a_file_that_always_retires(
+        capacity in 1usize..6,
+        ops in prop::collection::vec((0u8..5, 0u64..12, 0u64..40, 1u64..200), 1..300)
+    ) {
+        let mut mshrs = MshrFile::new(capacity);
+        let mut reference = RefMshrs { capacity, entries: Vec::new() };
+        let mut now = 100u64;
+        for (op, line, step, latency) in ops {
+            // Mostly forward, sometimes back.
+            now = if step < 30 { now + step } else { now.saturating_sub(step) };
+            let (t, line) = (Cycle::new(now), LineAddr::new(line));
+            match op {
+                0 => prop_assert_eq!(mshrs.lookup(line, t), reference.lookup(line, t)),
+                1 => prop_assert_eq!(mshrs.has_free(t), reference.has_free(t)),
+                2 => {
+                    let free = mshrs.has_free(t);
+                    prop_assert_eq!(free, reference.has_free(t));
+                    if free {
+                        mshrs.insert(line, t + latency);
+                        reference.insert(line, t + latency);
+                    }
+                }
+                3 => prop_assert_eq!(mshrs.earliest_ready(), reference.earliest_ready()),
+                _ => prop_assert_eq!(mshrs.outstanding(t), reference.outstanding(t)),
+            }
+            prop_assert_eq!(mshrs.earliest_ready(), reference.earliest_ready());
         }
     }
 }

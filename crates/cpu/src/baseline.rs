@@ -83,6 +83,7 @@ impl BaselineSystem {
 }
 
 impl MemorySystem for BaselineSystem {
+    #[inline]
     fn access(&mut self, access: MemoryAccess, now: Cycle) -> MemResponse {
         let line_size = self.l1.geometry().line_size();
         let line = access.addr.line(line_size);

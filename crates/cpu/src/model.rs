@@ -37,6 +37,15 @@ impl CpuConfig {
             pipeline_depth: 7,
         }
     }
+
+    /// The load/store unit count, checked once when a run starts.
+    pub(crate) fn checked_lsu_count(&self) -> usize {
+        assert!(
+            self.lsu_count > 0,
+            "CpuConfig::lsu_count must be at least 1"
+        );
+        self.lsu_count
+    }
 }
 
 impl Default for CpuConfig {
@@ -133,15 +142,20 @@ impl OooModel {
 
     /// Opens a resumable run on this core: feed it the trace in any
     /// chunk split with [`CpuRun::feed`], then [`CpuRun::finish`] it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lsu_count` is zero.
     #[must_use]
     pub fn start(&self) -> CpuRun {
         CpuRun {
-            cfg: self.cfg,
+            window: self.cfg.window,
+            front: FrontEnd::new(self.cfg.fetch_width),
             now: self.cfg.pipeline_depth,
             slots: 0,
             instructions: 0,
             inflight: VecDeque::new(),
-            lsu: cache_model::BankedPorts::new(self.cfg.lsu_count),
+            lsu: LsuPool::new(self.cfg.checked_lsu_count()),
             last_completion: 0,
         }
     }
@@ -170,7 +184,8 @@ impl OooModel {
 /// chunk by chunk.
 #[derive(Debug, Clone)]
 pub struct CpuRun {
-    cfg: CpuConfig,
+    window: u64,
+    front: FrontEnd,
     /// The dispatch clock.
     now: u64,
     /// Sub-cycle dispatch slots consumed in the current cycle.
@@ -180,8 +195,92 @@ pub struct CpuRun {
     /// cycle). Completion times are monotone (in-order retirement
     /// approximation) because `feed` maxes them.
     inflight: VecDeque<(u64, u64)>,
-    lsu: cache_model::BankedPorts,
+    lsu: LsuPool,
     last_completion: u64,
+}
+
+/// The front end's dispatch arithmetic: `width` instruction slots per
+/// cycle, shared by [`CpuRun`] and the SMT core.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FrontEnd {
+    width: u64,
+    /// `log2(width)` when the width is a power of two (the paper's 8),
+    /// so that carrying slots into cycles is a shift and a mask rather
+    /// than a 64-bit division.
+    shift: Option<u32>,
+}
+
+impl FrontEnd {
+    /// A front end dispatching `fetch_width` slots per cycle (at least
+    /// one).
+    pub(crate) fn new(fetch_width: u32) -> Self {
+        let width = u64::from(fetch_width.max(1));
+        FrontEnd {
+            width,
+            shift: width.is_power_of_two().then(|| width.trailing_zeros()),
+        }
+    }
+
+    /// Moves the whole cycles held in `slots` into `cycle`, leaving
+    /// `slots < width`: `cycle += slots / width; slots %= width`.
+    #[inline]
+    pub(crate) fn carry(self, cycle: &mut u64, slots: &mut u64) {
+        match self.shift {
+            Some(shift) => {
+                *cycle += *slots >> shift;
+                *slots &= self.width - 1;
+            }
+            None => {
+                *cycle += *slots / self.width;
+                *slots %= self.width;
+            }
+        }
+    }
+}
+
+/// The core's load/store units, each held for one cycle per access.
+///
+/// A pool of `count` such units that always grants the earliest-free
+/// unit (`cache_model::BankedPorts::acquire_any(now, 1)`) reduces to a
+/// per-cycle counter when request times never decrease. A request at
+/// `now` after the latest granted cycle is granted at `now`; otherwise
+/// it is granted in that cycle while one of its `count` units is left,
+/// else in the next. So the pool is the latest granted cycle and the
+/// units used in it (the argument is in DESIGN.md, "CPU-model hot
+/// path").
+#[derive(Debug, Clone)]
+struct LsuPool {
+    count: usize,
+    /// The cycle of the latest grant.
+    cycle: u64,
+    /// Units granted in `cycle`.
+    used: usize,
+}
+
+impl LsuPool {
+    fn new(count: usize) -> Self {
+        LsuPool {
+            count,
+            cycle: 0,
+            used: 0,
+        }
+    }
+
+    /// Grants a unit for one cycle to an access issued at `now`, which
+    /// must not precede any earlier request's `now`.
+    #[inline]
+    fn acquire(&mut self, now: u64) -> u64 {
+        if now > self.cycle {
+            self.cycle = now;
+            self.used = 1;
+        } else if self.used == self.count {
+            self.cycle += 1;
+            self.used = 1;
+        } else {
+            self.used += 1;
+        }
+        self.cycle
+    }
 }
 
 impl CpuRun {
@@ -192,8 +291,8 @@ impl CpuRun {
         M: MemorySystem,
         I: IntoIterator<Item = TraceEvent>,
     {
-        let width = u64::from(self.cfg.fetch_width.max(1));
-        let window = self.cfg.window;
+        let window = self.window;
+        let front = self.front;
         let mut now = self.now;
         let mut slots = self.slots;
         let mut instructions = self.instructions;
@@ -219,11 +318,10 @@ impl CpuRun {
 
             // Dispatch the work and the access itself.
             slots += cost;
-            now += slots / width;
-            slots %= width;
+            front.carry(&mut now, &mut slots);
 
             // The access needs a load/store unit.
-            let grant = self.lsu.acquire_any(Cycle::new(now), 1);
+            let grant = Cycle::new(self.lsu.acquire(now));
             let MemResponse { ready } = mem.access(event.access, grant);
             debug_assert!(ready >= grant, "memory answered in the past");
             if event.access.kind == AccessKind::Load {
@@ -389,5 +487,15 @@ mod tests {
         let t = trace(8_000, 0);
         let r = cpu.run(&mut Fixed(1), t);
         assert!(r.ipc() <= 4.2, "ipc {} exceeds LSU bound", r.ipc());
+    }
+
+    #[test]
+    #[should_panic(expected = "CpuConfig::lsu_count must be at least 1")]
+    fn zero_lsus_rejected() {
+        let _ = OooModel::new(CpuConfig {
+            lsu_count: 0,
+            ..CpuConfig::paper_default()
+        })
+        .start();
     }
 }

@@ -18,7 +18,8 @@ pub struct MemTimings {
     /// Extra latency of a hit in a cache-assist buffer over an L1 hit
     /// (paper: 1 additional cycle).
     pub buffer_extra: u64,
-    /// Number of L1 banks (paper: 8).
+    /// Number of L1 banks (paper: 8). A power of two: a line's bank is
+    /// its low address bits.
     pub l1_banks: usize,
     /// Cycles a bank is busy per access.
     pub bank_busy: u64,
@@ -61,8 +62,17 @@ pub struct Plumbing {
 impl Plumbing {
     /// Creates the miss path with the given timings and backend
     /// configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `timings.l1_banks` is not a power of two.
     #[must_use]
     pub fn new(timings: MemTimings, l2_cfg: L2MemoryConfig) -> Self {
+        assert!(
+            timings.l1_banks.is_power_of_two(),
+            "MemTimings::l1_banks must be a power of two, got {}",
+            timings.l1_banks
+        );
         Plumbing {
             timings,
             banks: BankedPorts::new(timings.l1_banks),
@@ -87,6 +97,7 @@ impl Plumbing {
 
     /// The timing parameters.
     #[must_use]
+    #[inline]
     pub fn timings(&self) -> &MemTimings {
         &self.timings
     }
@@ -105,6 +116,7 @@ impl Plumbing {
     }
 
     /// Acquires the L1 bank a line maps to; returns the grant time.
+    #[inline]
     pub fn l1_grant(&mut self, line: LineAddr, now: Cycle) -> Cycle {
         self.banks
             .acquire_for_line(line, now, self.timings.bank_busy)
@@ -112,6 +124,7 @@ impl Plumbing {
 
     /// Reserves the line's L1 bank for `busy` extra cycles starting at
     /// `now` (swaps occupy the bank longer than a plain access).
+    #[inline]
     pub fn l1_occupy(&mut self, line: LineAddr, now: Cycle, busy: u64) {
         let _ = self.banks.acquire_for_line(line, now, busy);
     }
@@ -119,6 +132,7 @@ impl Plumbing {
     /// Fetches a line for a **demand** miss: coalesces with an
     /// in-flight miss, stalls until an MSHR frees if the file is full,
     /// then queries L2/memory. Returns when the data arrives at L1.
+    #[inline]
     pub fn fetch_demand(&mut self, line: LineAddr, now: Cycle) -> Cycle {
         if let Some(ready) = self.mshrs.lookup(line, now) {
             // Already being fetched; this access completes with it.
@@ -145,6 +159,7 @@ impl Plumbing {
     /// Fetches a line for a **prefetch**: returns `None` (prefetch
     /// discarded, per the paper) when no MSHR is free or the line is
     /// already in flight.
+    #[inline]
     pub fn fetch_prefetch(&mut self, line: LineAddr, now: Cycle) -> Option<Cycle> {
         if self.mshrs.lookup(line, now).is_some() || !self.mshrs.has_free(now) {
             return None;
@@ -155,6 +170,7 @@ impl Plumbing {
     }
 
     /// Whether a line is currently being fetched.
+    #[inline]
     pub fn in_flight(&mut self, line: LineAddr, now: Cycle) -> bool {
         self.mshrs.lookup(line, now).is_some()
     }
@@ -242,5 +258,15 @@ mod tests {
         let g2 = p.l1_grant(line(8), Cycle::ZERO); // same bank (8 banks)
         assert_eq!(g1, Cycle::ZERO);
         assert_eq!(g2, Cycle::new(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "l1_banks must be a power of two, got 6")]
+    fn non_power_of_two_bank_count_rejected() {
+        let cfg = MemTimings {
+            l1_banks: 6,
+            ..MemTimings::paper_default()
+        };
+        let _ = Plumbing::new(cfg, L2MemoryConfig::paper_default().unwrap());
     }
 }

@@ -17,6 +17,7 @@ use std::collections::VecDeque;
 use sim_core::Cycle;
 use trace_gen::{AccessKind, TraceEvent};
 
+use crate::model::FrontEnd;
 use crate::{CpuConfig, CpuReport, MemResponse, MemorySystem};
 
 /// The result of a multithreaded run.
@@ -94,13 +95,13 @@ impl SmtModel {
     ///
     /// # Panics
     ///
-    /// Panics if `traces` is empty.
+    /// Panics if `traces` is empty or `lsu_count` is zero.
     pub fn run<M, T>(&self, mem: &mut M, traces: impl IntoIterator<Item = T>) -> SmtReport
     where
         M: MemorySystem,
         T: IntoIterator<Item = TraceEvent>,
     {
-        let width = u64::from(self.cfg.fetch_width.max(1));
+        let front = FrontEnd::new(self.cfg.fetch_width);
         let mut threads: Vec<Thread<T::IntoIter>> = traces
             .into_iter()
             .map(|t| Thread {
@@ -114,16 +115,22 @@ impl SmtModel {
             })
             .collect();
         assert!(!threads.is_empty(), "need at least one thread");
-        let mut lsu = cache_model::BankedPorts::new(self.cfg.lsu_count);
+        // The shared LSUs stay an earliest-free pool rather than the
+        // single-thread core's per-cycle counter, which needs request
+        // times that never decrease: a thread stalled on its window
+        // requests later than the next thread picked may request.
+        let mut lsu = cache_model::BankedPorts::new(self.cfg.checked_lsu_count());
         // Shared front end: dispatch slot k becomes available at
         // pipeline_depth + k/width, regardless of which thread uses
-        // it.
-        let mut shared_slots: u64 = 0;
+        // it. `slot_time` is that cycle for the next slot and
+        // `slot_rem` is k % width, carried as the single-thread core
+        // carries its slots.
+        let mut slot_time = self.cfg.pipeline_depth;
+        let mut slot_rem: u64 = 0;
 
         loop {
             // Pick the runnable thread that can dispatch earliest
             // (ICOUNT-like: ties go to the least-advanced thread).
-            let slot_time = self.cfg.pipeline_depth + shared_slots / width;
             let next = threads
                 .iter()
                 .enumerate()
@@ -132,7 +139,6 @@ impl SmtModel {
                 .map(|(i, _)| i);
             let Some(idx) = next else { break };
 
-            let slot_time = self.cfg.pipeline_depth + shared_slots / width;
             let thread = &mut threads[idx];
             let now = thread.ready.max(slot_time);
 
@@ -147,7 +153,8 @@ impl SmtModel {
 
             let cost = u64::from(event.work) + 1;
             thread.instructions += cost;
-            shared_slots += cost;
+            slot_rem += cost;
+            front.carry(&mut slot_time, &mut slot_rem);
 
             // Per-thread window limit.
             let mut stall = now;

@@ -262,6 +262,7 @@ impl ExclusionSystem {
 }
 
 impl MemorySystem for ExclusionSystem {
+    #[inline]
     fn access(&mut self, access: MemoryAccess, now: Cycle) -> MemResponse {
         let line_size = self.l1.geometry().line_size();
         let line = access.addr.line(line_size);

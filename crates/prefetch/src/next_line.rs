@@ -203,6 +203,7 @@ impl NextLineSystem {
 }
 
 impl MemorySystem for NextLineSystem {
+    #[inline]
     fn access(&mut self, access: MemoryAccess, now: Cycle) -> MemResponse {
         let line_size = self.l1.geometry().line_size();
         let line = access.addr.line(line_size);

@@ -187,6 +187,7 @@ impl RptSystem {
 }
 
 impl MemorySystem for RptSystem {
+    #[inline]
     fn access(&mut self, access: MemoryAccess, now: Cycle) -> MemResponse {
         let line_size = self.l1.geometry().line_size();
         let line = access.addr.line(line_size);

@@ -318,6 +318,7 @@ impl PseudoAssocSystem {
 }
 
 impl MemorySystem for PseudoAssocSystem {
+    #[inline]
     fn access(&mut self, access: MemoryAccess, now: Cycle) -> MemResponse {
         let line = access.addr.line(self.geom.line_size());
         let i = self.geom.set_index(line);

@@ -134,6 +134,7 @@ impl RemapSystem {
 }
 
 impl MemorySystem for RemapSystem {
+    #[inline]
     fn access(&mut self, access: MemoryAccess, now: Cycle) -> MemResponse {
         self.stats.accesses += 1;
         self.interval_accesses += 1;

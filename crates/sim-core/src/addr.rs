@@ -40,6 +40,7 @@ impl Addr {
     ///
     /// Panics in debug builds if `line_size` is not a power of two.
     #[must_use]
+    #[inline]
     pub fn line(self, line_size: u64) -> LineAddr {
         debug_assert!(
             line_size.is_power_of_two(),

@@ -41,6 +41,7 @@ impl Cycle {
     /// Returns the later of two times (e.g. "ready when both the port
     /// is free and the data has arrived").
     #[must_use]
+    #[inline]
     pub fn max(self, other: Cycle) -> Cycle {
         Cycle(self.0.max(other.0))
     }
@@ -56,12 +57,14 @@ impl Cycle {
 impl Add<u64> for Cycle {
     type Output = Cycle;
 
+    #[inline]
     fn add(self, latency: u64) -> Cycle {
         Cycle(self.0 + latency)
     }
 }
 
 impl AddAssign<u64> for Cycle {
+    #[inline]
     fn add_assign(&mut self, latency: u64) {
         self.0 += latency;
     }
@@ -73,6 +76,7 @@ impl Sub<Cycle> for Cycle {
     /// # Panics
     ///
     /// Panics in debug builds if `rhs` is later than `self`.
+    #[inline]
     fn sub(self, rhs: Cycle) -> u64 {
         debug_assert!(self.0 >= rhs.0, "cycle subtraction underflow");
         self.0 - rhs.0

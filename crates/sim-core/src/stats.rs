@@ -236,6 +236,7 @@ impl Histogram {
     }
 
     /// Records one sample.
+    #[inline]
     pub fn record(&mut self, value: u64) {
         let bucket = if value == 0 {
             0

@@ -240,6 +240,7 @@ impl VictimSystem {
 }
 
 impl MemorySystem for VictimSystem {
+    #[inline]
     fn access(&mut self, access: MemoryAccess, now: Cycle) -> MemResponse {
         let line_size = self.l1.geometry().line_size();
         let line = access.addr.line(line_size);
