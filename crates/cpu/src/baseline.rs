@@ -56,19 +56,6 @@ impl BaselineSystem {
         ))
     }
 
-    /// Same system with a 2-way 16 KB L1 (the "true 2-way"
-    /// comparison of §5.4).
-    ///
-    /// # Errors
-    ///
-    /// Propagates geometry validation errors.
-    pub fn paper_two_way() -> Result<Self, ConfigError> {
-        Ok(Self::new(
-            CacheGeometry::new(16 * 1024, 2, 64)?,
-            Plumbing::paper_default()?,
-        ))
-    }
-
     /// L1 hit/miss statistics.
     #[must_use]
     pub fn l1_stats(&self) -> &CacheStats {
@@ -111,6 +98,12 @@ mod tests {
     use trace_gen::pattern::{SequentialSweep, SetConflict};
     use trace_gen::TraceSource;
 
+    /// The paper's system with a 2-way L1 of the same size.
+    fn two_way() -> BaselineSystem {
+        let geometry = CacheGeometry::new(16 * 1024, 2, 64).unwrap();
+        BaselineSystem::new(geometry, Plumbing::paper_default().unwrap())
+    }
+
     #[test]
     fn hit_latency_is_l1() {
         let mut sys = BaselineSystem::paper_default().unwrap();
@@ -140,7 +133,7 @@ mod tests {
 
     #[test]
     fn same_stream_hits_in_two_way() {
-        let mut sys = BaselineSystem::paper_two_way().unwrap();
+        let mut sys = two_way();
         let trace: Vec<_> = SetConflict::new(Addr::new(0), 2, 16 * 1024, 1)
             .take_events(1000)
             .collect();
@@ -173,7 +166,7 @@ mod tests {
             .collect();
         let cpu = OooModel::new(CpuConfig::paper_default());
         let mut dm = BaselineSystem::paper_default().unwrap();
-        let mut two = BaselineSystem::paper_two_way().unwrap();
+        let mut two = two_way();
         let r_dm = cpu.run(&mut dm, trace.clone());
         let r_two = cpu.run(&mut two, trace);
         assert!(

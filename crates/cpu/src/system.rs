@@ -41,26 +41,6 @@ pub trait MemorySystem {
     }
 }
 
-impl<M: MemorySystem + ?Sized> MemorySystem for &mut M {
-    fn access(&mut self, access: MemoryAccess, now: Cycle) -> MemResponse {
-        (**self).access(access, now)
-    }
-
-    fn label(&self) -> String {
-        (**self).label()
-    }
-}
-
-impl<M: MemorySystem + ?Sized> MemorySystem for Box<M> {
-    fn access(&mut self, access: MemoryAccess, now: Cycle) -> MemResponse {
-        (**self).access(access, now)
-    }
-
-    fn label(&self) -> String {
-        (**self).label()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,11 +59,8 @@ mod tests {
     fn trait_objects_and_references_work() {
         let mut fixed = Fixed(3);
         let access = MemoryAccess::load(Addr::new(0), Addr::new(0));
-        {
-            let by_ref: &mut dyn MemorySystem = &mut fixed;
-            let mut boxed: Box<dyn MemorySystem + '_> = Box::new(by_ref);
-            assert_eq!(boxed.access(access, Cycle::new(10)).ready, Cycle::new(13));
-            assert_eq!(boxed.label(), "memory");
-        }
+        let by_ref: &mut dyn MemorySystem = &mut fixed;
+        assert_eq!(by_ref.access(access, Cycle::new(10)).ready, Cycle::new(13));
+        assert_eq!(by_ref.label(), "memory");
     }
 }

@@ -10,15 +10,16 @@
 //! * **buffer size** — the AMB's entry count around the paper's 8/16
 //!   points.
 
-use amb::{AmbConfig, AmbPolicy, AmbSystem};
-use cpu_model::{BaselineSystem, CpuConfig, CpuReport};
+use amb::AmbPolicy;
+use cpu_model::{CpuConfig, CpuReport};
 use mct::accuracy::AccuracyReport;
 use mct::{ShadowDirectory, TagBits};
 use sim_core::stats::GeoMean;
 use workloads::{full_suite, suite};
 
+use crate::arch::{Arch, Family};
 use crate::table::{pct, speedup};
-use crate::{fig1, CpuCell, RunConfig, Table};
+use crate::{fig1, RunConfig, Table};
 
 /// Accuracy per (configuration, depth).
 #[derive(Debug, Clone)]
@@ -112,41 +113,47 @@ fn depth_sweep(cfg: &RunConfig, events: usize) -> Vec<DepthPoint> {
         .collect()
 }
 
-/// The window sweep: one pass per workload feeds a baseline and a
-/// VictPref cell at every window.
-fn window_sweep(cfg: &RunConfig, events: usize) -> Vec<WindowPoint> {
-    let runs: Vec<Vec<CpuReport>> = cfg.par_map(suite(), |w| {
-        let mut systems: Vec<(u64, BaselineSystem, AmbSystem)> = WINDOWS
-            .iter()
-            .map(|&window| {
-                (
-                    window,
-                    BaselineSystem::paper_default().expect("paper config"),
-                    AmbSystem::paper_default(AmbConfig::new(AmbPolicy::VictPref))
-                        .expect("paper config"),
-                )
-            })
-            .collect();
-        let mut cells = Vec::new();
-        for (window, base, amb) in &mut systems {
+/// The window sweep's cells: a baseline and a VictPref AMB on a core
+/// with each window of [`WINDOWS`].
+#[must_use]
+pub fn window_cells() -> Vec<(CpuConfig, Arch)> {
+    let victpref = Arch::new(Family::Amb(AmbPolicy::VictPref));
+    WINDOWS
+        .iter()
+        .flat_map(|&window| {
             let cpu = CpuConfig {
-                window: *window,
+                window,
                 ..CpuConfig::paper_default()
             };
-            cells.push(CpuCell::new(cpu, base));
-            cells.push(CpuCell::new(cpu, amb));
-        }
-        crate::replay_cpu(
-            cfg,
-            "ablation",
-            || format!("window/{}", w.name()),
-            crate::trace(&w, events),
-            cells,
-            |i| {
-                let cell = if i % 2 == 0 { "base" } else { "victpref" };
-                format!("window/w{}-{cell}/{}", WINDOWS[i / 2], w.name())
-            },
-        )
+            [(cpu, Arch::BASELINE), (cpu, victpref)]
+        })
+        .collect()
+}
+
+/// One pass per workload feeds every cell of the CPU sweep `sweep`,
+/// each labelled `<sweep>/<cell>/<workload>` with `cell` naming the
+/// cell. Returns each workload's reports in cell order.
+fn cpu_sweep(
+    cfg: &RunConfig,
+    events: usize,
+    sweep: &str,
+    cells: &[(CpuConfig, Arch)],
+    cell: impl Fn(&(CpuConfig, Arch)) -> String + Sync,
+) -> Vec<Vec<CpuReport>> {
+    cfg.par_map(suite(), |w| {
+        let label = |i: usize| format!("{sweep}/{}/{}", cell(&cells[i]), w.name());
+        let trace = crate::trace(&w, events);
+        let group = || format!("{sweep}/{}", w.name());
+        let runs = crate::replay_cpu(cfg, "ablation", group, trace, cells, label);
+        runs.into_iter().map(|(report, _)| report).collect()
+    })
+}
+
+/// The window sweep: every window cell, labelled
+/// `window/w<W>/<spec>/<workload>`.
+fn window_sweep(cfg: &RunConfig, events: usize) -> Vec<WindowPoint> {
+    let runs = cpu_sweep(cfg, events, "window", &window_cells(), |(cpu, arch)| {
+        format!("w{}/{arch}", cpu.window)
     });
     WINDOWS
         .iter()
@@ -168,34 +175,25 @@ fn window_sweep(cfg: &RunConfig, events: usize) -> Vec<WindowPoint> {
         .collect()
 }
 
-/// The buffer sweep: one pass per workload feeds the no-buffer
-/// baseline and a VicPreExc cell at every buffer size.
+/// The buffer sweep's cells: the no-buffer baseline, then a VicPreExc
+/// AMB at each size of [`BUFFERS`], on the paper's core.
+#[must_use]
+pub fn buffer_cells() -> Vec<(CpuConfig, Arch)> {
+    let amb = Arch::new(Family::Amb(AmbPolicy::VicPreExc));
+    let sized = BUFFERS.map(|entries| amb.with_entries(entries).expect("an AMB has a buffer"));
+    let cpu = CpuConfig::paper_default();
+    [Arch::BASELINE]
+        .into_iter()
+        .chain(sized)
+        .map(|arch| (cpu, arch))
+        .collect()
+}
+
+/// The buffer sweep: every buffer cell, labelled
+/// `buffer/<spec>/<workload>`.
 fn buffer_sweep(cfg: &RunConfig, events: usize) -> Vec<BufferPoint> {
-    let runs: Vec<Vec<CpuReport>> = cfg.par_map(suite(), |w| {
-        let mut base = BaselineSystem::paper_default().expect("paper config");
-        let mut systems: Vec<AmbSystem> = BUFFERS
-            .iter()
-            .map(|&entries| {
-                let amb = AmbConfig {
-                    entries,
-                    ..AmbConfig::new(AmbPolicy::VicPreExc)
-                };
-                AmbSystem::paper_default(amb).expect("paper config")
-            })
-            .collect();
-        let mut cells = vec![CpuCell::paper(&mut base)];
-        cells.extend(systems.iter_mut().map(CpuCell::paper));
-        crate::replay_cpu(
-            cfg,
-            "ablation",
-            || format!("buffer/{}", w.name()),
-            crate::trace(&w, events),
-            cells,
-            |i| match i {
-                0 => format!("buffer/base/{}", w.name()),
-                i => format!("buffer/e{}/{}", BUFFERS[i - 1], w.name()),
-            },
-        )
+    let runs = cpu_sweep(cfg, events, "buffer", &buffer_cells(), |(_, arch)| {
+        arch.to_string()
     });
     BUFFERS
         .iter()
@@ -214,15 +212,13 @@ fn buffer_sweep(cfg: &RunConfig, events: usize) -> Vec<BufferPoint> {
 }
 
 /// Trace events the three ablations simulate: the depth sweep (one
-/// pass per configuration × depth × workload), the window sweep (a
-/// baseline and a VictPref run per window × workload), and the buffer
-/// sweep (shared baselines plus one run per size × workload).
+/// pass per configuration × depth × workload), and every window and
+/// buffer cell per workload.
 #[must_use]
 pub fn simulated_events(events: usize) -> u64 {
     let depth = fig1::configurations().len() * DEPTHS.len() * full_suite().len();
-    let window = WINDOWS.len() * 2 * suite().len();
-    let buffer = (1 + BUFFERS.len()) * suite().len();
-    ((depth + window + buffer) * events) as u64
+    let cpu = (window_cells().len() + buffer_cells().len()) * suite().len();
+    ((depth + cpu) * events) as u64
 }
 
 /// Runs all three ablations.

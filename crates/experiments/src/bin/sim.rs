@@ -1,362 +1,117 @@
-//! General-purpose simulator front-end: run any workload through any
-//! cache-assist architecture and print the full report.
+//! Runs one workload through one CPU-model architecture and prints its
+//! cycle count and IPC.
 //!
 //! ```text
-//! sim --workload gcc --arch amb:victpref [--events N] [--seed S]
-//!     [--l1-size KB] [--l1-assoc W] [--entries E] [--window I]
+//! sim --arch <spec> [--workload NAME] [--events N] [--seed S] [--window I]
 //! sim --list-archs
+//! sim --list-workloads
 //! ```
 //!
-//! Architectures:
-//!   baseline, two-way,
-//!   victim:{traditional|swaps|fills|both},
-//!   prefetch:{none|in|out|and|or}, rpt, rpt:filtered,
-//!   exclusion:{mat|conflict|conflict-history|capacity|capacity-history},
-//!   pseudo:{lru|mct}, remap:{all|conflict},
-//!   amb:{vict|pref|excl|victpref|prefexcl|victexcl|vicpreexc}
+//! `<spec>` is an [`experiments::arch::Arch`] spelling; `sim
+//! --list-archs` prints every family at its defaults. Every CPU-model
+//! figure cell's probe label is `<spec>/<workload>` (behind `window/w<W>/`
+//! or `buffer/` in the sweeps), so `sim --arch <spec> --workload
+//! <workload> --events N [--window W]` reruns that cell of
+//! `repro --events N`.
 
 use std::env;
 use std::process::ExitCode;
 
-use amb::{AmbConfig, AmbPolicy, AmbSystem};
-use cache_model::{CacheGeometry, L2MemoryConfig};
-use conflict_remap::{CountPolicy, RemapConfig, RemapSystem};
-use cpu_model::{BaselineSystem, CpuConfig, MemTimings, MemorySystem, OooModel, Plumbing};
-use exclusion::{ExclusionConfig, ExclusionPolicy, ExclusionSystem};
-use mct::ConflictFilter;
-use prefetcher::{NextLineSystem, PrefetchConfig, RptConfig, RptSystem};
-use pseudo_assoc::{PseudoAssocSystem, PseudoConfig, PseudoPolicy};
-use victim_cache::{VictimConfig, VictimPolicy, VictimSystem};
+use cpu_model::{CpuConfig, MemorySystem};
+use experiments::arch::Arch;
+use trace_gen::TraceSource;
+use workloads::Workload;
 
+const USAGE: &str =
+    "usage: sim --arch <spec> [--workload NAME] [--events N] [--seed S] [--window I]
+       sim --list-archs
+       sim --list-workloads";
+
+/// One simulation: the five settable values.
+#[derive(Debug)]
 struct Options {
-    workload: String,
-    arch: String,
+    arch: Arch,
+    workload: Workload,
     events: usize,
     seed: u64,
-    l1_kb: u64,
-    l1_assoc: u32,
-    entries: Option<usize>,
     window: u64,
 }
 
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            workload: "gcc".to_owned(),
-            arch: "baseline".to_owned(),
-            events: 300_000,
-            seed: 1,
-            l1_kb: 16,
-            l1_assoc: 1,
-            entries: None,
-            window: CpuConfig::paper_default().window,
-        }
-    }
+#[derive(Debug)]
+enum Command {
+    Run(Options),
+    /// `--list-archs`, `--list-workloads` and `--help`: text to print.
+    Print(String),
 }
 
-const ARCHS: &[&str] = &[
-    "baseline",
-    "two-way",
-    "victim:traditional",
-    "victim:swaps",
-    "victim:fills",
-    "victim:both",
-    "prefetch:none",
-    "prefetch:in",
-    "prefetch:out",
-    "prefetch:and",
-    "prefetch:or",
-    "rpt",
-    "rpt:filtered",
-    "exclusion:mat",
-    "exclusion:conflict",
-    "exclusion:conflict-history",
-    "exclusion:capacity",
-    "exclusion:capacity-history",
-    "pseudo:lru",
-    "pseudo:mct",
-    "remap:all",
-    "remap:conflict",
-    "amb:vict",
-    "amb:pref",
-    "amb:excl",
-    "amb:victpref",
-    "amb:prefexcl",
-    "amb:victexcl",
-    "amb:vicpreexc",
-];
-
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: sim --workload <name> --arch <arch> [--events N] [--seed S]\n\
-         \x20          [--l1-size KB] [--l1-assoc W] [--entries E] [--window I]\n\
-         \x20      sim --list-archs\n\
-         \x20      sim --list-workloads"
-    );
-    ExitCode::FAILURE
+fn number<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, String> {
+    let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    value
+        .parse()
+        .map_err(|_| format!("{flag} needs a number, got `{value}`"))
 }
 
-fn build_system(opts: &Options) -> Result<Box<dyn MemorySystem>, String> {
-    let geom =
-        CacheGeometry::new(opts.l1_kb * 1024, opts.l1_assoc, 64).map_err(|e| e.to_string())?;
-    let plumbing = || {
-        Plumbing::new(
-            MemTimings::paper_default(),
-            L2MemoryConfig::paper_default().expect("paper config"),
-        )
+fn parse(mut args: impl Iterator<Item = String>) -> Result<Command, String> {
+    let mut opts = Options {
+        arch: Arch::BASELINE,
+        workload: workloads::by_name("gcc").expect("gcc analog exists"),
+        events: experiments::DEFAULT_EVENTS,
+        seed: experiments::SEED,
+        window: CpuConfig::paper_default().window,
     };
-    let victim_cfg = |policy| {
-        let mut cfg = VictimConfig::new(policy);
-        if let Some(e) = opts.entries {
-            cfg.entries = e;
-        }
-        cfg
-    };
-    let amb_cfg = |policy| {
-        let mut cfg = AmbConfig::new(policy);
-        if let Some(e) = opts.entries {
-            cfg.entries = e;
-        }
-        cfg
-    };
-    let prefetch_cfg = |filter: Option<ConflictFilter>| {
-        let mut cfg = match filter {
-            None => PrefetchConfig::unfiltered(),
-            Some(f) => PrefetchConfig::filtered(f),
-        };
-        if let Some(e) = opts.entries {
-            cfg.entries = e;
-        }
-        cfg
-    };
-    let excl_cfg = |policy| {
-        let mut cfg = ExclusionConfig::new(policy);
-        if let Some(e) = opts.entries {
-            cfg.entries = e;
-        }
-        cfg
-    };
-
-    Ok(match opts.arch.as_str() {
-        "baseline" => Box::new(BaselineSystem::new(geom, plumbing())),
-        "two-way" => {
-            let geom = CacheGeometry::new(opts.l1_kb * 1024, 2, 64).map_err(|e| e.to_string())?;
-            Box::new(BaselineSystem::new(geom, plumbing()))
-        }
-        "victim:traditional" => Box::new(VictimSystem::new(
-            victim_cfg(VictimPolicy::Traditional),
-            geom,
-            plumbing(),
-        )),
-        "victim:swaps" => Box::new(VictimSystem::new(
-            victim_cfg(VictimPolicy::FilterSwaps),
-            geom,
-            plumbing(),
-        )),
-        "victim:fills" => Box::new(VictimSystem::new(
-            victim_cfg(VictimPolicy::FilterFills),
-            geom,
-            plumbing(),
-        )),
-        "victim:both" => Box::new(VictimSystem::new(
-            victim_cfg(VictimPolicy::FilterBoth),
-            geom,
-            plumbing(),
-        )),
-        "prefetch:none" => Box::new(NextLineSystem::new(prefetch_cfg(None), geom, plumbing())),
-        "prefetch:in" => Box::new(NextLineSystem::new(
-            prefetch_cfg(Some(ConflictFilter::InConflict)),
-            geom,
-            plumbing(),
-        )),
-        "prefetch:out" => Box::new(NextLineSystem::new(
-            prefetch_cfg(Some(ConflictFilter::OutConflict)),
-            geom,
-            plumbing(),
-        )),
-        "prefetch:and" => Box::new(NextLineSystem::new(
-            prefetch_cfg(Some(ConflictFilter::AndConflict)),
-            geom,
-            plumbing(),
-        )),
-        "prefetch:or" => Box::new(NextLineSystem::new(
-            prefetch_cfg(Some(ConflictFilter::OrConflict)),
-            geom,
-            plumbing(),
-        )),
-        "rpt" => Box::new(RptSystem::new(
-            RptConfig::default_config(),
-            geom,
-            plumbing(),
-        )),
-        "rpt:filtered" => Box::new(RptSystem::new(RptConfig::filtered(), geom, plumbing())),
-        "exclusion:mat" => Box::new(ExclusionSystem::new(
-            excl_cfg(ExclusionPolicy::Mat),
-            geom,
-            plumbing(),
-        )),
-        "exclusion:conflict" => Box::new(ExclusionSystem::new(
-            excl_cfg(ExclusionPolicy::Conflict),
-            geom,
-            plumbing(),
-        )),
-        "exclusion:conflict-history" => Box::new(ExclusionSystem::new(
-            excl_cfg(ExclusionPolicy::ConflictHistory),
-            geom,
-            plumbing(),
-        )),
-        "exclusion:capacity" => Box::new(ExclusionSystem::new(
-            excl_cfg(ExclusionPolicy::Capacity),
-            geom,
-            plumbing(),
-        )),
-        "exclusion:capacity-history" => Box::new(ExclusionSystem::new(
-            excl_cfg(ExclusionPolicy::CapacityHistory),
-            geom,
-            plumbing(),
-        )),
-        "pseudo:lru" => Box::new(PseudoAssocSystem::new(
-            PseudoConfig::new(PseudoPolicy::Lru),
-            geom,
-            plumbing(),
-        )),
-        "pseudo:mct" => Box::new(PseudoAssocSystem::new(
-            PseudoConfig::new(PseudoPolicy::ConflictBit),
-            geom,
-            plumbing(),
-        )),
-        "remap:all" => Box::new(RemapSystem::new(
-            RemapConfig::new(CountPolicy::AllMisses),
-            geom,
-            plumbing(),
-        )),
-        "remap:conflict" => Box::new(RemapSystem::new(
-            RemapConfig::new(CountPolicy::ConflictOnly),
-            geom,
-            plumbing(),
-        )),
-        "amb:vict" => Box::new(AmbSystem::new(amb_cfg(AmbPolicy::Vict), geom, plumbing())),
-        "amb:pref" => Box::new(AmbSystem::new(amb_cfg(AmbPolicy::Pref), geom, plumbing())),
-        "amb:excl" => Box::new(AmbSystem::new(amb_cfg(AmbPolicy::Excl), geom, plumbing())),
-        "amb:victpref" => Box::new(AmbSystem::new(
-            amb_cfg(AmbPolicy::VictPref),
-            geom,
-            plumbing(),
-        )),
-        "amb:prefexcl" => Box::new(AmbSystem::new(
-            amb_cfg(AmbPolicy::PrefExcl),
-            geom,
-            plumbing(),
-        )),
-        "amb:victexcl" => Box::new(AmbSystem::new(
-            amb_cfg(AmbPolicy::VictExcl),
-            geom,
-            plumbing(),
-        )),
-        "amb:vicpreexc" => Box::new(AmbSystem::new(
-            amb_cfg(AmbPolicy::VicPreExc),
-            geom,
-            plumbing(),
-        )),
-        other => return Err(format!("unknown architecture '{other}' (try --list-archs)")),
-    })
-}
-
-fn parse(mut args: impl Iterator<Item = String>) -> Result<Option<Options>, String> {
-    let mut opts = Options::default();
     while let Some(flag) = args.next() {
-        let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} needs a value"));
         match flag.as_str() {
-            "--workload" => opts.workload = value("--workload")?,
-            "--arch" => opts.arch = value("--arch")?,
-            "--events" => {
-                opts.events = value("--events")?
-                    .parse()
-                    .map_err(|_| "--events: bad number".to_owned())?
+            "--arch" => opts.arch = args.next().ok_or("--arch needs a value")?.parse()?,
+            "--workload" => {
+                let name = args.next().ok_or("--workload needs a value")?;
+                opts.workload = workloads::by_name(&name)
+                    .ok_or_else(|| format!("unknown workload `{name}` (try --list-workloads)"))?;
             }
-            "--seed" => {
-                opts.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed: bad number".to_owned())?
-            }
-            "--l1-size" => {
-                opts.l1_kb = value("--l1-size")?
-                    .parse()
-                    .map_err(|_| "--l1-size: bad number".to_owned())?
-            }
-            "--l1-assoc" => {
-                opts.l1_assoc = value("--l1-assoc")?
-                    .parse()
-                    .map_err(|_| "--l1-assoc: bad number".to_owned())?
-            }
-            "--entries" => {
-                opts.entries = Some(
-                    value("--entries")?
-                        .parse()
-                        .map_err(|_| "--entries: bad number".to_owned())?,
-                )
-            }
-            "--window" => {
-                opts.window = value("--window")?
-                    .parse()
-                    .map_err(|_| "--window: bad number".to_owned())?
-            }
+            "--events" => opts.events = experiments::cli::parse_events(args.next())?,
+            "--seed" => opts.seed = number("--seed", args.next())?,
+            "--window" => opts.window = number("--window", args.next())?,
             "--list-archs" => {
-                for a in ARCHS {
-                    println!("{a}");
-                }
-                return Ok(None);
+                return Ok(Command::Print(
+                    Arch::all().map(|a| format!("{a}\n")).collect(),
+                ))
             }
             "--list-workloads" => {
-                for w in workloads::full_suite() {
-                    println!("{:10} [{}] {}", w.name(), w.category(), w.description());
-                }
-                return Ok(None);
+                let line = |w: Workload| {
+                    format!("{:10} [{}] {}\n", w.name(), w.category(), w.description())
+                };
+                return Ok(Command::Print(
+                    workloads::full_suite().into_iter().map(line).collect(),
+                ));
             }
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown flag '{other}'")),
+            "--help" | "-h" => return Ok(Command::Print(format!("{USAGE}\n"))),
+            other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    Ok(Some(opts))
+    Ok(Command::Run(opts))
 }
 
 fn main() -> ExitCode {
     let opts = match parse(env::args().skip(1)) {
-        Ok(Some(o)) => o,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("{msg}");
-            }
-            return usage();
+        Ok(Command::Run(opts)) => opts,
+        Ok(Command::Print(text)) => {
+            print!("{text}");
+            return ExitCode::SUCCESS;
         }
-    };
-
-    let Some(workload) = workloads::by_name(&opts.workload) else {
-        eprintln!(
-            "unknown workload '{}' (try --list-workloads)",
-            opts.workload
-        );
-        return ExitCode::FAILURE;
-    };
-    let mut system = match build_system(&opts) {
-        Ok(s) => s,
         Err(msg) => {
-            eprintln!("{msg}");
+            eprintln!("{msg}\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
 
-    let cpu = OooModel::new(CpuConfig {
+    let cpu = CpuConfig {
         window: opts.window,
         ..CpuConfig::paper_default()
-    });
-    let mut src = workload.source(opts.seed);
-    let trace = std::iter::from_fn(move || Some(src.next_event())).take(opts.events);
-    let report = cpu.run(&mut system, trace);
+    };
+    let trace = opts.workload.source(opts.seed).take_events(opts.events);
+    let (report, system) = opts.arch.run(cpu, trace);
 
-    println!("workload     : {workload}");
-    println!("architecture : {}", system.label());
+    println!("workload     : {}", opts.workload);
+    println!("architecture : {} ({})", opts.arch, system.label());
     println!(
         "events       : {} ({} instructions)",
         opts.events, report.instructions
@@ -364,4 +119,47 @@ fn main() -> ExitCode {
     println!("cycles       : {}", report.cycles);
     println!("IPC          : {:.4}", report.ipc());
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Command, String> {
+        super::parse(args.iter().map(|a| (*a).to_owned()))
+    }
+
+    #[test]
+    fn defaults_and_flags() {
+        let Ok(Command::Run(opts)) = parse(&["--arch", "prefetch:in,bus=slow", "--window", "8"])
+        else {
+            panic!("a run");
+        };
+        assert_eq!(opts.arch.to_string(), "prefetch:in,bus=slow");
+        assert_eq!(opts.workload.name(), "gcc");
+        assert_eq!((opts.events, opts.seed, opts.window), (300_000, 1, 8));
+    }
+
+    #[test]
+    fn zero_events_is_an_error() {
+        let err = parse(&["--events", "0"]).unwrap_err();
+        assert!(err.contains("empty trace"), "{err}");
+    }
+
+    #[test]
+    fn bad_specs_and_dropped_flags_are_errors() {
+        for args in [
+            &["--arch", "victim:both,entries=0"][..],
+            &["--arch", "baseline,entries=4"],
+            &["--arch", "victim"],
+            &["--arch"],
+            &["--entries", "4"],
+            &["--l1-size", "32"],
+            &["--l1-assoc", "4"],
+            &["--workload", "nope"],
+            &["--seed", "x"],
+        ] {
+            assert!(parse(args).is_err(), "{args:?} parsed");
+        }
+    }
 }

@@ -197,11 +197,26 @@ impl Options {
     }
 }
 
-/// Parses `repro` arguments (without the program name).
+/// Parses the value of an `--events` flag for `repro` and `sim`.
 ///
-/// Rejects non-positive or malformed `--events` explicitly — `--events
-/// 0` used to slip through and silently run every experiment over
-/// empty traces.
+/// # Errors
+///
+/// A missing or malformed count, or zero: `--events 0` used to slip
+/// through and silently run every experiment over empty traces.
+pub fn parse_events(value: Option<String>) -> Result<usize, String> {
+    let value = value.ok_or("--events needs a value")?;
+    match value.parse() {
+        Ok(0) => Err(
+            "--events 0 would run every experiment over an empty trace; \
+             pass a positive event count"
+                .to_owned(),
+        ),
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!("--events needs a positive integer, got `{value}`")),
+    }
+}
+
+/// Parses `repro` arguments (without the program name).
 ///
 /// `--stream` is accepted and has no effect: every driver streams its
 /// traces. Benchmark invocations still pass it.
@@ -227,20 +242,7 @@ where
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--events" => {
-                let value = args.next().ok_or("--events needs a value")?;
-                let n: usize = value
-                    .parse()
-                    .map_err(|_| format!("--events needs a positive integer, got `{value}`"))?;
-                if n == 0 {
-                    return Err(
-                        "--events 0 would run every experiment over an empty trace; \
-                         pass a positive event count"
-                            .to_owned(),
-                    );
-                }
-                events = n;
-            }
+            "--events" => events = parse_events(args.next())?,
             "--threads" => {
                 let value = args.next().ok_or("--threads needs a value")?;
                 let n: usize = value

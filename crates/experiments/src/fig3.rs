@@ -6,11 +6,11 @@
 //! 2.6% of accesses; filtering swaps cuts swaps from 1.7% to 0.1%
 //! while shifting hits from the cache to the buffer.
 
-use cpu_model::BaselineSystem;
 use sim_core::stats::GeoMean;
-use victim_cache::{VictimConfig, VictimPolicy, VictimStats, VictimSystem};
+use victim_cache::{VictimPolicy, VictimStats};
 use workloads::suite;
 
+use crate::arch::{Arch, Family, System};
 use crate::table::{pct, speedup};
 use crate::{RunConfig, Table};
 
@@ -38,34 +38,28 @@ pub struct Fig3 {
     pub events: usize,
 }
 
-/// Trace events this figure simulates: the no-victim baseline plus
-/// one run per victim policy, per workload.
+/// The figure's cells: the no-victim baseline, then one victim cache
+/// per policy in the paper's bar order.
+#[must_use]
+pub fn cells() -> Vec<Arch> {
+    let victims = VictimPolicy::ALL.map(|policy| Arch::new(Family::Victim(policy)));
+    [Arch::BASELINE].into_iter().chain(victims).collect()
+}
+
+/// Trace events this figure simulates: every cell, per workload.
 #[must_use]
 pub fn simulated_events(events: usize) -> u64 {
-    ((1 + VictimPolicy::ALL.len()) * suite().len() * events) as u64
+    (cells().len() * suite().len() * events) as u64
 }
 
 /// Runs the Figure 3 / Table 1 experiment: one pass per workload
-/// feeds the no-victim baseline and every victim policy.
+/// feeds every cell.
 #[must_use]
 pub fn run(cfg: &RunConfig, events: usize) -> Fig3 {
-    let passes = crate::policy_passes(
-        cfg,
-        "fig3",
-        events,
-        || BaselineSystem::paper_default().expect("paper config"),
-        || {
-            VictimPolicy::ALL
-                .iter()
-                .map(|&policy| {
-                    let sys = VictimSystem::paper_default(VictimConfig::new(policy))
-                        .expect("paper config");
-                    (policy.to_string(), sys)
-                })
-                .collect()
-        },
-        |sys| *sys.stats(),
-    );
+    let passes = crate::policy_passes(cfg, "fig3", events, &cells(), |system| match system {
+        System::Victim(s) => *s.stats(),
+        _ => unreachable!("fig3's policy cells are victim caches"),
+    });
     let policies = VictimPolicy::ALL
         .iter()
         .enumerate()

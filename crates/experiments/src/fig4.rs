@@ -6,13 +6,12 @@
 //! little coverage loss; speedups are small ("the performance
 //! advantage is not significant").
 
-use cache_model::{CacheGeometry, L2MemoryConfig};
-use cpu_model::Plumbing;
 use mct::ConflictFilter;
-use prefetcher::{NextLineSystem, PrefetchConfig, PrefetchStats};
+use prefetcher::PrefetchStats;
 use sim_core::stats::GeoMean;
 use workloads::suite;
 
+use crate::arch::{Arch, Family, System};
 use crate::table::{pct, speedup};
 use crate::{RunConfig, Table};
 
@@ -36,58 +35,43 @@ pub struct Fig4 {
     pub events: usize,
 }
 
-/// The five Figure 4 strategies.
+/// The five Figure 4 strategies: unfiltered, then each filter.
 #[must_use]
 pub fn strategies() -> Vec<Option<ConflictFilter>> {
-    vec![
-        None,
-        Some(ConflictFilter::InConflict),
-        Some(ConflictFilter::OutConflict),
-        Some(ConflictFilter::AndConflict),
-        Some(ConflictFilter::OrConflict),
-    ]
+    [None]
+        .into_iter()
+        .chain(ConflictFilter::ALL.map(Some))
+        .collect()
 }
 
-/// Trace events this figure simulates: the no-prefetch baseline plus
-/// one run per strategy, per workload.
+/// The figure's cells, all on the slow bus: the no-prefetch baseline,
+/// then one next-line prefetcher per strategy.
+#[must_use]
+pub fn cells() -> Vec<Arch> {
+    let prefetchers = strategies()
+        .into_iter()
+        .map(|filter| Arch::new(Family::Prefetch(filter)));
+    [Arch::BASELINE]
+        .into_iter()
+        .chain(prefetchers)
+        .map(Arch::on_slow_bus)
+        .collect()
+}
+
+/// Trace events this figure simulates: every cell, per workload.
 #[must_use]
 pub fn simulated_events(events: usize) -> u64 {
-    ((1 + strategies().len()) * suite().len() * events) as u64
+    (cells().len() * suite().len() * events) as u64
 }
 
-/// Runs the Figure 4 experiment: one pass per workload feeds the
-/// slow-bus no-prefetch baseline and every strategy.
+/// Runs the Figure 4 experiment: one pass per workload feeds every
+/// cell.
 #[must_use]
 pub fn run(cfg: &RunConfig, events: usize) -> Fig4 {
-    let passes = crate::policy_passes(
-        cfg,
-        "fig4",
-        events,
-        || {
-            let plumbing = Plumbing::new(
-                cpu_model::MemTimings::paper_default(),
-                L2MemoryConfig::paper_slow_bus().expect("paper config"),
-            );
-            cpu_model::BaselineSystem::new(
-                CacheGeometry::new(16 * 1024, 1, 64).expect("paper geometry"),
-                plumbing,
-            )
-        },
-        || {
-            strategies()
-                .into_iter()
-                .map(|filter| {
-                    let (name, cfg) = match filter {
-                        None => ("next-line".to_owned(), PrefetchConfig::unfiltered()),
-                        Some(f) => (format!("ignore {f}"), PrefetchConfig::filtered(f)),
-                    };
-                    let sys = NextLineSystem::paper_slow_bus(cfg).expect("paper config");
-                    (name, sys)
-                })
-                .collect()
-        },
-        |sys| *sys.stats(),
-    );
+    let passes = crate::policy_passes(cfg, "fig4", events, &cells(), |system| match system {
+        System::Prefetch(s) => *s.stats(),
+        _ => unreachable!("fig4's policy cells are next-line prefetchers"),
+    });
     let strategies = strategies()
         .into_iter()
         .enumerate()

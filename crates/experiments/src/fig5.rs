@@ -5,11 +5,11 @@
 //! the best performance, beating both the MAT and the more complex
 //! MCT variants, with a higher overall hit rate.
 
-use cpu_model::BaselineSystem;
-use exclusion::{ExclusionConfig, ExclusionPolicy, ExclusionStats, ExclusionSystem};
+use exclusion::{ExclusionPolicy, ExclusionStats};
 use sim_core::stats::GeoMean;
 use workloads::suite;
 
+use crate::arch::{Arch, Family, System};
 use crate::table::{pct, speedup};
 use crate::{RunConfig, Table};
 
@@ -35,34 +35,28 @@ pub struct Fig5 {
     pub events: usize,
 }
 
-/// Trace events this figure simulates: the no-buffer baseline plus
-/// one run per exclusion policy, per workload.
+/// The figure's cells: the no-buffer baseline, then one bypass buffer
+/// per exclusion policy in the paper's bar order.
 #[must_use]
-pub fn simulated_events(events: usize) -> u64 {
-    ((1 + ExclusionPolicy::ALL.len()) * suite().len() * events) as u64
+pub fn cells() -> Vec<Arch> {
+    let buffers = ExclusionPolicy::ALL.map(|policy| Arch::new(Family::Exclusion(policy)));
+    [Arch::BASELINE].into_iter().chain(buffers).collect()
 }
 
-/// Runs the Figure 5 experiment: one pass per workload feeds the
-/// no-buffer baseline and every exclusion policy.
+/// Trace events this figure simulates: every cell, per workload.
+#[must_use]
+pub fn simulated_events(events: usize) -> u64 {
+    (cells().len() * suite().len() * events) as u64
+}
+
+/// Runs the Figure 5 experiment: one pass per workload feeds every
+/// cell.
 #[must_use]
 pub fn run(cfg: &RunConfig, events: usize) -> Fig5 {
-    let passes = crate::policy_passes(
-        cfg,
-        "fig5",
-        events,
-        || BaselineSystem::paper_default().expect("paper config"),
-        || {
-            ExclusionPolicy::ALL
-                .iter()
-                .map(|&policy| {
-                    let sys = ExclusionSystem::paper_default(ExclusionConfig::new(policy))
-                        .expect("paper config");
-                    (policy.to_string(), sys)
-                })
-                .collect()
-        },
-        |sys| *sys.stats(),
-    );
+    let passes = crate::policy_passes(cfg, "fig5", events, &cells(), |system| match system {
+        System::Exclusion(s) => *s.stats(),
+        _ => unreachable!("fig5's policy cells are exclusion buffers"),
+    });
     let policies = ExclusionPolicy::ALL
         .iter()
         .enumerate()

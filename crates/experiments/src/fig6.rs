@@ -7,11 +7,11 @@
 //! optimization, with a ~1.4× average miss-rate improvement over the
 //! best single policy.
 
-use amb::{AmbConfig, AmbPolicy, AmbStats, AmbSystem};
-use cpu_model::BaselineSystem;
+use amb::{AmbPolicy, AmbStats};
 use sim_core::stats::GeoMean;
 use workloads::suite;
 
+use crate::arch::{Arch, Family, System};
 use crate::table::{pct, speedup};
 use crate::{RunConfig, Table};
 
@@ -40,46 +40,42 @@ pub struct Fig6 {
     pub events: usize,
 }
 
-/// Trace events this figure simulates: the no-buffer baseline plus
-/// one run per (policy, buffer-size) cell, per workload.
-#[must_use]
-pub fn simulated_events(events: usize) -> u64 {
-    ((1 + 2 * AmbPolicy::ALL.len()) * suite().len() * events) as u64
-}
-
-/// Runs the Figures 6 + 7 experiment: one pass per workload feeds the
-/// no-buffer baseline and every policy at 8 entries, then at 16.
-#[must_use]
-pub fn run(cfg: &RunConfig, events: usize) -> Fig6 {
-    let cells: Vec<(usize, AmbPolicy)> = [8usize, 16]
+/// The figure's `(entries, policy)` points: every policy at 8 entries,
+/// then every policy at 16.
+fn points() -> impl Iterator<Item = (usize, AmbPolicy)> {
+    [8, 16]
         .into_iter()
         .flat_map(|entries| AmbPolicy::ALL.map(|policy| (entries, policy)))
-        .collect();
-    let passes = crate::policy_passes(
-        cfg,
-        "fig6",
-        events,
-        || BaselineSystem::paper_default().expect("paper config"),
-        || {
-            cells
-                .iter()
-                .map(|&(entries, policy)| {
-                    let cfg = if entries == 8 {
-                        AmbConfig::new(policy)
-                    } else {
-                        AmbConfig::large(policy)
-                    };
-                    let sys = AmbSystem::paper_default(cfg).expect("paper config");
-                    (format!("{policy}-{entries}"), sys)
-                })
-                .collect()
-        },
-        |sys| *sys.stats(),
-    );
-    let results = cells
-        .iter()
+}
+
+/// The figure's cells: the no-buffer baseline, then one AMB per point.
+#[must_use]
+pub fn cells() -> Vec<Arch> {
+    let buffers = points().map(|(entries, policy)| {
+        Arch::new(Family::Amb(policy))
+            .with_entries(entries)
+            .expect("an AMB has a buffer")
+    });
+    [Arch::BASELINE].into_iter().chain(buffers).collect()
+}
+
+/// Trace events this figure simulates: every cell, per workload.
+#[must_use]
+pub fn simulated_events(events: usize) -> u64 {
+    (cells().len() * suite().len() * events) as u64
+}
+
+/// Runs the Figures 6 + 7 experiment: one pass per workload feeds
+/// every cell.
+#[must_use]
+pub fn run(cfg: &RunConfig, events: usize) -> Fig6 {
+    let passes = crate::policy_passes(cfg, "fig6", events, &cells(), |system| match system {
+        System::Amb(s) => *s.stats(),
+        _ => unreachable!("fig6's policy cells are AMBs"),
+    });
+    let results = points()
         .enumerate()
-        .map(|(k, &(entries, policy))| {
+        .map(|(k, (entries, policy))| {
             let mut mean = GeoMean::default();
             let mut agg = AmbStats::default();
             for pass in &passes {

@@ -18,7 +18,9 @@
 //! Two infrastructure modules serve the `repro` harness: [`cli`]
 //! (argument parsing and the figure-target registry) and [`telemetry`]
 //! (per-figure wall time, events/sec, and the machine-readable
-//! `BENCH_repro.json` the perf trajectory is tracked with).
+//! `BENCH_repro.json` the perf trajectory is tracked with). [`arch`]
+//! names and builds every CPU-model cell's memory system; `sim --arch`
+//! parses the same spec.
 //!
 //! Every driver streams each workload's trace once per figure, at
 //! O([`STREAM_CHUNK`]) memory, and advances every cell that replays
@@ -52,6 +54,7 @@
 #![warn(missing_docs)]
 
 pub mod ablation;
+pub mod arch;
 pub mod cli;
 pub mod fig1;
 pub mod fig2;
@@ -76,12 +79,13 @@ pub mod tracing;
 pub use run::{RunConfig, RunHeader};
 pub use table::Table;
 
-use cache_model::CacheGeometry;
+use cache_model::{CacheGeometry, CacheStats};
 use cpu_model::{CpuConfig, CpuReport, CpuRun, MemorySystem, OooModel};
 use mct::accuracy::AccuracyReport;
 use mct::EvictionClassifier;
 use trace_gen::{TraceEvent, TraceSource};
 
+use crate::arch::{Arch, System};
 use crate::group::AccuracyGroup;
 
 /// Default events per workload for full experiment runs.
@@ -184,54 +188,27 @@ pub fn replay_group<T: EvictionClassifier>(
 /// workloads crate).
 pub const SEED: u64 = 1;
 
-/// One cell of a CPU-model group pass ([`replay_cpu`]): the core it
-/// runs on and the memory system it drives. The cell borrows the
-/// memory system, so the driver reads its counters once the pass
-/// returns.
-pub struct CpuCell<'a> {
-    cpu: CpuConfig,
-    mem: &'a mut dyn FeedChunk,
-}
-
-impl<'a> CpuCell<'a> {
-    /// A cell driving `mem` from a core with parameters `cpu`.
-    pub fn new<M: MemorySystem>(cpu: CpuConfig, mem: &'a mut M) -> Self {
-        CpuCell { cpu, mem }
-    }
-
-    /// A cell driving `mem` from the paper's core.
-    pub fn paper<M: MemorySystem>(mem: &'a mut M) -> Self {
-        CpuCell::new(CpuConfig::paper_default(), mem)
-    }
-}
-
-impl std::fmt::Debug for CpuCell<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CpuCell")
-            .field("cpu", &self.cpu)
-            .finish_non_exhaustive()
-    }
-}
-
-/// A [`CpuCell`]'s memory system, fed a chunk at a time. The blanket
-/// impl monomorphizes the core loop per memory system, so a group pass
-/// makes one dynamic call per cell per chunk, not per event.
-trait FeedChunk {
-    fn feed_chunk(&mut self, run: &mut CpuRun, events: &[TraceEvent]);
-}
-
-impl<M: MemorySystem> FeedChunk for M {
-    fn feed_chunk(&mut self, run: &mut CpuRun, events: &[TraceEvent]) {
-        run.feed(self, events.iter().copied());
+/// Feeds `trace` to `f` one [`STREAM_CHUNK`]-event chunk at a time,
+/// through one reused buffer (the final chunk may be shorter).
+fn for_each_chunk(trace: impl IntoIterator<Item = TraceEvent>, mut f: impl FnMut(&[TraceEvent])) {
+    let mut trace = trace.into_iter();
+    let mut chunk: Vec<TraceEvent> = Vec::with_capacity(STREAM_CHUNK.min(trace.size_hint().0));
+    loop {
+        chunk.clear();
+        chunk.extend(trace.by_ref().take(STREAM_CHUNK));
+        if chunk.is_empty() {
+            return;
+        }
+        f(&chunk);
     }
 }
 
 /// The CPU-model drivers' one replay loop (fig3–fig6, §5.4, §5.6 and
-/// the window and buffer sweeps): streams `trace` once, through one
-/// reused [`STREAM_CHUNK`]-event buffer, and feeds each chunk to every
-/// cell in turn. Returns the cells' reports in cell order; each equals
-/// a standalone [`OooModel::run`] of that cell over the whole trace
-/// (differential-tested).
+/// the window and buffer sweeps): builds every `(core, architecture)`
+/// cell, streams `trace` once in [`STREAM_CHUNK`]-event chunks, and
+/// feeds each chunk to every cell in turn. Returns each cell's report
+/// and system, in cell order; each equals [`Arch::run`] of that cell
+/// over the whole trace (differential-tested).
 ///
 /// The pass runs as one [`probe::group`] cell of `target`, labelled
 /// `label`; cell `i` keeps its own probe record, labelled
@@ -242,30 +219,25 @@ pub fn replay_cpu(
     target: &'static str,
     label: impl Fn() -> String,
     trace: impl IntoIterator<Item = TraceEvent>,
-    cells: Vec<CpuCell<'_>>,
+    cells: &[(CpuConfig, Arch)],
     cell_label: impl Fn(usize) -> String,
-) -> Vec<CpuReport> {
+) -> Vec<(CpuReport, System)> {
     let count = cells.len();
     probe::group(cfg, target, label, count, cell_label, |probes| {
         let _span = sim_core::span::enter("replay_cpu");
-        let mut runs: Vec<(CpuRun, &mut dyn FeedChunk)> = cells
-            .into_iter()
-            .map(|cell| (OooModel::new(cell.cpu).start(), cell.mem))
+        let mut runs: Vec<(CpuRun, System)> = cells
+            .iter()
+            .map(|&(cpu, arch)| (OooModel::new(cpu).start(), arch.build()))
             .collect();
-        let mut trace = trace.into_iter();
-        let mut chunk: Vec<TraceEvent> = Vec::with_capacity(STREAM_CHUNK.min(trace.size_hint().0));
-        loop {
-            chunk.clear();
-            chunk.extend(trace.by_ref().take(STREAM_CHUNK));
-            if chunk.is_empty() {
-                break;
-            }
+        for_each_chunk(trace, |chunk| {
             sim_core::span::add_events((chunk.len() * count) as u64);
-            for (i, (run, mem)) in runs.iter_mut().enumerate() {
-                probes.member(i, || mem.feed_chunk(run, &chunk));
+            for (i, (run, system)) in runs.iter_mut().enumerate() {
+                probes.member(i, || system.feed(run, chunk));
             }
-        }
-        runs.into_iter().map(|(run, _)| run.finish()).collect()
+        });
+        runs.into_iter()
+            .map(|(run, system)| (run.finish(), system))
+            .collect()
     })
 }
 
@@ -273,65 +245,65 @@ pub fn replay_cpu(
 pub(crate) struct PolicyPass<T> {
     /// The baseline cell's report.
     pub(crate) base: CpuReport,
-    /// The baseline's L1 hit rate.
-    pub(crate) base_hit_rate: f64,
-    /// Each policy cell's report and counters, in policy order.
+    /// The baseline cell's L1 counters.
+    pub(crate) base_l1: CacheStats,
+    /// Each other cell's report and counters, in cell order.
     pub(crate) policies: Vec<(CpuReport, T)>,
 }
 
-/// The policy figures' driver loop (fig3–fig6): one [`replay_cpu`]
-/// pass per §5 workload, in parallel over workloads, feeds a
-/// `baseline` system and every `(label, system)` of `policies`, cells
-/// labelled `baseline/<workload>` and `<label>/<workload>`. `stats`
-/// reads a policy system's counters when its pass ends. Passes come
-/// back in [`workloads::suite`] order.
-pub(crate) fn policy_passes<S, T>(
+/// The policy figures' driver loop (fig3–fig6, §5.4): one
+/// [`replay_cpu`] pass per §5 workload, in parallel over workloads,
+/// feeds every cell of `cells` on the paper's core, each labelled
+/// `<spec>/<workload>`. `cells[0]` is the baseline the others are
+/// weighed against; `stats` reads each other cell's counters when its
+/// pass ends. Passes come back in [`workloads::suite`] order.
+pub(crate) fn policy_passes<T: Send>(
     cfg: &RunConfig,
     target: &'static str,
     events: usize,
-    baseline: impl Fn() -> cpu_model::BaselineSystem + Sync,
-    policies: impl Fn() -> Vec<(String, S)> + Sync,
-    stats: impl Fn(&S) -> T + Sync,
-) -> Vec<PolicyPass<T>>
-where
-    S: MemorySystem,
-    T: Send,
-{
+    cells: &[Arch],
+    stats: impl Fn(&System) -> T + Sync,
+) -> Vec<PolicyPass<T>> {
+    let cells: Vec<(CpuConfig, Arch)> = cells
+        .iter()
+        .map(|&arch| (CpuConfig::paper_default(), arch))
+        .collect();
     cfg.par_map(workloads::suite(), |w| {
-        let mut base = baseline();
-        let (names, mut systems): (Vec<String>, Vec<S>) = policies().into_iter().unzip();
-        let mut cells = vec![CpuCell::paper(&mut base)];
-        cells.extend(systems.iter_mut().map(CpuCell::paper));
-        let mut reports = replay_cpu(
+        let mut runs = replay_cpu(
             cfg,
             target,
             || w.name().to_owned(),
             trace(&w, events),
-            cells,
-            |i| {
-                let name = if i == 0 { "baseline" } else { &names[i - 1] };
-                format!("{name}/{}", w.name())
-            },
+            &cells,
+            |i| format!("{}/{}", cells[i].1, w.name()),
         );
-        let policies = reports
+        let policies = runs
             .split_off(1)
             .into_iter()
-            .zip(&systems)
-            .map(|(report, system)| (report, stats(system)))
+            .map(|(report, system)| (report, stats(&system)))
             .collect();
+        let (base, system) = &runs[0];
         PolicyPass {
-            base: reports[0],
-            base_hit_rate: base.l1_stats().hit_rate(),
+            base: *base,
+            base_l1: *l1_stats(system),
             policies,
         }
     })
+}
+
+/// The L1 counters of a plain-L1 cell's system ([`System::Baseline`]).
+pub(crate) fn l1_stats(system: &System) -> &CacheStats {
+    match system {
+        System::Baseline(s) => s.l1_stats(),
+        other => panic!("{} has no plain L1", other.label()),
+    }
 }
 
 /// The suite-average baseline hit rate of `passes`.
 pub(crate) fn mean_base_hit_rate<T>(passes: &[PolicyPass<T>]) -> f64 {
     let mut sum = 0.0;
     for pass in passes {
-        sum += pass.base_hit_rate;
+        sum += pass.base_l1.hit_rate();
     }
     sum / passes.len() as f64
 }

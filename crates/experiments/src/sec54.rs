@@ -5,13 +5,13 @@
 //! running only 0.9% slower than a true 2-way cache (with tomcatv,
 //! turb3d and wave5 beating the 2-way cache).
 
-use cpu_model::BaselineSystem;
-use pseudo_assoc::{PseudoAssocSystem, PseudoConfig, PseudoPolicy};
+use pseudo_assoc::PseudoPolicy;
 use sim_core::stats::GeoMean;
 use workloads::suite;
 
+use crate::arch::{Arch, Family, System};
 use crate::table::{pct, speedup};
-use crate::{CpuCell, RunConfig, Table};
+use crate::{RunConfig, Table};
 
 /// Per-benchmark numbers for the §5.4 comparison.
 #[derive(Debug, Clone)]
@@ -45,62 +45,57 @@ pub struct Sec54 {
     pub events: usize,
 }
 
-/// Trace events this section simulates: four runs (DM, base pseudo,
-/// modified pseudo, true 2-way) per workload.
+/// The section's cells: the direct-mapped baseline, both
+/// pseudo-associative policies, and the true 2-way cache.
 #[must_use]
-pub fn simulated_events(events: usize) -> u64 {
-    (4 * suite().len() * events) as u64
+pub fn cells() -> Vec<Arch> {
+    vec![
+        Arch::BASELINE,
+        Arch::new(Family::Pseudo(PseudoPolicy::Lru)),
+        Arch::new(Family::Pseudo(PseudoPolicy::ConflictBit)),
+        Arch::new(Family::TwoWay),
+    ]
 }
 
-/// The probe label of each cell of a workload's pass, in cell order.
-const CELLS: [&str; 4] = ["dm", "pseudo-lru", "pseudo-cbit", "two-way"];
+/// Trace events this section simulates: every cell, per workload.
+#[must_use]
+pub fn simulated_events(events: usize) -> u64 {
+    (cells().len() * suite().len() * events) as u64
+}
 
-/// Runs the §5.4 experiment: one pass per workload feeds the
-/// direct-mapped baseline, both pseudo-associative policies and the
-/// true 2-way cache.
+/// Runs the §5.4 experiment: one pass per workload feeds every cell.
 #[must_use]
 pub fn run(cfg: &RunConfig, events: usize) -> Sec54 {
-    let benchmarks = suite();
     let mut base_sum = 0.0;
     let mut mod_sum = 0.0;
     let mut two_sum = 0.0;
     let mut mean_base = GeoMean::default();
     let mut mean_two = GeoMean::default();
 
-    let rows: Vec<BenchRow> = cfg.par_map(benchmarks, |w| {
-        let mut dm = BaselineSystem::paper_default().expect("paper config");
-        let mut base = PseudoAssocSystem::paper_default(PseudoConfig::new(PseudoPolicy::Lru))
-            .expect("paper config");
-        let mut modified =
-            PseudoAssocSystem::paper_default(PseudoConfig::new(PseudoPolicy::ConflictBit))
-                .expect("paper config");
-        let mut two_way = BaselineSystem::paper_two_way().expect("paper config");
-        let cells = vec![
-            CpuCell::paper(&mut dm),
-            CpuCell::paper(&mut base),
-            CpuCell::paper(&mut modified),
-            CpuCell::paper(&mut two_way),
-        ];
-        let reports = crate::replay_cpu(
-            cfg,
-            "sec54",
-            || w.name().to_owned(),
-            crate::trace(&w, events),
-            cells,
-            |i| format!("{}/{}", CELLS[i], w.name()),
-        );
-        let (base_report, mod_report, two_report) = (reports[1], reports[2], reports[3]);
-
-        BenchRow {
-            name: w.name().to_owned(),
-            dm_miss: dm.l1_stats().miss_rate(),
-            base_miss: base.stats().miss_rate(),
-            modified_miss: modified.stats().miss_rate(),
-            two_way_miss: two_way.l1_stats().miss_rate(),
-            speedup_mod_over_base: mod_report.speedup_over(&base_report),
-            speedup_mod_over_two_way: mod_report.speedup_over(&two_report),
-        }
+    let passes = crate::policy_passes(cfg, "sec54", events, &cells(), |system| match system {
+        System::Pseudo(s) => s.stats().miss_rate(),
+        other => crate::l1_stats(other).miss_rate(),
     });
+    let rows: Vec<BenchRow> = suite()
+        .iter()
+        .zip(passes)
+        .map(|(w, pass)| {
+            let [(base, base_miss), (modified, modified_miss), (two_way, two_way_miss)] =
+                pass.policies[..]
+            else {
+                unreachable!("sec54 has three cells past the baseline")
+            };
+            BenchRow {
+                name: w.name().to_owned(),
+                dm_miss: pass.base_l1.miss_rate(),
+                base_miss,
+                modified_miss,
+                two_way_miss,
+                speedup_mod_over_base: modified.speedup_over(&base),
+                speedup_mod_over_two_way: modified.speedup_over(&two_way),
+            }
+        })
+        .collect();
     for row in &rows {
         base_sum += row.base_miss;
         mod_sum += row.modified_miss;

@@ -20,8 +20,9 @@ use sim_core::Addr;
 use trace_gen::{TraceEvent, TraceSource};
 use workloads::{by_name, Workload};
 
+use crate::arch::Arch;
 use crate::table::pct;
-use crate::{CpuCell, RunConfig, Table, SEED};
+use crate::{RunConfig, Table, SEED};
 
 /// One co-scheduled pairing's measurements.
 #[derive(Debug, Clone)]
@@ -90,20 +91,20 @@ fn thread_trace(w: &Workload, (seed, offset): (u64, u64), events: usize) -> Vec<
 /// Solo run of `w` as thread `thread` of [`THREADS`] on the baseline
 /// system, over its already-built `trace`: (miss rate, IPC).
 fn solo_run(cfg: &RunConfig, w: &Workload, thread: usize, trace: &[TraceEvent]) -> (f64, f64) {
-    let mut sys = BaselineSystem::paper_default().expect("paper config");
     let label = || {
         let role = if thread == 0 { "solo" } else { "solo-partner" };
         format!("{role}/{}", w.name())
     };
-    let report = crate::replay_cpu(
+    let runs = crate::replay_cpu(
         cfg,
         "sec56",
         label,
         trace.iter().copied(),
-        vec![CpuCell::paper(&mut sys)],
+        &[(CpuConfig::paper_default(), Arch::BASELINE)],
         |_| label(),
     );
-    (sys.l1_stats().miss_rate(), report[0].ipc())
+    let (report, system) = &runs[0];
+    (crate::l1_stats(system).miss_rate(), report.ipc())
 }
 
 /// One pairing's shared-cache measurements, before the solo runs they

@@ -19,24 +19,17 @@
 //! [`experiments::STREAM_CHUNK`] — must report exactly what one
 //! [`OooModel::run`] over the whole trace reports, and leave its
 //! memory system's counters identical, for every memory system the
-//! figures drive. The grouped pass ([`experiments::replay_cpu`]) must
-//! equal a standalone run of each of its cells.
+//! figures drive. The grouped pass ([`experiments::replay_cpu`]) and
+//! [`Arch::run`] must equal a standalone run of each of its cells.
 
-use amb::{AmbConfig, AmbPolicy, AmbSystem};
 use cache_model::CacheGeometry;
-use cpu_model::{
-    BaselineSystem, CpuConfig, CpuReport, CpuRun, MemResponse, MemorySystem, OooModel,
-};
-use exclusion::{ExclusionConfig, ExclusionPolicy, ExclusionSystem};
-use experiments::{ablation, fig1, fig2, mrc, CpuCell, RunConfig};
+use cpu_model::{CpuConfig, CpuReport, CpuRun, OooModel};
+use experiments::arch::{Arch, System};
+use experiments::{ablation, fig1, fig2, mrc, RunConfig};
 use mct::accuracy::{AccuracyEvaluator, AccuracyReport};
-use mct::{ConflictFilter, EvictionClassifier, MissClassificationTable, ShadowDirectory, TagBits};
-use prefetcher::{NextLineSystem, PrefetchConfig};
+use mct::{EvictionClassifier, MissClassificationTable, ShadowDirectory, TagBits};
 use proptest::prelude::*;
-use pseudo_assoc::{PseudoAssocSystem, PseudoConfig, PseudoPolicy};
-use sim_core::Cycle;
-use trace_gen::{MemoryAccess, TraceEvent, TraceSource};
-use victim_cache::{VictimConfig, VictimPolicy, VictimSystem};
+use trace_gen::{TraceEvent, TraceSource};
 use workloads::Workload;
 
 const EVENTS: usize = 3_000;
@@ -285,65 +278,32 @@ fn grouped_replay_matches_per_cell_per_event_replay() {
     check_group("one member", &w, EVENTS, vec![(geom, table)], &expected);
 }
 
-/// One of the memory systems the CPU-model figures drive.
-enum System {
-    Baseline(BaselineSystem),
-    Victim(VictimSystem),
-    NextLine(NextLineSystem),
-    Exclusion(ExclusionSystem),
-    Pseudo(PseudoAssocSystem),
-    Amb(AmbSystem),
+/// One spec per memory system the CPU-model figures drive.
+const SPECS: [&str; 7] = [
+    "baseline",
+    "two-way",
+    "victim:both",
+    "prefetch:or,bus=slow",
+    "exclusion:capacity",
+    "pseudo:mct",
+    "amb:vicpreexc,entries=16",
+];
+
+fn archs() -> Vec<Arch> {
+    SPECS.iter().map(|spec| spec.parse().unwrap()).collect()
 }
 
-impl System {
-    /// A fresh instance of each kind, in a fixed order.
-    fn all() -> Vec<System> {
-        vec![
-            System::Baseline(BaselineSystem::paper_default().unwrap()),
-            System::Victim(
-                VictimSystem::paper_default(VictimConfig::new(VictimPolicy::FilterBoth)).unwrap(),
-            ),
-            System::NextLine(
-                NextLineSystem::paper_slow_bus(PrefetchConfig::filtered(
-                    ConflictFilter::OrConflict,
-                ))
-                .unwrap(),
-            ),
-            System::Exclusion(
-                ExclusionSystem::paper_default(ExclusionConfig::new(ExclusionPolicy::Capacity))
-                    .unwrap(),
-            ),
-            System::Pseudo(
-                PseudoAssocSystem::paper_default(PseudoConfig::new(PseudoPolicy::ConflictBit))
-                    .unwrap(),
-            ),
-            System::Amb(AmbSystem::paper_default(AmbConfig::new(AmbPolicy::VicPreExc)).unwrap()),
-        ]
-    }
-
-    /// The system's counters, rendered for comparison.
-    fn stats(&self) -> String {
-        match self {
-            System::Baseline(s) => format!("{:?}", s.l1_stats()),
-            System::Victim(s) => format!("{:?}", s.stats()),
-            System::NextLine(s) => format!("{:?}", s.stats()),
-            System::Exclusion(s) => format!("{:?}", s.stats()),
-            System::Pseudo(s) => format!("{:?}", s.stats()),
-            System::Amb(s) => format!("{:?}", s.stats()),
-        }
-    }
-}
-
-impl MemorySystem for System {
-    fn access(&mut self, access: MemoryAccess, now: Cycle) -> MemResponse {
-        match self {
-            System::Baseline(s) => s.access(access, now),
-            System::Victim(s) => s.access(access, now),
-            System::NextLine(s) => s.access(access, now),
-            System::Exclusion(s) => s.access(access, now),
-            System::Pseudo(s) => s.access(access, now),
-            System::Amb(s) => s.access(access, now),
-        }
+/// A system's counters, rendered for comparison.
+fn counters(system: &System) -> String {
+    match system {
+        System::Baseline(s) => format!("{:?}", s.l1_stats()),
+        System::Victim(s) => format!("{:?}", s.stats()),
+        System::Prefetch(s) => format!("{:?}", s.stats()),
+        System::Rpt(s) => format!("{:?}", s.stats()),
+        System::Exclusion(s) => format!("{:?}", s.stats()),
+        System::Pseudo(s) => format!("{:?}", s.stats()),
+        System::Remap(s) => format!("{:?}", s.stats()),
+        System::Amb(s) => format!("{:?}", s.stats()),
     }
 }
 
@@ -357,11 +317,12 @@ fn events_of(workload: &Workload, events: usize) -> Vec<TraceEvent> {
 /// Every system's `(report, counters)` after one whole-trace run.
 fn whole_runs(trace: &[TraceEvent]) -> Vec<(CpuReport, String)> {
     let cpu = OooModel::new(CpuConfig::paper_default());
-    System::all()
+    archs()
         .into_iter()
-        .map(|mut sys| {
-            let report = cpu.run(&mut sys, trace.iter().copied());
-            (report, sys.stats())
+        .map(|arch| {
+            let mut system = arch.build();
+            let report = cpu.run(&mut system, trace.iter().copied());
+            (report, counters(&system))
         })
         .collect()
 }
@@ -388,17 +349,18 @@ proptest! {
         let w = suite[workload % suite.len()];
         let trace = events_of(&w, len);
         let cpu = OooModel::new(CpuConfig::paper_default());
-        for (mut sys, whole) in System::all().into_iter().zip(whole_runs(&trace)) {
+        for (arch, whole) in archs().into_iter().zip(whole_runs(&trace)) {
+            let mut system = arch.build();
             let mut run: CpuRun = cpu.start();
             // One chunk per draw, then whatever is left.
             let mut rest = &trace[..];
             for &draw in &draws {
                 let (chunk, tail) = rest.split_at(chunk_len(draw).min(rest.len()));
-                run.feed(&mut sys, chunk.iter().copied());
+                system.feed(&mut run, chunk);
                 rest = tail;
             }
-            run.feed(&mut sys, rest.iter().copied());
-            prop_assert_eq!((run.finish(), sys.stats()), whole);
+            system.feed(&mut run, rest);
+            prop_assert_eq!((run.finish(), counters(&system)), whole);
         }
     }
 }
@@ -410,33 +372,43 @@ fn grouped_cpu_pass_matches_standalone_runs_across_a_chunk_seam() {
     let trace = events_of(&w, experiments::STREAM_CHUNK + 1_537);
     let expected = whole_runs(&trace);
 
-    let mut systems = System::all();
-    let cells = systems.iter_mut().map(CpuCell::paper).collect();
-    let reports = experiments::replay_cpu(
+    let cells: Vec<(CpuConfig, Arch)> = archs()
+        .into_iter()
+        .map(|arch| (CpuConfig::paper_default(), arch))
+        .collect();
+    let runs = experiments::replay_cpu(
         &RunConfig::new(1),
         "test",
         || "gcc".to_owned(),
         trace.iter().copied(),
-        cells,
+        &cells,
         |i| i.to_string(),
     );
-    let got: Vec<(CpuReport, String)> = reports
-        .into_iter()
-        .zip(&systems)
-        .map(|(report, sys)| (report, sys.stats()))
+    let got: Vec<(CpuReport, String)> = runs
+        .iter()
+        .map(|(report, system)| (*report, counters(system)))
         .collect();
     assert_eq!(got, expected, "grouped pass must equal standalone runs");
+    let by_arch: Vec<(CpuReport, String)> = archs()
+        .into_iter()
+        .map(|arch| {
+            let (report, system) = arch.run(CpuConfig::paper_default(), trace.iter().copied());
+            (report, counters(&system))
+        })
+        .collect();
+    assert_eq!(by_arch, expected, "Arch::run must equal one whole run");
 
     // The same seam fed by hand, one event at a time across it.
     let cpu = OooModel::new(CpuConfig::paper_default());
     let seam = experiments::STREAM_CHUNK;
-    for (mut sys, whole) in System::all().into_iter().zip(expected) {
+    for (arch, whole) in archs().into_iter().zip(expected) {
+        let mut system = arch.build();
         let mut run = cpu.start();
-        run.feed(&mut sys, trace[..seam - 1].iter().copied());
+        system.feed(&mut run, &trace[..seam - 1]);
         for event in &trace[seam - 1..seam + 1] {
-            run.feed(&mut sys, [*event]);
+            system.feed(&mut run, std::slice::from_ref(event));
         }
-        run.feed(&mut sys, trace[seam + 1..].iter().copied());
-        assert_eq!((run.finish(), sys.stats()), whole);
+        system.feed(&mut run, &trace[seam + 1..]);
+        assert_eq!((run.finish(), counters(&system)), whole);
     }
 }

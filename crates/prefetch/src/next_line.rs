@@ -1,8 +1,8 @@
 //! The next-line prefetcher with conflict filtering.
 
 use assist_buffer::{AssistBuffer, BufferPorts};
-use cache_model::{CacheGeometry, ConfigError, L2MemoryConfig};
-use cpu_model::{MemResponse, MemTimings, MemorySystem, Plumbing};
+use cache_model::{CacheGeometry, ConfigError};
+use cpu_model::{MemResponse, MemorySystem, Plumbing};
 use mct::{ClassifyingCache, ConflictFilter, TagBits};
 use sim_core::probe;
 use sim_core::{Cycle, LineAddr};
@@ -144,24 +144,6 @@ impl NextLineSystem {
             cfg,
             CacheGeometry::new(16 * 1024, 1, 64)?,
             Plumbing::paper_default()?,
-        ))
-    }
-
-    /// The paper's prefetch-study variant: same system but with the
-    /// slower L1↔L2 bus that makes wasted prefetch traffic costly.
-    ///
-    /// # Errors
-    ///
-    /// Propagates geometry validation errors.
-    pub fn paper_slow_bus(cfg: PrefetchConfig) -> Result<Self, ConfigError> {
-        let plumbing = Plumbing::new(
-            MemTimings::paper_default(),
-            L2MemoryConfig::paper_slow_bus()?,
-        );
-        Ok(Self::new(
-            cfg,
-            CacheGeometry::new(16 * 1024, 1, 64)?,
-            plumbing,
         ))
     }
 

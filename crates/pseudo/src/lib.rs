@@ -487,7 +487,10 @@ mod tests {
             .collect();
         let (modified, _) = run(PseudoPolicy::ConflictBit, trace.clone());
         let cpu = OooModel::new(CpuConfig::paper_default());
-        let mut two_way = BaselineSystem::paper_two_way().unwrap();
+        let mut two_way = BaselineSystem::new(
+            CacheGeometry::new(CACHE, 2, 64).unwrap(),
+            Plumbing::paper_default().unwrap(),
+        );
         cpu.run(&mut two_way, trace);
         let two_way_miss = two_way.l1_stats().miss_rate();
         assert!(

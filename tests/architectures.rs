@@ -4,12 +4,11 @@
 
 use amb::{AmbConfig, AmbPolicy, AmbSystem};
 use cpu_model::{BaselineSystem, CpuConfig, CpuReport, MemResponse, MemorySystem, OooModel};
-use exclusion::{ExclusionConfig, ExclusionPolicy, ExclusionSystem};
-use prefetcher::{NextLineSystem, PrefetchConfig, RptConfig, RptSystem};
+use experiments::arch::{Arch, System};
+use prefetcher::{NextLineSystem, PrefetchConfig};
 use pseudo_assoc::{PseudoAssocSystem, PseudoConfig, PseudoPolicy};
 use sim_core::Cycle;
 use trace_gen::TraceEvent;
-use victim_cache::{VictimConfig, VictimPolicy, VictimSystem};
 
 const EVENTS: usize = 20_000;
 
@@ -19,22 +18,31 @@ fn workload_trace(name: &str) -> Vec<TraceEvent> {
     (0..EVENTS).map(|_| src.next_event()).collect()
 }
 
-fn all_systems() -> Vec<Box<dyn MemorySystem>> {
-    vec![
-        Box::new(BaselineSystem::paper_default().unwrap()),
-        Box::new(BaselineSystem::paper_two_way().unwrap()),
-        Box::new(VictimSystem::paper_default(VictimConfig::new(VictimPolicy::FilterBoth)).unwrap()),
-        Box::new(NextLineSystem::paper_default(PrefetchConfig::unfiltered()).unwrap()),
-        Box::new(RptSystem::paper_default(RptConfig::default_config()).unwrap()),
-        Box::new(
-            ExclusionSystem::paper_default(ExclusionConfig::new(ExclusionPolicy::Capacity))
-                .unwrap(),
-        ),
-        Box::new(
-            PseudoAssocSystem::paper_default(PseudoConfig::new(PseudoPolicy::ConflictBit)).unwrap(),
-        ),
-        Box::new(AmbSystem::paper_default(AmbConfig::new(AmbPolicy::VicPreExc)).unwrap()),
-    ]
+/// Every architecture these invariants cover, as `sim --arch` specs.
+const ALL_SPECS: [&str; 8] = [
+    "baseline",
+    "two-way",
+    "victim:both",
+    "prefetch:none",
+    "rpt",
+    "exclusion:capacity",
+    "pseudo:mct",
+    "amb:vicpreexc",
+];
+
+fn all_systems() -> Vec<System> {
+    ALL_SPECS
+        .iter()
+        .map(|spec| spec.parse::<Arch>().unwrap().build())
+        .collect()
+}
+
+/// The §5.4 "true 2-way" system, built from its spec.
+fn two_way() -> BaselineSystem {
+    match "two-way".parse::<Arch>().unwrap().build() {
+        System::Baseline(s) => s,
+        other => panic!("two-way built {}", other.label()),
+    }
 }
 
 /// Responses never travel back in time and are causally ordered with
@@ -105,7 +113,7 @@ fn two_way_never_loses_to_direct_mapped_on_conflict_codes() {
         let trace = workload_trace(w.name());
         let mut dm = BaselineSystem::paper_default().unwrap();
         let dm_report: CpuReport = cpu.run(&mut dm, trace.iter().copied());
-        let mut two = BaselineSystem::paper_two_way().unwrap();
+        let mut two = two_way();
         let _ = cpu.run(&mut two, trace.iter().copied());
         assert!(
             two.l1_stats().miss_rate() <= dm.l1_stats().miss_rate() + 0.02,
@@ -150,7 +158,7 @@ fn pseudo_assoc_sits_between_dm_and_two_way_on_conflict_codes() {
         let trace = workload_trace(name);
         let mut dm = BaselineSystem::paper_default().unwrap();
         cpu.run(&mut dm, trace.iter().copied());
-        let mut two = BaselineSystem::paper_two_way().unwrap();
+        let mut two = two_way();
         cpu.run(&mut two, trace.iter().copied());
         let mut pseudo =
             PseudoAssocSystem::paper_default(PseudoConfig::new(PseudoPolicy::ConflictBit)).unwrap();

@@ -2,15 +2,11 @@
 //! access streams (not just the curated workloads), every system must
 //! satisfy the memory-interface contract.
 
-use amb::{AmbConfig, AmbPolicy, AmbSystem};
-use cpu_model::{BaselineSystem, MemorySystem};
-use exclusion::{ExclusionConfig, ExclusionPolicy, ExclusionSystem};
-use prefetcher::{NextLineSystem, PrefetchConfig};
+use cpu_model::MemorySystem;
+use experiments::arch::{Arch, System};
 use proptest::prelude::*;
-use pseudo_assoc::{PseudoAssocSystem, PseudoConfig, PseudoPolicy};
 use sim_core::{Addr, Cycle};
 use trace_gen::{AccessKind, MemoryAccess};
-use victim_cache::{VictimConfig, VictimPolicy, VictimSystem};
 
 /// A compact synthetic access: (line index within a small hot region,
 /// is_store, think time). Small regions force constant collisions.
@@ -18,26 +14,9 @@ fn accesses() -> impl Strategy<Value = Vec<(u64, bool, u64)>> {
     prop::collection::vec((0u64..2048, prop::bool::ANY, 0u64..6), 1..400)
 }
 
-fn systems() -> Vec<Box<dyn MemorySystem>> {
-    vec![
-        Box::new(BaselineSystem::paper_default().unwrap()),
-        Box::new(
-            VictimSystem::paper_default(VictimConfig::new(VictimPolicy::Traditional)).unwrap(),
-        ),
-        Box::new(VictimSystem::paper_default(VictimConfig::new(VictimPolicy::FilterBoth)).unwrap()),
-        Box::new(NextLineSystem::paper_default(PrefetchConfig::unfiltered()).unwrap()),
-        Box::new(
-            ExclusionSystem::paper_default(ExclusionConfig::new(ExclusionPolicy::Capacity))
-                .unwrap(),
-        ),
-        Box::new(
-            ExclusionSystem::paper_default(ExclusionConfig::new(ExclusionPolicy::Mat)).unwrap(),
-        ),
-        Box::new(
-            PseudoAssocSystem::paper_default(PseudoConfig::new(PseudoPolicy::ConflictBit)).unwrap(),
-        ),
-        Box::new(AmbSystem::paper_default(AmbConfig::new(AmbPolicy::VicPreExc)).unwrap()),
-    ]
+/// A fresh system of every architecture `sim --list-archs` names.
+fn systems() -> Vec<System> {
+    Arch::all().map(Arch::build).collect()
 }
 
 proptest! {
@@ -77,7 +56,7 @@ proptest! {
     /// instance of each architecture produces identical responses.
     #[test]
     fn every_architecture_is_deterministic(stream in accesses()) {
-        let run = |mut sys: Box<dyn MemorySystem>| -> Vec<u64> {
+        let run = |mut sys: System| -> Vec<u64> {
             let mut now = Cycle::ZERO;
             stream
                 .iter()
