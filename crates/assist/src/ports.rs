@@ -70,12 +70,6 @@ impl BufferPorts {
         grant
     }
 
-    /// The earliest cycle at which any read port is free.
-    #[must_use]
-    pub fn earliest_read_free(&self) -> Cycle {
-        self.read_free[Self::earliest(&self.read_free)]
-    }
-
     fn acquire_one(ports: &mut [Cycle; 2], now: Cycle, busy: u64) -> Cycle {
         let idx = Self::earliest(ports);
         let grant = ports[idx].max(now);
@@ -142,10 +136,10 @@ mod tests {
     fn grant_respects_now() {
         let mut p = BufferPorts::new();
         assert_eq!(p.swap(Cycle::new(50)), Cycle::new(50));
-        // The other read port is untouched...
-        assert_eq!(p.earliest_read_free(), Cycle::ZERO);
-        // ...and once it is taken too, the swapped port's 52 is next.
-        p.line_read(Cycle::new(49)); // busy 49..51
-        assert_eq!(p.earliest_read_free(), Cycle::new(51));
+        // The other read port is untouched: it is granted at 49 and
+        // stays busy to 51...
+        assert_eq!(p.line_read(Cycle::new(49)), Cycle::new(49));
+        // ...so the next read waits for it, not for the swap's 52.
+        assert_eq!(p.line_read(Cycle::ZERO), Cycle::new(51));
     }
 }

@@ -50,11 +50,8 @@ pub struct Eviction<M> {
 /// [`Self::invalidate`] swap-removes), so a probe is a short linear
 /// scan over adjacent words — the previous per-set `Vec<Way>` layout
 /// paid one heap allocation per set and a pointer chase per access.
-/// The flat arrays are recycled through a thread-local pool
-/// ([`crate::pool`]) on drop, so experiment drivers that build one
-/// cache per cell reuse warm pages instead of faulting fresh ones in
-/// every time. `reference::RefSetAssocCache` preserves the original
-/// per-set implementation as a differential-test oracle.
+/// The original per-set implementation survives as the differential
+/// oracle of `tests/proptest_soa_equivalence.rs`.
 ///
 /// # Examples
 ///
@@ -117,19 +114,16 @@ impl<M> SetAssocCache<M> {
         SetAssocCache {
             geom,
             assoc: geom.associativity() as usize,
-            // Pooled arrays may hold stale values from a previous
-            // cache; the kernel never reads slots past a set's
-            // occupancy, so only `occ` needs zeroing.
-            tags: crate::pool::take_u64(slots),
-            stamps: crate::pool::take_u64(slots),
+            tags: vec![0; slots].into_boxed_slice(),
+            stamps: vec![0; slots].into_boxed_slice(),
             meta: (0..slots).map(|_| None).collect(),
-            occ: crate::pool::take_u32_zeroed(geom.num_sets()),
+            occ: vec![0; geom.num_sets()].into_boxed_slice(),
             resident: 0,
             clock: 0,
             stats: CacheStats::default(),
             replacement,
             evictions: 0,
-            set_evictions: crate::pool::take_u32_zeroed(geom.num_sets()),
+            set_evictions: vec![0; geom.num_sets()].into_boxed_slice(),
             probed: false,
         }
     }
@@ -713,18 +707,6 @@ impl<M> SetAssocCache<M> {
         self.set_evictions[set] = set_evictions;
         self.evictions += evictions;
         self.stats.record_bulk(hits, run_tags.len() as u64 - hits);
-    }
-}
-
-impl<M> Drop for SetAssocCache<M> {
-    fn drop(&mut self) {
-        // Hand the flat arrays back to the thread-local pool so the
-        // next cache of the same geometry reuses warm pages. The
-        // metadata array is type-specific and dropped normally.
-        crate::pool::recycle_u64(std::mem::take(&mut self.tags));
-        crate::pool::recycle_u64(std::mem::take(&mut self.stamps));
-        crate::pool::recycle_u32(std::mem::take(&mut self.occ));
-        crate::pool::recycle_u32(std::mem::take(&mut self.set_evictions));
     }
 }
 

@@ -39,8 +39,6 @@ mod geometry;
 mod hierarchy;
 mod mshr;
 pub mod oracle;
-pub mod pool;
-pub mod reference;
 mod stats;
 
 pub use bank::BankedPorts;

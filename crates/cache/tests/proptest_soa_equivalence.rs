@@ -5,9 +5,11 @@
 //! under every replacement policy, occupancy, and iteration order —
 //! on arbitrary geometries and access sequences.
 
-use cache_model::reference::RefSetAssocCache;
+mod reference;
+
 use cache_model::{CacheGeometry, Replacement, SetAssocCache};
 use proptest::prelude::*;
+use reference::RefSetAssocCache;
 use sim_core::LineAddr;
 
 /// A small universe of line addresses guarantees set conflicts and

@@ -1,19 +1,19 @@
 //! The original per-set `Vec<Way>` cache, kept as a differential-test
 //! oracle for the flat SoA kernel.
 //!
-//! [`RefSetAssocCache`] is the implementation [`crate::SetAssocCache`]
+//! [`RefSetAssocCache`] is the implementation `SetAssocCache`
 //! had before the structure-of-arrays rewrite: one heap-allocated
 //! `Vec<Way<M>>` per set, explicit `last_use` / `filled_at` stamps per
 //! way, `Vec::swap_remove` on invalidate. It is **not** optimised and
 //! not meant for simulation use — its only job is to pin the old
-//! semantics so `tests/proptest_soa_equivalence.rs` can assert the new
+//! semantics so `proptest_soa_equivalence.rs` can assert the new
 //! kernel matches it decision-for-decision (hits, evicted lines and
 //! metadata, victim choice under every [`Replacement`] policy,
 //! occupancy, iteration order) on arbitrary traces.
 
 use sim_core::LineAddr;
 
-use crate::{CacheGeometry, CacheStats, Eviction, Replacement};
+use cache_model::{CacheGeometry, CacheStats, Eviction, Replacement};
 
 #[derive(Debug, Clone)]
 struct Way<M> {
@@ -29,7 +29,7 @@ struct CacheSet<M> {
 }
 
 /// The pre-SoA set-associative cache (see module docs). Mirrors the
-/// public surface of [`crate::SetAssocCache`] minus the probe-layer
+/// public surface of `SetAssocCache` minus the probe-layer
 /// hooks, which are orthogonal to replacement behaviour.
 #[derive(Debug, Clone)]
 pub struct RefSetAssocCache<M = ()> {
@@ -45,13 +45,6 @@ pub struct RefSetAssocCache<M = ()> {
 }
 
 impl<M> RefSetAssocCache<M> {
-    /// Creates an empty cache with the given geometry and LRU
-    /// replacement.
-    #[must_use]
-    pub fn new(geom: CacheGeometry) -> Self {
-        Self::with_replacement(geom, Replacement::Lru)
-    }
-
     /// Creates an empty cache with an explicit replacement policy.
     #[must_use]
     pub fn with_replacement(geom: CacheGeometry, replacement: Replacement) -> Self {

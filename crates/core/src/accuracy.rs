@@ -255,16 +255,6 @@ impl<T: EvictionClassifier> AccuracyEvaluator<T> {
         self.scorer.score_block(sets, tags, &self.verdicts);
     }
 
-    /// Observes a whole stream.
-    pub fn observe_all<I>(&mut self, lines: I)
-    where
-        I: IntoIterator<Item = LineAddr>,
-    {
-        for line in lines {
-            self.observe(line);
-        }
-    }
-
     /// Returns the accumulated report.
     #[must_use]
     pub fn finish(self) -> AccuracyReport {
@@ -372,7 +362,9 @@ mod tests {
                 scorer.score_block(s, t, v);
             }
             let mut eval = AccuracyEvaluator::new(geom, bits);
-            eval.observe_all(lines.iter().copied());
+            for &line in &lines {
+                eval.observe(line);
+            }
             assert_eq!(scorer.finish(), eval.finish(), "{bits}");
         }
     }

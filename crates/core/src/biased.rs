@@ -74,12 +74,6 @@ impl BiasedCache {
         }
     }
 
-    /// Whether the replacement bias is active.
-    #[must_use]
-    pub const fn is_biased(&self) -> bool {
-        self.biased
-    }
-
     /// Hit/miss statistics.
     #[must_use]
     pub fn stats(&self) -> &CacheStats {

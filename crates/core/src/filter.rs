@@ -100,13 +100,6 @@ impl ConflictFilter {
             ConflictFilter::OrConflict => incoming_conflict || evicted_conflict_bit,
         }
     }
-
-    /// Whether evaluating this filter requires the per-line conflict
-    /// bits (everything except `OutConflict` does).
-    #[must_use]
-    pub const fn needs_conflict_bits(self) -> bool {
-        !matches!(self, ConflictFilter::OutConflict)
-    }
 }
 
 impl fmt::Display for ConflictFilter {
@@ -155,13 +148,6 @@ mod tests {
                     assert!(OrConflict.fires(inc, ev));
                 }
             }
-        }
-    }
-
-    #[test]
-    fn only_out_conflict_avoids_conflict_bits() {
-        for f in ConflictFilter::ALL {
-            assert_eq!(f.needs_conflict_bits(), f != ConflictFilter::OutConflict);
         }
     }
 

@@ -186,16 +186,6 @@ impl MissClassificationTable {
         };
     }
 
-    /// Clears one entry (used by tests and by architectures that
-    /// consume a classification, e.g. to avoid double-counting).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `set` is out of range.
-    pub fn clear_entry(&mut self, set: usize) {
-        self.entries[set] = MctEntry::default();
-    }
-
     /// Storage cost of the table in bits: entries × (tag bits + valid
     /// bit), using `full_tag_bits` for [`TagBits::Full`].
     ///
@@ -268,14 +258,6 @@ mod tests {
         t.record_eviction(0, 0b10); // low bit 0
         assert_eq!(t.classify(0, 0b100), MissClass::Conflict); // low bit 0 aliases
         assert_eq!(t.classify(0, 0b1), MissClass::Capacity);
-    }
-
-    #[test]
-    fn clear_entry_forgets() {
-        let mut t = MissClassificationTable::new(4, TagBits::Full);
-        t.record_eviction(3, 9);
-        t.clear_entry(3);
-        assert_eq!(t.classify(3, 9), MissClass::Capacity);
     }
 
     #[test]

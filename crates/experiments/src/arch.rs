@@ -231,8 +231,9 @@ impl Arch {
 
     /// Runs `trace` on a core with parameters `cpu` over a fresh
     /// [`build`](Self::build), a [`STREAM_CHUNK`](crate::STREAM_CHUNK)
-    /// at a time as a figure cell runs, and returns the core's report
-    /// and the system with its counters.
+    /// at a time as [`replay_cpu`](crate::replay_cpu) feeds a figure
+    /// cell, and returns the core's report and the system with its
+    /// counters.
     pub fn run(
         self,
         cpu: CpuConfig,

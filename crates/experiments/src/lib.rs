@@ -23,7 +23,7 @@
 //! parses the same spec.
 //!
 //! Every driver streams each workload's trace once per figure, at
-//! O([`STREAM_CHUNK`]) memory, and advances every cell that replays
+//! O(chunk) memory, and advances every cell that replays
 //! that workload in the same pass; no trace is materialized for
 //! reuse. The accuracy and MRC drivers (fig1, fig2, the shadow-depth
 //! ablation, the MRC family) stream line addresses through
@@ -98,51 +98,38 @@ pub const DEFAULT_EVENTS: usize = 300_000;
 /// stay L1/L2-resident alongside the kernel arrays.
 pub const DEFAULT_REPLAY_BLOCK: usize = 1024;
 
-/// Events per chunk of the streaming pipeline: the generator fills
-/// one chunk, the consumer replays it, and the buffer is reused — peak
-/// memory is one chunk per running replay (8 bytes per event of line
-/// addresses, 32 per whole event), regardless of trace length. A
-/// multiple of [`DEFAULT_REPLAY_BLOCK`], so only a trace's final block
-/// can be short. [`replay_cpu`] feeds each chunk to every cell in
-/// turn, so each cell re-warms the host caches once per chunk: fig6's
-/// 15-cell groups ran slowest at 4 K-event chunks and no faster at
-/// 256 K than here (EXPERIMENTS.md, "CPU group replay").
+/// Events per chunk of [`replay_cpu`]: the generator fills one chunk
+/// of whole events (32 bytes each), every cell replays it, and the
+/// buffer is reused, so peak memory is one chunk per running replay
+/// regardless of trace length. Each cell re-warms the host caches once
+/// per chunk: fig6's 15-cell groups ran slowest at 4 K-event chunks
+/// and no faster at 256 K than here (EXPERIMENTS.md, "CPU group
+/// replay"). A multiple of [`DEFAULT_REPLAY_BLOCK`].
 pub const STREAM_CHUNK: usize = 64 * 1024;
 
 /// Feeds the line addresses (for `line_size`-byte lines) of the first
 /// `events` events of `workload`'s generator to `f` in trace order,
 /// in blocks of [`DEFAULT_REPLAY_BLOCK`] addresses (the final block
-/// may be shorter). The generator fills one [`STREAM_CHUNK`] of
-/// addresses at a time into a pooled buffer, so memory stays O(chunk).
-/// This is the only replay of fig1, fig2, the shadow-depth ablation
-/// and the MRC family.
+/// may be shorter). The generator fills one block at a time into a
+/// buffer on the stack, so memory stays O(block). This is the only
+/// replay of fig1, fig2, the shadow-depth ablation and the MRC family.
 pub fn stream_blocks(
     workload: &workloads::Workload,
     events: usize,
     line_size: u64,
     mut f: impl FnMut(&[u64]),
 ) {
-    if events == 0 {
-        return;
-    }
     let mut source = workload.source(SEED);
-    // The chunk buffer comes from (and returns to) the kernel's buffer
-    // pool, so streaming traffic shows up in the same `trace-repro/1`
-    // pool counters as the kernel arrays.
-    let chunk = STREAM_CHUNK.min(events);
-    let mut lines = cache_model::pool::take_u64(chunk);
+    let mut block = [0u64; DEFAULT_REPLAY_BLOCK];
     let mut left = events;
     while left > 0 {
-        let n = chunk.min(left);
-        for slot in &mut lines[..n] {
+        let n = DEFAULT_REPLAY_BLOCK.min(left);
+        for slot in &mut block[..n] {
             *slot = source.next_event().access.addr.line(line_size).raw();
         }
-        for block in lines[..n].chunks(DEFAULT_REPLAY_BLOCK) {
-            f(block);
-        }
+        f(&block[..n]);
         left -= n;
     }
-    cache_model::pool::recycle_u64(lines);
 }
 
 /// The accuracy drivers' one replay loop (fig1, fig2, the
@@ -315,4 +302,35 @@ pub(crate) fn trace(
     events: usize,
 ) -> impl Iterator<Item = TraceEvent> {
     workload.source(SEED).take_events(events)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stream_blocks_are_full_blocks_of_the_generator_lines() {
+        let workload = workloads::by_name("gcc").expect("gcc is a suite workload");
+        let line_size = 64;
+        for events in [
+            1,
+            1023,
+            1024,
+            3 * DEFAULT_REPLAY_BLOCK + 5,
+            STREAM_CHUNK + 1537,
+        ] {
+            let mut blocks: Vec<Vec<u64>> = Vec::new();
+            stream_blocks(&workload, events, line_size, |b| blocks.push(b.to_vec()));
+            let (last, full) = blocks.split_last().expect("at least one block");
+            assert!(full.iter().all(|b| b.len() == DEFAULT_REPLAY_BLOCK));
+            assert!(!last.is_empty() && last.len() <= DEFAULT_REPLAY_BLOCK);
+            let streamed: Vec<u64> = blocks.concat();
+            let expected: Vec<u64> = workload
+                .source(SEED)
+                .take_events(events)
+                .map(|e| e.access.addr.line(line_size).raw())
+                .collect();
+            assert_eq!(streamed, expected, "events = {events}");
+        }
+    }
 }

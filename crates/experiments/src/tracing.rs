@@ -21,9 +21,7 @@
 //! * one `{"type":"span",…}` line per recorded span, grouped by scope
 //!   in the drain order (scope kind, target, label);
 //! * an optional `{"type":"metrics",…}` record (real-clock runs only):
-//!   the `arena` counters (always zero: nothing is materialized), pool
-//!   alloc/reuse/recycle counts, per-worker scheduler tallies, and a
-//!   `fault` object that always reads zero (nothing injects faults);
+//!   the per-worker scheduler tallies;
 //! * a `{"type":"totals",…}` footer.
 
 use std::collections::BTreeSet;
@@ -80,19 +78,15 @@ pub fn clock(logical: bool) -> Clock {
 /// traced run.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
-    /// Kernel array-pool traffic.
-    pub pool: cache_model::pool::PoolStats,
     /// Per-worker scheduler tallies, sorted by worker id.
     pub workers: Vec<(u32, WorkerTally)>,
 }
 
 impl MetricsSnapshot {
-    /// Captures the live counters: the process-wide pool and
-    /// scheduler tallies.
+    /// Captures the live scheduler tallies.
     #[must_use]
     pub fn capture() -> Self {
         MetricsSnapshot {
-            pool: cache_model::pool::stats(),
             workers: sim_core::parallel::worker_tallies(),
         }
     }
@@ -126,12 +120,7 @@ fn write_span(
 }
 
 fn write_metrics(out: &mut dyn Write, m: &MetricsSnapshot) -> io::Result<()> {
-    write!(
-        out,
-        "{{\"type\":\"metrics\",\"arena\":{{\"hits\":0,\"misses\":0,\"traces\":0,\"resident_events\":0}},\
-         \"pool\":{{\"allocs\":{},\"reuses\":{},\"recycles\":{}}},\"workers\":[",
-        m.pool.allocs, m.pool.reuses, m.pool.recycles,
-    )?;
+    write!(out, "{{\"type\":\"metrics\",\"workers\":[")?;
     for (i, (worker, t)) in m.workers.iter().enumerate() {
         let comma = if i + 1 < m.workers.len() { "," } else { "" };
         write!(
@@ -140,12 +129,7 @@ fn write_metrics(out: &mut dyn Write, m: &MetricsSnapshot) -> io::Result<()> {
             t.cells, t.chunks, t.busy_ns,
         )?;
     }
-    // The `fault` object is fixed text until the next schema version
-    // drops it.
-    writeln!(
-        out,
-        "],\"fault\":{{\"injected\":0,\"exhausted\":0,\"degraded\":0}}}}"
-    )
+    writeln!(out, "]}}")
 }
 
 /// Streams drained scopes to `out` as the `trace-repro/1` JSONL
@@ -307,7 +291,6 @@ mod tests {
                     busy_ns: 10_000,
                 },
             )],
-            ..MetricsSnapshot::default()
         };
         let doc = render(false, Some(&metrics));
         let values = crate::jsonl::parse_lines(&doc).expect("valid JSONL");

@@ -170,11 +170,6 @@ fn trace_repro_1_jsonl_is_stable() {
         targets: vec!["fig1"],
     };
     let metrics = MetricsSnapshot {
-        pool: cache_model::pool::PoolStats {
-            allocs: 4,
-            reuses: 12,
-            recycles: 16,
-        },
         workers: vec![
             (
                 1,
@@ -199,7 +194,7 @@ fn trace_repro_1_jsonl_is_stable() {
         "{\"type\":\"span\",\"scope\":\"cell\",\"target\":\"fig1\",\"label\":\"16KB \\\"DM\\\"/swim\",\"worker\":2,\"name\":\"cell_run\",\"id\":1,\"parent\":0,\"depth\":0,\"start_ns\":1000,\"dur_ns\":9500,\"events\":0}\n",
         "{\"type\":\"span\",\"scope\":\"cell\",\"target\":\"fig1\",\"label\":\"16KB \\\"DM\\\"/swim\",\"worker\":2,\"name\":\"replay_block\",\"id\":2,\"parent\":1,\"depth\":1,\"start_ns\":2000,\"dur_ns\":7000,\"events\":2000}\n",
         "{\"type\":\"span\",\"scope\":\"cell\",\"target\":\"fig3\",\"label\":\"swim\",\"worker\":1,\"name\":\"replay_cpu\",\"id\":1,\"parent\":0,\"depth\":0,\"start_ns\":500,\"dur_ns\":400,\"events\":2000}\n",
-        "{\"type\":\"metrics\",\"arena\":{\"hits\":0,\"misses\":0,\"traces\":0,\"resident_events\":0},\"pool\":{\"allocs\":4,\"reuses\":12,\"recycles\":16},\"workers\":[{\"worker\":1,\"cells\":3,\"chunks\":2,\"busy_ns\":10000},{\"worker\":2,\"cells\":1,\"chunks\":1,\"busy_ns\":9500}],\"fault\":{\"injected\":0,\"exhausted\":0,\"degraded\":0}}\n",
+        "{\"type\":\"metrics\",\"workers\":[{\"worker\":1,\"cells\":3,\"chunks\":2,\"busy_ns\":10000},{\"worker\":2,\"cells\":1,\"chunks\":1,\"busy_ns\":9500}]}\n",
         "{\"type\":\"totals\",\"scopes\":2,\"spans\":3,\"events\":4000}\n",
     );
     let render = |logical: bool| {

@@ -66,12 +66,6 @@ impl DistanceHistogram {
             .unwrap_or(0)
     }
 
-    /// One past the largest distance with a non-zero count.
-    #[must_use]
-    pub fn max_distance_bound(&self) -> u64 {
-        self.buckets.len() as u64
-    }
-
     /// Accesses whose distance is `>= threshold`, including cold
     /// accesses (infinite distance): the misses of an LRU cache
     /// holding `threshold` lines, in this histogram's distance units.

@@ -1,4 +1,4 @@
-//! Miss-ratio curves from exact LRU stack distances (ROADMAP item 4).
+//! Miss-ratio curves from exact LRU stack distances.
 //!
 //! The paper's Miss Classification Table is scored against a 3C shadow
 //! oracle; this crate supplies an *independent* second ground truth.
@@ -10,14 +10,13 @@
 //! miss-ratio curve — from a single distance histogram, with no cache
 //! model in the loop.
 //!
-//! Three engines share that histogram:
+//! Two engines share that histogram, and both are differentially
+//! tested against the textbook O(n·m) move-to-front list, which lives
+//! with its one suite in `tests/naive/`:
 //!
-//! * [`NaiveStackEngine`] — the textbook O(n·m) move-to-front list.
-//!   Trivially auditable; kept as the reference oracle the fast
-//!   engines are differentially tested against.
 //! * [`StackDistanceEngine`] — the single-pass exact engine: an
 //!   order-statistic tree (Fenwick form) over last-access timestamps
-//!   plus an [`FxHashMap`] line index, O(log U) amortised per event
+//!   plus an [`FxHashMap`](sim_core::hash::FxHashMap) line index, O(log U) amortised per event
 //!   and O(distinct lines) memory.
 //! * [`ShardsEngine`] — SHARDS-style fixed-rate spatial sampling: a
 //!   deterministic hash of the line address admits each line with
@@ -46,12 +45,10 @@
 
 mod exact;
 mod histogram;
-mod naive;
 mod sampled;
 
 pub use exact::StackDistanceEngine;
 pub use histogram::{CurvePoint, DistanceHistogram, MissRatioCurve};
-pub use naive::NaiveStackEngine;
 pub use sampled::ShardsEngine;
 
 /// Reassembles a full line address from its decomposed `(set, tag)`

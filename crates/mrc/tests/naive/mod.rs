@@ -6,10 +6,9 @@
 //! This implementation does exactly that with a `Vec` and a linear
 //! scan — quadratic over the trace, but short enough to audit by eye.
 //! It exists as the reference implementation the tree-based
-//! [`crate::StackDistanceEngine`] is differentially tested against;
-//! nothing performance-sensitive should use it.
+//! `mrc::StackDistanceEngine` is differentially tested against.
 
-use crate::histogram::{CurvePoint, DistanceHistogram, MissRatioCurve};
+use mrc::DistanceHistogram;
 
 /// The reference stack-distance engine: a literal LRU recency list.
 #[derive(Debug, Clone, Default)]
@@ -39,19 +38,6 @@ impl NaiveStackEngine {
         self.stack.insert(0, line);
     }
 
-    /// Records a chunk of decomposed references (see
-    /// [`crate::line_from_parts`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length.
-    pub fn record_parts_block(&mut self, sets: &[u32], tags: &[u64], set_bits: u32) {
-        assert_eq!(sets.len(), tags.len(), "sets/tags length mismatch");
-        for (&set, &tag) in sets.iter().zip(tags) {
-            self.record_line(crate::line_from_parts(set, tag, set_bits));
-        }
-    }
-
     /// Distinct lines seen so far.
     #[must_use]
     pub fn distinct_lines(&self) -> u64 {
@@ -69,20 +55,6 @@ impl NaiveStackEngine {
     #[must_use]
     pub fn miss_ratio(&self, capacity_lines: u64) -> f64 {
         self.hist.miss_ratio(capacity_lines)
-    }
-
-    /// Evaluates the miss-ratio curve at the given capacities.
-    #[must_use]
-    pub fn curve(&self, capacities: &[u64]) -> MissRatioCurve {
-        MissRatioCurve::from_points(
-            capacities
-                .iter()
-                .map(|&c| CurvePoint {
-                    capacity_lines: c,
-                    miss_ratio: self.miss_ratio(c),
-                })
-                .collect(),
-        )
     }
 }
 

@@ -5,7 +5,10 @@
 //! line sizes, and chunk boundaries (torn / size-1 / whole-trace),
 //! replayed at 1 and 4 worker threads.
 
-use mrc::{NaiveStackEngine, ShardsEngine, StackDistanceEngine};
+mod naive;
+
+use mrc::{ShardsEngine, StackDistanceEngine};
+use naive::NaiveStackEngine;
 use proptest::prelude::*;
 
 /// A small universe of byte addresses guarantees line reuse at every
@@ -43,6 +46,34 @@ fn tree_chunked(sets: &[u32], tags: &[u64], set_bits: u32, chunk: usize) -> Stac
         engine.record_parts_block(s, t, set_bits);
     }
     engine
+}
+
+#[test]
+fn matches_naive_on_a_small_mixed_trace() {
+    let trace: Vec<u64> = vec![0, 1, 2, 0, 3, 1, 1, 4, 2, 0, 5, 3, 0, 0, 6, 1];
+    let mut fast = StackDistanceEngine::new();
+    let mut slow = NaiveStackEngine::new();
+    for &line in &trace {
+        fast.record_line(line);
+        slow.record_line(line);
+    }
+    assert_eq!(fast.histogram(), slow.histogram());
+    assert_eq!(fast.distinct_lines(), slow.distinct_lines());
+}
+
+#[test]
+fn survives_many_compactions() {
+    // 64 lines re-accessed round-robin for thousands of events
+    // forces repeated slot exhaustion and renumbering.
+    let mut fast = StackDistanceEngine::new();
+    let mut slow = NaiveStackEngine::new();
+    for i in 0..10_000u64 {
+        let line = i % 64;
+        fast.record_line(line);
+        slow.record_line(line);
+    }
+    assert_eq!(fast.histogram(), slow.histogram());
+    assert_eq!(fast.histogram().bucket(63), 10_000 - 64);
 }
 
 /// The capacity ladder the miss-ratio comparison is evaluated at.

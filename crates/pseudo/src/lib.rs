@@ -114,17 +114,6 @@ impl PseudoStats {
             self.misses as f64 / self.accesses as f64
         }
     }
-
-    /// Fraction of hits served at direct-mapped speed.
-    #[must_use]
-    pub fn primary_fraction(&self) -> f64 {
-        let hits = self.primary_hits + self.secondary_hits;
-        if hits == 0 {
-            0.0
-        } else {
-            self.primary_hits as f64 / hits as f64
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy)]

@@ -872,7 +872,7 @@ mod tests {
                    \x20   helper();\n\
                    \x20   v.scan_row(3);\n\
                    \x20   Kernel::fill_at(1);\n\
-                   \x20   pool::take_u64(2);\n\
+                   \x20   span::enter(2);\n\
                    \x20   P::victim(v);\n\
                    }\nfn helper() {}\n";
         let w = ws(&[("crates/x/src/lib.rs", src)]);
@@ -885,7 +885,7 @@ mod tests {
         assert_eq!(quals[0], ("helper", &Qual::Free));
         assert_eq!(quals[1], ("scan_row", &Qual::Method(Receiver::Unknown)));
         assert_eq!(quals[2], ("fill_at", &Qual::Type("Kernel".to_owned())));
-        assert_eq!(quals[3], ("take_u64", &Qual::Module("pool".to_owned())));
+        assert_eq!(quals[3], ("enter", &Qual::Module("span".to_owned())));
         assert_eq!(quals[4], ("victim", &Qual::Type("P".to_owned())));
     }
 
@@ -1011,16 +1011,19 @@ impl Harness {\n    pub fn access_block(&mut self) {\n        self.oracle.observ
 
     #[test]
     fn module_qualified_calls_prefer_matching_file() {
-        let caller = "pub fn entry() { pool::take(1); }\n";
-        let pool = "pub fn take(_n: usize) {}\n";
+        let caller = "pub fn entry() { span::take(1); }\n";
+        let span = "pub fn take(_n: usize) {}\n";
         let other = "pub fn take(_n: usize) {}\n";
         let w = ws(&[
             ("crates/x/src/lib.rs", caller),
-            ("crates/cache/src/pool.rs", pool),
+            ("crates/sim-core/src/span.rs", span),
             ("crates/y/src/misc.rs", other),
         ]);
         let adj = w.call_graph();
         assert_eq!(adj[0].len(), 1);
-        assert_eq!(w.files[w.fns[adj[0][0]].file], "crates/cache/src/pool.rs");
+        assert_eq!(
+            w.files[w.fns[adj[0][0]].file],
+            "crates/sim-core/src/span.rs"
+        );
     }
 }

@@ -609,15 +609,15 @@ mod tests {
     }
 
     #[test]
-    fn hot_path_alloc_flags_reachable_allocation_outside_pool() {
+    fn hot_path_alloc_flags_reachable_allocation_in_any_file() {
         let src = "pub fn fill_at(n: usize) -> Vec<u8> {\n    scratch(n)\n}\nfn scratch(n: usize) -> Vec<u8> {\n    Vec::with_capacity(n)\n}\n";
         let (f, _) = lint_source("crates/x/src/lib.rs", src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "hot-path-alloc");
         assert_eq!(f[0].line, 5);
-        // The pool module is the sanctioned allocator.
-        let (f, _) = lint_source("crates/cache/src/pool.rs", src);
-        assert!(f.is_empty(), "{f:?}");
+        // No module is exempt.
+        let (f, _) = lint_source("crates/cache/src/cache.rs", src);
+        assert_eq!(f.len(), 1, "{f:?}");
     }
 
     #[test]

@@ -98,8 +98,8 @@ impl DecomposedTrace {
     }
 
     /// Streams every `(set, tag)` pair through `f` in trace order,
-    /// walking both arrays in cache-friendly chunks of
-    /// [`REPLAY_CHUNK`] pairs: the per-event replay loop.
+    /// walking both arrays in cache-friendly chunks of 4096 pairs: the
+    /// per-event replay loop.
     pub fn for_each(&self, mut f: impl FnMut(usize, u64)) {
         for (sets, tags) in self
             .sets

@@ -9,7 +9,9 @@
 //!
 //! Consumers stream events straight from a generator; a consumer that
 //! evaluates many policies over one trace feeds them all from the same
-//! pass rather than keeping the trace resident. [`decomposed`] splits
+//! pass rather than keeping the trace resident. Nothing is recorded to
+//! a file: a workload and a seed name a trace, and regenerating it is
+//! the only replay. [`decomposed`] splits
 //! a materialized trace into the `(set, tag)` pairs of one indexing
 //! scheme, and [`arena`] keeps the (always zero) materialization
 //! counters the report schemas still carry.
@@ -37,16 +39,13 @@ pub mod arena;
 pub mod decomposed;
 mod event;
 pub mod pattern;
-mod record;
 
 pub use event::{AccessKind, MemoryAccess, TraceEvent};
-pub use record::{CodecError, Trace};
 
 /// An unbounded source of trace events.
 ///
 /// All generators in [`pattern`] implement this; finite traces are
-/// made with [`TraceSource::take_events`] or by collecting into a
-/// [`Trace`].
+/// made with [`TraceSource::take_events`].
 pub trait TraceSource {
     /// Produces the next event. Sources are infinite: this never
     /// exhausts.
