@@ -9,24 +9,38 @@
 //! *members*. Per block of line addresses it
 //!
 //! 1. computes the oracle's conflict verdicts once per distinct line
-//!    capacity, with a [`FullyAssocLru`] shadow;
+//!    capacity;
 //! 2. splits the block into `(set, tag)` pairs once per distinct
 //!    indexing scheme;
 //! 3. scores every member against its shared pairs and verdicts
 //!    ([`AccuracyScorer::score_block`]).
 //!
+//! A verdict says whether a fully-associative LRU cache of the
+//! capacity would hit the reference. It comes from one of two places,
+//! fixed when the group is built:
+//!
+//! * **A shadow** ([`AccuracyGroup::new`], fed by
+//!   [`AccuracyGroup::observe_block`]): one [`FullyAssocLru`] per
+//!   capacity. Each costs one shadow update per reference: one hash
+//!   probe on a shadow hit, an insert and (once the shadow is full) a
+//!   remove on a miss, plus O(1) list relinking. That is 7–9 ns/event
+//!   at 1024 and 256 lines on a 2-core x86-64 host
+//!   (`substrate/pipeline/oracle_conflict`), so Fig 1 pays it twice
+//!   per reference and Fig 2's eleven tag widths once.
+//! * **Stack distances** ([`AccuracyGroup::from_distances`], fed by
+//!   [`AccuracyGroup::observe_distances`]): the exact MRC pass already
+//!   knows each reference's LRU stack distance, and by Mattson's
+//!   inclusion property the shadow hits exactly when that distance is
+//!   below the capacity. The group builds no shadow and pays one
+//!   comparison per reference and capacity.
+//!
 //! Members hold no oracle, so a group of eleven costs one oracle pass,
-//! not eleven. Each distinct capacity costs one shadow update per
-//! reference: one hash probe on a shadow hit, an insert and (once the
-//! shadow is full) a remove on a miss, plus O(1) list relinking. That
-//! is 7–9 ns/event at 1024 and 256 lines on a 2-core x86-64 host
-//! (`substrate/pipeline/oracle_conflict`), so Fig 1 pays it twice per
-//! reference and Fig 2's eleven tag widths once. This is the
-//! single-pass idea behind miss-ratio-curve construction: one
-//! reference stream answers many cache questions. Each member's
-//! report equals a standalone [`mct::accuracy::AccuracyEvaluator`] fed
-//! the same stream (differential-tested in
-//! `tests/stream_equivalence.rs`).
+//! not eleven. This is the single-pass idea behind miss-ratio-curve
+//! construction: one reference stream answers many cache questions.
+//! Each member's report equals a standalone
+//! [`mct::accuracy::AccuracyEvaluator`] fed the same stream
+//! (differential-tested in `tests/stream_equivalence.rs`), and the two
+//! verdict sources give identical reports (tested below).
 
 use cache_model::oracle::FullyAssocLru;
 use cache_model::CacheGeometry;
@@ -45,12 +59,10 @@ struct Shape {
     tags: Vec<u64>,
 }
 
-/// One distinct line capacity: the oracle's shadow and its per-block
-/// verdicts.
+/// One distinct line capacity and its per-block verdicts.
 #[derive(Debug)]
 struct Verdicts {
     capacity: usize,
-    lru: FullyAssocLru,
     conflict: Vec<bool>,
 }
 
@@ -69,13 +81,17 @@ pub(crate) struct AccuracyGroup<T> {
     line_size: u64,
     shapes: Vec<Shape>,
     verdicts: Vec<Verdicts>,
+    /// The oracle's shadow of each entry of `verdicts`, in the same
+    /// order; empty when the verdicts come from stack distances.
+    shadows: Vec<FullyAssocLru>,
     members: Vec<Member<T>>,
 }
 
 impl<T: EvictionClassifier> AccuracyGroup<T> {
     /// Builds a group from `(geometry, classifier)` members, sharing
-    /// one shape per distinct set-index width and one oracle per
-    /// distinct line capacity. Member order is report order.
+    /// one shape per distinct set-index width and one shadow oracle per
+    /// distinct line capacity. Member order is report order. Feed it
+    /// with [`AccuracyGroup::observe_block`].
     ///
     /// # Panics
     ///
@@ -83,6 +99,18 @@ impl<T: EvictionClassifier> AccuracyGroup<T> {
     /// size (one replay feeds one line-address stream).
     #[must_use]
     pub(crate) fn new(members: Vec<(CacheGeometry, T)>) -> Self {
+        Self::build(members, true)
+    }
+
+    /// As [`AccuracyGroup::new`], but with no shadows: the verdicts
+    /// come from exact stack distances, fed with
+    /// [`AccuracyGroup::observe_distances`].
+    #[must_use]
+    pub(crate) fn from_distances(members: Vec<(CacheGeometry, T)>) -> Self {
+        Self::build(members, false)
+    }
+
+    fn build(members: Vec<(CacheGeometry, T)>, shadows: bool) -> Self {
         let line_size = members
             .first()
             .map(|(geom, _)| geom.line_size())
@@ -91,6 +119,7 @@ impl<T: EvictionClassifier> AccuracyGroup<T> {
             line_size,
             shapes: Vec::new(),
             verdicts: Vec::new(),
+            shadows: Vec::new(),
             members: Vec::with_capacity(members.len()),
         };
         for (geom, table) in members {
@@ -117,9 +146,11 @@ impl<T: EvictionClassifier> AccuracyGroup<T> {
                 None => {
                     group.verdicts.push(Verdicts {
                         capacity,
-                        lru: FullyAssocLru::new(capacity),
                         conflict: Vec::new(),
                     });
+                    if shadows {
+                        group.shadows.push(FullyAssocLru::new(capacity));
+                    }
                     group.verdicts.len() - 1
                 }
             };
@@ -140,12 +171,12 @@ impl<T: EvictionClassifier> AccuracyGroup<T> {
     }
 
     /// Advances every member by one block of line addresses, in trace
-    /// order: verdicts once per capacity, decomposition once per
-    /// shape, then each member's scoring with its probe sink (if any)
-    /// installed through `probes`.
+    /// order: verdicts once per capacity from its shadow, then
+    /// [`AccuracyGroup::score`]. A group built
+    /// [`AccuracyGroup::from_distances`] has no shadow to ask and must
+    /// be fed [`AccuracyGroup::observe_distances`] instead.
     pub(crate) fn observe_block(&mut self, lines: &[u64], probes: &GroupProbe) {
-        for v in &mut self.verdicts {
-            let lru = &mut v.lru;
+        for (v, lru) in self.verdicts.iter_mut().zip(&mut self.shadows) {
             v.conflict.clear();
             v.conflict.extend(
                 lines
@@ -153,6 +184,35 @@ impl<T: EvictionClassifier> AccuracyGroup<T> {
                     .map(|&line| lru.observe_conflict(LineAddr::new(line))),
             );
         }
+        self.score(lines, probes);
+    }
+
+    /// Advances every member by one block of line addresses whose
+    /// exact LRU stack distances are `distances` (as
+    /// [`mrc::StackDistanceEngine::record_line`] returns them, cold
+    /// accesses [`mrc::COLD`]): a reference is a conflict at a capacity
+    /// exactly when its distance is below it. Then
+    /// [`AccuracyGroup::score`].
+    pub(crate) fn observe_distances(
+        &mut self,
+        lines: &[u64],
+        distances: &[u64],
+        probes: &GroupProbe,
+    ) {
+        debug_assert_eq!(lines.len(), distances.len());
+        for v in &mut self.verdicts {
+            let capacity = v.capacity as u64;
+            v.conflict.clear();
+            v.conflict
+                .extend(distances.iter().map(|&distance| distance < capacity));
+        }
+        self.score(lines, probes);
+    }
+
+    /// The one split-and-score loop: decomposition once per shape,
+    /// then each member's scoring against this block's verdicts with
+    /// its probe sink (if any) installed through `probes`.
+    fn score(&mut self, lines: &[u64], probes: &GroupProbe) {
         for shape in &mut self.shapes {
             let set_bits = shape.set_bits;
             let mask = (1u64 << set_bits) - 1;
@@ -181,5 +241,57 @@ impl<T: EvictionClassifier> AccuracyGroup<T> {
             .into_iter()
             .map(|m| m.scorer.finish())
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::RunConfig;
+
+    /// Engine-fed verdicts give the same full reports as shadow-fed
+    /// ones, the conflict/capacity split included, for fig1's members
+    /// over the MRC suite. The printed MRC cells add that split back
+    /// together, so only a full-report comparison catches a wrong
+    /// verdict. The two groups take blocks of different sizes, so each
+    /// side crosses block seams the other does not have.
+    #[test]
+    fn distance_fed_reports_equal_shadow_fed_reports() {
+        let configs = crate::fig1::configurations();
+        let line_size = configs[0].1.line_size();
+        let events = 2 * crate::DEFAULT_REPLAY_BLOCK + 517;
+        for w in crate::mrc::workload_suite() {
+            let mut lines = Vec::with_capacity(events);
+            crate::stream_blocks(&w, events, line_size, |block| {
+                lines.extend_from_slice(block)
+            });
+            let (shadowed, fed) = crate::probe::group(
+                &RunConfig::default(),
+                "test",
+                || w.name().to_owned(),
+                configs.len(),
+                |i| i.to_string(),
+                |probes| {
+                    let mut shadowed = AccuracyGroup::new(crate::fig1::members(&configs));
+                    for block in lines.chunks(crate::DEFAULT_REPLAY_BLOCK) {
+                        shadowed.observe_block(block, probes);
+                    }
+                    let mut engine = mrc::StackDistanceEngine::new();
+                    let mut fed = AccuracyGroup::from_distances(crate::fig1::members(&configs));
+                    for block in lines.chunks(700) {
+                        let distances: Vec<u64> =
+                            block.iter().map(|&line| engine.record_line(line)).collect();
+                        fed.observe_distances(block, &distances, probes);
+                    }
+                    (shadowed.finish(), fed.finish())
+                },
+            );
+            assert_eq!(fed, shadowed, "{}", w.name());
+            assert!(
+                fed.iter().all(|r| r.accesses == events as u64),
+                "{}",
+                w.name()
+            );
+        }
     }
 }

@@ -27,8 +27,10 @@
 //! that workload in the same pass; no trace is materialized for
 //! reuse. The accuracy and MRC drivers (fig1, fig2, the shadow-depth
 //! ablation, the MRC family) stream line addresses through
-//! [`stream_blocks`], and [`replay_group`] scores their cells against
-//! one shared three-C oracle per capacity. The CPU-model drivers
+//! [`stream_blocks`]. [`replay_group`] scores the accuracy drivers'
+//! cells against one shared three-C oracle per capacity; the MRC
+//! family feeds each block to its stack-distance engine and its
+//! cross-check cells in the same pass ([`mrc`]). The CPU-model drivers
 //! (fig3–fig6, §5.4, §5.6 and the window and buffer sweeps) stream
 //! whole events through [`replay_cpu`], which feeds each chunk to
 //! every policy cell's resumable [`cpu_model::CpuRun`] in turn.
@@ -133,9 +135,9 @@ pub fn stream_blocks(
 }
 
 /// The accuracy drivers' one replay loop (fig1, fig2, the
-/// shadow-depth ablation, the MRC cross-check): streams `workload`
-/// once and scores every `(geometry, classifier)` member against one
-/// shared three-C oracle per capacity.
+/// shadow-depth ablation): streams `workload` once and scores every
+/// `(geometry, classifier)` member against one shared three-C oracle
+/// per capacity.
 ///
 /// The group runs as one [`probe::group`] cell of `target`, labelled
 /// with the workload name; member `i` keeps its own probe record,

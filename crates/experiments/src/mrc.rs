@@ -12,7 +12,7 @@
 //!
 //! This driver runs the [`mrc`] crate's engines over every workload
 //! (the SPEC95-analog suite plus the kernel-taxonomy patterns),
-//! evaluates each curve on a fixed capacity ladder, and then
+//! evaluates each curve on a fixed capacity ladder, and
 //! cross-checks the curve against the MCT sweep of
 //! [`crate::fig1::configurations`]: per (configuration, workload)
 //! cell it reports the MRC-derived capacity-miss estimate next to the
@@ -21,15 +21,28 @@
 //! measured against an independent ground truth that shares no code
 //! with the three-C oracle.
 //!
+//! Each workload's trace is streamed once: every block feeds the
+//! engine and then the cross-check group. The exact engine returns
+//! each access's stack distance, and an access is a conflict at a
+//! capacity exactly when its distance is below it, so the group's
+//! oracle verdicts come from those distances and it builds no shadow
+//! cache.
+//!
 //! With `--mrc-sample R` the exact engine is replaced by the SHARDS
-//! fixed-rate spatial sampler, which keeps O(sampled lines) state —
-//! the pass streams its trace, so it holds one chunk plus the sampled
-//! index, regardless of trace length.
+//! fixed-rate spatial sampler, which keeps O(sampled lines) state.
+//! Sampled distances are estimates, so the group keeps its
+//! fully-associative shadows for the verdicts. The pass streams its
+//! trace, so it holds one block plus the index and group state,
+//! regardless of trace length.
 
+use cache_model::CacheGeometry;
 use mct::accuracy::AccuracyReport;
+use mct::MissClassificationTable;
 use mrc::{CurvePoint, ShardsEngine, StackDistanceEngine};
 use workloads::Workload;
 
+use crate::group::AccuracyGroup;
+use crate::probe::GroupProbe;
 use crate::telemetry::{json_f64, json_string};
 use crate::{RunConfig, Table};
 
@@ -51,30 +64,61 @@ pub fn workload_suite() -> Vec<Workload> {
 
 /// Exact or SHARDS-sampled stack-distance engine, chosen per run.
 enum Engine {
-    Exact(StackDistanceEngine),
+    /// The engine and its per-block distance scratch.
+    Exact(StackDistanceEngine, Vec<u64>),
     Sampled(ShardsEngine),
 }
 
 impl Engine {
     fn new(sample: Option<f64>) -> Engine {
         match sample {
-            None => Engine::Exact(StackDistanceEngine::new()),
+            None => Engine::Exact(StackDistanceEngine::new(), Vec::new()),
             Some(rate) => {
                 Engine::Sampled(ShardsEngine::new(rate).expect("sample rate validated by the CLI"))
             }
         }
     }
 
-    fn record_lines(&mut self, lines: &[u64]) {
+    /// The cross-check group this engine feeds: exact distances are
+    /// the oracle's verdicts, so the exact engine's group builds no
+    /// shadow; sampled distances are estimates, so the sampled
+    /// engine's group keeps its shadows.
+    fn group(
+        &self,
+        members: Vec<(CacheGeometry, MissClassificationTable)>,
+    ) -> AccuracyGroup<MissClassificationTable> {
         match self {
-            Engine::Exact(e) => lines.iter().for_each(|&line| e.record_line(line)),
-            Engine::Sampled(e) => lines.iter().for_each(|&line| e.record_line(line)),
+            Engine::Exact(..) => AccuracyGroup::from_distances(members),
+            Engine::Sampled(_) => AccuracyGroup::new(members),
+        }
+    }
+
+    /// Records one block of line addresses, then advances `group` by
+    /// the same block.
+    fn observe_block(
+        &mut self,
+        group: &mut AccuracyGroup<MissClassificationTable>,
+        lines: &[u64],
+        probes: &GroupProbe,
+    ) {
+        match self {
+            Engine::Exact(e, distances) => {
+                distances.clear();
+                distances.extend(lines.iter().map(|&line| e.record_line(line)));
+                group.observe_distances(lines, distances, probes);
+            }
+            Engine::Sampled(e) => {
+                for &line in lines {
+                    e.record_line(line);
+                }
+                group.observe_block(lines, probes);
+            }
         }
     }
 
     fn miss_ratio(&self, capacity_lines: u64) -> f64 {
         match self {
-            Engine::Exact(e) => e.miss_ratio(capacity_lines),
+            Engine::Exact(e, _) => e.miss_ratio(capacity_lines),
             Engine::Sampled(e) => e.miss_ratio(capacity_lines),
         }
     }
@@ -83,7 +127,7 @@ impl Engine {
     /// the sampled engine) — the memory-proportional quantity.
     fn distinct_lines(&self) -> u64 {
         match self {
-            Engine::Exact(e) => e.distinct_lines(),
+            Engine::Exact(e, _) => e.distinct_lines(),
             Engine::Sampled(e) => e.distinct_sampled_lines(),
         }
     }
@@ -92,7 +136,7 @@ impl Engine {
     /// the exact engine).
     fn sampled_events(&self) -> u64 {
         match self {
-            Engine::Exact(e) => e.histogram().total(),
+            Engine::Exact(e, _) => e.histogram().total(),
             Engine::Sampled(e) => e.sampled_events(),
         }
     }
@@ -168,75 +212,75 @@ pub struct MrcRun {
     pub cells: Vec<CapacityCell>,
 }
 
-/// Trace events this family simulates: one curve pass per workload
-/// plus one MCT pass per (configuration, workload) cell.
+/// Trace events this family simulates: per workload, the engine and
+/// every cross-check cell each see every event.
 #[must_use]
 pub fn simulated_events(events: usize) -> u64 {
     let suite = workload_suite().len();
     ((crate::fig1::configurations().len() + 1) * suite * events) as u64
 }
 
-fn curve_for(
+/// One workload's pass: streams its trace once, and every block feeds
+/// the engine and then the fig1 cross-check group. Runs as one
+/// [`crate::probe::group`] cell labelled with the workload, whose
+/// member `i` is the cell `<configs[i]>/<workload>`.
+fn workload_pass(
+    cfg: &RunConfig,
     workload: &Workload,
-    line_size: u64,
+    configs: &[(String, CacheGeometry)],
     events: usize,
     sample: Option<f64>,
-) -> WorkloadCurve {
-    let mut engine = Engine::new(sample);
-    {
-        let _span = sim_core::span::enter("replay_mrc");
-        sim_core::span::add_events(events as u64);
-        crate::stream_blocks(workload, events, line_size, |lines| {
-            engine.record_lines(lines);
-        });
-    }
-    WorkloadCurve {
-        workload: workload.name().to_owned(),
-        events: events as u64,
-        sampled_events: engine.sampled_events(),
-        distinct_lines: engine.distinct_lines(),
-        points: CAPACITY_LADDER
-            .iter()
-            .map(|&c| CurvePoint {
-                capacity_lines: c,
-                miss_ratio: engine.miss_ratio(c),
-            })
-            .collect(),
-    }
-}
-
-/// Runs the MRC family: curves for every workload, then the MCT
-/// cross-check over the fig1 geometry sweep.
-///
-/// The curve pass finishes (and drops every engine) before the
-/// cross-check groups start, so a stack-distance index is never
-/// resident next to group state.
-#[must_use]
-pub fn run(cfg: &RunConfig, events: usize, sample: Option<f64>) -> MrcRun {
-    let suite = workload_suite();
-    let configs = crate::fig1::configurations();
+) -> (WorkloadCurve, Vec<AccuracyReport>) {
     // All fig1 geometries share 64 B lines, and stack distances depend
     // only on the line address.
     let line_size = configs[0].1.line_size();
-    let curves: Vec<WorkloadCurve> = cfg.par_map(suite.clone(), |w| {
-        crate::probe::cell(
-            cfg,
-            "mrc",
-            || format!("curve/{}", w.name()),
-            || curve_for(&w, line_size, events, sample),
-        )
-    });
+    crate::probe::group(
+        cfg,
+        "mrc",
+        || workload.name().to_owned(),
+        configs.len(),
+        |i| format!("{}/{}", configs[i].0, workload.name()),
+        |probes| {
+            let mut engine = Engine::new(sample);
+            let mut group = engine.group(crate::fig1::members(configs));
+            {
+                let _span = sim_core::span::enter("replay_mrc");
+                sim_core::span::add_events(((configs.len() + 1) * events) as u64);
+                crate::stream_blocks(workload, events, line_size, |lines| {
+                    engine.observe_block(&mut group, lines, probes);
+                });
+            }
+            let curve = WorkloadCurve {
+                workload: workload.name().to_owned(),
+                events: events as u64,
+                sampled_events: engine.sampled_events(),
+                distinct_lines: engine.distinct_lines(),
+                points: CAPACITY_LADDER
+                    .iter()
+                    .map(|&c| CurvePoint {
+                        capacity_lines: c,
+                        miss_ratio: engine.miss_ratio(c),
+                    })
+                    .collect(),
+            };
+            (curve, group.finish())
+        },
+    )
+}
 
-    let per_workload: Vec<Vec<AccuracyReport>> = cfg.par_map(suite, |w| {
-        let members = crate::fig1::members(&configs);
-        crate::replay_group(cfg, "mrc", &w, events, members, |i| {
-            format!("{}/{}", configs[i].0, w.name())
-        })
+/// Runs the MRC family: one pass per workload builds its curve and
+/// scores the MCT cross-check over the fig1 geometry sweep together
+/// (see the module docs).
+#[must_use]
+pub fn run(cfg: &RunConfig, events: usize, sample: Option<f64>) -> MrcRun {
+    let configs = crate::fig1::configurations();
+    let passes: Vec<(WorkloadCurve, Vec<AccuracyReport>)> = cfg.par_map(workload_suite(), |w| {
+        workload_pass(cfg, &w, &configs, events, sample)
     });
     let mut cells = Vec::new();
     for (i, (name, geom)) in configs.iter().enumerate() {
         let capacity = geom.num_lines() as u64;
-        for (curve, reports) in curves.iter().zip(&per_workload) {
+        for (curve, reports) in &passes {
             let r = reports[i];
             let accesses = r.accesses.max(1) as f64;
             // The MCT labels every miss Conflict or Capacity, so its
@@ -259,7 +303,7 @@ pub fn run(cfg: &RunConfig, events: usize, sample: Option<f64>) -> MrcRun {
     MrcRun {
         sample,
         events,
-        curves,
+        curves: passes.into_iter().map(|(curve, _)| curve).collect(),
         cells,
     }
 }

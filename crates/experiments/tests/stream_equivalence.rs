@@ -8,7 +8,7 @@
 //! fed the same stream per event through `observe_parts`. This holds
 //!
 //! * at 1 and 4 worker threads (checked through the drivers' rendered
-//!   and aggregated reports);
+//!   and aggregated reports; the MRC family in exact and sampled mode);
 //! * across a stream-chunk seam: a `STREAM_CHUNK + 1537`-event trace
 //!   ends in a torn block, at two line sizes and at a 65536-set
 //!   geometry far past the paper's.
@@ -204,26 +204,33 @@ impl References {
                 point.config, point.depth
             );
         }
-        let mrc = mrc::run(&cfg, EVENTS, None);
+        // Exact mode takes its verdicts from the stack distances,
+        // sampled mode from its shadows: both must carry the cells.
+        let exact = mrc::run(&cfg, EVENTS, None);
+        let sampled = mrc::run(&cfg, EVENTS, Some(0.01));
         let workloads = mrc::workload_suite().len();
-        for (k, cell) in mrc.cells.iter().enumerate() {
-            let r = self.mrc[k % workloads][k / workloads];
-            let accesses = r.accesses as f64;
-            let mct_capacity =
-                r.capacity.numerator() + (r.conflict.denominator() - r.conflict.numerator());
-            assert_eq!(
-                (cell.real_miss_ratio, cell.mct_capacity_ratio),
-                (r.misses as f64 / accesses, mct_capacity as f64 / accesses),
-                "mrc {label}: {}/{}",
-                cell.config,
-                cell.workload
-            );
+        for run in [&exact, &sampled] {
+            for (k, cell) in run.cells.iter().enumerate() {
+                let r = self.mrc[k % workloads][k / workloads];
+                let accesses = r.accesses as f64;
+                let mct_capacity =
+                    r.capacity.numerator() + (r.conflict.denominator() - r.conflict.numerator());
+                assert_eq!(
+                    (cell.real_miss_ratio, cell.mct_capacity_ratio),
+                    (r.misses as f64 / accesses, mct_capacity as f64 / accesses),
+                    "mrc {} {label}: {}/{}",
+                    run.mode(),
+                    cell.config,
+                    cell.workload
+                );
+            }
         }
         vec![
             fig1.to_string(),
             fig2.to_string(),
             ablation.to_string(),
-            mrc.to_jsonl(),
+            exact.to_jsonl(),
+            sampled.to_jsonl(),
         ]
     }
 }

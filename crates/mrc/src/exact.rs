@@ -5,15 +5,29 @@
 //! slot and keep one marker per *live* line at its most recent slot.
 //! The stack distance of a re-access is then the number of markers at
 //! slots later than the line's previous one — an order-statistic
-//! query, answered here by a Fenwick tree in O(log U). Slots are
-//! consumed monotonically, so the tree is compacted (live markers
-//! renumbered densely) whenever it fills; each compaction frees at
-//! least half the slots, keeping the amortised cost O(log U) per
-//! event and the memory O(distinct lines).
+//! query, answered here by a Fenwick tree in O(log U).
+//!
+//! Two shortcuts keep the common cases cheap:
+//!
+//! * A repeat of the previous access's line is distance 0 with no
+//!   hash probe and no tree update: its marker already holds the
+//!   newest slot, so leaving it there changes no later distance.
+//! * Slots are consumed monotonically, so the tree is compacted (live
+//!   markers renumbered densely) whenever it fills. Compaction reads
+//!   each live slot's new number off the tree's own prefix counts and
+//!   rewrites the tree in place: O(slots), with no scratch copy of the
+//!   markers. Each compaction frees at least half the slots, keeping
+//!   the amortised cost O(log U) per event and the memory O(distinct
+//!   lines).
 
 use sim_core::hash::FxHashMap;
 
 use crate::histogram::{CurvePoint, DistanceHistogram, MissRatioCurve};
+
+/// The distance [`StackDistanceEngine::record_line`] returns for a
+/// line's first access: infinite, so `distance < capacity` is false at
+/// every capacity.
+pub const COLD: u64 = u64::MAX;
 
 /// A Fenwick (binary indexed) tree counting live markers per slot.
 ///
@@ -27,12 +41,6 @@ struct Fenwick {
 }
 
 impl Fenwick {
-    fn with_slots(n: usize) -> Self {
-        Fenwick {
-            tree: vec![0; n + 1],
-        }
-    }
-
     fn add(&mut self, slot: u32, delta: u32) {
         let mut i = slot as usize + 1;
         while i < self.tree.len() {
@@ -51,11 +59,47 @@ impl Fenwick {
         }
         sum
     }
+
+    /// Rewrites the nodes in place into plain prefix counts, so that
+    /// [`Fenwick::rank`] is one load. O(slots): each node loses its
+    /// children's sums (last node first, undoing the linear-time
+    /// build), then a running sum turns per-slot counts into prefixes.
+    /// The tree answers no other query until [`Fenwick::fill_dense`].
+    fn rewrite_as_prefix_counts(&mut self) {
+        let n = self.tree.len();
+        for i in (1..n).rev() {
+            let parent = i + (i & i.wrapping_neg());
+            if parent < n {
+                self.tree[parent] = self.tree[parent].wrapping_sub(self.tree[i]);
+            }
+        }
+        for i in 2..n {
+            self.tree[i] = self.tree[i].wrapping_add(self.tree[i - 1]);
+        }
+    }
+
+    /// After [`Fenwick::rewrite_as_prefix_counts`]: the number of live markers
+    /// before the live `slot`, i.e. its slot once they are packed.
+    fn rank(&self, slot: u32) -> u32 {
+        self.tree[slot as usize + 1] - 1
+    }
+
+    /// Resets the tree to `slots` slots holding one marker at each of
+    /// slots `0..live`, writing every node directly in O(slots).
+    fn fill_dense(&mut self, live: u32, slots: usize) {
+        self.tree.resize(slots + 1, 0);
+        let live = live as usize;
+        for (i, node) in self.tree.iter_mut().enumerate().skip(1) {
+            // Node `i` sums slots `i - low .. i`.
+            let low = i & i.wrapping_neg();
+            *node = live.saturating_sub(i - low).min(low) as u32;
+        }
+    }
 }
 
 /// The exact single-pass engine: O(log U) per event, O(distinct
-/// lines) memory, and a histogram identical to the naive
-/// move-to-front list's event for event (the differential oracle of
+/// lines) memory, and distances identical to the naive move-to-front
+/// list's event for event (the differential oracle of
 /// `tests/proptest_mrc_equivalence.rs`).
 #[derive(Debug, Clone, Default)]
 pub struct StackDistanceEngine {
@@ -68,6 +112,8 @@ pub struct StackDistanceEngine {
     slots: u32,
     /// Live lines (markers in the tree).
     live: u32,
+    /// The previous access's line: its marker holds the newest slot.
+    last: Option<u64>,
     hist: DistanceHistogram,
 }
 
@@ -78,8 +124,17 @@ impl StackDistanceEngine {
         Self::default()
     }
 
-    /// Records one line access.
-    pub fn record_line(&mut self, line: u64) {
+    /// Records one line access and returns its stack distance: the
+    /// number of distinct other lines touched since the line's
+    /// previous access, or [`COLD`] on its first. A fully-associative
+    /// LRU cache of `C` lines hits exactly when the distance is `< C`.
+    #[inline]
+    pub fn record_line(&mut self, line: u64) -> u64 {
+        if self.last == Some(line) {
+            self.hist.record(0);
+            return 0;
+        }
+        self.last = Some(line);
         if self.next_slot == self.slots {
             self.compact();
         }
@@ -93,11 +148,13 @@ impl StackDistanceEngine {
                 self.tree.add(prev, u32::MAX); // -1
                 self.tree.add(slot, 1);
                 self.hist.record(distance);
+                distance
             }
             None => {
                 self.live += 1;
                 self.tree.add(slot, 1);
                 self.hist.record_cold();
+                COLD
             }
         }
     }
@@ -118,17 +175,17 @@ impl StackDistanceEngine {
     /// Renumbers live markers densely into slot order, growing the
     /// slot space when more than half of it is live. Freeing at least
     /// half the slots each time keeps the amortised cost O(log U).
+    /// A marker's new slot is its rank among the live markers, read
+    /// off the tree itself, so nothing is sorted or copied.
     fn compact(&mut self) {
         if u64::from(self.live) * 2 >= u64::from(self.slots) {
             self.slots = (self.slots * 2).max(64);
         }
-        let mut markers: Vec<(u32, u64)> = self.index.iter().map(|(&l, &s)| (s, l)).collect();
-        markers.sort_unstable_by_key(|&(slot, _)| slot);
-        self.tree = Fenwick::with_slots(self.slots as usize);
-        for (new_slot, &(_, line)) in markers.iter().enumerate() {
-            self.index.insert(line, new_slot as u32);
-            self.tree.add(new_slot as u32, 1);
+        self.tree.rewrite_as_prefix_counts();
+        for slot in self.index.values_mut() {
+            *slot = self.tree.rank(*slot);
         }
+        self.tree.fill_dense(self.live, self.slots as usize);
         self.next_slot = self.live;
     }
 
@@ -169,6 +226,42 @@ impl StackDistanceEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn compaction_right_after_a_repeat_keeps_distances() {
+        let mut e = StackDistanceEngine::new();
+        for line in 0..64u64 {
+            assert_eq!(e.record_line(line), COLD);
+        }
+        assert_eq!((e.next_slot, e.slots), (64, 64), "first slot space full");
+        // The repeat takes no slot, so the tree is still full after it.
+        assert_eq!(e.record_line(63), 0);
+        assert_eq!(e.next_slot, 64);
+        // The next access compacts (and grows: every slot is live).
+        assert_eq!(e.record_line(0), 63);
+        assert_eq!((e.next_slot, e.slots), (65, 128));
+        assert_eq!(e.record_line(63), 1);
+        assert_eq!(e.record_line(1), 63);
+        assert_eq!(e.histogram().bucket(0), 1);
+        assert_eq!(e.histogram().cold(), 64);
+    }
+
+    #[test]
+    fn compaction_without_growth_packs_live_markers_in_order() {
+        let mut e = StackDistanceEngine::new();
+        // Eight lines round-robin: the 64-slot space fills with 8 live
+        // markers, so it compacts in place without growing.
+        for i in 0..200u64 {
+            let d = e.record_line(i % 8);
+            assert_eq!(d, if i < 8 { COLD } else { 7 }, "access {i}");
+        }
+        assert_eq!(e.slots, 64);
+        let mut slots: Vec<u32> = e.index.values().copied().collect();
+        slots.sort_unstable();
+        assert_eq!(slots.len(), 8);
+        assert!(slots.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(e.tree.prefix_through(e.slots - 1), 8);
+    }
 
     #[test]
     fn curve_is_monotone_in_capacity() {

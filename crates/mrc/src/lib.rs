@@ -17,7 +17,12 @@
 //! * [`StackDistanceEngine`] — the single-pass exact engine: an
 //!   order-statistic tree (Fenwick form) over last-access timestamps
 //!   plus an [`FxHashMap`](sim_core::hash::FxHashMap) line index, O(log U) amortised per event
-//!   and O(distinct lines) memory.
+//!   and O(distinct lines) memory. It returns each access's distance,
+//!   so a caller can also read any capacity's per-access hit/miss
+//!   verdict off it. A repeat of the previous line is distance 0
+//!   with no probe and no tree update, and when the slot space fills
+//!   the tree renumbers its live markers in place from its own prefix
+//!   counts.
 //! * [`ShardsEngine`] — SHARDS-style fixed-rate spatial sampling: a
 //!   deterministic hash of the line address admits each line with
 //!   probability `R`, and sampled distances are scaled by `1/R` at
@@ -47,7 +52,7 @@ mod exact;
 mod histogram;
 mod sampled;
 
-pub use exact::StackDistanceEngine;
+pub use exact::{StackDistanceEngine, COLD};
 pub use histogram::{CurvePoint, DistanceHistogram, MissRatioCurve};
 pub use sampled::ShardsEngine;
 

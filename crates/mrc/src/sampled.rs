@@ -68,11 +68,13 @@ impl ShardsEngine {
     }
 
     /// Records one line access, filtering by the spatial hash.
-    pub fn record_line(&mut self, line: u64) {
+    /// Returns the access's stack distance in sampled units (see
+    /// [`StackDistanceEngine::record_line`]), or `None` when the
+    /// filter drops the line.
+    #[inline]
+    pub fn record_line(&mut self, line: u64) -> Option<u64> {
         self.offered += 1;
-        if spatial_hash(line) <= self.threshold {
-            self.inner.record_line(line);
-        }
+        (spatial_hash(line) <= self.threshold).then(|| self.inner.record_line(line))
     }
 
     /// Records a chunk of decomposed references (see

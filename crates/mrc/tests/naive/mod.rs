@@ -25,17 +25,23 @@ impl NaiveStackEngine {
         Self::default()
     }
 
-    /// Records one line access: its distance is its position in the
-    /// recency list (cold if absent), then it moves to the front.
-    pub fn record_line(&mut self, line: u64) {
-        match self.stack.iter().position(|&l| l == line) {
+    /// Records one line access and returns its distance: its position
+    /// in the recency list, or [`mrc::COLD`] if absent. The line then
+    /// moves to the front.
+    pub fn record_line(&mut self, line: u64) -> u64 {
+        let distance = match self.stack.iter().position(|&l| l == line) {
             Some(pos) => {
                 self.hist.record(pos as u64);
                 self.stack.remove(pos);
+                pos as u64
             }
-            None => self.hist.record_cold(),
-        }
+            None => {
+                self.hist.record_cold();
+                mrc::COLD
+            }
+        };
         self.stack.insert(0, line);
+        distance
     }
 
     /// Distinct lines seen so far.

@@ -1,7 +1,8 @@
 //! Differential property tests for the MRC engines: the tree-based
 //! [`StackDistanceEngine`] must reproduce the naive move-to-front
 //! list oracle [`NaiveStackEngine`] event for event — identical
-//! stack-distance histograms and miss ratios — across random traces,
+//! per-access distances, stack-distance histograms and miss ratios —
+//! across random traces, runs of one repeated line,
 //! line sizes, and chunk boundaries (torn / size-1 / whole-trace),
 //! replayed at 1 and 4 worker threads.
 
@@ -76,6 +77,20 @@ fn survives_many_compactions() {
     assert_eq!(fast.histogram().bucket(63), 10_000 - 64);
 }
 
+/// Expands `(line, run)` pairs into a trace of runs of one repeated
+/// line, lines taken modulo `universe`. The trace opens with 64
+/// distinct lines and a repeat of the last: the 64 lines fill the
+/// engine's first slot space exactly, so the access after the repeat
+/// compacts.
+fn runs_trace(runs: &[(u64, usize)], universe: u64) -> Vec<u64> {
+    let mut trace: Vec<u64> = (0..64).collect();
+    trace.push(63);
+    for &(line, run) in runs {
+        trace.extend(std::iter::repeat_n(line % universe, run));
+    }
+    trace
+}
+
 /// The capacity ladder the miss-ratio comparison is evaluated at.
 const CAPACITIES: [u64; 8] = [1, 2, 3, 7, 16, 100, 1024, 1 << 20];
 
@@ -126,6 +141,29 @@ proptest! {
         let (sets, tags) = decompose(&addrs, line_bits, set_bits);
         let engine = tree_chunked(&sets, &tags, set_bits, 1);
         prop_assert_eq!(engine.histogram(), oracle.histogram());
+    }
+
+    /// `record_line`'s returned distance equals the naive
+    /// move-to-front distance event by event, for the exact engine and
+    /// for SHARDS at rate 1. The traces hold long runs of one line and
+    /// up to 400 distinct lines, so the engine compacts several times,
+    /// growing its slot space and not, once right after a repeat.
+    #[test]
+    fn returned_distances_match_naive_event_by_event(
+        universe in 1u64..400,
+        runs in prop::collection::vec((0u64..400, 1usize..24), 1..400),
+    ) {
+        let trace = runs_trace(&runs, universe);
+        let mut naive = NaiveStackEngine::new();
+        let mut exact = StackDistanceEngine::new();
+        let mut sampled = ShardsEngine::new(1.0).expect("rate 1 is valid");
+        for (i, &line) in trace.iter().enumerate() {
+            let want = naive.record_line(line);
+            prop_assert_eq!(exact.record_line(line), want, "exact, event {}", i);
+            prop_assert_eq!(sampled.record_line(line), Some(want), "SHARDS, event {}", i);
+        }
+        prop_assert_eq!(exact.histogram(), naive.histogram());
+        prop_assert_eq!(sampled.histogram(), naive.histogram());
     }
 
     /// The SHARDS filter at rate 1 admits everything, so the sampled

@@ -236,8 +236,8 @@ mod tests {
         // The replay pipeline's span names are pinned here so a prefix
         // change cannot silently unregister them: `replay_block` (block
         // replay), `replay_stream` (an accuracy group pass),
-        // `replay_cpu` (a CPU-model group pass) and `replay_mrc` (the
-        // stack-distance pass).
+        // `replay_cpu` (a CPU-model group pass) and `replay_mrc` (an
+        // MRC pass: the stack-distance engine and its cross-check).
         for name in ["replay_block", "replay_cpu", "replay_stream", "replay_mrc"] {
             assert!(span_name_registered(name), "{name}");
         }
