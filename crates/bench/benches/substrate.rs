@@ -200,6 +200,77 @@ fn bench_oracle(c: &mut Criterion) {
     g.finish();
 }
 
+/// Group replay's scoring stage on Fig 2's eleven tag widths, which
+/// share one 16 KB direct-mapped geometry, over decomposed references
+/// and oracle verdicts computed once. `group_fig2_shared` replays each
+/// 1024-reference block through one cache kernel and walks each
+/// width's MCT over its misses, as `AccuracyGroup` does;
+/// `group_fig2_per_member` gives every width its own kernel, the cost
+/// of one classifying cache per member.
+fn bench_group_scoring(c: &mut Criterion) {
+    use mct::accuracy::{AccuracyScorer, CacheKernel, MissBlock};
+    use mct::MissClassificationTable;
+
+    let geom = experiments::fig2::geometry();
+    let widths = experiments::fig2::widths();
+    let refs = lines(N);
+    let sets: Vec<u32> = refs.iter().map(|&l| geom.set_index(l) as u32).collect();
+    let tags: Vec<u64> = refs.iter().map(|&l| geom.tag(l)).collect();
+    let mut shadow = FullyAssocLru::new(geom.num_lines());
+    let verdicts: Vec<bool> = refs.iter().map(|&l| shadow.observe_conflict(l)).collect();
+    let scorers = || -> Vec<AccuracyScorer> {
+        widths
+            .iter()
+            .map(|&bits| {
+                let table = MissClassificationTable::new(geom.num_sets(), bits);
+                AccuracyScorer::with_classifier(geom, table)
+            })
+            .collect()
+    };
+    let blocks = || {
+        sets.chunks(1024)
+            .zip(tags.chunks(1024))
+            .zip(verdicts.chunks(1024))
+    };
+    let mut g = c.benchmark_group("substrate/pipeline");
+    g.throughput(Throughput::Elements((N * widths.len()) as u64));
+    g.bench_function("group_fig2_shared", |b| {
+        b.iter(|| {
+            let mut kernel = CacheKernel::new(geom);
+            let mut misses = MissBlock::with_block(1024);
+            let mut scorers = scorers();
+            for ((s, t), v) in blocks() {
+                kernel.access_block(s, t, &mut misses);
+                for scorer in &mut scorers {
+                    scorer.score_block(&misses, v);
+                }
+            }
+            for scorer in scorers {
+                black_box(scorer.finish());
+            }
+        })
+    });
+    g.bench_function("group_fig2_per_member", |b| {
+        b.iter(|| {
+            let mut misses = MissBlock::with_block(1024);
+            let mut cells: Vec<(CacheKernel, AccuracyScorer)> = scorers()
+                .into_iter()
+                .map(|scorer| (CacheKernel::new(geom), scorer))
+                .collect();
+            for ((s, t), v) in blocks() {
+                for (kernel, scorer) in &mut cells {
+                    kernel.access_block(s, t, &mut misses);
+                    scorer.score_block(&misses, v);
+                }
+            }
+            for (_, scorer) in cells {
+                black_box(scorer.finish());
+            }
+        })
+    });
+    g.finish();
+}
+
 /// Synthesizing a workload's event stream on the fly: the supply side
 /// of every replay, paid once per group pass. `gcc` mixes several
 /// small patterns; `uniform` is one 4096-line Zipf draw per event, the
@@ -452,6 +523,6 @@ fn bench_mrc(c: &mut Criterion) {
 criterion_group! {
     name = substrate;
     config = Criterion::default().sample_size(10);
-    targets = bench_plain_cache, bench_classifying_cache, bench_probe_null, bench_span_null, bench_oracle, bench_trace_supply, bench_cache_kernel, bench_cache_kernel_spread, bench_full_pipeline, bench_mrc,
+    targets = bench_plain_cache, bench_classifying_cache, bench_probe_null, bench_span_null, bench_oracle, bench_group_scoring, bench_trace_supply, bench_cache_kernel, bench_cache_kernel_spread, bench_full_pipeline, bench_mrc,
 }
 criterion_main!(substrate);

@@ -398,9 +398,9 @@ pub trait BlockSink<M> {
     /// classifies against pre-fill state); returns the metadata the
     /// filled line carries.
     fn miss(&mut self, index: usize, set: usize, tag: u64) -> M;
-    /// Called after the fill of event `index`, with the tag and
-    /// metadata of the line it displaced, if any.
-    fn filled(&mut self, index: usize, set: usize, evicted: Option<(u64, M)>);
+    /// Called after the fill of event `index` into way `way` of `set`,
+    /// with the tag and metadata of the line it displaced, if any.
+    fn filled(&mut self, index: usize, set: usize, way: usize, evicted: Option<(u64, M)>);
 }
 
 /// Replacement policy, monomorphized for the block engine: the
@@ -478,7 +478,7 @@ impl<M: Default> BlockSink<M> for OutcomeSink<'_> {
         M::default()
     }
     #[inline]
-    fn filled(&mut self, index: usize, _set: usize, evicted: Option<(u64, M)>) {
+    fn filled(&mut self, index: usize, _set: usize, _way: usize, evicted: Option<(u64, M)>) {
         self.out[index] = match evicted {
             Some(_) => BlockOutcome::FilledEvicting,
             None => BlockOutcome::FilledEmpty,
@@ -498,7 +498,8 @@ impl<M> SetAssocCache<M> {
     ///         None => {
     ///             let meta = sink.miss(i, sets[i] as usize, tags[i]);
     ///             let ev = cache.fill_at(sets[i] as usize, tags[i], meta);
-    ///             sink.filled(i, sets[i] as usize, ev.map(..));
+    ///             // `way`: the way the fill wrote.
+    ///             sink.filled(i, sets[i] as usize, way, ev.map(..));
     ///         }
     ///     }
     /// }
@@ -620,7 +621,7 @@ impl<M> SetAssocCache<M> {
             self.meta[base + occ] = Some(meta);
             self.occ[set] = (occ + 1) as u32;
             self.resident += 1;
-            sink.filled(index, set, None);
+            sink.filled(index, set, occ, None);
             return;
         }
         let way = P::victim(&self.stamps[base..base + occ], self.set_evictions[set], set);
@@ -633,7 +634,12 @@ impl<M> SetAssocCache<M> {
         let evicted_meta = self.meta[base + way].replace(meta);
         self.tags[base + way] = tag;
         self.stamps[base + way] = self.clock;
-        sink.filled(index, set, evicted_meta.map(|meta| (evicted_tag, meta)));
+        sink.filled(
+            index,
+            set,
+            way,
+            evicted_meta.map(|meta| (evicted_tag, meta)),
+        );
     }
 
     /// Replays one run of adjacent same-set events, the first at
@@ -685,8 +691,8 @@ impl<M> SetAssocCache<M> {
                 row_tags[occ] = tag;
                 row_stamps[occ] = clock;
                 row_meta[occ] = Some(meta);
+                sink.filled(index, set, occ, None);
                 occ += 1;
-                sink.filled(index, set, None);
                 continue;
             }
             let way = P::victim(&row_stamps[..occ], set_evictions, set);
@@ -699,7 +705,12 @@ impl<M> SetAssocCache<M> {
             let evicted_meta = row_meta[way].replace(meta);
             row_tags[way] = tag;
             row_stamps[way] = clock;
-            sink.filled(index, set, evicted_meta.map(|meta| (evicted_tag, meta)));
+            sink.filled(
+                index,
+                set,
+                way,
+                evicted_meta.map(|meta| (evicted_tag, meta)),
+            );
         }
         self.clock = clock;
         self.occ[set] = occ as u32;

@@ -26,49 +26,52 @@ pub enum BlockClass {
 
 /// The block sink that runs the MCT protocol per event: classify
 /// **before** the fill, carry the conflict bit as line metadata,
-/// record the eviction. It emits the same probe events as
-/// [`ClassifyingCache::access_parts`], in the same order, and hands
-/// each finished event's class to `done`.
-struct MctSink<'a, T, F> {
+/// record the eviction, and write each event's class to `out`. When
+/// `armed` (read once per block) it emits the same probe events as
+/// [`ClassifyingCache::access_parts`], in the same order.
+struct MctSink<'a, T> {
     table: &'a mut T,
     conflict_misses: &'a mut u64,
     capacity_misses: &'a mut u64,
-    /// The class of the miss whose fill is in flight.
-    class: BlockClass,
-    done: F,
+    out: &'a mut [BlockClass],
+    armed: bool,
 }
 
-impl<T: EvictionClassifier, F: FnMut(usize, BlockClass)> BlockSink<bool> for MctSink<'_, T, F> {
+impl<T: EvictionClassifier> BlockSink<bool> for MctSink<'_, T> {
     #[inline]
     fn hit(&mut self, index: usize, _conflict_bit: &mut bool) {
-        probe::emit(probe::ProbeEvent::Access { hit: true });
-        (self.done)(index, BlockClass::Hit);
-    }
-
-    #[inline]
-    fn miss(&mut self, _index: usize, set: usize, tag: u64) -> bool {
-        probe::emit(probe::ProbeEvent::Access { hit: false });
-        let class = self.table.classify(set, tag);
-        match class {
-            MissClass::Conflict => *self.conflict_misses += 1,
-            MissClass::Capacity => *self.capacity_misses += 1,
+        if self.armed {
+            probe::emit(probe::ProbeEvent::Access { hit: true });
         }
-        self.class = if class.is_conflict() {
-            probe::emit(probe::ProbeEvent::ConflictBit {
-                set: set as u32,
-                set_bit: true,
-            });
-            BlockClass::Conflict
-        } else {
-            BlockClass::Capacity
-        };
-        class.is_conflict()
+        self.out[index] = BlockClass::Hit;
     }
 
     #[inline]
-    fn filled(&mut self, index: usize, set: usize, evicted: Option<(u64, bool)>) {
+    fn miss(&mut self, index: usize, set: usize, tag: u64) -> bool {
+        if self.armed {
+            probe::emit(probe::ProbeEvent::Access { hit: false });
+        }
+        let conflict = self.table.classify(set, tag).is_conflict();
+        if conflict {
+            *self.conflict_misses += 1;
+            if self.armed {
+                probe::emit(probe::ProbeEvent::ConflictBit {
+                    set: set as u32,
+                    set_bit: true,
+                });
+            }
+            self.out[index] = BlockClass::Conflict;
+        } else {
+            *self.capacity_misses += 1;
+            self.out[index] = BlockClass::Capacity;
+        }
+        conflict
+    }
+
+    #[inline]
+    fn filled(&mut self, _index: usize, set: usize, _way: usize, evicted: Option<(u64, bool)>) {
         if let Some((evicted_tag, conflict_bit)) = evicted {
-            if conflict_bit {
+            if conflict_bit && self.armed {
                 probe::emit(probe::ProbeEvent::ConflictBit {
                     set: set as u32,
                     set_bit: false,
@@ -76,7 +79,6 @@ impl<T: EvictionClassifier, F: FnMut(usize, BlockClass)> BlockSink<bool> for Mct
             }
             self.table.record_eviction(set, evicted_tag);
         }
-        (self.done)(index, self.class);
     }
 }
 
@@ -275,27 +277,12 @@ impl<T: EvictionClassifier> ClassifyingCache<T> {
     /// Panics if the slices differ in length or a set index is out of
     /// range for the geometry.
     pub fn access_parts_block(&mut self, sets: &[u32], tags: &[u64], out: &mut [BlockClass]) {
-        // `move` captures the slice itself, not a reference to it,
-        // saving an indirection per event in the kernel loop.
-        self.access_parts_block_with(sets, tags, move |i, class| out[i] = class);
-    }
-
-    /// [`Self::access_parts_block`] with a callback in place of the
-    /// outcome array: `done(i, class)` runs once per event, in trace
-    /// order, after event `i` is complete (a miss's fill and eviction
-    /// recorded, its probe events emitted).
-    pub(crate) fn access_parts_block_with(
-        &mut self,
-        sets: &[u32],
-        tags: &[u64],
-        done: impl FnMut(usize, BlockClass),
-    ) {
         let mut sink = MctSink {
             table: &mut self.table,
             conflict_misses: &mut self.conflict_misses,
             capacity_misses: &mut self.capacity_misses,
-            class: BlockClass::Hit,
-            done,
+            out,
+            armed: probe::active(),
         };
         self.cache.access_block_with(sets, tags, &mut sink);
     }

@@ -1,19 +1,25 @@
 //! Differential property tests for block replay at the MCT layer:
-//! [`ClassifyingCache::access_parts_block`] and
-//! [`AccuracyEvaluator::observe_block`] must produce exactly the
-//! classifications, statistics, and accuracy reports of their
-//! per-event counterparts for arbitrary geometries, tag widths,
-//! shadow-directory depths, and (torn) block sizes. Every case runs
-//! twice: disarmed, through the kernel unobserved runs take, then
-//! with both sides under an armed probe sink, where the block path
-//! must also emit the per-event probe stream byte for byte.
+//! [`ClassifyingCache::access_parts_block`] must produce exactly the
+//! classifications and statistics of per-event `access_parts`, and
+//! [`AccuracyEvaluator`] (a shared-cache kernel plus a miss-only
+//! scorer), fed per event or in blocks, exactly the accuracy report of
+//! a per-event reference built from `access_parts` and its own oracle,
+//! for arbitrary geometries, tag widths, shadow-directory depths, and
+//! (torn) block sizes. Every case runs twice: disarmed, through the
+//! kernel unobserved runs take, then with both sides under an armed
+//! probe sink, where the block path must also emit the per-event probe
+//! stream byte for byte.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use cache_model::oracle::FullyAssocLru;
 use cache_model::CacheGeometry;
-use mct::accuracy::AccuracyEvaluator;
-use mct::{BlockClass, ClassifyingCache, ShadowDirectory, TagBits};
+use mct::accuracy::{AccuracyEvaluator, AccuracyReport};
+use mct::{
+    BlockClass, ClassifyingCache, EvictionClassifier, MissClassificationTable, ShadowDirectory,
+    TagBits,
+};
 use proptest::prelude::*;
 use sim_core::probe::{self, JsonlSink};
 use sim_core::LineAddr;
@@ -89,6 +95,73 @@ fn classify_blocked(
     classes
 }
 
+/// The per-event reference scorer, independent of the accuracy
+/// module: one [`ClassifyingCache::access_parts`] per event against a
+/// [`FullyAssocLru`] oracle, each miss tallied and followed by its
+/// `Oracle` probe event.
+fn reference<T: EvictionClassifier>(
+    geom: CacheGeometry,
+    table: T,
+    sets: &[u32],
+    tags: &[u64],
+) -> AccuracyReport {
+    let mut cache = ClassifyingCache::with_classifier(geom, table);
+    let mut shadow = FullyAssocLru::new(geom.num_lines());
+    let mut report = AccuracyReport::default();
+    for (&set, &tag) in sets.iter().zip(tags) {
+        let set = set as usize;
+        let oracle_conflict = shadow.observe_conflict(geom.line_from_parts(tag, set));
+        report.accesses += 1;
+        if let Some(miss) = cache.access_parts(set, tag).miss() {
+            let agree = oracle_conflict == miss.class.is_conflict();
+            report.misses += 1;
+            if oracle_conflict {
+                report.conflict.record(agree);
+            } else {
+                report.capacity.record(agree);
+            }
+            probe::emit(probe::ProbeEvent::Oracle {
+                oracle_conflict,
+                agree,
+            });
+        }
+    }
+    report
+}
+
+/// Checks an evaluator around `table`, fed per event and in blocks of
+/// `block`, against [`reference`]: reports and, when `armed`, probe
+/// streams.
+fn check_evaluator<T: EvictionClassifier + Clone>(
+    geom: CacheGeometry,
+    table: &T,
+    sets: &[u32],
+    tags: &[u64],
+    block: usize,
+    armed: bool,
+) {
+    let (expected, expected_events) =
+        observed(armed, || reference(geom, table.clone(), sets, tags));
+
+    let mut per_event = AccuracyEvaluator::with_classifier(geom, table.clone());
+    let ((), events) = observed(armed, || {
+        for (&set, &tag) in sets.iter().zip(tags) {
+            per_event.observe_parts(set as usize, tag);
+        }
+    });
+    prop_assert_eq!(per_event.report(), &expected);
+    prop_assert_eq!(&events, &expected_events);
+
+    let mut batched = AccuracyEvaluator::with_classifier(geom, table.clone());
+    let ((), events) = observed(armed, || {
+        for (s, t) in sets.chunks(block).zip(tags.chunks(block)) {
+            batched.observe_block(s, t);
+        }
+    });
+    prop_assert_eq!(batched.report(), &expected);
+    prop_assert_eq!(&events, &expected_events);
+}
+
 proptest! {
     /// `access_parts_block` classifies every event exactly as the
     /// per-event `access_parts` loop would, emits the same probe
@@ -125,11 +198,11 @@ proptest! {
         }
     }
 
-    /// `observe_block` produces the identical accuracy report and
-    /// probe stream to the per-event `observe_parts` loop — oracle
-    /// agreement included — for every tag width and block size.
+    /// The evaluator produces the reference's accuracy report and
+    /// probe stream — oracle agreement included — for every tag width
+    /// and block size.
     #[test]
-    fn evaluator_block_matches_observe_parts(
+    fn evaluator_matches_per_event_reference(
         sets_log in 0u32..5,
         assoc_log in 0u32..3,
         tag_index in 0u8..3,
@@ -137,34 +210,18 @@ proptest! {
         block in 1usize..48,
     ) {
         let geom = geometry_from(sets_log, assoc_log);
-        let tag_bits = tag_bits_from(tag_index);
+        let table = MissClassificationTable::new(geom.num_sets(), tag_bits_from(tag_index));
         let (sets, tags) = decompose(&geom, &raws);
         for armed in [false, true] {
-            let mut legacy = AccuracyEvaluator::new(geom, tag_bits);
-            let ((), expected_events) = observed(armed, || {
-                for (&set, &tag) in sets.iter().zip(&tags) {
-                    legacy.observe_parts(set as usize, tag);
-                }
-            });
-
-            let mut batched = AccuracyEvaluator::new(geom, tag_bits);
-            let ((), events) = observed(armed, || {
-                for (s, t) in sets.chunks(block).zip(tags.chunks(block)) {
-                    batched.observe_block(s, t);
-                }
-            });
-
-            prop_assert_eq!(batched.report(), legacy.report());
-            prop_assert_eq!(events, expected_events);
+            check_evaluator(geom, &table, &sets, &tags, block, armed);
         }
     }
 
-    /// The block path composes with any [`mct::EvictionClassifier`]:
-    /// a shadow directory deeper than one entry classifies (and
-    /// probes) each block event exactly as it does the per-event
-    /// stream.
+    /// The evaluator composes with any [`mct::EvictionClassifier`]: a
+    /// shadow directory deeper than one entry classifies (and probes)
+    /// each event exactly as the reference does.
     #[test]
-    fn shadow_directory_block_matches_observe_parts(
+    fn shadow_directory_evaluator_matches_per_event_reference(
         sets_log in 0u32..4,
         assoc_log in 0u32..3,
         depth in 1usize..4,
@@ -172,28 +229,10 @@ proptest! {
         block in 1usize..48,
     ) {
         let geom = geometry_from(sets_log, assoc_log);
+        let table = ShadowDirectory::new(geom.num_sets(), TagBits::Full, depth);
         let (sets, tags) = decompose(&geom, &raws);
-
-        let shadow = |geom: &CacheGeometry| {
-            ShadowDirectory::new(geom.num_sets(), TagBits::Full, depth)
-        };
         for armed in [false, true] {
-            let mut legacy = AccuracyEvaluator::with_classifier(geom, shadow(&geom));
-            let ((), expected_events) = observed(armed, || {
-                for (&set, &tag) in sets.iter().zip(&tags) {
-                    legacy.observe_parts(set as usize, tag);
-                }
-            });
-
-            let mut batched = AccuracyEvaluator::with_classifier(geom, shadow(&geom));
-            let ((), events) = observed(armed, || {
-                for (s, t) in sets.chunks(block).zip(tags.chunks(block)) {
-                    batched.observe_block(s, t);
-                }
-            });
-
-            prop_assert_eq!(batched.report(), legacy.report());
-            prop_assert_eq!(events, expected_events);
+            check_evaluator(geom, &table, &sets, &tags, block, armed);
         }
     }
 }

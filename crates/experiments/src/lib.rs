@@ -28,7 +28,8 @@
 //! reuse. The accuracy and MRC drivers (fig1, fig2, the shadow-depth
 //! ablation, the MRC family) stream line addresses through
 //! [`stream_blocks`]. [`replay_group`] scores the accuracy drivers'
-//! cells against one shared three-C oracle per capacity; the MRC
+//! cells against one shared three-C oracle per capacity and one
+//! shared cache kernel per geometry; the MRC
 //! family feeds each block to its stack-distance engine and its
 //! cross-check cells in the same pass ([`mrc`]). The CPU-model drivers
 //! (fig3–fig6, §5.4, §5.6 and the window and buffer sweeps) stream
@@ -135,9 +136,10 @@ pub fn stream_blocks(
 }
 
 /// The accuracy drivers' one replay loop (fig1, fig2, the
-/// shadow-depth ablation): streams `workload` once and scores every
-/// `(geometry, classifier)` member against one shared three-C oracle
-/// per capacity.
+/// shadow-depth ablation): streams `workload` once, replays it through
+/// one cache kernel per distinct geometry, and scores every
+/// `(geometry, classifier)` member's classifier over its kernel's
+/// misses only, against one shared three-C oracle per capacity.
 ///
 /// The group runs as one [`probe::group`] cell of `target`, labelled
 /// with the workload name; member `i` keeps its own probe record,

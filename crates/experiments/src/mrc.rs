@@ -283,11 +283,6 @@ pub fn run(cfg: &RunConfig, events: usize, sample: Option<f64>) -> MrcRun {
         for (curve, reports) in &passes {
             let r = reports[i];
             let accesses = r.accesses.max(1) as f64;
-            // The MCT labels every miss Conflict or Capacity, so its
-            // capacity-labelled count is the oracle-non-conflict
-            // agreements plus the oracle-conflict disagreements.
-            let mct_capacity =
-                r.capacity.numerator() + (r.conflict.denominator() - r.conflict.numerator());
             cells.push(CapacityCell {
                 config: name.clone(),
                 workload: curve.workload.clone(),
@@ -295,7 +290,7 @@ pub fn run(cfg: &RunConfig, events: usize, sample: Option<f64>) -> MrcRun {
                 mrc_miss_ratio: curve.at(capacity).unwrap_or_else(|| {
                     unreachable!("geometry capacity missing from CAPACITY_LADDER")
                 }),
-                mct_capacity_ratio: mct_capacity as f64 / accesses,
+                mct_capacity_ratio: r.mct_capacity() as f64 / accesses,
                 real_miss_ratio: r.misses as f64 / accesses,
             });
         }

@@ -10,11 +10,12 @@
 //! * the stdout figure tables are unchanged by an armed probe, and a
 //!   disabled probe collects nothing;
 //! * raw mode streams parseable per-event records;
-//! * batched replay leaves every record unchanged: a grouped
-//!   fig1+fig2 run, scored through the block kernels, renders the
-//!   same bytes, in epoch and raw mode, as the same cells replayed
-//!   one event at a time under `probe::cell`, each with its own
-//!   evaluator and oracle.
+//! * group replay leaves every record unchanged: grouped fig1 and fig2
+//!   runs and the ablation's shadow-directory depth sweep, scored
+//!   through shared cache kernels, render the same bytes, in epoch
+//!   and raw mode, as the same cells replayed one event at a time
+//!   under `probe::cell`, each with its own evaluator, kernel and
+//!   oracle.
 //!
 //! Each run builds its own [`RunConfig`], so nothing is reset between
 //! them.
@@ -22,9 +23,9 @@
 use cache_model::CacheGeometry;
 use experiments::cli::Target;
 use experiments::probe::{self, ProbeMode};
-use experiments::{fig1, fig2, tracing, RunConfig, RunHeader};
+use experiments::{ablation, fig1, fig2, tracing, RunConfig, RunHeader};
 use mct::accuracy::{AccuracyEvaluator, AccuracyReport};
-use mct::TagBits;
+use mct::{EvictionClassifier, ShadowDirectory, TagBits};
 use trace_gen::decomposed::DecomposedTrace;
 use trace_gen::{TraceEvent, TraceSource};
 
@@ -54,16 +55,16 @@ fn run_all(threads: usize, events: usize, traced: bool) -> (Vec<String>, String)
 }
 
 /// One accuracy cell replayed on its own through the per-event
-/// reference path: its own evaluator (and so its own oracle) fed the
+/// path: its own evaluator (and so its own kernel and oracle) fed the
 /// workload's trace decomposed for its geometry, one `observe_parts`
 /// call per event.
-fn per_cell(
+fn per_cell<T: EvictionClassifier>(
     workload: &workloads::Workload,
     geom: CacheGeometry,
-    bits: TagBits,
+    table: T,
     events: usize,
 ) -> AccuracyReport {
-    let mut eval = AccuracyEvaluator::new(geom, bits);
+    let mut eval = AccuracyEvaluator::with_classifier(geom, table);
     let events: Vec<TraceEvent> = workload
         .source(experiments::SEED)
         .take_events(events)
@@ -71,6 +72,44 @@ fn per_cell(
     let trace = DecomposedTrace::decompose(&events, geom.line_size(), geom.set_bits());
     trace.for_each(|set, tag| eval.observe_parts(set, tag));
     eval.finish()
+}
+
+fn mct_table(geom: CacheGeometry, bits: TagBits) -> mct::MissClassificationTable {
+    mct::MissClassificationTable::new(geom.num_sets(), bits)
+}
+
+/// Renders the probe records of the ablation's depth sweep under
+/// `mode`, run either as the driver's group passes (one shared kernel
+/// per geometry serving four shadow-directory depths) or one cell at a
+/// time, per event. The ablation's CPU-model sweeps are left out.
+fn depth_records(mode: ProbeMode, events: usize, grouped: bool) -> String {
+    let cfg = RunConfig::new(1).with_probe(mode);
+    if grouped {
+        let _ = Target::Ablation.run(&cfg, events);
+    } else {
+        for (name, geom) in fig1::configurations() {
+            for depth in ablation::DEPTHS {
+                for w in workloads::full_suite() {
+                    probe::cell(
+                        &cfg,
+                        "ablation",
+                        || format!("depth/{name}-d{depth}/{}", w.name()),
+                        || {
+                            let table = ShadowDirectory::new(geom.num_sets(), TagBits::Full, depth);
+                            per_cell(&w, geom, table, events)
+                        },
+                    );
+                }
+            }
+        }
+    }
+    let mut cells = cfg.drain().cells;
+    cells.retain(|r| r.cell.starts_with("depth/"));
+    let header = RunHeader {
+        events_per_workload: events,
+        targets: vec![Target::Ablation.name()],
+    };
+    render(&cells, mode, &header)
 }
 
 /// Renders the probe records of fig1 + fig2 under `mode`, run either
@@ -88,7 +127,7 @@ fn fig1_fig2_records(mode: ProbeMode, events: usize, grouped: bool) -> String {
                     &cfg,
                     "fig1",
                     || format!("{name}/{}", w.name()),
-                    || per_cell(&w, geom, TagBits::Full, events),
+                    || per_cell(&w, geom, mct_table(geom, TagBits::Full), events),
                 );
             }
         }
@@ -98,7 +137,14 @@ fn fig1_fig2_records(mode: ProbeMode, events: usize, grouped: bool) -> String {
                     &cfg,
                     "fig2",
                     || format!("{bits}/{}", w.name()),
-                    || per_cell(&w, fig2::geometry(), bits, events),
+                    || {
+                        per_cell(
+                            &w,
+                            fig2::geometry(),
+                            mct_table(fig2::geometry(), bits),
+                            events,
+                        )
+                    },
                 );
             }
         }
@@ -183,8 +229,9 @@ fn probe_output_is_deterministic_and_tables_unchanged() {
         .iter()
         .any(|v| v.str_field("type") == Some("event") && v.str_field("kind").is_some()));
 
-    // Batching changes no record: grouped block replay renders the
-    // same bytes as per-event replay of each cell, in both modes.
+    // Group replay changes no record: grouped block replay renders
+    // the same bytes as per-event replay of each cell, in both modes,
+    // for MCT members and shadow-directory members alike.
     for (mode, events) in [(ProbeMode::Epoch(500), EVENTS), (ProbeMode::Raw, 200)] {
         let grouped = fig1_fig2_records(mode, events, true);
         let per_cell = fig1_fig2_records(mode, events, false);
@@ -192,6 +239,16 @@ fn probe_output_is_deterministic_and_tables_unchanged() {
         assert!(
             grouped == per_cell,
             "{mode:?}: grouped block-replay records must equal per-event records byte for byte"
+        );
+        let grouped = depth_records(mode, events, true);
+        let per_cell = depth_records(mode, events, false);
+        assert!(
+            grouped.lines().count() > 2,
+            "{mode:?}: no depth-sweep records"
+        );
+        assert!(
+            grouped == per_cell,
+            "{mode:?}: grouped depth-sweep records must equal per-event records byte for byte"
         );
     }
 }

@@ -40,11 +40,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 eval.observe(src.next_event().access.addr.line(64));
             }
             let r = eval.report();
-            let (conflict, capacity) = eval.cache().class_counts();
             let conflict_share = if r.misses == 0 {
                 0.0
             } else {
-                100.0 * conflict as f64 / (conflict + capacity) as f64
+                100.0 * (r.misses - r.mct_capacity()) as f64 / r.misses as f64
             };
             println!(
                 "{:<14} {:>6.1}% {:>9.1}% {:>11.1}% {:>11.1}%",
