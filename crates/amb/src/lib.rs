@@ -142,19 +142,13 @@ pub struct AmbConfig {
     /// Buffer entries (8 in Figure 6's main result, 16 in the large
     /// variant).
     pub entries: usize,
-    /// MCT tag width.
-    pub tag_bits: TagBits,
 }
 
 impl AmbConfig {
     /// The paper's 8-entry configuration.
     #[must_use]
     pub const fn new(policy: AmbPolicy) -> Self {
-        AmbConfig {
-            policy,
-            entries: 8,
-            tag_bits: TagBits::Full,
-        }
+        AmbConfig { policy, entries: 8 }
     }
 
     /// The 16-entry configuration.
@@ -163,7 +157,6 @@ impl AmbConfig {
         AmbConfig {
             policy,
             entries: 16,
-            tag_bits: TagBits::Full,
         }
     }
 }
@@ -265,7 +258,7 @@ impl AmbSystem {
     pub fn new(cfg: AmbConfig, l1_geometry: CacheGeometry, plumbing: Plumbing) -> Self {
         AmbSystem {
             cfg,
-            l1: ClassifyingCache::new(l1_geometry, cfg.tag_bits),
+            l1: ClassifyingCache::new(l1_geometry, TagBits::Full),
             buffer: AssistBuffer::new(cfg.entries),
             ports: BufferPorts::new(),
             plumbing,

@@ -5,23 +5,6 @@ use sim_core::LineAddr;
 
 use crate::{CacheGeometry, CacheStats};
 
-/// Which resident line a full set sacrifices on a fill.
-///
-/// The paper's caches use LRU; FIFO and Random are provided for
-/// substrate completeness (victim choice is itself a variable some of
-/// the cited work explores).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Replacement {
-    /// Evict the least recently used line (default).
-    #[default]
-    Lru,
-    /// Evict the oldest-filled line, ignoring hits.
-    Fifo,
-    /// Evict a pseudo-random line (deterministic per eviction count,
-    /// so runs remain reproducible).
-    Random,
-}
-
 /// A line displaced by a [`SetAssocCache::fill`].
 ///
 /// Carries the evicted line's address (reconstructed from its tag and
@@ -44,8 +27,7 @@ pub struct Eviction<M> {
 /// update LRU state, [`SetAssocCache::peek`] does not.
 ///
 /// Internally the cache is a flat structure-of-arrays kernel: one
-/// contiguous allocation each for tags, replacement stamps and line
-/// metadata, indexed by `set * assoc + way`, plus a per-set occupancy
+/// contiguous allocation each for tags, LRU stamps and line metadata, indexed by `set * assoc + way`, plus a per-set occupancy
 /// count. Ways `0..occupancy` of a set are resident (fills append,
 /// [`Self::invalidate`] swap-removes), so a probe is a short linear
 /// scan over adjacent words — the previous per-set `Vec<Way>` layout
@@ -78,9 +60,8 @@ pub struct SetAssocCache<M = ()> {
     assoc: usize,
     /// Tag per way slot, indexed `set * assoc + way`.
     tags: Box<[u64]>,
-    /// Replacement stamp per way slot (victim = minimum). Under LRU
-    /// the stamp is refreshed on every hit; under FIFO it is written
-    /// only at fill time; Random never reads it.
+    /// Recency stamp per way slot, written at fill and refreshed on
+    /// every hit; the victim is the minimum.
     stamps: Box<[u64]>,
     /// Metadata per way slot; `Some` exactly for resident ways.
     meta: Box<[Option<M>]>,
@@ -90,26 +71,13 @@ pub struct SetAssocCache<M = ()> {
     resident: usize,
     clock: u64,
     stats: CacheStats,
-    replacement: Replacement,
-    evictions: u64,
-    /// Evictions per set. Random victim choice is seeded from this
-    /// (not the global count) so the victim a set picks depends only
-    /// on that set's own history.
-    set_evictions: Box<[u32]>,
     probed: bool,
 }
 
 impl<M> SetAssocCache<M> {
-    /// Creates an empty cache with the given geometry and LRU
-    /// replacement.
+    /// Creates an empty cache with the given geometry.
     #[must_use]
     pub fn new(geom: CacheGeometry) -> Self {
-        Self::with_replacement(geom, Replacement::Lru)
-    }
-
-    /// Creates an empty cache with an explicit replacement policy.
-    #[must_use]
-    pub fn with_replacement(geom: CacheGeometry, replacement: Replacement) -> Self {
         let slots = geom.num_lines();
         SetAssocCache {
             geom,
@@ -121,17 +89,8 @@ impl<M> SetAssocCache<M> {
             resident: 0,
             clock: 0,
             stats: CacheStats::default(),
-            replacement,
-            evictions: 0,
-            set_evictions: vec![0; geom.num_sets()].into_boxed_slice(),
             probed: false,
         }
-    }
-
-    /// The replacement policy in use.
-    #[must_use]
-    pub const fn replacement(&self) -> Replacement {
-        self.replacement
     }
 
     /// Opts this cache into per-set [`probe`] events
@@ -146,30 +105,12 @@ impl<M> SetAssocCache<M> {
         self.probed = true;
     }
 
-    /// Index of the way a fill would displace in a full `set`.
-    ///
-    /// Stamps are globally unique (the clock advances on every probe
-    /// and fill), so the minimum scans below have no ties and the
-    /// victim is independent of scan order.
+    /// Index of the least recently used way of a full `set`.
     fn victim_way(&self, set_index: usize) -> usize {
         let base = set_index * self.assoc;
         let occ = self.occ[set_index] as usize;
         debug_assert!(occ > 0, "victim choice in an empty set");
-        match self.replacement {
-            Replacement::Lru | Replacement::Fifo => min_stamp_way(&self.stamps[base..base + occ]),
-            Replacement::Random => {
-                // Deterministic per (set's eviction count, set): the
-                // same victim is reported by eviction_candidate and
-                // taken by the subsequent fill, and the choice is
-                // independent of other sets' traffic (block replay
-                // relies on that).
-                RandomPolicy::victim(
-                    &self.stamps[base..base + occ],
-                    self.set_evictions[set_index],
-                    set_index,
-                )
-            }
-        }
+        min_stamp_way(&self.stamps[base..base + occ])
     }
 
     /// Slot index of the resident way holding `tag` in `set`, if any.
@@ -213,10 +154,7 @@ impl<M> SetAssocCache<M> {
         match self.find_slot(set, tag) {
             Some(slot) => {
                 self.stats.record_hit();
-                // FIFO victims ignore recency; Random reads no stamps.
-                if matches!(self.replacement, Replacement::Lru) {
-                    self.stamps[slot] = self.clock;
-                }
+                self.stamps[slot] = self.clock;
                 self.meta[slot].as_mut()
             }
             None => {
@@ -281,10 +219,8 @@ impl<M> SetAssocCache<M> {
             self.resident += 1;
             return None;
         }
-        // Displace the policy's victim.
+        // Displace the LRU way.
         let way = self.victim_way(set_index);
-        self.evictions += 1;
-        self.set_evictions[set_index] += 1;
         if self.probed && probe::active() {
             probe::emit(probe::ProbeEvent::SetEvict {
                 set: set_index as u32,
@@ -403,48 +339,6 @@ pub trait BlockSink<M> {
     fn filled(&mut self, index: usize, set: usize, way: usize, evicted: Option<(u64, M)>);
 }
 
-/// Replacement policy, monomorphized for the block engine: the
-/// per-event `match` on [`Replacement`] becomes one dispatch per
-/// block.
-trait BlockPolicy {
-    /// Whether a hit refreshes the line's stamp (true LRU only).
-    const REFRESH_ON_HIT: bool;
-    /// Victim way among `stamps`, the resident stamps of `set_index`.
-    fn victim(stamps: &[u64], set_evictions: u32, set_index: usize) -> usize;
-}
-
-struct LruPolicy;
-struct FifoPolicy;
-struct RandomPolicy;
-
-impl BlockPolicy for LruPolicy {
-    const REFRESH_ON_HIT: bool = true;
-    #[inline]
-    fn victim(stamps: &[u64], _set_evictions: u32, _set_index: usize) -> usize {
-        min_stamp_way(stamps)
-    }
-}
-
-impl BlockPolicy for FifoPolicy {
-    // FIFO victims ignore recency; stamps are written at fill only.
-    const REFRESH_ON_HIT: bool = false;
-    #[inline]
-    fn victim(stamps: &[u64], _set_evictions: u32, _set_index: usize) -> usize {
-        min_stamp_way(stamps)
-    }
-}
-
-impl BlockPolicy for RandomPolicy {
-    const REFRESH_ON_HIT: bool = false;
-    #[inline]
-    fn victim(stamps: &[u64], set_evictions: u32, set_index: usize) -> usize {
-        let mut rng = sim_core::rng::SplitMix64::new(
-            u64::from(set_evictions) ^ (set_index as u64).rotate_left(32),
-        );
-        rng.next_below(stamps.len() as u64) as usize
-    }
-}
-
 /// Index of the minimum stamp — a plain min scan (total even on an
 /// empty slice, and branch-predictable on the 1-8 way geometries the
 /// experiments sweep). Stamps are globally unique, so there are no
@@ -505,8 +399,8 @@ impl<M> SetAssocCache<M> {
     /// }
     /// ```
     ///
-    /// but the probe-armed check and the replacement-policy branch
-    /// run once per block instead of once per event, and adjacent
+    /// but the probe-armed check runs once per block instead of once
+    /// per event, and adjacent
     /// same-set events are replayed as *runs* whose row, clock, and
     /// counters live in locals. Events keep trace order, so hits,
     /// misses, evictions, statistics and final contents all match
@@ -525,11 +419,7 @@ impl<M> SetAssocCache<M> {
     /// range for the geometry.
     pub fn access_block_with<S: BlockSink<M>>(&mut self, sets: &[u32], tags: &[u64], sink: &mut S) {
         assert_eq!(sets.len(), tags.len(), "sets/tags length mismatch");
-        match self.replacement {
-            Replacement::Lru => self.process_block::<LruPolicy, S>(sets, tags, sink),
-            Replacement::Fifo => self.process_block::<FifoPolicy, S>(sets, tags, sink),
-            Replacement::Random => self.process_block::<RandomPolicy, S>(sets, tags, sink),
-        }
+        self.process_block(sets, tags, sink);
     }
 
     /// [`Self::access_block_with`] with a plain outcome array instead
@@ -550,16 +440,10 @@ impl<M> SetAssocCache<M> {
         self.access_block_with(sets, tags, &mut sink);
     }
 
-    /// The block engine, monomorphized per replacement policy: trace
-    /// order, with runs of adjacent same-set events (spatial locality)
+    /// The block engine: trace order, with runs of adjacent same-set events (spatial locality)
     /// folded into single row visits. The set-probe check runs here,
     /// once per block.
-    fn process_block<P: BlockPolicy, S: BlockSink<M>>(
-        &mut self,
-        sets: &[u32],
-        tags: &[u64],
-        sink: &mut S,
-    ) {
+    fn process_block<S: BlockSink<M>>(&mut self, sets: &[u32], tags: &[u64], sink: &mut S) {
         let probed = self.probed && probe::active();
         let mut start = 0;
         while start < sets.len() {
@@ -569,9 +453,9 @@ impl<M> SetAssocCache<M> {
                 end += 1;
             }
             if end == start + 1 {
-                self.block_single::<P, S>(start, set as usize, tags[start], probed, sink);
+                self.block_single(start, set as usize, tags[start], probed, sink);
             } else {
-                self.block_run::<P, S>(start, set as usize, &tags[start..end], probed, sink);
+                self.block_run(start, set as usize, &tags[start..end], probed, sink);
             }
             start = end;
         }
@@ -583,11 +467,11 @@ impl<M> SetAssocCache<M> {
     /// write-back down to the same touch pattern as the legacy
     /// `probe_at`/`fill_at` pair, which matters on patterns with no
     /// adjacent same-set events (a strided set walk degenerates every
-    /// run to length one). The policy is still monomorphized and the
-    /// probe-armed check already ran once for the whole block: with
+    /// run to length one). The probe-armed check already ran once for
+    /// the whole block: with
     /// `probed` up, the fill emits its set events exactly where
     /// `fill_at` would.
-    fn block_single<P: BlockPolicy, S: BlockSink<M>>(
+    fn block_single<S: BlockSink<M>>(
         &mut self,
         index: usize,
         set: usize,
@@ -600,9 +484,7 @@ impl<M> SetAssocCache<M> {
         self.clock += 1;
         if let Some(way) = self.tags[base..base + occ].iter().position(|&t| t == tag) {
             self.stats.record_hit();
-            if P::REFRESH_ON_HIT {
-                self.stamps[base + way] = self.clock;
-            }
+            self.stamps[base + way] = self.clock;
             // Total: ways 0..occ hold Some meta by construction.
             if let Some(meta) = self.meta[base + way].as_mut() {
                 sink.hit(index, meta);
@@ -624,9 +506,7 @@ impl<M> SetAssocCache<M> {
             sink.filled(index, set, occ, None);
             return;
         }
-        let way = P::victim(&self.stamps[base..base + occ], self.set_evictions[set], set);
-        self.set_evictions[set] += 1;
-        self.evictions += 1;
+        let way = min_stamp_way(&self.stamps[base..base + occ]);
         if probed {
             probe::emit(probe::ProbeEvent::SetEvict { set: set as u32 });
         }
@@ -646,12 +526,12 @@ impl<M> SetAssocCache<M> {
     /// block index `start`.
     ///
     /// The whole run works against one row: the row slices are
-    /// borrowed once, and the clock, occupancy, and hit/eviction
-    /// counters live in locals until a single write-back — per event
+    /// borrowed once, and the clock, occupancy, and hit counter live
+    /// in locals until a single write-back — per event
     /// the loop touches only the row, the run's tag, and the sink,
     /// instead of re-loading kernel fields through `&mut self`. Set
     /// probe events follow [`Self::block_single`].
-    fn block_run<P: BlockPolicy, S: BlockSink<M>>(
+    fn block_run<S: BlockSink<M>>(
         &mut self,
         start: usize,
         set: usize,
@@ -666,16 +546,12 @@ impl<M> SetAssocCache<M> {
         let start_occ = self.occ[set] as usize;
         let mut occ = start_occ;
         let mut clock = self.clock;
-        let mut set_evictions = self.set_evictions[set];
         let mut hits = 0u64;
-        let mut evictions = 0u64;
         for (index, &tag) in (start..).zip(run_tags) {
             clock += 1;
             if let Some(way) = row_tags[..occ].iter().position(|&t| t == tag) {
                 hits += 1;
-                if P::REFRESH_ON_HIT {
-                    row_stamps[way] = clock;
-                }
+                row_stamps[way] = clock;
                 // Total: ways 0..occ hold Some meta by construction.
                 if let Some(meta) = row_meta[way].as_mut() {
                     sink.hit(index, meta);
@@ -695,9 +571,7 @@ impl<M> SetAssocCache<M> {
                 occ += 1;
                 continue;
             }
-            let way = P::victim(&row_stamps[..occ], set_evictions, set);
-            set_evictions += 1;
-            evictions += 1;
+            let way = min_stamp_way(&row_stamps[..occ]);
             if probed {
                 probe::emit(probe::ProbeEvent::SetEvict { set: set as u32 });
             }
@@ -715,8 +589,6 @@ impl<M> SetAssocCache<M> {
         self.clock = clock;
         self.occ[set] = occ as u32;
         self.resident += occ - start_occ;
-        self.set_evictions[set] = set_evictions;
-        self.evictions += evictions;
         self.stats.record_bulk(hits, run_tags.len() as u64 - hits);
     }
 }
@@ -827,57 +699,6 @@ mod tests {
         let mut lines: Vec<u64> = c.iter().map(|(l, _)| l.raw()).collect();
         lines.sort_unstable();
         assert_eq!(lines, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn fifo_ignores_probes() {
-        let geom = CacheGeometry::new(512, 2, 64).unwrap();
-        let mut c: SetAssocCache<u32> = SetAssocCache::with_replacement(geom, Replacement::Fifo);
-        c.fill(LineAddr::new(0), 0);
-        c.fill(LineAddr::new(4), 4);
-        c.probe(LineAddr::new(0)); // FIFO must NOT refresh line 0
-        let ev = c.fill(LineAddr::new(8), 8).unwrap();
-        assert_eq!(ev.line, LineAddr::new(0));
-    }
-
-    #[test]
-    fn random_is_deterministic_and_consistent_with_candidate() {
-        let geom = CacheGeometry::new(512, 2, 64).unwrap();
-        let run = || {
-            let mut c: SetAssocCache<()> =
-                SetAssocCache::with_replacement(geom, Replacement::Random);
-            let mut evicted = Vec::new();
-            for n in 0..50u64 {
-                let line = LineAddr::new(n);
-                if !c.contains(line) {
-                    let predicted = c.eviction_candidate(line);
-                    let actual = c.fill(line, ()).map(|e| e.line);
-                    assert_eq!(predicted, actual, "candidate must match fill victim");
-                    if let Some(l) = actual {
-                        evicted.push(l);
-                    }
-                }
-            }
-            evicted
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn random_spreads_victims_across_ways() {
-        let geom = CacheGeometry::new(512, 4, 64).unwrap(); // 2 sets, 4 ways
-        let mut c: SetAssocCache<u64> = SetAssocCache::with_replacement(geom, Replacement::Random);
-        // Fill set 0, then keep inserting fresh lines and record which
-        // resident line dies each time.
-        let mut victims = std::collections::HashSet::new();
-        for n in 0..200u64 {
-            let line = LineAddr::new(n * 2); // even lines -> set 0
-            if let Some(ev) = c.fill(line, n) {
-                victims.insert(ev.line.raw() % 8);
-            }
-        }
-        // All four ways should get victimised at some point.
-        assert!(victims.len() >= 3, "victims {victims:?}");
     }
 
     #[test]

@@ -42,8 +42,8 @@ pub mod oracle;
 mod stats;
 
 pub use bank::BankedPorts;
-pub use cache::{BlockOutcome, BlockSink, Eviction, Replacement, SetAssocCache};
+pub use cache::{BlockOutcome, BlockSink, Eviction, SetAssocCache};
 pub use geometry::{CacheGeometry, ConfigError};
 pub use hierarchy::{FetchResult, L2Memory, L2MemoryConfig};
-pub use mshr::{MshrFile, MshrOutcome};
+pub use mshr::MshrFile;
 pub use stats::CacheStats;

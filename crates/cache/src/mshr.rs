@@ -7,24 +7,6 @@
 
 use sim_core::{Cycle, LineAddr};
 
-/// What happened when a miss asked for an MSHR.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MshrOutcome {
-    /// A new entry was allocated; the line will be ready at the
-    /// carried cycle.
-    Allocated(Cycle),
-    /// An entry for the same line was already in flight; the request
-    /// coalesces and completes when that entry does.
-    Coalesced(Cycle),
-    /// The file is full. Demand misses must stall until
-    /// [`MshrFile::earliest_ready`]; prefetches are dropped.
-    Full {
-        /// When the oldest outstanding miss completes (the earliest
-        /// time an entry frees up).
-        retry_at: Cycle,
-    },
-}
-
 #[derive(Debug, Clone, Copy)]
 struct MshrEntry {
     line: LineAddr,
@@ -40,23 +22,19 @@ struct MshrEntry {
 /// # Examples
 ///
 /// ```
-/// use cache_model::{MshrFile, MshrOutcome};
+/// use cache_model::MshrFile;
 /// use sim_core::{Cycle, LineAddr};
 ///
 /// let mut mshrs = MshrFile::new(2);
 /// let now = Cycle::ZERO;
-/// mshrs.request(LineAddr::new(1), now, now + 20);
-/// mshrs.request(LineAddr::new(2), now, now + 30);
-/// // Third distinct miss finds the file full.
-/// assert!(matches!(
-///     mshrs.request(LineAddr::new(3), now, now + 20),
-///     MshrOutcome::Full { .. }
-/// ));
-/// // But by cycle 21 the first entry has retired.
-/// assert!(matches!(
-///     mshrs.request(LineAddr::new(3), Cycle::new(21), Cycle::new(41)),
-///     MshrOutcome::Allocated(_)
-/// ));
+/// mshrs.insert(LineAddr::new(1), now + 20);
+/// mshrs.insert(LineAddr::new(2), now + 30);
+/// // A second miss on line 1 coalesces with the first.
+/// assert_eq!(mshrs.lookup(LineAddr::new(1), now), Some(now + 20));
+/// // A third distinct miss finds the file full...
+/// assert!(!mshrs.has_free(now));
+/// // ...but by cycle 20 the first entry has retired.
+/// assert!(mshrs.has_free(Cycle::new(20)));
 /// ```
 #[derive(Debug, Clone)]
 pub struct MshrFile {
@@ -85,27 +63,8 @@ impl MshrFile {
         }
     }
 
-    /// Requests an MSHR for a miss on `line` at time `now` whose fill
-    /// would complete at `ready`.
-    #[inline]
-    pub fn request(&mut self, line: LineAddr, now: Cycle, ready: Cycle) -> MshrOutcome {
-        self.retire(now);
-        if let Some(e) = self.entries.iter().find(|e| e.line == line) {
-            return MshrOutcome::Coalesced(e.ready);
-        }
-        if self.entries.len() < self.capacity {
-            self.push(line, ready);
-            return MshrOutcome::Allocated(ready);
-        }
-        MshrOutcome::Full {
-            retry_at: self.earliest_ready_inner(),
-        }
-    }
-
     /// Checks whether a miss on `line` is already in flight at `now`
     /// (coalescing), returning its completion time if so.
-    ///
-    /// Unlike [`Self::request`], this never allocates.
     #[inline]
     pub fn lookup(&mut self, line: LineAddr, now: Cycle) -> Option<Cycle> {
         self.retire(now);
@@ -137,11 +96,6 @@ impl MshrFile {
             self.entries.len() < self.capacity,
             "MSHR insert into full file"
         );
-        self.push(line, ready);
-    }
-
-    #[inline]
-    fn push(&mut self, line: LineAddr, ready: Cycle) {
         self.entries.push(MshrEntry { line, ready });
         self.min_ready = self.min_ready.min(ready);
     }
@@ -175,11 +129,6 @@ impl MshrFile {
         (!self.entries.is_empty()).then_some(self.min_ready)
     }
 
-    fn earliest_ready_inner(&self) -> Cycle {
-        self.earliest_ready()
-            .expect("Full outcome implies nonempty file")
-    }
-
     /// The file's capacity.
     #[must_use]
     pub const fn capacity(&self) -> usize {
@@ -199,39 +148,30 @@ mod tests {
     fn coalesces_same_line() {
         let mut m = MshrFile::new(4);
         let now = Cycle::ZERO;
-        assert_eq!(
-            m.request(line(7), now, now + 100),
-            MshrOutcome::Allocated(Cycle::new(100))
-        );
-        assert_eq!(
-            m.request(line(7), now + 5, now + 105),
-            MshrOutcome::Coalesced(Cycle::new(100))
-        );
+        assert_eq!(m.lookup(line(7), now), None);
+        m.insert(line(7), now + 100);
+        assert_eq!(m.lookup(line(7), now + 5), Some(Cycle::new(100)));
         assert_eq!(m.outstanding(now + 5), 1);
     }
 
     #[test]
-    fn full_reports_earliest_retry() {
+    fn full_file_reports_earliest_ready() {
         let mut m = MshrFile::new(2);
         let now = Cycle::ZERO;
-        m.request(line(1), now, now + 50);
-        m.request(line(2), now, now + 20);
-        match m.request(line(3), now, now + 20) {
-            MshrOutcome::Full { retry_at } => assert_eq!(retry_at, Cycle::new(20)),
-            other => panic!("expected Full, got {other:?}"),
-        }
+        m.insert(line(1), now + 50);
+        m.insert(line(2), now + 20);
+        assert!(!m.has_free(now));
+        assert_eq!(m.earliest_ready(), Some(Cycle::new(20)));
     }
 
     #[test]
     fn retirement_frees_entries() {
         let mut m = MshrFile::new(1);
-        m.request(line(1), Cycle::ZERO, Cycle::new(10));
+        m.insert(line(1), Cycle::new(10));
         assert_eq!(m.outstanding(Cycle::new(9)), 1);
         assert_eq!(m.outstanding(Cycle::new(10)), 0);
-        assert!(matches!(
-            m.request(line(2), Cycle::new(10), Cycle::new(30)),
-            MshrOutcome::Allocated(_)
-        ));
+        assert!(m.has_free(Cycle::new(10)));
+        assert_eq!(m.earliest_ready(), None);
     }
 
     #[test]
@@ -239,15 +179,18 @@ mod tests {
         let mut m = MshrFile::new(16);
         let now = Cycle::ZERO;
         for n in 0..16 {
-            assert!(matches!(
-                m.request(line(n), now, now + 100),
-                MshrOutcome::Allocated(_)
-            ));
+            assert!(m.has_free(now));
+            m.insert(line(n), now + 100);
         }
-        assert!(matches!(
-            m.request(line(99), now, now + 100),
-            MshrOutcome::Full { .. }
-        ));
+        assert!(!m.has_free(now));
+    }
+
+    #[test]
+    #[should_panic(expected = "insert into full file")]
+    fn insert_into_full_file_panics() {
+        let mut m = MshrFile::new(1);
+        m.insert(line(1), Cycle::new(10));
+        m.insert(line(2), Cycle::new(10));
     }
 
     #[test]

@@ -2,18 +2,17 @@
 //! [`SetAssocCache::access_block`] must be observationally identical
 //! to per-event `probe_at` / `fill_at` replay — same outcomes, same
 //! statistics, same final contents, same future victim choice — for
-//! arbitrary geometries, all three replacement policies, and
-//! arbitrary block sizes (including torn final blocks and the
-//! degenerate block size 1). Both caches report set probes, and
-//! every case runs twice: disarmed, through the kernel unobserved
-//! runs take, then under an armed probe sink, where the block path
-//! must also emit the per-event `SetFill` / `SetEvict` stream byte
-//! for byte.
+//! arbitrary geometries and arbitrary block sizes (including torn
+//! final blocks and the degenerate block size 1). Both caches report
+//! set probes, and every case runs twice: disarmed, through the kernel
+//! unobserved runs take, then under an armed probe sink, where the
+//! block path must also emit the per-event `SetFill` / `SetEvict`
+//! stream byte for byte.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use cache_model::{BlockOutcome, CacheGeometry, Replacement, SetAssocCache};
+use cache_model::{BlockOutcome, CacheGeometry, SetAssocCache};
 use proptest::prelude::*;
 use sim_core::probe::{self, JsonlSink};
 use sim_core::LineAddr;
@@ -22,10 +21,6 @@ use sim_core::LineAddr;
 /// repeated touches at every generated geometry.
 const LINE_UNIVERSE: u64 = 64;
 
-fn policy_from(index: u8) -> Replacement {
-    [Replacement::Lru, Replacement::Fifo, Replacement::Random][index as usize % 3]
-}
-
 fn geometry_from(sets_log: u32, assoc_log: u32) -> CacheGeometry {
     let assoc = 1u32 << assoc_log;
     let sets = 1u64 << sets_log;
@@ -33,8 +28,8 @@ fn geometry_from(sets_log: u32, assoc_log: u32) -> CacheGeometry {
 }
 
 /// An empty cache that reports per-set probe events.
-fn probed_cache(geom: CacheGeometry, policy: Replacement) -> SetAssocCache<u32> {
-    let mut cache = SetAssocCache::with_replacement(geom, policy);
+fn probed_cache(geom: CacheGeometry) -> SetAssocCache<u32> {
+    let mut cache = SetAssocCache::new(geom);
     cache.enable_set_probes();
     cache
 }
@@ -130,24 +125,22 @@ fn assert_equivalent(batched: &SetAssocCache<u32>, legacy: &SetAssocCache<u32>) 
 proptest! {
     /// Arbitrary block sizes (1..48 against traces up to 400 events:
     /// torn final blocks are the common case) replay identically to
-    /// the per-event loop under every policy.
+    /// the per-event loop.
     #[test]
     fn block_replay_matches_per_event_replay(
         sets_log in 0u32..5,
         assoc_log in 0u32..4,
-        policy_index in 0u8..3,
         raws in prop::collection::vec(0u64..LINE_UNIVERSE, 1..400),
         block in 1usize..48,
     ) {
         let geom = geometry_from(sets_log, assoc_log);
-        let policy = policy_from(policy_index);
         let (sets, tags) = decompose(&geom, &raws);
         for armed in [false, true] {
-            let mut legacy = probed_cache(geom, policy);
+            let mut legacy = probed_cache(geom);
             let (expected, expected_events) =
                 observed(armed, || replay_per_event(&mut legacy, &sets, &tags));
 
-            let mut batched = probed_cache(geom, policy);
+            let mut batched = probed_cache(geom);
             let (outcomes, events) =
                 observed(armed, || replay_blocked(&mut batched, &sets, &tags, block));
 
@@ -163,18 +156,16 @@ proptest! {
     fn block_size_one_equals_legacy_path(
         sets_log in 0u32..4,
         assoc_log in 0u32..3,
-        policy_index in 0u8..3,
         raws in prop::collection::vec(0u64..LINE_UNIVERSE, 1..200),
     ) {
         let geom = geometry_from(sets_log, assoc_log);
-        let policy = policy_from(policy_index);
         let (sets, tags) = decompose(&geom, &raws);
         for armed in [false, true] {
-            let mut legacy = probed_cache(geom, policy);
+            let mut legacy = probed_cache(geom);
             let (expected, expected_events) =
                 observed(armed, || replay_per_event(&mut legacy, &sets, &tags));
 
-            let mut batched = probed_cache(geom, policy);
+            let mut batched = probed_cache(geom);
             let (outcomes, events) =
                 observed(armed, || replay_blocked(&mut batched, &sets, &tags, 1));
 
@@ -186,19 +177,17 @@ proptest! {
 
     /// Large geometries (32 K sets, far past the paper's 1024-slot
     /// L1s) replay in trace order through the same block engine and
-    /// must match per-event replay exactly under every policy. Raw
+    /// must match per-event replay exactly. Raw
     /// addresses are folded onto a handful of sets so the big
     /// geometry still sees collisions, evictions, and full sets.
     #[test]
     fn large_geometry_block_replay_matches_per_event_replay(
         assoc_log in 0u32..2,
-        policy_index in 0u8..3,
         raws in prop::collection::vec(0u64..LINE_UNIVERSE, 1..400),
         block in 1usize..48,
     ) {
         // 32768 sets x (1|2) ways: 32K-64K slots.
         let geom = geometry_from(15, assoc_log);
-        let policy = policy_from(policy_index);
         let num_sets = 1u64 << 15;
         // Map the 64-line universe onto 8 sets x 8 tags.
         let folded: Vec<u64> = raws
@@ -207,11 +196,11 @@ proptest! {
             .collect();
         let (sets, tags) = decompose(&geom, &folded);
         for armed in [false, true] {
-            let mut legacy = probed_cache(geom, policy);
+            let mut legacy = probed_cache(geom);
             let (expected, expected_events) =
                 observed(armed, || replay_per_event(&mut legacy, &sets, &tags));
 
-            let mut batched = probed_cache(geom, policy);
+            let mut batched = probed_cache(geom);
             let (outcomes, events) =
                 observed(armed, || replay_blocked(&mut batched, &sets, &tags, block));
 
@@ -241,18 +230,16 @@ proptest! {
     fn whole_trace_block_matches_per_event_replay(
         sets_log in 0u32..4,
         assoc_log in 0u32..3,
-        policy_index in 0u8..3,
         raws in prop::collection::vec(0u64..LINE_UNIVERSE, 1..300),
     ) {
         let geom = geometry_from(sets_log, assoc_log);
-        let policy = policy_from(policy_index);
         let (sets, tags) = decompose(&geom, &raws);
         for armed in [false, true] {
-            let mut legacy = probed_cache(geom, policy);
+            let mut legacy = probed_cache(geom);
             let (expected, expected_events) =
                 observed(armed, || replay_per_event(&mut legacy, &sets, &tags));
 
-            let mut batched = probed_cache(geom, policy);
+            let mut batched = probed_cache(geom);
             let (outcomes, events) = observed(armed, || {
                 replay_blocked(&mut batched, &sets, &tags, raws.len() + 7)
             });

@@ -1,6 +1,6 @@
 //! Property tests for the MSHR file and port arbiters.
 
-use cache_model::{BankedPorts, MshrFile, MshrOutcome};
+use cache_model::{BankedPorts, MshrFile};
 use proptest::prelude::*;
 use sim_core::{Cycle, LineAddr};
 
@@ -42,37 +42,6 @@ impl RefMshrs {
 }
 
 proptest! {
-    /// The MSHR file never tracks more entries than its capacity, and
-    /// coalesced requests always return the original completion time.
-    #[test]
-    fn mshr_capacity_and_coalescing(
-        ops in prop::collection::vec((0u64..16, 0u64..50, 1u64..200), 1..200)
-    ) {
-        let mut mshrs = MshrFile::new(4);
-        let mut now = Cycle::ZERO;
-        let mut inflight: std::collections::HashMap<u64, u64> =
-            std::collections::HashMap::new();
-        for (line, advance, latency) in ops {
-            now += advance;
-            inflight.retain(|_, ready| *ready > now.raw());
-            let outcome = mshrs.request(LineAddr::new(line), now, now + latency);
-            prop_assert!(mshrs.outstanding(now) <= 4);
-            match outcome {
-                MshrOutcome::Allocated(ready) => {
-                    prop_assert_eq!(ready, now + latency);
-                    inflight.insert(line, ready.raw());
-                }
-                MshrOutcome::Coalesced(ready) => {
-                    prop_assert_eq!(Some(&ready.raw()), inflight.get(&line));
-                }
-                MshrOutcome::Full { retry_at } => {
-                    prop_assert!(retry_at > now, "retry must be in the future");
-                    prop_assert_eq!(inflight.len(), 4);
-                }
-            }
-        }
-    }
-
     /// Port grants never precede the request and each resource is
     /// never double-booked: at most `resources` grants can coexist in
     /// any busy window.
@@ -101,8 +70,12 @@ proptest! {
     /// The file's early-out release (it scans only once its earliest
     /// fill has completed) answers exactly as a file that scans on
     /// every call, over any interleaving of lookups, allocation
-    /// checks, inserts and observations, with time moving either way
-    /// (a stalled demand miss probes ahead of the next access's time).
+    /// checks, allocations and observations, with time moving either
+    /// way (a stalled demand miss probes ahead of the next access's
+    /// time). An allocation takes `Plumbing`'s lookup / has_free /
+    /// insert sequence: the file never holds more entries than its
+    /// capacity, and a lookup that coalesces returns the ready cycle of
+    /// the line's first allocation.
     #[test]
     fn mshr_early_out_matches_a_file_that_always_retires(
         capacity in 1usize..6,
@@ -110,6 +83,8 @@ proptest! {
     ) {
         let mut mshrs = MshrFile::new(capacity);
         let mut reference = RefMshrs { capacity, entries: Vec::new() };
+        // Ready cycle of each line's in-flight allocation.
+        let mut allocated = std::collections::HashMap::new();
         let mut now = 100u64;
         for (op, line, step, latency) in ops {
             // Mostly forward, sometimes back.
@@ -119,12 +94,19 @@ proptest! {
                 0 => prop_assert_eq!(mshrs.lookup(line, t), reference.lookup(line, t)),
                 1 => prop_assert_eq!(mshrs.has_free(t), reference.has_free(t)),
                 2 => {
-                    let free = mshrs.has_free(t);
-                    prop_assert_eq!(free, reference.has_free(t));
-                    if free {
+                    let inflight = mshrs.lookup(line, t);
+                    prop_assert_eq!(inflight, reference.lookup(line, t));
+                    if let Some(ready) = inflight {
+                        prop_assert_eq!(Some(&ready), allocated.get(&line));
+                    } else if mshrs.has_free(t) {
+                        prop_assert!(reference.has_free(t));
                         mshrs.insert(line, t + latency);
                         reference.insert(line, t + latency);
+                        allocated.insert(line, t + latency);
+                    } else {
+                        prop_assert!(!reference.has_free(t));
                     }
+                    prop_assert!(mshrs.outstanding(t) <= capacity);
                 }
                 3 => prop_assert_eq!(mshrs.earliest_ready(), reference.earliest_ready()),
                 _ => prop_assert_eq!(mshrs.outstanding(t), reference.outstanding(t)),

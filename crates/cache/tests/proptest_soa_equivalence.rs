@@ -1,13 +1,13 @@
 //! Differential property tests: the flat SoA kernel behind
 //! [`SetAssocCache`] must match the original per-set `Vec<Way>`
 //! implementation ([`RefSetAssocCache`]) decision-for-decision —
-//! hits and misses, evicted lines and their metadata, victim choice
-//! under every replacement policy, occupancy, and iteration order —
-//! on arbitrary geometries and access sequences.
+//! hits and misses, evicted lines and their metadata, LRU victim
+//! choice, occupancy, and iteration order — on arbitrary geometries
+//! and access sequences.
 
 mod reference;
 
-use cache_model::{CacheGeometry, Replacement, SetAssocCache};
+use cache_model::{CacheGeometry, SetAssocCache};
 use proptest::prelude::*;
 use reference::RefSetAssocCache;
 use sim_core::LineAddr;
@@ -15,10 +15,6 @@ use sim_core::LineAddr;
 /// A small universe of line addresses guarantees set conflicts and
 /// repeated touches at every generated geometry.
 const LINE_UNIVERSE: u64 = 64;
-
-fn policy_from(index: u8) -> Replacement {
-    [Replacement::Lru, Replacement::Fifo, Replacement::Random][index as usize % 3]
-}
 
 fn geometry_from(sets_log: u32, assoc_log: u32) -> CacheGeometry {
     let assoc = 1u32 << assoc_log;
@@ -34,13 +30,11 @@ proptest! {
     fn soa_kernel_matches_vec_of_ways_reference(
         sets_log in 0u32..5,
         assoc_log in 0u32..4,
-        policy_index in 0u8..3,
         ops in prop::collection::vec((0u8..8, 0u64..LINE_UNIVERSE), 1..300)
     ) {
         let geom = geometry_from(sets_log, assoc_log);
-        let policy = policy_from(policy_index);
-        let mut soa: SetAssocCache<u32> = SetAssocCache::with_replacement(geom, policy);
-        let mut reference: RefSetAssocCache<u32> = RefSetAssocCache::with_replacement(geom, policy);
+        let mut soa: SetAssocCache<u32> = SetAssocCache::new(geom);
+        let mut reference: RefSetAssocCache<u32> = RefSetAssocCache::new(geom);
         let mut fill_seq = 0u32;
 
         for (op, raw) in ops {
@@ -96,13 +90,11 @@ proptest! {
     fn decomposed_entry_points_match_whole_line_api(
         sets_log in 0u32..4,
         assoc_log in 0u32..3,
-        policy_index in 0u8..3,
         ops in prop::collection::vec(0u64..LINE_UNIVERSE, 1..200)
     ) {
         let geom = geometry_from(sets_log, assoc_log);
-        let policy = policy_from(policy_index);
-        let mut whole: SetAssocCache<u32> = SetAssocCache::with_replacement(geom, policy);
-        let mut parts: SetAssocCache<u32> = SetAssocCache::with_replacement(geom, policy);
+        let mut whole: SetAssocCache<u32> = SetAssocCache::new(geom);
+        let mut parts: SetAssocCache<u32> = SetAssocCache::new(geom);
         let mut fill_seq = 0u32;
 
         for raw in ops {

@@ -3,23 +3,21 @@
 //!
 //! [`RefSetAssocCache`] is the implementation `SetAssocCache`
 //! had before the structure-of-arrays rewrite: one heap-allocated
-//! `Vec<Way<M>>` per set, explicit `last_use` / `filled_at` stamps per
-//! way, `Vec::swap_remove` on invalidate. It is **not** optimised and
+//! `Vec<Way<M>>` per set, an explicit `last_use` stamp per way, `Vec::swap_remove` on invalidate. It is **not** optimised and
 //! not meant for simulation use — its only job is to pin the old
 //! semantics so `proptest_soa_equivalence.rs` can assert the new
 //! kernel matches it decision-for-decision (hits, evicted lines and
-//! metadata, victim choice under every [`Replacement`] policy,
-//! occupancy, iteration order) on arbitrary traces.
+//! metadata, LRU victim choice, occupancy, iteration order) on
+//! arbitrary traces.
 
 use sim_core::LineAddr;
 
-use cache_model::{CacheGeometry, CacheStats, Eviction, Replacement};
+use cache_model::{CacheGeometry, CacheStats, Eviction};
 
 #[derive(Debug, Clone)]
 struct Way<M> {
     tag: u64,
     last_use: u64,
-    filled_at: u64,
     meta: M,
 }
 
@@ -37,17 +35,12 @@ pub struct RefSetAssocCache<M = ()> {
     sets: Vec<CacheSet<M>>,
     clock: u64,
     stats: CacheStats,
-    replacement: Replacement,
-    evictions: u64,
-    /// Per-set eviction counts; Random victim choice is seeded from
-    /// the victim set's own counter, mirroring the SoA kernel.
-    set_evictions: Vec<u32>,
 }
 
 impl<M> RefSetAssocCache<M> {
-    /// Creates an empty cache with an explicit replacement policy.
+    /// Creates an empty cache.
     #[must_use]
-    pub fn with_replacement(geom: CacheGeometry, replacement: Replacement) -> Self {
+    pub fn new(geom: CacheGeometry) -> Self {
         let mut sets = Vec::with_capacity(geom.num_sets());
         for _ in 0..geom.num_sets() {
             sets.push(CacheSet {
@@ -59,25 +52,12 @@ impl<M> RefSetAssocCache<M> {
             sets,
             clock: 0,
             stats: CacheStats::default(),
-            replacement,
-            evictions: 0,
-            set_evictions: vec![0; geom.num_sets()],
         }
     }
 
-    /// Index of the way a fill would displace in a full `set`.
+    /// Index of the least recently used way of a full `set`.
     fn victim_way(&self, set_index: usize) -> usize {
-        let ways = &self.sets[set_index].ways;
-        match self.replacement {
-            Replacement::Lru => min_stamp_index(ways, |w| w.last_use),
-            Replacement::Fifo => min_stamp_index(ways, |w| w.filled_at),
-            Replacement::Random => {
-                let mut rng = sim_core::rng::SplitMix64::new(
-                    u64::from(self.set_evictions[set_index]) ^ (set_index as u64).rotate_left(32),
-                );
-                rng.next_below(ways.len() as u64) as usize
-            }
-        }
+        lru_index(&self.sets[set_index].ways)
     }
 
     /// Access statistics recorded by [`Self::probe`].
@@ -87,14 +67,14 @@ impl<M> RefSetAssocCache<M> {
     }
 }
 
-/// Index of the way with the minimum `stamp`, first-wins on ties —
+/// Index of the way with the minimum `last_use`, first-wins on ties —
 /// the same choice `min_by_key` over an enumerated iterator makes,
 /// but total: an empty set yields 0 instead of panicking (callers
 /// only consult full sets, so the value is never used spuriously).
-fn min_stamp_index<M>(ways: &[Way<M>], stamp: impl Fn(&Way<M>) -> u64) -> usize {
+fn lru_index<M>(ways: &[Way<M>]) -> usize {
     let mut best = 0;
     for (i, w) in ways.iter().enumerate().skip(1) {
-        if stamp(w) < stamp(&ways[best]) {
+        if w.last_use < ways[best].last_use {
             best = i;
         }
     }
@@ -140,7 +120,7 @@ impl<M> RefSetAssocCache<M> {
         self.peek(line).is_some()
     }
 
-    /// Inserts a line, displacing the policy victim of a full set.
+    /// Inserts a line, displacing the LRU way of a full set.
     pub fn fill(&mut self, line: LineAddr, meta: M) -> Option<Eviction<M>> {
         debug_assert!(!self.contains(line), "double fill of {line}");
         self.clock += 1;
@@ -152,20 +132,16 @@ impl<M> RefSetAssocCache<M> {
             self.sets[set_index].ways.push(Way {
                 tag,
                 last_use: clock,
-                filled_at: clock,
                 meta,
             });
             return None;
         }
         let way = self.victim_way(set_index);
-        self.evictions += 1;
-        self.set_evictions[set_index] += 1;
         let victim = &mut self.sets[set_index].ways[way];
         let evicted_tag = victim.tag;
         let evicted_meta = std::mem::replace(&mut victim.meta, meta);
         victim.tag = tag;
         victim.last_use = clock;
-        victim.filled_at = clock;
         Some(Eviction {
             line: self.geom.line_from_parts(evicted_tag, set_index),
             meta: evicted_meta,

@@ -46,8 +46,6 @@ pub struct BiasedCache {
     table: MissClassificationTable,
     clock: u64,
     stats: CacheStats,
-    /// Disables the bias (plain LRU) for ablation comparisons.
-    biased: bool,
 }
 
 impl BiasedCache {
@@ -60,17 +58,6 @@ impl BiasedCache {
             table: MissClassificationTable::new(geom.num_sets(), tag_bits),
             clock: 0,
             stats: CacheStats::default(),
-            biased: true,
-        }
-    }
-
-    /// Same structure with the bias disabled — a plain LRU cache that
-    /// still pays the MCT bookkeeping, for apples-to-apples ablations.
-    #[must_use]
-    pub fn unbiased(geom: CacheGeometry, tag_bits: TagBits) -> Self {
-        BiasedCache {
-            biased: false,
-            ..Self::new(geom, tag_bits)
         }
     }
 
@@ -122,12 +109,12 @@ impl BiasedCache {
             return false;
         }
 
-        // Choose a victim: LRU among unprotected lines if the bias is
-        // on and any exist; otherwise plain LRU with bits cleared.
+        // Choose a victim: LRU among unprotected lines if any exist;
+        // otherwise plain LRU with bits cleared.
         // Both scans are total (they default to way 0 on the empty
         // set that cannot occur here), keeping this access path free
         // of panicking calls.
-        let unprotected = self.biased && set.iter().any(|l| !l.conflict_bit);
+        let unprotected = set.iter().any(|l| !l.conflict_bit);
         let mut victim_idx = 0;
         let mut oldest = u64::MAX;
         for (i, l) in set.iter().enumerate() {
@@ -136,7 +123,7 @@ impl BiasedCache {
                 victim_idx = i;
             }
         }
-        if !unprotected && self.biased {
+        if !unprotected {
             // Protection is temporary: once every line is protected,
             // the bits reset so streams cannot be locked out forever.
             for l in set.iter_mut() {
@@ -189,12 +176,7 @@ mod tests {
         // re-reference the most recently evicted line, so they acquire
         // conflict bits. A one-shot stream passes through the same
         // set; plain LRU lets it evict hot lines, the bias does not.
-        let run = |biased: bool| -> f64 {
-            let mut c = if biased {
-                BiasedCache::new(four_way(), TagBits::Full)
-            } else {
-                BiasedCache::unbiased(four_way(), TagBits::Full)
-            };
+        fn run(mut access: impl FnMut(LineAddr) -> bool) -> f64 {
             let hot: Vec<LineAddr> = (0..6).map(|k| line(4 * k)).collect();
             let mut rng = sim_core::rng::SplitMix64::new(42);
             let mut hits = 0u64;
@@ -203,14 +185,22 @@ mod tests {
                 // Two hot accesses, then one fresh stream line.
                 for _ in 0..2 {
                     total += 1;
-                    hits += u64::from(c.access(hot[rng.next_below(6) as usize]));
+                    hits += u64::from(access(hot[rng.next_below(6) as usize]));
                 }
-                c.access(line(4 * (1_000 + round)));
+                access(line(4 * (1_000 + round)));
             }
             hits as f64 / total as f64
-        };
-        let biased = run(true);
-        let plain = run(false);
+        }
+        let mut c = BiasedCache::new(four_way(), TagBits::Full);
+        let biased = run(|l| c.access(l));
+        let mut lru: cache_model::SetAssocCache<()> = cache_model::SetAssocCache::new(four_way());
+        let plain = run(|l| {
+            let hit = lru.probe(l).is_some();
+            if !hit {
+                lru.fill(l, ());
+            }
+            hit
+        });
         assert!(
             biased > plain + 0.05,
             "biased {biased:.3} should beat plain LRU {plain:.3}"
@@ -231,24 +221,5 @@ mod tests {
         // A new line must still be able to get in (plain LRU fallback).
         c.access(line(6));
         assert!(c.contains(line(6)));
-    }
-
-    #[test]
-    fn unbiased_matches_reference_lru() {
-        // The ablation baseline must behave exactly like SetAssocCache.
-        let geom = CacheGeometry::new(512, 2, 64).unwrap();
-        let mut biased = BiasedCache::unbiased(geom, TagBits::Full);
-        let mut reference: cache_model::SetAssocCache<()> = cache_model::SetAssocCache::new(geom);
-        let mut rng = sim_core::rng::SplitMix64::new(11);
-        for _ in 0..5_000 {
-            let l = line(rng.next_below(32));
-            let hit_ref = if reference.probe(l).is_some() {
-                true
-            } else {
-                reference.fill(l, ());
-                false
-            };
-            assert_eq!(biased.access(l), hit_ref);
-        }
     }
 }

@@ -5,7 +5,7 @@ use cache_model::{BlockSink, CacheGeometry, CacheStats, SetAssocCache};
 use sim_core::probe;
 use sim_core::LineAddr;
 
-use crate::{ConflictFilter, EvictionClassifier, MissClass, MissClassificationTable, TagBits};
+use crate::{EvictionClassifier, MissClass, MissClassificationTable, TagBits};
 
 /// The classification of one event in a block replay
 /// ([`ClassifyingCache::access_parts_block`]).
@@ -99,19 +99,6 @@ pub struct MissDetail {
     pub class: MissClass,
     /// The displaced line, if the fill evicted one.
     pub evicted: Option<EvictedLine>,
-}
-
-impl MissDetail {
-    /// Evaluates one of the paper's eviction-time filters for this
-    /// miss. With no eviction, the evicted conflict bit reads as
-    /// `false`.
-    #[must_use]
-    pub fn filter_fires(&self, filter: ConflictFilter) -> bool {
-        filter.fires(
-            self.class.is_conflict(),
-            self.evicted.is_some_and(|e| e.conflict_bit),
-        )
-    }
 }
 
 /// The outcome of one access to a [`ClassifyingCache`].
@@ -469,32 +456,6 @@ mod tests {
         assert_eq!(c.classify_miss(line(1)), MissClass::Capacity);
         c.note_bypass(line(1));
         assert_eq!(c.classify_miss(line(1)), MissClass::Conflict);
-    }
-
-    #[test]
-    fn filter_evaluation_on_miss_detail() {
-        let detail = MissDetail {
-            class: MissClass::Conflict,
-            evicted: Some(EvictedLine {
-                line: line(0),
-                conflict_bit: false,
-            }),
-        };
-        assert!(detail.filter_fires(ConflictFilter::OutConflict));
-        assert!(detail.filter_fires(ConflictFilter::OrConflict));
-        assert!(!detail.filter_fires(ConflictFilter::InConflict));
-        assert!(!detail.filter_fires(ConflictFilter::AndConflict));
-    }
-
-    #[test]
-    fn filter_with_no_eviction_reads_bit_as_false() {
-        let detail = MissDetail {
-            class: MissClass::Capacity,
-            evicted: None,
-        };
-        for f in ConflictFilter::ALL {
-            assert!(!detail.filter_fires(f), "{f}");
-        }
     }
 
     #[test]

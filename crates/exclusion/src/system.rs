@@ -60,19 +60,15 @@ pub struct ExclusionConfig {
     /// studied with a much larger buffer, and we found it to do poorly
     /// with an 8-entry buffer").
     pub entries: usize,
-    /// MCT tag width.
-    pub tag_bits: TagBits,
 }
 
 impl ExclusionConfig {
-    /// The paper's setup for a policy: 16-entry bypass buffer, full
-    /// tags.
+    /// The paper's setup for a policy: a 16-entry bypass buffer.
     #[must_use]
     pub const fn new(policy: ExclusionPolicy) -> Self {
         ExclusionConfig {
             policy,
             entries: 16,
-            tag_bits: TagBits::Full,
         }
     }
 }
@@ -191,7 +187,7 @@ impl ExclusionSystem {
         };
         ExclusionSystem {
             cfg,
-            l1: ClassifyingCache::new(l1_geometry, cfg.tag_bits),
+            l1: ClassifyingCache::new(l1_geometry, TagBits::Full),
             buffer: AssistBuffer::new(cfg.entries),
             ports: BufferPorts::new(),
             plumbing,

@@ -25,7 +25,7 @@ use std::str::FromStr;
 
 use amb::{AmbConfig, AmbPolicy, AmbSystem};
 use cache_model::{CacheGeometry, L2MemoryConfig};
-use conflict_remap::{CountPolicy, RemapConfig, RemapSystem};
+use conflict_remap::{CountPolicy, RemapSystem};
 use cpu_model::{
     BaselineSystem, CpuConfig, CpuReport, CpuRun, MemResponse, MemTimings, MemorySystem, OooModel,
     Plumbing,
@@ -99,6 +99,11 @@ const FAMILIES: [(&str, Family); 29] = [
     ("amb:vicpreexc", Family::Amb(AmbPolicy::VicPreExc)),
 ];
 
+/// The most buffer entries a spec may ask for: 4× the 256 lines of
+/// the 16 KB L1, far above the sweeps' 32. A larger count is a usage
+/// error, not an allocation that aborts the run.
+const MAX_ENTRIES: usize = 1024;
+
 impl Family {
     /// The paper's buffer entries for this family, or `None` if it has
     /// no buffer to size.
@@ -148,13 +153,19 @@ impl Arch {
     ///
     /// # Errors
     ///
-    /// If `entries` is zero or the family has no buffer.
+    /// If `entries` is zero or above 1024, or the family has no
+    /// buffer.
     pub fn with_entries(self, entries: usize) -> Result<Arch, String> {
         if self.entries.is_none() {
             return Err(format!("{} has no buffer to size", self.family_name()));
         }
         if entries == 0 {
             return Err("a buffer needs at least one entry".to_owned());
+        }
+        if entries > MAX_ENTRIES {
+            return Err(format!(
+                "a buffer holds at most {MAX_ENTRIES} entries, got {entries}"
+            ));
         }
         Ok(Arch {
             entries: Some(entries),
@@ -218,9 +229,7 @@ impl Arch {
                 let cfg = PseudoConfig::new(policy);
                 System::Pseudo(PseudoAssocSystem::new(cfg, l1, plumbing))
             }
-            Family::Remap(policy) => {
-                System::Remap(RemapSystem::new(RemapConfig::new(policy), l1, plumbing))
-            }
+            Family::Remap(policy) => System::Remap(RemapSystem::new(policy, l1, plumbing)),
             Family::Amb(policy) => {
                 let mut cfg = AmbConfig::new(policy);
                 cfg.entries = entries;
@@ -378,10 +387,22 @@ mod tests {
     }
 
     #[test]
-    fn zero_entries_is_a_parse_error_naming_the_spec() {
-        let err = "victim:both,entries=0".parse::<Arch>().unwrap_err();
-        assert!(err.contains("victim:both,entries=0"), "{err}");
-        assert!(err.contains("at least one entry"), "{err}");
+    fn out_of_range_entries_are_parse_errors_naming_the_spec() {
+        for (spec, why) in [
+            ("victim:both,entries=0", "at least one entry"),
+            ("victim:both,entries=1025", "at most 1024 entries"),
+            ("amb:vicpreexc,entries=4294967296", "at most 1024 entries"),
+            (
+                "victim:both,entries=18446744073709551615",
+                "at most 1024 entries",
+            ),
+        ] {
+            let err = spec.parse::<Arch>().unwrap_err();
+            assert!(err.contains(spec), "{err}");
+            assert!(err.contains(why), "{err}");
+        }
+        let largest: Arch = "victim:both,entries=1024".parse().unwrap();
+        assert_eq!(largest.to_string(), "victim:both,entries=1024");
     }
 
     #[test]

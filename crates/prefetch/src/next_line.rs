@@ -17,8 +17,6 @@ pub struct PrefetchConfig {
     pub filter: Option<ConflictFilter>,
     /// Prefetch buffer entries (paper: 8).
     pub entries: usize,
-    /// MCT tag width.
-    pub tag_bits: TagBits,
 }
 
 impl PrefetchConfig {
@@ -28,7 +26,6 @@ impl PrefetchConfig {
         PrefetchConfig {
             filter: None,
             entries: 8,
-            tag_bits: TagBits::Full,
         }
     }
 
@@ -38,7 +35,6 @@ impl PrefetchConfig {
         PrefetchConfig {
             filter: Some(filter),
             entries: 8,
-            tag_bits: TagBits::Full,
         }
     }
 }
@@ -126,7 +122,7 @@ impl NextLineSystem {
     pub fn new(cfg: PrefetchConfig, l1_geometry: CacheGeometry, plumbing: Plumbing) -> Self {
         NextLineSystem {
             cfg,
-            l1: ClassifyingCache::new(l1_geometry, cfg.tag_bits),
+            l1: ClassifyingCache::new(l1_geometry, TagBits::Full),
             buffer: AssistBuffer::new(cfg.entries),
             ports: BufferPorts::new(),
             plumbing,

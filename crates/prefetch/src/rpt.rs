@@ -32,11 +32,12 @@ struct RptEntry {
     state: State,
 }
 
+/// Entries in the (direct-mapped, PC-indexed) prediction table.
+const TABLE_ENTRIES: usize = 512;
+
 /// Configuration of an [`RptSystem`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RptConfig {
-    /// Entries in the (direct-mapped, PC-indexed) prediction table.
-    pub table_entries: usize,
     /// Prefetch buffer entries.
     pub buffer_entries: usize,
     /// The paper's §5.2 suggestion: "the RPT scheme can potentially
@@ -54,7 +55,6 @@ impl RptConfig {
     #[must_use]
     pub const fn default_config() -> Self {
         RptConfig {
-            table_entries: 512,
             buffer_entries: 8,
             filter_conflict_noise: false,
         }
@@ -90,17 +90,12 @@ pub struct RptSystem {
 
 impl RptSystem {
     /// Creates the system over an explicit geometry and miss path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `table_entries` is zero.
     #[must_use]
     pub fn new(cfg: RptConfig, l1_geometry: CacheGeometry, plumbing: Plumbing) -> Self {
-        assert!(cfg.table_entries > 0, "RPT needs entries");
         RptSystem {
             cfg,
             l1: ClassifyingCache::new(l1_geometry, TagBits::Full),
-            table: vec![None; cfg.table_entries],
+            table: vec![None; TABLE_ENTRIES],
             buffer: AssistBuffer::new(cfg.buffer_entries),
             ports: BufferPorts::new(),
             plumbing,
@@ -130,7 +125,7 @@ impl RptSystem {
     /// Updates the table for one access and returns a predicted next
     /// address if the entry is confident.
     fn predict(&mut self, access: MemoryAccess) -> Option<u64> {
-        let idx = (access.pc.raw() >> 2) as usize % self.cfg.table_entries;
+        let idx = (access.pc.raw() >> 2) as usize % TABLE_ENTRIES;
         let tag = access.pc.raw();
         let addr = access.addr.raw();
         let entry = &mut self.table[idx];

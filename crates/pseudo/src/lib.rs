@@ -70,25 +70,19 @@ impl std::fmt::Display for PseudoPolicy {
 pub struct PseudoConfig {
     /// The replacement policy.
     pub policy: PseudoPolicy,
-    /// Extra cycles for a secondary-location hit (on top of the
-    /// primary hit latency).
-    pub secondary_extra: u64,
-    /// MCT tag width.
-    pub tag_bits: TagBits,
 }
 
 impl PseudoConfig {
-    /// The paper's setup for a policy: 2 extra cycles for the
-    /// secondary probe, full tags.
+    /// The paper's setup for a policy.
     #[must_use]
     pub const fn new(policy: PseudoPolicy) -> Self {
-        PseudoConfig {
-            policy,
-            secondary_extra: 2,
-            tag_bits: TagBits::Full,
-        }
+        PseudoConfig { policy }
     }
 }
+
+/// Extra cycles for a secondary-location hit, on top of the primary
+/// hit latency.
+const SECONDARY_EXTRA: u64 = 2;
 
 /// Hit/miss breakdown for the pseudo-associative cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -154,7 +148,7 @@ impl PseudoAssocSystem {
             cfg,
             geom,
             slots: vec![None; geom.num_sets()],
-            table: MissClassificationTable::new(geom.num_sets(), cfg.tag_bits),
+            table: MissClassificationTable::new(geom.num_sets(), TagBits::Full),
             plumbing,
             clock: 0,
             stats: PseudoStats::default(),
@@ -331,7 +325,7 @@ impl MemorySystem for PseudoAssocSystem {
             // so the hot line becomes primary.
             self.stats.secondary_hits += 1;
             probe::emit(probe::ProbeEvent::Access { hit: true });
-            let ready = primary_done + self.cfg.secondary_extra;
+            let ready = primary_done + SECONDARY_EXTRA;
             self.plumbing.l1_occupy(line, ready, 2);
             self.slots.swap(i, j);
             if let Some(slot) = self.slots[i].as_mut() {

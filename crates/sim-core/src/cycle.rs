@@ -45,13 +45,6 @@ impl Cycle {
     pub fn max(self, other: Cycle) -> Cycle {
         Cycle(self.0.max(other.0))
     }
-
-    /// Returns the number of cycles from `earlier` to `self`, or zero
-    /// if `earlier` is in the future.
-    #[must_use]
-    pub fn since(self, earlier: Cycle) -> u64 {
-        self.0.saturating_sub(earlier.0)
-    }
 }
 
 impl Add<u64> for Cycle {
@@ -101,14 +94,6 @@ mod tests {
         assert_eq!(b - a, 5);
         assert!(b > a);
         assert_eq!(a.max(b), b);
-    }
-
-    #[test]
-    fn since_saturates() {
-        let a = Cycle::new(10);
-        let b = Cycle::new(20);
-        assert_eq!(b.since(a), 10);
-        assert_eq!(a.since(b), 0);
     }
 
     #[test]

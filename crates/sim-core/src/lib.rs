@@ -6,8 +6,8 @@
 //!
 //! * [`Addr`] / [`LineAddr`] — byte and cache-line addresses;
 //! * [`Cycle`] — simulated time;
-//! * [`rng`] — small, seedable, version-stable PRNGs
-//!   ([`rng::SplitMix64`], [`rng::XorShift64Star`]);
+//! * [`rng`] — a small, seedable, version-stable PRNG
+//!   ([`rng::SplitMix64`]);
 //! * [`hash`] — the fast unkeyed [`hash::FxHasher`] for
 //!   simulator-internal maps ([`hash::FxHashMap`],
 //!   [`hash::FxHashSet`]);

@@ -1,10 +1,9 @@
-//! Small, seedable, version-stable pseudo-random number generators.
+//! A small, seedable, version-stable pseudo-random number generator.
 //!
 //! Workload generators must be bit-for-bit reproducible across builds
 //! and dependency upgrades, so the simulator does not use the `rand`
-//! crate internally. These generators implement well-known public
-//! algorithms (splitmix64 and xorshift64*) whose output is fixed
-//! forever.
+//! crate internally. [`SplitMix64`] implements a well-known public
+//! algorithm whose output is fixed forever.
 //!
 //! # Examples
 //!
@@ -89,51 +88,6 @@ impl SplitMix64 {
     }
 }
 
-/// Marsaglia's xorshift64* generator.
-///
-/// Kept alongside [`SplitMix64`] so that code needing two visibly
-/// uncorrelated streams (e.g. addresses vs. think-time jitter) can use
-/// different algorithms rather than two seeds of one algorithm.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct XorShift64Star {
-    state: u64,
-}
-
-impl XorShift64Star {
-    /// Creates a generator from a seed; a zero seed is remapped (the
-    /// all-zero state is a fixed point of xorshift).
-    #[must_use]
-    pub const fn new(seed: u64) -> Self {
-        let state = if seed == 0 {
-            0x9e37_79b9_7f4a_7c15
-        } else {
-            seed
-        };
-        XorShift64Star { state }
-    }
-
-    /// Returns the next 64 random bits.
-    pub fn next_u64(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.state = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    /// Returns a uniformly distributed value in `0..bound`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound` is zero.
-    pub fn next_below(&mut self, bound: u64) -> u64 {
-        assert!(bound > 0, "bound must be positive");
-        let x = self.next_u64();
-        ((x as u128 * bound as u128) >> 64) as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,15 +151,6 @@ mod tests {
         // With 50 elements an identity shuffle is astronomically
         // unlikely; treat it as failure.
         assert_ne!(v, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn xorshift_zero_seed_is_not_stuck() {
-        let mut g = XorShift64Star::new(0);
-        let a = g.next_u64();
-        let b = g.next_u64();
-        assert_ne!(a, 0);
-        assert_ne!(a, b);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Simulators report almost everything as a ratio of two event counts
 //! (hit rate, prefetch accuracy, fraction of accesses causing a swap).
 //! [`Ratio`] makes those reports uniform and guards against the usual
-//! divide-by-zero edge cases; [`RunningMean`] aggregates per-benchmark
-//! numbers into suite averages.
+//! divide-by-zero edge cases; [`GeoMean`] averages per-benchmark
+//! speedups into suite means.
 
 use core::fmt;
 
@@ -99,49 +99,6 @@ impl fmt::Display for Ratio {
             self.numerator,
             self.denominator
         )
-    }
-}
-
-/// Incremental arithmetic mean of a stream of values.
-///
-/// # Examples
-///
-/// ```
-/// use sim_core::stats::RunningMean;
-///
-/// let mut m = RunningMean::default();
-/// m.push(1.0);
-/// m.push(3.0);
-/// assert_eq!(m.mean(), 2.0);
-/// assert_eq!(m.count(), 2);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct RunningMean {
-    count: u64,
-    sum: f64,
-}
-
-impl RunningMean {
-    /// Adds a sample.
-    pub fn push(&mut self, value: f64) {
-        self.count += 1;
-        self.sum += value;
-    }
-
-    /// The mean of the samples so far, or 0.0 with no samples.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// The number of samples.
-    #[must_use]
-    pub const fn count(&self) -> u64 {
-        self.count
     }
 }
 
@@ -346,17 +303,6 @@ mod tests {
     fn ratio_display_mentions_counts() {
         let r = Ratio::from_counts(1, 2);
         assert_eq!(r.to_string(), "50.00% (1/2)");
-    }
-
-    #[test]
-    fn running_mean_basic() {
-        let mut m = RunningMean::default();
-        assert_eq!(m.mean(), 0.0);
-        for v in [2.0, 4.0, 6.0] {
-            m.push(v);
-        }
-        assert_eq!(m.mean(), 4.0);
-        assert_eq!(m.count(), 3);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   bypass the buffer entirely (don't fill), keeping buffer entries
 //!   for lines with conflict evidence.
 //!
-//! Both filters use the *or-conflict* criterion by default (the
+//! Both filters use the *or-conflict* criterion (the
 //! paper's most liberal identification of conflict misses).
 //!
 //! # Examples
@@ -93,27 +93,20 @@ impl std::fmt::Display for VictimPolicy {
 pub struct VictimConfig {
     /// The policy (Figure 3 bar).
     pub policy: VictimPolicy,
-    /// The conflict filter both knobs use (paper: or-conflict).
-    pub filter: ConflictFilter,
     /// Victim buffer entries (paper: 8).
     pub entries: usize,
-    /// MCT tag width (paper's §5 results store the full tag).
-    pub tag_bits: TagBits,
 }
 
 impl VictimConfig {
-    /// The paper's setup for a given policy: 8 entries, or-conflict,
-    /// full tags.
+    /// The paper's setup for a given policy: 8 entries.
     #[must_use]
     pub const fn new(policy: VictimPolicy) -> Self {
-        VictimConfig {
-            policy,
-            filter: ConflictFilter::OrConflict,
-            entries: 8,
-            tag_bits: TagBits::Full,
-        }
+        VictimConfig { policy, entries: 8 }
     }
 }
+
+/// The conflict filter both knobs use (the paper's or-conflict).
+const FILTER: ConflictFilter = ConflictFilter::OrConflict;
 
 /// Event counts behind Table 1, all reported against total accesses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -192,7 +185,7 @@ impl VictimSystem {
     pub fn new(cfg: VictimConfig, l1_geometry: CacheGeometry, plumbing: Plumbing) -> Self {
         VictimSystem {
             cfg,
-            l1: ClassifyingCache::new(l1_geometry, cfg.tag_bits),
+            l1: ClassifyingCache::new(l1_geometry, TagBits::Full),
             buffer: AssistBuffer::new(cfg.entries),
             ports: BufferPorts::new(),
             plumbing,
@@ -265,8 +258,8 @@ impl MemorySystem for VictimSystem {
             let word = self.ports.word_read(l1_done);
             let ready = word + self.plumbing.timings().buffer_extra;
 
-            let skip_swap = self.cfg.policy.filters_swaps()
-                && self.cfg.filter.fires(class.is_conflict(), buffered_bit);
+            let skip_swap =
+                self.cfg.policy.filters_swaps() && FILTER.fires(class.is_conflict(), buffered_bit);
             if self.cfg.policy.filters_swaps() {
                 probe::emit(probe::ProbeEvent::Filter {
                     unit: probe::FilterUnit::VictimSwap,
@@ -295,10 +288,7 @@ impl MemorySystem for VictimSystem {
         let ready = self.plumbing.fetch_demand(line, grant);
         if let Some(evicted) = self.l1.fill(line, class.is_conflict()) {
             let fill_buffer = !self.cfg.policy.filters_fills()
-                || self
-                    .cfg
-                    .filter
-                    .fires(class.is_conflict(), evicted.conflict_bit);
+                || FILTER.fires(class.is_conflict(), evicted.conflict_bit);
             if self.cfg.policy.filters_fills() {
                 // `fired` = the filter let the fill through (the
                 // selective-fill predicate matched).
