@@ -271,6 +271,31 @@ fn bench_group_scoring(c: &mut Criterion) {
     g.finish();
 }
 
+/// One workload's whole accuracy pass for Figs 1 and 2, trace
+/// generation included. `group_fig1_fig2_shared` runs both figures'
+/// cells in one group, as `repro fig1 fig2` does: one trace, 4 cache
+/// kernels, 2 shadow oracles and 14 members (fig1's 16 KB DM cell is
+/// fig2's full-tag cell). `group_fig1_then_fig2` runs each figure's
+/// group on its own, as one-figure runs do: two traces, 5 kernels, 3
+/// oracles and 15 members.
+fn bench_shared_accuracy_pass(c: &mut Criterion) {
+    let cfg = experiments::RunConfig::new(1);
+    let w = workloads::by_name("gcc").expect("gcc analog exists");
+    let cells = experiments::fig1::configurations().len() + experiments::fig2::widths().len();
+    let mut g = c.benchmark_group("substrate/pipeline");
+    g.throughput(Throughput::Elements((N * cells) as u64));
+    g.bench_function("group_fig1_fig2_shared", |b| {
+        b.iter(|| black_box(experiments::accuracy_pass(&cfg, &w, N, true, true)))
+    });
+    g.bench_function("group_fig1_then_fig2", |b| {
+        b.iter(|| {
+            black_box(experiments::accuracy_pass(&cfg, &w, N, true, false));
+            black_box(experiments::accuracy_pass(&cfg, &w, N, false, true))
+        })
+    });
+    g.finish();
+}
+
 /// Synthesizing a workload's event stream on the fly: the supply side
 /// of every replay, paid once per group pass. `gcc` mixes several
 /// small patterns; `uniform` is one 4096-line Zipf draw per event, the
@@ -523,6 +548,6 @@ fn bench_mrc(c: &mut Criterion) {
 criterion_group! {
     name = substrate;
     config = Criterion::default().sample_size(10);
-    targets = bench_plain_cache, bench_classifying_cache, bench_probe_null, bench_span_null, bench_oracle, bench_group_scoring, bench_trace_supply, bench_cache_kernel, bench_cache_kernel_spread, bench_full_pipeline, bench_mrc,
+    targets = bench_plain_cache, bench_classifying_cache, bench_probe_null, bench_span_null, bench_oracle, bench_group_scoring, bench_shared_accuracy_pass, bench_trace_supply, bench_cache_kernel, bench_cache_kernel_spread, bench_full_pipeline, bench_mrc,
 }
 criterion_main!(substrate);

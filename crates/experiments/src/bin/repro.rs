@@ -12,6 +12,8 @@
 //! scheduler the figures use internally, so the rendered tables are
 //! byte-identical at any thread count: each target's report is
 //! buffered and printed in request order once all targets finish.
+//! Figures 1 and 2 share one pass over each workload
+//! (`experiments::cli::run`).
 //! Throughput telemetry goes to stderr (and, with `--bench-json`, to a
 //! machine-readable `BENCH_repro.json`) — never to stdout.
 //!
@@ -26,7 +28,7 @@ use std::io::{self, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
-use experiments::cli::{self, Target};
+use experiments::cli;
 use experiments::ioutil;
 use experiments::telemetry::{BenchReport, FigureBench, Stopwatch};
 use experiments::tracing::{self, MetricsSnapshot, TraceFormat};
@@ -107,10 +109,10 @@ fn main() -> ExitCode {
 
     let events = opts.events;
 
-    // Figure-level parallelism: independent targets overlap on the
-    // same scheduler the per-figure cell loops use. Reports are
-    // buffered (order-preserving) and printed afterwards, so stdout is
-    // byte-identical to a serial run.
+    // Figure-level parallelism: independent passes overlap on the
+    // same scheduler the per-figure cell loops use, and fig1 and fig2
+    // share one pass. Reports are buffered (order-preserving) and
+    // printed afterwards, so stdout is byte-identical to a serial run.
     let total_start = Stopwatch::start();
     let outcomes = sim_core::span::scope(
         cfg.trace(),
@@ -118,18 +120,7 @@ fn main() -> ExitCode {
         "sweep_repro",
         "repro",
         String::new,
-        || {
-            cfg.par_map(opts.targets.clone(), |target: Target| {
-                let start = Stopwatch::start();
-                let rendered = target.run(&cfg, events);
-                let bench = FigureBench::ok(
-                    target.name(),
-                    start.elapsed_seconds(),
-                    target.simulated_events(events),
-                );
-                (rendered, bench)
-            })
-        },
+        || cli::run(&cfg, &opts.targets, events),
     );
     let (mut rendered_all, mut figures): (Vec<String>, Vec<FigureBench>) =
         outcomes.into_iter().unzip();

@@ -8,6 +8,7 @@
 use std::path::PathBuf;
 
 use crate::probe::ProbeMode;
+use crate::telemetry::{FigureBench, Stopwatch};
 use crate::tracing::TraceFormat;
 use crate::RunConfig;
 
@@ -82,6 +83,12 @@ impl Target {
         })
     }
 
+    /// Whether the target is one of the accuracy figures that share
+    /// one pass when run together ([`crate::accuracy_figures`]).
+    const fn is_accuracy(self) -> bool {
+        matches!(self, Target::Fig1 | Target::Fig2)
+    }
+
     /// Runs the driver and renders its report exactly as `repro`
     /// prints it (one trailing newline added by the caller). Each arm
     /// opens a figure-level trace scope so span traces group a
@@ -144,6 +151,73 @@ impl Target {
             Target::Ablation => crate::ablation::simulated_events(events),
         }
     }
+}
+
+/// Runs `targets` and returns each one's rendered report and
+/// measurement, in request order: what `repro` prints and records.
+///
+/// Fig 1 and Fig 2 run as one pass ([`crate::accuracy_figures`]), so
+/// together they stream each workload once; every other target is a
+/// pass of its own ([`Target::run`]). Independent passes overlap on
+/// the run's threads. The shared pass opens the figure-level trace
+/// scope `fig_fig1+fig2`, and each of its two figures reports the
+/// whole pass's wall time.
+#[must_use]
+pub fn run(cfg: &RunConfig, targets: &[Target], events: usize) -> Vec<(String, FigureBench)> {
+    let accuracy: Vec<Target> = Target::ALL
+        .into_iter()
+        .filter(|t| t.is_accuracy() && targets.contains(t))
+        .collect();
+    let mut passes: Vec<Vec<Target>> = Vec::new();
+    for &target in targets {
+        let pass = if target.is_accuracy() {
+            accuracy.clone()
+        } else {
+            vec![target]
+        };
+        if !passes.contains(&pass) {
+            passes.push(pass);
+        }
+    }
+    let mut runs: Vec<(String, FigureBench)> = cfg
+        .par_map(passes, |pass| run_pass(cfg, events, &pass))
+        .into_iter()
+        .flatten()
+        .collect();
+    runs.sort_by_key(|(_, bench)| targets.iter().position(|t| t.name() == bench.name));
+    runs
+}
+
+/// Runs one pass, a target alone or `[Fig1, Fig2]` together, and
+/// renders each of its targets with the pass's wall time.
+fn run_pass(cfg: &RunConfig, events: usize, pass: &[Target]) -> Vec<(String, FigureBench)> {
+    use sim_core::span::{self, ScopeKind::Figure};
+    let start = Stopwatch::start();
+    let rendered = match pass {
+        [one] => vec![one.run(cfg, events)],
+        _ => span::scope(
+            cfg.trace(),
+            Figure,
+            "fig_fig1+fig2",
+            "fig1+fig2",
+            String::new,
+            || {
+                let (fig1, fig2) = crate::accuracy_figures(cfg, events, true, true);
+                let both = "the shared pass renders both figures";
+                vec![fig1.expect(both).to_string(), fig2.expect(both).to_string()]
+            },
+        ),
+    };
+    let wall = start.elapsed_seconds();
+    pass.iter()
+        .zip(rendered)
+        .map(|(t, r)| {
+            (
+                r,
+                FigureBench::ok(t.name(), wall, t.simulated_events(events)),
+            )
+        })
+        .collect()
 }
 
 /// Parsed `repro` invocation.

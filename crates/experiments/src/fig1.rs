@@ -80,37 +80,40 @@ pub(crate) fn members(
 
 /// Runs the Figure 1 experiment with `events` references per
 /// workload: one group replay per workload scores all four
-/// configurations.
+/// configurations (the one-figure case of
+/// [`crate::accuracy_figures`]).
 #[must_use]
 pub fn run(cfg: &RunConfig, events: usize) -> Fig1 {
-    let configs = configurations();
-    let suite = full_suite();
-    let per_workload: Vec<Vec<AccuracyReport>> = cfg.par_map(suite.clone(), |w| {
-        crate::replay_group(cfg, "fig1", &w, events, members(&configs), |i| {
-            format!("{}/{}", configs[i].0, w.name())
-        })
-    });
-    let configs = configs
-        .into_iter()
-        .enumerate()
-        .map(|(i, (name, _))| {
-            let benchmarks: Vec<(String, AccuracyReport)> = suite
-                .iter()
-                .zip(&per_workload)
-                .map(|(w, reports)| (w.name().to_owned(), reports[i]))
-                .collect();
-            let mut average = AccuracyReport::default();
-            for (_, report) in &benchmarks {
-                average.merge(report);
-            }
-            ConfigResult {
-                name,
-                benchmarks,
-                average,
-            }
-        })
-        .collect();
-    Fig1 { configs, events }
+    let (fig, _) = crate::accuracy_figures(cfg, events, true, false);
+    fig.expect("fig1 was asked for")
+}
+
+impl Fig1 {
+    /// The figure from its cells' reports: per workload of the full
+    /// suite, one report per configuration of [`configurations`].
+    pub(crate) fn from_reports(per_workload: &[Vec<AccuracyReport>], events: usize) -> Fig1 {
+        let configs = configurations()
+            .into_iter()
+            .enumerate()
+            .map(|(i, (name, _))| {
+                let benchmarks: Vec<(String, AccuracyReport)> = full_suite()
+                    .iter()
+                    .zip(per_workload)
+                    .map(|(w, reports)| (w.name().to_owned(), reports[i]))
+                    .collect();
+                let mut average = AccuracyReport::default();
+                for (_, report) in &benchmarks {
+                    average.merge(report);
+                }
+                ConfigResult {
+                    name,
+                    benchmarks,
+                    average,
+                }
+            })
+            .collect();
+        Fig1 { configs, events }
+    }
 }
 
 impl std::fmt::Display for Fig1 {

@@ -8,7 +8,7 @@
 
 use cache_model::CacheGeometry;
 use mct::accuracy::AccuracyReport;
-use mct::{MissClassificationTable, TagBits};
+use mct::TagBits;
 use workloads::full_suite;
 
 use crate::table::{pct, pct_ratio};
@@ -52,32 +52,31 @@ pub fn geometry() -> CacheGeometry {
 
 /// Runs the Figure 2 experiment with `events` references per
 /// workload: one group replay per workload scores every tag width
-/// against one shared oracle.
+/// against one shared oracle (the one-figure case of
+/// [`crate::accuracy_figures`]).
 #[must_use]
 pub fn run(cfg: &RunConfig, events: usize) -> Fig2 {
-    let geom = geometry();
-    let widths = widths();
-    let per_workload: Vec<Vec<AccuracyReport>> = cfg.par_map(full_suite(), |w| {
-        let members = widths
-            .iter()
-            .map(|&bits| (geom, MissClassificationTable::new(geom.num_sets(), bits)))
+    let (_, fig) = crate::accuracy_figures(cfg, events, false, true);
+    fig.expect("fig2 was asked for")
+}
+
+impl Fig2 {
+    /// The figure from its cells' reports: per workload, one report
+    /// per tag width of [`widths`].
+    pub(crate) fn from_reports(per_workload: &[Vec<AccuracyReport>], events: usize) -> Fig2 {
+        let points = widths()
+            .into_iter()
+            .enumerate()
+            .map(|(i, bits)| {
+                let mut report = AccuracyReport::default();
+                for reports in per_workload {
+                    report.merge(&reports[i]);
+                }
+                SweepPoint { bits, report }
+            })
             .collect();
-        crate::replay_group(cfg, "fig2", &w, events, members, |i| {
-            format!("{}/{}", widths[i], w.name())
-        })
-    });
-    let points = widths
-        .iter()
-        .enumerate()
-        .map(|(i, &bits)| {
-            let mut report = AccuracyReport::default();
-            for reports in &per_workload {
-                report.merge(&reports[i]);
-            }
-            SweepPoint { bits, report }
-        })
-        .collect();
-    Fig2 { points, events }
+        Fig2 { points, events }
+    }
 }
 
 /// Trace events this figure simulates: one pass per (tag-width,

@@ -5,8 +5,14 @@
 //! all score many MCT configurations on the same workload, and many of
 //! them share work. Fig 2's eleven tag widths share one 16 KB
 //! direct-mapped geometry; Fig 1's four configurations share two
-//! capacities. An [`AccuracyGroup`] holds one workload's cells as
-//! *members*. Per block of line addresses it
+//! capacities. When both figures run, they share one pass
+//! ([`crate::accuracy_pass`]), and Fig 1's 16 KB DM cell is Fig 2's
+//! full-tag cell. An [`AccuracyGroup`] holds one workload's cells as
+//! *members*. A group built [`AccuracyGroup::keyed`] makes cells with
+//! equal keys (geometry and tag width) one member. That member runs
+//! once, reports once per cell it stands for, and under a probe writes
+//! its record once per cell ([`probe::group`]). Per block of line
+//! addresses it
 //!
 //! 1. computes the oracle's conflict verdicts once per distinct line
 //!    capacity;
@@ -37,7 +43,8 @@
 //!   remove on a miss, plus O(1) list relinking. That is 7–9 ns/event
 //!   at 1024 and 256 lines on a 2-core x86-64 host
 //!   (`substrate/pipeline/oracle_conflict`), so Fig 1 pays it twice
-//!   per reference and Fig 2's eleven tag widths once.
+//!   per reference, Fig 2's eleven tag widths once, and the two
+//!   figures together twice.
 //! * **Stack distances** ([`AccuracyGroup::from_distances`], fed by
 //!   [`AccuracyGroup::observe_distances`]): the exact MRC pass already
 //!   knows each reference's LRU stack distance, and by Mattson's
@@ -49,9 +56,12 @@
 //! one traversal answers every configuration that can read it. Each
 //! member's report, and under an armed probe each member's event
 //! stream, equals a standalone [`mct::accuracy::AccuracyEvaluator`]
-//! fed the same stream (differential-tested below and in
-//! `tests/stream_equivalence.rs` and `tests/probe_determinism.rs`),
-//! and the two verdict sources give identical reports (tested below).
+//! fed the same stream (differential-tested below, repeated cells
+//! included, and in `tests/stream_equivalence.rs` and
+//! `tests/probe_determinism.rs`), and the two verdict sources give
+//! identical reports (tested below). A figure's table and probe
+//! records do not depend on which figures share its pass
+//! (`tests/shared_pass.rs`).
 
 use cache_model::oracle::FullyAssocLru;
 use cache_model::CacheGeometry;
@@ -59,8 +69,8 @@ use mct::accuracy::{AccuracyReport, AccuracyScorer, CacheKernel, MissBlock};
 use mct::EvictionClassifier;
 use sim_core::LineAddr;
 
-use crate::probe::GroupProbe;
-use crate::DEFAULT_REPLAY_BLOCK;
+use crate::probe::{self, GroupProbe};
+use crate::{RunConfig, DEFAULT_REPLAY_BLOCK};
 
 /// One distinct indexing scheme and its per-block `(set, tag)`
 /// scratch.
@@ -85,12 +95,15 @@ struct Kernel {
     shape: usize,
 }
 
-/// One member cell: its scorer and the shared state it reads.
+/// One member: its scorer, the shared state it reads, and the
+/// positions in the group's input list of the cells it stands for
+/// (more than one when cells repeat).
 #[derive(Debug)]
 struct Member<T> {
     scorer: AccuracyScorer<T>,
     kernel: usize,
     verdicts: usize,
+    cells: Vec<usize>,
 }
 
 /// The accuracy cells of one workload, advanced together by one
@@ -108,6 +121,8 @@ pub(crate) struct AccuracyGroup<T> {
     /// every kernel and block.
     misses: MissBlock,
     members: Vec<Member<T>>,
+    /// How many cells the group was built from.
+    cells: usize,
 }
 
 /// The index of the first entry of `items` that `matches`, pushing
@@ -127,31 +142,48 @@ fn find_or_push<E>(
 }
 
 impl<T: EvictionClassifier> AccuracyGroup<T> {
-    /// Builds a group from `(geometry, classifier)` members, sharing
-    /// one shape per distinct set-index width, one cache kernel per
+    /// Builds a group from `(geometry, classifier)` cells, sharing one
+    /// shape per distinct set-index width, one cache kernel per
     /// distinct geometry and one shadow oracle per distinct line
-    /// capacity. Member order is report order. Feed it with
+    /// capacity. Cell order is report order. Feed it with
     /// [`AccuracyGroup::observe_block`].
     ///
     /// # Panics
     ///
-    /// Panics if `members` is empty or the geometries disagree on line
+    /// Panics if `cells` is empty or the geometries disagree on line
     /// size (one replay feeds one line-address stream).
     #[must_use]
-    pub(crate) fn new(members: Vec<(CacheGeometry, T)>) -> Self {
-        Self::build(members, true)
+    pub(crate) fn new(cells: Vec<(CacheGeometry, T)>) -> Self {
+        Self::build(cells, |_| None, true)
+    }
+
+    /// As [`AccuracyGroup::new`], but a cell whose key equals an
+    /// earlier cell's (for an MCT, its geometry and tag width) is that
+    /// cell: both are one member, which runs once and reports for
+    /// each. `keys` has one key per cell.
+    #[must_use]
+    pub(crate) fn keyed<K: PartialEq>(cells: Vec<(CacheGeometry, T)>, keys: &[K]) -> Self {
+        assert_eq!(cells.len(), keys.len(), "one key per cell");
+        let repeats = |i: usize| keys[..i].iter().position(|k| *k == keys[i]);
+        Self::build(cells, repeats, true)
     }
 
     /// As [`AccuracyGroup::new`], but with no shadows: the verdicts
     /// come from exact stack distances, fed with
     /// [`AccuracyGroup::observe_distances`].
     #[must_use]
-    pub(crate) fn from_distances(members: Vec<(CacheGeometry, T)>) -> Self {
-        Self::build(members, false)
+    pub(crate) fn from_distances(cells: Vec<(CacheGeometry, T)>) -> Self {
+        Self::build(cells, |_| None, false)
     }
 
-    fn build(members: Vec<(CacheGeometry, T)>, shadows: bool) -> Self {
-        let line_size = members
+    /// The group of `cells`, where `repeats(i)` is the earlier cell
+    /// that cell `i` repeats, if any.
+    fn build(
+        cells: Vec<(CacheGeometry, T)>,
+        repeats: impl Fn(usize) -> Option<usize>,
+        shadows: bool,
+    ) -> Self {
+        let line_size = cells
             .first()
             .map(|(geom, _)| geom.line_size())
             .expect("a group needs at least one member");
@@ -162,14 +194,24 @@ impl<T: EvictionClassifier> AccuracyGroup<T> {
             shadows: Vec::new(),
             kernels: Vec::new(),
             misses: MissBlock::with_block(DEFAULT_REPLAY_BLOCK),
-            members: Vec::with_capacity(members.len()),
+            members: Vec::with_capacity(cells.len()),
+            cells: cells.len(),
         };
-        for (geom, table) in members {
+        for (i, (geom, table)) in cells.into_iter().enumerate() {
             assert_eq!(
                 geom.line_size(),
                 line_size,
                 "group members must share a line size"
             );
+            if let Some(first) = repeats(i) {
+                let member = group
+                    .members
+                    .iter_mut()
+                    .find(|m| m.cells[0] == first)
+                    .expect("a repeated cell's first occurrence is a member");
+                member.cells.push(i);
+                continue;
+            }
             let set_bits = geom.set_bits();
             let shape = find_or_push(
                 &mut group.shapes,
@@ -205,9 +247,44 @@ impl<T: EvictionClassifier> AccuracyGroup<T> {
                 scorer: AccuracyScorer::with_classifier(geom, table),
                 kernel,
                 verdicts,
+                cells: vec![i],
             });
         }
         group
+    }
+
+    /// Runs `feed` on this group as one [`probe::group`] cell of
+    /// `target` labelled `label`, in which the cell at input position
+    /// `i` is named `name(i)` (its record's target and label), and
+    /// returns the cells' reports in input order. A member that
+    /// stands for several cells writes its record under each.
+    pub(crate) fn run(
+        mut self,
+        cfg: &RunConfig,
+        target: &str,
+        label: impl Fn() -> String,
+        name: impl Fn(usize) -> (&'static str, String),
+        feed: impl FnOnce(&mut Self, &GroupProbe),
+    ) -> Vec<AccuracyReport> {
+        let cells: Vec<Vec<usize>> = self.members.iter().map(|m| m.cells.clone()).collect();
+        probe::group(
+            cfg,
+            target,
+            label,
+            cells.len(),
+            |m| cells[m].iter().map(|&i| name(i)).collect(),
+            |probes| {
+                feed(&mut self, probes);
+                self.finish()
+            },
+        )
+    }
+
+    /// How many cells the group was built from, repeated ones
+    /// included.
+    #[must_use]
+    pub(crate) fn cells(&self) -> usize {
+        self.cells
     }
 
     /// The line size every member shares: the replay feeds line
@@ -291,13 +368,17 @@ impl<T: EvictionClassifier> AccuracyGroup<T> {
         }
     }
 
-    /// The members' reports, in member order.
+    /// The cells' reports, in the order the group was built from.
     #[must_use]
     pub(crate) fn finish(self) -> Vec<AccuracyReport> {
-        self.members
-            .into_iter()
-            .map(|m| m.scorer.finish())
-            .collect()
+        let mut reports = vec![AccuracyReport::default(); self.cells];
+        for member in self.members {
+            let report = member.scorer.finish();
+            for i in member.cells {
+                reports[i] = report;
+            }
+        }
+        reports
     }
 }
 
@@ -354,12 +435,12 @@ mod tests {
         }
     }
 
-    /// Each member's report and `--probe raw` bytes, in member order.
-    fn raw_records(cfg: &RunConfig) -> Vec<String> {
+    /// Each record's label and `--probe raw` bytes, in label order.
+    fn raw_records(cfg: &RunConfig) -> Vec<(String, String)> {
         cfg.drain()
             .cells
             .into_iter()
-            .map(|r| r.raw.expect("raw mode keeps the event lines"))
+            .map(|r| (r.cell, r.raw.expect("raw mode keeps the event lines")))
             .collect()
     }
 
@@ -368,14 +449,21 @@ mod tests {
         /// A group with shared kernels reports, and under a raw probe
         /// emits, exactly what one standalone evaluator per member
         /// does, for member lists whose geometries repeat, mixed
-        /// classifiers, and blocks that cross every seam (longer than
+        /// classifiers, whole cells repeated (each copy a member of
+        /// its own on the standalone side, one shared member in the
+        /// group), and blocks that cross every seam (longer than
         /// [`DEFAULT_REPLAY_BLOCK`] included).
         #[test]
         fn shared_kernels_match_one_evaluator_per_member(
             draws in prop::collection::vec((0usize..6, 0usize..6), 1..9),
+            repeats in prop::collection::vec(0usize..64, 0..4),
             lines in prop::collection::vec(0u64..400, 1..2_500),
             blocks in prop::collection::vec(1usize..1_500, 1..6),
         ) {
+            let mut draws = draws;
+            for &pick in &repeats {
+                draws.push(draws[pick % draws.len()]);
+            }
             let members: Vec<(CacheGeometry, Classifier)> = draws
                 .iter()
                 .map(|&(g, c)| {
@@ -386,14 +474,12 @@ mod tests {
             let label = |i: usize| format!("{i:02}");
 
             let grouped_cfg = RunConfig::new(1).with_probe(ProbeMode::Raw);
-            let grouped = crate::probe::group(
+            let grouped = AccuracyGroup::keyed(members.clone(), &draws).run(
                 &grouped_cfg,
                 "test",
                 || "stream".to_owned(),
-                members.len(),
-                label,
-                |probes| {
-                    let mut group = AccuracyGroup::new(members.clone());
+                |i| ("test", label(i)),
+                |group, probes| {
                     let mut rest = &lines[..];
                     for &len in blocks.iter().cycle() {
                         if rest.is_empty() {
@@ -403,7 +489,6 @@ mod tests {
                         group.observe_block(block, probes);
                         rest = tail;
                     }
-                    group.finish()
                 },
             );
 
@@ -428,6 +513,32 @@ mod tests {
         }
     }
 
+    /// Repeated cells share one member, kernel and oracle: the group
+    /// runs fig1's four configurations plus fig2's eleven widths as
+    /// fourteen members, because fig1's 16 KB DM cell and fig2's
+    /// full-tag cell are one cell.
+    #[test]
+    fn repeated_cells_share_one_member() {
+        let mut keys: Vec<(CacheGeometry, TagBits)> = crate::fig1::configurations()
+            .into_iter()
+            .map(|(_, geom)| (geom, TagBits::Full))
+            .collect();
+        let geom = crate::fig2::geometry();
+        keys.extend(crate::fig2::widths().into_iter().map(|bits| (geom, bits)));
+        let cells = keys
+            .iter()
+            .map(|&(geom, bits)| (geom, MissClassificationTable::new(geom.num_sets(), bits)))
+            .collect();
+        let group = AccuracyGroup::keyed(cells, &keys);
+        assert_eq!(group.cells, 15);
+        assert_eq!(group.members.len(), 14);
+        assert_eq!(group.members[0].cells, [0, 14]);
+        assert_eq!(
+            (group.kernels.len(), group.shapes.len(), group.shadows.len()),
+            (4, 4, 2)
+        );
+    }
+
     /// Engine-fed verdicts give the same full reports as shadow-fed
     /// ones, the conflict/capacity split included, for fig1's members
     /// over the MRC suite. The printed MRC cells add that split back
@@ -449,7 +560,7 @@ mod tests {
                 "test",
                 || w.name().to_owned(),
                 configs.len(),
-                |i| i.to_string(),
+                |i| vec![("test", i.to_string())],
                 |probes| {
                     let mut shadowed = AccuracyGroup::new(crate::fig1::members(&configs));
                     for block in lines.chunks(crate::DEFAULT_REPLAY_BLOCK) {

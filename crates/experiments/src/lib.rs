@@ -16,16 +16,20 @@
 //! | [`ablation`] | (extensions) | shadow-directory depth, CPU window, buffer size |
 //!
 //! Two infrastructure modules serve the `repro` harness: [`cli`]
-//! (argument parsing and the figure-target registry) and [`telemetry`]
+//! (argument parsing, the figure-target registry and [`cli::run`],
+//! which runs the requested targets) and [`telemetry`]
 //! (per-figure wall time, events/sec, and the machine-readable
 //! `BENCH_repro.json` the perf trajectory is tracked with). [`arch`]
 //! names and builds every CPU-model cell's memory system; `sim --arch`
 //! parses the same spec.
 //!
-//! Every driver streams each workload's trace once per figure, at
-//! O(chunk) memory, and advances every cell that replays
-//! that workload in the same pass; no trace is materialized for
-//! reuse. The accuracy and MRC drivers (fig1, fig2, the shadow-depth
+//! Every driver streams each workload's trace once per pass, at
+//! O(chunk) memory, and advances every cell that replays that
+//! workload in the same pass; no trace is materialized for reuse. A
+//! pass serves one figure, except that Figures 1 and 2 share one
+//! ([`accuracy_figures`]): `repro fig1 fig2` streams each workload
+//! once for both, and their common cell (16 KB DM, full tag) runs
+//! once. The accuracy and MRC drivers (fig1, fig2, the shadow-depth
 //! ablation, the MRC family) stream line addresses through
 //! [`stream_blocks`]. [`replay_group`] scores the accuracy drivers'
 //! cells against one shared three-C oracle per capacity and one
@@ -85,7 +89,7 @@ pub use table::Table;
 use cache_model::{CacheGeometry, CacheStats};
 use cpu_model::{CpuConfig, CpuReport, CpuRun, MemorySystem, OooModel};
 use mct::accuracy::AccuracyReport;
-use mct::EvictionClassifier;
+use mct::{EvictionClassifier, MissClassificationTable, TagBits};
 use trace_gen::{TraceEvent, TraceSource};
 
 use crate::arch::{Arch, System};
@@ -155,24 +159,113 @@ pub fn replay_group<T: EvictionClassifier>(
     members: Vec<(CacheGeometry, T)>,
     label: impl Fn(usize) -> String,
 ) -> Vec<AccuracyReport> {
-    let cells = members.len();
-    let fed = (events * cells) as u64;
-    probe::group(
-        cfg,
-        target,
-        || workload.name().to_owned(),
-        cells,
-        label,
-        |probes| {
-            let mut group = AccuracyGroup::new(members);
-            let _span = sim_core::span::enter("replay_stream");
-            sim_core::span::add_events(fed);
-            stream_blocks(workload, events, group.line_size(), |lines| {
-                group.observe_block(lines, probes);
-            });
-            group.finish()
-        },
+    let group = AccuracyGroup::new(members);
+    replay(cfg, target, workload, events, group, |i| (target, label(i)))
+}
+
+/// Streams `workload` once through `group`, as one cell of `target`
+/// in which cell `i` keeps its probe record under the target and
+/// label `name(i)`. Every cell counts its events, a repeated one too.
+fn replay<T: EvictionClassifier>(
+    cfg: &RunConfig,
+    target: &str,
+    workload: &workloads::Workload,
+    events: usize,
+    group: AccuracyGroup<T>,
+    name: impl Fn(usize) -> (&'static str, String),
+) -> Vec<AccuracyReport> {
+    let fed = (events * group.cells()) as u64;
+    let label = || workload.name().to_owned();
+    group.run(cfg, target, label, name, |group, probes| {
+        let _span = sim_core::span::enter("replay_stream");
+        sim_core::span::add_events(fed);
+        stream_blocks(workload, events, group.line_size(), |lines| {
+            group.observe_block(lines, probes);
+        });
+    })
+}
+
+/// Fig 1 and Fig 2 from one [`accuracy_pass`] per workload. A figure
+/// not asked for is `None` and adds no cells; [`fig1::run`] and
+/// [`fig2::run`] are the one-figure cases.
+///
+/// # Panics
+///
+/// Panics if neither figure is asked for.
+#[must_use]
+pub fn accuracy_figures(
+    cfg: &RunConfig,
+    events: usize,
+    fig1: bool,
+    fig2: bool,
+) -> (Option<fig1::Fig1>, Option<fig2::Fig2>) {
+    let mut per_workload: Vec<Vec<AccuracyReport>> = cfg.par_map(workloads::full_suite(), |w| {
+        accuracy_pass(cfg, &w, events, fig1, fig2)
+    });
+    let split = if fig1 {
+        fig1::configurations().len()
+    } else {
+        0
+    };
+    let second: Vec<Vec<AccuracyReport>> = per_workload
+        .iter_mut()
+        .map(|reports| reports.split_off(split))
+        .collect();
+    (
+        fig1.then(|| fig1::Fig1::from_reports(&per_workload, events)),
+        fig2.then(|| fig2::Fig2::from_reports(&second, events)),
     )
+}
+
+/// One workload's pass of [`accuracy_figures`]: the cells of the
+/// figures asked for are the members of one group replay, so the two
+/// figures share the trace, the 16 KB DM cache kernel and its oracle.
+/// Cells are keyed by geometry and tag width, so fig1's 16 KB DM cell
+/// and fig2's full-tag cell are one member. With both figures the pass
+/// is a cell of the target `fig1+fig2`, and each cell's probe record
+/// keeps its own figure and bytes. Returns fig1's reports, in
+/// [`fig1::configurations`] order, then fig2's, in [`fig2::widths`]
+/// order.
+///
+/// # Panics
+///
+/// Panics if neither figure is asked for.
+pub fn accuracy_pass(
+    cfg: &RunConfig,
+    workload: &workloads::Workload,
+    events: usize,
+    fig1: bool,
+    fig2: bool,
+) -> Vec<AccuracyReport> {
+    let mut names: Vec<(&'static str, String)> = Vec::new();
+    let mut keys: Vec<(CacheGeometry, TagBits)> = Vec::new();
+    if fig1 {
+        for (name, geom) in fig1::configurations() {
+            names.push(("fig1", name));
+            keys.push((geom, TagBits::Full));
+        }
+    }
+    if fig2 {
+        let geom = fig2::geometry();
+        for bits in fig2::widths() {
+            names.push(("fig2", bits.to_string()));
+            keys.push((geom, bits));
+        }
+    }
+    let members = keys
+        .iter()
+        .map(|&(geom, bits)| (geom, MissClassificationTable::new(geom.num_sets(), bits)))
+        .collect();
+    let group = AccuracyGroup::keyed(members, &keys);
+    let target = match (fig1, fig2) {
+        (true, true) => "fig1+fig2",
+        (true, false) => "fig1",
+        _ => "fig2",
+    };
+    replay(cfg, target, workload, events, group, |i| {
+        let (figure, cell) = &names[i];
+        (*figure, format!("{cell}/{}", workload.name()))
+    })
 }
 
 /// The seed all experiments use (workload identity is mixed in by the
@@ -214,7 +307,8 @@ pub fn replay_cpu(
     cell_label: impl Fn(usize) -> String,
 ) -> Vec<(CpuReport, System)> {
     let count = cells.len();
-    probe::group(cfg, target, label, count, cell_label, |probes| {
+    let names = |i| vec![(target, cell_label(i))];
+    probe::group(cfg, target, label, count, names, |probes| {
         let _span = sim_core::span::enter("replay_cpu");
         let mut runs: Vec<(CpuRun, System)> = cells
             .iter()

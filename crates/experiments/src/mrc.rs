@@ -239,7 +239,7 @@ fn workload_pass(
         "mrc",
         || workload.name().to_owned(),
         configs.len(),
-        |i| format!("{}/{}", configs[i].0, workload.name()),
+        |i| vec![("mrc", format!("{}/{}", configs[i].0, workload.name()))],
         |probes| {
             let mut engine = Engine::new(sample);
             let mut group = engine.group(crate::fig1::members(configs));

@@ -60,26 +60,36 @@ pub fn cell<R>(
     label: impl Fn() -> String,
     f: impl FnOnce() -> R,
 ) -> R {
-    group(cfg, target, &label, 1, |_| label(), |g| g.member(0, f))
+    group(
+        cfg,
+        target,
+        &label,
+        1,
+        |_| vec![(target, label())],
+        |g| g.member(0, f),
+    )
 }
 
-/// Runs a group cell: one body that advances `members` experiment
-/// cells together (group replay), inside one `cell_run` span scope
-/// labelled `label`.
+/// Runs a group cell: one body that advances `members` members
+/// together (group replay), inside one `cell_run` span scope of
+/// `target` labelled `label`. Member `i` stands for every
+/// `(target, label)` experiment cell in `cells(i)`: usually one, and
+/// more when several cells are one simulation, as fig1's 16 KB DM
+/// cell and fig2's full-tag cell are.
 ///
-/// Each member keeps its own probe record, labelled
-/// `member_label(i)`: the body installs member `i`'s sink around the
-/// work that belongs to that member with [`GroupProbe::member`]. A
-/// member's sink therefore sees exactly the events a standalone
-/// [`cell`] running that member alone would see, in the same order,
-/// and every record keeps its label and bytes. Labels are only
-/// invoked when probing or tracing.
+/// Each member keeps its own probe record: the body installs member
+/// `i`'s sink around the work that belongs to that member with
+/// [`GroupProbe::member`]. A member's sink therefore sees exactly the
+/// events a standalone [`cell`] running that member alone would see,
+/// in the same order, and its record is written once under each cell
+/// it stands for, with the same bytes. Cells are only listed when
+/// probing.
 pub fn group<R>(
     cfg: &RunConfig,
-    target: &'static str,
+    target: &str,
     label: impl Fn() -> String,
     members: usize,
-    member_label: impl Fn(usize) -> String,
+    cells: impl Fn(usize) -> Vec<(&'static str, String)>,
     f: impl FnOnce(&GroupProbe) -> R,
 ) -> R {
     sim_core::span::scope(
@@ -91,7 +101,7 @@ pub fn group<R>(
         || {
             let probes = GroupProbe::armed(cfg.probe(), members);
             let out = f(&probes);
-            probes.flush(target, &member_label);
+            probes.flush(&cells);
             out
         },
     )
@@ -138,8 +148,9 @@ impl GroupProbe {
     }
 
     /// Folds every member's sink into its record and attaches the
-    /// records to the group's span scope.
-    fn flush(self, target: &'static str, member_label: &dyn Fn(usize) -> String) {
+    /// record to the group's span scope once per cell the member
+    /// stands for.
+    fn flush(self, cells: &dyn Fn(usize) -> Vec<(&'static str, String)>) {
         for (i, sink) in self.sinks.into_iter().enumerate() {
             let unwrap = "member sink still installed";
             let (probe, raw) = match sink {
@@ -155,14 +166,26 @@ impl GroupProbe {
                 }
             };
             let _flush = sim_core::span::enter("probe_flush");
-            sim_core::span::attach(CellRecord {
+            let mut cells = cells(i).into_iter();
+            let Some((target, cell)) = cells.next() else {
+                continue;
+            };
+            let record = CellRecord {
                 target,
-                cell: member_label(i),
+                cell,
                 epochs: probe.epochs,
                 totals: probe.totals,
                 hot_sets: probe.hot_sets,
                 raw,
-            });
+            };
+            for (target, cell) in cells {
+                sim_core::span::attach(CellRecord {
+                    target,
+                    cell,
+                    ..record.clone()
+                });
+            }
+            sim_core::span::attach(record);
         }
     }
 }

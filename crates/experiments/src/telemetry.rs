@@ -78,7 +78,11 @@ pub fn trace_clock_ns() -> u64 {
 pub struct FigureBench {
     /// Target name (`fig1`, …, `ablation`).
     pub name: &'static str,
-    /// Wall time of the driver, seconds.
+    /// Wall time of the driver's pass, seconds. Figures that share
+    /// one pass (fig1 and fig2, run together) each report that whole
+    /// pass, as figures that run concurrently each report their
+    /// overlapping spans: the per-figure times can then add up to more
+    /// than the run's total.
     pub wall_seconds: f64,
     /// Trace events the driver simulated (cells × events/workload).
     pub events: u64,
