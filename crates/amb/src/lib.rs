@@ -16,6 +16,11 @@
 //! line). Multi-policy decisions use the *out-conflict* filter, per
 //! the paper.
 //!
+//! The AMB is the assist engine ([`assist_buffer::AssistSystem`])
+//! with every role switched on that its policy names; the victim
+//! cache, the next-line prefetcher and the bypass buffer are the same
+//! engine with one role each. This crate names it.
+//!
 //! The headline result this crate reproduces: the combined `VictPref`
 //! policy more than doubles the gain of any single policy with the
 //! same 8-entry buffer, and the do-everything `VicPreExc` becomes
@@ -43,673 +48,4 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use assist_buffer::{AssistBuffer, BufferPorts};
-use cache_model::{CacheGeometry, ConfigError};
-use cpu_model::{MemResponse, MemorySystem, Plumbing};
-use mct::{ClassifyingCache, MissClass, TagBits};
-use sim_core::probe;
-use sim_core::{Cycle, LineAddr};
-use trace_gen::MemoryAccess;
-
-/// The Figure 6 policy combinations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AmbPolicy {
-    /// Victim caching only (best single-policy variant: no swap on
-    /// conflict hits, fill on conflict evictions only).
-    Vict,
-    /// Next-line prefetching only (best variant: capacity misses
-    /// only).
-    Pref,
-    /// Cache exclusion only (best variant: exclude capacity misses).
-    Excl,
-    /// Victim-cache conflict misses, prefetch capacity misses — the
-    /// paper's best combination at 8 entries.
-    VictPref,
-    /// Prefetch and exclude capacity misses.
-    PrefExcl,
-    /// Victim-cache conflict misses, exclude capacity misses.
-    VictExcl,
-    /// Everything: victim conflicts, prefetch + exclude capacity —
-    /// the policy that wins with a 16-entry buffer.
-    VicPreExc,
-}
-
-impl AmbPolicy {
-    /// All policies in the paper's figure order.
-    pub const ALL: [AmbPolicy; 7] = [
-        AmbPolicy::Vict,
-        AmbPolicy::Pref,
-        AmbPolicy::Excl,
-        AmbPolicy::VictPref,
-        AmbPolicy::PrefExcl,
-        AmbPolicy::VictExcl,
-        AmbPolicy::VicPreExc,
-    ];
-
-    const fn victims(self) -> bool {
-        matches!(
-            self,
-            AmbPolicy::Vict | AmbPolicy::VictPref | AmbPolicy::VictExcl | AmbPolicy::VicPreExc
-        )
-    }
-
-    const fn prefetches(self) -> bool {
-        matches!(
-            self,
-            AmbPolicy::Pref | AmbPolicy::VictPref | AmbPolicy::PrefExcl | AmbPolicy::VicPreExc
-        )
-    }
-
-    const fn excludes(self) -> bool {
-        matches!(
-            self,
-            AmbPolicy::Excl | AmbPolicy::PrefExcl | AmbPolicy::VictExcl | AmbPolicy::VicPreExc
-        )
-    }
-}
-
-impl std::fmt::Display for AmbPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let name = match self {
-            AmbPolicy::Vict => "Vict",
-            AmbPolicy::Pref => "Pref",
-            AmbPolicy::Excl => "Excl",
-            AmbPolicy::VictPref => "VictPref",
-            AmbPolicy::PrefExcl => "PrefExcl",
-            AmbPolicy::VictExcl => "VictExcl",
-            AmbPolicy::VicPreExc => "VicPreExc",
-        };
-        f.write_str(name)
-    }
-}
-
-/// How a line entered the buffer (the "extra bits" of §5.5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Role {
-    /// Displaced from the cache by a conflict miss.
-    Victim,
-    /// Brought in by a next-line prefetch.
-    Prefetch,
-    /// Excluded from the cache on a capacity miss.
-    Exclusion,
-}
-
-/// Configuration of an [`AmbSystem`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AmbConfig {
-    /// The policy combination.
-    pub policy: AmbPolicy,
-    /// Buffer entries (8 in Figure 6's main result, 16 in the large
-    /// variant).
-    pub entries: usize,
-}
-
-impl AmbConfig {
-    /// The paper's 8-entry configuration.
-    #[must_use]
-    pub const fn new(policy: AmbPolicy) -> Self {
-        AmbConfig { policy, entries: 8 }
-    }
-
-    /// The 16-entry configuration.
-    #[must_use]
-    pub const fn large(policy: AmbPolicy) -> Self {
-        AmbConfig {
-            policy,
-            entries: 16,
-        }
-    }
-}
-
-/// The Figure 7 hit-rate components.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AmbStats {
-    /// Total accesses.
-    pub accesses: u64,
-    /// L1 hits.
-    pub d_hits: u64,
-    /// Buffer hits on victim-role entries.
-    pub victim_hits: u64,
-    /// Buffer hits on prefetch-role entries.
-    pub prefetch_hits: u64,
-    /// Buffer hits on exclusion-role entries.
-    pub exclusion_hits: u64,
-    /// Misses served from L2/memory.
-    pub demand_misses: u64,
-    /// Prefetches issued.
-    pub prefetches_issued: u64,
-    /// Prefetches dropped (MSHRs full).
-    pub prefetches_discarded: u64,
-}
-
-impl AmbStats {
-    fn rate(&self, n: u64) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            n as f64 / self.accesses as f64
-        }
-    }
-
-    /// L1 hit rate.
-    #[must_use]
-    pub fn d_hit_rate(&self) -> f64 {
-        self.rate(self.d_hits)
-    }
-
-    /// Victim-component buffer hit rate.
-    #[must_use]
-    pub fn victim_hit_rate(&self) -> f64 {
-        self.rate(self.victim_hits)
-    }
-
-    /// Prefetch-component buffer hit rate.
-    #[must_use]
-    pub fn prefetch_hit_rate(&self) -> f64 {
-        self.rate(self.prefetch_hits)
-    }
-
-    /// Exclusion-component buffer hit rate.
-    #[must_use]
-    pub fn exclusion_hit_rate(&self) -> f64 {
-        self.rate(self.exclusion_hits)
-    }
-
-    /// All buffer hits.
-    #[must_use]
-    pub fn buffer_hits(&self) -> u64 {
-        self.victim_hits + self.prefetch_hits + self.exclusion_hits
-    }
-
-    /// Combined hit rate (cache + buffer), the Figure 7 total.
-    #[must_use]
-    pub fn total_hit_rate(&self) -> f64 {
-        self.rate(self.d_hits + self.buffer_hits())
-    }
-
-    /// Miss rate after the buffer.
-    #[must_use]
-    pub fn effective_miss_rate(&self) -> f64 {
-        self.rate(self.demand_misses)
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct AmbMeta {
-    role: Role,
-    ready: Cycle,
-}
-
-/// The Adaptive Miss Buffer system: one classifying L1, one shared
-/// buffer, per-miss policy dispatch.
-#[derive(Debug)]
-pub struct AmbSystem {
-    cfg: AmbConfig,
-    l1: ClassifyingCache,
-    buffer: AssistBuffer<AmbMeta>,
-    ports: BufferPorts,
-    plumbing: Plumbing,
-    stats: AmbStats,
-}
-
-impl AmbSystem {
-    /// Creates the system over an explicit geometry and miss path.
-    #[must_use]
-    pub fn new(cfg: AmbConfig, l1_geometry: CacheGeometry, plumbing: Plumbing) -> Self {
-        AmbSystem {
-            cfg,
-            l1: ClassifyingCache::new(l1_geometry, TagBits::Full),
-            buffer: AssistBuffer::new(cfg.entries),
-            ports: BufferPorts::new(),
-            plumbing,
-            stats: AmbStats::default(),
-        }
-    }
-
-    /// The paper's 16 KB direct-mapped L1 over the default miss path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates geometry validation errors.
-    pub fn paper_default(cfg: AmbConfig) -> Result<Self, ConfigError> {
-        Ok(Self::new(
-            cfg,
-            CacheGeometry::new(16 * 1024, 1, 64)?,
-            Plumbing::paper_default()?,
-        ))
-    }
-
-    /// The Figure 7 counters.
-    #[must_use]
-    pub fn stats(&self) -> &AmbStats {
-        &self.stats
-    }
-
-    /// The configuration in use.
-    #[must_use]
-    pub fn config(&self) -> &AmbConfig {
-        &self.cfg
-    }
-
-    /// The shared miss path (L2 stats, demand-latency histogram).
-    #[must_use]
-    pub fn plumbing(&self) -> &Plumbing {
-        &self.plumbing
-    }
-
-    fn issue_prefetch(&mut self, line: LineAddr, now: Cycle) {
-        if self.l1.contains(line) || self.buffer.contains(line) {
-            return;
-        }
-        match self.plumbing.fetch_prefetch(line, now) {
-            None => self.stats.prefetches_discarded += 1,
-            Some(ready) => {
-                self.stats.prefetches_issued += 1;
-                let _ = self.ports.line_write(ready);
-                probe::emit(probe::ProbeEvent::AmbPartition {
-                    role: probe::AmbRole::Prefetch,
-                });
-                self.buffer.insert(
-                    line,
-                    AmbMeta {
-                        role: Role::Prefetch,
-                        ready,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Handles a buffer hit; returns when the data is available.
-    fn buffer_hit(
-        &mut self,
-        line: LineAddr,
-        meta: AmbMeta,
-        class: MissClass,
-        l1_done: Cycle,
-    ) -> Cycle {
-        let word = self.ports.word_read(l1_done);
-        let base_ready = word + self.plumbing.timings().buffer_extra;
-        let ready = match meta.role {
-            Role::Prefetch => base_ready.max(meta.ready),
-            _ => base_ready,
-        };
-        match meta.role {
-            Role::Victim => {
-                self.stats.victim_hits += 1;
-                if class == MissClass::Conflict {
-                    // Serve without swapping (the no-swap policy): the
-                    // line keeps its buffer slot.
-                    let _ = self.buffer.probe(line);
-                } else {
-                    // A capacity re-reference: promote into the cache.
-                    let _ = self.buffer.probe_remove(line);
-                    self.promote(line, class, ready);
-                }
-            }
-            Role::Prefetch => {
-                self.stats.prefetch_hits += 1;
-                if self.cfg.policy.excludes() {
-                    // §5.5: the hit leaves the line in the buffer but
-                    // marks it as an exclusion line.
-                    if let Some(m) = self.buffer.probe(line) {
-                        m.role = Role::Exclusion;
-                        probe::emit(probe::ProbeEvent::AmbPartition {
-                            role: probe::AmbRole::Exclusion,
-                        });
-                    }
-                } else {
-                    let _ = self.buffer.probe_remove(line);
-                    self.promote(line, class, ready);
-                }
-                if self.cfg.policy.prefetches() {
-                    self.issue_prefetch(line.next(), word);
-                }
-            }
-            Role::Exclusion => {
-                self.stats.exclusion_hits += 1;
-                // Exclusion lines stay until bumped.
-                let _ = self.buffer.probe(line);
-            }
-        }
-        ready
-    }
-
-    /// Moves a buffer line into the cache (a swap-like operation).
-    fn promote(&mut self, line: LineAddr, class: MissClass, at: Cycle) {
-        let start = self.ports.swap(at);
-        self.plumbing.l1_occupy(line, start, 2);
-        if let Some(evicted) = self.l1.fill(line, class.is_conflict()) {
-            if self.cfg.policy.victims() && class == MissClass::Conflict {
-                probe::emit(probe::ProbeEvent::AmbPartition {
-                    role: probe::AmbRole::Victim,
-                });
-                self.buffer.insert(
-                    evicted.line,
-                    AmbMeta {
-                        role: Role::Victim,
-                        ready: at,
-                    },
-                );
-            }
-        }
-    }
-}
-
-impl MemorySystem for AmbSystem {
-    #[inline]
-    fn access(&mut self, access: MemoryAccess, now: Cycle) -> MemResponse {
-        let line_size = self.l1.geometry().line_size();
-        let line = access.addr.line(line_size);
-        self.stats.accesses += 1;
-
-        let grant = self.plumbing.l1_grant(line, now);
-        let l1_done = grant + self.plumbing.timings().l1_latency;
-        if self.l1.probe(line).is_some() {
-            self.stats.d_hits += 1;
-            probe::emit(probe::ProbeEvent::Access { hit: true });
-            return MemResponse::at(l1_done);
-        }
-
-        // All multi-policy decisions use the out-conflict filter: the
-        // incoming miss's classification.
-        let class = self.l1.classify_miss(line);
-
-        if let Some(&meta) = self.buffer.peek(line) {
-            probe::emit(probe::ProbeEvent::Access { hit: true });
-            let ready = self.buffer_hit(line, meta, class, l1_done);
-            return MemResponse::at(ready);
-        }
-
-        self.stats.demand_misses += 1;
-        probe::emit(probe::ProbeEvent::Access { hit: false });
-        let ready = self.plumbing.fetch_demand(line, grant);
-
-        let exclude = self.cfg.policy.excludes() && class == MissClass::Capacity;
-        if self.cfg.policy.excludes() {
-            probe::emit(probe::ProbeEvent::Filter {
-                unit: probe::FilterUnit::AmbExclude,
-                fired: exclude,
-            });
-        }
-        if exclude {
-            let _ = self.ports.line_write(ready);
-            probe::emit(probe::ProbeEvent::AmbPartition {
-                role: probe::AmbRole::Exclusion,
-            });
-            self.buffer.insert(
-                line,
-                AmbMeta {
-                    role: Role::Exclusion,
-                    ready,
-                },
-            );
-            self.l1.note_bypass(line);
-        } else {
-            if let Some(evicted) = self.l1.fill(line, class.is_conflict()) {
-                let keep_victim = self.cfg.policy.victims() && class == MissClass::Conflict;
-                if self.cfg.policy.victims() {
-                    probe::emit(probe::ProbeEvent::Filter {
-                        unit: probe::FilterUnit::AmbVictim,
-                        fired: keep_victim,
-                    });
-                }
-                if keep_victim {
-                    let _ = self.ports.line_write(ready);
-                    probe::emit(probe::ProbeEvent::AmbPartition {
-                        role: probe::AmbRole::Victim,
-                    });
-                    self.buffer.insert(
-                        evicted.line,
-                        AmbMeta {
-                            role: Role::Victim,
-                            ready,
-                        },
-                    );
-                }
-            }
-        }
-        if self.cfg.policy.prefetches() {
-            probe::emit(probe::ProbeEvent::Filter {
-                unit: probe::FilterUnit::AmbPrefetch,
-                fired: class == MissClass::Capacity,
-            });
-            if class == MissClass::Capacity {
-                self.issue_prefetch(line.next(), grant);
-            }
-        }
-        MemResponse::at(ready)
-    }
-
-    fn label(&self) -> String {
-        format!("AMB {} ({} entries)", self.cfg.policy, self.cfg.entries)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use cpu_model::{BaselineSystem, CpuConfig, OooModel};
-    use sim_core::Addr;
-    use trace_gen::pattern::{SequentialSweep, SetConflict};
-    use trace_gen::{TraceEvent, TraceSource};
-
-    const CACHE: u64 = 16 * 1024;
-
-    fn run(cfg: AmbConfig, trace: Vec<TraceEvent>) -> (AmbSystem, cpu_model::CpuReport) {
-        let mut sys = AmbSystem::paper_default(cfg).unwrap();
-        let cpu = OooModel::new(CpuConfig::paper_default());
-        let report = cpu.run(&mut sys, trace);
-        (sys, report)
-    }
-
-    /// A workload with both miss classes: ping-pong conflicts plus a
-    /// work-heavy stream (the conditions of §5.5).
-    fn mixed(n: usize) -> Vec<TraceEvent> {
-        let mut pair = SetConflict::new(Addr::new(64), 2, CACHE, 1).with_work(7);
-        let mut stream = SequentialSweep::new(Addr::new(1 << 30), 512 * 1024, 8).with_work(7);
-        (0..n)
-            .map(|i| {
-                if i % 4 == 0 {
-                    pair.next_event()
-                } else {
-                    stream.next_event()
-                }
-            })
-            .collect()
-    }
-
-    #[test]
-    fn victim_component_covers_conflicts() {
-        let trace: Vec<_> = SetConflict::new(Addr::new(0), 2, CACHE, 1)
-            .with_work(4)
-            .take_events(2_000)
-            .collect();
-        let (sys, _) = run(AmbConfig::new(AmbPolicy::Vict), trace);
-        assert!(
-            sys.stats().victim_hit_rate() > 0.4,
-            "victim HR {}",
-            sys.stats().victim_hit_rate()
-        );
-        assert_eq!(sys.stats().prefetch_hits, 0);
-        assert_eq!(sys.stats().exclusion_hits, 0);
-    }
-
-    #[test]
-    fn prefetch_component_covers_streams() {
-        let trace: Vec<_> = SequentialSweep::new(Addr::new(0), 1 << 21, 64)
-            .with_work(4)
-            .take_events(4_000)
-            .collect();
-        let (sys, _) = run(AmbConfig::new(AmbPolicy::Pref), trace);
-        assert!(
-            sys.stats().prefetch_hit_rate() > 0.8,
-            "prefetch HR {}",
-            sys.stats().prefetch_hit_rate()
-        );
-    }
-
-    #[test]
-    fn exclusion_component_serves_bypassed_lines() {
-        // Streaming with 8 accesses per line: the first access
-        // excludes the line, the next seven hit it in the buffer.
-        let trace: Vec<_> = SequentialSweep::new(Addr::new(0), 1 << 20, 8)
-            .with_work(4)
-            .take_events(8_000)
-            .collect();
-        let (sys, _) = run(AmbConfig::new(AmbPolicy::Excl), trace);
-        assert!(
-            sys.stats().exclusion_hit_rate() > 0.5,
-            "exclusion HR {}",
-            sys.stats().exclusion_hit_rate()
-        );
-    }
-
-    #[test]
-    fn victpref_covers_both_miss_classes() {
-        let (sys, _) = run(AmbConfig::new(AmbPolicy::VictPref), mixed(16_000));
-        let s = sys.stats();
-        assert!(s.victim_hits > 100, "victim hits {}", s.victim_hits);
-        assert!(s.prefetch_hits > 100, "prefetch hits {}", s.prefetch_hits);
-    }
-
-    #[test]
-    fn figure6_combination_beats_singles() {
-        // The paper's headline: the combined policy outperforms every
-        // single policy on a workload with both miss classes.
-        let trace = mixed(24_000);
-        let cpu = OooModel::new(CpuConfig::paper_default());
-        let mut base = BaselineSystem::paper_default().unwrap();
-        let base_report = cpu.run(&mut base, trace.clone());
-
-        let gain = |policy| {
-            let (_, report) = run(AmbConfig::new(policy), trace.clone());
-            report.speedup_over(&base_report)
-        };
-        let vict = gain(AmbPolicy::Vict);
-        let pref = gain(AmbPolicy::Pref);
-        let excl = gain(AmbPolicy::Excl);
-        let victpref = gain(AmbPolicy::VictPref);
-        let best_single = vict.max(pref).max(excl);
-        assert!(
-            victpref > best_single,
-            "VictPref {victpref:.3} must beat singles (vict {vict:.3}, pref {pref:.3}, excl {excl:.3})"
-        );
-        assert!(
-            victpref > 1.05,
-            "VictPref should show a real gain, got {victpref:.3}"
-        );
-    }
-
-    #[test]
-    fn prefetch_hit_transitions_to_exclusion_role() {
-        let mut sys = AmbSystem::paper_default(AmbConfig::new(AmbPolicy::PrefExcl)).unwrap();
-        let pc = Addr::new(0);
-        // Capacity miss on line 0: excluded AND next line prefetched.
-        let r = sys.access(MemoryAccess::load(Addr::new(0), pc), Cycle::ZERO);
-        assert_eq!(sys.stats().prefetches_issued, 1);
-        // Hit the prefetched line: it stays in the buffer, now an
-        // exclusion line.
-        let r2 = sys.access(MemoryAccess::load(Addr::new(64), pc), r.ready + 200);
-        assert_eq!(sys.stats().prefetch_hits, 1);
-        let line1 = Addr::new(64).line(64);
-        assert!(sys.buffer.contains(line1));
-        assert_eq!(sys.buffer.peek(line1).unwrap().role, Role::Exclusion);
-        // And a further touch counts as an exclusion hit.
-        sys.access(MemoryAccess::load(Addr::new(64), pc), r2.ready + 10);
-        assert_eq!(sys.stats().exclusion_hits, 1);
-    }
-
-    #[test]
-    fn sixteen_entries_help_the_do_everything_policy() {
-        let trace = mixed(24_000);
-        let (small, small_report) = run(AmbConfig::new(AmbPolicy::VicPreExc), trace.clone());
-        let (large, large_report) = run(AmbConfig::large(AmbPolicy::VicPreExc), trace);
-        assert!(
-            large.stats().total_hit_rate() >= small.stats().total_hit_rate(),
-            "16-entry {} vs 8-entry {}",
-            large.stats().total_hit_rate(),
-            small.stats().total_hit_rate()
-        );
-        assert!(large_report.cycles <= small_report.cycles);
-    }
-
-    #[test]
-    fn out_conflict_dispatch_no_victim_fill_on_capacity_miss() {
-        let mut sys = AmbSystem::paper_default(AmbConfig::new(AmbPolicy::Vict)).unwrap();
-        let pc = Addr::new(0);
-        // Two capacity (compulsory) misses to the same set: the
-        // displaced line must NOT be victim-cached.
-        let r = sys.access(MemoryAccess::load(Addr::new(0), pc), Cycle::ZERO);
-        sys.access(MemoryAccess::load(Addr::new(CACHE), pc), r.ready);
-        assert_eq!(sys.buffer.len(), 0);
-    }
-
-    #[test]
-    fn victexcl_converges_to_buffer_service_for_ping_pong() {
-        // Under VictExcl, the ping-pong pair's *first* (compulsory)
-        // misses classify capacity and are excluded into the buffer,
-        // where constant re-hits keep them MRU — so the pair settles
-        // as exclusion lines and the victim path never needs to
-        // engage. The conflicts are covered all the same.
-        let (sys, _) = run(AmbConfig::new(AmbPolicy::VictExcl), mixed(16_000));
-        let s = sys.stats();
-        assert!(
-            s.exclusion_hits > 1_000,
-            "exclusion hits {}",
-            s.exclusion_hits
-        );
-        assert_eq!(s.prefetches_issued, 0);
-        assert!(
-            s.total_hit_rate() > 0.8,
-            "total hit rate {}",
-            s.total_hit_rate()
-        );
-    }
-
-    #[test]
-    fn victim_role_capacity_rereference_promotes_to_cache() {
-        let mut sys = AmbSystem::paper_default(AmbConfig::new(AmbPolicy::Vict)).unwrap();
-        let pc = Addr::new(0);
-        let mut t = Cycle::ZERO;
-        // Build a conflict so line 0 lands in the buffer as a victim:
-        // 0 -> CACHE (evicts 0? no: compulsory; no victim fill on
-        // capacity) ... force it: 0, CACHE, 0 (conflict, evicts CACHE
-        // with bit unset? out-conflict: class of miss on 0 is
-        // conflict => victim-cache the evicted line CACHE).
-        for addr in [0u64, CACHE, 0, CACHE] {
-            t = sys.access(MemoryAccess::load(Addr::new(addr), pc), t).ready + 1;
-        }
-        // One of the pair now sits in the buffer with the Victim role.
-        assert!(!sys.buffer.is_empty());
-        let buffered = sys.buffer.iter().next().map(|(l, _)| l).unwrap();
-        // Flood unrelated sets so the next miss on the buffered line
-        // classifies capacity (MCT entry overwritten by... same set
-        // is required; instead overwrite the MCT entry of its set
-        // with an unrelated third line).
-        let third = (buffered.raw() * 64) ^ (5 * CACHE);
-        t = sys
-            .access(MemoryAccess::load(Addr::new(third), pc), t)
-            .ready
-            + 1;
-        let before = sys.stats().victim_hits;
-        t = sys
-            .access(MemoryAccess::load(buffered.base_addr(64), pc), t)
-            .ready
-            + 1;
-        let _ = t;
-        // Buffer hit happened; whether it promoted depends on the
-        // classification, but the hit must be counted either way.
-        assert_eq!(sys.stats().victim_hits, before + 1);
-    }
-
-    #[test]
-    fn stats_components_are_disjoint() {
-        let (sys, _) = run(AmbConfig::new(AmbPolicy::VicPreExc), mixed(8_000));
-        let s = sys.stats();
-        assert_eq!(
-            s.accesses,
-            s.d_hits + s.victim_hits + s.prefetch_hits + s.exclusion_hits + s.demand_misses
-        );
-    }
-}
+pub use assist_buffer::{AmbPolicy, AssistConfig as AmbConfig, AssistSystem as AmbSystem};

@@ -2,32 +2,6 @@
 
 use sim_core::LineAddr;
 
-/// Probe/fill statistics for an assist buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BufferStats {
-    /// Probes that found the line.
-    pub hits: u64,
-    /// Probes that did not.
-    pub misses: u64,
-    /// Lines inserted.
-    pub fills: u64,
-    /// Lines displaced by fills.
-    pub evictions: u64,
-}
-
-impl BufferStats {
-    /// Hit fraction of all probes, or 0.0 before any probe.
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// A small fully-associative buffer with LRU replacement and per-entry
 /// metadata `M` (the entry's role, arrival time, use bit, …).
 ///
@@ -39,7 +13,6 @@ impl BufferStats {
 pub struct AssistBuffer<M> {
     capacity: usize,
     entries: Vec<(LineAddr, M)>,
-    stats: BufferStats,
 }
 
 impl<M> AssistBuffer<M> {
@@ -54,14 +27,7 @@ impl<M> AssistBuffer<M> {
         AssistBuffer {
             capacity,
             entries: Vec::with_capacity(capacity),
-            stats: BufferStats::default(),
         }
-    }
-
-    /// The buffer's capacity in lines.
-    #[must_use]
-    pub const fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Number of resident lines.
@@ -76,45 +42,24 @@ impl<M> AssistBuffer<M> {
         self.entries.is_empty()
     }
 
-    /// Probe/fill statistics.
-    #[must_use]
-    pub fn stats(&self) -> &BufferStats {
-        &self.stats
-    }
-
-    /// Looks up a line, refreshing its recency and recording hit/miss.
-    /// Returns the entry's metadata mutably on a hit.
+    /// Looks up a line, refreshing its recency. Returns the entry's
+    /// metadata mutably on a hit.
     pub fn probe(&mut self, line: LineAddr) -> Option<&mut M> {
-        match self.entries.iter().position(|(l, _)| *l == line) {
-            Some(pos) => {
-                self.stats.hits += 1;
-                let entry = self.entries.remove(pos);
-                self.entries.push(entry);
-                Some(&mut self.entries.last_mut().expect("just pushed").1)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+        let pos = self.entries.iter().position(|(l, _)| *l == line)?;
+        let entry = self.entries.remove(pos);
+        self.entries.push(entry);
+        Some(&mut self.entries.last_mut().expect("just pushed").1)
     }
 
     /// Looks up and **removes** a line (victim-cache swap / prefetch
-    /// promotion), recording hit/miss.
+    /// promotion). The search starts at the MRU end, where a line that
+    /// was just probed sits.
     pub fn probe_remove(&mut self, line: LineAddr) -> Option<M> {
-        match self.entries.iter().position(|(l, _)| *l == line) {
-            Some(pos) => {
-                self.stats.hits += 1;
-                Some(self.entries.remove(pos).1)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+        let pos = self.entries.iter().rposition(|(l, _)| *l == line)?;
+        Some(self.entries.remove(pos).1)
     }
 
-    /// Looks up without touching recency or statistics.
+    /// Looks up without touching recency.
     #[must_use]
     pub fn peek(&self, line: LineAddr) -> Option<&M> {
         self.entries
@@ -133,27 +78,18 @@ impl<M> AssistBuffer<M> {
     /// Inserting a resident line replaces its metadata and refreshes
     /// it (no eviction). Returns the displaced entry.
     pub fn insert(&mut self, line: LineAddr, meta: M) -> Option<(LineAddr, M)> {
-        self.stats.fills += 1;
         if let Some(pos) = self.entries.iter().position(|(l, _)| *l == line) {
             self.entries.remove(pos);
             self.entries.push((line, meta));
             return None;
         }
         let evicted = if self.entries.len() == self.capacity {
-            self.stats.evictions += 1;
             Some(self.entries.remove(0))
         } else {
             None
         };
         self.entries.push((line, meta));
         evicted
-    }
-
-    /// Removes a line without counting a probe, returning its
-    /// metadata.
-    pub fn remove(&mut self, line: LineAddr) -> Option<M> {
-        let pos = self.entries.iter().position(|(l, _)| *l == line)?;
-        Some(self.entries.remove(pos).1)
     }
 
     /// Iterates entries from LRU to MRU.
@@ -197,8 +133,6 @@ mod tests {
         assert_eq!(b.probe_remove(line(7)), Some(42));
         assert!(!b.contains(line(7)));
         assert_eq!(b.probe_remove(line(7)), None);
-        assert_eq!(b.stats().hits, 1);
-        assert_eq!(b.stats().misses, 1);
     }
 
     #[test]
@@ -217,11 +151,9 @@ mod tests {
     #[test]
     fn capacity_is_respected() {
         let mut b = AssistBuffer::new(8);
-        for n in 0..100 {
-            b.insert(line(n), n);
-        }
+        let evictions = (0..100).filter(|&n| b.insert(line(n), n).is_some()).count();
         assert_eq!(b.len(), 8);
-        assert_eq!(b.stats().evictions, 92);
+        assert_eq!(evictions, 92);
         // The survivors are the 8 most recent.
         for n in 92..100 {
             assert!(b.contains(line(n)));
@@ -237,15 +169,6 @@ mod tests {
         b.probe(line(5));
         let order: Vec<u64> = b.iter().map(|(l, _)| l.raw()).collect();
         assert_eq!(order, vec![6, 7, 5]);
-    }
-
-    #[test]
-    fn hit_rate_reflects_probes() {
-        let mut b = AssistBuffer::new(2);
-        b.insert(line(1), ());
-        b.probe(line(1));
-        b.probe(line(9));
-        assert!((b.stats().hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

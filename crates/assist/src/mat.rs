@@ -16,7 +16,7 @@ use sim_core::Addr;
 /// # Examples
 ///
 /// ```
-/// use exclusion::MemoryAccessTable;
+/// use assist_buffer::MemoryAccessTable;
 /// use sim_core::Addr;
 ///
 /// let mut mat = MemoryAccessTable::new(1024, 1024);

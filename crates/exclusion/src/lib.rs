@@ -16,6 +16,11 @@
 //! what the MCT labels capacity, while lines with conflict evidence
 //! have proven their worth in the set.
 //!
+//! The bypass buffer is one configuration of the assist engine
+//! ([`assist_buffer::AssistSystem`]): excluded lines stay in the
+//! buffer until bumped, and the buffer is probed before a miss is
+//! classified. This crate names it.
+//!
 //! # Examples
 //!
 //! ```
@@ -38,8 +43,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod mat;
-mod system;
-
-pub use mat::MemoryAccessTable;
-pub use system::{ExclusionConfig, ExclusionPolicy, ExclusionStats, ExclusionSystem};
+pub use assist_buffer::{
+    AssistConfig as ExclusionConfig, AssistSystem as ExclusionSystem, ExclusionPolicy,
+    MemoryAccessTable,
+};

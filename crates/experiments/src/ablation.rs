@@ -10,7 +10,7 @@
 //! * **buffer size** — the AMB's entry count around the paper's 8/16
 //!   points.
 
-use amb::AmbPolicy;
+use assist_buffer::AmbPolicy;
 use cpu_model::{CpuConfig, CpuReport};
 use mct::accuracy::AccuracyReport;
 use mct::{ShadowDirectory, TagBits};
@@ -117,7 +117,7 @@ fn depth_sweep(cfg: &RunConfig, events: usize) -> Vec<DepthPoint> {
 /// with each window of [`WINDOWS`].
 #[must_use]
 pub fn window_cells() -> Vec<(CpuConfig, Arch)> {
-    let victpref = Arch::new(Family::Amb(AmbPolicy::VictPref));
+    let victpref = Arch::new(Family::Assist(AmbPolicy::VictPref.into()));
     WINDOWS
         .iter()
         .flat_map(|&window| {
@@ -179,7 +179,7 @@ fn window_sweep(cfg: &RunConfig, events: usize) -> Vec<WindowPoint> {
 /// AMB at each size of [`BUFFERS`], on the paper's core.
 #[must_use]
 pub fn buffer_cells() -> Vec<(CpuConfig, Arch)> {
-    let amb = Arch::new(Family::Amb(AmbPolicy::VicPreExc));
+    let amb = Arch::new(Family::Assist(AmbPolicy::VicPreExc.into()));
     let sized = BUFFERS.map(|entries| amb.with_entries(entries).expect("an AMB has a buffer"));
     let cpu = CpuConfig::paper_default();
     [Arch::BASELINE]

@@ -23,20 +23,21 @@
 use std::fmt;
 use std::str::FromStr;
 
-use amb::{AmbConfig, AmbPolicy, AmbSystem};
+use assist_buffer::AssistPolicy::{Amb, Exclusion, NextLine, Victim};
+use assist_buffer::{
+    AmbPolicy, AssistConfig, AssistPolicy, AssistSystem, ExclusionPolicy, VictimPolicy,
+};
 use cache_model::{CacheGeometry, L2MemoryConfig};
 use conflict_remap::{CountPolicy, RemapSystem};
 use cpu_model::{
     BaselineSystem, CpuConfig, CpuReport, CpuRun, MemResponse, MemTimings, MemorySystem, OooModel,
     Plumbing,
 };
-use exclusion::{ExclusionConfig, ExclusionPolicy, ExclusionSystem};
 use mct::ConflictFilter;
-use prefetcher::{NextLineSystem, PrefetchConfig, RptConfig, RptSystem};
+use prefetcher::{RptConfig, RptSystem};
 use pseudo_assoc::{PseudoAssocSystem, PseudoConfig, PseudoPolicy};
 use sim_core::Cycle;
 use trace_gen::{MemoryAccess, TraceEvent};
-use victim_cache::{VictimConfig, VictimPolicy, VictimSystem};
 
 /// A cache-assist family with its policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,24 +46,20 @@ pub enum Family {
     Baseline,
     /// A 2-way L1 of the same size (§5.4's "true 2-way").
     TwoWay,
-    /// A victim cache (Figure 3).
-    Victim(VictimPolicy),
-    /// A next-line prefetcher, unfiltered or filtered (Figure 4).
-    Prefetch(Option<ConflictFilter>),
+    /// The assist engine as a victim cache (Figure 3), next-line
+    /// prefetcher (Figure 4), bypass buffer (Figure 5) or Adaptive
+    /// Miss Buffer (Figures 6 and 7).
+    Assist(AssistPolicy),
     /// A PC-indexed stride prefetcher, with or without MCT
     /// conflict-noise filtering.
     Rpt {
         /// Whether conflict misses skip the table update.
         filtered: bool,
     },
-    /// A cache-exclusion bypass buffer (Figure 5).
-    Exclusion(ExclusionPolicy),
     /// A pseudo-associative L1 (§5.4).
     Pseudo(PseudoPolicy),
     /// OS page remapping driven by a miss lookaside buffer.
     Remap(CountPolicy),
-    /// The Adaptive Miss Buffer (Figures 6 and 7).
-    Amb(AmbPolicy),
 }
 
 /// Every family with its spelling, in `--list-archs` order.
@@ -70,33 +67,33 @@ pub enum Family {
 const FAMILIES: [(&str, Family); 29] = [
     ("baseline", Family::Baseline),
     ("two-way", Family::TwoWay),
-    ("victim:traditional", Family::Victim(VictimPolicy::Traditional)),
-    ("victim:swaps", Family::Victim(VictimPolicy::FilterSwaps)),
-    ("victim:fills", Family::Victim(VictimPolicy::FilterFills)),
-    ("victim:both", Family::Victim(VictimPolicy::FilterBoth)),
-    ("prefetch:none", Family::Prefetch(None)),
-    ("prefetch:in", Family::Prefetch(Some(ConflictFilter::InConflict))),
-    ("prefetch:out", Family::Prefetch(Some(ConflictFilter::OutConflict))),
-    ("prefetch:and", Family::Prefetch(Some(ConflictFilter::AndConflict))),
-    ("prefetch:or", Family::Prefetch(Some(ConflictFilter::OrConflict))),
+    ("victim:traditional", Family::Assist(Victim(VictimPolicy::Traditional))),
+    ("victim:swaps", Family::Assist(Victim(VictimPolicy::FilterSwaps))),
+    ("victim:fills", Family::Assist(Victim(VictimPolicy::FilterFills))),
+    ("victim:both", Family::Assist(Victim(VictimPolicy::FilterBoth))),
+    ("prefetch:none", Family::Assist(NextLine(None))),
+    ("prefetch:in", Family::Assist(NextLine(Some(ConflictFilter::InConflict)))),
+    ("prefetch:out", Family::Assist(NextLine(Some(ConflictFilter::OutConflict)))),
+    ("prefetch:and", Family::Assist(NextLine(Some(ConflictFilter::AndConflict)))),
+    ("prefetch:or", Family::Assist(NextLine(Some(ConflictFilter::OrConflict)))),
     ("rpt", Family::Rpt { filtered: false }),
     ("rpt:filtered", Family::Rpt { filtered: true }),
-    ("exclusion:mat", Family::Exclusion(ExclusionPolicy::Mat)),
-    ("exclusion:conflict", Family::Exclusion(ExclusionPolicy::Conflict)),
-    ("exclusion:conflict-history", Family::Exclusion(ExclusionPolicy::ConflictHistory)),
-    ("exclusion:capacity", Family::Exclusion(ExclusionPolicy::Capacity)),
-    ("exclusion:capacity-history", Family::Exclusion(ExclusionPolicy::CapacityHistory)),
+    ("exclusion:mat", Family::Assist(Exclusion(ExclusionPolicy::Mat))),
+    ("exclusion:conflict", Family::Assist(Exclusion(ExclusionPolicy::Conflict))),
+    ("exclusion:conflict-history", Family::Assist(Exclusion(ExclusionPolicy::ConflictHistory))),
+    ("exclusion:capacity", Family::Assist(Exclusion(ExclusionPolicy::Capacity))),
+    ("exclusion:capacity-history", Family::Assist(Exclusion(ExclusionPolicy::CapacityHistory))),
     ("pseudo:lru", Family::Pseudo(PseudoPolicy::Lru)),
     ("pseudo:mct", Family::Pseudo(PseudoPolicy::ConflictBit)),
     ("remap:all", Family::Remap(CountPolicy::AllMisses)),
     ("remap:conflict", Family::Remap(CountPolicy::ConflictOnly)),
-    ("amb:vict", Family::Amb(AmbPolicy::Vict)),
-    ("amb:pref", Family::Amb(AmbPolicy::Pref)),
-    ("amb:excl", Family::Amb(AmbPolicy::Excl)),
-    ("amb:victpref", Family::Amb(AmbPolicy::VictPref)),
-    ("amb:prefexcl", Family::Amb(AmbPolicy::PrefExcl)),
-    ("amb:victexcl", Family::Amb(AmbPolicy::VictExcl)),
-    ("amb:vicpreexc", Family::Amb(AmbPolicy::VicPreExc)),
+    ("amb:vict", Family::Assist(Amb(AmbPolicy::Vict))),
+    ("amb:pref", Family::Assist(Amb(AmbPolicy::Pref))),
+    ("amb:excl", Family::Assist(Amb(AmbPolicy::Excl))),
+    ("amb:victpref", Family::Assist(Amb(AmbPolicy::VictPref))),
+    ("amb:prefexcl", Family::Assist(Amb(AmbPolicy::PrefExcl))),
+    ("amb:victexcl", Family::Assist(Amb(AmbPolicy::VictExcl))),
+    ("amb:vicpreexc", Family::Assist(Amb(AmbPolicy::VicPreExc))),
 ];
 
 /// The most buffer entries a spec may ask for: 4× the 256 lines of
@@ -109,11 +106,8 @@ impl Family {
     /// no buffer to size.
     const fn default_entries(self) -> Option<usize> {
         match self {
-            Family::Victim(policy) => Some(VictimConfig::new(policy).entries),
-            Family::Prefetch(_) => Some(PrefetchConfig::unfiltered().entries),
+            Family::Assist(policy) => Some(policy.default_entries()),
             Family::Rpt { .. } => Some(RptConfig::default_config().buffer_entries),
-            Family::Exclusion(policy) => Some(ExclusionConfig::new(policy).entries),
-            Family::Amb(policy) => Some(AmbConfig::new(policy).entries),
             Family::Baseline | Family::TwoWay | Family::Pseudo(_) | Family::Remap(_) => None,
         }
     }
@@ -204,15 +198,9 @@ impl Arch {
         match self.family {
             Family::Baseline => System::Baseline(BaselineSystem::new(l1, plumbing)),
             Family::TwoWay => System::Baseline(BaselineSystem::new(geometry(2), plumbing)),
-            Family::Victim(policy) => {
-                let mut cfg = VictimConfig::new(policy);
-                cfg.entries = entries;
-                System::Victim(VictimSystem::new(cfg, l1, plumbing))
-            }
-            Family::Prefetch(filter) => {
-                let mut cfg = filter.map_or(PrefetchConfig::unfiltered(), PrefetchConfig::filtered);
-                cfg.entries = entries;
-                System::Prefetch(NextLineSystem::new(cfg, l1, plumbing))
+            Family::Assist(policy) => {
+                let cfg = AssistConfig::new(policy).with_entries(entries);
+                System::Assist(AssistSystem::new(cfg, l1, plumbing))
             }
             Family::Rpt { filtered } => {
                 let mut cfg = RptConfig::default_config();
@@ -220,21 +208,11 @@ impl Arch {
                 cfg.buffer_entries = entries;
                 System::Rpt(RptSystem::new(cfg, l1, plumbing))
             }
-            Family::Exclusion(policy) => {
-                let mut cfg = ExclusionConfig::new(policy);
-                cfg.entries = entries;
-                System::Exclusion(ExclusionSystem::new(cfg, l1, plumbing))
-            }
             Family::Pseudo(policy) => {
                 let cfg = PseudoConfig::new(policy);
                 System::Pseudo(PseudoAssocSystem::new(cfg, l1, plumbing))
             }
             Family::Remap(policy) => System::Remap(RemapSystem::new(policy, l1, plumbing)),
-            Family::Amb(policy) => {
-                let mut cfg = AmbConfig::new(policy);
-                cfg.entries = entries;
-                System::Amb(AmbSystem::new(cfg, l1, plumbing))
-            }
         }
     }
 
@@ -309,20 +287,14 @@ impl FromStr for Arch {
 pub enum System {
     /// `baseline` and `two-way`.
     Baseline(BaselineSystem),
-    /// `victim:*`.
-    Victim(VictimSystem),
-    /// `prefetch:*`.
-    Prefetch(NextLineSystem),
+    /// `victim:*`, `prefetch:*`, `exclusion:*` and `amb:*`.
+    Assist(AssistSystem),
     /// `rpt` and `rpt:filtered`.
     Rpt(RptSystem),
-    /// `exclusion:*`.
-    Exclusion(ExclusionSystem),
     /// `pseudo:*`.
     Pseudo(PseudoAssocSystem),
     /// `remap:*`.
     Remap(RemapSystem),
-    /// `amb:*`.
-    Amb(AmbSystem),
 }
 
 /// Evaluates `$body` with `$s` bound to the concrete system inside
@@ -331,13 +303,10 @@ macro_rules! each_system {
     ($system:expr, $s:ident => $body:expr) => {
         match $system {
             System::Baseline($s) => $body,
-            System::Victim($s) => $body,
-            System::Prefetch($s) => $body,
+            System::Assist($s) => $body,
             System::Rpt($s) => $body,
-            System::Exclusion($s) => $body,
             System::Pseudo($s) => $body,
             System::Remap($s) => $body,
-            System::Amb($s) => $body,
         }
     };
 }
@@ -436,14 +405,9 @@ mod tests {
 
     #[test]
     fn build_honours_entries_and_bus() {
-        let System::Amb(amb) = Arch::new(Family::Amb(AmbPolicy::Vict))
-            .with_entries(3)
-            .unwrap()
-            .build()
-        else {
-            panic!("amb:vict builds an AMB");
-        };
-        assert_eq!(amb.config().entries, 3);
+        let amb = Arch::new(Family::Assist(Amb(AmbPolicy::Vict)));
+        let label = amb.with_entries(3).unwrap().build().label();
+        assert_eq!(label, "AMB Vict (3 entries)");
         let gcc = workloads::by_name("gcc").unwrap();
         let cycles = |spec: &str| {
             let arch: Arch = spec.parse().unwrap();

@@ -6,8 +6,8 @@
 //! 2.6% of accesses; filtering swaps cuts swaps from 1.7% to 0.1%
 //! while shifting hits from the cache to the buffer.
 
+use assist_buffer::{AssistStats, VictimPolicy};
 use sim_core::stats::GeoMean;
-use victim_cache::{VictimPolicy, VictimStats};
 use workloads::suite;
 
 use crate::arch::{Arch, Family, System};
@@ -24,7 +24,7 @@ pub struct PolicyResult {
     /// Geometric-mean speedup.
     pub mean_speedup: f64,
     /// Suite-aggregated Table 1 counters.
-    pub stats: VictimStats,
+    pub stats: AssistStats,
 }
 
 /// The Figure 3 + Table 1 reproduction.
@@ -42,7 +42,7 @@ pub struct Fig3 {
 /// per policy in the paper's bar order.
 #[must_use]
 pub fn cells() -> Vec<Arch> {
-    let victims = VictimPolicy::ALL.map(|policy| Arch::new(Family::Victim(policy)));
+    let victims = VictimPolicy::ALL.map(|policy| Arch::new(Family::Assist(policy.into())));
     [Arch::BASELINE].into_iter().chain(victims).collect()
 }
 
@@ -57,7 +57,7 @@ pub fn simulated_events(events: usize) -> u64 {
 #[must_use]
 pub fn run(cfg: &RunConfig, events: usize) -> Fig3 {
     let passes = crate::policy_passes(cfg, "fig3", events, &cells(), |system| match system {
-        System::Victim(s) => *s.stats(),
+        System::Assist(s) => *s.stats(),
         _ => unreachable!("fig3's policy cells are victim caches"),
     });
     let policies = VictimPolicy::ALL
@@ -66,17 +66,13 @@ pub fn run(cfg: &RunConfig, events: usize) -> Fig3 {
         .map(|(k, &policy)| {
             let mut speedups = Vec::new();
             let mut mean = GeoMean::default();
-            let mut agg = VictimStats::default();
+            let mut agg = AssistStats::default();
             for (w, pass) in suite().iter().zip(&passes) {
                 let (report, st) = &pass.policies[k];
                 let s = report.speedup_over(&pass.base);
                 mean.push(s);
                 speedups.push((w.name().to_owned(), s));
-                agg.accesses += st.accesses;
-                agg.d_hits += st.d_hits;
-                agg.v_hits += st.v_hits;
-                agg.swaps += st.swaps;
-                agg.fills += st.fills;
+                agg += *st;
             }
             PolicyResult {
                 policy,
@@ -151,7 +147,7 @@ impl std::fmt::Display for Fig3 {
             tab.row(vec![
                 p.policy.to_string(),
                 pct(p.stats.d_hit_rate()),
-                pct(p.stats.v_hit_rate()),
+                pct(p.stats.victim_hit_rate()),
                 pct(p.stats.total_hit_rate()),
                 pct(p.stats.swap_rate()),
                 pct(p.stats.fill_rate()),

@@ -6,8 +6,8 @@
 //! little coverage loss; speedups are small ("the performance
 //! advantage is not significant").
 
+use assist_buffer::{AssistPolicy, AssistStats};
 use mct::ConflictFilter;
-use prefetcher::PrefetchStats;
 use sim_core::stats::GeoMean;
 use workloads::suite;
 
@@ -21,7 +21,7 @@ pub struct StrategyResult {
     /// `None` = conventional (unfiltered) next-line prefetching.
     pub filter: Option<ConflictFilter>,
     /// Suite-aggregated effectiveness counters.
-    pub stats: PrefetchStats,
+    pub stats: AssistStats,
     /// Geometric-mean speedup over no prefetching (slow bus).
     pub mean_speedup: f64,
 }
@@ -50,7 +50,7 @@ pub fn strategies() -> Vec<Option<ConflictFilter>> {
 pub fn cells() -> Vec<Arch> {
     let prefetchers = strategies()
         .into_iter()
-        .map(|filter| Arch::new(Family::Prefetch(filter)));
+        .map(|filter| Arch::new(Family::Assist(AssistPolicy::NextLine(filter))));
     [Arch::BASELINE]
         .into_iter()
         .chain(prefetchers)
@@ -69,26 +69,19 @@ pub fn simulated_events(events: usize) -> u64 {
 #[must_use]
 pub fn run(cfg: &RunConfig, events: usize) -> Fig4 {
     let passes = crate::policy_passes(cfg, "fig4", events, &cells(), |system| match system {
-        System::Prefetch(s) => *s.stats(),
+        System::Assist(s) => *s.stats(),
         _ => unreachable!("fig4's policy cells are next-line prefetchers"),
     });
     let strategies = strategies()
         .into_iter()
         .enumerate()
         .map(|(k, filter)| {
-            let mut agg = PrefetchStats::default();
+            let mut agg = AssistStats::default();
             let mut mean = GeoMean::default();
             for pass in &passes {
                 let (report, s) = &pass.policies[k];
                 mean.push(report.speedup_over(&pass.base));
-                agg.accesses += s.accesses;
-                agg.d_hits += s.d_hits;
-                agg.buffer_hits += s.buffer_hits;
-                agg.demand_misses += s.demand_misses;
-                agg.issued += s.issued;
-                agg.wasted += s.wasted;
-                agg.discarded += s.discarded;
-                agg.filtered += s.filtered;
+                agg += *s;
             }
             StrategyResult {
                 filter,

@@ -5,7 +5,7 @@
 //! the best performance, beating both the MAT and the more complex
 //! MCT variants, with a higher overall hit rate.
 
-use exclusion::{ExclusionPolicy, ExclusionStats};
+use assist_buffer::{AssistStats, ExclusionPolicy};
 use sim_core::stats::GeoMean;
 use workloads::suite;
 
@@ -19,7 +19,7 @@ pub struct PolicyResult {
     /// The policy.
     pub policy: ExclusionPolicy,
     /// Suite-aggregated counters.
-    pub stats: ExclusionStats,
+    pub stats: AssistStats,
     /// Geometric-mean speedup over the no-buffer baseline.
     pub mean_speedup: f64,
 }
@@ -39,7 +39,7 @@ pub struct Fig5 {
 /// per exclusion policy in the paper's bar order.
 #[must_use]
 pub fn cells() -> Vec<Arch> {
-    let buffers = ExclusionPolicy::ALL.map(|policy| Arch::new(Family::Exclusion(policy)));
+    let buffers = ExclusionPolicy::ALL.map(|policy| Arch::new(Family::Assist(policy.into())));
     [Arch::BASELINE].into_iter().chain(buffers).collect()
 }
 
@@ -54,23 +54,19 @@ pub fn simulated_events(events: usize) -> u64 {
 #[must_use]
 pub fn run(cfg: &RunConfig, events: usize) -> Fig5 {
     let passes = crate::policy_passes(cfg, "fig5", events, &cells(), |system| match system {
-        System::Exclusion(s) => *s.stats(),
+        System::Assist(s) => *s.stats(),
         _ => unreachable!("fig5's policy cells are exclusion buffers"),
     });
     let policies = ExclusionPolicy::ALL
         .iter()
         .enumerate()
         .map(|(k, &policy)| {
-            let mut agg = ExclusionStats::default();
+            let mut agg = AssistStats::default();
             let mut mean = GeoMean::default();
             for pass in &passes {
                 let (report, s) = &pass.policies[k];
                 mean.push(report.speedup_over(&pass.base));
-                agg.accesses += s.accesses;
-                agg.d_hits += s.d_hits;
-                agg.buffer_hits += s.buffer_hits;
-                agg.demand_misses += s.demand_misses;
-                agg.excluded += s.excluded;
+                agg += *s;
             }
             PolicyResult {
                 policy,
@@ -114,7 +110,7 @@ impl std::fmt::Display for Fig5 {
             table.row(vec![
                 p.policy.to_string(),
                 pct(p.stats.d_hit_rate()),
-                pct(p.stats.buffer_hit_rate()),
+                pct(p.stats.exclusion_hit_rate()),
                 pct(p.stats.total_hit_rate()),
                 p.stats.excluded.to_string(),
                 speedup(p.mean_speedup),

@@ -7,7 +7,7 @@
 //! optimization, with a ~1.4× average miss-rate improvement over the
 //! best single policy.
 
-use amb::{AmbPolicy, AmbStats};
+use assist_buffer::{AmbPolicy, AssistStats};
 use sim_core::stats::GeoMean;
 use workloads::suite;
 
@@ -25,7 +25,7 @@ pub struct PolicyResult {
     /// Geometric-mean speedup over the no-buffer baseline.
     pub mean_speedup: f64,
     /// Suite-aggregated Figure 7 components.
-    pub stats: AmbStats,
+    pub stats: AssistStats,
 }
 
 /// The Figures 6 + 7 reproduction.
@@ -52,7 +52,7 @@ fn points() -> impl Iterator<Item = (usize, AmbPolicy)> {
 #[must_use]
 pub fn cells() -> Vec<Arch> {
     let buffers = points().map(|(entries, policy)| {
-        Arch::new(Family::Amb(policy))
+        Arch::new(Family::Assist(policy.into()))
             .with_entries(entries)
             .expect("an AMB has a buffer")
     });
@@ -70,25 +70,18 @@ pub fn simulated_events(events: usize) -> u64 {
 #[must_use]
 pub fn run(cfg: &RunConfig, events: usize) -> Fig6 {
     let passes = crate::policy_passes(cfg, "fig6", events, &cells(), |system| match system {
-        System::Amb(s) => *s.stats(),
+        System::Assist(s) => *s.stats(),
         _ => unreachable!("fig6's policy cells are AMBs"),
     });
     let results = points()
         .enumerate()
         .map(|(k, (entries, policy))| {
             let mut mean = GeoMean::default();
-            let mut agg = AmbStats::default();
+            let mut agg = AssistStats::default();
             for pass in &passes {
                 let (report, s) = &pass.policies[k];
                 mean.push(report.speedup_over(&pass.base));
-                agg.accesses += s.accesses;
-                agg.d_hits += s.d_hits;
-                agg.victim_hits += s.victim_hits;
-                agg.prefetch_hits += s.prefetch_hits;
-                agg.exclusion_hits += s.exclusion_hits;
-                agg.demand_misses += s.demand_misses;
-                agg.prefetches_issued += s.prefetches_issued;
-                agg.prefetches_discarded += s.prefetches_discarded;
+                agg += *s;
             }
             PolicyResult {
                 policy,

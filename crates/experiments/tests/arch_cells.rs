@@ -170,7 +170,7 @@ fn fig5_cell_matches_sim() {
 fn fig6_cell_matches_sim() {
     let fig = fig6::run(&cfg(), EVENTS);
     let result = fig
-        .result(amb::AmbPolicy::VicPreExc, 16)
+        .result(assist_buffer::AmbPolicy::VicPreExc, 16)
         .expect("VicPreExc-16");
     assert_eq!(
         sim_speedup("amb:vicpreexc,entries=16", "baseline", None),

@@ -304,13 +304,10 @@ fn archs() -> Vec<Arch> {
 fn counters(system: &System) -> String {
     match system {
         System::Baseline(s) => format!("{:?}", s.l1_stats()),
-        System::Victim(s) => format!("{:?}", s.stats()),
-        System::Prefetch(s) => format!("{:?}", s.stats()),
+        System::Assist(s) => format!("{:?}", s.stats()),
         System::Rpt(s) => format!("{:?}", s.stats()),
-        System::Exclusion(s) => format!("{:?}", s.stats()),
         System::Pseudo(s) => format!("{:?}", s.stats()),
         System::Remap(s) => format!("{:?}", s.stats()),
-        System::Amb(s) => format!("{:?}", s.stats()),
     }
 }
 

@@ -11,7 +11,10 @@
 //! Two prefetchers are provided:
 //!
 //! * [`NextLineSystem`] — the paper's subject: prefetch line+1 on a
-//!   miss, optionally filtered by any [`mct::ConflictFilter`];
+//!   miss, optionally filtered by any [`mct::ConflictFilter`]. It is
+//!   one configuration of the assist engine
+//!   ([`assist_buffer::AssistSystem`]): prefetched lines wait in the
+//!   buffer and move into the L1 on their first hit;
 //! * [`RptSystem`] — a Chen & Baer reference prediction table (stride)
 //!   prefetcher, the "more sophisticated" comparison point the paper
 //!   mentions; it must be read and updated on *every* access, which is
@@ -40,8 +43,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod next_line;
 mod rpt;
 
-pub use next_line::{NextLineSystem, PrefetchConfig, PrefetchStats};
+pub use assist_buffer::{AssistConfig as PrefetchConfig, AssistSystem as NextLineSystem};
 pub use rpt::{RptConfig, RptSystem};

@@ -6,14 +6,12 @@
 //! next-line scheme, the RPT must be read and updated on **every**
 //! memory access — the hardware cost the MCT-based filter avoids.
 
-use assist_buffer::{AssistBuffer, BufferPorts};
+use assist_buffer::{AssistBuffer, AssistStats, BufferPorts};
 use cache_model::{CacheGeometry, ConfigError};
 use cpu_model::{MemResponse, MemorySystem, Plumbing};
 use mct::{ClassifyingCache, MissClass, TagBits};
 use sim_core::{Cycle, LineAddr};
 use trace_gen::MemoryAccess;
-
-use crate::PrefetchStats;
 
 /// RPT entry states (Chen & Baer).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,7 +83,7 @@ pub struct RptSystem {
     buffer: AssistBuffer<Cycle>,
     ports: BufferPorts,
     plumbing: Plumbing,
-    stats: PrefetchStats,
+    stats: AssistStats,
 }
 
 impl RptSystem {
@@ -99,7 +97,7 @@ impl RptSystem {
             buffer: AssistBuffer::new(cfg.buffer_entries),
             ports: BufferPorts::new(),
             plumbing,
-            stats: PrefetchStats::default(),
+            stats: AssistStats::default(),
         }
     }
 
@@ -118,7 +116,7 @@ impl RptSystem {
 
     /// The effectiveness counters.
     #[must_use]
-    pub fn stats(&self) -> &PrefetchStats {
+    pub fn stats(&self) -> &AssistStats {
         &self.stats
     }
 
@@ -208,7 +206,7 @@ impl MemorySystem for RptSystem {
             self.stats.d_hits += 1;
             MemResponse::at(l1_done)
         } else if let Some(arrival) = self.buffer.probe_remove(line) {
-            self.stats.buffer_hits += 1;
+            self.stats.prefetch_hits += 1;
             let word = self.ports.word_read(l1_done);
             let ready = (word + self.plumbing.timings().buffer_extra).max(arrival);
             let promote = self.ports.line_read(ready);

@@ -31,12 +31,16 @@
 //!
 //! A waiver covers its own line and the line after it, so it works
 //! both trailing a statement and as the comment line above one.
+//!
+//! `simlint loc` prints non-test code lines per crate ([`loc`]), on
+//! the same lexer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod items;
 pub mod lexer;
+pub mod loc;
 pub mod rules;
 
 use std::collections::BTreeMap;
@@ -359,7 +363,7 @@ fn apply_waivers(
 }
 
 /// Whether a path is test/bench/example context in its entirety.
-fn test_context_path(path: &str) -> bool {
+pub(crate) fn test_context_path(path: &str) -> bool {
     path.starts_with("tests/")
         || path.contains("/tests/")
         || path.contains("/benches/")

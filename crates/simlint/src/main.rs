@@ -2,13 +2,15 @@
 //!
 //! ```text
 //! simlint [--json] [--root PATH]
+//! simlint loc [--files] [--root PATH]
 //! ```
 //!
 //! Scans the workspace's Rust sources (skipping `vendor/`, `target/`,
 //! and test fixtures) against the rule set in [`simlint::rules`].
 //! Exits 0 on a clean tree, 1 when findings remain, 2 on usage or I/O
 //! errors. `--json` emits the `lint-repro/2` JSONL document instead of
-//! human diagnostics.
+//! human diagnostics. `loc` prints non-test code lines per crate (per
+//! file with `--files`) and exits 0.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -18,8 +20,11 @@ use std::process::ExitCode;
 fn usage_text() -> String {
     format!(
         "usage: simlint [--json] [--root PATH]\n\
+         \u{20}      simlint loc [--files] [--root PATH]\n\
          \n\
          --json        machine-readable output (schema {})\n\
+         loc           non-test code lines per crate\n\
+         --files       with loc: one row per file\n\
          --root PATH   workspace root to scan (default: nearest ancestor\n\
          \u{20}             of the current directory with a [workspace] manifest)",
         simlint::SCHEMA,
@@ -70,11 +75,18 @@ fn find_workspace_root() -> Option<PathBuf> {
 
 fn main() -> ExitCode {
     let mut json = false;
+    let mut loc = false;
+    let mut files = false;
     let mut root: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
+    let mut args = std::env::args().skip(1).peekable();
+    if args.peek().is_some_and(|arg| arg == "loc") {
+        loc = true;
+        args.next();
+    }
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => json = true,
+            "--json" if !loc => json = true,
+            "--files" if loc => files = true,
             "--root" => match args.next() {
                 Some(path) => root = Some(PathBuf::from(path)),
                 None => return usage(),
@@ -91,6 +103,18 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
 
+    if loc {
+        return match simlint::loc::report(&root, files) {
+            Ok(table) => {
+                print!("{table}");
+                ExitCode::SUCCESS
+            }
+            Err(msg) => {
+                eprintln!("simlint: {msg}");
+                ExitCode::from(2)
+            }
+        };
+    }
     match simlint::lint_workspace(&root) {
         Ok(report) => {
             if json {

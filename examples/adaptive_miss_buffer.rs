@@ -39,12 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "policy", "speedup", "D$ %", "victim%", "prefetch%", "exclusion%", "miss%"
         );
         for policy in AmbPolicy::ALL {
-            let cfg = if entries == 8 {
-                AmbConfig::new(policy)
-            } else {
-                AmbConfig::large(policy)
-            };
-            let mut sys = AmbSystem::paper_default(cfg)?;
+            let mut sys = AmbSystem::paper_default(AmbConfig::new(policy).with_entries(entries))?;
             let report = cpu.run(&mut sys, trace());
             let s = sys.stats();
             println!(

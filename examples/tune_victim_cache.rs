@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             policy.to_string(),
             report.speedup_over(&base),
             100.0 * s.d_hit_rate(),
-            100.0 * s.v_hit_rate(),
+            100.0 * s.victim_hit_rate(),
             100.0 * s.total_hit_rate(),
             100.0 * s.swap_rate(),
             100.0 * s.fill_rate(),
@@ -54,10 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nbuffer-size sweep (filter both):");
     println!("{:<8} {:>8} {:>8}", "entries", "speedup", "total%");
     for entries in [2usize, 4, 8, 16, 32] {
-        let cfg = VictimConfig {
-            entries,
-            ..VictimConfig::new(VictimPolicy::FilterBoth)
-        };
+        let cfg = VictimConfig::new(VictimPolicy::FilterBoth).with_entries(entries);
         let mut sys = VictimSystem::new(
             cfg,
             CacheGeometry::new(16 * 1024, 1, 64)?,

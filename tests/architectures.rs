@@ -2,13 +2,11 @@
 //! on the real workload suite under one CPU model, with invariants
 //! that must hold regardless of policy.
 
-use amb::{AmbConfig, AmbPolicy, AmbSystem};
 use cpu_model::{BaselineSystem, CpuConfig, CpuReport, MemResponse, MemorySystem, OooModel};
 use experiments::arch::{Arch, System};
-use prefetcher::{NextLineSystem, PrefetchConfig};
 use pseudo_assoc::{PseudoAssocSystem, PseudoConfig, PseudoPolicy};
 use sim_core::Cycle;
-use trace_gen::TraceEvent;
+use trace_gen::{TraceEvent, TraceSource};
 
 const EVENTS: usize = 20_000;
 
@@ -126,27 +124,19 @@ fn two_way_never_loses_to_direct_mapped_on_conflict_codes() {
     }
 }
 
-/// On a suite workload, the AMB with a single policy behaves like the
-/// corresponding standalone architecture in hit-rate terms.
+/// The AMB with its exclusion policy alone is the 8-entry capacity
+/// bypass buffer: the two differ only in when a miss is classified,
+/// which no timing reads, so their cycles are equal on every workload.
 #[test]
 fn amb_single_policies_track_standalone_architectures() {
-    let trace = workload_trace("swim");
     let cpu = OooModel::new(CpuConfig::paper_default());
-
-    // Pref single vs standalone next-line (both capacity-filtered in
-    // the AMB's case; swim is almost all capacity misses, so the
-    // filter is a no-op).
-    let mut amb = AmbSystem::paper_default(AmbConfig::new(AmbPolicy::Pref)).unwrap();
-    let _ = cpu.run(&mut amb, trace.iter().copied());
-    let mut standalone = NextLineSystem::paper_default(PrefetchConfig::unfiltered()).unwrap();
-    let _ = cpu.run(&mut standalone, trace.iter().copied());
-
-    let amb_cover = amb.stats().prefetch_hit_rate();
-    let standalone_cover = standalone.stats().buffer_hits as f64 / amb.stats().accesses as f64;
-    assert!(
-        (amb_cover - standalone_cover).abs() < 0.05,
-        "AMB Pref {amb_cover} vs standalone {standalone_cover}"
-    );
+    let amb: Arch = "amb:excl".parse().unwrap();
+    let bypass: Arch = "exclusion:capacity,entries=8".parse().unwrap();
+    for w in workloads::full_suite() {
+        let trace: Vec<TraceEvent> = w.source(1).take_events(4_000).collect();
+        let cycles = |arch: Arch| cpu.run(&mut arch.build(), trace.iter().copied()).cycles;
+        assert_eq!(cycles(amb), cycles(bypass), "{}", w.name());
+    }
 }
 
 /// The pseudo-associative cache's miss rate sits between direct-mapped
