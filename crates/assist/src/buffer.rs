@@ -107,6 +107,15 @@ mod tests {
     }
 
     #[test]
+    fn full_buffer_displaces_its_lru_entry() {
+        let mut buf: AssistBuffer<&str> = AssistBuffer::new(2);
+        buf.insert(line(1), "victim");
+        buf.insert(line(2), "prefetch");
+        let evicted = buf.insert(line(3), "bypass").unwrap();
+        assert_eq!(evicted, (line(1), "victim")); // LRU out
+    }
+
+    #[test]
     fn probe_hit_refreshes_recency() {
         let mut b = AssistBuffer::new(2);
         b.insert(line(1), ());

@@ -127,7 +127,8 @@ impl std::fmt::Display for AmbPolicy {
     }
 }
 
-/// One of the paper's four assist studies, with its policy.
+/// One of the paper's four assist studies, or §5.2's stride
+/// prefetcher, with its policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AssistPolicy {
     /// A victim cache (§5.1, Figure 3).
@@ -139,6 +140,17 @@ pub enum AssistPolicy {
     Exclusion(ExclusionPolicy),
     /// The Adaptive Miss Buffer (§5.5, Figures 6 and 7).
     Amb(AmbPolicy),
+    /// A Chen & Baer stride prefetcher, the "more sophisticated"
+    /// comparison point of §5.2.
+    Rpt {
+        /// The paper's suggestion that the RPT "can potentially
+        /// benefit from miss classification by removing the noise
+        /// from the access stream created by the conflict misses": an
+        /// access about to miss as a conflict skips the table update,
+        /// so a contended structure cannot corrupt the stride state of
+        /// the streams sharing its PC.
+        filtered: bool,
+    },
 }
 
 impl AssistPolicy {
@@ -188,7 +200,8 @@ pub(crate) enum Hit {
 /// The buffer ports a promotion into the L1 reserves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PromotePort {
-    /// One read port for a line (the next-line prefetcher).
+    /// One read port for a line (the next-line and stride
+    /// prefetchers).
     LineRead,
     /// A read and a write port, as a swap with the L1 takes. The AMB
     /// reserves this for a promoted prefetch too, whose write port
@@ -216,13 +229,21 @@ impl Fill {
     }
 }
 
-/// Whether a demand miss prefetches the next line.
+/// Where prefetches come from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Prefetch {
     Never,
-    Always,
-    /// Unless the filter fires on the miss and the evicted line's bit.
-    Unless(ConflictFilter),
+    /// The next line, on every demand miss and every prefetch hit.
+    NextLine,
+    /// The same, but a demand miss skips it when the filter fires on
+    /// the miss and the evicted line's bit.
+    NextLineUnless(ConflictFilter),
+    /// The stride table's prediction, updated on every access; when
+    /// `filtered`, an access about to miss as a conflict skips the
+    /// update.
+    Stride {
+        filtered: bool,
+    },
 }
 
 /// Whether a demand miss bypasses the L1 into the buffer.
@@ -313,7 +334,7 @@ impl AssistConfig {
             }
             AssistPolicy::NextLine(filter) => {
                 cfg.promote_port = PromotePort::LineRead;
-                cfg.prefetch = filter.map_or(Prefetch::Always, Prefetch::Unless);
+                cfg.prefetch = filter.map_or(Prefetch::NextLine, Prefetch::NextLineUnless);
                 cfg.probes.prefetch = filter.map(|_| FilterUnit::Prefetch);
             }
             AssistPolicy::Exclusion(p) => {
@@ -338,13 +359,17 @@ impl AssistConfig {
                     cfg.probes.fill = Some(FilterUnit::AmbVictim);
                 }
                 if matches!(p, Pref | VictPref | PrefExcl | VicPreExc) {
-                    cfg.prefetch = Prefetch::Unless(out);
+                    cfg.prefetch = Prefetch::NextLineUnless(out);
                     cfg.probes.prefetch = Some(FilterUnit::AmbPrefetch);
                 }
                 if matches!(p, Excl | PrefExcl | VictExcl | VicPreExc) {
                     cfg.exclude = Exclude::Class(MissClass::Capacity);
                     cfg.probes.exclude = Some(FilterUnit::AmbExclude);
                 }
+            }
+            AssistPolicy::Rpt { filtered } => {
+                cfg.promote_port = PromotePort::LineRead;
+                cfg.prefetch = Prefetch::Stride { filtered };
             }
         }
         if cfg.exclude != Exclude::Never {

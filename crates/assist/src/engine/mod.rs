@@ -1,6 +1,6 @@
 //! The assist engine: one memory system for the victim cache, the
-//! next-line prefetcher, the bypass buffer and the Adaptive Miss
-//! Buffer.
+//! next-line and stride prefetchers, the bypass buffer and the
+//! Adaptive Miss Buffer.
 
 use cache_model::{CacheGeometry, ConfigError};
 use cpu_model::{MemResponse, MemorySystem, Plumbing};
@@ -10,7 +10,9 @@ use sim_core::{Addr, Cycle, LineAddr};
 use trace_gen::MemoryAccess;
 
 use crate::config::{Exclude, Hit, Prefetch, PromotePort};
-use crate::{AssistBuffer, AssistConfig, AssistPolicy, BufferPorts, MemoryAccessTable};
+use crate::ports::BufferPorts;
+use crate::stride::StrideTable;
+use crate::{AssistBuffer, AssistConfig, AssistPolicy, MemoryAccessTable};
 
 /// Event counts of every study, all against total accesses: Table 1
 /// (hits, swaps, fills), Figure 4 (prefetch accuracy and coverage),
@@ -36,12 +38,8 @@ pub struct AssistStats {
     pub fills: u64,
     /// Prefetches issued to the memory system.
     pub issued: u64,
-    /// Prefetched lines displaced from the buffer before any use.
-    pub wasted: u64,
-    /// Prefetches dropped because the MSHR file was full (the paper:
-    /// "prefetches are discarded").
-    pub discarded: u64,
-    /// Prefetches suppressed by the conflict filter.
+    /// Prefetches suppressed by the conflict filter, or stride-table
+    /// updates it skipped.
     pub filtered: u64,
     /// Misses redirected into the buffer instead of the cache.
     pub excluded: u64,
@@ -139,8 +137,6 @@ impl std::ops::AddAssign for AssistStats {
         self.swaps += o.swaps;
         self.fills += o.fills;
         self.issued += o.issued;
-        self.wasted += o.wasted;
-        self.discarded += o.discarded;
         self.filtered += o.filtered;
         self.excluded += o.excluded;
     }
@@ -159,6 +155,18 @@ struct Entry {
 /// The 1 KB regions the history policies and the MAT track.
 const REGIONS: usize = 1024;
 
+/// The table a policy reads and updates on every access, L1 hits
+/// included: the hardware cost the MCT, touched only on misses,
+/// avoids.
+#[derive(Debug)]
+enum Table {
+    None,
+    /// Johnson & Hwu's table, under `Exclude::Mat`.
+    Mat(MemoryAccessTable),
+    /// The RPT, under `Prefetch::Stride`.
+    Stride(StrideTable),
+}
+
 /// An L1 with a classifying MCT, one role-tagged fully-associative
 /// buffer, its ports and the miss path, run by an [`AssistConfig`].
 ///
@@ -166,7 +174,9 @@ const REGIONS: usize = 1024;
 /// line stays or moves into the L1 as its role's rule says. A miss
 /// everywhere goes to L2: the line is excluded into the buffer or
 /// filled into the L1, the line it displaces may enter the buffer as
-/// a victim, and the next line may be prefetched into the buffer.
+/// a victim, and the next line may be prefetched into the buffer. A
+/// stride prefetcher instead prefetches its table's prediction after
+/// every access.
 /// Lines excluded by an MCT policy get the §5.3 fix-up: their tag is
 /// installed in the MCT entry of the set they would have occupied, so
 /// their next miss can classify as a conflict.
@@ -180,8 +190,7 @@ pub struct AssistSystem {
     /// A 2-bit saturating history of miss classes per region, counting
     /// up on the class `Exclude::History` names (empty otherwise).
     history: Vec<u8>,
-    /// Johnson & Hwu's table, under `Exclude::Mat` only.
-    mat: Option<MemoryAccessTable>,
+    table: Table,
     stats: AssistStats,
 }
 
@@ -194,6 +203,11 @@ impl AssistSystem {
     #[must_use]
     pub fn new(cfg: AssistConfig, l1_geometry: CacheGeometry, plumbing: Plumbing) -> Self {
         let history = matches!(cfg.exclude, Exclude::History(_)).then(|| vec![0; REGIONS]);
+        let table = match (cfg.exclude, cfg.prefetch) {
+            (Exclude::Mat, _) => Table::Mat(MemoryAccessTable::new(REGIONS, 1024)),
+            (_, Prefetch::Stride { .. }) => Table::Stride(StrideTable::new()),
+            _ => Table::None,
+        };
         AssistSystem {
             cfg,
             l1: ClassifyingCache::new(l1_geometry, TagBits::Full),
@@ -201,7 +215,7 @@ impl AssistSystem {
             ports: BufferPorts::new(),
             plumbing,
             history: history.unwrap_or_default(),
-            mat: (cfg.exclude == Exclude::Mat).then(|| MemoryAccessTable::new(REGIONS, 1024)),
+            table,
             stats: AssistStats::default(),
         }
     }
@@ -240,24 +254,19 @@ impl AssistSystem {
             ready,
             conflict_bit,
         };
-        if let Some((_, old)) = self.buffer.insert(line, entry) {
-            if old.role == Role::Prefetch {
-                self.stats.wasted += 1;
-            }
-        }
+        let _ = self.buffer.insert(line, entry);
     }
 
     fn issue_prefetch(&mut self, line: LineAddr, now: Cycle) {
         if self.l1.contains(line) || self.buffer.contains(line) {
             return;
         }
-        match self.plumbing.fetch_prefetch(line, now) {
-            None => self.stats.discarded += 1,
-            Some(ready) => {
-                self.stats.issued += 1;
-                let _ = self.ports.line_write(ready);
-                self.insert(line, Role::Prefetch, ready, false);
-            }
+        // A full MSHR file drops the prefetch (the paper: "prefetches
+        // are discarded").
+        if let Some(ready) = self.plumbing.fetch_prefetch(line, now) {
+            self.stats.issued += 1;
+            let _ = self.ports.line_write(ready);
+            self.insert(line, Role::Prefetch, ready, false);
         }
     }
 
@@ -276,12 +285,13 @@ impl AssistSystem {
                 *c >= 2
             }
             Exclude::Mat => {
+                let Table::Mat(mat) = &self.table else {
+                    return false;
+                };
                 let line_size = self.l1.geometry().line_size();
                 // An empty way means no one is displaced: cache it.
                 let victim = self.l1.eviction_candidate(addr.line(line_size));
-                victim.zip(self.mat.as_ref()).is_some_and(|(victim, mat)| {
-                    mat.should_exclude(addr, victim.base_addr(line_size))
-                })
+                victim.is_some_and(|victim| mat.should_exclude(addr, victim.base_addr(line_size)))
             }
         }
     }
@@ -342,7 +352,11 @@ impl AssistSystem {
                 self.promote(line, class, ready);
             }
         }
-        if entry.role == Role::Prefetch {
+        let next_line = matches!(
+            self.cfg.prefetch,
+            Prefetch::NextLine | Prefetch::NextLineUnless(_)
+        );
+        if entry.role == Role::Prefetch && next_line {
             // Issue the next prefetch as soon as the hit is detected,
             // not when the data returns — lookahead is the point.
             self.issue_prefetch(line.next(), word);
@@ -409,9 +423,9 @@ impl AssistSystem {
             evicted
         };
         let suppressed = match self.cfg.prefetch {
-            Prefetch::Never => return MemResponse::at(ready),
-            Prefetch::Always => false,
-            Prefetch::Unless(filter) => {
+            Prefetch::Never | Prefetch::Stride { .. } => return MemResponse::at(ready),
+            Prefetch::NextLine => false,
+            Prefetch::NextLineUnless(filter) => {
                 filter.fires(class.is_conflict(), evicted.is_some_and(|e| e.conflict_bit))
             }
         };
@@ -426,6 +440,23 @@ impl AssistSystem {
         }
         MemResponse::at(ready)
     }
+
+    /// Updates the stride table for an access to `line` and returns
+    /// the line it predicts, if that is another line.
+    #[inline(never)]
+    fn predict(&mut self, access: MemoryAccess, line: LineAddr) -> Option<LineAddr> {
+        let Table::Stride(table) = &mut self.table else {
+            return None;
+        };
+        let filtered = self.cfg.prefetch == Prefetch::Stride { filtered: true };
+        if filtered && !self.l1.contains(line) && self.l1.classify_miss(line) == MissClass::Conflict
+        {
+            self.stats.filtered += 1;
+            return None;
+        }
+        let target = table.update(access)?.line(self.l1.geometry().line_size());
+        (target != line).then_some(target)
+    }
 }
 
 impl MemorySystem for AssistSystem {
@@ -433,20 +464,28 @@ impl MemorySystem for AssistSystem {
     fn access(&mut self, access: MemoryAccess, now: Cycle) -> MemResponse {
         let line = access.addr.line(self.l1.geometry().line_size());
         self.stats.accesses += 1;
-        // The MAT pays its update on every access.
-        if let Some(mat) = &mut self.mat {
-            mat.touch(access.addr);
-        }
+        let predicted = match &mut self.table {
+            Table::None => None,
+            Table::Mat(mat) => {
+                mat.touch(access.addr);
+                None
+            }
+            Table::Stride(_) => self.predict(access, line),
+        };
 
         let grant = self.plumbing.l1_grant(line, now);
         let l1_done = grant + self.plumbing.timings().l1_latency;
-        if self.l1.probe(line).is_some() {
+        let response = if self.l1.probe(line).is_some() {
             self.stats.d_hits += 1;
             probe::emit(probe::ProbeEvent::Access { hit: true });
-            return MemResponse::at(l1_done);
+            MemResponse::at(l1_done)
+        } else {
+            self.miss(access.addr, line, grant, l1_done)
+        };
+        if let Some(target) = predicted {
+            self.issue_prefetch(target, now);
         }
-
-        self.miss(access.addr, line, grant, l1_done)
+        response
     }
 
     fn label(&self) -> String {
@@ -456,6 +495,8 @@ impl MemorySystem for AssistSystem {
             AssistPolicy::NextLine(Some(f)) => format!("next-line prefetch (ignore {f})"),
             AssistPolicy::Exclusion(p) => format!("exclusion ({p})"),
             AssistPolicy::Amb(p) => format!("AMB {p} ({} entries)", self.cfg.entries),
+            AssistPolicy::Rpt { filtered: false } => "RPT stride prefetch".to_owned(),
+            AssistPolicy::Rpt { filtered: true } => "RPT stride prefetch (MCT-filtered)".to_owned(),
         }
     }
 }

@@ -10,6 +10,7 @@ use crate::{AmbPolicy, AssistConfig, ExclusionPolicy, VictimPolicy};
 mod amb;
 mod exclusion;
 mod next_line;
+mod rpt;
 mod victim;
 
 /// `amb:pref` and `prefetch:out` run the same prefetcher. A promoted

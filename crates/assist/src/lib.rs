@@ -11,28 +11,20 @@
 //! swap with the data cache requires two ports for two cycles."
 //!
 //! [`AssistBuffer`] is the storage (fully-associative, LRU, generic
-//! per-entry metadata); [`BufferPorts`] is the timing model.
+//! per-entry metadata), behind the 2R/2W port timing model.
 //! [`AssistSystem`] is the memory system: a classifying L1 and one
 //! buffer whose entries carry the role they entered under (victim,
 //! prefetch, exclusion). An [`AssistConfig`] built from an
 //! [`AssistPolicy`] sets its per-miss rules, so the victim cache
-//! (§5.1), the next-line prefetcher (§5.2), the bypass buffer (§5.3)
-//! and the Adaptive Miss Buffer (§5.5) are four configurations of one
-//! code path. The `victim-cache`, `prefetcher`, `exclusion` and `amb`
-//! crates name them.
+//! (§5.1), the next-line prefetcher and the Chen & Baer stride
+//! prefetcher (§5.2), the bypass buffer (§5.3) and the Adaptive Miss
+//! Buffer (§5.5) are five configurations of one code path. Only the
+//! stride prefetcher's prediction table and the bypass buffer's
+//! [`MemoryAccessTable`], read on every access, have code of their
+//! own. The `victim-cache`, `prefetcher`, `exclusion` and `amb` crates
+//! name them.
 //!
 //! # Examples
-//!
-//! ```
-//! use assist_buffer::AssistBuffer;
-//! use sim_core::LineAddr;
-//!
-//! let mut buf: AssistBuffer<&str> = AssistBuffer::new(2);
-//! buf.insert(LineAddr::new(1), "victim");
-//! buf.insert(LineAddr::new(2), "prefetch");
-//! let evicted = buf.insert(LineAddr::new(3), "bypass").unwrap();
-//! assert_eq!(evicted, (LineAddr::new(1), "victim")); // LRU out
-//! ```
 //!
 //! The Adaptive Miss Buffer's combined policy on a ping-ponging pair:
 //!
@@ -60,9 +52,9 @@ mod config;
 mod engine;
 mod mat;
 mod ports;
+mod stride;
 
 pub use buffer::AssistBuffer;
 pub use config::{AmbPolicy, AssistConfig, AssistPolicy, ExclusionPolicy, VictimPolicy};
 pub use engine::{AssistStats, AssistSystem};
 pub use mat::MemoryAccessTable;
-pub use ports::BufferPorts;

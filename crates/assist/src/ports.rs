@@ -8,21 +8,8 @@ use sim_core::Cycle;
 /// * a full line read or write takes one port for two cycles;
 /// * a swap with the data cache takes one read **and** one write port
 ///   for two cycles each, starting together.
-///
-/// # Examples
-///
-/// ```
-/// use assist_buffer::BufferPorts;
-/// use sim_core::Cycle;
-///
-/// let mut ports = BufferPorts::new();
-/// let g1 = ports.swap(Cycle::ZERO);      // read0+write0 busy to cycle 2
-/// let g2 = ports.swap(Cycle::ZERO);      // read1+write1 busy to cycle 2
-/// let g3 = ports.word_read(Cycle::ZERO); // all read ports busy
-/// assert_eq!((g1, g2, g3), (Cycle::ZERO, Cycle::ZERO, Cycle::new(2)));
-/// ```
 #[derive(Debug, Clone)]
-pub struct BufferPorts {
+pub(crate) struct BufferPorts {
     read_free: [Cycle; 2],
     write_free: [Cycle; 2],
 }
@@ -32,8 +19,7 @@ const LINE_CYCLES: u64 = 2;
 
 impl BufferPorts {
     /// Creates the 2R/2W port set, all free.
-    #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         BufferPorts {
             read_free: [Cycle::ZERO; 2],
             write_free: [Cycle::ZERO; 2],
@@ -42,26 +28,26 @@ impl BufferPorts {
 
     /// Delivers a word to the CPU: one read port, one cycle. Returns
     /// the grant time.
-    pub fn word_read(&mut self, now: Cycle) -> Cycle {
+    pub(crate) fn word_read(&mut self, now: Cycle) -> Cycle {
         Self::acquire_one(&mut self.read_free, now, WORD_CYCLES)
     }
 
     /// Reads a full line out of the buffer (promotion into the
     /// cache): one read port, two cycles.
-    pub fn line_read(&mut self, now: Cycle) -> Cycle {
+    pub(crate) fn line_read(&mut self, now: Cycle) -> Cycle {
         Self::acquire_one(&mut self.read_free, now, LINE_CYCLES)
     }
 
     /// Writes a full line into the buffer (victim fill, prefetch
     /// arrival, bypass): one write port, two cycles.
-    pub fn line_write(&mut self, now: Cycle) -> Cycle {
+    pub(crate) fn line_write(&mut self, now: Cycle) -> Cycle {
         Self::acquire_one(&mut self.write_free, now, LINE_CYCLES)
     }
 
     /// Swaps a line with the data cache: one read and one write port,
     /// both for two cycles, starting together. Returns the common
     /// grant time.
-    pub fn swap(&mut self, now: Cycle) -> Cycle {
+    pub(crate) fn swap(&mut self, now: Cycle) -> Cycle {
         let r = Self::earliest(&self.read_free);
         let w = Self::earliest(&self.write_free);
         let grant = self.read_free[r].max(self.write_free[w]).max(now);
@@ -86,15 +72,18 @@ impl BufferPorts {
     }
 }
 
-impl Default for BufferPorts {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn two_swaps_take_every_read_port() {
+        let mut ports = BufferPorts::new();
+        let g1 = ports.swap(Cycle::ZERO); // read0+write0 busy to cycle 2
+        let g2 = ports.swap(Cycle::ZERO); // read1+write1 busy to cycle 2
+        let g3 = ports.word_read(Cycle::ZERO); // all read ports busy
+        assert_eq!((g1, g2, g3), (Cycle::ZERO, Cycle::ZERO, Cycle::new(2)));
+    }
 
     #[test]
     fn two_word_reads_per_cycle() {

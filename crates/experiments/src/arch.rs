@@ -23,7 +23,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use assist_buffer::AssistPolicy::{Amb, Exclusion, NextLine, Victim};
+use assist_buffer::AssistPolicy::{Amb, Exclusion, NextLine, Rpt, Victim};
 use assist_buffer::{
     AmbPolicy, AssistConfig, AssistPolicy, AssistSystem, ExclusionPolicy, VictimPolicy,
 };
@@ -34,7 +34,6 @@ use cpu_model::{
     Plumbing,
 };
 use mct::ConflictFilter;
-use prefetcher::{RptConfig, RptSystem};
 use pseudo_assoc::{PseudoAssocSystem, PseudoConfig, PseudoPolicy};
 use sim_core::Cycle;
 use trace_gen::{MemoryAccess, TraceEvent};
@@ -47,15 +46,10 @@ pub enum Family {
     /// A 2-way L1 of the same size (§5.4's "true 2-way").
     TwoWay,
     /// The assist engine as a victim cache (Figure 3), next-line
-    /// prefetcher (Figure 4), bypass buffer (Figure 5) or Adaptive
-    /// Miss Buffer (Figures 6 and 7).
+    /// prefetcher (Figure 4), bypass buffer (Figure 5), Adaptive Miss
+    /// Buffer (Figures 6 and 7) or PC-indexed stride prefetcher, with
+    /// or without MCT conflict-noise filtering.
     Assist(AssistPolicy),
-    /// A PC-indexed stride prefetcher, with or without MCT
-    /// conflict-noise filtering.
-    Rpt {
-        /// Whether conflict misses skip the table update.
-        filtered: bool,
-    },
     /// A pseudo-associative L1 (§5.4).
     Pseudo(PseudoPolicy),
     /// OS page remapping driven by a miss lookaside buffer.
@@ -76,8 +70,8 @@ const FAMILIES: [(&str, Family); 29] = [
     ("prefetch:out", Family::Assist(NextLine(Some(ConflictFilter::OutConflict)))),
     ("prefetch:and", Family::Assist(NextLine(Some(ConflictFilter::AndConflict)))),
     ("prefetch:or", Family::Assist(NextLine(Some(ConflictFilter::OrConflict)))),
-    ("rpt", Family::Rpt { filtered: false }),
-    ("rpt:filtered", Family::Rpt { filtered: true }),
+    ("rpt", Family::Assist(Rpt { filtered: false })),
+    ("rpt:filtered", Family::Assist(Rpt { filtered: true })),
     ("exclusion:mat", Family::Assist(Exclusion(ExclusionPolicy::Mat))),
     ("exclusion:conflict", Family::Assist(Exclusion(ExclusionPolicy::Conflict))),
     ("exclusion:conflict-history", Family::Assist(Exclusion(ExclusionPolicy::ConflictHistory))),
@@ -107,7 +101,6 @@ impl Family {
     const fn default_entries(self) -> Option<usize> {
         match self {
             Family::Assist(policy) => Some(policy.default_entries()),
-            Family::Rpt { .. } => Some(RptConfig::default_config().buffer_entries),
             Family::Baseline | Family::TwoWay | Family::Pseudo(_) | Family::Remap(_) => None,
         }
     }
@@ -202,12 +195,6 @@ impl Arch {
                 let cfg = AssistConfig::new(policy).with_entries(entries);
                 System::Assist(AssistSystem::new(cfg, l1, plumbing))
             }
-            Family::Rpt { filtered } => {
-                let mut cfg = RptConfig::default_config();
-                cfg.filter_conflict_noise = filtered;
-                cfg.buffer_entries = entries;
-                System::Rpt(RptSystem::new(cfg, l1, plumbing))
-            }
             Family::Pseudo(policy) => {
                 let cfg = PseudoConfig::new(policy);
                 System::Pseudo(PseudoAssocSystem::new(cfg, l1, plumbing))
@@ -287,10 +274,8 @@ impl FromStr for Arch {
 pub enum System {
     /// `baseline` and `two-way`.
     Baseline(BaselineSystem),
-    /// `victim:*`, `prefetch:*`, `exclusion:*` and `amb:*`.
+    /// `victim:*`, `prefetch:*`, `rpt*`, `exclusion:*` and `amb:*`.
     Assist(AssistSystem),
-    /// `rpt` and `rpt:filtered`.
-    Rpt(RptSystem),
     /// `pseudo:*`.
     Pseudo(PseudoAssocSystem),
     /// `remap:*`.
@@ -304,7 +289,6 @@ macro_rules! each_system {
         match $system {
             System::Baseline($s) => $body,
             System::Assist($s) => $body,
-            System::Rpt($s) => $body,
             System::Pseudo($s) => $body,
             System::Remap($s) => $body,
         }

@@ -305,7 +305,6 @@ fn counters(system: &System) -> String {
     match system {
         System::Baseline(s) => format!("{:?}", s.l1_stats()),
         System::Assist(s) => format!("{:?}", s.stats()),
-        System::Rpt(s) => format!("{:?}", s.stats()),
         System::Pseudo(s) => format!("{:?}", s.stats()),
         System::Remap(s) => format!("{:?}", s.stats()),
     }

@@ -8,18 +8,16 @@
 //! classification (don't prefetch on conflict misses) raises prefetch
 //! accuracy substantially at little cost in coverage.
 //!
-//! Two prefetchers are provided:
-//!
-//! * [`NextLineSystem`] — the paper's subject: prefetch line+1 on a
-//!   miss, optionally filtered by any [`mct::ConflictFilter`]. It is
-//!   one configuration of the assist engine
-//!   ([`assist_buffer::AssistSystem`]): prefetched lines wait in the
-//!   buffer and move into the L1 on their first hit;
-//! * [`RptSystem`] — a Chen & Baer reference prediction table (stride)
-//!   prefetcher, the "more sophisticated" comparison point the paper
-//!   mentions; it must be read and updated on *every* access, which is
-//!   exactly the hardware cost the MCT-filtered next-line scheme
-//!   avoids.
+//! [`NextLineSystem`] is the paper's subject: prefetch line+1 on a
+//! miss, optionally filtered by any `mct::ConflictFilter`. It is one
+//! configuration of the assist engine
+//! ([`assist_buffer::AssistSystem`]): prefetched lines wait in the
+//! buffer and move into the L1 on their first hit. The engine's
+//! [`assist_buffer::AssistPolicy::Rpt`] runs the same buffer behind a Chen & Baer
+//! reference prediction table (stride) prefetcher, the "more
+//! sophisticated" comparison point the paper mentions; its table must
+//! be read and updated on *every* access, which is exactly the
+//! hardware cost the MCT-filtered next-line scheme avoids.
 //!
 //! # Examples
 //!
@@ -43,7 +41,4 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod rpt;
-
 pub use assist_buffer::{AssistConfig as PrefetchConfig, AssistSystem as NextLineSystem};
-pub use rpt::{RptConfig, RptSystem};
