@@ -65,16 +65,10 @@ fn bench_classifying_cache(c: &mut Criterion) {
 /// event constructed and dispatched, then discarded). `disarmed`
 /// should match `mct_classifying_cache` within noise; the gap between
 /// `disarmed` and `null_sink` is the price of *armed* dispatch, paid
-/// only when `--probe` is requested.
-///
-/// `probe_block_disarmed` / `probe_block_null` run the same loop
-/// through `access_parts_block` in 1024-pair blocks: the block kernel
-/// observed and unobserved runs both take, with its emit sites behind
-/// one per-block armed check. `probe_block_epoch` arms the same kernel
-/// with the `--probe epoch:500` sink, so its gap over
-/// `probe_block_null` is the cost of the fold itself.
+/// only when `--probe` is requested. `probe_epoch` arms the same loop
+/// with the `--probe epoch:500` sink, so its gap over `probe_null` is
+/// the cost of the fold itself.
 fn bench_probe_null(c: &mut Criterion) {
-    use mct::BlockClass;
     use sim_core::probe::{EpochSink, NullSink};
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -88,16 +82,6 @@ fn bench_probe_null(c: &mut Criterion) {
         }
         black_box(cache.class_counts())
     };
-    let sets: Vec<u32> = refs.iter().map(|&l| geom.set_index(l) as u32).collect();
-    let tags: Vec<u64> = refs.iter().map(|&l| geom.tag(l)).collect();
-    let run_block = |sets: &[u32], tags: &[u64]| {
-        let mut cache = ClassifyingCache::new(geom, TagBits::Full);
-        let mut out = vec![BlockClass::Hit; 1024];
-        for (s, t) in sets.chunks(1024).zip(tags.chunks(1024)) {
-            cache.access_parts_block(s, t, &mut out[..s.len()]);
-        }
-        black_box(cache.class_counts())
-    };
     let mut g = c.benchmark_group("substrate/pipeline");
     g.throughput(Throughput::Elements(N as u64));
     g.bench_function("probe_disarmed", |b| b.iter(|| run(&refs)));
@@ -107,19 +91,10 @@ fn bench_probe_null(c: &mut Criterion) {
             sim_core::probe::with_sink(sink, || run(&refs))
         })
     });
-    g.bench_function("probe_block_disarmed", |b| {
-        b.iter(|| run_block(&sets, &tags))
-    });
-    g.bench_function("probe_block_null", |b| {
-        b.iter(|| {
-            let sink = Rc::new(RefCell::new(NullSink));
-            sim_core::probe::with_sink(sink, || run_block(&sets, &tags))
-        })
-    });
-    g.bench_function("probe_block_epoch", |b| {
+    g.bench_function("probe_epoch", |b| {
         b.iter(|| {
             let sink = Rc::new(RefCell::new(EpochSink::new(500)));
-            sim_core::probe::with_sink(sink.clone(), || run_block(&sets, &tags));
+            sim_core::probe::with_sink(sink.clone(), || run(&refs));
             black_box(Rc::try_unwrap(sink).map(|s| s.into_inner().finish()))
         })
     });

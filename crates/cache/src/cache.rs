@@ -100,7 +100,8 @@ impl<M> SetAssocCache<M> {
     /// (an L2, a shadow copy) do not pollute the L1's event stream;
     /// the unit that an experiment measures enables it at
     /// construction. No events are emitted either way unless a probe
-    /// sink is installed.
+    /// sink is installed. Only the per-access [`Self::fill_at`] emits
+    /// them: block replay ([`Self::access_block_with`]) never does.
     pub fn enable_set_probes(&mut self) {
         self.probed = true;
     }
@@ -325,8 +326,7 @@ pub enum BlockOutcome {
 ///
 /// `index` is the event's position in the caller's block. Events are
 /// visited in block order, so a sink may append or index, as suits it.
-/// A miss is always `miss` then `filled`, with the kernel's own
-/// `SetFill` / `SetEvict` probe events between the two.
+/// A miss is always `miss` then `filled`.
 pub trait BlockSink<M> {
     /// Called on a hit with the resident line's metadata.
     fn hit(&mut self, index: usize, meta: &mut M);
@@ -399,19 +399,12 @@ impl<M> SetAssocCache<M> {
     /// }
     /// ```
     ///
-    /// but the probe-armed check runs once per block instead of once
-    /// per event, and adjacent
-    /// same-set events are replayed as *runs* whose row, clock, and
-    /// counters live in locals. Events keep trace order, so hits,
-    /// misses, evictions, statistics and final contents all match
-    /// per-event replay exactly.
-    ///
-    /// Armed or not, every block takes this kernel. When this cache
-    /// reports set probes and a probe sink is armed, each fill emits
-    /// `SetFill` (and `SetEvict` when it displaces a line) between the
-    /// sink's `miss` and `filled` calls, the order `fill_at` emits
-    /// them in, so the event stream is byte-identical to unbatched
-    /// replay.
+    /// but adjacent same-set events are replayed as *runs* whose row,
+    /// clock, and counters live in locals. Events keep trace order, so
+    /// hits, misses, evictions, statistics and final contents all
+    /// match per-event replay exactly. Unlike `fill_at`, the kernel
+    /// emits no set probe events: no cache that reports them replays
+    /// blocks.
     ///
     /// # Panics
     ///
@@ -440,11 +433,9 @@ impl<M> SetAssocCache<M> {
         self.access_block_with(sets, tags, &mut sink);
     }
 
-    /// The block engine: trace order, with runs of adjacent same-set events (spatial locality)
-    /// folded into single row visits. The set-probe check runs here,
-    /// once per block.
+    /// The block engine: trace order, with runs of adjacent same-set
+    /// events (spatial locality) folded into single row visits.
     fn process_block<S: BlockSink<M>>(&mut self, sets: &[u32], tags: &[u64], sink: &mut S) {
-        let probed = self.probed && probe::active();
         let mut start = 0;
         while start < sets.len() {
             let set = sets[start];
@@ -453,9 +444,9 @@ impl<M> SetAssocCache<M> {
                 end += 1;
             }
             if end == start + 1 {
-                self.block_single(start, set as usize, tags[start], probed, sink);
+                self.block_single(start, set as usize, tags[start], sink);
             } else {
-                self.block_run(start, set as usize, &tags[start..end], probed, sink);
+                self.block_run(start, set as usize, &tags[start..end], sink);
             }
             start = end;
         }
@@ -467,18 +458,8 @@ impl<M> SetAssocCache<M> {
     /// write-back down to the same touch pattern as the legacy
     /// `probe_at`/`fill_at` pair, which matters on patterns with no
     /// adjacent same-set events (a strided set walk degenerates every
-    /// run to length one). The probe-armed check already ran once for
-    /// the whole block: with
-    /// `probed` up, the fill emits its set events exactly where
-    /// `fill_at` would.
-    fn block_single<S: BlockSink<M>>(
-        &mut self,
-        index: usize,
-        set: usize,
-        tag: u64,
-        probed: bool,
-        sink: &mut S,
-    ) {
+    /// run to length one).
+    fn block_single<S: BlockSink<M>>(&mut self, index: usize, set: usize, tag: u64, sink: &mut S) {
         let base = set * self.assoc;
         let occ = self.occ[set] as usize;
         self.clock += 1;
@@ -494,9 +475,6 @@ impl<M> SetAssocCache<M> {
         self.stats.record_miss();
         let meta = sink.miss(index, set, tag);
         self.clock += 1;
-        if probed {
-            probe::emit(probe::ProbeEvent::SetFill { set: set as u32 });
-        }
         if occ < self.assoc {
             self.tags[base + occ] = tag;
             self.stamps[base + occ] = self.clock;
@@ -507,9 +485,6 @@ impl<M> SetAssocCache<M> {
             return;
         }
         let way = min_stamp_way(&self.stamps[base..base + occ]);
-        if probed {
-            probe::emit(probe::ProbeEvent::SetEvict { set: set as u32 });
-        }
         let evicted_tag = self.tags[base + way];
         let evicted_meta = self.meta[base + way].replace(meta);
         self.tags[base + way] = tag;
@@ -529,14 +504,12 @@ impl<M> SetAssocCache<M> {
     /// borrowed once, and the clock, occupancy, and hit counter live
     /// in locals until a single write-back — per event
     /// the loop touches only the row, the run's tag, and the sink,
-    /// instead of re-loading kernel fields through `&mut self`. Set
-    /// probe events follow [`Self::block_single`].
+    /// instead of re-loading kernel fields through `&mut self`.
     fn block_run<S: BlockSink<M>>(
         &mut self,
         start: usize,
         set: usize,
         run_tags: &[u64],
-        probed: bool,
         sink: &mut S,
     ) {
         let base = set * self.assoc;
@@ -560,9 +533,6 @@ impl<M> SetAssocCache<M> {
             }
             let meta = sink.miss(index, set, tag);
             clock += 1;
-            if probed {
-                probe::emit(probe::ProbeEvent::SetFill { set: set as u32 });
-            }
             if occ < row_tags.len() {
                 row_tags[occ] = tag;
                 row_stamps[occ] = clock;
@@ -572,9 +542,6 @@ impl<M> SetAssocCache<M> {
                 continue;
             }
             let way = min_stamp_way(&row_stamps[..occ]);
-            if probed {
-                probe::emit(probe::ProbeEvent::SetEvict { set: set as u32 });
-            }
             let evicted_tag = row_tags[way];
             let evicted_meta = row_meta[way].replace(meta);
             row_tags[way] = tag;

@@ -3,18 +3,10 @@
 //! to per-event `probe_at` / `fill_at` replay — same outcomes, same
 //! statistics, same final contents, same future victim choice — for
 //! arbitrary geometries and arbitrary block sizes (including torn
-//! final blocks and the degenerate block size 1). Both caches report
-//! set probes, and every case runs twice: disarmed, through the kernel
-//! unobserved runs take, then under an armed probe sink, where the
-//! block path must also emit the per-event `SetFill` / `SetEvict`
-//! stream byte for byte.
-
-use std::cell::RefCell;
-use std::rc::Rc;
+//! final blocks and the degenerate block size 1).
 
 use cache_model::{BlockOutcome, CacheGeometry, SetAssocCache};
 use proptest::prelude::*;
-use sim_core::probe::{self, JsonlSink};
 use sim_core::LineAddr;
 
 /// A small universe of line addresses guarantees set conflicts and
@@ -25,31 +17,6 @@ fn geometry_from(sets_log: u32, assoc_log: u32) -> CacheGeometry {
     let assoc = 1u32 << assoc_log;
     let sets = 1u64 << sets_log;
     CacheGeometry::new(sets * u64::from(assoc) * 64, assoc, 64).expect("power-of-two geometry")
-}
-
-/// An empty cache that reports per-set probe events.
-fn probed_cache(geom: CacheGeometry) -> SetAssocCache<u32> {
-    let mut cache = SetAssocCache::new(geom);
-    cache.enable_set_probes();
-    cache
-}
-
-/// Runs `f` disarmed, or with `armed` under a raw-JSONL probe sink,
-/// returning its result and every event it emitted, one JSON object
-/// per line (none when disarmed).
-fn observed<R>(armed: bool, f: impl FnOnce() -> R) -> (R, String) {
-    if !armed {
-        assert!(!probe::active(), "a probe sink is armed on this thread");
-        return (f(), String::new());
-    }
-    let sink = Rc::new(RefCell::new(JsonlSink::new(Vec::new())));
-    let result = probe::with_sink(sink.clone(), f);
-    let (bytes, _) = Rc::try_unwrap(sink)
-        .expect("sink uninstalled after scope")
-        .into_inner()
-        .finish()
-        .expect("in-memory writes cannot fail");
-    (result, String::from_utf8(bytes).expect("JSONL is UTF-8"))
 }
 
 /// Splits raw line addresses into the parallel `(set, tag)` arrays
@@ -135,19 +102,14 @@ proptest! {
     ) {
         let geom = geometry_from(sets_log, assoc_log);
         let (sets, tags) = decompose(&geom, &raws);
-        for armed in [false, true] {
-            let mut legacy = probed_cache(geom);
-            let (expected, expected_events) =
-                observed(armed, || replay_per_event(&mut legacy, &sets, &tags));
+        let mut legacy = SetAssocCache::new(geom);
+        let expected = replay_per_event(&mut legacy, &sets, &tags);
 
-            let mut batched = probed_cache(geom);
-            let (outcomes, events) =
-                observed(armed, || replay_blocked(&mut batched, &sets, &tags, block));
+        let mut batched = SetAssocCache::new(geom);
+        let outcomes = replay_blocked(&mut batched, &sets, &tags, block);
 
-            prop_assert_eq!(outcomes, expected);
-            prop_assert_eq!(events, expected_events);
-            assert_equivalent(&batched, &legacy);
-        }
+        prop_assert_eq!(outcomes, expected);
+        assert_equivalent(&batched, &legacy);
     }
 
     /// Block size 1 degenerates to the legacy path exactly: one event
@@ -160,19 +122,14 @@ proptest! {
     ) {
         let geom = geometry_from(sets_log, assoc_log);
         let (sets, tags) = decompose(&geom, &raws);
-        for armed in [false, true] {
-            let mut legacy = probed_cache(geom);
-            let (expected, expected_events) =
-                observed(armed, || replay_per_event(&mut legacy, &sets, &tags));
+        let mut legacy = SetAssocCache::new(geom);
+        let expected = replay_per_event(&mut legacy, &sets, &tags);
 
-            let mut batched = probed_cache(geom);
-            let (outcomes, events) =
-                observed(armed, || replay_blocked(&mut batched, &sets, &tags, 1));
+        let mut batched = SetAssocCache::new(geom);
+        let outcomes = replay_blocked(&mut batched, &sets, &tags, 1);
 
-            prop_assert_eq!(outcomes, expected);
-            prop_assert_eq!(events, expected_events);
-            assert_equivalent(&batched, &legacy);
-        }
+        prop_assert_eq!(outcomes, expected);
+        assert_equivalent(&batched, &legacy);
     }
 
     /// Large geometries (32 K sets, far past the paper's 1024-slot
@@ -195,32 +152,27 @@ proptest! {
             .map(|&raw| (raw % 8) + num_sets * (raw / 8))
             .collect();
         let (sets, tags) = decompose(&geom, &folded);
-        for armed in [false, true] {
-            let mut legacy = probed_cache(geom);
-            let (expected, expected_events) =
-                observed(armed, || replay_per_event(&mut legacy, &sets, &tags));
+        let mut legacy = SetAssocCache::new(geom);
+        let expected = replay_per_event(&mut legacy, &sets, &tags);
 
-            let mut batched = probed_cache(geom);
-            let (outcomes, events) =
-                observed(armed, || replay_blocked(&mut batched, &sets, &tags, block));
+        let mut batched = SetAssocCache::new(geom);
+        let outcomes = replay_blocked(&mut batched, &sets, &tags, block);
 
-            prop_assert_eq!(outcomes, expected);
-            prop_assert_eq!(events, expected_events);
-            assert_eq!(*batched.stats(), *legacy.stats());
-            assert_eq!(batched.len(), legacy.len());
-            let contents_batched: Vec<(LineAddr, u32)> =
-                batched.iter().map(|(l, m)| (l, *m)).collect();
-            let contents_legacy: Vec<(LineAddr, u32)> =
-                legacy.iter().map(|(l, m)| (l, *m)).collect();
-            assert_eq!(contents_batched, contents_legacy);
-            for &raw in &folded {
-                let line = LineAddr::new(raw);
-                assert_eq!(
-                    batched.eviction_candidate(line),
-                    legacy.eviction_candidate(line),
-                    "post-replay victim prediction for {line} disagrees"
-                );
-            }
+        prop_assert_eq!(outcomes, expected);
+        assert_eq!(*batched.stats(), *legacy.stats());
+        assert_eq!(batched.len(), legacy.len());
+        let contents_batched: Vec<(LineAddr, u32)> =
+            batched.iter().map(|(l, m)| (l, *m)).collect();
+        let contents_legacy: Vec<(LineAddr, u32)> =
+            legacy.iter().map(|(l, m)| (l, *m)).collect();
+        assert_eq!(contents_batched, contents_legacy);
+        for &raw in &folded {
+            let line = LineAddr::new(raw);
+            assert_eq!(
+                batched.eviction_candidate(line),
+                legacy.eviction_candidate(line),
+                "post-replay victim prediction for {line} disagrees"
+            );
         }
     }
 
@@ -234,19 +186,13 @@ proptest! {
     ) {
         let geom = geometry_from(sets_log, assoc_log);
         let (sets, tags) = decompose(&geom, &raws);
-        for armed in [false, true] {
-            let mut legacy = probed_cache(geom);
-            let (expected, expected_events) =
-                observed(armed, || replay_per_event(&mut legacy, &sets, &tags));
+        let mut legacy = SetAssocCache::new(geom);
+        let expected = replay_per_event(&mut legacy, &sets, &tags);
 
-            let mut batched = probed_cache(geom);
-            let (outcomes, events) = observed(armed, || {
-                replay_blocked(&mut batched, &sets, &tags, raws.len() + 7)
-            });
+        let mut batched = SetAssocCache::new(geom);
+        let outcomes = replay_blocked(&mut batched, &sets, &tags, raws.len() + 7);
 
-            prop_assert_eq!(outcomes, expected);
-            prop_assert_eq!(events, expected_events);
-            assert_equivalent(&batched, &legacy);
-        }
+        prop_assert_eq!(outcomes, expected);
+        assert_equivalent(&batched, &legacy);
     }
 }

@@ -1,7 +1,7 @@
 //! A set-associative cache with an attached Miss Classification Table
 //! and per-line conflict bits.
 
-use cache_model::{BlockSink, CacheGeometry, CacheStats, SetAssocCache};
+use cache_model::{CacheGeometry, CacheStats, SetAssocCache};
 use sim_core::probe;
 use sim_core::LineAddr;
 
@@ -22,64 +22,6 @@ pub enum BlockClass {
     Conflict,
     /// The miss was classified as a capacity (or compulsory) miss.
     Capacity,
-}
-
-/// The block sink that runs the MCT protocol per event: classify
-/// **before** the fill, carry the conflict bit as line metadata,
-/// record the eviction, and write each event's class to `out`. When
-/// `armed` (read once per block) it emits the same probe events as
-/// [`ClassifyingCache::access_parts`], in the same order.
-struct MctSink<'a, T> {
-    table: &'a mut T,
-    conflict_misses: &'a mut u64,
-    capacity_misses: &'a mut u64,
-    out: &'a mut [BlockClass],
-    armed: bool,
-}
-
-impl<T: EvictionClassifier> BlockSink<bool> for MctSink<'_, T> {
-    #[inline]
-    fn hit(&mut self, index: usize, _conflict_bit: &mut bool) {
-        if self.armed {
-            probe::emit(probe::ProbeEvent::Access { hit: true });
-        }
-        self.out[index] = BlockClass::Hit;
-    }
-
-    #[inline]
-    fn miss(&mut self, index: usize, set: usize, tag: u64) -> bool {
-        if self.armed {
-            probe::emit(probe::ProbeEvent::Access { hit: false });
-        }
-        let conflict = self.table.classify(set, tag).is_conflict();
-        if conflict {
-            *self.conflict_misses += 1;
-            if self.armed {
-                probe::emit(probe::ProbeEvent::ConflictBit {
-                    set: set as u32,
-                    set_bit: true,
-                });
-            }
-            self.out[index] = BlockClass::Conflict;
-        } else {
-            *self.capacity_misses += 1;
-            self.out[index] = BlockClass::Capacity;
-        }
-        conflict
-    }
-
-    #[inline]
-    fn filled(&mut self, _index: usize, set: usize, _way: usize, evicted: Option<(u64, bool)>) {
-        if let Some((evicted_tag, conflict_bit)) = evicted {
-            if conflict_bit && self.armed {
-                probe::emit(probe::ProbeEvent::ConflictBit {
-                    set: set as u32,
-                    set_bit: false,
-                });
-            }
-            self.table.record_eviction(set, evicted_tag);
-        }
-    }
 }
 
 /// The line displaced by a fill, together with its conflict bit.
@@ -245,33 +187,21 @@ impl<T: EvictionClassifier> ClassifyingCache<T> {
     }
 
     /// Replays a block of decomposed accesses, scattering each
-    /// event's classification into `out`.
-    ///
-    /// Equivalent to calling [`Self::access_parts`] per event and
-    /// recording `Hit`/`Conflict`/`Capacity`, but the underlying
-    /// kernel folds adjacent same-set events into runs
-    /// ([`SetAssocCache::access_block_with`]). The MCT protocol is
-    /// unchanged: each miss is classified against pre-fill state and
-    /// each eviction is recorded, in trace order.
-    ///
-    /// An armed probe sink takes the same kernel: the sink and the
-    /// kernel emit each event's `Access`, `Classify`, `ConflictBit`,
-    /// `SetFill` and `SetEvict` in per-event order, so the stream is
-    /// byte-identical to unbatched replay.
+    /// event's classification into `out`: [`Self::access_parts`] per
+    /// event, recording `Hit`/`Conflict`/`Capacity`.
     ///
     /// # Panics
     ///
-    /// Panics if the slices differ in length or a set index is out of
-    /// range for the geometry.
+    /// Panics if `tags` or `out` is shorter than `sets`, or a set
+    /// index is out of range for the geometry.
     pub fn access_parts_block(&mut self, sets: &[u32], tags: &[u64], out: &mut [BlockClass]) {
-        let mut sink = MctSink {
-            table: &mut self.table,
-            conflict_misses: &mut self.conflict_misses,
-            capacity_misses: &mut self.capacity_misses,
-            out,
-            armed: probe::active(),
-        };
-        self.cache.access_block_with(sets, tags, &mut sink);
+        for (i, &set) in sets.iter().enumerate() {
+            out[i] = match self.access_parts(set as usize, tags[i]) {
+                AccessOutcome::Hit { .. } => BlockClass::Hit,
+                AccessOutcome::Miss(miss) if miss.class.is_conflict() => BlockClass::Conflict,
+                AccessOutcome::Miss(_) => BlockClass::Capacity,
+            };
+        }
     }
 
     /// Classifies a miss on `line` without changing any state.
