@@ -5,8 +5,8 @@
 //! pool as a set of resources that each become free at some cycle: a
 //! request either targets the bank its line maps to or takes whichever
 //! resource frees first. The cache-assist buffers' read/write ports,
-//! whose line swaps hold two ports at once, are modeled separately by
-//! `assist_buffer::BufferPorts`.
+//! whose line swaps hold two ports at once, are modeled separately
+//! inside the assist engine (`assist_buffer`).
 
 use sim_core::{Cycle, LineAddr};
 
