@@ -31,7 +31,7 @@ struct RptEntry {
 const TABLE_ENTRIES: usize = 512;
 
 /// The prediction table.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct StrideTable {
     entries: Vec<Option<RptEntry>>,
 }
